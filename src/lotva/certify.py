@@ -17,12 +17,12 @@ from typing import Optional, Union
 
 from .errors import LotvaError, ParseError, PreconditionError
 from .complexes import build_complex, derive_subcomplexes, exponent_sum, is_full
-from .lot import (CollapseChain, ChainStep, FreeDecomposition, Lot, LotEdge,
+from .lot import (CollapseChain, ChainStep, Lot, LotEdge,
                   boundary_reducible_witness, check_properties, collapse,
                   collapse_vertex_of, complete_set_search, enumerate_sublots,
                   extract_sublot, free_decomposition, is_compressed,
-                  is_injective, is_sublot, reorient, sublot_vertices)
-from .weights import _pm_corner_pairs, orientation_search, orientation_search_check
+                  is_injective, is_sublot, sublot_vertices)
+from .weights import FlipForests, flip_mask, orientation_search
 
 
 # ---------------------------------------------------------------------------
@@ -106,13 +106,12 @@ def boundary_reduce(lot: Lot, edge_id: int, outer_vertex: str) -> Lot:
 def _witness_pairs(lot: Lot, flipped: frozenset[int]
                    ) -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]:
     """lk+ and lk- corner endpoint pairs of the reoriented LOT, by name."""
-    flip = 0
-    for i in flipped:
-        flip |= 1 << i
-    pos, neg = _pm_corner_pairs(lot, flip)
+    corners = FlipForests(lot, ())
+    flip = flip_mask(lot, flipped)
     names = lot.vertices
-    return (tuple((names[a], names[b]) for a, b in pos),
-            tuple((names[a], names[b]) for a, b in neg))
+    pos, neg = (tuple((names[a], names[b]) for a, b in corners.pairs(flip, pol))
+                for pol in (1, -1))
+    return pos, neg
 
 
 # ---------------------------------------------------------------------------
@@ -340,26 +339,12 @@ def _verify(lot: Lot, cert: Certificate) -> None:
 
 
 def _check_forests_and_witnesses(lot, flipped, fixed, pos_rec, neg_rec, prefix):
-    from .weights import _pairs_forest
-    from .lot import _iv
-    iv = _iv(lot)
-    vidx = {v: i for i, v in enumerate(lot.vertices)}
-    blocks_nodes = [frozenset(vidx[v] for v in sublot_vertices(lot, ids))
-                    for ids in fixed]
-    block_edges = [set(ids) for ids in fixed]
-    flip = 0
-    for i in flipped:
-        flip |= 1 << i
-    pos, neg = _pm_corner_pairs(lot, flip)
-    _need(_pairs_forest(pos, blocks_nodes, block_edges, iv.n),
-          f"{prefix}-positive-forest")
-    _need(_pairs_forest(neg, blocks_nodes, block_edges, iv.n),
-          f"{prefix}-negative-forest")
-    names = lot.vertices
-    pos_names = tuple((names[a], names[b]) for a, b in pos)
-    neg_names = tuple((names[a], names[b]) for a, b in neg)
-    _need(pos_names == tuple(map(tuple, pos_rec)) and
-          neg_names == tuple(map(tuple, neg_rec)),
+    forests = FlipForests(lot, fixed)
+    flip = flip_mask(lot, flipped)
+    _need(forests.is_forest(flip, 1), f"{prefix}-positive-forest")
+    _need(forests.is_forest(flip, -1), f"{prefix}-negative-forest")
+    _need(_witness_pairs(lot, flipped) ==
+          (tuple(map(tuple, pos_rec)), tuple(map(tuple, neg_rec))),
           f"{prefix}-witness-match")
 
 
@@ -417,8 +402,7 @@ def _pp(node, depth: int) -> str:
     pad = "  " * depth
     if not isinstance(node, list):
         return pad + _atom(node)
-    if not any(isinstance(x, list) and x and x[0] in
-               ("base", "bdry-red", "free-dec", "prime-wt", "complete-set")
+    if not any(isinstance(x, list) and x and x[0] in _NODE_KEYWORDS
                for x in node) and node[0] not in _NESTED:
         return pad + _flat(node)
     head = node[0]
@@ -443,12 +427,14 @@ def _atom(x) -> str:
     return str(x)
 
 
+MAX_CERT_DEPTH = 500
+"""Deepest parenthesis nesting ``parse_certificate`` accepts.  Every node
+sits at least one level below its parent node, and node building and the
+verifier recurse once per node, so this also bounds their recursion."""
+
+
 def parse_certificate(text: str) -> Certificate:
-    tokens = _tokenize(text)
-    sexp, rest = _read(tokens, 0)
-    if rest != len(tokens):
-        raise ParseError("trailing data after certificate")
-    return _from_sexp(sexp)
+    return _from_sexp(_read(_tokenize(text)))
 
 
 def _tokenize(text: str) -> list[str]:
@@ -471,25 +457,35 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
-def _read(tokens: list[str], i: int):
-    if i >= len(tokens):
+def _read(tokens: list[str]):
+    """The single s-expression the tokens spell; integer atoms become ints.
+
+    Iterative, with the open lists on an explicit stack no deeper than
+    MAX_CERT_DEPTH.
+    """
+    stack: list[list] = [[]]
+    for tok in tokens:
+        if len(stack) == 1 and stack[0]:
+            raise ParseError("trailing data after certificate")
+        if tok == "(":
+            if len(stack) > MAX_CERT_DEPTH:
+                raise ParseError(f"certificate nests deeper than {MAX_CERT_DEPTH}")
+            stack.append([])
+        elif tok == ")":
+            if len(stack) == 1:
+                raise ParseError("unexpected )")
+            done = stack.pop()
+            stack[-1].append(done)
+        else:
+            try:
+                stack[-1].append(int(tok))
+            except ValueError:
+                stack[-1].append(tok)
+    if len(stack) > 1:
+        raise ParseError("unbalanced parentheses")
+    if not stack[0]:
         raise ParseError("unexpected end of certificate")
-    if tokens[i] == "(":
-        out = []
-        i += 1
-        while i < len(tokens) and tokens[i] != ")":
-            node, i = _read(tokens, i)
-            out.append(node)
-        if i >= len(tokens):
-            raise ParseError("unbalanced parentheses")
-        return out, i + 1
-    if tokens[i] == ")":
-        raise ParseError("unexpected )")
-    tok = tokens[i]
-    try:
-        return int(tok), i + 1
-    except ValueError:
-        return tok, i + 1
+    return stack[0][0]
 
 
 def _field(sexp: list, key: str) -> list:
@@ -499,22 +495,50 @@ def _field(sexp: list, key: str) -> list:
     raise ParseError(f"certificate node {sexp[0]!r} is missing field {key!r}")
 
 
+def _int(x) -> int:
+    if not isinstance(x, int):
+        raise ParseError(f"expected edge id, got {x!r}")
+    return x
+
+
+def _name(x) -> str:
+    if isinstance(x, list):
+        raise ParseError(f"expected a vertex name, got {x!r}")
+    return str(x)
+
+
+def _fields(x, n: int, what: str) -> list:
+    """``x`` if it is a list of exactly n items."""
+    if not (isinstance(x, list) and len(x) == n):
+        raise ParseError(f"expected {what}, got {x!r}")
+    return x
+
+
+def _int_field(sexp: list, key: str) -> int:
+    return _int(_fields(_field(sexp, key), 2, f"({key} ID)")[1])
+
+
+def _name_field(sexp: list, key: str) -> str:
+    return _name(_fields(_field(sexp, key), 2, f"({key} NAME)")[1])
+
+
 def _int_set(items) -> frozenset[int]:
-    out = set()
-    for x in items:
-        if not isinstance(x, int):
-            raise ParseError(f"expected edge id, got {x!r}")
-        out.add(x)
-    return frozenset(out)
+    if not isinstance(items, list):
+        raise ParseError(f"expected a list of edge ids, got {items!r}")
+    return frozenset(_int(x) for x in items)
 
 
 def _pairs(items) -> tuple[tuple[str, str], ...]:
     out = []
     for p in items:
-        if not (isinstance(p, list) and len(p) == 2):
-            raise ParseError(f"expected a corner pair, got {p!r}")
-        out.append((str(p[0]), str(p[1])))
+        a, b = _fields(p, 2, "a corner pair")
+        out.append((_name(a), _name(b)))
     return tuple(out)
+
+
+def _child_nodes(sexp: list) -> list:
+    return [x for x in sexp[1:] if isinstance(x, list) and x
+            and isinstance(x[0], str) and x[0] in _NODE_KEYWORDS]
 
 
 def _from_sexp(sexp) -> Certificate:
@@ -524,23 +548,20 @@ def _from_sexp(sexp) -> Certificate:
     if head == "base":
         return BaseTrivial()
     if head == "bdry-red":
-        edge = _field(sexp, "edge")
-        vertex = _field(sexp, "vertex")
-        children = [x for x in sexp[1:]
-                    if isinstance(x, list) and x and x[0] in _NODE_KEYWORDS]
+        edge_id = _int_field(sexp, "edge")
+        vertex = _name_field(sexp, "vertex")
+        children = _child_nodes(sexp)
         if len(children) != 1:
             raise ParseError("bdry-red needs exactly one child")
-        return BoundaryReduction(int(edge[1]), str(vertex[1]),
-                                 _from_sexp(children[0]))
+        return BoundaryReduction(edge_id, vertex, _from_sexp(children[0]))
     if head == "free-dec":
-        children = [x for x in sexp[1:]
-                    if isinstance(x, list) and x and x[0] in _NODE_KEYWORDS]
+        children = _child_nodes(sexp)
         if len(children) != 2:
             raise ParseError("free-dec needs exactly two children")
         return FreeDecompositionNode(
             _int_set(_field(sexp, "left")[1:]),
             _int_set(_field(sexp, "right")[1:]),
-            str(_field(sexp, "shared")[1]),
+            _name_field(sexp, "shared"),
             _from_sexp(children[0]), _from_sexp(children[1]))
     if head == "prime-wt":
         return PrimeWeightTest(
@@ -553,10 +574,10 @@ def _from_sexp(sexp) -> Certificate:
         for st in _field(sexp, "chain")[1:]:
             if not (isinstance(st, list) and len(st) == 3 and st[0] == "step"):
                 raise ParseError(f"bad chain step {st!r}")
-            steps.append(ChainStep(_int_set(st[1]), str(st[2])))
+            steps.append(ChainStep(_int_set(st[1]), _name(st[2])))
         final_s = _field(sexp, "final")
-        vertices = tuple(str(v) for v in _field(final_s, "vertices")[1:])
-        edges = tuple(LotEdge(str(e[1]), str(e[2]), str(e[3]))
+        vertices = tuple(_name(v) for v in _field(final_s, "vertices")[1:])
+        edges = tuple(LotEdge(*map(_name, _fields(e, 4, "(edge TAIL HEAD LABEL)")[1:]))
                       for e in final_s[1:]
                       if isinstance(e, list) and e and e[0] == "edge")
         final = Lot(vertices, edges)

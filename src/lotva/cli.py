@@ -11,10 +11,10 @@ import sys
 from pathlib import Path
 
 from .errors import LotvaError
-from .lot import Lot, check_properties, complete_set_search, free_decomposition, \
-    is_sublot, parse_log, parse_lot
+from .lot import Lot, check_properties, complete_set_search, enumerate_sublots, \
+    free_decomposition, is_sublot, parse_lot
 from .complexes import TwoComplex, build_complex, derive_subcomplexes, \
-    format_complex, parse_complex
+    parse_complex
 from .linkage import build_link, build_relative_link, to_dot
 from .weights import canonical_weights, orientation_search, parse_weights, \
     relative_weight_test, weight_test
@@ -77,7 +77,6 @@ def cmd_analyze(args) -> int:
     if rep.proper_sublot_witness is not None:
         ids = sorted(rep.proper_sublot_witness)
         print(f"  smallest proper sub-LOT: edges {ids}")
-        from .lot import enumerate_sublots
         _, maximal = enumerate_sublots(lot)
         print(f"  maximal proper sub-LOTs: {[sorted(s) for s in maximal]}")
     if lot.num_edges >= 2:

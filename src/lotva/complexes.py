@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from .errors import ParseError, PreconditionError, StructureError
-from .lot import Log, Lot, SignedLot
+from .lot import Lot, SignedLot, sublot_vertices
 
 Letter = tuple[str, int]  # (edge name, +1 or -1)
 
@@ -95,10 +95,6 @@ class SubcomplexFamily:
             seen_c |= cells
 
     @property
-    def all_edges(self) -> frozenset[str]:
-        return frozenset().union(*(p[0] for p in self.parts)) if self.parts else frozenset()
-
-    @property
     def all_cells(self) -> frozenset[str]:
         return frozenset().union(*(p[1] for p in self.parts)) if self.parts else frozenset()
 
@@ -146,7 +142,6 @@ def derive_subcomplexes(lot: Lot, sublots: Iterable[frozenset[int]]) -> Subcompl
     Disjoint means edge- and vertex-disjoint, as produced by
     ``complete_set_search``.
     """
-    from .lot import sublot_vertices
     parts = []
     seen_v: set[str] = set()
     seen_e: set[int] = set()

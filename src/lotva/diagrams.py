@@ -14,15 +14,14 @@ mirror case folding pairs are made of).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from .errors import (DegenerateDiagramError, ParseError, PreconditionError,
                      StructureError)
-from .complexes import BoundaryWord, TwoComplex, exponent_sum
-from .linkage import LinkGraph, build_link
+from .complexes import TwoComplex, exponent_sum
+from .linkage import build_link
 from .weights import WeightAssignment
 
 Dart = tuple[int, int]  # (edge index, +1 along tail->head, -1 against)
@@ -236,15 +235,10 @@ def _is_connected(d: SurfaceDiagram) -> bool:
 
 
 def _require_valid(d: SurfaceDiagram, cx: TwoComplex) -> DiagramReport:
-    report = _cached_validate(d, cx)
+    report = validate_diagram(d, cx)
     if not report.valid:
         raise PreconditionError(f"invalid diagram: {report.error}")
     return report
-
-
-@lru_cache(maxsize=256)
-def _cached_validate(d: SurfaceDiagram, cx: TwoComplex) -> DiagramReport:
-    return validate_diagram(d, cx)
 
 
 # ---------------------------------------------------------------------------

@@ -85,27 +85,29 @@ class LinkGraph:
     corners: tuple[Corner, ...]
     delta_blocks: Optional[tuple[DeltaBlock, ...]] = None
 
-    def corners_at(self, node: EdgeEnd) -> list[Corner]:
-        return [c for c in self.corners if node in (c.a, c.b)]
+
+def _cell_corners(cx: TwoComplex, removed: frozenset[str] = frozenset()
+                  ) -> tuple[tuple[EdgeEnd, ...], list[Corner]]:
+    """All edge-ends x+, x- in edge order, and one corner per boundary
+    position of every cell not in ``removed``, numbered from 0."""
+    nodes = tuple(EdgeEnd(x, s) for x in cx.edge_names for s in (1, -1))
+    corners = []
+    for cell in cx.cells:
+        if cell.name in removed:
+            continue
+        ls = cell.boundary.letters
+        q = len(ls)
+        for i in range(q):
+            corners.append(Corner(len(corners), terminal_end(ls[i]),
+                                  initial_end(ls[(i + 1) % q]),
+                                  ("cell", cell.name, i)))
+    return nodes, corners
 
 
 def build_link(cx: TwoComplex) -> LinkGraph:
     """Absolute link: all edge-ends, one corner per boundary position."""
-    nodes = []
-    for x in cx.edge_names:
-        nodes.append(EdgeEnd(x, 1))
-        nodes.append(EdgeEnd(x, -1))
-    corners = []
-    cid = 0
-    for cell in cx.cells:
-        ls = cell.boundary.letters
-        q = len(ls)
-        for i in range(q):
-            corners.append(Corner(cid, terminal_end(ls[i]),
-                                  initial_end(ls[(i + 1) % q]),
-                                  ("cell", cell.name, i)))
-            cid += 1
-    return LinkGraph(tuple(nodes), tuple(corners))
+    nodes, corners = _cell_corners(cx)
+    return LinkGraph(nodes, tuple(corners))
 
 
 def signed_sublinks(g: LinkGraph) -> tuple[LinkGraph, LinkGraph]:
@@ -130,23 +132,8 @@ def build_relative_link(cx: TwoComplex, fam: SubcomplexFamily) -> LinkGraph:
     both their endpoints lie in a part.
     """
     validate_family(cx, fam)
-    removed = fam.all_cells
-    nodes = []
-    for x in cx.edge_names:
-        nodes.append(EdgeEnd(x, 1))
-        nodes.append(EdgeEnd(x, -1))
-    corners = []
-    cid = 0
-    for cell in cx.cells:
-        if cell.name in removed:
-            continue
-        ls = cell.boundary.letters
-        q = len(ls)
-        for i in range(q):
-            corners.append(Corner(cid, terminal_end(ls[i]),
-                                  initial_end(ls[(i + 1) % q]),
-                                  ("cell", cell.name, i)))
-            cid += 1
+    nodes, corners = _cell_corners(cx, fam.all_cells)
+    cid = len(corners)
     blocks = []
     for bi, (edges, _cells) in enumerate(fam.parts):
         block_nodes = []
@@ -165,12 +152,33 @@ def build_relative_link(cx: TwoComplex, fam: SubcomplexFamily) -> LinkGraph:
             ids.append(cid)
             cid += 1
         blocks.append(DeltaBlock(frozenset(block_nodes), frozenset(ids)))
-    return LinkGraph(tuple(nodes), tuple(corners), tuple(blocks))
+    return LinkGraph(nodes, tuple(corners), tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
 # relative forest check
 # ---------------------------------------------------------------------------
+
+def forest_cycle_index(n: int, pairs: list[tuple[int, int]]) -> int:
+    """Union-find over nodes 0..n-1: the index of the first pair whose
+    endpoints are already connected (a loop counts), or -1 if the pairs
+    form a forest.  List-indexed, since orientation searches run it 2^k
+    times."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, (u, v) in enumerate(pairs):
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return i
+        parent[ru] = rv
+    return -1
+
 
 def relative_forest_check(
     g: LinkGraph,
@@ -184,47 +192,36 @@ def relative_forest_check(
     cycle; the witness is such a cycle as a tuple of original corner ids.
     """
     blocks = list(blocks)
-    rep: dict[EdgeEnd, tuple] = {}
-    seen_nodes: set[EdgeEnd] = set()
+    index: dict[EdgeEnd, int] = {}
     dropped: set[int] = set()
     for i, (nodes, ids) in enumerate(blocks):
-        if nodes & seen_nodes:
+        if any(n in index for n in nodes):
             raise PreconditionError("blocks overlap")
-        seen_nodes |= nodes
-        for n in nodes:
-            rep[n] = ("block", i)
+        index.update(dict.fromkeys(nodes, i))
         dropped |= set(ids)
 
-    def q(n: EdgeEnd):
-        return rep.get(n, n)
-
-    parent: dict = {}
-    adj: dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    size = len(blocks)
+    pairs: list[tuple[int, int]] = []
+    kept: list[int] = []
     for c in g.corners:
         if c.id in dropped:
             continue
-        u, v = q(c.a), q(c.b)
-        for n in (u, v):
-            if n not in parent:
-                parent[n] = n
-                adj[n] = []
-        if u == v:
-            return False, (c.id,)
-        if find(u) == find(v):
-            # close a cycle: path u..v through already-inserted corners
-            path = _tree_path(adj, u, v)
-            return False, tuple(path + [c.id])
-        parent[find(u)] = find(v)
-        adj[u].append((v, c.id))
-        adj[v].append((u, c.id))
-    return True, None
+        for n in (c.a, c.b):
+            if n not in index:
+                index[n] = size
+                size += 1
+        pairs.append((index[c.a], index[c.b]))
+        kept.append(c.id)
+    closing = forest_cycle_index(size, pairs)
+    if closing < 0:
+        return True, None
+    # the pairs before the closing one form a forest holding its endpoints
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for (u, v), cid in zip(pairs[:closing], kept):
+        adj.setdefault(u, []).append((v, cid))
+        adj.setdefault(v, []).append((u, cid))
+    u, v = pairs[closing]
+    return False, tuple(_tree_path(adj, u, v) + [kept[closing]])
 
 
 def _tree_path(adj: dict, u, v) -> list[int]:
@@ -247,33 +244,22 @@ def _tree_path(adj: dict, u, v) -> list[int]:
     return path
 
 
-def family_link_blocks(cx: TwoComplex, fam: SubcomplexFamily, pol: int
-                       ) -> list[tuple[frozenset[EdgeEnd], frozenset[int]]]:
-    """Blocks lk^pol(K_i) inside lk^pol(L): part-i ends of one polarity with
-    the same-polarity corners of part-i cells (corner ids of build_link(cx))."""
-    validate_family(cx, fam)
-    g = build_link(cx)
-    by_cell: dict[str, list[Corner]] = {}
-    for c in g.corners:
-        by_cell.setdefault(c.provenance[1], []).append(c)
-    out = []
-    for edges, cells in fam.parts:
-        nodes = frozenset(EdgeEnd(x, pol) for x in edges)
-        ids = set()
-        for cn in cells:
-            for c in by_cell.get(cn, []):
-                if c.a.polarity == pol and c.b.polarity == pol:
-                    ids.add(c.id)
-        out.append((nodes, frozenset(ids)))
-    return out
-
-
 def signed_relative_forest_check(cx: TwoComplex, fam: SubcomplexFamily, pol: int
                                  ) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Route 1: is lk^pol(L) a forest relative to lk^pol(K)?"""
-    g = build_link(cx)
-    sub = _polarity_subgraph(g, pol)
-    return relative_forest_check(sub, family_link_blocks(cx, fam, pol))
+    """Route 1: is lk^pol(L) a forest relative to lk^pol(K)?
+
+    Block i is the part-i ends of polarity ``pol`` with the same-polarity
+    corners of part-i cells as its designated corners.
+    """
+    validate_family(cx, fam)
+    sub = _polarity_subgraph(build_link(cx), pol)
+    by_cell: dict[str, list[int]] = {}
+    for c in sub.corners:
+        by_cell.setdefault(c.provenance[1], []).append(c.id)
+    blocks = [(frozenset(EdgeEnd(x, pol) for x in edges),
+               frozenset(cid for cn in cells for cid in by_cell.get(cn, ())))
+              for edges, cells in fam.parts]
+    return relative_forest_check(sub, blocks)
 
 
 def delta_relative_forest_check(cx: TwoComplex, fam: SubcomplexFamily, pol: int

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import ParseError, PreconditionError, StructureError
@@ -41,6 +40,7 @@ class Log:
     vertices: tuple[str, ...]
     edges: tuple[LotEdge, ...]
     name: str = field(default="", compare=False)
+    _iv: _IntView = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -56,6 +56,7 @@ class Log:
                     raise StructureError(f"edge {i} uses unknown vertex {v!r}")
             if e.label not in seen:
                 raise StructureError(f"edge {i} has unknown label {e.label!r}")
+        object.__setattr__(self, "_iv", _int_view(self))
 
     @property
     def num_edges(self) -> int:
@@ -201,7 +202,9 @@ def format_lot(lot: Log) -> str:
 
 
 # ---------------------------------------------------------------------------
-# int-indexed view (performance: the exhaustive sweeps run these hot)
+# int-indexed view (performance: the exhaustive sweeps run these hot).  Each
+# Log builds its view once, in __post_init__, and keeps it in the ``_iv``
+# field, which takes no part in equality, hashing or repr.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -212,8 +215,7 @@ class _IntView:
     label_count: tuple[int, ...]             # vertex -> #edges labeled by it
 
 
-@lru_cache(maxsize=1 << 15)
-def _iv(lot: Log) -> _IntView:
+def _int_view(lot: Log) -> _IntView:
     idx = {v: i for i, v in enumerate(lot.vertices)}
     n = len(lot.vertices)
     edges = tuple((idx[e.tail], idx[e.head], idx[e.label]) for e in lot.edges)
@@ -227,7 +229,7 @@ def _iv(lot: Log) -> _IntView:
 
 
 def _spans_connected(lot: Log, edge_ids: Iterable[int]) -> bool:
-    iv = _iv(lot)
+    iv = lot._iv
     ids = list(edge_ids)
     if not ids:
         return True
@@ -265,7 +267,7 @@ def sublot_vertices(lot: Log, edge_ids: Iterable[int]) -> frozenset[str]:
 def is_sublot(lot: Log, edge_ids: Iterable[int]) -> bool:
     """True iff the edges span a subtree with >= 1 edge whose labels are all
     vertices of that subtree."""
-    iv = _iv(lot)
+    iv = lot._iv
     ids = sorted(set(edge_ids))
     if not ids or not all(0 <= i < len(iv.edges) for i in ids):
         return False
@@ -296,17 +298,17 @@ def extract_sublot(lot: Lot, edge_ids: Iterable[int], name: str = "") -> Lot:
 # ---------------------------------------------------------------------------
 
 def is_injective(lot: Log) -> bool:
-    return all(c <= 1 for c in _iv(lot).label_count)
+    return all(c <= 1 for c in lot._iv.label_count)
 
 
 def is_compressed(lot: Log) -> bool:
-    return all(l != t and l != h for t, h, l in _iv(lot).edges)
+    return all(l != t and l != h for t, h, l in lot._iv.edges)
 
 
 def boundary_reducible_witness(lot: Lot) -> Optional[tuple[int, str]]:
     """First boundary vertex (in vertex order) that never occurs as an edge
     label, together with its unique incident edge.  None if boundary reduced."""
-    iv = _iv(lot)
+    iv = lot._iv
     for vi, v in enumerate(lot.vertices):
         if len(iv.incident[vi]) == 1 and iv.label_count[vi] == 0:
             return (iv.incident[vi][0], v)
@@ -345,7 +347,7 @@ def sublot_closure(lot: Lot, seed_edge: int) -> frozenset[int]:
     adjoin the unique tree path from the subtree to that label; the fixpoint
     is unique because tree paths are.
     """
-    iv = _iv(lot)
+    iv = lot._iv
     if not 0 <= seed_edge < len(iv.edges):
         raise StructureError(f"unknown edge id {seed_edge}")
     ids = {seed_edge}
@@ -390,7 +392,7 @@ def enumerate_sublots(lot: Lot) -> tuple[list[frozenset[int]], list[frozenset[in
     Brute force over connected edge subsets; fine at desk scale.  Both lists
     are sorted by their sorted edge-id tuples.
     """
-    iv = _iv(lot)
+    iv = lot._iv
     m = len(iv.edges)
     all_subs: list[frozenset[int]] = []
     for mask in range(1, 1 << m):
@@ -521,7 +523,7 @@ def free_decomposition(lot: Lot) -> Optional[FreeDecomposition]:
     """
     if lot.num_edges < 2:
         return None
-    iv = _iv(lot)
+    iv = lot._iv
     all_ids = frozenset(range(lot.num_edges))
     for vi in range(iv.n):
         if len(iv.incident[vi]) < 2:
@@ -539,7 +541,7 @@ def free_decomposition(lot: Lot) -> Optional[FreeDecomposition]:
 def _branches_at(lot: Lot, vi: int) -> list[frozenset[int]]:
     """Edge sets of the connected components hanging off vertex vi,
     ordered by smallest edge id."""
-    iv = _iv(lot)
+    iv = lot._iv
     seen_edges: set[int] = set()
     branches = []
     for start in iv.incident[vi]:
@@ -568,7 +570,7 @@ def _branches_at(lot: Lot, vi: int) -> list[frozenset[int]]:
 
 
 def _labels_internal(lot: Lot, edge_ids: frozenset[int]) -> bool:
-    iv = _iv(lot)
+    iv = lot._iv
     vs = set()
     for i in edge_ids:
         t, h, _ = iv.edges[i]

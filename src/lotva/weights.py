@@ -27,9 +27,7 @@ from typing import Iterable, Optional
 
 from .errors import ParseError, PreconditionError, StructureError
 from .complexes import SubcomplexFamily, TwoComplex, exponent_sum
-from .linkage import (LinkGraph, build_link, build_relative_link, EdgeEnd,
-                      family_link_blocks, relative_forest_check,
-                      _polarity_subgraph)
+from .linkage import LinkGraph, build_relative_link, EdgeEnd, forest_cycle_index
 from .lot import Lot, sublot_vertices, is_sublot
 
 Dart = tuple[int, int]  # (corner id, direction 0: a->b, 1: b->a)
@@ -302,54 +300,51 @@ def relative_weight_test(cx: TwoComplex, fam: SubcomplexFamily,
 # orientation search
 # ---------------------------------------------------------------------------
 
-def _pm_corner_pairs(lot: Lot, flip: int) -> tuple[list, list]:
-    """(++) and (--) corners of K(lot) with edges flipped per bitmask, as
-    vertex-index pairs: per LOT edge, label+ -- tail+ and label- -- head-.
+def flip_mask(lot: Lot, flipped: Iterable[int]) -> int:
+    """Bitmask of a flip set of edge ids."""
+    flip = 0
+    for ei in flipped:
+        if not 0 <= ei < lot.num_edges:
+            raise StructureError(f"unknown edge id {ei}")
+        flip |= 1 << ei
+    return flip
 
-    Equivalent to building the complex and taking signed sublinks; kept
-    separate because orientation sweeps run it 2^k times.
+
+class FlipForests:
+    """lk+ and lk- of K(lot), with edges flipped per bitmask, each checked
+    for being a forest relative to lk+/-(K(fixed)).
+
+    Each fixed sub-LOT's vertices are contracted to one node and its own
+    corners dropped once, here; a check then costs one union-find pass over
+    the remaining (++) or (--) corners.  Other nodes keep their vertex
+    index, so with no fixed sub-LOTs ``pairs`` gives the corners of K(lot).
     """
-    from .lot import _iv
-    iv = _iv(lot)
-    pos = []
-    neg = []
-    for i, (t, h, l) in enumerate(iv.edges):
-        if flip >> i & 1:
-            t, h = h, t
-        pos.append((l, t))
-        neg.append((l, h))
-    return pos, neg
 
+    def __init__(self, lot: Lot, fixed: Iterable[frozenset[int]]):
+        iv = lot._iv
+        node = list(range(iv.n))
+        dropped: set[int] = set()
+        size = iv.n
+        for ids in fixed:
+            for i in ids:
+                t, h, _ = iv.edges[i]
+                node[t] = node[h] = size
+            dropped |= set(ids)
+            size += 1
+        self._size = size
+        # per kept edge: its bit, and its label, tail and head nodes
+        self._edges = [(1 << i, node[l], node[t], node[h])
+                       for i, (t, h, l) in enumerate(iv.edges) if i not in dropped]
 
-def _pairs_forest(pairs: list, blocks_nodes: list[frozenset[int]],
-                  block_edges: list[set[int]], n: int) -> bool:
-    """Union-find forest check on vertex-index pairs after contracting
-    blocks; block-internal designated pairs (by edge id) are dropped."""
-    rep = list(range(n + len(blocks_nodes)))
-    node_map = list(range(n))
-    dropped: set[int] = set()
-    for bi, nodes in enumerate(blocks_nodes):
-        for v in nodes:
-            node_map[v] = n + bi
-        dropped |= block_edges[bi]
+    def pairs(self, flip: int, pol: int) -> list[tuple[int, int]]:
+        """Per kept edge, in edge order, its (++) corner label+ -- tail+
+        (pol 1) or its (--) corner label- -- head- (pol -1), after the flip."""
+        if pol > 0:
+            return [(l, h if flip & bit else t) for bit, l, t, h in self._edges]
+        return [(l, t if flip & bit else h) for bit, l, t, h in self._edges]
 
-    def find(x):
-        while rep[x] != x:
-            rep[x] = rep[rep[x]]
-            x = rep[x]
-        return x
-
-    for ei, (u, v) in enumerate(pairs):
-        if ei in dropped:
-            continue
-        qu, qv = node_map[u], node_map[v]
-        if qu == qv:
-            return False
-        ru, rv = find(qu), find(qv)
-        if ru == rv:
-            return False
-        rep[ru] = rv
-    return True
+    def is_forest(self, flip: int, pol: int) -> bool:
+        return forest_cycle_index(self._size, self.pairs(flip, pol)) < 0
 
 
 def orientation_search(lot: Lot, fixed: Iterable[frozenset[int]] = ()
@@ -358,7 +353,6 @@ def orientation_search(lot: Lot, fixed: Iterable[frozenset[int]] = ()
     lk+ and lk- forests relative to lk+/-(K(fixed)); None if no orientation
     works.  Edges inside fixed sub-LOTs are never flipped.
     """
-    from .lot import _iv
     fixed = list(fixed)
     seen_edges: set[int] = set()
     seen_verts: set[str] = set()
@@ -371,49 +365,25 @@ def orientation_search(lot: Lot, fixed: Iterable[frozenset[int]] = ()
         seen_edges |= set(ids)
         seen_verts |= vs
 
-    iv = _iv(lot)
-    vidx = {v: i for i, v in enumerate(lot.vertices)}
-    blocks_nodes = [frozenset(vidx[v] for v in sublot_vertices(lot, ids))
-                    for ids in fixed]
-    block_edges = [set(ids) for ids in fixed]
-
+    forests = FlipForests(lot, fixed)
     free = [i for i in range(lot.num_edges) if i not in seen_edges]
     for counter in range(1 << len(free)):
         flip = 0
         for j, ei in enumerate(free):
             if counter >> j & 1:
                 flip |= 1 << ei
-        pos, neg = _pm_corner_pairs(lot, flip)
-        if _pairs_forest(pos, blocks_nodes, block_edges, iv.n) and \
-           _pairs_forest(neg, blocks_nodes, block_edges, iv.n):
+        if forests.is_forest(flip, 1) and forests.is_forest(flip, -1):
             return frozenset(ei for ei in free if flip >> ei & 1)
     return None
 
 
-def lot_relative_forests(lot: Lot, fixed: Iterable[frozenset[int]] = ()
-                         ) -> bool:
-    """Do lk+ and lk- of K(lot) pass both relative forest checks as is?"""
-    return orientation_search_check(lot, fixed, frozenset())
-
-
 def orientation_search_check(lot: Lot, fixed: Iterable[frozenset[int]],
                              flipped: frozenset[int]) -> bool:
-    """Check a specific flip set (used by the certificate verifier)."""
-    from .lot import _iv
-    fixed = list(fixed)
-    iv = _iv(lot)
-    vidx = {v: i for i, v in enumerate(lot.vertices)}
-    blocks_nodes = [frozenset(vidx[v] for v in sublot_vertices(lot, ids))
-                    for ids in fixed]
-    block_edges = [set(ids) for ids in fixed]
-    flip = 0
-    for ei in flipped:
-        if not 0 <= ei < lot.num_edges:
-            raise StructureError(f"unknown edge id {ei}")
-        flip |= 1 << ei
-    pos, neg = _pm_corner_pairs(lot, flip)
-    return _pairs_forest(pos, blocks_nodes, block_edges, iv.n) and \
-        _pairs_forest(neg, blocks_nodes, block_edges, iv.n)
+    """Do lk+ and lk- both pass the relative forest check under this flip
+    set?  The certificate verifier makes the same two checks one by one."""
+    forests = FlipForests(lot, fixed)
+    flip = flip_mask(lot, flipped)
+    return forests.is_forest(flip, 1) and forests.is_forest(flip, -1)
 
 
 # ---------------------------------------------------------------------------

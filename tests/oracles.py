@@ -3,11 +3,13 @@ the acceptance suite.
 
 The oracles deliberately use different algorithms from the library:
 reduced-cycle minima come from a length-bounded dynamic program over dart
-walks, and homology-reduced violations from exhaustive DFS enumeration of
-simple cycles (the inclusion-minimal homology reduced cycles).
+walks, homology-reduced violations from exhaustive DFS enumeration of
+simple cycles (the inclusion-minimal homology reduced cycles), and relative
+forests from leaf peeling rather than union-find.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from lotva import (BoundaryWord, Cell, LinkGraph, SubcomplexFamily, TwoComplex,
@@ -99,6 +101,63 @@ def oracle_homred_violation_exists(g: LinkGraph, w: WeightAssignment) -> bool:
         dfs(start, start, {start}, frozenset(), Fraction(0), False)
         if found[0]:
             return True
+    return False
+
+
+def quotient_corners(g: LinkGraph, blocks) -> dict:
+    """Corner id -> its endpoints in the quotient of g by the blocks: block
+    nodes contracted to ("block", i), designated corners dropped."""
+    rep = {}
+    dropped = set()
+    for i, (nodes, ids) in enumerate(blocks):
+        for n in nodes:
+            rep[n] = ("block", i)
+        dropped |= set(ids)
+    return {c.id: (rep.get(c.a, c.a), rep.get(c.b, c.b))
+            for c in g.corners if c.id not in dropped}
+
+
+def oracle_relative_forest(g: LinkGraph, blocks) -> bool:
+    """Leaf peeling: in the quotient, strip a corner with a degree-1 end
+    until none is left; the quotient is a forest iff no corner survives.
+    A loop adds 2 to its node's degree, so it is never stripped."""
+    ends = quotient_corners(g, blocks)
+    degree = Counter()
+    for u, v in ends.values():
+        degree[u] += 1
+        degree[v] += 1
+    stripped = True
+    while stripped:
+        stripped = False
+        for cid, (u, v) in list(ends.items()):
+            if degree[u] == 1 or degree[v] == 1:
+                del ends[cid]
+                degree[u] -= 1
+                degree[v] -= 1
+                stripped = True
+    return not ends
+
+
+def is_closed_cycle(g: LinkGraph, blocks, witness) -> bool:
+    """Do the witness corners, all distinct and none designated, form a
+    closed walk in the quotient, in the given order?"""
+    ends = quotient_corners(g, blocks)
+    if not witness or len(set(witness)) != len(witness) \
+            or any(cid not in ends for cid in witness):
+        return False
+    for start in ends[witness[0]]:
+        at = start
+        for cid in witness:
+            u, v = ends[cid]
+            if at == u:
+                at = v
+            elif at == v:
+                at = u
+            else:
+                break
+        else:
+            if at == start:
+                return True
     return False
 
 

@@ -106,6 +106,21 @@ class TestSerialization:
         with pytest.raises(ParseError):
             parse_certificate("(wat)")
 
+    def test_nesting_depth_limit(self):
+        from lotva import ParseError
+        from lotva.certify import MAX_CERT_DEPTH
+
+        def chain(k):  # k bdry-red nodes nest k + 1 parentheses deep
+            return ("(bdry-red (edge 0) (vertex a) " * k + "(base)"
+                    + ")" * k)
+
+        cert = parse_certificate(chain(MAX_CERT_DEPTH - 1))
+        for _ in range(MAX_CERT_DEPTH - 1):
+            cert = cert.child
+        assert cert == BaseTrivial()
+        with pytest.raises(ParseError, match="deeper than"):
+            parse_certificate(chain(MAX_CERT_DEPTH))
+
 
 class TestVerifier:
     def test_boundary_reduce_helper(self):

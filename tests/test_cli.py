@@ -134,6 +134,35 @@ class TestCertifyCli:
         assert code == 2
 
 
+_COMPLETE_SET_TAIL = "(flipped) (pos) (neg) (children))"
+
+
+class TestVerifyCertMalformed:
+    """A malformed certificate is an input error (exit 2), never a
+    traceback and never a negative decision (exit 1)."""
+
+    @pytest.mark.parametrize("text", [
+        "(bdry-red (edge x) (vertex a) (base))",
+        "(bdry-red (edge) (vertex a) (base))",
+        "(" * 5000 + ")" * 5000,
+        "(complete-set (sublots (0)) (chain 7) (final (vertices a)) "
+        + _COMPLETE_SET_TAIL,
+        "(complete-set (sublots (0)) (chain (step 0 a)) (final (vertices a)) "
+        + _COMPLETE_SET_TAIL,
+        "(complete-set (sublots (0)) (chain (step (0) a)) "
+        "(final (vertices a b) (edge a b)) " + _COMPLETE_SET_TAIL,
+    ], ids=["edge-not-int", "edge-empty", "deep-nesting", "step-not-list",
+            "step-ids-not-list", "final-edge-3-fields"])
+    def test_exit_2(self, capsys, fixture_dir, tmp_path, text):
+        cert = tmp_path / "bad.cert"
+        cert.write_text(text + "\n")
+        code, out, err = run(capsys, "verify-cert",
+                             str(fixture_dir / "prime.lot"), str(cert))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 class TestDiagramCli:
     def test_double_and_check(self, capsys, fixture_dir, tmp_path):
         cdir = tmp_path

@@ -9,6 +9,8 @@ from lotva import (EdgeEnd, PreconditionError, build_complex, build_link,
                    signed_relative_forest_check, signed_sublinks, to_dot)
 from lotva.sweep import random_lot
 
+from oracles import is_closed_cycle, oracle_relative_forest, random_complex
+
 
 def corner_names(g):
     return [tuple(sorted((str(c.a), str(c.b)))) for c in g.corners]
@@ -154,6 +156,34 @@ class TestRelativeForest:
         with pytest.raises(PreconditionError):
             relative_forest_check(g, [(frozenset({n}), frozenset()),
                                       (frozenset({n}), frozenset())])
+
+    def test_matches_leaf_peeling_oracle(self):
+        """Union-find against leaf peeling on random links with random
+        disjoint blocks; every witness is a closed cycle of the quotient."""
+        rng = random.Random(31)
+        cycles = forests = 0
+        for _ in range(1500):
+            g = build_link(random_complex(rng, max_corners=rng.randrange(2, 16)))
+            pool = list(g.nodes)
+            rng.shuffle(pool)
+            blocks = []
+            for _ in range(rng.randrange(0, 4)):
+                take = rng.randrange(1, 4)
+                nodes, pool = frozenset(pool[:take]), pool[take:]
+                if not nodes:
+                    break
+                inner = [c.id for c in g.corners if c.a in nodes and c.b in nodes]
+                blocks.append((nodes, frozenset(cid for cid in inner
+                                                if rng.random() < 0.7)))
+            ok, witness = relative_forest_check(g, blocks)
+            assert ok == oracle_relative_forest(g, blocks)
+            if ok:
+                forests += 1
+                assert witness is None
+            else:
+                cycles += 1
+                assert is_closed_cycle(g, blocks, witness)
+        assert cycles > 100 and forests > 100
 
     def test_routes_agree(self, fig1, fig3, prime):
         """lk+(L) forest rel lk+(K) iff lk+(L,K) forest rel Delta+(K)."""

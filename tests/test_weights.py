@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,9 +11,9 @@ from lotva import (PreconditionError, WeightAssignment, build_complex,
                    min_weight_reduced_cycle, orientation_search, parse_complex,
                    parse_lot, parse_weights, relative_weight_test, reorient,
                    sign_change, signed_relative_forest_check, signed_sublinks,
-                   sublot_vertices, weight_test)
-from lotva.weights import orientation_search_check
-from lotva.sweep import random_lot
+                   sublot_closure, sublot_vertices, weight_test)
+from lotva.weights import FlipForests, orientation_search_check
+from lotva.sweep import iter_small_lots, random_lot
 
 from oracles import (oracle_homred_violation_exists, oracle_min_reduced_cycle,
                      random_link, random_relative_link, random_weights)
@@ -294,11 +295,43 @@ class TestOrientationSearch:
         with pytest.raises(PreconditionError):
             orientation_search(fig3, [frozenset({0, 1}), frozenset({0, 1, 2})])
 
+    def test_fixed_families_match_link_route(self):
+        """With non-empty fixed families, the flip-set forest check agrees
+        with building the reoriented complex and checking both signed
+        relative forests, on a stride sample of the <=6-edge sweep."""
+        rng = random.Random(91)
+        compared = 0
+        for lot in itertools.islice(iter_small_lots(6), 0, None, 97):
+            parts, used = [], set()
+            for e in rng.sample(range(lot.num_edges), lot.num_edges):
+                part = sublot_closure(lot, e)
+                vs = sublot_vertices(lot, part)
+                if len(part) < lot.num_edges and not vs & used:
+                    parts.append(part)
+                    used |= vs
+            if not parts:
+                continue
+            fixed_edges = frozenset().union(*parts)
+            for _ in range(2):
+                flip = frozenset(i for i in range(lot.num_edges)
+                                 if i not in fixed_edges and rng.random() < 0.5)
+                flipped = reorient(lot, flip)
+                cx = build_complex(flipped)
+                fam = derive_subcomplexes(flipped, parts)
+                pos = signed_relative_forest_check(cx, fam, 1)[0]
+                neg = signed_relative_forest_check(cx, fam, -1)[0]
+                forests = FlipForests(lot, parts)
+                mask = sum(1 << i for i in flip)
+                assert (forests.is_forest(mask, 1),
+                        forests.is_forest(mask, -1)) == (pos, neg)
+                assert orientation_search_check(lot, parts, flip) == (pos and neg)
+                compared += 1
+        assert compared > 1000
+
     def test_fast_path_matches_link_route(self):
         """The pair-based forest check agrees with building the complex and
         links explicitly."""
         from lotva import relative_forest_check
-        from lotva.linkage import family_link_blocks, _polarity_subgraph
         rng = random.Random(90)
         for _ in range(40):
             lot = random_lot(rng, rng.randrange(2, 7))
