@@ -17,11 +17,11 @@ from typing import Optional, Union
 
 from .errors import LotvaError, ParseError, PreconditionError
 from .complexes import build_complex, derive_subcomplexes, exponent_sum, is_full
-from .lot import (CollapseChain, ChainStep, Lot, LotEdge,
+from .lot import (CollapseChain, ChainStep, Lot, LotEdge, SublotStructure,
                   boundary_reducible_witness, check_properties, collapse,
-                  collapse_vertex_of, complete_set_search, enumerate_sublots,
-                  extract_sublot, free_decomposition, is_compressed,
-                  is_injective, is_sublot, sublot_vertices)
+                  collapse_vertex_of, extract_sublot, free_decomposition,
+                  is_compressed, is_injective, is_sublot, search_complete_set,
+                  sublot_vertices)
 from .weights import FlipForests, flip_mask, orientation_search
 
 
@@ -145,9 +145,8 @@ def _certify(lot: Lot) -> Union[Certificate, CertifyFailure]:
             return child
         return BoundaryReduction(edge_id, v, child)
 
-    all_subs, _ = enumerate_sublots(lot)
-    prime = not any(len(s) < lot.num_edges for s in all_subs)
-    if prime:
+    structure = SublotStructure(lot)
+    if structure.prime:
         flipped = orientation_search(lot, [])
         if flipped is None:
             return CertifyFailure(
@@ -167,7 +166,7 @@ def _certify(lot: Lot) -> Union[Certificate, CertifyFailure]:
         return FreeDecompositionNode(fd.left_edges, fd.right_edges,
                                      fd.shared_vertex, left, right)
 
-    found = complete_set_search(lot)
+    found = search_complete_set(lot, structure)
     if found is None:
         return CertifyFailure(
             "complete-set-search",
@@ -260,9 +259,7 @@ def _verify(lot: Lot, cert: Certificate) -> None:
     if isinstance(cert, PrimeWeightTest):
         _need(boundary_reducible_witness(lot) is None,
               "prime-weight-test-boundary-reduced")
-        all_subs, _ = enumerate_sublots(lot)
-        _need(not any(len(s) < lot.num_edges for s in all_subs),
-              "prime-weight-test-prime")
+        _need(SublotStructure(lot).prime, "prime-weight-test-prime")
         _need(all(0 <= i < lot.num_edges for i in cert.flipped),
               "prime-weight-test-flipped-valid")
         _check_forests_and_witnesses(lot, cert.flipped, [], cert.pos_corners,
@@ -315,8 +312,8 @@ def _verify(lot: Lot, cert: Certificate) -> None:
             local = frozenset(pos_map[o] for o in step.sublot_edges)
             _need(is_sublot(current, local) and len(local) < current.num_edges,
                   "complete-set-step-sublot")
-            _, maximal = enumerate_sublots(current)
-            _need(local in maximal, "complete-set-step-maximal")
+            _need(local in SublotStructure(current).maximal(),
+                  "complete-set-step-maximal")
             x = collapse_vertex_of(current, local)
             _need(x == step.collapse_vertex, "complete-set-collapse-vertex",
                   f"expected {x}, certificate says {step.collapse_vertex}")

@@ -11,8 +11,8 @@ import sys
 from pathlib import Path
 
 from .errors import LotvaError
-from .lot import Lot, check_properties, complete_set_search, enumerate_sublots, \
-    free_decomposition, is_sublot, parse_lot
+from .lot import Lot, SublotStructure, check_properties, free_decomposition, \
+    is_sublot, parse_lot, search_complete_set
 from .complexes import TwoComplex, build_complex, derive_subcomplexes, \
     parse_complex
 from .linkage import build_link, build_relative_link, to_dot
@@ -63,6 +63,7 @@ def _parse_sublot_specs(lot: Lot, specs: list[str]):
 def cmd_analyze(args) -> int:
     lot = _load_lot(args.lot)
     rep = check_properties(lot)
+    structure = SublotStructure(lot)
     print(f"lot {lot.name or 'unnamed'}: {len(lot.vertices)} vertices, "
           f"{lot.num_edges} edges")
     yn = lambda b: "yes" if b else "no"
@@ -77,7 +78,7 @@ def cmd_analyze(args) -> int:
     if rep.proper_sublot_witness is not None:
         ids = sorted(rep.proper_sublot_witness)
         print(f"  smallest proper sub-LOT: edges {ids}")
-        _, maximal = enumerate_sublots(lot)
+        maximal = structure.maximal()
         print(f"  maximal proper sub-LOTs: {[sorted(s) for s in maximal]}")
     if lot.num_edges >= 2:
         fd = free_decomposition(lot)
@@ -87,7 +88,7 @@ def cmd_analyze(args) -> int:
             print(f"free decomposition: at {fd.shared_vertex}, "
                   f"left {sorted(fd.left_edges)}, right {sorted(fd.right_edges)}")
     if rep.injective and rep.compressed and not rep.prime:
-        found = complete_set_search(lot)
+        found = search_complete_set(lot, structure)
         if found is None:
             print("complete set of sub-LOTs: none")
         else:

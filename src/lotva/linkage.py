@@ -159,24 +159,56 @@ def build_relative_link(cx: TwoComplex, fam: SubcomplexFamily) -> LinkGraph:
 # relative forest check
 # ---------------------------------------------------------------------------
 
-def forest_cycle_index(n: int, pairs: list[tuple[int, int]]) -> int:
-    """Union-find over nodes 0..n-1: the index of the first pair whose
-    endpoints are already connected (a loop counts), or -1 if the pairs
-    form a forest.  List-indexed, since orientation searches run it 2^k
-    times."""
-    parent = list(range(n))
+class UnionFind:
+    """Union by size over nodes 0..n-1, list-indexed, with undo.
 
-    def find(x):
+    There is no path compression, so every union can be rolled back;
+    union by size keeps ``find`` logarithmic.  The orientation search
+    adds and removes one edge's corners per step of its depth-first walk.
+    """
+
+    __slots__ = ("parent", "size", "_joined")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+        self._joined: list[int] = []  # absorbed roots, in union order
+
+    def find(self, x: int) -> int:
+        parent = self.parent
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for i, (u, v) in enumerate(pairs):
-        ru, rv = find(u), find(v)
+    def union(self, u: int, v: int) -> bool:
+        """Join the classes of u and v; False (and no change) if they are
+        already one class, i.e. the pair closes a cycle (a loop counts)."""
+        ru, rv = self.find(u), self.find(v)
         if ru == rv:
+            return False
+        if self.size[ru] > self.size[rv]:
+            ru, rv = rv, ru
+        self.parent[ru] = rv
+        self.size[rv] += self.size[ru]
+        self._joined.append(ru)
+        return True
+
+    def undo(self) -> None:
+        """Revert the most recent successful union."""
+        ru = self._joined.pop()
+        rv = self.parent[ru]
+        self.size[rv] -= self.size[ru]
+        self.parent[ru] = ru
+
+
+def forest_cycle_index(n: int, pairs: list[tuple[int, int]]) -> int:
+    """Union-find over nodes 0..n-1: the index of the first pair whose
+    endpoints are already connected (a loop counts), or -1 if the pairs
+    form a forest."""
+    uf = UnionFind(n)
+    for i, (u, v) in enumerate(pairs):
+        if not uf.union(u, v):
             return i
-        parent[ru] = rv
     return -1
 
 

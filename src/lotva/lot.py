@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import ParseError, PreconditionError, StructureError
 
@@ -43,19 +43,6 @@ class Log:
     _iv: _IntView = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        for v in self.vertices:
-            if v in seen:
-                raise StructureError(f"duplicate vertex {v!r}")
-            seen.add(v)
-        for i, e in enumerate(self.edges):
-            if e.tail == e.head:
-                raise StructureError(f"edge {i} is a self-loop at {e.tail!r}")
-            for v in (e.tail, e.head):
-                if v not in seen:
-                    raise StructureError(f"edge {i} uses unknown vertex {v!r}")
-            if e.label not in seen:
-                raise StructureError(f"edge {i} has unknown label {e.label!r}")
         object.__setattr__(self, "_iv", _int_view(self))
 
     @property
@@ -63,12 +50,9 @@ class Log:
         return len(self.edges)
 
     def is_tree(self) -> bool:
-        if len(self.edges) != len(self.vertices) - 1:
-            return False
-        if not self.edges:
-            return len(self.vertices) == 1
-        return (sublot_vertices(self, range(len(self.edges))) == frozenset(self.vertices)
-                and _spans_connected(self, range(len(self.edges))))
+        """n - 1 edges, and a walk from vertex 0 reaches every vertex."""
+        iv = self._iv
+        return len(iv.edges) == iv.n - 1 and min(_root_paths(iv)) >= 0
 
     def as_lot(self, name: str | None = None) -> "Lot":
         return Lot(self.vertices, self.edges,
@@ -207,8 +191,7 @@ def format_lot(lot: Log) -> str:
 # field, which takes no part in equality, hashing or repr.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _IntView:
+class _IntView(NamedTuple):
     n: int
     edges: tuple[tuple[int, int, int], ...]  # (tail, head, label) as indices
     incident: tuple[tuple[int, ...], ...]    # vertex -> incident edge ids
@@ -216,16 +199,30 @@ class _IntView:
 
 
 def _int_view(lot: Log) -> _IntView:
-    idx = {v: i for i, v in enumerate(lot.vertices)}
-    n = len(lot.vertices)
-    edges = tuple((idx[e.tail], idx[e.head], idx[e.label]) for e in lot.edges)
+    """The view, checking the Log invariants on the way."""
+    idx: dict[str, int] = {}
+    for v in lot.vertices:
+        if v in idx:
+            raise StructureError(f"duplicate vertex {v!r}")
+        idx[v] = len(idx)
+    n = len(idx)
+    edges = []
     inc = [[] for _ in range(n)]
     lab = [0] * n
-    for i, (t, h, l) in enumerate(edges):
+    for i, e in enumerate(lot.edges):
+        if e.tail == e.head:
+            raise StructureError(f"edge {i} is a self-loop at {e.tail!r}")
+        for v in (e.tail, e.head):
+            if v not in idx:
+                raise StructureError(f"edge {i} uses unknown vertex {v!r}")
+        if e.label not in idx:
+            raise StructureError(f"edge {i} has unknown label {e.label!r}")
+        t, h, l = idx[e.tail], idx[e.head], idx[e.label]
+        edges.append((t, h, l))
         inc[t].append(i)
         inc[h].append(i)
         lab[l] += 1
-    return _IntView(n, edges, tuple(map(tuple, inc)), tuple(lab))
+    return _IntView(n, tuple(edges), tuple(map(tuple, inc)), tuple(lab))
 
 
 def _spans_connected(lot: Log, edge_ids: Iterable[int]) -> bool:
@@ -258,6 +255,8 @@ def sublot_vertices(lot: Log, edge_ids: Iterable[int]) -> frozenset[str]:
     """Vertices spanned by a set of edges."""
     out = set()
     for i in edge_ids:
+        if not 0 <= i < len(lot.edges):
+            raise StructureError(f"unknown edge id {i}")
         e = lot.edges[i]
         out.add(e.tail)
         out.add(e.head)
@@ -324,8 +323,7 @@ def check_properties(lot: Lot) -> PropertyReport:
     inj = is_injective(lot)
     comp = is_compressed(lot)
     bdry = boundary_reducible_witness(lot)
-    proper = [s for s in enumerate_sublots(lot)[0] if len(s) < lot.num_edges]
-    witness = min(proper, key=lambda s: (len(s), tuple(sorted(s)))) if proper else None
+    witness = SublotStructure(lot).witness()
     return PropertyReport(
         injective=inj,
         compressed=comp,
@@ -350,74 +348,170 @@ def sublot_closure(lot: Lot, seed_edge: int) -> frozenset[int]:
     iv = lot._iv
     if not 0 <= seed_edge < len(iv.edges):
         raise StructureError(f"unknown edge id {seed_edge}")
-    ids = {seed_edge}
-    t, h, _ = iv.edges[seed_edge]
-    verts = {t, h}
-    while True:
-        missing = None
-        for i in sorted(ids):
-            l = iv.edges[i][2]
-            if l not in verts:
-                missing = l
-                break
-        if missing is None:
-            return frozenset(ids)
-        # BFS from the missing label back into the current subtree
-        prev = {missing: (-1, -1)}
-        queue = [missing]
-        hit = None
-        while queue and hit is None:
-            v = queue.pop(0)
-            if v in verts:
-                hit = v
-                break
-            for ei in iv.incident[v]:
-                t, h, _ = iv.edges[ei]
-                w = h if t == v else t
-                if w not in prev:
-                    prev[w] = (v, ei)
-                    queue.append(w)
-        v = hit
-        while v != missing:
-            pv, pe = prev[v]
-            ids.add(pe)
-            verts.add(v)
-            verts.add(pv)
-            v = pv
+    return frozenset(_bits(_closure_mask(iv, _root_paths(iv), seed_edge)))
+
+
+def _root_paths(iv: _IntView) -> list[int]:
+    """Per vertex, the edge bitmask of its tree path to vertex 0; the path
+    between u and v is then ``paths[u] ^ paths[v]``.  A vertex the walk
+    from vertex 0 does not reach gets -1."""
+    paths = [-1] * iv.n
+    paths[0] = 0
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for ei in iv.incident[v]:
+            t, h, _ = iv.edges[ei]
+            w = h if t == v else t
+            if paths[w] < 0:
+                paths[w] = paths[v] | 1 << ei
+                stack.append(w)
+    return paths
+
+
+def _closure_mask(iv: _IntView, paths: list[int], seed_edge: int) -> int:
+    """``sublot_closure`` as an edge bitmask (bit i = edge i).
+
+    Adjoining the path from each label to the seed's tail adds exactly the
+    path from the label to the subtree, since the rest of it already lies
+    inside; so each edge's label is handled once, when the edge joins."""
+    base = paths[iv.edges[seed_edge][0]]
+    mask = new = 1 << seed_edge
+    while new:
+        grow = 0
+        while new:
+            low = new & -new
+            new ^= low
+            grow |= paths[iv.edges[low.bit_length() - 1][2]] ^ base
+        new = grow & ~mask
+        mask |= new
+    return mask
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """Edge ids of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+class SublotStructure:
+    """Sub-LOT structure of one LOT, from its m edge closures.
+
+    The closure of edge e lies inside every sub-LOT that contains e, so a
+    sub-LOT is the union of its edges' closures, and the union of two
+    sub-LOTs that share a vertex is a sub-LOT.  Everything below follows
+    from that in polynomial time, except ``all_sublots``, whose cost grows
+    with the number of sub-LOTs it returns.  Build one per LOT and pass it
+    along; nothing is cached beyond the instance.
+    """
+
+    __slots__ = ("closures", "full", "_touch")
+
+    def __init__(self, lot: Lot):
+        iv = lot._iv
+        self.full = (1 << len(iv.edges)) - 1
+        # edge bitmasks: closure of each edge; edges sharing a vertex with it
+        paths = _root_paths(iv)
+        self.closures = tuple(_closure_mask(iv, paths, e)
+                              for e in range(len(iv.edges)))
+        at = [0] * iv.n
+        for i, (t, h, _) in enumerate(iv.edges):
+            at[t] |= 1 << i
+            at[h] |= 1 << i
+        self._touch = tuple(at[t] | at[h] for t, h, _ in iv.edges)
+
+    @property
+    def prime(self) -> bool:
+        """No proper sub-LOT: every closure is the whole LOT."""
+        return all(c == self.full for c in self.closures)
+
+    def witness(self) -> Optional[frozenset[int]]:
+        """The smallest proper sub-LOT in (size, sorted edge ids) order, or
+        None if prime.  A smallest one holds no smaller sub-LOT, so it is
+        the closure of each of its edges."""
+        proper = {_bits(c) for c in self.closures if c != self.full}
+        if not proper:
+            return None
+        return frozenset(min(proper, key=lambda ids: (len(ids), ids)))
+
+    def maximal(self) -> list[frozenset[int]]:
+        """The inclusion-maximal proper sub-LOTs, sorted by sorted edge ids.
+
+        A maximal proper sub-LOT M misses some edge e.  The closures of
+        M's edges avoid e and, M being connected, lie in one connected
+        piece of the union of all closures avoiding e; that piece is a
+        proper sub-LOT containing M, so it is M.  The candidates are these
+        pieces for every e, and the answer is their maximal members.
+        """
+        pieces = set()
+        for e in range(len(self.closures)):
+            rest = 0
+            for c in self.closures:
+                if not c >> e & 1:
+                    rest |= c
+            while rest:
+                piece = self._piece(rest, rest & -rest)
+                pieces.add(piece)
+                rest &= ~piece
+        tops = [p for p in pieces
+                if not any(p != q and p & q == p for q in pieces)]
+        return [frozenset(ids) for ids in sorted(map(_bits, tops))]
+
+    def all_sublots(self) -> list[frozenset[int]]:
+        """Every sub-LOT, sorted by sorted edge ids.
+
+        Starts from the closures and grows each found S to S | closure(f)
+        for every edge f outside S that touches it.  A sub-LOT S is reached
+        from the closure of any of its edges, since while the current set
+        is short of S some edge of S touches it."""
+        found = set(self.closures)
+        stack = list(found)
+        while stack:
+            s = stack.pop()
+            near = self._near(s) & ~s
+            while near:
+                low = near & -near
+                near ^= low
+                grown = s | self.closures[low.bit_length() - 1]
+                if grown not in found:
+                    found.add(grown)
+                    stack.append(grown)
+        return [frozenset(ids) for ids in sorted(map(_bits, found))]
+
+    def _near(self, edges: int) -> int:
+        """Edges sharing a vertex with some edge of the mask."""
+        out = 0
+        for i in _bits(edges):
+            out |= self._touch[i]
+        return out
+
+    def _piece(self, edges: int, start: int) -> int:
+        """The connected piece of the edge mask ``edges`` holding ``start``."""
+        piece = frontier = start
+        while frontier:
+            frontier = self._near(frontier) & edges & ~piece
+            piece |= frontier
+        return piece
 
 
 def enumerate_sublots(lot: Lot) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
     """All sub-LOTs and the inclusion-maximal proper ones.
 
-    Brute force over connected edge subsets; fine at desk scale.  Both lists
-    are sorted by their sorted edge-id tuples.
+    Both come from ``SublotStructure``: the maximal ones in polynomial time,
+    the full list in time proportional to its length (times m^2), never by
+    a scan of the 2^m edge subsets.  Both lists are sorted by their sorted
+    edge-id tuples.
     """
-    iv = lot._iv
-    m = len(iv.edges)
-    all_subs: list[frozenset[int]] = []
-    for mask in range(1, 1 << m):
-        ids = [i for i in range(m) if mask >> i & 1]
-        vs = set()
-        for i in ids:
-            t, h, _ = iv.edges[i]
-            vs.add(t)
-            vs.add(h)
-        if len(ids) != len(vs) - 1:
-            continue
-        if not all(iv.edges[i][2] in vs for i in ids):
-            continue
-        if not _spans_connected(lot, ids):
-            continue
-        all_subs.append(frozenset(ids))
-    all_subs.sort(key=lambda s: tuple(sorted(s)))
-    proper = [s for s in all_subs if len(s) < m]
-    maximal = [s for s in proper
-               if not any(s < t for t in proper)]
-    return all_subs, maximal
+    sub = SublotStructure(lot)
+    return sub.all_sublots(), sub.maximal()
 
 
 def is_prime(lot: Lot) -> bool:
-    return check_properties(lot).prime
+    return SublotStructure(lot).prime
 
 
 # ---------------------------------------------------------------------------
@@ -473,36 +567,46 @@ def complete_set_search(lot: Lot) -> Optional[tuple[list[frozenset[int]], Collap
     """Search for a complete set of sub-LOTs.
 
     Backtracks over choices of maximal proper sub-LOTs of the successive
-    quotients, in ``enumerate_sublots`` order, until a compressed injective
-    prime quotient with at least one edge is reached.  Returns the disjoint
-    preimage sub-LOTs of the original LOT plus the collapse chain, or None
-    if no choice sequence works.
+    quotients (``SublotStructure.maximal``, sorted by sorted edge ids) until
+    a compressed injective prime quotient with at least one edge is
+    reached.  Each quotient's structure comes from its edge closures, so a
+    step costs polynomial time; only the number of choices explored can
+    grow.  Returns the disjoint preimage sub-LOTs of the original LOT plus
+    the collapse chain, or None if no choice sequence works.
     """
     if not is_injective(lot) or not is_compressed(lot):
         raise PreconditionError("complete_set_search requires an injective compressed LOT")
-    if is_prime(lot):
+    structure = SublotStructure(lot)
+    if structure.prime:
         raise PreconditionError("complete_set_search requires a non-prime LOT")
+    return search_complete_set(lot, structure)
 
-    def rec(current: Lot, orig_ids: tuple[int, ...], steps: tuple[ChainStep, ...]):
+
+def search_complete_set(lot: Lot, structure: SublotStructure
+                        ) -> Optional[tuple[list[frozenset[int]], CollapseChain]]:
+    """``complete_set_search`` on a LOT whose structure the caller has
+    already built, without the precondition checks."""
+
+    def rec(current: Lot, structure: SublotStructure,
+            orig_ids: tuple[int, ...], steps: tuple[ChainStep, ...]):
         # orig_ids[i] = original edge id of current's edge i
-        report = check_properties(current)
-        if report.prime:
-            if steps and report.compressed and current.num_edges >= 1:
+        if structure.prime:
+            if steps and is_compressed(current) and current.num_edges >= 1:
                 return steps, current
             return None
-        _, maximal = enumerate_sublots(current)
-        for sub in maximal:
+        for sub in structure.maximal():
             local = sorted(sub)
             orig = frozenset(orig_ids[i] for i in local)
             quotient, x = collapse(current, local)
             kept = [i for i in range(current.num_edges) if i not in sub]
             new_orig = tuple(orig_ids[i] for i in kept)
-            found = rec(quotient, new_orig, steps + (ChainStep(orig, x),))
+            found = rec(quotient, SublotStructure(quotient), new_orig,
+                        steps + (ChainStep(orig, x),))
             if found is not None:
                 return found
         return None
 
-    found = rec(lot, tuple(range(lot.num_edges)), ())
+    found = rec(lot, structure, tuple(range(lot.num_edges)), ())
     if found is None:
         return None
     steps, final = found
@@ -517,66 +621,78 @@ def complete_set_search(lot: Lot) -> Optional[tuple[list[frozenset[int]], Collap
 def free_decomposition(lot: Lot) -> Optional[FreeDecomposition]:
     """First decomposition of the LOT into two sub-LOTs sharing one vertex.
 
-    Deterministic scan: vertices in order; at each vertex the incident
-    branches (ordered by smallest edge id) are bipartitioned by a binary
-    counter, the bit-set side becoming the left half.
+    Vertices are scanned in order.  At vertex v, number the branches
+    hanging off v by smallest edge id.  A side holding an edge e whose
+    label is not v must also hold the branch containing label(e), so the
+    valid sides are exactly the nonempty proper unions of the classes of
+    branches linked that way.  The left side is the class with the
+    smallest branch mask: the first valid side a binary counter over the
+    branches would meet.
     """
     if lot.num_edges < 2:
         return None
     iv = lot._iv
-    all_ids = frozenset(range(lot.num_edges))
     for vi in range(iv.n):
         if len(iv.incident[vi]) < 2:
             continue
-        branches = _branches_at(lot, vi)
-        k = len(branches)
-        for mask in range(1, (1 << k) - 1):
-            left = frozenset().union(*(branches[j] for j in range(k) if mask >> j & 1))
-            right = all_ids - left
-            if _labels_internal(lot, left) and _labels_internal(lot, right):
-                return FreeDecomposition(left, right, lot.vertices[vi])
+        branches, branch_of = _branches_at(iv, vi)
+        linked: list[list[int]] = [[] for _ in branches]
+        for j, edges in enumerate(branches):
+            for ei in _bits(edges):
+                label = iv.edges[ei][2]
+                if label != vi:
+                    linked[j].append(branch_of[label])
+                    linked[branch_of[label]].append(j)
+        classes = []
+        placed = [False] * len(branches)
+        for j in range(len(branches)):
+            if placed[j]:
+                continue
+            placed[j] = True
+            mask, stack = 0, [j]
+            while stack:
+                b = stack.pop()
+                mask |= 1 << b
+                for c in linked[b]:
+                    if not placed[c]:
+                        placed[c] = True
+                        stack.append(c)
+            classes.append(mask)
+        if len(classes) >= 2:
+            left = 0
+            for j in _bits(min(classes)):
+                left |= branches[j]
+            right = left ^ ((1 << lot.num_edges) - 1)
+            return FreeDecomposition(frozenset(_bits(left)),
+                                     frozenset(_bits(right)), lot.vertices[vi])
     return None
 
 
-def _branches_at(lot: Lot, vi: int) -> list[frozenset[int]]:
-    """Edge sets of the connected components hanging off vertex vi,
-    ordered by smallest edge id."""
-    iv = lot._iv
-    seen_edges: set[int] = set()
-    branches = []
+def _branches_at(iv: _IntView, vi: int) -> tuple[list[int], list[int]]:
+    """Edge bitmasks of the connected components hanging off vertex vi,
+    ordered by smallest edge id, and the branch index of every other
+    vertex (-1 at vi)."""
+    owner = [-1] * iv.n  # vertex -> the edge of vi its branch hangs off
+    masks: dict[int, int] = {}
     for start in iv.incident[vi]:
-        if start in seen_edges:
-            continue
-        comp = {start}
         t, h, _ = iv.edges[start]
-        frontier = [h if t == vi else t]
-        visited = {vi}
-        while frontier:
-            v = frontier.pop()
-            if v in visited:
-                continue
-            visited.add(v)
+        first = h if t == vi else t
+        owner[first] = start
+        masks[start] = 0
+        stack = [first]
+        while stack:
+            v = stack.pop()
             for ei in iv.incident[v]:
-                if ei not in comp:
-                    comp.add(ei)
-                    t, h, _ = iv.edges[ei]
-                    w = h if t == v else t
-                    if w != vi:
-                        frontier.append(w)
-        seen_edges |= comp
-        branches.append(frozenset(comp))
-    branches.sort(key=min)
-    return branches
-
-
-def _labels_internal(lot: Lot, edge_ids: frozenset[int]) -> bool:
-    iv = lot._iv
-    vs = set()
-    for i in edge_ids:
-        t, h, _ = iv.edges[i]
-        vs.add(t)
-        vs.add(h)
-    return all(iv.edges[i][2] in vs for i in edge_ids)
+                masks[start] |= 1 << ei
+                a, b, _ = iv.edges[ei]
+                w = b if a == v else a
+                if w != vi and owner[w] < 0:
+                    owner[w] = start
+                    stack.append(w)
+    order = sorted(masks, key=lambda s: masks[s] & -masks[s])
+    index = {s: j for j, s in enumerate(order)}
+    branch_of = [index[o] if o >= 0 else -1 for o in owner]
+    return [masks[s] for s in order], branch_of
 
 
 # ---------------------------------------------------------------------------

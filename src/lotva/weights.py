@@ -27,7 +27,8 @@ from typing import Iterable, Optional
 
 from .errors import ParseError, PreconditionError, StructureError
 from .complexes import SubcomplexFamily, TwoComplex, exponent_sum
-from .linkage import LinkGraph, build_relative_link, EdgeEnd, forest_cycle_index
+from .linkage import (LinkGraph, UnionFind, build_relative_link, EdgeEnd,
+                      forest_cycle_index)
 from .lot import Lot, sublot_vertices, is_sublot
 
 Dart = tuple[int, int]  # (corner id, direction 0: a->b, 1: b->a)
@@ -327,6 +328,8 @@ class FlipForests:
         size = iv.n
         for ids in fixed:
             for i in ids:
+                if not 0 <= i < len(iv.edges):
+                    raise StructureError(f"unknown edge id {i}")
                 t, h, _ = iv.edges[i]
                 node[t] = node[h] = size
             dropped |= set(ids)
@@ -346,12 +349,54 @@ class FlipForests:
     def is_forest(self, flip: int, pol: int) -> bool:
         return forest_cycle_index(self._size, self.pairs(flip, pol)) < 0
 
+    def first_forest_flip(self) -> Optional[int]:
+        """Smallest flip mask, in binary-counter order over the kept edges,
+        for which lk+ and lk- are both forests; None if there is none.
+
+        Depth-first from the highest kept edge, trying "not flipped" before
+        "flipped", which visits masks in counter order.  Each step adds the
+        edge's lk+ and lk- corners to one union-find (lk- nodes offset by
+        the node count) and cuts the branch when either closes a cycle:
+        adding corners never removes a cycle, so no completion can work.
+        The walk keeps its own stack, so depth is not bounded by Python's
+        recursion limit.
+        """
+        size = self._size
+        uf = UnionFind(2 * size)
+        edges = self._edges[::-1]
+        choice = [0] * len(edges)  # per depth: next to try, 0 keep, 1 flip
+        flip = depth = 0
+        while depth < len(edges):
+            bit, l, t, h = edges[depth]
+            if choice[depth] == 2:  # both tried: back up one edge
+                choice[depth] = 0
+                depth -= 1
+                if depth < 0:
+                    return None
+                uf.undo()
+                uf.undo()
+                flip &= ~edges[depth][0]
+                continue
+            flipped = choice[depth]
+            choice[depth] += 1
+            pos_end, neg_end = (h, t) if flipped else (t, h)
+            if uf.union(l, pos_end):
+                if uf.union(size + l, size + neg_end):
+                    if flipped:
+                        flip |= bit
+                    depth += 1
+                    continue
+                uf.undo()
+        return flip
+
 
 def orientation_search(lot: Lot, fixed: Iterable[frozenset[int]] = ()
                        ) -> Optional[frozenset[int]]:
     """Smallest (binary-counter order) flip set of non-fixed edges making
     lk+ and lk- forests relative to lk+/-(K(fixed)); None if no orientation
-    works.  Edges inside fixed sub-LOTs are never flipped.
+    works.  Edges inside fixed sub-LOTs are never flipped.  The search is
+    depth-first and pruned (``FlipForests.first_forest_flip``), so it stops
+    short of the 2^k flip sets whenever a cycle shows early.
     """
     fixed = list(fixed)
     seen_edges: set[int] = set()
@@ -365,16 +410,10 @@ def orientation_search(lot: Lot, fixed: Iterable[frozenset[int]] = ()
         seen_edges |= set(ids)
         seen_verts |= vs
 
-    forests = FlipForests(lot, fixed)
-    free = [i for i in range(lot.num_edges) if i not in seen_edges]
-    for counter in range(1 << len(free)):
-        flip = 0
-        for j, ei in enumerate(free):
-            if counter >> j & 1:
-                flip |= 1 << ei
-        if forests.is_forest(flip, 1) and forests.is_forest(flip, -1):
-            return frozenset(ei for ei in free if flip >> ei & 1)
-    return None
+    flip = FlipForests(lot, fixed).first_forest_flip()
+    if flip is None:
+        return None
+    return frozenset(ei for ei in range(lot.num_edges) if flip >> ei & 1)
 
 
 def orientation_search_check(lot: Lot, fixed: Iterable[frozenset[int]],

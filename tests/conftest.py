@@ -1,3 +1,4 @@
+import itertools
 import sys
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from lotva import parse_complex, parse_diagram, parse_lot
+from lotva.sweep import iter_small_lots
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -38,3 +40,10 @@ def torus(square_complex):
 @pytest.fixture(scope="session")
 def fixture_dir():
     return FIXTURES
+
+
+@pytest.fixture(scope="session")
+def sweep6_every97():
+    """Every 97th LOT of the <=6-edge sweep; generating the sweep is the
+    expensive part, so the differential tests share one copy."""
+    return list(itertools.islice(iter_small_lots(6), 0, None, 97))

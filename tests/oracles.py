@@ -5,15 +5,22 @@ The oracles deliberately use different algorithms from the library:
 reduced-cycle minima come from a length-bounded dynamic program over dart
 walks, homology-reduced violations from exhaustive DFS enumeration of
 simple cycles (the inclusion-minimal homology reduced cycles), and relative
-forests from leaf peeling rather than union-find.
+forests from leaf peeling rather than union-find.  The LOT-level oracles
+are the brute-force scans the library replaced: every edge subset for the
+sub-LOT structure, a binary counter over flip sets for the orientation
+search, and a binary counter over the branches at a vertex for the free
+decomposition.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
-from lotva import (BoundaryWord, Cell, LinkGraph, SubcomplexFamily, TwoComplex,
-                   WeightAssignment, build_link, build_relative_link)
+from lotva import (BoundaryWord, Cell, FreeDecomposition, LinkGraph,
+                   SubcomplexFamily, TwoComplex, WeightAssignment, build_link,
+                   build_relative_link, is_sublot, sublot_vertices)
+from lotva.weights import orientation_search_check
 
 
 def _dart_tail(g, d):
@@ -159,6 +166,102 @@ def is_closed_cycle(g: LinkGraph, blocks, witness) -> bool:
             if at == start:
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# LOT structure by exhaustive scans
+# ---------------------------------------------------------------------------
+
+def oracle_sublots(lot):
+    """Independent enumeration: every edge subset of the right size whose
+    edges merge into one vertex group, filtered by the label condition."""
+    m = lot.num_edges
+    out = set()
+    for k in range(1, m + 1):
+        for combo in combinations(range(m), k):
+            vs = sublot_vertices(lot, combo)
+            if len(vs) != k + 1:
+                continue
+            # connectivity via repeated edge-merging
+            groups = []
+            for i in combo:
+                e = lot.edges[i]
+                groups.append({e.tail, e.head})
+            merged = True
+            while merged:
+                merged = False
+                for i in range(len(groups)):
+                    for j in range(i + 1, len(groups)):
+                        if groups[i] & groups[j]:
+                            groups[i] |= groups.pop(j)
+                            merged = True
+                            break
+                    if merged:
+                        break
+            if len(groups) != 1:
+                continue
+            if all(lot.edges[i].label in vs for i in combo):
+                out.add(frozenset(combo))
+    return out
+
+
+def oracle_sublot_structure(lot):
+    """(all sub-LOTs, maximal proper ones, smallest-proper witness, prime)
+    from a scan of all 2^m edge masks; lists sorted by sorted edge ids."""
+    m = lot.num_edges
+    all_subs = [frozenset(i for i in range(m) if mask >> i & 1)
+                for mask in range(1, 1 << m)]
+    all_subs = sorted((s for s in all_subs if is_sublot(lot, s)), key=sorted)
+    proper = [s for s in all_subs if len(s) < m]
+    maximal = [s for s in proper if not any(s < t for t in proper)]
+    witness = min(proper, key=lambda s: (len(s), sorted(s))) if proper else None
+    return all_subs, maximal, witness, not proper
+
+
+def oracle_orientation_search(lot, fixed=()):
+    """First flip set of the non-fixed edges, in binary-counter order
+    (bit j = j-th free edge), that passes ``orientation_search_check``."""
+    fixed = list(fixed)
+    fixed_edges = frozenset().union(*fixed)
+    free = [i for i in range(lot.num_edges) if i not in fixed_edges]
+    for counter in range(1 << len(free)):
+        flip = frozenset(ei for j, ei in enumerate(free) if counter >> j & 1)
+        if orientation_search_check(lot, fixed, flip):
+            return flip
+    return None
+
+
+def oracle_free_decomposition(lot):
+    """At each vertex in order, a binary counter over its branches (ordered
+    by smallest edge id); the first bit-set side whose halves are both
+    sub-LOTs is the left one."""
+    m = lot.num_edges
+    if m < 2:
+        return None
+    all_ids = frozenset(range(m))
+    for v in lot.vertices:
+        at_v = [i for i, e in enumerate(lot.edges) if v in (e.tail, e.head)]
+        if len(at_v) < 2:
+            continue
+        # grow each branch from an edge at v without passing through v
+        branches = []
+        for start in at_v:
+            comp, verts, grew = {start}, set(sublot_vertices(lot, [start])), True
+            while grew:
+                grew = False
+                for i, e in enumerate(lot.edges):
+                    if i not in comp and ({e.tail, e.head} & (verts - {v})):
+                        comp.add(i)
+                        verts |= {e.tail, e.head}
+                        grew = True
+            branches.append(frozenset(comp))
+        branches.sort(key=min)
+        k = len(branches)
+        for mask in range(1, (1 << k) - 1):
+            left = frozenset().union(*(branches[j] for j in range(k) if mask >> j & 1))
+            if is_sublot(lot, left) and is_sublot(lot, all_ids - left):
+                return FreeDecomposition(left, all_ids - left, v)
+    return None
 
 
 # ---------------------------------------------------------------------------

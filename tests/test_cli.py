@@ -1,8 +1,11 @@
+import random
 from pathlib import Path
 
 import pytest
 
+from lotva import format_lot
 from lotva.cli import main
+from lotva.sweep import random_lot
 
 
 def run(capsys, *argv):
@@ -26,6 +29,16 @@ class TestAnalyze:
         assert "prime:            no" in out
         assert "free decomposition: at z" in out
         assert "complete set of sub-LOTs: none" in out
+
+    @pytest.mark.parametrize("seed, prime", [(5, True), (28, False)])
+    def test_24_edges(self, capsys, tmp_path, seed, prime):
+        """No scan of the 2^24 edge masks: the report comes back at once."""
+        p = tmp_path / "big.lot"
+        p.write_text(format_lot(random_lot(random.Random(seed), 24)))
+        code, out, _ = run(capsys, "analyze", str(p))
+        assert code == 0
+        assert ("prime:            yes" in out) == prime
+        assert ("maximal proper sub-LOTs" in out) != prime
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "analyze", "nope.lot")

@@ -98,6 +98,11 @@ class TestSubcomplexes:
             derive_subcomplexes(fig1, [frozenset({1, 2, 3, 4}),
                                        frozenset({2, 3, 4})])
 
+    def test_unknown_edge_ids_rejected(self, fig1):
+        for bad in (99, -1):
+            with pytest.raises(StructureError, match=f"unknown edge id {bad}"):
+                derive_subcomplexes(fig1, [frozenset({bad})])
+
     def test_fig1_fullness(self, fig1):
         cx = build_complex(fig1)
         fam = derive_subcomplexes(fig1, [frozenset({1, 2, 3, 4})])

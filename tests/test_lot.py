@@ -11,6 +11,9 @@ from lotva import (Lot, LotEdge, ParseError, PreconditionError, StructureError,
                    sublot_vertices)
 from lotva.sweep import iter_small_lots, random_lot
 
+from oracles import (oracle_free_decomposition, oracle_sublot_structure,
+                     oracle_sublots)
+
 
 def edge_tuples(lot):
     return [(e.tail, e.head, e.label) for e in lot.edges]
@@ -97,40 +100,6 @@ class TestProperties:
 # sub-LOTs
 # ---------------------------------------------------------------------------
 
-def oracle_sublots(lot):
-    """Independent enumeration: grow connected edge sets breadth-first and
-    filter by the label condition."""
-    from itertools import combinations
-    m = lot.num_edges
-    out = set()
-    for k in range(1, m + 1):
-        for combo in combinations(range(m), k):
-            vs = sublot_vertices(lot, combo)
-            if len(vs) != k + 1:
-                continue
-            # connectivity via repeated edge-merging
-            groups = []
-            for i in combo:
-                e = lot.edges[i]
-                groups.append({e.tail, e.head})
-            merged = True
-            while merged:
-                merged = False
-                for i in range(len(groups)):
-                    for j in range(i + 1, len(groups)):
-                        if groups[i] & groups[j]:
-                            groups[i] |= groups.pop(j)
-                            merged = True
-                            break
-                    if merged:
-                        break
-            if len(groups) != 1:
-                continue
-            if all(lot.edges[i].label in vs for i in combo):
-                out.add(frozenset(combo))
-    return out
-
-
 class TestSublots:
     def test_fig1_enumeration_frozen(self, fig1):
         all_subs, maximal = enumerate_sublots(fig1)
@@ -155,6 +124,26 @@ class TestSublots:
         for lot in lots:
             all_subs, _ = enumerate_sublots(lot)
             assert set(all_subs) == oracle_sublots(lot)
+
+    def test_structure_matches_mask_scan(self, sweep6_every97):
+        """All sub-LOTs, the maximal ones, the witness and primality from
+        the edge closures equal the scan of all 2^m edge masks: every 97th
+        LOT of the <=6 sweep, then random LOTs with 2-12 edges, some not
+        injective or not compressed."""
+        rng = random.Random(61)
+        lots = list(sweep6_every97)
+        for _ in range(150):
+            lots.append(random_lot(rng, rng.randrange(2, 13),
+                                   injective=rng.random() < 0.7,
+                                   compressed=rng.random() < 0.8))
+        primes = 0
+        for lot in lots:
+            all_subs, maximal, witness, prime = oracle_sublot_structure(lot)
+            assert enumerate_sublots(lot) == (all_subs, maximal)
+            rep = check_properties(lot)
+            assert (rep.proper_sublot_witness, rep.prime) == (witness, prime)
+            primes += prime
+        assert 100 < primes < len(lots) - 100
 
     def test_all_members_are_sublots(self, fig1):
         all_subs, _ = enumerate_sublots(fig1)
@@ -289,6 +278,21 @@ class TestFreeDecomposition:
 
     def test_prime_path_none(self, prime):
         assert free_decomposition(prime) is None
+
+    def test_matches_branch_scan(self, sweep6_every97):
+        """Linking branches by labels finds the decomposition a binary
+        counter over the branches at each vertex finds, or none."""
+        rng = random.Random(67)
+        lots = list(sweep6_every97)
+        for _ in range(150):
+            lots.append(random_lot(rng, rng.randrange(2, 13),
+                                   injective=rng.random() < 0.7))
+        found = 0
+        for lot in lots:
+            fd = free_decomposition(lot)
+            assert fd == oracle_free_decomposition(lot)
+            found += fd is not None
+        assert 50 < found < len(lots) - 500
 
     def test_halves_are_sublots(self):
         rng = random.Random(3)

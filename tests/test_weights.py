@@ -1,11 +1,11 @@
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from lotva import (PreconditionError, WeightAssignment, build_complex,
-                   build_link, build_relative_link, canonical_weights,
+from lotva import (Lot, LotEdge, PreconditionError, StructureError,
+                   WeightAssignment, build_complex, build_link,
+                   build_relative_link, canonical_weights,
                    check_cell_condition, derive_subcomplexes, enumerate_sublots,
                    find_homred_violation, format_weights,
                    min_weight_reduced_cycle, orientation_search, parse_complex,
@@ -13,10 +13,11 @@ from lotva import (PreconditionError, WeightAssignment, build_complex,
                    sign_change, signed_relative_forest_check, signed_sublinks,
                    sublot_closure, sublot_vertices, weight_test)
 from lotva.weights import FlipForests, orientation_search_check
-from lotva.sweep import iter_small_lots, random_lot
+from lotva.sweep import random_lot
 
 from oracles import (oracle_homred_violation_exists, oracle_min_reduced_cycle,
-                     random_link, random_relative_link, random_weights)
+                     oracle_orientation_search, random_link,
+                     random_relative_link, random_weights)
 
 
 class TestCanonicalWeights:
@@ -291,17 +292,34 @@ class TestOrientationSearch:
         found = orientation_search(fig1, [frozenset({1, 2, 3, 4})])
         assert not (found & {1, 2, 3, 4})
 
+    def test_deep_walk_needs_no_recursion(self):
+        """Path v0 -> ... -> v1500, edge i labeled v(i+2), the last one v0:
+        lk+ and lk- are already paths, so the search walks 1,500 edges deep
+        without backing up, past Python's default recursion limit."""
+        n = 1500
+        names = tuple(f"v{i}" for i in range(n + 1))
+        lot = Lot(names, tuple(LotEdge(names[i], names[i + 1],
+                                       names[(i + 2) % (n + 1)])
+                               for i in range(n)))
+        assert orientation_search(lot) == frozenset()
+
+    def test_unknown_fixed_edge_ids(self, fig1):
+        with pytest.raises(StructureError, match="unknown edge id 99"):
+            orientation_search_check(fig1, [frozenset({99})], frozenset())
+        with pytest.raises(StructureError, match="unknown edge id -1"):
+            FlipForests(fig1, [frozenset({-1})])
+
     def test_overlapping_fixed_rejected(self, fig3):
         with pytest.raises(PreconditionError):
             orientation_search(fig3, [frozenset({0, 1}), frozenset({0, 1, 2})])
 
-    def test_fixed_families_match_link_route(self):
+    def test_fixed_families_match_link_route(self, sweep6_every97):
         """With non-empty fixed families, the flip-set forest check agrees
         with building the reoriented complex and checking both signed
         relative forests, on a stride sample of the <=6-edge sweep."""
         rng = random.Random(91)
         compared = 0
-        for lot in itertools.islice(iter_small_lots(6), 0, None, 97):
+        for lot in sweep6_every97:
             parts, used = [], set()
             for e in rng.sample(range(lot.num_edges), lot.num_edges):
                 part = sublot_closure(lot, e)
@@ -327,6 +345,35 @@ class TestOrientationSearch:
                 assert orientation_search_check(lot, parts, flip) == (pos and neg)
                 compared += 1
         assert compared > 1000
+
+    def test_matches_counter_oracle(self, sweep6_every97):
+        """The pruned depth-first search returns what the binary counter
+        over all flip sets returns, None included, with and without fixed
+        families: every 97th LOT of the <=6 sweep, then random LOTs with
+        2-12 edges, a third of them not injective."""
+        rng = random.Random(93)
+        lots = list(sweep6_every97)
+        for _ in range(150):
+            m = rng.randrange(2, 13)
+            lots.append(random_lot(rng, m, injective=rng.random() < 0.67))
+        found = nones = with_fixed = 0
+        for lot in lots:
+            expect = oracle_orientation_search(lot)
+            assert orientation_search(lot) == expect
+            found += expect is not None
+            nones += expect is None
+            parts, used = [], set()
+            for e in rng.sample(range(lot.num_edges), lot.num_edges):
+                part = sublot_closure(lot, e)
+                vs = sublot_vertices(lot, part)
+                if len(part) < lot.num_edges and not vs & used:
+                    parts.append(part)
+                    used |= vs
+            if parts:
+                assert orientation_search(lot, parts) == \
+                    oracle_orientation_search(lot, parts)
+                with_fixed += 1
+        assert found > 100 and nones > 100 and with_fixed > 500
 
     def test_fast_path_matches_link_route(self):
         """The pair-based forest check agrees with building the complex and
