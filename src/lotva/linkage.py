@@ -54,8 +54,10 @@ class Corner:
 
     @property
     def corner_class(self) -> str:
-        pols = sorted((self.a.polarity, self.b.polarity), reverse=True)
-        return {(1, 1): "++", (-1, -1): "--", (1, -1): "+-"}[tuple(pols)]
+        pa = self.a.polarity
+        if pa != self.b.polarity:
+            return "+-"
+        return "++" if pa > 0 else "--"
 
     @property
     def is_delta(self) -> bool:

@@ -94,7 +94,6 @@ def tree_shapes(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(sorted(reps.values()))
 
 
-@lru_cache(maxsize=None)
 def automorphisms(shape: tuple[tuple[int, int], ...], n: int
                   ) -> tuple[tuple[int, ...], ...]:
     """Vertex permutations preserving adjacency, degree-pruned backtracking."""
@@ -127,7 +126,6 @@ def automorphisms(shape: tuple[tuple[int, int], ...], n: int
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _aut_tables(shape: tuple[tuple[int, int], ...], n: int):
     """Per nontrivial automorphism: vertex map plus, for each edge i, the
     image edge index and whether the (low -> high) direction flips."""

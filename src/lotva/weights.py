@@ -15,14 +15,23 @@ Cycle conditions:
   corner must have weight >= 2.  A minimal violating cycle can be taken
   simple, so it suffices to check, for each non-Delta corner, that corner
   plus a shortest path between its endpoints avoiding it.
+
+Both searches run on exact ints: every weight times den, the lcm of the
+denominators (``WeightAssignment.scaled``), so 2 becomes 2*den and a result
+is Fraction(total, den).  Each Dijkstra run is bounded: nothing is pushed
+that weighs as much as the best cycle found so far, or as would take the
+scanned corner's cycle to 2.  Ties still break by push order, so the
+witnesses are those of an unbounded search.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Optional
 
 from .errors import ParseError, PreconditionError, StructureError
@@ -32,6 +41,7 @@ from .linkage import (LinkGraph, UnionFind, build_relative_link, EdgeEnd,
 from .lot import Lot, sublot_vertices, is_sublot
 
 Dart = tuple[int, int]  # (corner id, direction 0: a->b, 1: b->a)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -47,9 +57,20 @@ class WeightAssignment:
         if missing:
             raise StructureError(f"weights missing for corners {missing[:5]}")
 
-    def check_nonnegative(self) -> None:
-        if any(w < 0 for w in self.weights.values()):
-            raise PreconditionError("negative weights are not supported")
+    def scaled(self, g: LinkGraph) -> tuple[int, list[int]]:
+        """(den, iw): den is the lcm of the denominators of g's corner
+        weights and iw[i] = den * (weight of g.corners[i]), an exact int.
+        Raises PreconditionError unless every weight is a numbers.Rational >= 0."""
+        ws = [self.weights.get(c.id) for c in g.corners]
+        if all(issubclass(t, Rational) for t in set(map(type, ws))):
+            nums = [x.numerator for x in ws]
+            if not nums or min(nums) >= 0:
+                dens = [x.denominator for x in ws]
+                den = math.lcm(*dens)
+                return den, [n * (den // d) for n, d in zip(nums, dens)]
+        self.check_total(g)
+        bad = next(x for x in ws if not isinstance(x, Rational) or x < 0)
+        raise PreconditionError(f"weights must be nonnegative rationals, got {bad!r}")
 
 
 @dataclass(frozen=True)
@@ -64,28 +85,28 @@ class Verdict:
 
 def canonical_weights(g: LinkGraph) -> WeightAssignment:
     """Class-based 0/1 weights; covers Delta corners with their fixed values."""
-    w = {}
-    for c in g.corners:
-        w[c.id] = Fraction(1) if c.corner_class == "+-" else Fraction(0)
-    return WeightAssignment(w)
+    return WeightAssignment({c.id: _ONE if c.a.polarity != c.b.polarity else _ZERO
+                             for c in g.corners})
 
 
 def check_cell_condition(cx: TwoComplex, g: LinkGraph, w: WeightAssignment,
                          excluded_cells: frozenset[str] = frozenset()) -> Verdict:
     """Condition (1): every non-excluded cell's corner weights sum to <= q-2."""
-    w.check_total(g)
-    sums: dict[str, Fraction] = {}
-    for c in g.corners:
-        if c.is_delta:
-            continue
-        sums[c.provenance[1]] = sums.get(c.provenance[1], Fraction(0)) + w[c.id]
+    return _cell_condition(cx, g, *w.scaled(g), excluded_cells)
+
+
+def _cell_condition(cx: TwoComplex, g: LinkGraph, den: int, iw: list[int],
+                    excluded_cells: frozenset[str]) -> Verdict:
+    sums: dict[str, int] = {}
+    for c, x in zip(g.corners, iw):
+        if not c.is_delta:
+            sums[c.provenance[1]] = sums.get(c.provenance[1], 0) + x
     for cell in cx.cells:
         if cell.name in excluded_cells:
             continue
-        q = len(cell.boundary)
-        total = sums.get(cell.name, Fraction(0))
-        if total > q - 2:
-            return Verdict(False, ("cell", cell.name, total))
+        total = sums.get(cell.name, 0)
+        if total > (len(cell.boundary) - 2) * den:
+            return Verdict(False, ("cell", cell.name, Fraction(total, den)))
     return Verdict(True)
 
 
@@ -93,12 +114,16 @@ def check_cell_condition(cx: TwoComplex, g: LinkGraph, w: WeightAssignment,
 # reduced cycles via the dart graph
 # ---------------------------------------------------------------------------
 
-def _corner_map(g: LinkGraph) -> dict[int, "object"]:
-    return {c.id: c for c in g.corners}
+def _dart_tails(g: LinkGraph) -> list[int]:
+    """Dart d = 2*i + direction of the i-th corner, its tail as an int node:
+    the list is a0, b0, a1, b1, ...  The reverse of d is d ^ 1, and the head
+    of d is the tail of d ^ 1."""
+    node: dict[EdgeEnd, int] = {}
+    return [node.setdefault(e, len(node)) for c in g.corners for e in (c.a, c.b)]
 
 
-def _reverse(d: Dart) -> Dart:
-    return (d[0], 1 - d[1])
+def _darts(g: LinkGraph, path: list[int]) -> tuple[Dart, ...]:
+    return tuple((g.corners[d >> 1].id, d & 1) for d in path)
 
 
 def min_weight_reduced_cycle(g: LinkGraph, w: WeightAssignment
@@ -107,69 +132,62 @@ def min_weight_reduced_cycle(g: LinkGraph, w: WeightAssignment
 
     Returns None when the link has no reduced cycle at all.
     """
-    w.check_total(g)
-    w.check_nonnegative()
-    if not g.corners:
+    return _min_reduced_cycle(g, *w.scaled(g))
+
+
+def _min_reduced_cycle(g: LinkGraph, den: int, iw: list[int]
+                       ) -> Optional[tuple[Fraction, tuple[Dart, ...]]]:
+    tails = _dart_tails(g)
+    out: list[list[tuple[int, int]]] = [[] for _ in tails]
+    for d, t in enumerate(tails):
+        out[t].append((d, iw[d >> 1]))
+    # the darts that may follow d: out of its head, except its reverse
+    succ = [[vx for vx in out[tails[d ^ 1]] if vx[0] != d ^ 1]
+            for d in range(len(tails))]
+    # a shortest walk repeats no dart, so every distance is below this limit
+    best, limit = None, 2 * sum(iw) + 1
+    for d0 in range(len(tails)):
+        found = _dijkstra_cycle_through(succ, tails, iw, d0, limit)
+        if found is not None:
+            limit, best = found
+            if limit == 0:
+                break
+    return None if best is None else (Fraction(limit, den), _darts(g, best))
+
+
+def _dijkstra_cycle_through(succ, tails, iw, d0: int, limit: int
+                            ) -> Optional[tuple[int, list[int]]]:
+    """Cheapest reduced closed walk whose first dart is d0, if it weighs
+    less than ``limit``.  Walks of weight >= limit are never pushed, which
+    only ends the search sooner: the heap pops the rest in the same order."""
+    if iw[d0 >> 1] >= limit:
         return None
-    by_id = _corner_map(g)
-
-    def tail(d):
-        c = by_id[d[0]]
-        return c.a if d[1] == 0 else c.b
-
-    def head(d):
-        c = by_id[d[0]]
-        return c.b if d[1] == 0 else c.a
-
-    darts_out: dict[EdgeEnd, list[Dart]] = {}
-    for c in g.corners:
-        darts_out.setdefault(c.a, []).append((c.id, 0))
-        darts_out.setdefault(c.b, []).append((c.id, 1))
-
-    best: Optional[tuple[Fraction, tuple[Dart, ...]]] = None
-    for c in g.corners:
-        for d0 in ((c.id, 0), (c.id, 1)):
-            found = _dijkstra_cycle_through(w, darts_out, tail, head, d0)
-            if found is not None and (best is None or found[0] < best[0]):
-                best = found
-                if best[0] == 0:
-                    return best
-    return best
-
-
-def _dijkstra_cycle_through(w, darts_out, tail, head, d0: Dart
-                            ) -> Optional[tuple[Fraction, tuple[Dart, ...]]]:
-    """Cheapest reduced closed walk whose first dart is d0."""
-    start_node = tail(d0)
-    dist: dict[Dart, Fraction] = {d0: w[d0[0]]}
-    prev: dict[Dart, Optional[Dart]] = {d0: None}
+    start_node, back = tails[d0], d0 ^ 1
+    dist = [limit] * len(tails)
+    prev = [-1] * len(tails)
+    dist[d0] = iw[d0 >> 1]
     counter = 0
     heap = [(dist[d0], counter, d0)]
-    best = None
     while heap:
         du, _, u = heapq.heappop(heap)
         if du != dist[u]:
             continue
         # closing costs nothing, so the first closable pop is minimal
-        if head(u) == start_node and u != _reverse(d0):
-            path = []
-            x: Optional[Dart] = u
-            while x is not None:
-                path.append(x)
-                x = prev[x]
+        if tails[u ^ 1] == start_node and u != back:
+            path = [u]
+            while u != d0:
+                u = prev[u]
+                path.append(u)
             path.reverse()
-            best = (du, tuple(path))
-            break
-        for v in darts_out.get(head(u), []):
-            if v == _reverse(u):
-                continue
-            nd = du + w[v[0]]
-            if v not in dist or nd < dist[v]:
+            return du, path
+        for v, x in succ[u]:
+            nd = du + x
+            if nd < dist[v]:
                 dist[v] = nd
                 prev[v] = u
                 counter += 1
                 heapq.heappush(heap, (nd, counter, v))
-    return best
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -190,57 +208,63 @@ def find_homred_violation(g: LinkGraph, w: WeightAssignment
     if g.delta_blocks is None:
         raise PreconditionError("find_homred_violation expects a relative link "
                                 "(delta decoration present, possibly empty)")
-    w.check_total(g)
-    w.check_nonnegative()
-    two = Fraction(2)
-    for c in g.corners:
+    return _homred_violation(g, *w.scaled(g))
+
+
+def _homred_violation(g: LinkGraph, den: int, iw: list[int]
+                      ) -> Optional[tuple[tuple[Dart, ...], Fraction]]:
+    tails = _dart_tails(g)
+    # undirected multigraph: (other end, dart, weight) per corner end, a loop once
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in tails]
+    for d, t in enumerate(tails):
+        if d & 1 == 0 or t != tails[d ^ 1]:
+            adj[t].append((tails[d ^ 1], d, iw[d >> 1]))
+    for i, c in enumerate(g.corners):
         if c.is_delta:
             continue
         if c.a == c.b:
-            if w[c.id] < two:
-                return ((c.id, 0),), w[c.id]
+            if iw[i] < 2 * den:
+                return ((c.id, 0),), Fraction(iw[i], den)
             continue
-        dist, path = _shortest_path_avoiding(g, w, c.b, c.a, c.id)
-        if dist is not None and w[c.id] + dist < two:
-            return ((c.id, 0),) + tuple(path), w[c.id] + dist
+        found = _shortest_path_avoiding(adj, tails, tails[2 * i + 1], tails[2 * i],
+                                        i, 2 * den - iw[i])
+        if found is not None:
+            return ((c.id, 0),) + _darts(g, found[1]), Fraction(iw[i] + found[0], den)
     return None
 
 
-def _shortest_path_avoiding(g: LinkGraph, w: WeightAssignment,
-                            src: EdgeEnd, dst: EdgeEnd, banned: int):
-    """Dijkstra on the undirected multigraph minus one corner; the
-    predecessor tree makes the returned path simple."""
-    adj: dict[EdgeEnd, list[tuple[EdgeEnd, Dart]]] = {}
-    for c in g.corners:
-        if c.id == banned:
-            continue
-        adj.setdefault(c.a, []).append((c.b, (c.id, 0)))
-        if c.a != c.b:
-            adj.setdefault(c.b, []).append((c.a, (c.id, 1)))
-    dist = {src: Fraction(0)}
-    prev: dict[EdgeEnd, tuple[Optional[EdgeEnd], Optional[Dart]]] = {src: (None, None)}
+def _shortest_path_avoiding(adj, tails, src: int, dst: int, banned: int,
+                            limit: int) -> Optional[tuple[int, list[int]]]:
+    """Dijkstra on the undirected multigraph minus corner ``banned``: the
+    shortest src-dst path as (weight, darts) if it weighs less than
+    ``limit``, else None.  The predecessor tree makes the path simple; as in
+    the cycle search, nothing of weight >= limit is pushed."""
+    dist = [limit] * len(adj)
+    prev = [-1] * len(adj)
+    dist[src] = 0
     counter = 0
-    heap = [(Fraction(0), counter, src)]
+    heap = [(0, counter, src)]
     while heap:
         du, _, u = heapq.heappop(heap)
-        if du != dist.get(u):
+        if du != dist[u]:
             continue
         if u == dst:
             path = []
-            x = u
-            while prev[x][0] is not None:
-                path.append(prev[x][1])
-                x = prev[x][0]
+            while u != src:
+                path.append(prev[u])
+                u = tails[prev[u]]
             path.reverse()
             return du, path
-        for v, dart in adj.get(u, []):
-            nd = du + w[dart[0]]
-            if v not in dist or nd < dist[v]:
+        for v, d, x in adj[u]:
+            if d >> 1 == banned:
+                continue
+            nd = du + x
+            if nd < dist[v]:
                 dist[v] = nd
-                prev[v] = (u, dart)
+                prev[v] = d
                 counter += 1
                 heapq.heappush(heap, (nd, counter, v))
-    return None, None
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -251,24 +275,24 @@ def weight_test(cx: TwoComplex, g: LinkGraph, w: WeightAssignment) -> Verdict:
     """Gersten's weight test on an absolute link."""
     if g.delta_blocks is not None:
         raise PreconditionError("weight_test expects an absolute link")
-    cell_verdict = check_cell_condition(cx, g, w)
+    den, iw = w.scaled(g)
+    cell_verdict = _cell_condition(cx, g, den, iw, frozenset())
     if not cell_verdict:
         return cell_verdict
-    found = min_weight_reduced_cycle(g, w)
+    found = _min_reduced_cycle(g, den, iw)
     if found is not None and found[0] < 2:
         return Verdict(False, ("cycle", found[1], found[0]))
     return Verdict(True)
 
 
-def check_delta_weights(g: LinkGraph, w: WeightAssignment) -> None:
+def check_delta_weights(g: LinkGraph, den: int, iw: list[int]) -> None:
     """Condition (3): Delta corners weigh 0 within a polarity, 1 across."""
-    for c in g.corners:
-        if not c.is_delta:
-            continue
-        expected = Fraction(1) if c.corner_class == "+-" else Fraction(0)
-        if w[c.id] != expected:
-            raise PreconditionError(
-                f"delta corner {c.id} must have weight {expected}, got {w[c.id]}")
+    for c, x in zip(g.corners, iw):
+        if c.is_delta:
+            expected = 1 if c.a.polarity != c.b.polarity else 0
+            if x != expected * den:
+                raise PreconditionError(f"delta corner {c.id} must have weight "
+                                        f"{expected}, got {Fraction(x, den)}")
 
 
 def relative_weight_test(cx: TwoComplex, fam: SubcomplexFamily,
@@ -286,12 +310,12 @@ def relative_weight_test(cx: TwoComplex, fam: SubcomplexFamily,
             raise PreconditionError(
                 f"K-cell {cn!r} has exponent sum {exponent_sum(cmap[cn].boundary)}")
     g = link if link is not None else build_relative_link(cx, fam)
-    w.check_total(g)
-    check_delta_weights(g, w)
-    cell_verdict = check_cell_condition(cx, g, w, excluded_cells=fam.all_cells)
+    den, iw = w.scaled(g)
+    check_delta_weights(g, den, iw)
+    cell_verdict = _cell_condition(cx, g, den, iw, fam.all_cells)
     if not cell_verdict:
         return cell_verdict
-    found = find_homred_violation(g, w)
+    found = _homred_violation(g, den, iw)
     if found is not None:
         return Verdict(False, ("cycle", found[0], found[1]))
     return Verdict(True)
@@ -449,11 +473,16 @@ def parse_weights(text: str, g: LinkGraph) -> WeightAssignment:
         m = _WLINE.match(line)
         if not m:
             raise ParseError("expected: corner CELL POS = P/Q", lineno)
-        cell, pos, p, q = m.group(1), int(m.group(2)), int(m.group(3)), m.group(4)
-        loc = (cell, pos)
+        try:
+            pos, p, q = int(m.group(2)), int(m.group(3)), int(m.group(4) or 1)
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError(str(exc), lineno) from None
+        if q == 0:
+            raise ParseError(f"zero denominator in {p}/0", lineno)
+        loc = (m.group(1), pos)
         if loc not in by_loc:
-            raise ParseError(f"unknown corner {cell}:{pos}", lineno)
-        base[by_loc[loc]] = Fraction(p, int(q)) if q else Fraction(p)
+            raise ParseError(f"unknown corner {loc[0]}:{pos}", lineno)
+        base[by_loc[loc]] = Fraction(p, q)
     return WeightAssignment(base)
 
 

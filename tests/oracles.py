@@ -9,17 +9,22 @@ forests from leaf peeling rather than union-find.  The LOT-level oracles
 are the brute-force scans the library replaced: every edge subset for the
 sub-LOT structure, a binary counter over flip sets for the orientation
 search, and a binary counter over the branches at a vertex for the free
-decomposition.
+decomposition.  The weight-cycle searches the library replaced are kept
+too, in their ``Fraction`` form with no bound on any Dijkstra run, as the
+reference the library's witnesses must match exactly.
 """
 
+import heapq
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from typing import Optional
 
-from lotva import (BoundaryWord, Cell, FreeDecomposition, LinkGraph,
-                   SubcomplexFamily, TwoComplex, WeightAssignment, build_link,
-                   build_relative_link, is_sublot, sublot_vertices)
+from lotva import (BoundaryWord, Cell, EdgeEnd, FreeDecomposition,
+                   LinkGraph, PreconditionError, SubcomplexFamily, TwoComplex,
+                   WeightAssignment, build_link, build_relative_link,
+                   is_sublot, sublot_vertices)
 from lotva.weights import orientation_search_check
 
 
@@ -166,6 +171,171 @@ def is_closed_cycle(g: LinkGraph, blocks, witness) -> bool:
             if at == start:
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# weight-cycle searches in Fraction arithmetic
+# ---------------------------------------------------------------------------
+# The library's searches before they moved to an integer scale with bounded
+# Dijkstra runs.  They search every dart and every corner to the end, and
+# their witnesses are what the library must still return.
+
+Dart = tuple[int, int]  # (corner id, direction 0: a->b, 1: b->a)
+
+
+def _check_nonnegative(w: WeightAssignment) -> None:
+    if any(x < 0 for x in w.weights.values()):
+        raise PreconditionError("negative weights are not supported")
+
+
+def _corner_map(g: LinkGraph) -> dict[int, "object"]:
+    return {c.id: c for c in g.corners}
+
+
+def _reverse(d: Dart) -> Dart:
+    return (d[0], 1 - d[1])
+
+
+def reference_min_weight_reduced_cycle(g: LinkGraph, w: WeightAssignment
+                                       ) -> Optional[tuple[Fraction, tuple[Dart, ...]]]:
+    """Exact minimum weight over all reduced cycles, with a witness.
+
+    Returns None when the link has no reduced cycle at all.
+    """
+    w.check_total(g)
+    _check_nonnegative(w)
+    if not g.corners:
+        return None
+    by_id = _corner_map(g)
+
+    def tail(d):
+        c = by_id[d[0]]
+        return c.a if d[1] == 0 else c.b
+
+    def head(d):
+        c = by_id[d[0]]
+        return c.b if d[1] == 0 else c.a
+
+    darts_out: dict[EdgeEnd, list[Dart]] = {}
+    for c in g.corners:
+        darts_out.setdefault(c.a, []).append((c.id, 0))
+        darts_out.setdefault(c.b, []).append((c.id, 1))
+
+    best: Optional[tuple[Fraction, tuple[Dart, ...]]] = None
+    for c in g.corners:
+        for d0 in ((c.id, 0), (c.id, 1)):
+            found = _dijkstra_cycle_through(w, darts_out, tail, head, d0)
+            if found is not None and (best is None or found[0] < best[0]):
+                best = found
+                if best[0] == 0:
+                    return best
+    return best
+
+
+def _dijkstra_cycle_through(w, darts_out, tail, head, d0: Dart
+                            ) -> Optional[tuple[Fraction, tuple[Dart, ...]]]:
+    """Cheapest reduced closed walk whose first dart is d0."""
+    start_node = tail(d0)
+    dist: dict[Dart, Fraction] = {d0: w[d0[0]]}
+    prev: dict[Dart, Optional[Dart]] = {d0: None}
+    counter = 0
+    heap = [(dist[d0], counter, d0)]
+    best = None
+    while heap:
+        du, _, u = heapq.heappop(heap)
+        if du != dist[u]:
+            continue
+        # closing costs nothing, so the first closable pop is minimal
+        if head(u) == start_node and u != _reverse(d0):
+            path = []
+            x: Optional[Dart] = u
+            while x is not None:
+                path.append(x)
+                x = prev[x]
+            path.reverse()
+            best = (du, tuple(path))
+            break
+        for v in darts_out.get(head(u), []):
+            if v == _reverse(u):
+                continue
+            nd = du + w[v[0]]
+            if v not in dist or nd < dist[v]:
+                dist[v] = nd
+                prev[v] = u
+                counter += 1
+                heapq.heappush(heap, (nd, counter, v))
+    return best
+
+
+# ---------------------------------------------------------------------------
+# homology reduced cycles on relative links
+# ---------------------------------------------------------------------------
+
+def reference_find_homred_violation(g: LinkGraph, w: WeightAssignment
+                                    ) -> Optional[tuple[tuple[Dart, ...], Fraction]]:
+    """A homology reduced cycle of weight < 2 with >= 1 non-Delta corner,
+    or None if there is none.
+
+    Any violating cycle splits at repeated vertices into homology reduced
+    pieces, and the piece keeping a chosen non-Delta corner weighs no more;
+    so it suffices to scan each non-Delta corner e = {u, v} and ask for
+    w(e) + (shortest u-v path avoiding e) < 2, or w(e) < 2 when e is a loop.
+    The first violation in corner-id order is returned.
+    """
+    if g.delta_blocks is None:
+        raise PreconditionError("find_homred_violation expects a relative link "
+                                "(delta decoration present, possibly empty)")
+    w.check_total(g)
+    _check_nonnegative(w)
+    two = Fraction(2)
+    for c in g.corners:
+        if c.is_delta:
+            continue
+        if c.a == c.b:
+            if w[c.id] < two:
+                return ((c.id, 0),), w[c.id]
+            continue
+        dist, path = _shortest_path_avoiding(g, w, c.b, c.a, c.id)
+        if dist is not None and w[c.id] + dist < two:
+            return ((c.id, 0),) + tuple(path), w[c.id] + dist
+    return None
+
+
+def _shortest_path_avoiding(g: LinkGraph, w: WeightAssignment,
+                            src: EdgeEnd, dst: EdgeEnd, banned: int):
+    """Dijkstra on the undirected multigraph minus one corner; the
+    predecessor tree makes the returned path simple."""
+    adj: dict[EdgeEnd, list[tuple[EdgeEnd, Dart]]] = {}
+    for c in g.corners:
+        if c.id == banned:
+            continue
+        adj.setdefault(c.a, []).append((c.b, (c.id, 0)))
+        if c.a != c.b:
+            adj.setdefault(c.b, []).append((c.a, (c.id, 1)))
+    dist = {src: Fraction(0)}
+    prev: dict[EdgeEnd, tuple[Optional[EdgeEnd], Optional[Dart]]] = {src: (None, None)}
+    counter = 0
+    heap = [(Fraction(0), counter, src)]
+    while heap:
+        du, _, u = heapq.heappop(heap)
+        if du != dist.get(u):
+            continue
+        if u == dst:
+            path = []
+            x = u
+            while prev[x][0] is not None:
+                path.append(prev[x][1])
+                x = prev[x][0]
+            path.reverse()
+            return du, path
+        for v, dart in adj.get(u, []):
+            nd = du + w[dart[0]]
+            if v not in dist or nd < dist[v]:
+                dist[v] = nd
+                prev[v] = (u, dart)
+                counter += 1
+                heapq.heappush(heap, (nd, counter, v))
+    return None, None
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,18 @@ class TestWeightTest:
                            "--weights", str(wf))
         assert code == 1 and "cell d_0" in out
 
+    @pytest.mark.parametrize("line, message", [
+        ("corner d_0 0 = 1/0", "line 1: zero denominator"),
+        ("corner d_0 0 = -1", "nonnegative rationals"),
+    ], ids=["zero-denominator", "negative"])
+    def test_bad_weights_file(self, capsys, fixture_dir, tmp_path, line, message):
+        wf = tmp_path / "w.weights"
+        wf.write_text(line + "\n")
+        code, out, err = run(capsys, "weight-test", str(fixture_dir / "fig1.lot"),
+                             "--weights", str(wf))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
 
 class TestOrientSearch:
     def test_prime_subfixture(self, capsys, tmp_path):

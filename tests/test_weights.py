@@ -17,7 +17,9 @@ from lotva.sweep import random_lot
 
 from oracles import (oracle_homred_violation_exists, oracle_min_reduced_cycle,
                      oracle_orientation_search, random_link,
-                     random_relative_link, random_weights)
+                     random_relative_link, random_weights,
+                     reference_find_homred_violation,
+                     reference_min_weight_reduced_cycle)
 
 
 class TestCanonicalWeights:
@@ -198,6 +200,113 @@ class TestHomredViolation:
                 assert weight < 2
                 assert weight == sum(w[cid] for cid, _ in darts)
                 assert any(not g.corners[cid].is_delta for cid, _ in darts)
+
+
+def _closure_family(lot):
+    """Edge closures that are proper sub-LOTs, kept greedily in edge order
+    while vertex-disjoint from those already kept."""
+    parts, used = [], set()
+    for e in range(lot.num_edges):
+        part = sublot_closure(lot, e)
+        vs = sublot_vertices(lot, part)
+        if len(part) < lot.num_edges and not vs & used:
+            parts.append(part)
+            used |= vs
+    return parts
+
+
+def _rational_weights(rng, g):
+    """Random weights in [0, 3) with denominators from {1, 2, 3, 5, 7, 12},
+    so the common scale of a link is larger than any one denominator."""
+    out = {}
+    for c in g.corners:
+        q = rng.choice((1, 2, 3, 5, 7, 12))
+        out[c.id] = Fraction(rng.randrange(0, 3 * q), q)
+    return WeightAssignment(out)
+
+
+class TestFractionReference:
+    """The integer searches return exactly what the unbounded Fraction
+    searches of ``oracles`` return: the same minimum and witness darts, and
+    the same first violating corner with its path.  The references take
+    milliseconds per link, so the sweep sample is halved and only every
+    fifth LOT also gets random rationals."""
+
+    @staticmethod
+    def check_lot(lot, rng, rational: bool) -> set:
+        """Compares both searches on one LOT; returns which (search,
+        weights, outcome) kinds it saw."""
+        cx = build_complex(lot)
+        g = build_link(cx)
+        rg = build_relative_link(cx, derive_subcomplexes(lot, _closure_family(lot)))
+        seen = set()
+        # (link, search, reference, where the result keeps its weight)
+        for link, search, reference, at in (
+                (g, min_weight_reduced_cycle, reference_min_weight_reduced_cycle, 0),
+                (rg, find_homred_violation, reference_find_homred_violation, 1)):
+            ws = [("canonical", canonical_weights(link))]
+            if rational:
+                ws.append(("rational", _rational_weights(rng, link)))
+            for kind, w in ws:
+                got = search(link, w)
+                assert got == reference(link, w)
+                weight = None if got is None else got[at]
+                seen.add((search.__name__, kind, weight is not None and weight < 2,
+                          weight is not None and weight.denominator > 1))
+        return seen
+
+    def test_sweep_sample(self, sweep6_every97):
+        rng = random.Random(100)
+        for i, lot in enumerate(sweep6_every97[::2]):
+            self.check_lot(lot, rng, rational=i % 5 == 0)
+
+    def test_random_lots(self):
+        rng = random.Random(101)
+        seen = set()
+        for i in range(150):
+            seen |= self.check_lot(random_lot(rng, rng.randrange(8, 25)), rng,
+                                   rational=i % 5 == 0)
+        # both searches, on random rationals, both failed and passed, and
+        # returned weights that are not integers
+        for name in ("min_weight_reduced_cycle", "find_homred_violation"):
+            kinds = {(fail, frac) for n, k, fail, frac in seen
+                     if n == name and k == "rational"}
+            assert {fail for fail, _ in kinds} == {True, False}
+            assert any(frac for _, frac in kinds)
+
+    def test_random_links(self):
+        """Small random links have loops and many equal-weight cycles, so
+        the first minimum must win every tie exactly as in the reference."""
+        rng = random.Random(102)
+        for _ in range(300):
+            g = random_link(rng)
+            w = _rational_weights(rng, g)
+            assert min_weight_reduced_cycle(g, w) == \
+                reference_min_weight_reduced_cycle(g, w)
+            rg = random_relative_link(rng)
+            for w in (canonical_weights(rg), _rational_weights(rng, rg)):
+                assert find_homred_violation(rg, w) == \
+                    reference_find_homred_violation(rg, w)
+
+    @pytest.mark.parametrize("bad", [0.5, "1", Fraction(-1, 2)],
+                             ids=["float", "str", "negative"])
+    def test_non_rational_or_negative_rejected(self, fig1, bad):
+        cx = build_complex(fig1)
+        fam = derive_subcomplexes(fig1, [frozenset({1, 2, 3, 4})])
+        for g in (build_link(cx), build_relative_link(cx, fam)):
+            weights = dict(canonical_weights(g).weights)
+            weights[g.corners[0].id] = bad
+            w = WeightAssignment(weights)
+            calls = [lambda: check_cell_condition(cx, g, w)]
+            if g.delta_blocks is None:
+                calls += [lambda: min_weight_reduced_cycle(g, w),
+                          lambda: weight_test(cx, g, w)]
+            else:
+                calls += [lambda: find_homred_violation(g, w),
+                          lambda: relative_weight_test(cx, fam, w, link=g)]
+            for call in calls:
+                with pytest.raises(PreconditionError, match="nonnegative rationals"):
+                    call()
 
 
 class TestWeightTest:
