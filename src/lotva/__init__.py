@@ -12,15 +12,14 @@ from .lot import (ChainStep, CollapseChain, FreeDecomposition, Log, Lot,
                   check_properties, collapse, collapse_vertex_of,
                   complete_set_search, enumerate_sublots, extract_sublot,
                   format_lot, free_decomposition, is_compressed, is_injective,
-                  is_prime, is_sublot, parse_log, parse_lot, reorient,
-                  sign_change, sublot_closure, sublot_vertices)
+                  is_sublot, parse_log, parse_lot, reorient, sign_change,
+                  sublot_closure, sublot_vertices)
 from .complexes import (BoundaryWord, Cell, SubcomplexFamily, TwoComplex,
-                        build_complex, cyclically_equal, derive_subcomplexes,
-                        exponent_sum, format_complex, is_full, parse_complex)
+                        build_complex, derive_subcomplexes, exponent_sum,
+                        format_complex, is_full, parse_complex)
 from .linkage import (Corner, DeltaBlock, EdgeEnd, LinkGraph, build_link,
-                      build_relative_link, delta_relative_forest_check,
-                      relative_forest_check, signed_relative_forest_check,
-                      signed_sublinks, to_dot)
+                      build_relative_link, relative_forest_check,
+                      signed_relative_forest_check, signed_sublinks, to_dot)
 from .weights import (Verdict, WeightAssignment, canonical_weights,
                       check_cell_condition, find_homred_violation,
                       format_weights, min_weight_reduced_cycle,

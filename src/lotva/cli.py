@@ -13,9 +13,9 @@ from pathlib import Path
 from .errors import LotvaError
 from .lot import Lot, SublotStructure, check_properties, free_decomposition, \
     is_sublot, parse_lot, search_complete_set
-from .complexes import TwoComplex, build_complex, derive_subcomplexes, \
-    parse_complex
-from .linkage import build_link, build_relative_link, to_dot
+from .complexes import SubcomplexFamily, TwoComplex, build_complex, \
+    derive_subcomplexes, parse_complex
+from .linkage import LinkGraph, build_link, build_relative_link, to_dot
 from .weights import canonical_weights, orientation_search, parse_weights, \
     relative_weight_test, weight_test
 from .diagrams import double_cell_sphere, format_diagram, parse_diagram, \
@@ -98,15 +98,20 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_links(args) -> int:
+def _load_link(args) -> tuple[TwoComplex, SubcomplexFamily | None, LinkGraph]:
+    """The complex of ``args.lot``, the family of the ``--relative``
+    sub-LOTs (None without them) and lk(L), or lk(L, K) with them."""
     cx, lot = _load_complex_or_lot(args.lot)
-    if args.relative:
-        if lot is None:
-            raise LotvaError("--relative requires a LOT input")
-        fam = derive_subcomplexes(lot, _parse_sublot_specs(lot, args.relative))
-        g = build_relative_link(cx, fam)
-    else:
-        g = build_link(cx)
+    if not args.relative:
+        return cx, None, build_link(cx)
+    if lot is None:
+        raise LotvaError("--relative requires a LOT input")
+    fam = derive_subcomplexes(lot, _parse_sublot_specs(lot, args.relative))
+    return cx, fam, build_relative_link(cx, fam)
+
+
+def cmd_links(args) -> int:
+    cx, _, g = _load_link(args)
     if args.dot:
         print(to_dot(g, name=cx.name or "lk"), end="")
         return 0
@@ -121,22 +126,15 @@ def cmd_links(args) -> int:
 
 
 def cmd_weight_test(args) -> int:
-    cx, lot = _load_complex_or_lot(args.lot)
-    if args.relative:
-        if lot is None:
-            raise LotvaError("--relative requires a LOT input")
-        fam = derive_subcomplexes(lot, _parse_sublot_specs(lot, args.relative))
-        g = build_relative_link(cx, fam)
-        w = parse_weights(_read(args.weights), g) if args.weights \
-            else canonical_weights(g)
-        verdict = relative_weight_test(cx, fam, w, link=g)
-        label = "relative weight test"
-    else:
-        g = build_link(cx)
-        w = parse_weights(_read(args.weights), g) if args.weights \
-            else canonical_weights(g)
+    cx, fam, g = _load_link(args)
+    w = parse_weights(_read(args.weights), g) if args.weights \
+        else canonical_weights(g)
+    if fam is None:
         verdict = weight_test(cx, g, w)
         label = "weight test"
+    else:
+        verdict = relative_weight_test(cx, fam, w, g)
+        label = "relative weight test"
     if verdict.ok:
         print(f"{label}: PASS")
         return 0

@@ -22,8 +22,10 @@ _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 
 @dataclass(frozen=True)
 class BoundaryWord:
-    """Cyclic word in the complex edges; stored with a starting letter,
-    compared cyclically via :func:`cyclic_normal_form`."""
+    """Cyclic word in the complex edges, stored from a fixed starting
+    letter: corner i of the cell sits after letter i.  Equality compares
+    the stored letters; a surface diagram's face matches its cell up to
+    rotation (``diagrams.validate_diagram``)."""
     letters: tuple[Letter, ...]
 
     def __post_init__(self):
@@ -35,16 +37,6 @@ class BoundaryWord:
 
     def inverse(self) -> "BoundaryWord":
         return BoundaryWord(tuple((x, -s) for x, s in reversed(self.letters)))
-
-
-def cyclic_normal_form(word: BoundaryWord) -> tuple[Letter, ...]:
-    """Lexicographically least rotation; words here are tiny."""
-    ls = word.letters
-    return min(ls[i:] + ls[:i] for i in range(len(ls)))
-
-
-def cyclically_equal(a: BoundaryWord, b: BoundaryWord) -> bool:
-    return len(a) == len(b) and cyclic_normal_form(a) == cyclic_normal_form(b)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import Optional
 from .errors import (DegenerateDiagramError, ParseError, PreconditionError,
                      StructureError)
 from .complexes import TwoComplex, exponent_sum
-from .linkage import build_link
+from .linkage import LinkGraph, build_link
 from .weights import WeightAssignment
 
 Dart = tuple[int, int]  # (edge index, +1 along tail->head, -1 against)
@@ -166,20 +166,15 @@ def validate_diagram(d: SurfaceDiagram, cx: TwoComplex) -> DiagramReport:
                             "(surface not closed)")
 
     # each vertex must have a single rotation cycle of corners
-    corner_count = {v: 0 for v in d.vertices}
-    succ_in_face: dict[Dart, Dart] = {}
-    face_of: dict[Dart, DiagramFace] = {}
-    for f in d.faces:
-        q = len(f.boundary)
-        for i, dart in enumerate(f.boundary):
-            succ_in_face[dart] = f.boundary[(i + 1) % q]
-            face_of[dart] = f
-            corner_count[_dart_head(d, dart)] = corner_count.get(_dart_head(d, dart), 0) + 1
+    succ, _ = _succ_and_positions(d)
+    corner_count = dict.fromkeys(d.vertices, 0)
+    for dart in succ:
+        corner_count[_dart_head(d, dart)] += 1
     for v in d.vertices:
         if corner_count[v] == 0:
             return fail(f"vertex {v!r} is isolated")
     for v in d.vertices:
-        if len(_vertex_rotation(d, v, succ_in_face)) != corner_count[v]:
+        if len(_vertex_rotation(d, v, succ)) != corner_count[v]:
             return fail(f"link of vertex {v!r} is not a single circle")
 
     V, E, F = len(d.vertices), len(d.edges), len(d.faces)
@@ -195,7 +190,8 @@ def _vertex_rotation(d: SurfaceDiagram, v: str,
                      succ_in_face: dict[Dart, Dart]) -> list[tuple[Dart, Dart]]:
     """Orbit of face corners around v: a corner is (incoming dart, outgoing
     dart); the next corner continues in the face of the outgoing dart's
-    reversal."""
+    reversal.  Once every dart lies in exactly one face, this step is a
+    permutation of the corners, so the orbit closes."""
     start = None
     for dart in succ_in_face:
         if _dart_head(d, dart) == v:
@@ -212,8 +208,6 @@ def _vertex_rotation(d: SurfaceDiagram, v: str,
         cur = (rev, succ_in_face[rev])
         if cur == start:
             return orbit
-        if len(orbit) > 4 * len(succ_in_face):
-            return orbit  # defensive; broken structure caught by count check
 
 
 def _is_connected(d: SurfaceDiagram) -> bool:
@@ -245,20 +239,15 @@ def _require_valid(d: SurfaceDiagram, cx: TwoComplex) -> DiagramReport:
 # vertex links and folding vertices
 # ---------------------------------------------------------------------------
 
-def _corner_index(cx: TwoComplex) -> dict[tuple[str, int], int]:
-    g = build_link(cx)
-    return {(c.provenance[1], c.provenance[2]): c.id for c in g.corners}
-
-
-def _face_corner_to_link(d: SurfaceDiagram, cx: TwoComplex, rotations,
-                         face_pos: dict) -> dict[tuple[str, int], tuple[int, int]]:
-    """Map (face name, position) to (corner id in lk(L), direction).
+def _face_corner_to_link(d: SurfaceDiagram, g: LinkGraph, rotations
+                         ) -> dict[tuple[str, int], tuple[int, int]]:
+    """Map (face name, position) to (corner id in g = lk(L), direction).
 
     Position i sits between boundary darts i and i+1.  With rotation r, a
     + face's position i reads the cell corner (i + r) mod q; a - face reads
     corner (q - 2 - i - r) mod q, traversed backwards.
     """
-    idx = _corner_index(cx)
+    idx = {(c.provenance[1], c.provenance[2]): c.id for c in g.corners}
     out = {}
     for fi, f in enumerate(d.faces):
         q = len(f.boundary)
@@ -279,7 +268,7 @@ def vertex_link_cycle(d: SurfaceDiagram, vertex: str, cx: TwoComplex) -> VertexL
     if vertex not in d.vertices:
         raise StructureError(f"unknown vertex {vertex!r}")
     succ, pos_of = _succ_and_positions(d)
-    corner_map = _face_corner_to_link(d, cx, report.rotations, pos_of)
+    corner_map = _face_corner_to_link(d, build_link(cx), report.rotations)
     orbit = _vertex_rotation(d, vertex, succ)
     corners = []
     for incoming, outgoing in orbit:
@@ -307,7 +296,7 @@ def find_folding_vertices(d: SurfaceDiagram, cx: TwoComplex,
     report = _require_valid(d, cx)
     scope_cells = scope.all_cells if scope is not None else frozenset()
     succ, pos_of = _succ_and_positions(d)
-    corner_map = _face_corner_to_link(d, cx, report.rotations, pos_of)
+    corner_map = _face_corner_to_link(d, build_link(cx), report.rotations)
     face_cell = {f.name: f.cell for f in d.faces}
     out = []
     for v in d.vertices:
@@ -365,22 +354,24 @@ def curvature_report(d: SurfaceDiagram, cx: TwoComplex,
 
     kappa(face) = sum of its corner weights - (q - 2); kappa(v) = 2 - sum of
     the corner weights at v.  The total always equals 2 * chi exactly.
+    w must give every corner of lk(L) a nonnegative rational weight
+    (``WeightAssignment.scaled``).
     """
     report = _require_valid(d, cx)
-    succ, pos_of = _succ_and_positions(d)
-    corner_map = _face_corner_to_link(d, cx, report.rotations, pos_of)
+    g = build_link(cx)
+    den, iw = w.scaled(g)  # corner ids of lk(L) are its positions
+    corner_map = _face_corner_to_link(d, g, report.rotations)
     face_curv: dict[str, Fraction] = {}
-    vertex_sum: dict[str, Fraction] = {v: Fraction(0) for v in d.vertices}
+    vertex_sum = dict.fromkeys(d.vertices, 0)
     for f in d.faces:
         q = len(f.boundary)
-        s = Fraction(0)
+        s = 0
         for i in range(q):
-            cid, _ = corner_map[(f.name, i)]
-            wt = w[cid]
-            s += wt
-            vertex_sum[_dart_head(d, f.boundary[i])] += wt
-        face_curv[f.name] = s - (q - 2)
-    vertex_curv = {v: 2 - s for v, s in vertex_sum.items()}
+            x = iw[corner_map[(f.name, i)][0]]
+            s += x
+            vertex_sum[_dart_head(d, f.boundary[i])] += x
+        face_curv[f.name] = Fraction(s, den) - (q - 2)
+    vertex_curv = {v: 2 - Fraction(s, den) for v, s in vertex_sum.items()}
     total = sum(face_curv.values(), Fraction(0)) + sum(vertex_curv.values(), Fraction(0))
     if total != 2 * report.chi:
         raise RuntimeError("internal error: combinatorial Gauss-Bonnet failed")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import PreconditionError, StructureError
+from .errors import PreconditionError
 from .complexes import SubcomplexFamily, TwoComplex, validate_family
 
 
@@ -62,16 +62,6 @@ class Corner:
     @property
     def is_delta(self) -> bool:
         return self.provenance[0] == "delta"
-
-    def ends(self) -> tuple[EdgeEnd, EdgeEnd]:
-        return (self.a, self.b)
-
-    def other(self, end: EdgeEnd) -> EdgeEnd:
-        if end == self.a:
-            return self.b
-        if end == self.b:
-            return self.a
-        raise StructureError(f"{end} is not an endpoint of corner {self.id}")
 
 
 @dataclass(frozen=True)
@@ -280,7 +270,7 @@ def _tree_path(adj: dict, u, v) -> list[int]:
 
 def signed_relative_forest_check(cx: TwoComplex, fam: SubcomplexFamily, pol: int
                                  ) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Route 1: is lk^pol(L) a forest relative to lk^pol(K)?
+    """Is lk^pol(L) a forest relative to lk^pol(K)?
 
     Block i is the part-i ends of polarity ``pol`` with the same-polarity
     corners of part-i cells as its designated corners.
@@ -293,25 +283,6 @@ def signed_relative_forest_check(cx: TwoComplex, fam: SubcomplexFamily, pol: int
     blocks = [(frozenset(EdgeEnd(x, pol) for x in edges),
                frozenset(cid for cn in cells for cid in by_cell.get(cn, ())))
               for edges, cells in fam.parts]
-    return relative_forest_check(sub, blocks)
-
-
-def delta_relative_forest_check(cx: TwoComplex, fam: SubcomplexFamily, pol: int
-                                ) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Route 2: is lk^pol(L, K) a forest relative to Delta^pol(K)?
-
-    Agrees with route 1 on forest/not-forest; both are kept so they can be
-    cross-checked.
-    """
-    rg = build_relative_link(cx, fam)
-    sub = _polarity_subgraph(rg, pol)
-    blocks = []
-    for blk in rg.delta_blocks:
-        nodes = frozenset(n for n in blk.nodes if n.polarity == pol)
-        ids = frozenset(c.id for c in rg.corners
-                        if c.id in blk.corner_ids
-                        and c.a.polarity == pol and c.b.polarity == pol)
-        blocks.append((nodes, ids))
     return relative_forest_check(sub, blocks)
 
 

@@ -54,9 +54,8 @@ class Log:
         iv = self._iv
         return len(iv.edges) == iv.n - 1 and min(_root_paths(iv)) >= 0
 
-    def as_lot(self, name: str | None = None) -> "Lot":
-        return Lot(self.vertices, self.edges,
-                   name=self.name if name is None else name)
+    def as_lot(self) -> "Lot":
+        return Lot(self.vertices, self.edges, name=self.name)
 
 
 @dataclass(frozen=True)
@@ -82,6 +81,8 @@ class SignedLot:
             raise StructureError("signs must be +1 or -1")
 
     def sign_of(self, vertex: str) -> int:
+        if vertex not in self.lot.vertices:
+            raise StructureError(f"unknown vertex {vertex!r}")
         return self.sign[self.lot.vertices.index(vertex)]
 
 
@@ -280,7 +281,7 @@ def is_sublot(lot: Log, edge_ids: Iterable[int]) -> bool:
     return all(iv.edges[i][2] in vs for i in ids)
 
 
-def extract_sublot(lot: Lot, edge_ids: Iterable[int], name: str = "") -> Lot:
+def extract_sublot(lot: Lot, edge_ids: Iterable[int]) -> Lot:
     """Standalone Lot for a sub-LOT: vertices in ambient order, edges in
     ambient id order (re-indexed densely)."""
     ids = sorted(set(edge_ids))
@@ -289,7 +290,7 @@ def extract_sublot(lot: Lot, edge_ids: Iterable[int], name: str = "") -> Lot:
     vs = sublot_vertices(lot, ids)
     vertices = tuple(v for v in lot.vertices if v in vs)
     edges = tuple(lot.edges[i] for i in ids)
-    return Lot(vertices, edges, name=name)
+    return Lot(vertices, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +509,6 @@ def enumerate_sublots(lot: Lot) -> tuple[list[frozenset[int]], list[frozenset[in
     """
     sub = SublotStructure(lot)
     return sub.all_sublots(), sub.maximal()
-
-
-def is_prime(lot: Lot) -> bool:
-    return SublotStructure(lot).prime
 
 
 # ---------------------------------------------------------------------------

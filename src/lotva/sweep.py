@@ -21,29 +21,30 @@ from typing import Iterator
 from .lot import Lot, LotEdge
 
 
+def _prufer_decode(seq, n: int) -> list[tuple[int, int]]:
+    """Edges of the tree on n >= 2 vertices with Prufer sequence ``seq``, as
+    (leaf, neighbor) pairs in removal order; the empty sequence gives (0, 1)."""
+    deg = [1] * n
+    for x in seq:
+        deg[x] += 1
+    h = [i for i in range(n) if deg[i] == 1]
+    heapq.heapify(h)
+    edges = []
+    for x in seq:
+        edges.append((heapq.heappop(h), x))
+        deg[x] -= 1
+        if deg[x] == 1:
+            heapq.heappush(h, x)
+    edges.append((heapq.heappop(h), heapq.heappop(h)))
+    return edges
+
+
 def _prufer_trees(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     if n == 1:
         yield ()
         return
-    if n == 2:
-        yield ((0, 1),)
-        return
     for seq in itertools.product(range(n), repeat=n - 2):
-        deg = [1] * n
-        for x in seq:
-            deg[x] += 1
-        h = [i for i in range(n) if deg[i] == 1]
-        heapq.heapify(h)
-        edges = []
-        for x in seq:
-            leaf = heapq.heappop(h)
-            edges.append((min(leaf, x), max(leaf, x)))
-            deg[x] -= 1
-            if deg[x] == 1:
-                heapq.heappush(h, x)
-        u, v = heapq.heappop(h), heapq.heappop(h)
-        edges.append((min(u, v), max(u, v)))
-        yield tuple(sorted(edges))
+        yield tuple(sorted((min(e), max(e)) for e in _prufer_decode(seq, n)))
 
 
 def _ahu_key(edges: tuple[tuple[int, int], ...], n: int) -> str:
@@ -177,20 +178,19 @@ def _is_orbit_min(shape, n, tables, orient: int, labels: tuple[int, ...]) -> boo
     return True
 
 
-def iter_small_lots(max_edges: int, orientations: bool = True,
-                    up_to_iso: bool = True) -> Iterator[Lot]:
+def iter_small_lots(max_edges: int, orientations: bool = True) -> Iterator[Lot]:
     """All injective compressed LOTs with 0..max_edges edges.
 
     With ``orientations=False`` every edge runs low index -> high index,
     which is enough for orientation-independent properties (sub-LOTs,
-    collapses, free decompositions).  With ``up_to_iso`` one representative
-    per isomorphism class is produced.
+    collapses, free decompositions).  One representative per isomorphism
+    class is produced.
     """
     yield Lot(("v0",), ())
     for n in range(2, max_edges + 2):
         m = n - 1
         for shape in tree_shapes(n):
-            tables = _aut_tables(shape, n) if up_to_iso else ()
+            tables = _aut_tables(shape, n)
             names = tuple(f"v{i}" for i in range(n))
             omax = (1 << m) if orientations else 1
             for labels in _labelings(shape, n):
@@ -219,23 +219,7 @@ def random_lot(rng: random.Random, n_edges: int, injective: bool = True,
     if n == 2 and compressed:
         raise ValueError("a single-edge LOT is labeled by one of its "
                          "endpoints, so it cannot be compressed")
-    if n == 2:
-        shape = [(0, 1)]
-    else:
-        seq = [rng.randrange(n) for _ in range(n - 2)]
-        deg = [1] * n
-        for x in seq:
-            deg[x] += 1
-        h = [i for i in range(n) if deg[i] == 1]
-        heapq.heapify(h)
-        shape = []
-        for x in seq:
-            leaf = heapq.heappop(h)
-            shape.append((leaf, x))
-            deg[x] -= 1
-            if deg[x] == 1:
-                heapq.heappush(h, x)
-        shape.append((heapq.heappop(h), heapq.heappop(h)))
+    shape = _prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
     labels: list[int] = []
     avail = list(range(n))
     rng.shuffle(avail)

@@ -35,9 +35,9 @@ from numbers import Rational
 from typing import Iterable, Optional
 
 from .errors import ParseError, PreconditionError, StructureError
-from .complexes import SubcomplexFamily, TwoComplex, exponent_sum
-from .linkage import (LinkGraph, UnionFind, build_relative_link, EdgeEnd,
-                      forest_cycle_index)
+from .complexes import (SubcomplexFamily, TwoComplex, exponent_sum,
+                        validate_family)
+from .linkage import EdgeEnd, LinkGraph, UnionFind, forest_cycle_index
 from .lot import Lot, sublot_vertices, is_sublot
 
 Dart = tuple[int, int]  # (corner id, direction 0: a->b, 1: b->a)
@@ -296,26 +296,39 @@ def check_delta_weights(g: LinkGraph, den: int, iw: list[int]) -> None:
 
 
 def relative_weight_test(cx: TwoComplex, fam: SubcomplexFamily,
-                         w: WeightAssignment,
-                         link: Optional[LinkGraph] = None) -> Verdict:
+                         w: WeightAssignment, link: LinkGraph) -> Verdict:
     """Weight test relative to K = K_1 v ... v K_n.
 
-    Preconditions: all K-cells have exponent sum 0 and w obeys the fixed
-    Delta weights.  ``link`` may pass the relative link if the caller
-    already built it (construction is deterministic either way).
+    ``link`` is lk(L, K) as ``build_relative_link(cx, fam)`` builds it.  It
+    must have one Delta-block per part, on exactly that part's edge-ends,
+    and no corner of a K-cell; any other link raises PreconditionError, as
+    do a K-cell of nonzero exponent sum and Delta corners that do not carry
+    their fixed weights.  A family whose parts are not subcomplexes of cx
+    raises StructureError.
     """
+    validate_family(cx, fam)
+    k_cells = fam.all_cells
     cmap = {c.name: c for c in cx.cells}
-    for cn in sorted(fam.all_cells):
+    for cn in sorted(k_cells):
         if exponent_sum(cmap[cn].boundary) != 0:
             raise PreconditionError(
                 f"K-cell {cn!r} has exponent sum {exponent_sum(cmap[cn].boundary)}")
-    g = link if link is not None else build_relative_link(cx, fam)
-    den, iw = w.scaled(g)
-    check_delta_weights(g, den, iw)
-    cell_verdict = _cell_condition(cx, g, den, iw, fam.all_cells)
+    blocks = link.delta_blocks
+    if blocks is None or len(blocks) != len(fam.parts) or any(
+            blk.nodes != {EdgeEnd(x, s) for x in edges for s in (1, -1)}
+            for blk, (edges, _) in zip(blocks, fam.parts)):
+        raise PreconditionError("link is not the relative link of this family")
+    # provenance[1] is a cell name, or a Delta corner's int block index
+    if not k_cells.isdisjoint({c.provenance[1] for c in link.corners}):
+        c = next(c for c in link.corners if c.provenance[1] in k_cells)
+        raise PreconditionError(f"link keeps corner {c.id} of K-cell "
+                                f"{c.provenance[1]!r}")
+    den, iw = w.scaled(link)
+    check_delta_weights(link, den, iw)
+    cell_verdict = _cell_condition(cx, link, den, iw, k_cells)
     if not cell_verdict:
         return cell_verdict
-    found = _homred_violation(g, den, iw)
+    found = _homred_violation(link, den, iw)
     if found is not None:
         return Verdict(False, ("cycle", found[0], found[1]))
     return Verdict(True)
@@ -438,15 +451,6 @@ def orientation_search(lot: Lot, fixed: Iterable[frozenset[int]] = ()
     if flip is None:
         return None
     return frozenset(ei for ei in range(lot.num_edges) if flip >> ei & 1)
-
-
-def orientation_search_check(lot: Lot, fixed: Iterable[frozenset[int]],
-                             flipped: frozenset[int]) -> bool:
-    """Do lk+ and lk- both pass the relative forest check under this flip
-    set?  The certificate verifier makes the same two checks one by one."""
-    forests = FlipForests(lot, fixed)
-    flip = flip_mask(lot, flipped)
-    return forests.is_forest(flip, 1) and forests.is_forest(flip, -1)
 
 
 # ---------------------------------------------------------------------------

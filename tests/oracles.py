@@ -11,7 +11,10 @@ sub-LOT structure, a binary counter over flip sets for the orientation
 search, and a binary counter over the branches at a vertex for the free
 decomposition.  The weight-cycle searches the library replaced are kept
 too, in their ``Fraction`` form with no bound on any Dijkstra run, as the
-reference the library's witnesses must match exactly.
+reference the library's witnesses must match exactly.  Two second routes
+to a library decision live here as well: the forest check through the
+relative link's Delta-blocks, and the flip-set forest check of lk+ and lk-
+as one yes/no.
 """
 
 import heapq
@@ -24,8 +27,8 @@ from typing import Optional
 from lotva import (BoundaryWord, Cell, EdgeEnd, FreeDecomposition,
                    LinkGraph, PreconditionError, SubcomplexFamily, TwoComplex,
                    WeightAssignment, build_link, build_relative_link,
-                   is_sublot, sublot_vertices)
-from lotva.weights import orientation_search_check
+                   is_sublot, relative_forest_check, sublot_vertices)
+from lotva.weights import FlipForests, flip_mask
 
 
 def _dart_tail(g, d):
@@ -171,6 +174,32 @@ def is_closed_cycle(g: LinkGraph, blocks, witness) -> bool:
             if at == start:
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# second routes to the forest decisions
+# ---------------------------------------------------------------------------
+
+def delta_relative_forest_check(cx: TwoComplex, fam: SubcomplexFamily, pol: int):
+    """Is lk^pol(L, K) a forest relative to Delta^pol(K)?  The route through
+    the relative link; it agrees with ``signed_relative_forest_check`` on
+    forest / not forest."""
+    rg = build_relative_link(cx, fam)
+    kept = tuple(c for c in rg.corners
+                 if c.a.polarity == pol and c.b.polarity == pol)
+    sub = LinkGraph(tuple(n for n in rg.nodes if n.polarity == pol), kept)
+    blocks = [(frozenset(n for n in blk.nodes if n.polarity == pol),
+               frozenset(c.id for c in kept if c.id in blk.corner_ids))
+              for blk in rg.delta_blocks]
+    return relative_forest_check(sub, blocks)
+
+
+def orientation_search_check(lot, fixed, flipped) -> bool:
+    """Do lk+ and lk- both pass the relative forest check under this flip
+    set?  The certificate verifier makes the same two checks one by one."""
+    forests = FlipForests(lot, fixed)
+    flip = flip_mask(lot, flipped)
+    return forests.is_forest(flip, 1) and forests.is_forest(flip, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,12 @@ from lotva import (BaseTrivial, BoundaryReduction, CertifyFailure, ChainStep,
                    relative_weight_test, reorient, sign_change,
                    signed_relative_forest_check, sublot_vertices,
                    verify_certificate, weight_test)
-from lotva.weights import orientation_search, orientation_search_check
+from lotva.weights import orientation_search
 from lotva.sweep import iter_small_lots, random_lot
 
 from oracles import (oracle_homred_violation_exists, oracle_min_reduced_cycle,
-                     random_link, random_relative_link, random_weights)
+                     orientation_search_check, random_link,
+                     random_relative_link, random_weights)
 
 
 def report(n, text):

@@ -73,6 +73,13 @@ class TestLinks:
         assert code == 0
         assert "4 nodes, 4 corners" in out
 
+    def test_malformed_complex_file(self, capsys, tmp_path):
+        p = tmp_path / "bad.cplx"
+        p.write_text("complex c\nedge x\ncell d = x,-y\n")
+        code, out, err = run(capsys, "links", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "unknown edge 'y'" in err
+
     def test_bad_sublot_spec(self, capsys, fixture_dir):
         code, _, err = run(capsys, "links", str(fixture_dir / "fig1.lot"),
                            "--relative", "0,5")
@@ -218,6 +225,15 @@ class TestDiagramCli:
         code, out, _ = run(capsys, "diagram", "check", str(bad),
                            "--complex", str(fixture_dir / "square.cplx"))
         assert code == 1 and "invalid" in out
+
+
+    def test_malformed_diagram_file(self, capsys, fixture_dir, tmp_path):
+        bad = tmp_path / "bad.diag"
+        bad.write_text("diagram d over square\nface f cell sq orient + boundary e\n")
+        code, out, err = run(capsys, "diagram", "check", str(bad),
+                             "--complex", str(fixture_dir / "square.cplx"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 2: unknown diagram edge 'e'")
 
 
 class TestUsage:

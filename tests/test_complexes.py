@@ -3,9 +3,9 @@ import random
 import pytest
 
 from lotva import (BoundaryWord, ParseError, PreconditionError, StructureError,
-                   build_complex, cyclically_equal, derive_subcomplexes,
-                   exponent_sum, format_complex, is_full, parse_complex,
-                   parse_lot, sign_change, SubcomplexFamily)
+                   build_complex, derive_subcomplexes, exponent_sum,
+                   format_complex, is_full, parse_complex, parse_lot,
+                   sign_change, SubcomplexFamily)
 from lotva.sweep import random_lot
 
 
@@ -154,16 +154,6 @@ class TestComplexFiles:
 
 
 class TestCyclicWords:
-    def test_rotation_equal(self):
-        a = BoundaryWord((("x", 1), ("y", 1), ("x", -1)))
-        b = BoundaryWord((("y", 1), ("x", -1), ("x", 1)))
-        assert cyclically_equal(a, b)
-
-    def test_not_equal(self):
-        a = BoundaryWord((("x", 1), ("y", 1)))
-        b = BoundaryWord((("y", 1), ("x", -1)))
-        assert not cyclically_equal(a, b)
-
     def test_inverse(self):
         a = BoundaryWord((("x", 1), ("y", -1), ("z", 1)))
         assert a.inverse().letters == (("z", -1), ("y", 1), ("x", -1))

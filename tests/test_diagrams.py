@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from lotva import (DegenerateDiagramError, DiagramEdge, DiagramFace,
-                   PreconditionError, SurfaceDiagram, WeightAssignment,
-                   build_complex, build_link, canonical_weights,
-                   curvature_report, derive_subcomplexes, double_cell_sphere,
-                   find_folding_vertices, find_sink_source, format_diagram,
-                   is_vertex_reduced, k_thin_check, parse_complex,
-                   parse_diagram, sign_change, validate_diagram,
+                   PreconditionError, StructureError, SurfaceDiagram,
+                   WeightAssignment, build_complex, build_link,
+                   canonical_weights, curvature_report, derive_subcomplexes,
+                   double_cell_sphere, find_folding_vertices, find_sink_source,
+                   format_diagram, is_vertex_reduced, k_thin_check,
+                   parse_complex, parse_diagram, sign_change, validate_diagram,
                    vertex_link_cycle)
 
 from oracles import random_weights
@@ -237,6 +237,20 @@ class TestCurvature:
             w = random_weights(rng, g)
             rep = curvature_report(torus, square_complex, w)
             assert rep.total == 0 == 2 * rep.chi
+
+    def test_missing_weight_rejected(self, pillow, prime_cx):
+        g = build_link(prime_cx)
+        w = WeightAssignment({c.id: Fraction(1) for c in g.corners[1:]})
+        with pytest.raises(StructureError, match="weights missing"):
+            curvature_report(pillow, prime_cx, w)
+
+    @pytest.mark.parametrize("bad", [0.5, Fraction(-1, 2)],
+                             ids=["float", "negative"])
+    def test_non_rational_or_negative_rejected(self, pillow, prime_cx, bad):
+        g = build_link(prime_cx)
+        w = WeightAssignment({c.id: bad for c in g.corners})
+        with pytest.raises(PreconditionError, match="nonnegative rationals"):
+            curvature_report(pillow, prime_cx, w)
 
     def test_random_weights_always_2chi(self, pillow, prime_cx):
         g = build_link(prime_cx)

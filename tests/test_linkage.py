@@ -3,13 +3,14 @@ import random
 import pytest
 
 from lotva import (EdgeEnd, PreconditionError, build_complex, build_link,
-                   build_relative_link, delta_relative_forest_check,
-                   derive_subcomplexes, enumerate_sublots, parse_complex,
-                   parse_lot, relative_forest_check, reorient, sign_change,
-                   signed_relative_forest_check, signed_sublinks, to_dot)
+                   build_relative_link, derive_subcomplexes, enumerate_sublots,
+                   parse_complex, parse_lot, relative_forest_check, reorient,
+                   sign_change, signed_relative_forest_check, signed_sublinks,
+                   to_dot)
 from lotva.sweep import random_lot
 
-from oracles import is_closed_cycle, oracle_relative_forest, random_complex
+from oracles import (delta_relative_forest_check, is_closed_cycle,
+                     oracle_relative_forest, random_complex)
 
 
 def corner_names(g):

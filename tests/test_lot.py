@@ -347,6 +347,10 @@ class TestReorientSign:
         with pytest.raises(StructureError):
             sign_change(fig1, {"zz"})
 
+    def test_sign_of_unknown_vertex(self, fig1):
+        with pytest.raises(StructureError, match="unknown vertex 'zz'"):
+            sign_change(fig1, {"b"}).sign_of("zz")
+
 
 # ---------------------------------------------------------------------------
 # the structure proposition at desk scale

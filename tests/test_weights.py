@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lotva import (Lot, LotEdge, PreconditionError, StructureError,
-                   WeightAssignment, build_complex, build_link,
+                   SubcomplexFamily, WeightAssignment, build_complex, build_link,
                    build_relative_link, canonical_weights,
                    check_cell_condition, derive_subcomplexes, enumerate_sublots,
                    find_homred_violation, format_weights,
@@ -12,11 +12,12 @@ from lotva import (Lot, LotEdge, PreconditionError, StructureError,
                    parse_lot, parse_weights, relative_weight_test, reorient,
                    sign_change, signed_relative_forest_check, signed_sublinks,
                    sublot_closure, sublot_vertices, weight_test)
-from lotva.weights import FlipForests, orientation_search_check
+from lotva.weights import FlipForests
 from lotva.sweep import random_lot
 
 from oracles import (oracle_homred_violation_exists, oracle_min_reduced_cycle,
-                     oracle_orientation_search, random_link,
+                     oracle_orientation_search, orientation_search_check,
+                     random_link,
                      random_relative_link, random_weights,
                      reference_find_homred_violation,
                      reference_min_weight_reduced_cycle)
@@ -337,6 +338,32 @@ class TestRelativeWeightTest:
         fam = derive_subcomplexes(fig1, [frozenset({1, 2, 3, 4})])
         g = build_relative_link(cx, fam)
         assert relative_weight_test(cx, fam, canonical_weights(g), link=g).ok
+
+    def test_link_of_another_family_rejected(self, fig1):
+        """Given the absolute link, or the relative link of the empty family,
+        the test used to search the wrong graph and report a weight-0 cycle
+        ((5, 0), (13, 0)); a link that is not lk(L, K) is now refused."""
+        cx = build_complex(fig1)
+        fam = derive_subcomplexes(fig1, [frozenset({1, 2, 3, 4})])
+        own = build_relative_link(cx, fam)
+        assert relative_weight_test(cx, fam, canonical_weights(own), own).ok
+        edges_only = SubcomplexFamily(((fam.parts[0][0], frozenset()),))
+        for g in (build_link(cx),
+                  build_relative_link(cx, derive_subcomplexes(fig1, []))):
+            with pytest.raises(PreconditionError, match="not the relative link"):
+                relative_weight_test(cx, fam, canonical_weights(g), g)
+        # same Delta-block, but the corners of the K-cells are still there
+        g = build_relative_link(cx, edges_only)
+        with pytest.raises(PreconditionError, match="corner 4 of K-cell 'd_1'"):
+            relative_weight_test(cx, fam, canonical_weights(g), g)
+
+    def test_unknown_family_cell_rejected(self, fig1):
+        cx = build_complex(fig1)
+        fam = derive_subcomplexes(fig1, [frozenset({1, 2, 3, 4})])
+        g = build_relative_link(cx, fam)
+        bad = SubcomplexFamily(((fam.parts[0][0], frozenset({"zz"})),))
+        with pytest.raises(StructureError, match="unknown cell 'zz'"):
+            relative_weight_test(cx, bad, canonical_weights(g), g)
 
     def test_delta_reweighting_rejected(self, fig1):
         cx = build_complex(fig1)
