@@ -25,7 +25,10 @@ from .certify import CertifyFailure, certify_va, parse_certificate, \
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LotvaError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_lot(path: str) -> Lot:
@@ -170,7 +173,10 @@ def cmd_certify(args) -> int:
         return 1
     text = serialize_certificate(result)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise LotvaError(f"cannot write {args.out}: {exc}") from exc
         print(f"certificate written to {args.out}")
     else:
         print(text, end="")
@@ -271,9 +277,6 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except LotvaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

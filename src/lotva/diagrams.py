@@ -14,9 +14,10 @@ mirror case folding pairs are made of).
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (DegenerateDiagramError, ParseError, PreconditionError,
                      StructureError)
@@ -110,13 +111,41 @@ def _rotation_match(read: tuple, target: tuple) -> Optional[int]:
 # validation
 # ---------------------------------------------------------------------------
 
+class _Gluing(NamedTuple):
+    """A diagram's validation report and, when it is valid, the corners
+    around each vertex in rotation order, as (face index, position) pairs.
+    Position i of a face is its corner between boundary darts i and i+1."""
+    report: DiagramReport
+    cycles: dict[str, list[tuple[int, int]]]
+
+
+def _dart_id(dart: Dart) -> int:
+    """2 * edge index, plus 1 against the edge: id ^ 1 is the reversed dart."""
+    return 2 * dart[0] + (dart[1] < 0)
+
+
 def validate_diagram(d: SurfaceDiagram, cx: TwoComplex) -> DiagramReport:
     """Structural validation; reports Euler characteristic, genus and the
     per-face rotation aligning the read word with the cell boundary."""
+    return _glue(d, cx).report
+
+
+def _glue(d: SurfaceDiagram, cx: TwoComplex) -> _Gluing:
+    """Validation and the corner cycles, in time linear in the size of d.
+
+    The corner after dart a in its face continues, around a's head, at the
+    corner after the reversal of a's successor: a -> succ(a) ^ 1 permutes
+    the darts once every dart lies in exactly one face.  The link of a
+    vertex is a single circle iff the vertex owns exactly one cycle of this
+    permutation.  Walking the darts in face order starts each cycle at the
+    vertex's first incoming dart.
+    """
 
     def fail(msg):
-        return DiagramReport(False, msg)
+        return _Gluing(DiagramReport(False, msg), {})
 
+    if not (d.vertices or d.edges or d.faces):
+        return fail("empty diagram")
     vset = set(d.vertices)
     if len(vset) != len(d.vertices):
         return fail("duplicate vertex names")
@@ -133,23 +162,31 @@ def validate_diagram(d: SurfaceDiagram, cx: TwoComplex) -> DiagramReport:
             return fail(f"edge {e.name!r} has bad image sign")
 
     cmap = {c.name: c for c in cx.cells}
-    used: dict[Dart, str] = {}
+    where: list[Optional[tuple[int, int]]] = [None] * (2 * len(d.edges))
+    succ = [0] * len(where)
+    fnames = set()
     rotations = []
-    for f in d.faces:
+    for fi, f in enumerate(d.faces):
+        if f.name in fnames:
+            return fail(f"duplicate face name {f.name!r}")
+        fnames.add(f.name)
         if f.cell not in cmap:
             return fail(f"face {f.name!r} maps to unknown cell {f.cell!r}")
         if not f.boundary:
             return fail(f"face {f.name!r} has empty boundary")
+        if any(not 0 <= dart[0] < len(d.edges) or dart[1] not in (1, -1)
+               for dart in f.boundary):
+            return fail(f"face {f.name!r} has a dangling dart")
         q = len(f.boundary)
         for i, dart in enumerate(f.boundary):
-            if not 0 <= dart[0] < len(d.edges) or dart[1] not in (1, -1):
-                return fail(f"face {f.name!r} has a dangling dart")
-            if dart in used:
+            a, nxt = _dart_id(dart), f.boundary[(i + 1) % q]
+            if where[a] is not None:
                 return fail(
                     f"dart {d.edges[dart[0]].name}^{dart[1]} used twice "
                     f"(non-orientable or broken gluing)")
-            used[dart] = f.name
-            if _dart_head(d, dart) != _dart_tail(d, f.boundary[(i + 1) % q]):
+            where[a] = (fi, i)
+            succ[a] = _dart_id(nxt)
+            if _dart_head(d, dart) != _dart_tail(d, nxt):
                 return fail(f"face {f.name!r} boundary is not a closed walk")
         read = tuple(_dart_image(d, dart) for dart in f.boundary)
         word = cmap[f.cell].boundary
@@ -159,60 +196,46 @@ def validate_diagram(d: SurfaceDiagram, cx: TwoComplex) -> DiagramReport:
             return fail(f"face {f.name!r} word mismatch with cell {f.cell!r}")
         rotations.append(r)
 
-    for ei in range(len(d.edges)):
-        for s in (1, -1):
-            if (ei, s) not in used:
-                return fail(f"dart {d.edges[ei].name}^{s} lies in no face "
-                            "(surface not closed)")
+    for a, pos in enumerate(where):
+        if pos is None:
+            return fail(f"dart {d.edges[a >> 1].name}^{-1 if a & 1 else 1} "
+                        "lies in no face (surface not closed)")
 
-    # each vertex must have a single rotation cycle of corners
-    succ, _ = _succ_and_positions(d)
-    corner_count = dict.fromkeys(d.vertices, 0)
-    for dart in succ:
-        corner_count[_dart_head(d, dart)] += 1
+    cycles: dict[str, list[tuple[int, int]]] = {}
+    split = set()
+    seen = [False] * len(where)
+    for f in d.faces:
+        for dart in f.boundary:
+            a = _dart_id(dart)
+            if seen[a]:
+                continue
+            v = _dart_head(d, dart)
+            if v in cycles:
+                split.add(v)
+            cycle = []
+            while not seen[a]:
+                seen[a] = True
+                cycle.append(where[a])
+                a = succ[a] ^ 1
+            cycles.setdefault(v, cycle)
     for v in d.vertices:
-        if corner_count[v] == 0:
+        if v not in cycles:
             return fail(f"vertex {v!r} is isolated")
     for v in d.vertices:
-        if len(_vertex_rotation(d, v, succ)) != corner_count[v]:
+        if v in split:
             return fail(f"link of vertex {v!r} is not a single circle")
 
     V, E, F = len(d.vertices), len(d.edges), len(d.faces)
     chi = V - E + F
     connected = _is_connected(d)
     genus = (2 - chi) // 2 if connected else None
-    return DiagramReport(True, None, chi=chi, genus=genus,
-                         sphere=connected and chi == 2, connected=connected,
-                         rotations=tuple(rotations))
-
-
-def _vertex_rotation(d: SurfaceDiagram, v: str,
-                     succ_in_face: dict[Dart, Dart]) -> list[tuple[Dart, Dart]]:
-    """Orbit of face corners around v: a corner is (incoming dart, outgoing
-    dart); the next corner continues in the face of the outgoing dart's
-    reversal.  Once every dart lies in exactly one face, this step is a
-    permutation of the corners, so the orbit closes."""
-    start = None
-    for dart in succ_in_face:
-        if _dart_head(d, dart) == v:
-            start = (dart, succ_in_face[dart])
-            break
-    if start is None:
-        return []
-    orbit = []
-    cur = start
-    while True:
-        orbit.append(cur)
-        out = cur[1]
-        rev = (out[0], -out[1])
-        cur = (rev, succ_in_face[rev])
-        if cur == start:
-            return orbit
+    return _Gluing(DiagramReport(True, None, chi=chi, genus=genus,
+                                 sphere=connected and chi == 2,
+                                 connected=connected,
+                                 rotations=tuple(rotations)), cycles)
 
 
 def _is_connected(d: SurfaceDiagram) -> bool:
-    if not d.vertices:
-        return False
     adj: dict[str, list[str]] = {v: [] for v in d.vertices}
     for e in d.edges:
         adj[e.tail].append(e.head)
@@ -228,11 +251,11 @@ def _is_connected(d: SurfaceDiagram) -> bool:
     return len(seen) == len(d.vertices)
 
 
-def _require_valid(d: SurfaceDiagram, cx: TwoComplex) -> DiagramReport:
-    report = validate_diagram(d, cx)
-    if not report.valid:
-        raise PreconditionError(f"invalid diagram: {report.error}")
-    return report
+def _require_valid(d: SurfaceDiagram, cx: TwoComplex) -> _Gluing:
+    gluing = _glue(d, cx)
+    if not gluing.report.valid:
+        raise PreconditionError(f"invalid diagram: {gluing.report.error}")
+    return gluing
 
 
 # ---------------------------------------------------------------------------
@@ -240,86 +263,61 @@ def _require_valid(d: SurfaceDiagram, cx: TwoComplex) -> DiagramReport:
 # ---------------------------------------------------------------------------
 
 def _face_corner_to_link(d: SurfaceDiagram, g: LinkGraph, rotations
-                         ) -> dict[tuple[str, int], tuple[int, int]]:
-    """Map (face name, position) to (corner id in g = lk(L), direction).
+                         ) -> list[list[tuple[int, int]]]:
+    """Per face index and position, the (corner id in g = lk(L), direction).
 
-    Position i sits between boundary darts i and i+1.  With rotation r, a
-    + face's position i reads the cell corner (i + r) mod q; a - face reads
-    corner (q - 2 - i - r) mod q, traversed backwards.
+    With rotation r, a + face's position i reads the cell corner
+    (i + r) mod q; a - face reads corner (q - 2 - i - r) mod q, traversed
+    backwards.
     """
     idx = {(c.provenance[1], c.provenance[2]): c.id for c in g.corners}
-    out = {}
-    for fi, f in enumerate(d.faces):
+    out = []
+    for f, r in zip(d.faces, rotations):
         q = len(f.boundary)
-        r = rotations[fi]
-        for i in range(q):
-            if f.orientation > 0:
-                j = (i + r) % q
-                out[(f.name, i)] = (idx[(f.cell, j)], 1)
-            else:
-                j = (q - 2 - i - r) % q
-                out[(f.name, i)] = (idx[(f.cell, j)], -1)
+        if f.orientation > 0:
+            out.append([(idx[(f.cell, (i + r) % q)], 1) for i in range(q)])
+        else:
+            out.append([(idx[(f.cell, (q - 2 - i - r) % q)], -1)
+                        for i in range(q)])
     return out
 
 
 def vertex_link_cycle(d: SurfaceDiagram, vertex: str, cx: TwoComplex) -> VertexLinkCycle:
     """The image z(v) of the link of v: a closed edge path in lk(L)."""
-    report = _require_valid(d, cx)
-    if vertex not in d.vertices:
+    gluing = _require_valid(d, cx)
+    if vertex not in gluing.cycles:
         raise StructureError(f"unknown vertex {vertex!r}")
-    succ, pos_of = _succ_and_positions(d)
-    corner_map = _face_corner_to_link(d, build_link(cx), report.rotations)
-    orbit = _vertex_rotation(d, vertex, succ)
-    corners = []
-    for incoming, outgoing in orbit:
-        fname, i = pos_of[incoming]
-        corners.append(corner_map[(fname, i)])
-    return VertexLinkCycle(vertex, tuple(corners))
-
-
-def _succ_and_positions(d: SurfaceDiagram):
-    succ: dict[Dart, Dart] = {}
-    pos_of: dict[Dart, tuple[str, int]] = {}
-    for f in d.faces:
-        q = len(f.boundary)
-        for i, dart in enumerate(f.boundary):
-            succ[dart] = f.boundary[(i + 1) % q]
-            pos_of[dart] = (f.name, i)  # corner between dart i and dart i+1
-    return succ, pos_of
+    corners = _face_corner_to_link(d, build_link(cx), gluing.report.rotations)
+    return VertexLinkCycle(vertex, tuple(corners[fi][i]
+                                         for fi, i in gluing.cycles[vertex]))
 
 
 def find_folding_vertices(d: SurfaceDiagram, cx: TwoComplex,
                           scope=None) -> list[tuple[str, tuple[str, str]]]:
     """Vertices whose z(v) is not homology reduced, with one witnessing face
-    pair each.  With ``scope`` (a SubcomplexFamily), only pairs whose faces
-    map to cells outside every part are reported."""
-    report = _require_valid(d, cx)
+    pair each: the first pair of corners around v, in rotation order, that
+    read one link corner in opposite directions.  With ``scope`` (a
+    SubcomplexFamily), only pairs whose faces map to cells outside every
+    part are reported."""
+    gluing = _require_valid(d, cx)
+    corners = _face_corner_to_link(d, build_link(cx), gluing.report.rotations)
     scope_cells = scope.all_cells if scope is not None else frozenset()
-    succ, pos_of = _succ_and_positions(d)
-    corner_map = _face_corner_to_link(d, build_link(cx), report.rotations)
-    face_cell = {f.name: f.cell for f in d.faces}
+    inside = [f.cell in scope_cells for f in d.faces]
     out = []
     for v in d.vertices:
-        orbit = _vertex_rotation(d, v, succ)
-        entries = []
-        for incoming, outgoing in orbit:
-            fname, i = pos_of[incoming]
-            cid, direction = corner_map[(fname, i)]
-            entries.append((cid, direction, fname))
-        found = None
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                if entries[i][0] == entries[j][0] and entries[i][1] == -entries[j][1]:
-                    f1, f2 = entries[i][2], entries[j][2]
-                    if scope is not None and (face_cell[f1] in scope_cells
-                                              or face_cell[f2] in scope_cells):
-                        continue
-                    found = (v, (f1, f2))
-                    break
-            if found:
-                break
-        if found:
-            out.append(found)
+        # backwards, so later[key] is the nearest later face reading key
+        later: dict[tuple[int, int], int] = {}
+        pair = None
+        for fi, i in reversed(gluing.cycles[v]):
+            if inside[fi]:
+                continue
+            cid, direction = corners[fi][i]
+            fj = later.get((cid, -direction))
+            if fj is not None:
+                pair = (d.faces[fi].name, d.faces[fj].name)
+            later[(cid, direction)] = fi
+        if pair:
+            out.append((v, pair))
     return out
 
 
@@ -329,17 +327,10 @@ def is_vertex_reduced(d: SurfaceDiagram, cx: TwoComplex) -> bool:
 
 def k_thin_check(d: SurfaceDiagram, cx: TwoComplex, fam) -> tuple[bool, Optional[str]]:
     """True iff every vertex has an incident face mapped outside all parts."""
-    _require_valid(d, cx)
-    outside = {f.name for f in d.faces if f.cell not in fam.all_cells}
-    good: set[str] = set()
-    for f in d.faces:
-        if f.name not in outside:
-            continue
-        for dart in f.boundary:
-            good.add(_dart_head(d, dart))
-            good.add(_dart_tail(d, dart))
+    gluing = _require_valid(d, cx)
+    outside = [f.cell not in fam.all_cells for f in d.faces]
     for v in d.vertices:
-        if v not in good:
+        if not any(outside[fi] for fi, _ in gluing.cycles[v]):
             return False, v
     return True, None
 
@@ -357,25 +348,19 @@ def curvature_report(d: SurfaceDiagram, cx: TwoComplex,
     w must give every corner of lk(L) a nonnegative rational weight
     (``WeightAssignment.scaled``).
     """
-    report = _require_valid(d, cx)
+    gluing = _require_valid(d, cx)
     g = build_link(cx)
     den, iw = w.scaled(g)  # corner ids of lk(L) are its positions
-    corner_map = _face_corner_to_link(d, g, report.rotations)
-    face_curv: dict[str, Fraction] = {}
-    vertex_sum = dict.fromkeys(d.vertices, 0)
-    for f in d.faces:
-        q = len(f.boundary)
-        s = 0
-        for i in range(q):
-            x = iw[corner_map[(f.name, i)][0]]
-            s += x
-            vertex_sum[_dart_head(d, f.boundary[i])] += x
-        face_curv[f.name] = Fraction(s, den) - (q - 2)
-    vertex_curv = {v: 2 - Fraction(s, den) for v, s in vertex_sum.items()}
+    corners = _face_corner_to_link(d, g, gluing.report.rotations)
+    face_curv = {f.name: Fraction(sum(iw[cid] for cid, _ in fc), den)
+                 - (len(fc) - 2) for f, fc in zip(d.faces, corners)}
+    vertex_curv = {v: 2 - Fraction(sum(iw[corners[fi][i][0]]
+                                       for fi, i in gluing.cycles[v]), den)
+                   for v in d.vertices}
     total = sum(face_curv.values(), Fraction(0)) + sum(vertex_curv.values(), Fraction(0))
-    if total != 2 * report.chi:
+    if total != 2 * gluing.report.chi:
         raise RuntimeError("internal error: combinatorial Gauss-Bonnet failed")
-    return CurvatureReport(face_curv, vertex_curv, total, report.chi)
+    return CurvatureReport(face_curv, vertex_curv, total, gluing.report.chi)
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +375,14 @@ def find_sink_source(d: SurfaceDiagram, cx: TwoComplex
     Needs every face image to have exponent sum 0 and the diagram to be
     connected; heights are exponent sums of paths from the first vertex.
     """
-    _require_valid(d, cx)
+    report = _require_valid(d, cx).report
     cmap = {c.name: c for c in cx.cells}
     for f in d.faces:
         es = exponent_sum(cmap[f.cell].boundary)
         if es != 0:
             raise PreconditionError(
                 f"face {f.name!r} maps to cell with exponent sum {es}")
-    if not _is_connected(d):
+    if not report.connected:
         raise PreconditionError("diagram is not connected")
     if len(d.vertices) == 1:
         raise DegenerateDiagramError(
@@ -405,20 +390,16 @@ def find_sink_source(d: SurfaceDiagram, cx: TwoComplex
             "single-vertex diagram: every edge both enters and leaves")
 
     # oriented edge u -> v where the image sign is positive
-    oriented = []
-    for e in d.edges:
-        if e.image_sign > 0:
-            oriented.append((e.tail, e.head))
-        else:
-            oriented.append((e.head, e.tail))
+    oriented = [(e.tail, e.head) if e.image_sign > 0 else (e.head, e.tail)
+                for e in d.edges]
     h: dict[str, int] = {d.vertices[0]: 0}
-    queue = [d.vertices[0]]
+    queue = deque([d.vertices[0]])
     adj: dict[str, list[tuple[str, int]]] = {v: [] for v in d.vertices}
     for u, v in oriented:
         adj[u].append((v, 1))
         adj[v].append((u, -1))
     while queue:
-        x = queue.pop(0)
+        x = queue.popleft()
         for y, delta in adj[x]:
             hy = h[x] + delta
             if y not in h:
@@ -427,8 +408,9 @@ def find_sink_source(d: SurfaceDiagram, cx: TwoComplex
             elif h[y] != hy:
                 raise StructureError("height inconsistency: diagram cycles "
                                      "have nonzero exponent sum")
-    sink = max(d.vertices, key=lambda v: (h[v], -d.vertices.index(v)))
-    source = min(d.vertices, key=lambda v: (h[v], d.vertices.index(v)))
+    order = {v: k for k, v in enumerate(d.vertices)}
+    sink = max(d.vertices, key=lambda v: (h[v], -order[v]))
+    source = min(d.vertices, key=lambda v: (h[v], order[v]))
     for u, v in oriented:
         if u == sink:
             raise RuntimeError("internal error: sink has an outgoing edge")
@@ -473,6 +455,7 @@ def parse_diagram(text: str) -> SurfaceDiagram:
     edges: list[DiagramEdge] = []
     eidx: dict[str, int] = {}
     faces: list[DiagramFace] = []
+    fnames: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -509,6 +492,9 @@ def parse_diagram(text: str) -> SurfaceDiagram:
                 raise ParseError(
                     "expected: face NAME cell CELL orient ± boundary E1,±E2,...", lineno)
             fname, cell, orient, blist = m.groups()
+            if fname in fnames:
+                raise ParseError(f"duplicate face {fname!r}", lineno)
+            fnames.add(fname)
             boundary = []
             for tok in blist.split(","):
                 tok = tok.strip()

@@ -11,7 +11,9 @@ sub-LOT structure, a binary counter over flip sets for the orientation
 search, and a binary counter over the branches at a vertex for the free
 decomposition.  The weight-cycle searches the library replaced are kept
 too, in their ``Fraction`` form with no bound on any Dijkstra run, as the
-reference the library's witnesses must match exactly.  Two second routes
+reference the library's witnesses must match exactly, and so is the
+vertex-by-vertex corner walk of a surface diagram, with its pairwise scan
+for folding corners, that the one-pass gluing replaced.  Two second routes
 to a library decision live here as well: the forest check through the
 relative link's Delta-blocks, and the flip-set forest check of lk+ and lk-
 as one yes/no.
@@ -25,9 +27,10 @@ from itertools import combinations
 from typing import Optional
 
 from lotva import (BoundaryWord, Cell, EdgeEnd, FreeDecomposition,
-                   LinkGraph, PreconditionError, SubcomplexFamily, TwoComplex,
-                   WeightAssignment, build_link, build_relative_link,
-                   is_sublot, relative_forest_check, sublot_vertices)
+                   LinkGraph, PreconditionError, SubcomplexFamily,
+                   SurfaceDiagram, TwoComplex, WeightAssignment, build_link,
+                   build_relative_link, is_sublot, relative_forest_check,
+                   sublot_vertices, validate_diagram)
 from lotva.weights import FlipForests, flip_mask
 
 
@@ -461,6 +464,63 @@ def oracle_free_decomposition(lot):
             if is_sublot(lot, left) and is_sublot(lot, all_ids - left):
                 return FreeDecomposition(left, all_ids - left, v)
     return None
+
+
+# ---------------------------------------------------------------------------
+# vertex links of surface diagrams
+# ---------------------------------------------------------------------------
+
+def reference_vertex_corners(d: SurfaceDiagram, cx: TwoComplex
+                             ) -> dict[str, list[tuple[int, int, str]]]:
+    """Per vertex of a valid diagram, its corners in rotation order as
+    (corner id in lk(L), direction, face name), walked vertex by vertex.
+
+    Each walk starts at the first dart, in face order, that ends at the
+    vertex (a scan over every dart), and steps from a corner (incoming a,
+    outgoing b) to the corner whose incoming dart is b reversed.
+    """
+    rotations = validate_diagram(d, cx).rotations
+    idx = {(c.provenance[1], c.provenance[2]): c.id for c in build_link(cx).corners}
+    succ, corner_of = {}, {}
+    for f, r in zip(d.faces, rotations):
+        q = len(f.boundary)
+        for i, dart in enumerate(f.boundary):
+            succ[dart] = f.boundary[(i + 1) % q]
+            if f.orientation > 0:
+                corner_of[dart] = (idx[(f.cell, (i + r) % q)], 1, f.name)
+            else:
+                corner_of[dart] = (idx[(f.cell, (q - 2 - i - r) % q)], -1, f.name)
+
+    def head(dart):
+        e = d.edges[dart[0]]
+        return e.head if dart[1] > 0 else e.tail
+
+    out = {}
+    for v in d.vertices:
+        start = dart = next(a for a in succ if head(a) == v)
+        out[v] = []
+        while True:
+            out[v].append(corner_of[dart])
+            nxt = succ[dart]
+            dart = (nxt[0], -nxt[1])
+            if dart == start:
+                break
+    return out
+
+
+def reference_find_folding_vertices(d: SurfaceDiagram, corners, scope=None):
+    """Per vertex, the first pair (i < j) of its ``corners`` (from
+    ``reference_vertex_corners``) reading one link corner in opposite
+    directions, by a scan over all pairs."""
+    scope_cells = scope.all_cells if scope is not None else frozenset()
+    outside = {f.name for f in d.faces if f.cell not in scope_cells}
+    out = []
+    for v, around in corners.items():
+        pairs = [(f1, f2) for (c1, s1, f1), (c2, s2, f2) in combinations(around, 2)
+                 if c1 == c2 and s1 == -s2 and f1 in outside and f2 in outside]
+        if pairs:
+            out.append((v, pairs[0]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,18 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(p))
         assert code == 2 and "error" in err
 
+    def test_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "analyze", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {tmp_path}: ")
+
+    def test_binary_file(self, capsys, tmp_path):
+        p = tmp_path / "bin.lot"
+        p.write_bytes(b"lot x\n\xff\xfe\x00\x80\n")
+        code, out, err = run(capsys, "analyze", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {p}: ")
+
 
 class TestLinks:
     def test_plain(self, capsys, fixture_dir):
@@ -152,6 +164,13 @@ class TestCertifyCli:
                            str(cert))
         assert code == 0 and "accepted" in out
 
+    def test_unwritable_out(self, capsys, fixture_dir, tmp_path):
+        # a directory cannot be written as a file, whatever the permissions
+        code, out, err = run(capsys, "certify", str(fixture_dir / "fig1.lot"),
+                             "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {tmp_path}: ")
+
     def test_verify_rejects_mismatch(self, capsys, fixture_dir, tmp_path):
         cert = tmp_path / "fig1.cert"
         run(capsys, "certify", str(fixture_dir / "fig1.lot"), "--out", str(cert))
@@ -226,6 +245,13 @@ class TestDiagramCli:
                            "--complex", str(fixture_dir / "square.cplx"))
         assert code == 1 and "invalid" in out
 
+
+    def test_check_empty_file(self, capsys, fixture_dir, tmp_path):
+        empty = tmp_path / "empty.diag"
+        empty.write_text("")
+        code, out, _ = run(capsys, "diagram", "check", str(empty),
+                           "--complex", str(fixture_dir / "square.cplx"))
+        assert code == 1 and out == "invalid diagram: empty diagram\n"
 
     def test_malformed_diagram_file(self, capsys, fixture_dir, tmp_path):
         bad = tmp_path / "bad.diag"

@@ -1,18 +1,22 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from lotva import (DegenerateDiagramError, DiagramEdge, DiagramFace,
-                   PreconditionError, StructureError, SurfaceDiagram,
-                   WeightAssignment, build_complex, build_link,
-                   canonical_weights, curvature_report, derive_subcomplexes,
-                   double_cell_sphere, find_folding_vertices, find_sink_source,
-                   format_diagram, is_vertex_reduced, k_thin_check,
-                   parse_complex, parse_diagram, sign_change, validate_diagram,
+                   ParseError, PreconditionError, StructureError,
+                   SubcomplexFamily, SurfaceDiagram, WeightAssignment,
+                   build_complex, build_link, canonical_weights,
+                   curvature_report, derive_subcomplexes, double_cell_sphere,
+                   find_folding_vertices, find_sink_source, format_diagram,
+                   is_vertex_reduced, k_thin_check, parse_complex,
+                   parse_diagram, sign_change, validate_diagram,
                    vertex_link_cycle)
+from lotva.lot import SublotStructure
 
-from oracles import random_weights
+from oracles import (random_weights, reference_find_folding_vertices,
+                     reference_vertex_corners)
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +65,25 @@ class TestValidate:
         rep = validate_diagram(d, prime_cx)
         assert not rep.valid and "no face" in rep.error
 
+    def test_duplicate_face_names_rejected(self, pillow, prime_cx):
+        front, back = pillow.faces
+        d = SurfaceDiagram(pillow.name, pillow.complex_name, pillow.vertices,
+                           pillow.edges,
+                           (front, DiagramFace("front", back.cell,
+                                               back.orientation, back.boundary)))
+        rep = validate_diagram(d, prime_cx)
+        assert not rep.valid and rep.error == "duplicate face name 'front'"
+        g = build_link(prime_cx)
+        for op in (lambda: find_folding_vertices(d, prime_cx),
+                   lambda: vertex_link_cycle(d, "v0", prime_cx),
+                   lambda: curvature_report(d, prime_cx, canonical_weights(g))):
+            with pytest.raises(PreconditionError, match="duplicate face name"):
+                op()
+
+    def test_empty_diagram_rejected(self, square_complex):
+        rep = validate_diagram(parse_diagram(""), square_complex)
+        assert not rep.valid and rep.error == "empty diagram"
+
     def test_fuzz_random_edits(self, prime_cx, square_complex, torus):
         """Random single edits are either rejected by validate_diagram or the
         other operations stay total on them."""
@@ -81,7 +104,12 @@ class TestValidate:
 
 
 def _mutate(rng, d):
-    kind = rng.randrange(4)
+    """One random edit.  Kinds 0-3 (reverse an edge, flip an image sign,
+    flip a boundary dart, flip a face's orientation) break a valid
+    diagram; kinds 4-6 (rotate a face's boundary, reverse an edge and
+    every dart on it, reorder the faces and the vertices) keep it valid."""
+    kind = rng.randrange(7)
+    vertices = list(d.vertices)
     edges = list(d.edges)
     faces = list(d.faces)
     if kind == 0 and edges:
@@ -101,12 +129,194 @@ def _mutate(rng, d):
         j = rng.randrange(len(b))
         b[j] = (b[j][0], -b[j][1])
         faces[i] = DiagramFace(f.name, f.cell, f.orientation, tuple(b))
+    elif kind == 4 and faces:
+        i = rng.randrange(len(faces))
+        f = faces[i]
+        k = rng.randrange(len(f.boundary))
+        faces[i] = DiagramFace(f.name, f.cell, f.orientation,
+                               f.boundary[k:] + f.boundary[:k])
+    elif kind == 5 and edges:
+        i = rng.randrange(len(edges))
+        e = edges[i]
+        edges[i] = DiagramEdge(e.name, e.head, e.tail, e.image_edge,
+                               -e.image_sign)
+        faces = [DiagramFace(f.name, f.cell, f.orientation,
+                             tuple((ei, -s if ei == i else s)
+                                   for ei, s in f.boundary))
+                 for f in faces]
+    elif kind == 6:
+        rng.shuffle(vertices)
+        rng.shuffle(faces)
     else:
         i = rng.randrange(len(faces))
         f = faces[i]
         faces[i] = DiagramFace(f.name, f.cell, -f.orientation, f.boundary)
-    return SurfaceDiagram(d.name, d.complex_name, d.vertices, tuple(edges),
+    return SurfaceDiagram(d.name, d.complex_name, tuple(vertices),
+                          tuple(edges), tuple(faces))
+
+
+def _mutants(rng, d, count):
+    """``count`` diagrams, each made from d by one to three edits."""
+    out = []
+    for _ in range(count):
+        m = d
+        for _ in range(rng.randrange(1, 4)):
+            m = _mutate(rng, m)
+        out.append(m)
+    return out
+
+
+def torus_grid(n):
+    """The n x n grid of squares on the torus over the square complex:
+    n^2 vertices, 2n^2 edges (x across, y up) and n^2 faces."""
+    def v(i, j):
+        return f"v{i % n}_{j % n}"
+
+    def h(i, j):
+        return 2 * ((j % n) * n + i % n)
+
+    edges = []
+    for j in range(n):
+        for i in range(n):
+            edges.append(DiagramEdge(f"x{i}_{j}", v(i, j), v(i + 1, j), "x", 1))
+            edges.append(DiagramEdge(f"y{i}_{j}", v(i, j), v(i, j + 1), "y", 1))
+    faces = tuple(
+        DiagramFace(f"f{i}_{j}", "sq", 1,
+                    ((h(i, j), 1), (h(i + 1, j) + 1, 1), (h(i, j + 1), -1),
+                     (h(i, j) + 1, -1)))
+        for j in range(n) for i in range(n))
+    vertices = tuple(v(i, j) for j in range(n) for i in range(n))
+    return SurfaceDiagram(f"grid{n}", "square", vertices, tuple(edges), faces)
+
+
+def doubled_grid(n, m):
+    """The n x m disk of squares over the square complex glued to its
+    mirror image along the boundary circle: a sphere in which each
+    boundary vertex folds at every corner, so the first folding pair in
+    rotation order is a real choice."""
+    def v(i, j, side):
+        inner = 0 < i < n and 0 < j < m
+        return f"{'w' if side and inner else 'v'}{i}_{j}"
+
+    edges, eid = [], {}
+
+    def add(key, tail, head, on_boundary):
+        for side in (0, 1):
+            if side and on_boundary:
+                eid[key, 1] = eid[key, 0]
+                continue
+            eid[key, side] = len(edges)
+            edges.append(DiagramEdge(f"{key[0]}{key[1]}_{key[2]}{'m' * side}",
+                                     v(*tail, side), v(*head, side), key[0], 1))
+
+    for j in range(m + 1):
+        for i in range(n):
+            add(("x", i, j), (i, j), (i + 1, j), j in (0, m))
+    for j in range(m):
+        for i in range(n + 1):
+            add(("y", i, j), (i, j), (i, j + 1), i in (0, n))
+    faces = []
+    for side in (0, 1):
+        for j in range(m):
+            for i in range(n):
+                b = ((eid[("x", i, j), side], 1), (eid[("y", i + 1, j), side], 1),
+                     (eid[("x", i, j + 1), side], -1), (eid[("y", i, j), side], -1))
+                if side:
+                    b = tuple((e, -s) for e, s in reversed(b))
+                faces.append(DiagramFace(f"f{i}_{j}{'m' * side}", "sq",
+                                         1 - 2 * side, b))
+    vertices = tuple(dict.fromkeys(v(i, j, side) for side in (0, 1)
+                                   for j in range(m + 1) for i in range(n + 1)))
+    return SurfaceDiagram(f"double{n}x{m}", "square", vertices, tuple(edges),
                           tuple(faces))
+
+
+class TestAgainstWalkReference:
+    """The one-pass corner cycles against the vertex-by-vertex walk in
+    ``oracles``: the same z(v) for every vertex, and the same folding
+    witnesses with and without a scope."""
+
+    @staticmethod
+    def check(d, cx, scopes, vertices=None):
+        """z(v) for ``vertices`` (all by default) and the folding vertices
+        with no scope and with each of ``scopes``."""
+        assert validate_diagram(d, cx).valid
+        ref = reference_vertex_corners(d, cx)
+        for v in d.vertices if vertices is None else vertices:
+            assert vertex_link_cycle(d, v, cx).corners == \
+                tuple((cid, s) for cid, s, _ in ref[v])
+        for scope in (None, *scopes):
+            assert find_folding_vertices(d, cx, scope) == \
+                reference_find_folding_vertices(d, ref, scope)
+
+    def test_pillows_over_sweep_sample(self, sweep6_every97):
+        """Every cell's pillow, scoped to a maximal proper sub-LOT when
+        there is one; z(v) of the last vertex, whose walk does not start at
+        the first dart."""
+        checked = 0
+        for lot in sweep6_every97:
+            cx = build_complex(lot)
+            maximal = SublotStructure(lot).maximal()[:1]
+            scopes = [derive_subcomplexes(lot, maximal)] if maximal else []
+            for cell in cx.cells:
+                d = double_cell_sphere(cx, cell.name)
+                self.check(d, cx, scopes, d.vertices[-1:])
+                checked += 1
+        assert checked > 5000
+
+    def test_torus_grids(self, square_complex):
+        rng = random.Random(4)
+        scopes = [SubcomplexFamily(()),
+                  SubcomplexFamily(((frozenset({"x", "y"}), frozenset({"sq"})),))]
+        for n in range(1, 9):
+            grid = torus_grid(n)
+            self.check(grid, square_complex, scopes)
+            for mutant in _mutants(rng, grid, 12):
+                if validate_diagram(mutant, square_complex).valid:
+                    self.check(mutant, square_complex, scopes)
+
+    def test_doubled_grids(self, square_complex):
+        rng = random.Random(6)
+        scopes = [SubcomplexFamily(())]
+        for n, m in ((1, 1), (2, 1), (3, 2), (4, 4)):
+            d = doubled_grid(n, m)
+            assert validate_diagram(d, square_complex).sphere
+            self.check(d, square_complex, scopes)
+            for mutant in _mutants(rng, d, 12):
+                if validate_diagram(mutant, square_complex).valid:
+                    self.check(mutant, square_complex, scopes)
+
+    def test_mutated_pillows(self, prime, prime_cx):
+        rng = random.Random(5)
+        scopes = [derive_subcomplexes(prime, [frozenset({0, 1})]),
+                  derive_subcomplexes(prime, [])]
+        valid = 0
+        for cell in ("d_0", "d_1"):
+            for mutant in _mutants(rng, double_cell_sphere(prime_cx, cell), 100):
+                if validate_diagram(mutant, prime_cx).valid:
+                    self.check(mutant, prime_cx, scopes)
+                    valid += 1
+        assert valid > 20
+
+    def test_fan_sphere(self):
+        cx, d = fan_sphere()
+        self.check(d, cx, [SubcomplexFamily(
+            ((frozenset({"q", "t"}), frozenset({"cfan"})),))])
+
+
+def test_80x80_torus_grid_in_linear_time(square_complex):
+    """6,400 vertices.  These four calls take under 1 s on a 2-CPU x86-64
+    host with Python 3.11; a scan over every dart per vertex took 63 s."""
+    d = torus_grid(80)
+    w = canonical_weights(build_link(square_complex))
+    start = time.perf_counter()
+    rep = validate_diagram(d, square_complex)
+    assert rep.valid and rep.genus == 1
+    assert find_folding_vertices(d, square_complex) == []
+    assert curvature_report(d, square_complex, w).total == 0
+    z = vertex_link_cycle(d, d.vertices[-1], square_complex)
+    assert sorted(cid for cid, _ in z.corners) == [0, 1, 2, 3]
+    assert time.perf_counter() - start < 5
 
 
 class TestVertexLinks:
@@ -319,6 +529,10 @@ class TestDiagramFiles:
         assert validate_diagram(torus, square_complex).valid
 
     def test_parse_errors(self):
-        from lotva import ParseError
         with pytest.raises(ParseError):
             parse_diagram("diagram d over c\nface f cell q orient + boundary e\n")
+
+    def test_duplicate_face_name(self, pillow):
+        text = format_diagram(pillow).replace("face back", "face front")
+        with pytest.raises(ParseError, match="line 11: duplicate face 'front'"):
+            parse_diagram(text)

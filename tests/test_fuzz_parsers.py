@@ -4,7 +4,8 @@ the optional ``hypothesis``).
 Each parser gets free text and valid files with a few tokens deleted,
 doubled or replaced, and its result goes on to the call that uses it:
 ``check_properties`` for a LOT, ``build_link`` and ``weight_test`` for a
-complex, ``validate_diagram`` over the square complex for a diagram, and
+complex, ``validate_diagram`` over the square complex and, when it passes,
+every diagram operation for a diagram, and
 ``verify_certificate`` against fig1, fig3 and prime for a certificate.  No
 input may end in any exception other than ``LotvaError``.
 """
@@ -17,12 +18,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from lotva import (LotvaError, build_complex, build_link,  # noqa: E402
-                   canonical_weights, certify_va, check_properties,
-                   double_cell_sphere, format_complex, format_diagram,
+from lotva import (LotvaError, SubcomplexFamily, build_complex,  # noqa: E402
+                   build_link, canonical_weights, certify_va,
+                   check_properties, curvature_report, double_cell_sphere,
+                   find_folding_vertices, find_sink_source, format_complex,
+                   format_diagram, is_vertex_reduced, k_thin_check,
                    parse_certificate, parse_complex, parse_diagram, parse_lot,
                    serialize_certificate, validate_diagram, verify_certificate,
-                   weight_test)
+                   vertex_link_cycle, weight_test)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 LOT_TEXTS = [(FIXTURES / f"{n}.lot").read_text() for n in ("fig1", "fig3", "prime")]
@@ -30,6 +33,8 @@ LOTS = [parse_lot(t) for t in LOT_TEXTS]
 SQUARE_TEXT = (FIXTURES / "square.cplx").read_text()
 SQUARE = parse_complex(SQUARE_TEXT)
 COMPLEX_TEXTS = [SQUARE_TEXT] + [format_complex(build_complex(lot)) for lot in LOTS]
+SQUARE_FAMILY = SubcomplexFamily(((frozenset({"x"}), frozenset()),))
+SQUARE_WEIGHTS = canonical_weights(build_link(SQUARE))
 DIAGRAM_TEXTS = [(FIXTURES / "torus.diag").read_text(),
                  format_diagram(double_cell_sphere(SQUARE, "sq"))]
 CERT_TEXTS = [serialize_certificate(certify_va(lot)) for lot in LOTS]
@@ -103,10 +108,26 @@ def test_complex_file_parses_or_raises_lotva_error(text):
 @_SETTINGS
 @given(text=_files(DIAGRAM_TEXTS))
 def test_diagram_file_parses_or_raises_lotva_error(text):
+    """A diagram that validates also goes through every diagram operation."""
     try:
-        validate_diagram(parse_diagram(text), SQUARE)
+        d = parse_diagram(text)
+        if not validate_diagram(d, SQUARE).valid:
+            return
     except LotvaError:
-        pass
+        return
+    operations = [lambda: find_folding_vertices(d, SQUARE),
+                  lambda: find_folding_vertices(d, SQUARE, SQUARE_FAMILY),
+                  lambda: is_vertex_reduced(d, SQUARE),
+                  lambda: k_thin_check(d, SQUARE, SQUARE_FAMILY),
+                  lambda: curvature_report(d, SQUARE, SQUARE_WEIGHTS),
+                  lambda: find_sink_source(d, SQUARE)]
+    operations += [lambda v=v: vertex_link_cycle(d, v, SQUARE)
+                   for v in d.vertices]
+    for op in operations:
+        try:
+            op()
+        except LotvaError:
+            pass
 
 
 @_SETTINGS
