@@ -30,7 +30,8 @@ from .diagrams import (CurvatureReport, DiagramEdge, DiagramFace,
                        curvature_report, double_cell_sphere,
                        find_folding_vertices, find_sink_source,
                        format_diagram, is_vertex_reduced, k_thin_check,
-                       parse_diagram, validate_diagram, vertex_link_cycle)
+                       parse_diagram, validate_diagram, vertex_link_cycle,
+                       vertex_link_cycles)
 from .certify import (BaseTrivial, BoundaryReduction, Certificate,
                       CertifyFailure, CompleteSetRelative,
                       FreeDecompositionNode, PrimeWeightTest,

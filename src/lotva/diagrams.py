@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 from .errors import (DegenerateDiagramError, ParseError, PreconditionError,
                      StructureError)
 from .complexes import TwoComplex, exponent_sum
-from .linkage import LinkGraph, build_link
+from .linkage import corner_offsets
 from .weights import WeightAssignment
 
 Dart = tuple[int, int]  # (edge index, +1 along tail->head, -1 against)
@@ -262,34 +262,41 @@ def _require_valid(d: SurfaceDiagram, cx: TwoComplex) -> _Gluing:
 # vertex links and folding vertices
 # ---------------------------------------------------------------------------
 
-def _face_corner_to_link(d: SurfaceDiagram, g: LinkGraph, rotations
+def _face_corner_to_link(d: SurfaceDiagram, cx: TwoComplex, rotations
                          ) -> list[list[tuple[int, int]]]:
-    """Per face index and position, the (corner id in g = lk(L), direction).
+    """Per face index and position, the (corner id in lk(L), direction).
 
     With rotation r, a + face's position i reads the cell corner
     (i + r) mod q; a - face reads corner (q - 2 - i - r) mod q, traversed
-    backwards.
+    backwards.  Corner p of a cell has id (its first corner's id) + p.
     """
-    idx = {(c.provenance[1], c.provenance[2]): c.id for c in g.corners}
+    base_of = dict(zip((c.name for c in cx.cells), corner_offsets(cx)))
     out = []
     for f, r in zip(d.faces, rotations):
-        q = len(f.boundary)
+        q, base = len(f.boundary), base_of[f.cell]
         if f.orientation > 0:
-            out.append([(idx[(f.cell, (i + r) % q)], 1) for i in range(q)])
+            out.append([(base + (i + r) % q, 1) for i in range(q)])
         else:
-            out.append([(idx[(f.cell, (q - 2 - i - r) % q)], -1)
-                        for i in range(q)])
+            out.append([(base + (q - 2 - i - r) % q, -1) for i in range(q)])
     return out
+
+
+def vertex_link_cycles(d: SurfaceDiagram, cx: TwoComplex
+                       ) -> dict[str, VertexLinkCycle]:
+    """z(v) of every vertex, by name in vertex order; validates d once."""
+    gluing = _require_valid(d, cx)
+    corners = _face_corner_to_link(d, cx, gluing.report.rotations)
+    return {v: VertexLinkCycle(v, tuple(corners[fi][i]
+                                        for fi, i in gluing.cycles[v]))
+            for v in d.vertices}
 
 
 def vertex_link_cycle(d: SurfaceDiagram, vertex: str, cx: TwoComplex) -> VertexLinkCycle:
     """The image z(v) of the link of v: a closed edge path in lk(L)."""
-    gluing = _require_valid(d, cx)
-    if vertex not in gluing.cycles:
+    cycles = vertex_link_cycles(d, cx)
+    if vertex not in cycles:
         raise StructureError(f"unknown vertex {vertex!r}")
-    corners = _face_corner_to_link(d, build_link(cx), gluing.report.rotations)
-    return VertexLinkCycle(vertex, tuple(corners[fi][i]
-                                         for fi, i in gluing.cycles[vertex]))
+    return cycles[vertex]
 
 
 def find_folding_vertices(d: SurfaceDiagram, cx: TwoComplex,
@@ -300,7 +307,7 @@ def find_folding_vertices(d: SurfaceDiagram, cx: TwoComplex,
     SubcomplexFamily), only pairs whose faces map to cells outside every
     part are reported."""
     gluing = _require_valid(d, cx)
-    corners = _face_corner_to_link(d, build_link(cx), gluing.report.rotations)
+    corners = _face_corner_to_link(d, cx, gluing.report.rotations)
     scope_cells = scope.all_cells if scope is not None else frozenset()
     inside = [f.cell in scope_cells for f in d.faces]
     out = []
@@ -349,9 +356,8 @@ def curvature_report(d: SurfaceDiagram, cx: TwoComplex,
     (``WeightAssignment.scaled``).
     """
     gluing = _require_valid(d, cx)
-    g = build_link(cx)
-    den, iw = w.scaled(g)  # corner ids of lk(L) are its positions
-    corners = _face_corner_to_link(d, g, gluing.report.rotations)
+    corners = _face_corner_to_link(d, cx, gluing.report.rotations)
+    den, iw = w.scaled(range(corner_offsets(cx)[-1]))  # the corner ids of lk(L)
     face_curv = {f.name: Fraction(sum(iw[cid] for cid, _ in fc), den)
                  - (len(fc) - 2) for f, fc in zip(d.faces, corners)}
     vertex_curv = {v: 2 - Fraction(sum(iw[corners[fi][i][0]]

@@ -15,10 +15,12 @@ cycles) used by the weight machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import PreconditionError
+from .errors import PreconditionError, StructureError
 from .complexes import SubcomplexFamily, TwoComplex, validate_family
 
 
@@ -30,18 +32,7 @@ class EdgeEnd(NamedTuple):
         return f"{self.edge}{'+' if self.polarity > 0 else '-'}"
 
 
-def terminal_end(letter) -> EdgeEnd:
-    x, s = letter
-    return EdgeEnd(x, -s)
-
-
-def initial_end(letter) -> EdgeEnd:
-    x, s = letter
-    return EdgeEnd(x, s)
-
-
-@dataclass(frozen=True)
-class Corner:
+class Corner(NamedTuple):
     """Unordered pair of edge-ends with a stable id.
 
     ``provenance`` is ("cell", cell name, position) for genuine corners and
@@ -72,34 +63,75 @@ class DeltaBlock:
 
 @dataclass(frozen=True)
 class LinkGraph:
-    """Multigraph on edge-ends; loops and parallel corners are allowed."""
+    """Multigraph on edge-ends; loops and parallel corners are allowed.
+
+    ``ends`` holds the corners' ends as node positions: ends[2 * i] and
+    ends[2 * i + 1] are where a and b of corners[i] sit in ``nodes``.  The
+    builders pass it in; otherwise it is derived from the corners here.
+    """
     nodes: tuple[EdgeEnd, ...]
     corners: tuple[Corner, ...]
     delta_blocks: Optional[tuple[DeltaBlock, ...]] = None
+    ends: Optional[tuple[int, ...]] = field(default=None, compare=False,
+                                            repr=False)
+
+    def __post_init__(self):
+        if self.ends is None:
+            pos = {n: i for i, n in enumerate(self.nodes)}
+            try:
+                ends = tuple(pos[e] for c in self.corners for e in (c.a, c.b))
+            except KeyError as exc:
+                raise StructureError(f"corner end {exc.args[0]} is not a node") from None
+            object.__setattr__(self, "ends", ends)
 
 
-def _cell_corners(cx: TwoComplex, removed: frozenset[str] = frozenset()
-                  ) -> tuple[tuple[EdgeEnd, ...], list[Corner]]:
-    """All edge-ends x+, x- in edge order, and one corner per boundary
-    position of every cell not in ``removed``, numbered from 0."""
-    nodes = tuple(EdgeEnd(x, s) for x in cx.edge_names for s in (1, -1))
-    corners = []
+def corner_offsets(cx: TwoComplex) -> list[int]:
+    """Per cell, the id in lk(L) of its corner at position 0; then the
+    number of corners.  Corners are numbered cell by cell, by position."""
+    return list(accumulate((len(c.boundary) for c in cx.cells), initial=0))
+
+
+def int_corners(cx: TwoComplex) -> tuple[list[int], list[int]]:
+    """The corners of lk(L) on ints, in one pass over the cells.
+
+    Corner i joins ends[2 * i] and ends[2 * i + 1]; the corners of cell j
+    are first[j] .. first[j + 1] - 1 (``corner_offsets``).  An end is
+    2 * edge index + (0 for x+, 1 for x-), so the initial end of the
+    letter x^s is 2k + (s < 0) and its terminal end that number ^ 1.
+    """
+    col = {x: 2 * k for k, x in enumerate(cx.edge_names)}
+    ends: list[int] = []
     for cell in cx.cells:
+        init = [col[x] + (s < 0) for x, s in cell.boundary.letters]
+        for u, v in zip(init, init[1:] + init[:1]):
+            ends += (u ^ 1, v)
+    return ends, corner_offsets(cx)
+
+
+def _link(cx: TwoComplex, removed: frozenset[str]) -> tuple[
+        tuple[EdgeEnd, ...], list[Corner], list[int]]:
+    """The nodes x+, x- per edge in edge order (so end e is nodes[e]), and
+    the corners and their ends of every cell not in ``removed``, numbered
+    from 0."""
+    nodes = tuple(EdgeEnd(x, s) for x in cx.edge_names for s in (1, -1))
+    ends, first = int_corners(cx)
+    corners, kept_ends = [], []
+    for j, cell in enumerate(cx.cells):
         if cell.name in removed:
             continue
-        ls = cell.boundary.letters
-        q = len(ls)
-        for i in range(q):
-            corners.append(Corner(len(corners), terminal_end(ls[i]),
-                                  initial_end(ls[(i + 1) % q]),
-                                  ("cell", cell.name, i)))
-    return nodes, corners
+        lo = first[j]
+        for i in range(lo, first[j + 1]):
+            a, b = ends[2 * i], ends[2 * i + 1]
+            corners.append(Corner(len(corners), nodes[a], nodes[b],
+                                  ("cell", cell.name, i - lo)))
+            kept_ends += (a, b)
+    return nodes, corners, kept_ends
 
 
 def build_link(cx: TwoComplex) -> LinkGraph:
     """Absolute link: all edge-ends, one corner per boundary position."""
-    nodes, corners = _cell_corners(cx)
-    return LinkGraph(nodes, tuple(corners))
+    nodes, corners, ends = _link(cx, frozenset())
+    return LinkGraph(nodes, tuple(corners), None, tuple(ends))
 
 
 def signed_sublinks(g: LinkGraph) -> tuple[LinkGraph, LinkGraph]:
@@ -124,27 +156,23 @@ def build_relative_link(cx: TwoComplex, fam: SubcomplexFamily) -> LinkGraph:
     both their endpoints lie in a part.
     """
     validate_family(cx, fam)
-    nodes, corners = _cell_corners(cx, fam.all_cells)
-    cid = len(corners)
+    nodes, corners, ends = _link(cx, fam.all_cells)
     blocks = []
     for bi, (edges, _cells) in enumerate(fam.parts):
-        block_nodes = []
-        for x in cx.edge_names:
-            if x in edges:
-                block_nodes.append(EdgeEnd(x, 1))
-                block_nodes.append(EdgeEnd(x, -1))
-        ids = []
-        for i, u in enumerate(block_nodes):
-            for v in block_nodes[i + 1:]:
-                corners.append(Corner(cid, u, v, ("delta", bi)))
-                ids.append(cid)
-                cid += 1
-        for u in block_nodes:
-            corners.append(Corner(cid, u, u, ("delta", bi)))
-            ids.append(cid)
-            cid += 1
-        blocks.append(DeltaBlock(frozenset(block_nodes), frozenset(ids)))
-    return LinkGraph(nodes, tuple(corners), tuple(blocks))
+        block = [e for k, x in enumerate(cx.edge_names) if x in edges
+                 for e in (2 * k, 2 * k + 1)]
+        prov = ("delta", bi)
+        start = len(corners)
+        for i, u in enumerate(block):
+            for v in block[i + 1:]:
+                corners.append(Corner(len(corners), nodes[u], nodes[v], prov))
+                ends += (u, v)
+        for u in block:
+            corners.append(Corner(len(corners), nodes[u], nodes[u], prov))
+            ends += (u, u)
+        blocks.append(DeltaBlock(frozenset(nodes[u] for u in block),
+                                 frozenset(range(start, len(corners)))))
+    return LinkGraph(nodes, tuple(corners), tuple(blocks), tuple(ends))
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +264,14 @@ def relative_forest_check(
                 size += 1
         pairs.append((index[c.a], index[c.b]))
         kept.append(c.id)
+    return _forest_witness(size, pairs, kept)
+
+
+def _forest_witness(size: int, pairs: list[tuple[int, int]], kept: list[int]
+                    ) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """(True, None) if the pairs on nodes 0..size-1 form a forest, else
+    (False, a cycle): the closing pair's corner id after the tree path
+    between its ends, in ``kept`` ids (one per pair)."""
     closing = forest_cycle_index(size, pairs)
     if closing < 0:
         return True, None
@@ -249,10 +285,12 @@ def relative_forest_check(
 
 
 def _tree_path(adj: dict, u, v) -> list[int]:
+    """Corner ids on the path from u to v in a forest, by breadth-first
+    search; the path is unique, so the visiting order does not matter."""
     prev = {u: (None, None)}
-    queue = [u]
+    queue = deque([u])
     while queue:
-        x = queue.pop(0)
+        x = queue.popleft()
         if x == v:
             break
         for y, cid in adj[x]:
@@ -272,18 +310,31 @@ def signed_relative_forest_check(cx: TwoComplex, fam: SubcomplexFamily, pol: int
                                  ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Is lk^pol(L) a forest relative to lk^pol(K)?
 
-    Block i is the part-i ends of polarity ``pol`` with the same-polarity
-    corners of part-i cells as its designated corners.
+    lk^pol(L) keeps the corners of lk(L) with both ends of polarity
+    ``pol``; part i's ends of that polarity contract to one node, and the
+    corners of part-i cells vanish.  The witness is a cycle of lk(L)
+    corner ids.  Works on ``int_corners``; no link is built.
     """
+    if pol not in (1, -1):
+        raise PreconditionError(f"polarity must be 1 or -1, got {pol!r}")
     validate_family(cx, fam)
-    sub = _polarity_subgraph(build_link(cx), pol)
-    by_cell: dict[str, list[int]] = {}
-    for c in sub.corners:
-        by_cell.setdefault(c.provenance[1], []).append(c.id)
-    blocks = [(frozenset(EdgeEnd(x, pol) for x in edges),
-               frozenset(cid for cn in cells for cid in by_cell.get(cn, ())))
-              for edges, cells in fam.parts]
-    return relative_forest_check(sub, blocks)
+    ends, first = int_corners(cx)
+    n = len(cx.edge_names)
+    part = {x: n + i for i, (edges, _) in enumerate(fam.parts) for x in edges}
+    # per edge, the quotient node of its end of polarity pol
+    node = [part.get(x, k) for k, x in enumerate(cx.edge_names)]
+    side = pol < 0  # the parity of the ends of polarity pol
+    part_cells = fam.all_cells
+    pairs, kept = [], []
+    for j, cell in enumerate(cx.cells):
+        if cell.name in part_cells:
+            continue
+        for i in range(first[j], first[j + 1]):
+            a, b = ends[2 * i], ends[2 * i + 1]
+            if a & 1 == side and b & 1 == side:
+                pairs.append((node[a >> 1], node[b >> 1]))
+                kept.append(i)
+    return _forest_witness(n + len(fam.parts), pairs, kept)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import ParseError, PreconditionError, StructureError
 from .complexes import (SubcomplexFamily, TwoComplex, exponent_sum,
@@ -52,25 +52,30 @@ class WeightAssignment:
     def __getitem__(self, cid: int) -> Fraction:
         return self.weights[cid]
 
-    def check_total(self, g: LinkGraph) -> None:
-        missing = [c.id for c in g.corners if c.id not in self.weights]
+    def check_total(self, ids: Iterable[int]) -> None:
+        missing = [i for i in ids if i not in self.weights]
         if missing:
             raise StructureError(f"weights missing for corners {missing[:5]}")
 
-    def scaled(self, g: LinkGraph) -> tuple[int, list[int]]:
-        """(den, iw): den is the lcm of the denominators of g's corner
-        weights and iw[i] = den * (weight of g.corners[i]), an exact int.
-        Raises PreconditionError unless every weight is a numbers.Rational >= 0."""
-        ws = [self.weights.get(c.id) for c in g.corners]
+    def scaled(self, ids: Sequence[int]) -> tuple[int, list[int]]:
+        """(den, iw): den is the lcm of the denominators of the weights of
+        corners ``ids`` and iw[i] = den * (weight of ids[i]), an exact int.
+        Raises StructureError if an id has no weight, and PreconditionError
+        unless every weight is a numbers.Rational >= 0."""
+        ws = list(map(self.weights.get, ids))
         if all(issubclass(t, Rational) for t in set(map(type, ws))):
             nums = [x.numerator for x in ws]
             if not nums or min(nums) >= 0:
                 dens = [x.denominator for x in ws]
                 den = math.lcm(*dens)
                 return den, [n * (den // d) for n, d in zip(nums, dens)]
-        self.check_total(g)
+        self.check_total(ids)
         bad = next(x for x in ws if not isinstance(x, Rational) or x < 0)
         raise PreconditionError(f"weights must be nonnegative rationals, got {bad!r}")
+
+
+def _corner_ids(g: LinkGraph) -> list[int]:
+    return [c.id for c in g.corners]
 
 
 @dataclass(frozen=True)
@@ -85,14 +90,16 @@ class Verdict:
 
 def canonical_weights(g: LinkGraph) -> WeightAssignment:
     """Class-based 0/1 weights; covers Delta corners with their fixed values."""
-    return WeightAssignment({c.id: _ONE if c.a.polarity != c.b.polarity else _ZERO
-                             for c in g.corners})
+    pol = [n.polarity for n in g.nodes]
+    ends = g.ends
+    return WeightAssignment({c.id: _ONE if pol[a] != pol[b] else _ZERO
+                             for c, a, b in zip(g.corners, ends[::2], ends[1::2])})
 
 
 def check_cell_condition(cx: TwoComplex, g: LinkGraph, w: WeightAssignment,
                          excluded_cells: frozenset[str] = frozenset()) -> Verdict:
     """Condition (1): every non-excluded cell's corner weights sum to <= q-2."""
-    return _cell_condition(cx, g, *w.scaled(g), excluded_cells)
+    return _cell_condition(cx, g, *w.scaled(_corner_ids(g)), excluded_cells)
 
 
 def _cell_condition(cx: TwoComplex, g: LinkGraph, den: int, iw: list[int],
@@ -114,14 +121,6 @@ def _cell_condition(cx: TwoComplex, g: LinkGraph, den: int, iw: list[int],
 # reduced cycles via the dart graph
 # ---------------------------------------------------------------------------
 
-def _dart_tails(g: LinkGraph) -> list[int]:
-    """Dart d = 2*i + direction of the i-th corner, its tail as an int node:
-    the list is a0, b0, a1, b1, ...  The reverse of d is d ^ 1, and the head
-    of d is the tail of d ^ 1."""
-    node: dict[EdgeEnd, int] = {}
-    return [node.setdefault(e, len(node)) for c in g.corners for e in (c.a, c.b)]
-
-
 def _darts(g: LinkGraph, path: list[int]) -> tuple[Dart, ...]:
     return tuple((g.corners[d >> 1].id, d & 1) for d in path)
 
@@ -132,13 +131,13 @@ def min_weight_reduced_cycle(g: LinkGraph, w: WeightAssignment
 
     Returns None when the link has no reduced cycle at all.
     """
-    return _min_reduced_cycle(g, *w.scaled(g))
+    return _min_reduced_cycle(g, *w.scaled(_corner_ids(g)))
 
 
 def _min_reduced_cycle(g: LinkGraph, den: int, iw: list[int]
                        ) -> Optional[tuple[Fraction, tuple[Dart, ...]]]:
-    tails = _dart_tails(g)
-    out: list[list[tuple[int, int]]] = [[] for _ in tails]
+    tails = g.ends  # of darts d = 2*i + direction of corners[i]; d ^ 1 reverses d
+    out: list[list[tuple[int, int]]] = [[] for _ in g.nodes]
     for d, t in enumerate(tails):
         out[t].append((d, iw[d >> 1]))
     # the darts that may follow d: out of its head, except its reverse
@@ -208,21 +207,21 @@ def find_homred_violation(g: LinkGraph, w: WeightAssignment
     if g.delta_blocks is None:
         raise PreconditionError("find_homred_violation expects a relative link "
                                 "(delta decoration present, possibly empty)")
-    return _homred_violation(g, *w.scaled(g))
+    return _homred_violation(g, *w.scaled(_corner_ids(g)))
 
 
 def _homred_violation(g: LinkGraph, den: int, iw: list[int]
                       ) -> Optional[tuple[tuple[Dart, ...], Fraction]]:
-    tails = _dart_tails(g)
+    tails = g.ends
     # undirected multigraph: (other end, dart, weight) per corner end, a loop once
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in tails]
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in g.nodes]
     for d, t in enumerate(tails):
         if d & 1 == 0 or t != tails[d ^ 1]:
             adj[t].append((tails[d ^ 1], d, iw[d >> 1]))
     for i, c in enumerate(g.corners):
         if c.is_delta:
             continue
-        if c.a == c.b:
+        if tails[2 * i] == tails[2 * i + 1]:
             if iw[i] < 2 * den:
                 return ((c.id, 0),), Fraction(iw[i], den)
             continue
@@ -275,7 +274,7 @@ def weight_test(cx: TwoComplex, g: LinkGraph, w: WeightAssignment) -> Verdict:
     """Gersten's weight test on an absolute link."""
     if g.delta_blocks is not None:
         raise PreconditionError("weight_test expects an absolute link")
-    den, iw = w.scaled(g)
+    den, iw = w.scaled(_corner_ids(g))
     cell_verdict = _cell_condition(cx, g, den, iw, frozenset())
     if not cell_verdict:
         return cell_verdict
@@ -323,7 +322,7 @@ def relative_weight_test(cx: TwoComplex, fam: SubcomplexFamily,
         c = next(c for c in link.corners if c.provenance[1] in k_cells)
         raise PreconditionError(f"link keeps corner {c.id} of K-cell "
                                 f"{c.provenance[1]!r}")
-    den, iw = w.scaled(link)
+    den, iw = w.scaled(_corner_ids(link))
     check_delta_weights(link, den, iw)
     cell_verdict = _cell_condition(cx, link, den, iw, k_cells)
     if not cell_verdict:

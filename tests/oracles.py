@@ -13,10 +13,12 @@ decomposition.  The weight-cycle searches the library replaced are kept
 too, in their ``Fraction`` form with no bound on any Dijkstra run, as the
 reference the library's witnesses must match exactly, and so is the
 vertex-by-vertex corner walk of a surface diagram, with its pairwise scan
-for folding corners, that the one-pass gluing replaced.  Two second routes
-to a library decision live here as well: the forest check through the
-relative link's Delta-blocks, and the flip-set forest check of lk+ and lk-
-as one yes/no.
+for folding corners, that the one-pass gluing replaced.  The routes through
+a built lk(L) that the int-indexed corners replaced stay too: the signed
+forest check on the polarity subgraph, and corner ids of diagram corners
+read from the link's provenance.  Two second routes to a library decision
+live here as well: the forest check through the relative link's
+Delta-blocks, and the flip-set forest check of lk+ and lk- as one yes/no.
 """
 
 import heapq
@@ -30,7 +32,8 @@ from lotva import (BoundaryWord, Cell, EdgeEnd, FreeDecomposition,
                    LinkGraph, PreconditionError, SubcomplexFamily,
                    SurfaceDiagram, TwoComplex, WeightAssignment, build_link,
                    build_relative_link, is_sublot, relative_forest_check,
-                   sublot_vertices, validate_diagram)
+                   signed_sublinks, sublot_closure, sublot_vertices,
+                   validate_diagram)
 from lotva.weights import FlipForests, flip_mask
 
 
@@ -197,6 +200,35 @@ def delta_relative_forest_check(cx: TwoComplex, fam: SubcomplexFamily, pol: int)
     return relative_forest_check(sub, blocks)
 
 
+def link_signed_relative_forest_check(cx: TwoComplex, fam: SubcomplexFamily,
+                                      pol: int):
+    """``signed_relative_forest_check`` through a built link: lk^pol(L) as
+    the polarity subgraph of build_link(cx), with one block per part: its
+    ends of polarity pol, designating the corners of its cells."""
+    pos, neg = signed_sublinks(build_link(cx))
+    sub = pos if pol == 1 else neg
+    by_cell = {}
+    for c in sub.corners:
+        by_cell.setdefault(c.provenance[1], []).append(c.id)
+    blocks = [(frozenset(EdgeEnd(x, pol) for x in edges),
+               frozenset(cid for cn in cells for cid in by_cell.get(cn, ())))
+              for edges, cells in fam.parts]
+    return relative_forest_check(sub, blocks)
+
+
+def closure_family(lot):
+    """Edge closures that are proper sub-LOTs, kept greedily in edge order
+    while vertex-disjoint from those already kept."""
+    parts, used = [], set()
+    for e in range(lot.num_edges):
+        part = sublot_closure(lot, e)
+        vs = sublot_vertices(lot, part)
+        if len(part) < lot.num_edges and not vs & used:
+            parts.append(part)
+            used |= vs
+    return parts
+
+
 def orientation_search_check(lot, fixed, flipped) -> bool:
     """Do lk+ and lk- both pass the relative forest check under this flip
     set?  The certificate verifier makes the same two checks one by one."""
@@ -234,7 +266,7 @@ def reference_min_weight_reduced_cycle(g: LinkGraph, w: WeightAssignment
 
     Returns None when the link has no reduced cycle at all.
     """
-    w.check_total(g)
+    w.check_total(c.id for c in g.corners)
     _check_nonnegative(w)
     if not g.corners:
         return None
@@ -317,7 +349,7 @@ def reference_find_homred_violation(g: LinkGraph, w: WeightAssignment
     if g.delta_blocks is None:
         raise PreconditionError("find_homred_violation expects a relative link "
                                 "(delta decoration present, possibly empty)")
-    w.check_total(g)
+    w.check_total(c.id for c in g.corners)
     _check_nonnegative(w)
     two = Fraction(2)
     for c in g.corners:
@@ -470,17 +502,24 @@ def oracle_free_decomposition(lot):
 # vertex links of surface diagrams
 # ---------------------------------------------------------------------------
 
+def link_corner_ids(cx: TwoComplex) -> dict[tuple[str, int], int]:
+    """(cell name, position) -> corner id, read from build_link(cx)."""
+    return {(c.provenance[1], c.provenance[2]): c.id
+            for c in build_link(cx).corners}
+
+
 def reference_vertex_corners(d: SurfaceDiagram, cx: TwoComplex
                              ) -> dict[str, list[tuple[int, int, str]]]:
     """Per vertex of a valid diagram, its corners in rotation order as
     (corner id in lk(L), direction, face name), walked vertex by vertex.
 
     Each walk starts at the first dart, in face order, that ends at the
-    vertex (a scan over every dart), and steps from a corner (incoming a,
-    outgoing b) to the corner whose incoming dart is b reversed.
+    vertex, and steps from a corner (incoming a, outgoing b) to the corner
+    whose incoming dart is b reversed.  Corner ids come from
+    ``link_corner_ids``.
     """
     rotations = validate_diagram(d, cx).rotations
-    idx = {(c.provenance[1], c.provenance[2]): c.id for c in build_link(cx).corners}
+    idx = link_corner_ids(cx)
     succ, corner_of = {}, {}
     for f, r in zip(d.faces, rotations):
         q = len(f.boundary)
@@ -495,9 +534,12 @@ def reference_vertex_corners(d: SurfaceDiagram, cx: TwoComplex
         e = d.edges[dart[0]]
         return e.head if dart[1] > 0 else e.tail
 
+    first_in = {}
+    for a in succ:
+        first_in.setdefault(head(a), a)
     out = {}
     for v in d.vertices:
-        start = dart = next(a for a in succ if head(a) == v)
+        start = dart = first_in[v]
         out[v] = []
         while True:
             out[v].append(corner_of[dart])
@@ -506,6 +548,18 @@ def reference_vertex_corners(d: SurfaceDiagram, cx: TwoComplex
             if dart == start:
                 break
     return out
+
+
+def reference_curvature(d: SurfaceDiagram, corners, w: WeightAssignment):
+    """(face curvature, vertex curvature) by name from the corners of
+    ``reference_vertex_corners``: every corner of d lies at one vertex."""
+    face_sum = {f.name: -(len(f.boundary) - 2) for f in d.faces}
+    vertex_curv = {}
+    for v, around in corners.items():
+        vertex_curv[v] = 2 - sum((w[cid] for cid, _, _ in around), Fraction(0))
+        for cid, _, face in around:
+            face_sum[face] += w[cid]
+    return face_sum, vertex_curv
 
 
 def reference_find_folding_vertices(d: SurfaceDiagram, corners, scope=None):

@@ -6,13 +6,13 @@ import pytest
 
 from lotva import (DegenerateDiagramError, DiagramEdge, DiagramFace,
                    ParseError, PreconditionError, StructureError,
-                   SubcomplexFamily, SurfaceDiagram, WeightAssignment,
-                   build_complex, build_link, canonical_weights,
-                   curvature_report, derive_subcomplexes, double_cell_sphere,
-                   find_folding_vertices, find_sink_source, format_diagram,
-                   is_vertex_reduced, k_thin_check, parse_complex,
-                   parse_diagram, sign_change, validate_diagram,
-                   vertex_link_cycle)
+                   SubcomplexFamily, SurfaceDiagram, VertexLinkCycle,
+                   WeightAssignment, build_complex, build_link,
+                   canonical_weights, curvature_report, derive_subcomplexes,
+                   double_cell_sphere, find_folding_vertices,
+                   find_sink_source, format_diagram, is_vertex_reduced,
+                   k_thin_check, parse_complex, parse_diagram, sign_change,
+                   validate_diagram, vertex_link_cycle, vertex_link_cycles)
 from lotva.lot import SublotStructure
 
 from oracles import (random_weights, reference_find_folding_vertices,
@@ -317,6 +317,17 @@ def test_80x80_torus_grid_in_linear_time(square_complex):
     z = vertex_link_cycle(d, d.vertices[-1], square_complex)
     assert sorted(cid for cid, _ in z.corners) == [0, 1, 2, 3]
     assert time.perf_counter() - start < 5
+
+
+def test_vertex_link_cycles_of_80x80_torus_grid(square_complex):
+    """z(v) of all 6,400 vertices in one call, equal to the walk reference."""
+    d = torus_grid(80)
+    cycles = vertex_link_cycles(d, square_complex)
+    ref = reference_vertex_corners(d, square_complex)
+    assert list(cycles) == list(d.vertices)
+    for v in d.vertices:
+        assert cycles[v] == VertexLinkCycle(
+            v, tuple((cid, s) for cid, s, _ in ref[v]))
 
 
 class TestVertexLinks:

@@ -24,6 +24,9 @@ class TestBuildLink:
         g = build_link(cx)
         assert corner_names(g) == [("a-", "c+"), ("b-", "c-"), ("b+", "c-"),
                                    ("a+", "c+")]
+        # a is the terminal end of letter i, b the initial end of letter i+1
+        assert [(str(c.a), str(c.b)) for c in g.corners] == \
+            [("a-", "c+"), ("c-", "b-"), ("b+", "c-"), ("c+", "a+")]
         assert [c.corner_class for c in g.corners] == ["+-", "--", "+-", "++"]
 
     def test_fig1_counts(self, fig1):
@@ -137,6 +140,13 @@ class TestRelativeForest:
         ok, witness = relative_forest_check(neg, [])
         assert not ok
         assert set(witness) == {5, 13}
+
+    @pytest.mark.parametrize("pol", [0, 2, "x"])
+    def test_signed_check_rejects_bad_polarity(self, fig1, pol):
+        cx = build_complex(fig1)
+        fam = derive_subcomplexes(fig1, [frozenset({1, 2, 3, 4})])
+        with pytest.raises(PreconditionError, match="polarity"):
+            signed_relative_forest_check(cx, fam, pol)
 
     def test_edgeless_graph(self):
         cx = parse_complex("complex c\nedge a\n")
