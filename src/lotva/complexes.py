@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from .errors import ParseError, PreconditionError, StructureError
 from .lot import Lot, SignedLot, sublot_vertices
@@ -47,10 +47,17 @@ class Cell:
 
 @dataclass(frozen=True)
 class TwoComplex:
-    """Standard 2-complex with a single (implicit) vertex."""
+    """Standard 2-complex with a single (implicit) vertex.
+
+    ``_int_corners`` holds ``linkage.int_corners`` of the complex once a
+    link builder or forest check has asked for it, so the pass runs at
+    most once per complex.  Equality, hashing and repr ignore it.
+    """
     edge_names: tuple[str, ...]
     cells: tuple[Cell, ...]
     name: str = field(default="", compare=False)
+    _int_corners: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.edge_names)) != len(self.edge_names):

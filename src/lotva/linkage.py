@@ -91,7 +91,7 @@ def corner_offsets(cx: TwoComplex) -> list[int]:
     return list(accumulate((len(c.boundary) for c in cx.cells), initial=0))
 
 
-def int_corners(cx: TwoComplex) -> tuple[list[int], list[int]]:
+def int_corners(cx: TwoComplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The corners of lk(L) on ints, in one pass over the cells.
 
     Corner i joins ends[2 * i] and ends[2 * i + 1]; the corners of cell j
@@ -105,7 +105,14 @@ def int_corners(cx: TwoComplex) -> tuple[list[int], list[int]]:
         init = [col[x] + (s < 0) for x, s in cell.boundary.letters]
         for u, v in zip(init, init[1:] + init[:1]):
             ends += (u ^ 1, v)
-    return ends, corner_offsets(cx)
+    return tuple(ends), tuple(corner_offsets(cx))
+
+
+def _complex_corners(cx: TwoComplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``int_corners(cx)``, computed on first use and kept on cx."""
+    if cx._int_corners is None:
+        object.__setattr__(cx, "_int_corners", int_corners(cx))
+    return cx._int_corners
 
 
 def _link(cx: TwoComplex, removed: frozenset[str]) -> tuple[
@@ -114,7 +121,7 @@ def _link(cx: TwoComplex, removed: frozenset[str]) -> tuple[
     the corners and their ends of every cell not in ``removed``, numbered
     from 0."""
     nodes = tuple(EdgeEnd(x, s) for x in cx.edge_names for s in (1, -1))
-    ends, first = int_corners(cx)
+    ends, first = _complex_corners(cx)
     corners, kept_ends = [], []
     for j, cell in enumerate(cx.cells):
         if cell.name in removed:
@@ -318,7 +325,7 @@ def signed_relative_forest_check(cx: TwoComplex, fam: SubcomplexFamily, pol: int
     if pol not in (1, -1):
         raise PreconditionError(f"polarity must be 1 or -1, got {pol!r}")
     validate_family(cx, fam)
-    ends, first = int_corners(cx)
+    ends, first = _complex_corners(cx)
     n = len(cx.edge_names)
     part = {x: n + i for i, (edges, _) in enumerate(fam.parts) for x in edges}
     # per edge, the quotient node of its end of polarity pol

@@ -19,9 +19,16 @@ Cycle conditions:
 Both searches run on exact ints: every weight times den, the lcm of the
 denominators (``WeightAssignment.scaled``), so 2 becomes 2*den and a result
 is Fraction(total, den).  Each Dijkstra run is bounded: nothing is pushed
-that weighs as much as the best cycle found so far, or as would take the
-scanned corner's cycle to 2.  Ties still break by push order, so the
-witnesses are those of an unbounded search.
+that weighs as much as the limit.  In the absolute search the limit starts
+where the caller needs it (2*den for the weight test, above every reduced
+cycle for ``min_weight_reduced_cycle``) and drops to 1 when a union-find
+pass finds a cycle among the weight-0 corners (the minimum is then 0).
+Corners as heavy as that limit are left out of the dart graph, and each
+cycle found lowers the limit to its weight.  In the relative search the
+limit is what would take the scanned corner's cycle to 2.  A lower limit
+that is still above the answer drops only pushes that would pop after it,
+and ties break by push order, so the witnesses are those of an unbounded
+search.
 """
 
 from __future__ import annotations
@@ -99,15 +106,21 @@ def canonical_weights(g: LinkGraph) -> WeightAssignment:
 def check_cell_condition(cx: TwoComplex, g: LinkGraph, w: WeightAssignment,
                          excluded_cells: frozenset[str] = frozenset()) -> Verdict:
     """Condition (1): every non-excluded cell's corner weights sum to <= q-2."""
-    return _cell_condition(cx, g, *w.scaled(_corner_ids(g)), excluded_cells)
+    den, iw = w.scaled(_corner_ids(g))
+    return _cell_condition(cx, _cell_sums(g, iw), den, excluded_cells)
 
 
-def _cell_condition(cx: TwoComplex, g: LinkGraph, den: int, iw: list[int],
-                    excluded_cells: frozenset[str]) -> Verdict:
+def _cell_sums(g: LinkGraph, iw: list[int]) -> dict[str, int]:
     sums: dict[str, int] = {}
     for c, x in zip(g.corners, iw):
         if not c.is_delta:
             sums[c.provenance[1]] = sums.get(c.provenance[1], 0) + x
+    return sums
+
+
+def _cell_condition(cx: TwoComplex, sums: dict[str, int], den: int,
+                    excluded_cells: frozenset[str]) -> Verdict:
+    """Condition (1) on each cell's scaled corner weight sum."""
     for cell in cx.cells:
         if cell.name in excluded_cells:
             continue
@@ -131,20 +144,31 @@ def min_weight_reduced_cycle(g: LinkGraph, w: WeightAssignment
 
     Returns None when the link has no reduced cycle at all.
     """
-    return _min_reduced_cycle(g, *w.scaled(_corner_ids(g)))
+    den, iw = w.scaled(_corner_ids(g))
+    # a shortest walk repeats no dart, so every distance is below this limit
+    return _min_reduced_cycle(g, den, iw, 2 * sum(iw) + 1)
 
 
-def _min_reduced_cycle(g: LinkGraph, den: int, iw: list[int]
+def _min_reduced_cycle(g: LinkGraph, den: int, iw: list[int], limit: int
                        ) -> Optional[tuple[Fraction, tuple[Dart, ...]]]:
+    """The minimum reduced cycle if it weighs less than ``limit`` (scaled
+    units): the first dart, in dart order, to reach the minimum, and its
+    Dijkstra path.  Else None."""
     tails = g.ends  # of darts d = 2*i + direction of corners[i]; d ^ 1 reverses d
+    # Weights are nonnegative, so the minimum is 0 exactly when the weight-0
+    # corners hold a cycle (a loop or parallel pair counts).
+    zero = [(tails[2 * i], tails[2 * i + 1]) for i, x in enumerate(iw) if x == 0]
+    if limit > 1 and forest_cycle_index(len(g.nodes), zero) >= 0:
+        limit = 1
+    # a dart as heavy as the limit is never pushed, so it is left out
     out: list[list[tuple[int, int]]] = [[] for _ in g.nodes]
     for d, t in enumerate(tails):
-        out[t].append((d, iw[d >> 1]))
+        if iw[d >> 1] < limit:
+            out[t].append((d, iw[d >> 1]))
     # the darts that may follow d: out of its head, except its reverse
     succ = [[vx for vx in out[tails[d ^ 1]] if vx[0] != d ^ 1]
-            for d in range(len(tails))]
-    # a shortest walk repeats no dart, so every distance is below this limit
-    best, limit = None, 2 * sum(iw) + 1
+            if iw[d >> 1] < limit else () for d in range(len(tails))]
+    best = None
     for d0 in range(len(tails)):
         found = _dijkstra_cycle_through(succ, tails, iw, d0, limit)
         if found is not None:
@@ -275,35 +299,79 @@ def weight_test(cx: TwoComplex, g: LinkGraph, w: WeightAssignment) -> Verdict:
     if g.delta_blocks is not None:
         raise PreconditionError("weight_test expects an absolute link")
     den, iw = w.scaled(_corner_ids(g))
-    cell_verdict = _cell_condition(cx, g, den, iw, frozenset())
+    cell_verdict = _cell_condition(cx, _cell_sums(g, iw), den, frozenset())
     if not cell_verdict:
         return cell_verdict
-    found = _min_reduced_cycle(g, den, iw)
-    if found is not None and found[0] < 2:
+    found = _min_reduced_cycle(g, den, iw, 2 * den)
+    if found is not None:
         return Verdict(False, ("cycle", found[1], found[0]))
     return Verdict(True)
 
 
-def check_delta_weights(g: LinkGraph, den: int, iw: list[int]) -> None:
-    """Condition (3): Delta corners weigh 0 within a polarity, 1 across."""
-    for c, x in zip(g.corners, iw):
-        if c.is_delta:
-            expected = 1 if c.a.polarity != c.b.polarity else 0
+def _relative_cell_sums(cx: TwoComplex, g: LinkGraph, k_cells: frozenset[str],
+                        den: int, iw: list[int]) -> dict[str, int]:
+    """Each cell's scaled corner weight sum, after checking that g has the
+    corners of lk(L, K): every position of every cell outside K once, and
+    per Delta-block one corner on each pair of its nodes and one loop at
+    each node, all inside the block.  Delta corners must weigh 0 within a
+    polarity and 1 across (condition (3)).  Else PreconditionError."""
+    n = len(g.nodes)
+    pol = [x.polarity for x in g.nodes]
+    pos = {x: i for i, x in enumerate(g.nodes)}
+    block_of: list[Optional[int]] = [None] * n
+    need = 0
+    for bi, blk in enumerate(g.delta_blocks):
+        if not blk.nodes <= pos.keys():
+            raise PreconditionError("link is not the relative link of this family")
+        for x in blk.nodes:
+            block_of[pos[x]] = bi
+        need += len(blk.nodes) * (len(blk.nodes) + 1) // 2
+    size = {c.name: len(c.boundary) for c in cx.cells if c.name not in k_cells}
+    need += sum(size.values())
+    sums = dict.fromkeys(size, 0)
+    keys: list = []  # an int per Delta corner's node pair, a provenance per cell corner
+    ends = g.ends
+    for c, a, b, x in zip(g.corners, ends[::2], ends[1::2], iw):
+        prov = c.provenance
+        where = prov[1]
+        if prov[0] == "delta":
+            if block_of[a] != where or block_of[b] != where:
+                raise PreconditionError(f"delta corner {c.id} leaves its block")
+            expected = int(pol[a] != pol[b])
             if x != expected * den:
                 raise PreconditionError(f"delta corner {c.id} must have weight "
                                         f"{expected}, got {Fraction(x, den)}")
+            keys.append(a * n + b if a <= b else b * n + a)
+        else:
+            if where in k_cells:
+                raise PreconditionError(f"link keeps corner {c.id} of K-cell "
+                                        f"{where!r}")
+            if not 0 <= prov[2] < size.get(where, 0):
+                raise PreconditionError(f"corner {c.id} at {where!r} position "
+                                        f"{prov[2]} is no corner of lk(L, K)")
+            sums[where] += x
+            keys.append(prov)
+    if len(set(keys)) != len(keys):
+        seen: set = set()
+        for c, key in zip(g.corners, keys):
+            if key in seen:
+                raise PreconditionError(f"link repeats corner {c.id}")
+            seen.add(key)
+    if len(keys) != need:
+        raise PreconditionError("link misses corners of the relative link")
+    return sums
 
 
 def relative_weight_test(cx: TwoComplex, fam: SubcomplexFamily,
                          w: WeightAssignment, link: LinkGraph) -> Verdict:
     """Weight test relative to K = K_1 v ... v K_n.
 
-    ``link`` is lk(L, K) as ``build_relative_link(cx, fam)`` builds it.  It
-    must have one Delta-block per part, on exactly that part's edge-ends,
-    and no corner of a K-cell; any other link raises PreconditionError, as
-    do a K-cell of nonzero exponent sum and Delta corners that do not carry
-    their fixed weights.  A family whose parts are not subcomplexes of cx
-    raises StructureError.
+    ``link`` is lk(L, K) as ``build_relative_link(cx, fam)`` builds it: one
+    Delta-block per part, on exactly that part's edge-ends, holding the
+    part's Delta corners, and each corner of a cell outside K once.  Any
+    other link raises PreconditionError, as do a K-cell of nonzero
+    exponent sum and Delta corners that do not carry their fixed weights.
+    A family whose parts are not subcomplexes of cx raises StructureError.
     """
     validate_family(cx, fam)
     k_cells = fam.all_cells
@@ -317,14 +385,9 @@ def relative_weight_test(cx: TwoComplex, fam: SubcomplexFamily,
             blk.nodes != {EdgeEnd(x, s) for x in edges for s in (1, -1)}
             for blk, (edges, _) in zip(blocks, fam.parts)):
         raise PreconditionError("link is not the relative link of this family")
-    # provenance[1] is a cell name, or a Delta corner's int block index
-    if not k_cells.isdisjoint({c.provenance[1] for c in link.corners}):
-        c = next(c for c in link.corners if c.provenance[1] in k_cells)
-        raise PreconditionError(f"link keeps corner {c.id} of K-cell "
-                                f"{c.provenance[1]!r}")
     den, iw = w.scaled(_corner_ids(link))
-    check_delta_weights(link, den, iw)
-    cell_verdict = _cell_condition(cx, link, den, iw, k_cells)
+    sums = _relative_cell_sums(cx, link, k_cells, den, iw)
+    cell_verdict = _cell_condition(cx, sums, den, k_cells)
     if not cell_verdict:
         return cell_verdict
     found = _homred_violation(link, den, iw)

@@ -3,9 +3,10 @@
 import gc
 import weakref
 
-from lotva import (build_complex, build_link, canonical_weights, certify_va,
-                   curvature_report, double_cell_sphere, parse_lot,
-                   verify_certificate)
+from lotva import (build_complex, build_link, build_relative_link,
+                   canonical_weights, certify_va, curvature_report,
+                   derive_subcomplexes, double_cell_sphere, parse_lot,
+                   signed_relative_forest_check, verify_certificate)
 
 
 def test_lot_and_complex_are_collected(fixture_dir):
@@ -15,6 +16,11 @@ def test_lot_and_complex_are_collected(fixture_dir):
     cx = build_complex(lot)
     pillow = double_cell_sphere(cx, "d_0")
     curvature_report(pillow, cx, canonical_weights(build_link(cx)))
+    fam = derive_subcomplexes(lot, [frozenset({1, 2, 3, 4})])
+    build_relative_link(cx, fam)
+    for pol in (1, -1):
+        signed_relative_forest_check(cx, fam, pol)
+    assert cx._int_corners is not None  # the complex keeps its corner pass
 
     lot_ref, cx_ref = weakref.ref(lot), weakref.ref(cx)
     del lot, cert, cx, pillow

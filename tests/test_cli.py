@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -265,6 +268,20 @@ class TestDiagramCli:
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 2
+
+    def test_python_m_lotva(self, capsys, fixture_dir):
+        """``python -m lotva`` runs the same command line as ``cli.main``."""
+        lot = str(fixture_dir / "fig1.lot")
+        root = Path(__file__).parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        done = subprocess.run([sys.executable, "-m", "lotva", "weight-test", lot],
+                              cwd=root, env=env, capture_output=True, text=True,
+                              timeout=120)
+        code, out, _ = run(capsys, "weight-test", lot)
+        assert code == 1 and out
+        assert (done.returncode, done.stdout) == (code, out)
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

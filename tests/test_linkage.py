@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from lotva import linkage
 from lotva import (EdgeEnd, PreconditionError, build_complex, build_link,
                    build_relative_link, derive_subcomplexes, enumerate_sublots,
                    parse_complex, parse_lot, relative_forest_check, reorient,
@@ -65,6 +66,32 @@ class TestBuildLink:
                 assert {pp.a, pp.b} == {EdgeEnd(e.label, 1), EdgeEnd(e.tail, 1)}
                 mm = next(c for c in cs if c.corner_class == "--")
                 assert {mm.a, mm.b} == {EdgeEnd(e.label, -1), EdgeEnd(e.head, -1)}
+
+
+class TestIntCornersOncePerComplex:
+    def test_one_pass_shared(self, fig1, monkeypatch):
+        """Both link builders and both signed forest checks on one complex
+        share one ``int_corners`` pass; an equal complex gets its own."""
+        calls = []
+        real = linkage.int_corners
+
+        def counted(cx):
+            calls.append(cx)
+            return real(cx)
+
+        monkeypatch.setattr(linkage, "int_corners", counted)
+        fam = derive_subcomplexes(fig1, [frozenset({1, 2, 3, 4})])
+        cx, twin = build_complex(fig1), build_complex(fig1)
+        for c in (cx, twin):
+            build_link(c)
+            build_relative_link(c, fam)
+            for pol in (1, -1):
+                signed_relative_forest_check(c, fam, pol)
+        assert len(calls) == 2
+        assert calls[0] is cx and calls[1] is twin
+        # the kept pass takes no part in equality, hashing or repr
+        fresh = build_complex(fig1)
+        assert cx == fresh and hash(cx) == hash(fresh) and repr(cx) == repr(fresh)
 
 
 class TestSignedSublinks:

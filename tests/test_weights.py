@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from lotva import (Lot, LotEdge, PreconditionError, StructureError,
-                   SubcomplexFamily, WeightAssignment, build_complex, build_link,
+from lotva import (Corner, EdgeEnd, LinkGraph, Lot, LotEdge, PreconditionError,
+                   StructureError, SubcomplexFamily, TwoComplex, Verdict,
+                   WeightAssignment, build_complex, build_link,
                    build_relative_link, canonical_weights,
                    check_cell_condition, derive_subcomplexes, enumerate_sublots,
                    find_homred_violation, format_weights,
@@ -17,8 +18,8 @@ from lotva.sweep import random_lot
 
 from oracles import (oracle_homred_violation_exists, oracle_min_reduced_cycle,
                      oracle_orientation_search, orientation_search_check,
-                     random_link,
-                     random_relative_link, random_weights,
+                     random_complex, random_link, random_relative_link,
+                     random_weights,
                      reference_find_homred_violation,
                      reference_min_weight_reduced_cycle)
 
@@ -310,6 +311,94 @@ class TestFractionReference:
                     call()
 
 
+HALF = Fraction(1, 2)
+
+
+def _hand_link(n: int, corners) -> tuple[TwoComplex, LinkGraph, WeightAssignment]:
+    """A cell-free complex on n edges and a link on n nodes whose corner i
+    is corners[i] = (a, b, weight); the cell condition holds trivially."""
+    cx = TwoComplex(tuple(f"x{k}" for k in range(n)), ())
+    nodes = tuple(EdgeEnd(x, 1) for x in cx.edge_names)
+    g = LinkGraph(nodes, tuple(Corner(i, nodes[a], nodes[b], ("cell", "c", i))
+                               for i, (a, b, _) in enumerate(corners)))
+    return cx, g, WeightAssignment({i: Fraction(x) for i, (_, _, x) in enumerate(corners)})
+
+
+def _reference_weight_test(cx, g, w) -> Verdict:
+    verdict = check_cell_condition(cx, g, w)
+    if verdict:
+        found = reference_min_weight_reduced_cycle(g, w)
+        if found is not None and found[0] < 2:
+            return Verdict(False, ("cycle", found[1], found[0]))
+    return verdict
+
+
+class TestBoundedCycleSearch:
+    """The absolute search starts at its caller's limit, settles weight-0
+    cycles by union-find and leaves out corners as heavy as the limit; its
+    minimum and witness darts stay those of the Fraction reference."""
+
+    CASES = {
+        # name: (nodes, [(a, b, weight) per corner], minimum)
+        "zero loop": (4, [(0, 1, 1), (1, 2, HALF), (2, 2, 0), (2, 3, 0)], 0),
+        "parallel zero corners": (3, [(0, 1, HALF), (1, 2, 0), (2, 1, 0),
+                                      (0, 2, 1)], 0),
+        # corners 0 and 1 hang off the zero cycle 3, 4, 5 and lie on a ½ cycle
+        "zero cycle after pendant zeros": (5, [(0, 1, 0), (1, 2, 0), (0, 4, HALF),
+                                               (2, 3, 0), (3, 4, 0), (4, 2, 0)], 0),
+        "zero forest, minimum 1/2": (4, [(0, 1, 0), (1, 2, 0), (2, 0, HALF),
+                                         (2, 3, 1), (3, 3, 2)], HALF),
+        "minimum above 2": (2, [(0, 1, 1), (1, 0, Fraction(3, 2))], Fraction(5, 2)),
+        "no cycle": (4, [(0, 1, 1), (1, 2, 0), (1, 3, HALF)], None),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_hand_links(self, name):
+        n, corners, minimum = self.CASES[name]
+        cx, g, w = _hand_link(n, corners)
+        got = min_weight_reduced_cycle(g, w)
+        assert got == reference_min_weight_reduced_cycle(g, w)
+        assert (got and got[0]) == minimum
+        assert weight_test(cx, g, w) == _reference_weight_test(cx, g, w)
+        assert weight_test(cx, g, w).ok == (minimum is None or minimum >= 2)
+        if name == "zero cycle after pendant zeros":
+            assert {cid for cid, _ in got[1]} == {3, 4, 5}
+
+    def test_random_links(self):
+        """Weights from {0, 1/2, 1, 3/2, 2}, so zero cycles, zero forests
+        and ties are common; weight_test runs on the link's own complex and
+        on a cell-free one, where only the cycle search decides."""
+        rng = random.Random(103)
+        choices = [Fraction(k, 2) for k in range(5)]
+        minima = set()
+        for _ in range(400):
+            cx = random_complex(rng)
+            g = build_link(cx)
+            w = WeightAssignment({c.id: rng.choice(choices) for c in g.corners})
+            got = min_weight_reduced_cycle(g, w)
+            assert got == reference_min_weight_reduced_cycle(g, w)
+            minima.add(got and got[0])
+            for c in (cx, TwoComplex(cx.edge_names, ())):
+                assert weight_test(c, g, w) == _reference_weight_test(c, g, w)
+        assert {None, 0, HALF, 1, 2} <= minima
+
+    def test_lots(self, sweep6_every97):
+        """Canonical weights on the sweep sample and on 150 random LOTs of
+        8-24 edges."""
+        rng = random.Random(104)
+        lots = list(sweep6_every97)
+        lots += [random_lot(rng, rng.randrange(8, 25)) for _ in range(150)]
+        verdicts = []
+        for lot in lots:
+            cx = build_complex(lot)
+            g = build_link(cx)
+            w = canonical_weights(g)
+            got = weight_test(cx, g, w)
+            assert got == _reference_weight_test(cx, g, w)
+            verdicts.append(got.ok)
+        assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+
+
 class TestWeightTest:
     def test_prime_passes(self, prime):
         cx = build_complex(prime)
@@ -356,6 +445,35 @@ class TestRelativeWeightTest:
         g = build_relative_link(cx, edges_only)
         with pytest.raises(PreconditionError, match="corner 4 of K-cell 'd_1'"):
             relative_weight_test(cx, fam, canonical_weights(g), g)
+
+    @pytest.mark.parametrize("change", ["no delta", "delta outside", "cell twice",
+                                        "block node missing"])
+    def test_other_corners_rejected(self, fig1, change):
+        """Right blocks, wrong corners: all 55 Delta corners dropped, a
+        Delta corner moved outside its block, a cell corner twice, or a
+        block node missing from the link with its corners.  The first two
+        used to pass and the third to report a cell violation."""
+        cx = build_complex(fig1)
+        fam = derive_subcomplexes(fig1, [frozenset({1, 2, 3, 4})])
+        g = build_relative_link(cx, fam)
+        corners = list(g.corners)
+        if change == "no delta":
+            assert sum(c.is_delta for c in corners) == 55
+            corners = [c for c in corners if not c.is_delta]
+        elif change == "delta outside":
+            outside = next(n for n in g.nodes if n not in g.delta_blocks[0].nodes)
+            i = next(i for i, c in enumerate(corners) if c.is_delta and c.a != c.b)
+            corners[i] = corners[i]._replace(b=outside)
+        elif change == "cell twice":
+            corners.append(corners[0]._replace(id=len(corners)))
+        nodes = g.nodes
+        if change == "block node missing":
+            gone = next(iter(g.delta_blocks[0].nodes))
+            nodes = tuple(n for n in nodes if n != gone)
+            corners = [c for c in corners if gone not in (c.a, c.b)]
+        h = LinkGraph(nodes, tuple(corners), g.delta_blocks)
+        with pytest.raises(PreconditionError):
+            relative_weight_test(cx, fam, canonical_weights(h), h)
 
     def test_unknown_family_cell_rejected(self, fig1):
         cx = build_complex(fig1)
