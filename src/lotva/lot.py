@@ -51,8 +51,7 @@ class Log:
 
     def is_tree(self) -> bool:
         """n - 1 edges, and a walk from vertex 0 reaches every vertex."""
-        iv = self._iv
-        return len(iv.edges) == iv.n - 1 and min(_root_paths(iv)) >= 0
+        return _tree_paths(self._iv) is not None
 
     def as_lot(self) -> "Lot":
         return Lot(self.vertices, self.edges, name=self.name)
@@ -60,12 +59,18 @@ class Log:
 
 @dataclass(frozen=True)
 class Lot(Log):
-    """A LOG whose underlying undirected graph is a tree."""
+    """A LOG whose underlying undirected graph is a tree.
+
+    ``_paths`` keeps the root paths (see ``_root_paths``) that the tree
+    check walks, for the edge closures."""
+    _paths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.is_tree():
+        paths = _tree_paths(self._iv)
+        if paths is None:
             raise StructureError("underlying graph is not a tree")
+        object.__setattr__(self, "_paths", tuple(paths))
 
 
 @dataclass(frozen=True)
@@ -349,7 +354,16 @@ def sublot_closure(lot: Lot, seed_edge: int) -> frozenset[int]:
     iv = lot._iv
     if not 0 <= seed_edge < len(iv.edges):
         raise StructureError(f"unknown edge id {seed_edge}")
-    return frozenset(_bits(_closure_mask(iv, _root_paths(iv), seed_edge)))
+    return frozenset(_bits(_closure_mask(iv, lot._paths, seed_edge)))
+
+
+def _tree_paths(iv: _IntView) -> Optional[list[int]]:
+    """The root paths if the view is a tree (n - 1 edges, every vertex
+    reached from vertex 0), else None."""
+    if len(iv.edges) != iv.n - 1:
+        return None
+    paths = _root_paths(iv)
+    return paths if min(paths) >= 0 else None
 
 
 def _root_paths(iv: _IntView) -> list[int]:
@@ -370,7 +384,7 @@ def _root_paths(iv: _IntView) -> list[int]:
     return paths
 
 
-def _closure_mask(iv: _IntView, paths: list[int], seed_edge: int) -> int:
+def _closure_mask(iv: _IntView, paths: tuple[int, ...], seed_edge: int) -> int:
     """``sublot_closure`` as an edge bitmask (bit i = edge i).
 
     Adjoining the path from each label to the seed's tail adds exactly the
@@ -416,8 +430,7 @@ class SublotStructure:
         iv = lot._iv
         self.full = (1 << len(iv.edges)) - 1
         # edge bitmasks: closure of each edge; edges sharing a vertex with it
-        paths = _root_paths(iv)
-        self.closures = tuple(_closure_mask(iv, paths, e)
+        self.closures = tuple(_closure_mask(iv, lot._paths, e)
                               for e in range(len(iv.edges)))
         at = [0] * iv.n
         for i, (t, h, _) in enumerate(iv.edges):

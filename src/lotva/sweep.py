@@ -2,9 +2,14 @@
 
 Used by the verification sweeps: every injective compressed LOT with up to a
 handful of edges, one representative per isomorphism class.  Tree shapes
-come from Prufer enumeration deduplicated by AHU canonical forms; labelings
-and orientations on a shape are deduplicated under its automorphism group by
-keeping lexicographically minimal orbit representatives.
+come from Prufer enumeration deduplicated by AHU canonical forms, stopping
+once Otter's count of free trees is reached.  Labelings and orientations on
+a shape are deduplicated under its automorphism group by keeping the
+lexicographically minimal (orientation, labeling) of each orbit.  How an
+automorphism moves an orientation does not depend on the labeling, so each
+shape precomputes, over all orientation masks, which ones an automorphism
+maps below or onto themselves; each labeling then applies every
+automorphism once and keeps the orientations no automorphism lowers.
 
 Vertices are named v0, v1, ...  Also provides seeded random generators used
 by the property tests.
@@ -16,7 +21,7 @@ import heapq
 import itertools
 import random
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .lot import Lot, LotEdge
 
@@ -84,14 +89,35 @@ def _ahu_key(edges: tuple[tuple[int, int], ...], n: int) -> str:
                canon(b, a) + "|" + canon(a, b))
 
 
+def _free_tree_count(n: int) -> int:
+    """Number of unlabeled free trees on n >= 1 vertices (Otter 1948).
+
+    r(k), the rooted trees on k vertices, follow the Euler transform
+    r(k+1) = (1/k) sum_{j=1..k} (sum_{d|j} d r(d)) r(k-j+1); then
+    t(n) = r(n) - (sum_{i=1..n-1} r(i) r(n-i) - [n even] r(n/2)) / 2."""
+    r = [0, 1]
+    for k in range(1, n):
+        r.append(sum(sum(d * r[d] for d in range(1, j + 1) if j % d == 0)
+                     * r[k - j + 1] for j in range(1, k + 1)) // k)
+    pairs = sum(r[i] * r[n - i] for i in range(1, n))
+    if n % 2 == 0:
+        pairs -= r[n // 2]
+    return r[n] - pairs // 2
+
+
 @lru_cache(maxsize=None)
 def tree_shapes(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """One representative per unlabeled tree on n vertices."""
+    """One representative per unlabeled tree on n vertices: the first of
+    its class in Prufer order, read up to the sequence that completes
+    Otter's count (index 5,349 of 262,144 for n = 8)."""
     reps: dict[str, tuple] = {}
+    count = _free_tree_count(n)
     for t in _prufer_trees(n):
         key = _ahu_key(t, n)
         if key not in reps:
             reps[key] = t
+            if len(reps) == count:
+                break
     return tuple(sorted(reps.values()))
 
 
@@ -127,21 +153,43 @@ def automorphisms(shape: tuple[tuple[int, int], ...], n: int
     return tuple(out)
 
 
-def _aut_tables(shape: tuple[tuple[int, int], ...], n: int):
-    """Per nontrivial automorphism: vertex map plus, for each edge i, the
-    image edge index and whether the (low -> high) direction flips."""
+def _orbit_tables(shape: tuple[tuple[int, int], ...], n: int, omax: int):
+    """How the nontrivial automorphisms act on candidates (orient, labels).
+
+    g maps orientation mask o to the mask whose bit j is set when edge
+    j = g(edge i) runs high -> low: that is bit i of o, flipped when g
+    sends the low end of edge i to the high end of edge j.  Over the masks
+    0..omax-1, ``lt`` holds those g maps strictly below themselves and
+    ``le`` those g maps at or below themselves.  Returns the union of every
+    ``lt``, which are rejected whatever the labeling, and, per g whose
+    ``le`` adds to that union, (vertex map, source edge of each image
+    edge, ``le``)."""
     pos = {e: i for i, e in enumerate(shape)}
+    always = 0
     tables = []
     for p in automorphisms(shape, n):
         if p == tuple(range(n)):
             continue
-        emap = []
-        for a, b in shape:
+        src = [0] * len(shape)
+        flips = []
+        for i, (a, b) in enumerate(shape):
             ia, ib = p[a], p[b]
             j = pos[(min(ia, ib), max(ia, ib))]
-            emap.append((j, ia > ib))  # image of a is the high end -> flipped
-        tables.append((p, tuple(emap)))
-    return tuple(tables)
+            src[j] = i
+            flips.append((i, 1 << j, ia > ib))
+        lt = le = 0
+        for o in range(omax):
+            img = 0
+            for i, bit, flip in flips:
+                if (o >> i & 1) != flip:
+                    img |= bit
+            if img < o:
+                lt |= 1 << o
+            if img <= o:
+                le |= 1 << o
+        always |= lt
+        tables.append((p, tuple(src), le))
+    return always, tuple(t for t in tables if t[2] & ~always)
 
 
 def _labelings(shape, n: int) -> Iterator[tuple[int, ...]]:
@@ -160,49 +208,46 @@ def _labelings(shape, n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0, 0, ())
 
 
-def _is_orbit_min(shape, n, tables, orient: int, labels: tuple[int, ...]) -> bool:
-    """Keep a candidate iff it is the lexicographic minimum of its orbit."""
-    m = len(shape)
-    me = (orient, labels)
-    for p, emap in tables:
-        new_orient = 0
-        new_labels = [0] * m
-        for i in range(m):
-            j, flip = emap[i]
-            bit = orient >> i & 1
-            if bit != flip:
-                new_orient |= 1 << j
-            new_labels[j] = p[labels[i]]
-        if (new_orient, tuple(new_labels)) < me:
-            return False
-    return True
-
-
 def iter_small_lots(max_edges: int, orientations: bool = True) -> Iterator[Lot]:
     """All injective compressed LOTs with 0..max_edges edges.
 
     With ``orientations=False`` every edge runs low index -> high index,
     which is enough for orientation-independent properties (sub-LOTs,
     collapses, free decompositions).  One representative per isomorphism
-    class is produced.
+    class is produced: the candidate (orientation mask, labeling) that no
+    automorphism of its shape maps lexicographically lower.  Orientations
+    come before labels in that order, so per labeling an automorphism
+    rejects the orientations it lowers (its ``lt`` mask), plus those it
+    fixes (the rest of ``le``) when it also lowers the labeling; each
+    labeling applies every automorphism once, not once per orientation.
+    Order: shapes by size, then labelings, then orientation masks.
     """
+    if max_edges < 0:
+        return
     yield Lot(("v0",), ())
     for n in range(2, max_edges + 2):
         m = n - 1
+        names = tuple(f"v{i}" for i in range(n))
+        omax = (1 << m) if orientations else 1
+        # (edge a-b, label l) -> (a -> b, b -> a); shared by every LOT on n
+        pairs = {(a, b): tuple((LotEdge(names[a], names[b], names[l]),
+                                LotEdge(names[b], names[a], names[l]))
+                               for l in range(n))
+                 for a in range(n) for b in range(a + 1, n)}
         for shape in tree_shapes(n):
-            tables = _aut_tables(shape, n)
-            names = tuple(f"v{i}" for i in range(n))
-            omax = (1 << m) if orientations else 1
+            always, tables = _orbit_tables(shape, n, omax)
+            ends = [pairs[e] for e in shape]
             for labels in _labelings(shape, n):
+                rejected = always
+                for p, src, le in tables:
+                    if le & ~rejected and \
+                            tuple([p[labels[i]] for i in src]) < labels:
+                        rejected |= le
+                choice = [ends[i][labels[i]] for i in range(m)]
                 for orient in range(omax):
-                    if tables and not _is_orbit_min(shape, n, tables,
-                                                    orient, labels):
-                        continue
-                    edges = []
-                    for i, (a, b) in enumerate(shape):
-                        t, h = (b, a) if orient >> i & 1 else (a, b)
-                        edges.append(LotEdge(names[t], names[h], names[labels[i]]))
-                    yield Lot(names, tuple(edges))
+                    if not rejected >> orient & 1:
+                        yield Lot(names, tuple([choice[i][orient >> i & 1]
+                                                for i in range(m)]))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +257,8 @@ def iter_small_lots(max_edges: int, orientations: bool = True) -> Iterator[Lot]:
 def random_lot(rng: random.Random, n_edges: int, injective: bool = True,
                compressed: bool = True) -> Lot:
     """Random LOT on n_edges+1 vertices via a random Prufer sequence."""
+    if n_edges < 0:
+        raise ValueError(f"a LOT cannot have {n_edges} edges")
     n = n_edges + 1
     names = tuple(f"v{i}" for i in range(n))
     if n == 1:
@@ -219,7 +266,22 @@ def random_lot(rng: random.Random, n_edges: int, injective: bool = True,
     if n == 2 and compressed:
         raise ValueError("a single-edge LOT is labeled by one of its "
                          "endpoints, so it cannot be compressed")
-    shape = _prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
+    while True:  # a rare dead end draws a fresh tree
+        shape = _prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
+        labels = _random_labels(rng, shape, n, injective, compressed)
+        if labels is not None:
+            break
+    edges = []
+    for (a, b), l in zip(shape, labels):
+        if rng.random() < 0.5:
+            a, b = b, a
+        edges.append(LotEdge(names[a], names[b], names[l]))
+    return Lot(names, tuple(edges))
+
+
+def _random_labels(rng: random.Random, shape, n: int, injective: bool,
+                   compressed: bool) -> Optional[list[int]]:
+    """One label per edge of ``shape``, or None at a dead end."""
     labels: list[int] = []
     avail = list(range(n))
     rng.shuffle(avail)
@@ -239,12 +301,7 @@ def random_lot(rng: random.Random, n_edges: int, injective: bool = True,
                 if not (compressed and v in (a, b)):
                     pick = v
                     break
-        if pick is None:  # rare dead end; retry with a fresh tree
-            return random_lot(rng, n_edges, injective, compressed)
+        if pick is None:
+            return None
         labels.append(pick)
-    edges = []
-    for (a, b), l in zip(shape, labels):
-        if rng.random() < 0.5:
-            a, b = b, a
-        edges.append(LotEdge(names[a], names[b], names[l]))
-    return Lot(names, tuple(edges))
+    return labels

@@ -19,21 +19,26 @@ forest check on the polarity subgraph, and corner ids of diagram corners
 read from the link's provenance.  Two second routes to a library decision
 live here as well: the forest check through the relative link's
 Delta-blocks, and the flip-set forest check of lk+ and lk- as one yes/no.
+Small-LOT generation has its filter-then-test form here: tree shapes from
+every Prufer sequence, and each (orientation, labeling) candidate tested
+against every automorphism on its own.
 """
 
 import heapq
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 from typing import Optional
 
 from lotva import (BoundaryWord, Cell, EdgeEnd, FreeDecomposition,
-                   LinkGraph, PreconditionError, SubcomplexFamily,
-                   SurfaceDiagram, TwoComplex, WeightAssignment, build_link,
-                   build_relative_link, is_sublot, relative_forest_check,
-                   signed_sublinks, sublot_closure, sublot_vertices,
-                   validate_diagram)
+                   LinkGraph, Lot, LotEdge, PreconditionError,
+                   SubcomplexFamily, SurfaceDiagram, TwoComplex,
+                   WeightAssignment, build_link, build_relative_link,
+                   is_sublot, relative_forest_check, signed_sublinks,
+                   sublot_closure, sublot_vertices, validate_diagram)
+from lotva.sweep import _ahu_key, _labelings, _prufer_decode, automorphisms
 from lotva.weights import FlipForests, flip_mask
 
 
@@ -400,6 +405,68 @@ def _shortest_path_avoiding(g: LinkGraph, w: WeightAssignment,
                 counter += 1
                 heapq.heappush(heap, (nd, counter, v))
     return None, None
+
+
+# ---------------------------------------------------------------------------
+# small-LOT generation by filter-then-test
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def reference_tree_shapes(n: int):
+    """One tree per AHU class, first in Prufer order, from a scan of all
+    n^(n-2) Prufer sequences."""
+    if n == 1:
+        return ((),)
+    reps = {}
+    for seq in product(range(n), repeat=n - 2):
+        t = tuple(sorted((min(e), max(e)) for e in _prufer_decode(seq, n)))
+        reps.setdefault(_ahu_key(t, n), t)
+    return tuple(sorted(reps.values()))
+
+
+def _is_orbit_min(tables, orient: int, labels: tuple) -> bool:
+    """No automorphism maps (orient, labels) lexicographically below
+    itself; each one is applied edge by edge to this candidate."""
+    m = len(labels)
+    me = (orient, labels)
+    for p, emap in tables:
+        new_orient = 0
+        new_labels = [0] * m
+        for i in range(m):
+            j, flip = emap[i]
+            if (orient >> i & 1) != flip:
+                new_orient |= 1 << j
+            new_labels[j] = p[labels[i]]
+        if (new_orient, tuple(new_labels)) < me:
+            return False
+    return True
+
+
+def reference_small_lots(max_edges: int, orientations: bool = True):
+    """``iter_small_lots`` as filter-then-test: every (labeling, orientation)
+    of every shape, kept iff it is the minimum of its orbit."""
+    if max_edges < 0:
+        return
+    yield Lot(("v0",), ())
+    for n in range(2, max_edges + 2):
+        names = tuple(f"v{i}" for i in range(n))
+        for shape in reference_tree_shapes(n):
+            pos = {e: i for i, e in enumerate(shape)}
+            tables = []
+            for p in automorphisms(shape, n):
+                if p != tuple(range(n)):
+                    tables.append((p, [(pos[(min(p[a], p[b]), max(p[a], p[b]))],
+                                        p[a] > p[b]) for a, b in shape]))
+            for labels in _labelings(shape, n):
+                for orient in range((1 << len(shape)) if orientations else 1):
+                    if not _is_orbit_min(tables, orient, labels):
+                        continue
+                    edges = []
+                    for i, (a, b) in enumerate(shape):
+                        t, h = (b, a) if orient >> i & 1 else (a, b)
+                        edges.append(LotEdge(names[t], names[h],
+                                             names[labels[i]]))
+                    yield Lot(names, tuple(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from lotva import (Lot, LotEdge, ParseError, PreconditionError, StructureError,
                    is_compressed, is_injective, is_sublot, parse_log,
                    parse_lot, reorient, sign_change, sublot_closure,
                    sublot_vertices)
+from lotva import lot as lot_module
+from lotva.lot import SublotStructure
 from lotva.sweep import iter_small_lots, random_lot
 
 from oracles import (oracle_free_decomposition, oracle_sublot_structure,
@@ -172,6 +174,28 @@ class TestSublots:
                 for s2 in c:
                     assert sublot_closure(lot, s2) <= c or \
                         sublot_closure(lot, s2) >= c
+
+    def test_closures_reuse_tree_walk(self, monkeypatch):
+        """A Lot walks its root paths once, in the tree check; closures and
+        SublotStructure read the kept paths, which take no part in
+        equality or repr."""
+        lot = random_lot(random.Random(3), 12)
+        walks = []
+        root_paths = lot_module._root_paths
+
+        def counting(iv):
+            walks.append(iv)
+            return root_paths(iv)
+
+        monkeypatch.setattr(lot_module, "_root_paths", counting)
+        same = Lot(lot.vertices, lot.edges)
+        assert len(walks) == 1
+        closures = [sublot_closure(same, e) for e in range(same.num_edges)]
+        assert SublotStructure(same).closures == tuple(
+            sum(1 << i for i in c) for c in closures)
+        assert len(walks) == 1
+        assert same == lot and repr(same) == repr(lot)
+        assert "_paths" not in repr(same)
 
 
 # ---------------------------------------------------------------------------
