@@ -73,6 +73,17 @@ class Lot(Log):
         object.__setattr__(self, "_paths", tuple(paths))
 
 
+def _lot_from_view(vertices: tuple[str, ...], edges: tuple[LotEdge, ...],
+                   iv: _IntView, paths: tuple[int, ...]) -> Lot:
+    """A nameless Lot built without ``__post_init__``.  The caller
+    guarantees the invariants that ``_int_view`` and ``_tree_paths`` check,
+    and passes exactly the view and root paths they would compute."""
+    lot = object.__new__(Lot)
+    lot.__dict__.update(vertices=vertices, edges=edges, name="", _iv=iv,
+                        _paths=paths)
+    return lot
+
+
 @dataclass(frozen=True)
 class SignedLot:
     """A LOT with a sign in {+1,-1} attached to every vertex."""

@@ -11,6 +11,10 @@ shape precomputes, over all orientation masks, which ones an automorphism
 maps below or onto themselves; each labeling then applies every
 automorphism once and keeps the orientations no automorphism lowers.
 
+Each LOT gets the int view a ``Lot`` would derive from names: incident lists
+and root paths (free of orientation and labels) per shape, label counts and
+int triples per labeling, and only edge tuples per kept orientation.
+
 Vertices are named v0, v1, ...  Also provides seeded random generators used
 by the property tests.
 """
@@ -21,9 +25,10 @@ import heapq
 import itertools
 import random
 from functools import lru_cache
+from operator import getitem
 from typing import Iterator, Optional
 
-from .lot import Lot, LotEdge
+from .lot import Lot, LotEdge, _IntView, _lot_from_view, _root_paths
 
 
 def _prufer_decode(seq, n: int) -> list[tuple[int, int]]:
@@ -95,6 +100,8 @@ def _free_tree_count(n: int) -> int:
     r(k), the rooted trees on k vertices, follow the Euler transform
     r(k+1) = (1/k) sum_{j=1..k} (sum_{d|j} d r(d)) r(k-j+1); then
     t(n) = r(n) - (sum_{i=1..n-1} r(i) r(n-i) - [n even] r(n/2)) / 2."""
+    if n < 1:
+        raise ValueError(f"a tree cannot have {n} vertices")
     r = [0, 1]
     for k in range(1, n):
         r.append(sum(sum(d * r[d] for d in range(1, j + 1) if j % d == 0)
@@ -221,6 +228,10 @@ def iter_small_lots(max_edges: int, orientations: bool = True) -> Iterator[Lot]:
     fixes (the rest of ``le``) when it also lowers the labeling; each
     labeling applies every automorphism once, not once per orientation.
     Order: shapes by size, then labelings, then orientation masks.
+
+    Each ``Lot`` gets its int view, not re-derived from names: incident
+    lists and root paths per shape, label counts and both int triples of
+    each edge per labeling, edge tuples per kept orientation.
     """
     if max_edges < 0:
         return
@@ -229,6 +240,8 @@ def iter_small_lots(max_edges: int, orientations: bool = True) -> Iterator[Lot]:
         m = n - 1
         names = tuple(f"v{i}" for i in range(n))
         omax = (1 << m) if orientations else 1
+        # orientation mask -> per edge, 0 for a -> b or 1 for b -> a
+        flips = [[o >> i & 1 for i in range(m)] for o in range(omax)]
         # (edge a-b, label l) -> (a -> b, b -> a); shared by every LOT on n
         pairs = {(a, b): tuple((LotEdge(names[a], names[b], names[l]),
                                 LotEdge(names[b], names[a], names[l]))
@@ -237,6 +250,10 @@ def iter_small_lots(max_edges: int, orientations: bool = True) -> Iterator[Lot]:
         for shape in tree_shapes(n):
             always, tables = _orbit_tables(shape, n, omax)
             ends = [pairs[e] for e in shape]
+            incident = tuple(tuple(i for i, e in enumerate(shape) if v in e)
+                             for v in range(n))
+            paths = tuple(_root_paths(_IntView(
+                n, tuple((a, b, 0) for a, b in shape), incident, ())))
             for labels in _labelings(shape, n):
                 rejected = always
                 for p, src, le in tables:
@@ -244,10 +261,16 @@ def iter_small_lots(max_edges: int, orientations: bool = True) -> Iterator[Lot]:
                             tuple([p[labels[i]] for i in src]) < labels:
                         rejected |= le
                 choice = [ends[i][labels[i]] for i in range(m)]
-                for orient in range(omax):
+                ints = [((a, b, l), (b, a, l))
+                        for (a, b), l in zip(shape, labels)]
+                label_count = tuple(map(labels.count, range(n)))
+                for orient, bits in enumerate(flips):
                     if not rejected >> orient & 1:
-                        yield Lot(names, tuple([choice[i][orient >> i & 1]
-                                                for i in range(m)]))
+                        yield _lot_from_view(
+                            names, tuple(map(getitem, choice, bits)),
+                            _IntView(n, tuple(map(getitem, ints, bits)),
+                                     incident, label_count),
+                            paths)
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +294,18 @@ def random_lot(rng: random.Random, n_edges: int, injective: bool = True,
         labels = _random_labels(rng, shape, n, injective, compressed)
         if labels is not None:
             break
-    edges = []
-    for (a, b), l in zip(shape, labels):
+    edges, ints = [], []
+    incident = [[] for _ in range(n)]
+    for i, ((a, b), l) in enumerate(zip(shape, labels)):
         if rng.random() < 0.5:
             a, b = b, a
         edges.append(LotEdge(names[a], names[b], names[l]))
-    return Lot(names, tuple(edges))
+        ints.append((a, b, l))
+        incident[a].append(i)
+        incident[b].append(i)
+    iv = _IntView(n, tuple(ints), tuple(map(tuple, incident)),
+                  tuple(map(labels.count, range(n))))
+    return _lot_from_view(names, tuple(edges), iv, tuple(_root_paths(iv)))
 
 
 def _random_labels(rng: random.Random, shape, n: int, injective: bool,

@@ -1,6 +1,8 @@
 """Small-LOT generation: the orbit test per labeling against the
-filter-then-test reference, pinned sweep digests, tree shapes against the
-full Prufer scan and Otter's count, and the seeded random generator."""
+filter-then-test reference, pinned sweep digests, the int views the
+generators hand each LOT against the validated constructor, tree shapes
+against the full Prufer scan and Otter's count, and the seeded random
+generator."""
 
 import hashlib
 import random
@@ -8,7 +10,7 @@ import random
 import pytest
 
 import lotva.sweep as sweep
-from lotva import format_lot
+from lotva import Lot, format_lot
 from lotva.sweep import iter_small_lots, random_lot, tree_shapes
 
 from oracles import reference_small_lots, reference_tree_shapes
@@ -24,6 +26,16 @@ def digest(lots):
     return count, h.hexdigest()
 
 
+def assert_views_match_constructor(lots):
+    """Equality ignores ``_iv`` and ``_paths``, so compare them with what
+    the validated constructor computes; building it also checks every
+    invariant the generators skip."""
+    for lot in lots:
+        ref = Lot(lot.vertices, lot.edges)
+        assert (lot._iv, lot._paths, lot.name) == (ref._iv, ref._paths, ""), \
+            format_lot(lot)
+
+
 # ---------------------------------------------------------------------------
 # iter_small_lots
 # ---------------------------------------------------------------------------
@@ -34,10 +46,12 @@ class TestSmallLots:
                              + [(6, False)])
     def test_matches_reference(self, max_edges, orientations):
         """Same LOTs in the same order as testing every (orientation,
-        labeling) candidate against every automorphism on its own."""
+        labeling) candidate against every automorphism on its own, with
+        the int views the constructor would compute."""
         got = list(iter_small_lots(max_edges, orientations))
         want = list(reference_small_lots(max_edges, orientations))
         assert got == want
+        assert_views_match_constructor(got)
 
     def test_sweep6_pinned(self):
         """The <=6 sweep of criterion 5, as it was generated before the
@@ -50,6 +64,10 @@ class TestSmallLots:
         assert digest(iter_small_lots(7, orientations=False)) == (
             55121,
             "cbb56d6bf61dff88a8e927dca240f48b7d736ad883082ede907232f99b99f639")
+
+    def test_sweep6_sample_views_match_constructor(self, sweep6_every97):
+        assert len(sweep6_every97) == 1684
+        assert_views_match_constructor(sweep6_every97)
 
     @pytest.mark.parametrize("max_edges", [-1, -3])
     def test_negative_size_yields_nothing(self, max_edges):
@@ -69,6 +87,11 @@ class TestTreeShapes:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_full_prufer_scan(self, n):
         assert tree_shapes(n) == reference_tree_shapes(n)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_vertices_rejected(self, n):
+        with pytest.raises(ValueError, match=f"{n} vertices"):
+            tree_shapes(n)
 
     def test_otter_count(self):
         assert tuple(sweep._free_tree_count(n) for n in range(1, 13)) \
@@ -106,13 +129,15 @@ class TestRandomLot:
 
     def test_seeded_lots_pinned(self):
         """Every mode, sizes 0-12, seeds 0-39, as generated when a dead
-        end retried by recursion; the grid includes dead ends."""
-        lots = (random_lot(random.Random(seed), k, inj, comp)
+        end retried by recursion; the grid includes dead ends.  Each LOT
+        carries the int view the constructor would compute."""
+        lots = [random_lot(random.Random(seed), k, inj, comp)
                 for inj in (True, False) for comp in (True, False)
                 for k in range(13) if not (k == 1 and comp)
-                for seed in range(40))
+                for seed in range(40)]
         assert digest(lots)[1] == (
             "22d2ca92c0390e1dbd5670fbda1d94489a50da910521a8c682722eec3d1b69f0")
+        assert_views_match_constructor(lots)
 
     def test_dead_end_draws_again(self, monkeypatch):
         """Seed 144 at 3 edges hits three dead ends before its fourth
