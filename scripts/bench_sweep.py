@@ -1,12 +1,12 @@
 """Sweep-generation benchmark: ``iter_small_lots`` at 6 and 7 edges.
 
-    python3 scripts/bench_sweep.py [--max-edges 6 7] [--out FILE]
+    python3 scripts/bench_sweep.py [--out FILE]
 
 Run from anywhere; the library is imported from the ``src/`` next to this
-script.  Each ``max_edges`` runs in a fresh interpreter, so its peak RSS is
-its own.  Records, per ``max_edges``, the LOT count by edge count, the wall
-time of generating and counting them, and the peak RSS, with the host it
-ran on.  Standard library only; a bench, not a test.
+script.  ``max_edges`` 6 and 7 each run in a fresh interpreter, so each
+peak RSS is its own.  Records, per ``max_edges``, the LOT count by edge
+count, the wall time of generating and counting them, and the peak RSS,
+with the host it ran on.  Standard library only; a bench, not a test.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def one(max_edges: int) -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     from lotva.sweep import iter_small_lots
 
-    counts = [0] * (max(max_edges, 0) + 1)
+    counts = [0] * (max_edges + 1)
     t0 = time.perf_counter()
     for lot in iter_small_lots(max_edges):
         counts[len(lot.edges)] += 1
@@ -46,7 +46,6 @@ def one(max_edges: int) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--max-edges", type=int, nargs="+", default=[6, 7])
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_sweep_gen.json")
     ap.add_argument("--one", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -54,7 +53,7 @@ def main(argv=None) -> int:
         print(json.dumps(one(args.one)))
         return 0
     runs = []
-    for k in args.max_edges:
+    for k in (6, 7):
         out = subprocess.run([sys.executable, __file__, "--one", str(k)],
                              check=True, capture_output=True, text=True).stdout
         runs.append(json.loads(out))

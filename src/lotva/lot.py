@@ -79,8 +79,11 @@ def _lot_from_view(vertices: tuple[str, ...], edges: tuple[LotEdge, ...],
     guarantees the invariants that ``_int_view`` and ``_tree_paths`` check,
     and passes exactly the view and root paths they would compute."""
     lot = object.__new__(Lot)
-    lot.__dict__.update(vertices=vertices, edges=edges, name="", _iv=iv,
-                        _paths=paths)
+    object.__setattr__(lot, "vertices", vertices)
+    object.__setattr__(lot, "edges", edges)
+    object.__setattr__(lot, "name", "")
+    object.__setattr__(lot, "_iv", iv)
+    object.__setattr__(lot, "_paths", paths)
     return lot
 
 

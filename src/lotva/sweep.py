@@ -11,9 +11,10 @@ shape precomputes, over all orientation masks, which ones an automorphism
 maps below or onto themselves; each labeling then applies every
 automorphism once and keeps the orientations no automorphism lowers.
 
-Each LOT gets the int view a ``Lot`` would derive from names: incident lists
-and root paths (free of orientation and labels) per shape, label counts and
-int triples per labeling, and only edge tuples per kept orientation.
+``iter_small_lots`` hands each LOT the int view a ``Lot`` would derive from
+names: incident lists and root paths (free of orientation and labels) per
+shape, label counts and int triples per labeling, and only edge tuples per
+kept orientation.
 
 Vertices are named v0, v1, ...  Also provides seeded random generators used
 by the property tests.
@@ -294,18 +295,12 @@ def random_lot(rng: random.Random, n_edges: int, injective: bool = True,
         labels = _random_labels(rng, shape, n, injective, compressed)
         if labels is not None:
             break
-    edges, ints = [], []
-    incident = [[] for _ in range(n)]
-    for i, ((a, b), l) in enumerate(zip(shape, labels)):
+    edges = []
+    for (a, b), l in zip(shape, labels):
         if rng.random() < 0.5:
             a, b = b, a
         edges.append(LotEdge(names[a], names[b], names[l]))
-        ints.append((a, b, l))
-        incident[a].append(i)
-        incident[b].append(i)
-    iv = _IntView(n, tuple(ints), tuple(map(tuple, incident)),
-                  tuple(map(labels.count, range(n))))
-    return _lot_from_view(names, tuple(edges), iv, tuple(_root_paths(iv)))
+    return Lot(names, tuple(edges))
 
 
 def _random_labels(rng: random.Random, shape, n: int, injective: bool,
