@@ -350,7 +350,42 @@ def _check_forests_and_witnesses(lot, flipped, fixed, pos_rec, neg_rec, prefix):
 # ---------------------------------------------------------------------------
 
 def serialize_certificate(cert: Certificate) -> str:
+    names = _names(cert)
+    # one test of all the names at once; the per-name one finds the culprit
+    if names and ("" in names or _unreadable("".join(names))):
+        raise PreconditionError(
+            f"vertex name {min(filter(_unreadable, names))!r} cannot be "
+            "written as one certificate atom")
     return _pp(_to_sexp(cert), 0) + "\n"
+
+
+def _unreadable(name: str) -> bool:
+    """Whether ``parse_certificate`` would not read ``name`` back as one
+    atom: it is empty, or holds whitespace or a parenthesis."""
+    return name.split() != [name] or "(" in name or ")" in name
+
+
+def _names(cert: Certificate) -> set[str]:
+    """The vertex names the certificate holds, each once."""
+    names: set[str] = set()
+    todo = [cert]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, BoundaryReduction):
+            names.add(node.outer_vertex)
+            todo.append(node.child)
+        elif isinstance(node, PrimeWeightTest):
+            names.update(*node.pos_corners, *node.neg_corners)
+        elif isinstance(node, FreeDecompositionNode):
+            names.add(node.shared_vertex)
+            todo += (node.left_child, node.right_child)
+        elif isinstance(node, CompleteSetRelative):
+            # a Lot's edges name only its vertices
+            names.update(*node.pos_corners, *node.neg_corners,
+                         node.chain.final_quotient.vertices,
+                         [step.collapse_vertex for step in node.chain.steps])
+            todo += node.children
+    return names
 
 
 def _ids(s) -> list:
@@ -431,58 +466,45 @@ verifier recurse once per node, so this also bounds their recursion."""
 
 
 def parse_certificate(text: str) -> Certificate:
-    return _from_sexp(_read(_tokenize(text)))
+    return _from_sexp(_read(text))
 
 
-def _tokenize(text: str) -> list[str]:
-    out = []
-    cur = ""
-    for ch in text:
-        if ch in "()":
-            if cur:
-                out.append(cur)
-                cur = ""
-            out.append(ch)
-        elif ch.isspace():
-            if cur:
-                out.append(cur)
-                cur = ""
-        else:
-            cur += ch
-    if cur:
-        out.append(cur)
-    return out
+def _read(text: str):
+    """The single s-expression ``text`` spells, every atom kept as its text.
 
-
-def _read(tokens: list[str]):
-    """The single s-expression the tokens spell; integer atoms become ints.
-
-    Iterative, with the open lists on an explicit stack no deeper than
-    MAX_CERT_DEPTH.
+    The tokens are the parentheses and the whitespace-separated runs
+    between them.  Iterative, with the open lists on an explicit stack no
+    deeper than MAX_CERT_DEPTH.
     """
-    stack: list[list] = [[]]
+    root: list = []
+    stack = [root]
+    cur = root
+    tokens = iter(text.replace("(", " ( ").replace(")", " ) ").split())
     for tok in tokens:
-        if len(stack) == 1 and stack[0]:
-            raise ParseError("trailing data after certificate")
-        if tok == "(":
+        if tok == ")":
+            if cur is root:
+                raise ParseError("unexpected )")
+            stack.pop()
+            cur = stack[-1]
+            if cur is root:
+                break
+        elif tok == "(":
             if len(stack) > MAX_CERT_DEPTH:
                 raise ParseError(f"certificate nests deeper than {MAX_CERT_DEPTH}")
-            stack.append([])
-        elif tok == ")":
-            if len(stack) == 1:
-                raise ParseError("unexpected )")
-            done = stack.pop()
-            stack[-1].append(done)
+            cur.append([])
+            cur = cur[-1]
+            stack.append(cur)
         else:
-            try:
-                stack[-1].append(int(tok))
-            except ValueError:
-                stack[-1].append(tok)
+            cur.append(tok)
+            if cur is root:
+                break
     if len(stack) > 1:
         raise ParseError("unbalanced parentheses")
-    if not stack[0]:
+    if not root:
         raise ParseError("unexpected end of certificate")
-    return stack[0][0]
+    if next(tokens, None) is not None:
+        raise ParseError("trailing data after certificate")
+    return root[0]
 
 
 def _field(sexp: list, key: str) -> list:
@@ -493,9 +515,10 @@ def _field(sexp: list, key: str) -> list:
 
 
 def _int(x) -> int:
-    if not isinstance(x, int):
-        raise ParseError(f"expected edge id, got {x!r}")
-    return x
+    try:
+        return int(x)
+    except (TypeError, ValueError):
+        raise ParseError(f"expected edge id, got {x!r}") from None
 
 
 def _name(x) -> str:

@@ -21,7 +21,9 @@ live here as well: the forest check through the relative link's
 Delta-blocks, and the flip-set forest check of lk+ and lk- as one yes/no.
 Small-LOT generation has its filter-then-test form here: tree shapes from
 every Prufer sequence, and each (orientation, labeling) candidate tested
-against every automorphism on its own.
+against every automorphism on its own.  So does the certificate reader that
+one split pass replaced, which built each atom one character at a time and
+read every atom ``int()`` accepts as an int.
 """
 
 import heapq
@@ -33,11 +35,12 @@ from itertools import combinations, product
 from typing import Optional
 
 from lotva import (BoundaryWord, Cell, EdgeEnd, FreeDecomposition,
-                   LinkGraph, Lot, LotEdge, PreconditionError,
+                   LinkGraph, Lot, LotEdge, ParseError, PreconditionError,
                    SubcomplexFamily, SurfaceDiagram, TwoComplex,
                    WeightAssignment, build_link, build_relative_link,
                    is_sublot, relative_forest_check, signed_sublinks,
                    sublot_closure, sublot_vertices, validate_diagram)
+from lotva.certify import MAX_CERT_DEPTH, _from_sexp
 from lotva.sweep import _ahu_key, _labelings, _prufer_decode, automorphisms
 from lotva.weights import FlipForests, flip_mask
 
@@ -563,6 +566,67 @@ def oracle_free_decomposition(lot):
             if is_sublot(lot, left) and is_sublot(lot, all_ids - left):
                 return FreeDecomposition(left, all_ids - left, v)
     return None
+
+
+# ---------------------------------------------------------------------------
+# certificate reader
+# ---------------------------------------------------------------------------
+
+def _reference_tokenize(text: str) -> list[str]:
+    out = []
+    cur = ""
+    for ch in text:
+        if ch in "()":
+            if cur:
+                out.append(cur)
+                cur = ""
+            out.append(ch)
+        elif ch.isspace():
+            if cur:
+                out.append(cur)
+                cur = ""
+        else:
+            cur += ch
+    if cur:
+        out.append(cur)
+    return out
+
+
+def _reference_read(tokens: list[str]):
+    """The single s-expression the tokens spell; integer atoms become ints."""
+    stack: list[list] = [[]]
+    for tok in tokens:
+        if len(stack) == 1 and stack[0]:
+            raise ParseError("trailing data after certificate")
+        if tok == "(":
+            if len(stack) > MAX_CERT_DEPTH:
+                raise ParseError(f"certificate nests deeper than {MAX_CERT_DEPTH}")
+            stack.append([])
+        elif tok == ")":
+            if len(stack) == 1:
+                raise ParseError("unexpected )")
+            done = stack.pop()
+            stack[-1].append(done)
+        else:
+            try:
+                stack[-1].append(int(tok))
+            except ValueError:
+                stack[-1].append(tok)
+    if len(stack) > 1:
+        raise ParseError("unbalanced parentheses")
+    if not stack[0]:
+        raise ParseError("unexpected end of certificate")
+    return stack[0][0]
+
+
+def reference_parse_certificate(text: str):
+    """``parse_certificate`` with the reader it had before: the library's
+    node builder over the nested lists that ``_reference_read`` spells.
+    The builder's ``_int`` takes an int atom as it is and raises the same
+    error as before on any other atom.  Its ``_name`` takes ``str()`` of an
+    atom, so a name that reads as an int comes back in ``int()``'s
+    spelling ("01" as "1")."""
+    return _from_sexp(_reference_read(_reference_tokenize(text)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,24 @@ import pytest
 
 from lotva import (BaseTrivial, BoundaryReduction, CertifyFailure, ChainStep,
                    CollapseChain, CompleteSetRelative, FreeDecompositionNode,
-                   Lot, PreconditionError, PrimeWeightTest, boundary_reduce,
-                   certify_va, parse_certificate, parse_log, parse_lot,
+                   Lot, LotEdge, ParseError, PreconditionError,
+                   PrimeWeightTest, boundary_reduce, certify_va,
+                   parse_certificate, parse_log, parse_lot,
                    serialize_certificate, verify_certificate)
+from lotva.certify import MAX_CERT_DEPTH
 from lotva.sweep import iter_small_lots, random_lot
+from oracles import reference_parse_certificate
+
+
+def nested(k):
+    """k bdry-red nodes around a base: k + 1 parentheses deep."""
+    return "(bdry-red (edge 0) (vertex a) " * k + "(base)" + ")" * k
+
+
+def int_spelled_lot():
+    """A LOT whose names int() reads as ints that str() spells otherwise."""
+    a, b, c = "01", "02", "03"
+    return Lot((a, b, c), (LotEdge(a, b, c), LotEdge(b, c, a)))
 
 
 def node_count(cert):
@@ -100,26 +114,136 @@ class TestSerialization:
         assert "(base)" in serialize_certificate(certify_va(lot))
 
     def test_parse_garbage(self):
-        from lotva import ParseError
         with pytest.raises(ParseError):
             parse_certificate("(prime-wt (flipped 0)")
         with pytest.raises(ParseError):
             parse_certificate("(wat)")
 
     def test_nesting_depth_limit(self):
-        from lotva import ParseError
-        from lotva.certify import MAX_CERT_DEPTH
-
-        def chain(k):  # k bdry-red nodes nest k + 1 parentheses deep
-            return ("(bdry-red (edge 0) (vertex a) " * k + "(base)"
-                    + ")" * k)
-
-        cert = parse_certificate(chain(MAX_CERT_DEPTH - 1))
+        cert = parse_certificate(nested(MAX_CERT_DEPTH - 1))
         for _ in range(MAX_CERT_DEPTH - 1):
             cert = cert.child
         assert cert == BaseTrivial()
         with pytest.raises(ParseError, match="deeper than"):
-            parse_certificate(chain(MAX_CERT_DEPTH))
+            parse_certificate(nested(MAX_CERT_DEPTH))
+
+
+class TestAtoms:
+    """Names are single atoms read back verbatim; edge ids are the atoms
+    int() accepts."""
+
+    def test_int_spelled_names_round_trip(self):
+        lot = int_spelled_lot()
+        cert = certify_va(lot)
+        text = serialize_certificate(cert)
+        assert parse_certificate(text) == cert
+        assert verify_certificate(lot, parse_certificate(text)).accepted
+        # the reader before read "01" back as "1"
+        verdict = verify_certificate(lot, reference_parse_certificate(text))
+        assert verdict.failing_check == "prime-weight-test-witness-match"
+
+    @pytest.mark.parametrize("name", ["a b", "", "a\tb", "a\u2003b", "a(",
+                                      ")b", "()"])
+    def test_writer_refuses_names_it_cannot_read_back(self, name):
+        base = BaseTrivial()
+        one = frozenset({0})
+
+        def complete_set(step_vertex, final_vertex, child=base):
+            chain = CollapseChain((ChainStep(one, step_vertex),),
+                                  Lot((final_vertex,), ()))
+            return CompleteSetRelative((one,), chain, frozenset(), (), (),
+                                       (child,))
+
+        for cert in (BoundaryReduction(0, name, base),
+                     FreeDecompositionNode(one, one, name, base, base),
+                     PrimeWeightTest(frozenset(), (("a", name),), ()),
+                     PrimeWeightTest(frozenset(), (), ((name, "a"),)),
+                     complete_set(name, "a"), complete_set("a", name),
+                     BoundaryReduction(0, "a", BoundaryReduction(0, name, base)),
+                     FreeDecompositionNode(one, one, "a", base,
+                                           BoundaryReduction(0, name, base)),
+                     complete_set("a", "a", BoundaryReduction(0, name, base))):
+            with pytest.raises(PreconditionError, match="one certificate atom"):
+                serialize_certificate(cert)
+
+    def test_writer_refuses_a_spaced_vertex_of_a_certified_lot(self):
+        lot = Lot(("a b", "c", "d"), (LotEdge("a b", "c", "d"),
+                                      LotEdge("c", "d", "a b")))
+        cert = certify_va(lot)
+        assert verify_certificate(lot, cert).accepted
+        with pytest.raises(PreconditionError, match="'a b'"):
+            serialize_certificate(cert)
+
+    @pytest.mark.parametrize("atom, value", [("+0", 0), ("1_0", 10),
+                                             ("\u0663", 3), ("007", 7),
+                                             ("-1", -1)])
+    def test_edge_id_atoms_read_as_int_reads_them(self, atom, value):
+        text = f"(bdry-red (edge {atom}) (vertex a) (base))"
+        assert parse_certificate(text).edge_id == value
+        assert reference_parse_certificate(text).edge_id == value
+        text = f"(prime-wt (flipped {atom} 5) (pos) (neg))"
+        assert parse_certificate(text).flipped == {value, 5}
+
+    def test_em_space_separates_atoms(self):
+        text = "(bdry-red (edge 0) (vertex a) (base))"
+        spaced = text.replace(" ", "\u2003")
+        assert parse_certificate(spaced) == parse_certificate(text)
+        assert reference_parse_certificate(spaced) == parse_certificate(text)
+
+    @pytest.mark.parametrize("atom", ["1.5", "a", "0x1",
+                                      pytest.param("9" * 5000, id="9x5000")])
+    def test_other_atoms_are_not_edge_ids(self, atom):
+        for text in (f"(bdry-red (edge {atom}) (vertex a) (base))",
+                     f"(prime-wt (flipped 0 {atom}) (pos) (neg))"):
+            with pytest.raises(ParseError, match="expected edge id"):
+                parse_certificate(text)
+
+
+class TestReaderAgainstReference:
+    """The one-pass reader against the character-by-character reader it
+    replaced (``oracles.reference_parse_certificate``)."""
+
+    def test_same_values_on_the_five_edge_sweep_and_fixtures(self, fig1,
+                                                             fig3, prime):
+        lots = [*iter_small_lots(5), fig1, fig3, prime]
+        assert len(lots) == 6445
+        for lot in lots:
+            text = serialize_certificate(certify_va(lot))
+            assert parse_certificate(text) == reference_parse_certificate(text)
+
+    @pytest.mark.parametrize("text", [
+        "", ")", "(", "(base))", "(base) x", "x y", "x )", "(base) (",
+        "(base) (base)", "()", "x",
+        "(prime-wt (flipped 0) (pos (a)) (neg))",
+        "(prime-wt (flipped 0) (pos (a (b))) (neg))",
+        pytest.param(nested(MAX_CERT_DEPTH), id="depth-501"),
+        pytest.param("(bdry-red (edge " + "9" * 5000 + ") (vertex a) (base))",
+                     id="edge-id-of-5000-digits")])
+    def test_same_parse_error(self, text):
+        with pytest.raises(ParseError) as new:
+            parse_certificate(text)
+        with pytest.raises(ParseError) as ref:
+            reference_parse_certificate(text)
+        assert str(new.value) == str(ref.value)
+
+    def test_same_value_at_the_depth_limit(self):
+        # == on 499 nested nodes would pass the recursion limit; the
+        # writer recurses once per node
+        text = nested(MAX_CERT_DEPTH - 1)
+        assert (serialize_certificate(parse_certificate(text))
+                == serialize_certificate(reference_parse_certificate(text)))
+
+    def test_int_spelled_atoms_outside_id_positions_differ(self):
+        text = "(prime-wt (flipped +1) (pos (01 +0) (1_0 \u0663)) (neg))"
+        assert parse_certificate(text) == PrimeWeightTest(
+            frozenset({1}), (("01", "+0"), ("1_0", "\u0663")), ())
+        assert reference_parse_certificate(text) == PrimeWeightTest(
+            frozenset({1}), (("1", "0"), ("10", "3")), ())
+        # an error message quotes such an atom as the text it is
+        with pytest.raises(ParseError, match="keyword '05'$"):
+            parse_certificate("(05)")
+        with pytest.raises(ParseError, match="keyword 5$"):
+            reference_parse_certificate("(05)")
 
 
 class TestVerifier:
