@@ -6,7 +6,11 @@ Run from anywhere; the library is imported from the ``src/`` next to this
 script.  ``max_edges`` 6 and 7 each run in a fresh interpreter, so each
 peak RSS is its own.  Records, per ``max_edges``, the LOT count by edge
 count, the wall time of generating and counting them, and the peak RSS,
-with the host it ran on.  Standard library only; a bench, not a test.
+with the host it ran on.  The wall time is stated at the reference host
+speed of ``perfbench/host.py``: its ``Scaler`` times a fixed loop about
+every 0.1 s of generation, outside the timed intervals, and each interval
+is multiplied by its factor; the raw time and the range of factors are
+recorded too.  Standard library only; a bench, not a test.
 """
 
 from __future__ import annotations
@@ -26,19 +30,29 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def one(max_edges: int) -> dict:
     """Generate and count every LOT of ``iter_small_lots(max_edges)``."""
-    sys.path.insert(0, str(ROOT / "src"))
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from host import Scaler
     from lotva.sweep import iter_small_lots
 
     counts = [0] * (max_edges + 1)
-    t0 = time.perf_counter()
-    for lot in iter_small_lots(max_edges):
+    intervals = []  # (raw seconds, host factor)
+    clock = time.perf_counter
+    scaler = Scaler()
+    t0 = clock()
+    for k, lot in enumerate(iter_small_lots(max_edges)):
         counts[len(lot.edges)] += 1
-    wall = time.perf_counter() - t0
+        if not k & 4095 and scaler.due():
+            intervals.append((clock() - t0, scaler.factor()))
+            t0 = clock()
+    intervals.append((clock() - t0, scaler.factor()))
+    factors = [f for _, f in intervals]
     return {
         "max_edges": max_edges,
         "lots": sum(counts),
         "lots_by_edges": {str(k): c for k, c in enumerate(counts)},
-        "wall_s": round(wall, 3),
+        "wall_s": round(sum(dt * f for dt, f in intervals), 3),
+        "raw_wall_s": round(sum(dt for dt, _ in intervals), 3),
+        "host_factor_range": [round(min(factors), 3), round(max(factors), 3)],
         "peak_rss_mb": round(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
     }
@@ -57,8 +71,11 @@ def main(argv=None) -> int:
         out = subprocess.run([sys.executable, __file__, "--one", str(k)],
                              check=True, capture_output=True, text=True).stdout
         runs.append(json.loads(out))
-        print(f"max_edges {k}: {runs[-1]['lots']} LOTs, "
-              f"{runs[-1]['wall_s']} s, {runs[-1]['peak_rss_mb']} MB")
+        run = runs[-1]
+        print(f"max_edges {k}: {run['lots']} LOTs, {run['wall_s']} s "
+              f"(raw {run['raw_wall_s']} s, host factors "
+              f"{run['host_factor_range'][0]}..{run['host_factor_range'][1]}), "
+              f"{run['peak_rss_mb']} MB")
     record = {
         "host": {"python": platform.python_version(),
                  "machine": platform.machine(), "cpus": os.cpu_count()},

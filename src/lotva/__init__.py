@@ -7,13 +7,13 @@ that the complex is vertex aspherical.
 
 from .errors import (DegenerateDiagramError, LotvaError, ParseError,
                      PreconditionError, StructureError)
-from .lot import (ChainStep, CollapseChain, FreeDecomposition, Log, Lot,
-                  LotEdge, PropertyReport, SignedLot, boundary_reducible_witness,
+from .lot import (ChainStep, CollapseChain, FreeDecomposition, Lot, LotEdge,
+                  PropertyReport, SignedLot, boundary_reducible_witness,
                   check_properties, collapse, collapse_vertex_of,
                   complete_set_search, enumerate_sublots, extract_sublot,
                   format_lot, free_decomposition, is_compressed, is_injective,
-                  is_sublot, parse_log, parse_lot, reorient, sign_change,
-                  sublot_closure, sublot_vertices)
+                  is_sublot, parse_lot, reorient, sign_change, sublot_closure,
+                  sublot_vertices)
 from .complexes import (BoundaryWord, Cell, SubcomplexFamily, TwoComplex,
                         build_complex, derive_subcomplexes, exponent_sum,
                         format_complex, is_full, parse_complex)

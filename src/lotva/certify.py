@@ -350,13 +350,14 @@ def _check_forests_and_witnesses(lot, flipped, fixed, pos_rec, neg_rec, prefix):
 # ---------------------------------------------------------------------------
 
 def serialize_certificate(cert: Certificate) -> str:
-    names = _names(cert)
+    names: set[str] = set()
+    sexp = _to_sexp(cert, names)
     # one test of all the names at once; the per-name one finds the culprit
     if names and ("" in names or _unreadable("".join(names))):
         raise PreconditionError(
             f"vertex name {min(filter(_unreadable, names))!r} cannot be "
             "written as one certificate atom")
-    return _pp(_to_sexp(cert), 0) + "\n"
+    return _pp(sexp, 0) + "\n"
 
 
 def _unreadable(name: str) -> bool:
@@ -365,66 +366,53 @@ def _unreadable(name: str) -> bool:
     return name.split() != [name] or "(" in name or ")" in name
 
 
-def _names(cert: Certificate) -> set[str]:
-    """The vertex names the certificate holds, each once."""
-    names: set[str] = set()
-    todo = [cert]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, BoundaryReduction):
-            names.add(node.outer_vertex)
-            todo.append(node.child)
-        elif isinstance(node, PrimeWeightTest):
-            names.update(*node.pos_corners, *node.neg_corners)
-        elif isinstance(node, FreeDecompositionNode):
-            names.add(node.shared_vertex)
-            todo += (node.left_child, node.right_child)
-        elif isinstance(node, CompleteSetRelative):
-            # a Lot's edges name only its vertices
-            names.update(*node.pos_corners, *node.neg_corners,
-                         node.chain.final_quotient.vertices,
-                         [step.collapse_vertex for step in node.chain.steps])
-            todo += node.children
-    return names
-
-
 def _ids(s) -> list:
     return sorted(s)
 
 
-def _to_sexp(cert: Certificate):
+def _to_sexp(cert: Certificate, names: set[str]):
+    """The nested lists the writer prints; every vertex name placed in them
+    is added to ``names``."""
     if isinstance(cert, BaseTrivial):
         return ["base"]
     if isinstance(cert, BoundaryReduction):
+        names.add(cert.outer_vertex)
         return ["bdry-red", ["edge", cert.edge_id], ["vertex", cert.outer_vertex],
-                _to_sexp(cert.child)]
+                _to_sexp(cert.child, names)]
     if isinstance(cert, FreeDecompositionNode):
+        names.add(cert.shared_vertex)
         return ["free-dec",
                 ["left"] + _ids(cert.left_edges),
                 ["right"] + _ids(cert.right_edges),
                 ["shared", cert.shared_vertex],
-                _to_sexp(cert.left_child), _to_sexp(cert.right_child)]
+                _to_sexp(cert.left_child, names),
+                _to_sexp(cert.right_child, names)]
     if isinstance(cert, PrimeWeightTest):
-        return ["prime-wt",
-                ["flipped"] + _ids(cert.flipped),
-                ["pos"] + [list(p) for p in cert.pos_corners],
-                ["neg"] + [list(p) for p in cert.neg_corners]]
+        return ["prime-wt", ["flipped"] + _ids(cert.flipped),
+                *_corner_fields(cert, names)]
     if isinstance(cert, CompleteSetRelative):
         chain = ["chain"]
         for step in cert.chain.steps:
+            names.add(step.collapse_vertex)
             chain.append(["step", _ids(step.sublot_edges), step.collapse_vertex])
         final = cert.chain.final_quotient
+        names.update(final.vertices)  # a Lot's edges name only its vertices
         final_s = ["final", ["vertices"] + list(final.vertices)]
         for e in final.edges:
             final_s.append(["edge", e.tail, e.head, e.label])
         return ["complete-set",
                 ["sublots"] + [_ids(p) for p in cert.sublots],
                 chain, final_s,
-                ["flipped"] + _ids(cert.flipped),
-                ["pos"] + [list(p) for p in cert.pos_corners],
-                ["neg"] + [list(p) for p in cert.neg_corners],
-                ["children"] + [_to_sexp(c) for c in cert.children]]
+                ["flipped"] + _ids(cert.flipped), *_corner_fields(cert, names),
+                ["children"] + [_to_sexp(c, names) for c in cert.children]]
     raise LotvaError(f"cannot serialize {cert!r}")
+
+
+def _corner_fields(cert, names: set[str]) -> list:
+    """The (pos ...) and (neg ...) fields of a node; adds their names."""
+    names.update(*cert.pos_corners, *cert.neg_corners)
+    return [["pos"] + [list(p) for p in cert.pos_corners],
+            ["neg"] + [list(p) for p in cert.neg_corners]]
 
 
 _NESTED = {"bdry-red", "free-dec", "complete-set", "children", "chain"}
@@ -507,13 +495,6 @@ def _read(text: str):
     return root[0]
 
 
-def _field(sexp: list, key: str) -> list:
-    for x in sexp[1:]:
-        if isinstance(x, list) and x and x[0] == key:
-            return x
-    raise ParseError(f"certificate node {sexp[0]!r} is missing field {key!r}")
-
-
 def _int(x) -> int:
     try:
         return int(x)
@@ -527,19 +508,15 @@ def _name(x) -> str:
     return str(x)
 
 
-def _fields(x, n: int, what: str) -> list:
-    """``x`` if it is a list of exactly n items."""
-    if not (isinstance(x, list) and len(x) == n):
-        raise ParseError(f"expected {what}, got {x!r}")
-    return x
-
-
-def _int_field(sexp: list, key: str) -> int:
-    return _int(_fields(_field(sexp, key), 2, f"({key} ID)")[1])
-
-
-def _name_field(sexp: list, key: str) -> str:
-    return _name(_fields(_field(sexp, key), 2, f"({key} NAME)")[1])
+def _items(x, key: str, n: Optional[int] = None) -> list:
+    """The items after ``key`` of ``x``, a list that starts with ``key``;
+    exactly n of them when n is given."""
+    if not (isinstance(x, list) and x and x[0] == key):
+        raise ParseError(f"expected a ({key} ...) field, got {x!r:.80}")
+    if n is not None and len(x) != n + 1:
+        raise ParseError(f"({key} ...) takes {n} item{'s' * (n != 1)}, "
+                         f"got {len(x) - 1}")
+    return x[1:]
 
 
 def _int_set(items) -> frozenset[int]:
@@ -551,63 +528,57 @@ def _int_set(items) -> frozenset[int]:
 def _pairs(items) -> tuple[tuple[str, str], ...]:
     out = []
     for p in items:
-        a, b = _fields(p, 2, "a corner pair")
-        out.append((_name(a), _name(b)))
+        if not (isinstance(p, list) and len(p) == 2):
+            raise ParseError(f"expected a corner pair, got {p!r}")
+        out.append((_name(p[0]), _name(p[1])))
     return tuple(out)
 
 
-def _child_nodes(sexp: list) -> list:
-    return [x for x in sexp[1:] if isinstance(x, list) and x
-            and isinstance(x[0], str) and x[0] in _NODE_KEYWORDS]
-
-
 def _from_sexp(sexp) -> Certificate:
+    """The node ``sexp`` spells, read by position in exactly the layout
+    ``_to_sexp`` writes: a missing, extra, repeated or out-of-order field
+    or a stray atom is a ParseError."""
     if not isinstance(sexp, list) or not sexp:
         raise ParseError("certificate node must be a list")
     head = sexp[0]
     if head == "base":
+        _items(sexp, head, 0)
         return BaseTrivial()
     if head == "bdry-red":
-        edge_id = _int_field(sexp, "edge")
-        vertex = _name_field(sexp, "vertex")
-        children = _child_nodes(sexp)
-        if len(children) != 1:
-            raise ParseError("bdry-red needs exactly one child")
-        return BoundaryReduction(edge_id, vertex, _from_sexp(children[0]))
+        edge, vertex, child = _items(sexp, head, 3)
+        return BoundaryReduction(_int(*_items(edge, "edge", 1)),
+                                 _name(*_items(vertex, "vertex", 1)),
+                                 _from_sexp(child))
     if head == "free-dec":
-        children = _child_nodes(sexp)
-        if len(children) != 2:
-            raise ParseError("free-dec needs exactly two children")
+        left, right, shared, left_child, right_child = _items(sexp, head, 5)
         return FreeDecompositionNode(
-            _int_set(_field(sexp, "left")[1:]),
-            _int_set(_field(sexp, "right")[1:]),
-            _name_field(sexp, "shared"),
-            _from_sexp(children[0]), _from_sexp(children[1]))
+            _int_set(_items(left, "left")), _int_set(_items(right, "right")),
+            _name(*_items(shared, "shared", 1)),
+            _from_sexp(left_child), _from_sexp(right_child))
     if head == "prime-wt":
-        return PrimeWeightTest(
-            _int_set(_field(sexp, "flipped")[1:]),
-            _pairs(_field(sexp, "pos")[1:]),
-            _pairs(_field(sexp, "neg")[1:]))
+        flipped, pos, neg = _items(sexp, head, 3)
+        return PrimeWeightTest(_int_set(_items(flipped, "flipped")),
+                               _pairs(_items(pos, "pos")),
+                               _pairs(_items(neg, "neg")))
     if head == "complete-set":
-        sublots = tuple(_int_set(p) for p in _field(sexp, "sublots")[1:])
+        sublots, chain, final, flipped, pos, neg, children = _items(sexp, head, 7)
         steps = []
-        for st in _field(sexp, "chain")[1:]:
-            if not (isinstance(st, list) and len(st) == 3 and st[0] == "step"):
-                raise ParseError(f"bad chain step {st!r}")
-            steps.append(ChainStep(_int_set(st[1]), _name(st[2])))
-        final_s = _field(sexp, "final")
-        vertices = tuple(_name(v) for v in _field(final_s, "vertices")[1:])
-        edges = tuple(LotEdge(*map(_name, _fields(e, 4, "(edge TAIL HEAD LABEL)")[1:]))
-                      for e in final_s[1:]
-                      if isinstance(e, list) and e and e[0] == "edge")
-        final = Lot(vertices, edges)
-        children = tuple(_from_sexp(c) for c in _field(sexp, "children")[1:])
+        for step in _items(chain, "chain"):
+            ids, vertex = _items(step, "step", 2)
+            steps.append(ChainStep(_int_set(ids), _name(vertex)))
+        final_items = _items(final, "final")
+        if not final_items:
+            raise ParseError(f"expected a (vertices ...) field in {final!r}")
+        vertices, *edges = final_items
+        quotient = Lot(tuple(map(_name, _items(vertices, "vertices"))),
+                       tuple(LotEdge(*map(_name, _items(e, "edge", 3)))
+                             for e in edges))
         return CompleteSetRelative(
-            sublots, CollapseChain(tuple(steps), final),
-            _int_set(_field(sexp, "flipped")[1:]),
-            _pairs(_field(sexp, "pos")[1:]),
-            _pairs(_field(sexp, "neg")[1:]),
-            children)
+            tuple(map(_int_set, _items(sublots, "sublots"))),
+            CollapseChain(tuple(steps), quotient),
+            _int_set(_items(flipped, "flipped")),
+            _pairs(_items(pos, "pos")), _pairs(_items(neg, "neg")),
+            tuple(map(_from_sexp, _items(children, "children"))))
     raise ParseError(f"unknown certificate keyword {head!r}")
 
 

@@ -1,10 +1,9 @@
-"""Labeled oriented graphs and trees: data model, parsing and tree-level structure.
+"""Labeled oriented trees: data model, parsing and tree-level structure.
 
-A LOG is a finite oriented graph whose edges each carry a vertex as label; a
-LOT is a LOG whose underlying graph is a tree.  Everything here is purely
-combinatorial: properties (injective, compressed, boundary reduced, prime),
-sub-LOTs, collapses, complete sets of sub-LOTs, free decompositions,
-reorientation and vertex sign change.
+A LOT is a finite oriented tree whose edges each carry a vertex as label.
+Everything here is purely combinatorial: properties (injective, compressed,
+boundary reduced, prime), sub-LOTs, collapses, complete sets of sub-LOTs,
+free decompositions, reorientation and vertex sign change.
 
 All values are immutable; operations are pure functions.  Deterministic
 orders are used everywhere (file order for vertices/edges, sorted edge-id
@@ -31,53 +30,42 @@ class LotEdge:
 
 
 @dataclass(frozen=True)
-class Log:
-    """Labeled oriented graph on named vertices.
+class Lot:
+    """Labeled oriented tree on named vertices.
 
     Invariants: labels are vertices, no self-loops, edge ids are dense
-    positions 0..E-1.  ``name`` is metadata and ignored for equality.
+    positions 0..E-1, and the underlying undirected graph is a tree.
+    ``name`` is metadata and ignored for equality.  ``_iv`` keeps the int
+    view and ``_paths`` the root paths (see ``_root_paths``) that the tree
+    check walks, for the edge closures; neither takes part in equality,
+    hashing or repr.
     """
     vertices: tuple[str, ...]
     edges: tuple[LotEdge, ...]
     name: str = field(default="", compare=False)
     _iv: _IntView = field(init=False, repr=False, compare=False)
+    _paths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_iv", _int_view(self))
+        iv = _int_view(self)
+        # n - 1 edges, and a walk from vertex 0 reaches every vertex; the
+        # count comes first, so a LOT with no vertices walks nothing
+        paths = _root_paths(iv) if len(iv.edges) == iv.n - 1 else [-1]
+        if min(paths) < 0:
+            raise StructureError("underlying graph is not a tree")
+        object.__setattr__(self, "_iv", iv)
+        object.__setattr__(self, "_paths", tuple(paths))
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def is_tree(self) -> bool:
-        """n - 1 edges, and a walk from vertex 0 reaches every vertex."""
-        return _tree_paths(self._iv) is not None
-
-    def as_lot(self) -> "Lot":
-        return Lot(self.vertices, self.edges, name=self.name)
-
-
-@dataclass(frozen=True)
-class Lot(Log):
-    """A LOG whose underlying undirected graph is a tree.
-
-    ``_paths`` keeps the root paths (see ``_root_paths``) that the tree
-    check walks, for the edge closures."""
-    _paths: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        super().__post_init__()
-        paths = _tree_paths(self._iv)
-        if paths is None:
-            raise StructureError("underlying graph is not a tree")
-        object.__setattr__(self, "_paths", tuple(paths))
-
 
 def _lot_from_view(vertices: tuple[str, ...], edges: tuple[LotEdge, ...],
                    iv: _IntView, paths: tuple[int, ...]) -> Lot:
     """A nameless Lot built without ``__post_init__``.  The caller
-    guarantees the invariants that ``_int_view`` and ``_tree_paths`` check,
-    and passes exactly the view and root paths they would compute."""
+    guarantees the invariants that ``__post_init__`` checks, and passes
+    exactly the view and root paths it would compute."""
     lot = object.__new__(Lot)
     object.__setattr__(lot, "vertices", vertices)
     object.__setattr__(lot, "edges", edges)
@@ -140,13 +128,14 @@ class FreeDecomposition:
 # parsing
 # ---------------------------------------------------------------------------
 
-def parse_log(text: str) -> Log:
-    """Parse the line-based LOT file format into a Log.
+def parse_lot(text: str) -> Lot:
+    """Parse the line-based LOT file format into a Lot.
 
     Grammar: ``# comment`` | ``lot NAME`` | ``vertex NAME`` |
     ``edge TAIL HEAD LABEL``.  Vertices are implied by edge endpoints in
     order of first appearance; edge ids follow file order.  Labels must name
-    a declared or implied vertex.
+    a declared or implied vertex, and the underlying graph must be a tree
+    (``StructureError`` otherwise).
     """
     name = ""
     vertices: list[str] = []
@@ -190,15 +179,10 @@ def parse_log(text: str) -> Log:
         if label not in vset:
             raise ParseError(f"unknown vertex in label: {label!r}", lineno)
     edges = tuple(LotEdge(t, h, l) for t, h, l, _ in raw_edges)
-    return Log(tuple(vertices), edges, name=name)
+    return Lot(tuple(vertices), edges, name=name)
 
 
-def parse_lot(text: str) -> Lot:
-    """Parse a LOT file and require the tree invariant."""
-    return parse_log(text).as_lot()
-
-
-def format_lot(lot: Log) -> str:
+def format_lot(lot: Lot) -> str:
     lines = [f"lot {lot.name}" if lot.name else "lot unnamed"]
     lines += [f"vertex {v}" for v in lot.vertices]
     lines += [f"edge {e.tail} {e.head} {e.label}" for e in lot.edges]
@@ -207,7 +191,7 @@ def format_lot(lot: Log) -> str:
 
 # ---------------------------------------------------------------------------
 # int-indexed view (performance: the exhaustive sweeps run these hot).  Each
-# Log builds its view once, in __post_init__, and keeps it in the ``_iv``
+# Lot builds its view once, in __post_init__, and keeps it in the ``_iv``
 # field, which takes no part in equality, hashing or repr.
 # ---------------------------------------------------------------------------
 
@@ -218,8 +202,9 @@ class _IntView(NamedTuple):
     label_count: tuple[int, ...]             # vertex -> #edges labeled by it
 
 
-def _int_view(lot: Log) -> _IntView:
-    """The view, checking the Log invariants on the way."""
+def _int_view(lot: Lot) -> _IntView:
+    """The view, checking on the way that vertex names are distinct, that
+    every endpoint and label is a vertex and that no edge is a loop."""
     idx: dict[str, int] = {}
     for v in lot.vertices:
         if v in idx:
@@ -245,33 +230,7 @@ def _int_view(lot: Log) -> _IntView:
     return _IntView(n, tuple(edges), tuple(map(tuple, inc)), tuple(lab))
 
 
-def _spans_connected(lot: Log, edge_ids: Iterable[int]) -> bool:
-    iv = lot._iv
-    ids = list(edge_ids)
-    if not ids:
-        return True
-    inset = set(ids)
-    verts = set()
-    for i in ids:
-        t, h, _ = iv.edges[i]
-        verts.add(t)
-        verts.add(h)
-    start = iv.edges[ids[0]][0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for ei in iv.incident[v]:
-            if ei in inset:
-                t, h, _ = iv.edges[ei]
-                w = h if t == v else t
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return seen == verts
-
-
-def sublot_vertices(lot: Log, edge_ids: Iterable[int]) -> frozenset[str]:
+def sublot_vertices(lot: Lot, edge_ids: Iterable[int]) -> frozenset[str]:
     """Vertices spanned by a set of edges."""
     out = set()
     for i in edge_ids:
@@ -283,11 +242,12 @@ def sublot_vertices(lot: Log, edge_ids: Iterable[int]) -> frozenset[str]:
     return frozenset(out)
 
 
-def is_sublot(lot: Log, edge_ids: Iterable[int]) -> bool:
+def is_sublot(lot: Lot, edge_ids: Iterable[int]) -> bool:
     """True iff the edges span a subtree with >= 1 edge whose labels are all
-    vertices of that subtree."""
+    vertices of that subtree.  Edges of a tree form a forest, which has
+    |V| - |E| components, so k edges on k + 1 vertices are connected."""
     iv = lot._iv
-    ids = sorted(set(edge_ids))
+    ids = set(edge_ids)
     if not ids or not all(0 <= i < len(iv.edges) for i in ids):
         return False
     vs = set()
@@ -295,9 +255,7 @@ def is_sublot(lot: Log, edge_ids: Iterable[int]) -> bool:
         t, h, _ = iv.edges[i]
         vs.add(t)
         vs.add(h)
-    if len(ids) != len(vs) - 1 or not _spans_connected(lot, ids):
-        return False
-    return all(iv.edges[i][2] in vs for i in ids)
+    return len(ids) == len(vs) - 1 and all(iv.edges[i][2] in vs for i in ids)
 
 
 def extract_sublot(lot: Lot, edge_ids: Iterable[int]) -> Lot:
@@ -316,11 +274,11 @@ def extract_sublot(lot: Lot, edge_ids: Iterable[int]) -> Lot:
 # properties
 # ---------------------------------------------------------------------------
 
-def is_injective(lot: Log) -> bool:
+def is_injective(lot: Lot) -> bool:
     return all(c <= 1 for c in lot._iv.label_count)
 
 
-def is_compressed(lot: Log) -> bool:
+def is_compressed(lot: Lot) -> bool:
     return all(l != t and l != h for t, h, l in lot._iv.edges)
 
 
@@ -369,15 +327,6 @@ def sublot_closure(lot: Lot, seed_edge: int) -> frozenset[int]:
     if not 0 <= seed_edge < len(iv.edges):
         raise StructureError(f"unknown edge id {seed_edge}")
     return frozenset(_bits(_closure_mask(iv, lot._paths, seed_edge)))
-
-
-def _tree_paths(iv: _IntView) -> Optional[list[int]]:
-    """The root paths if the view is a tree (n - 1 edges, every vertex
-    reached from vertex 0), else None."""
-    if len(iv.edges) != iv.n - 1:
-        return None
-    paths = _root_paths(iv)
-    return paths if min(paths) >= 0 else None
 
 
 def _root_paths(iv: _IntView) -> list[int]:

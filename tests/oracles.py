@@ -7,9 +7,10 @@ walks, homology-reduced violations from exhaustive DFS enumeration of
 simple cycles (the inclusion-minimal homology reduced cycles), and relative
 forests from leaf peeling rather than union-find.  The LOT-level oracles
 are the brute-force scans the library replaced: every edge subset for the
-sub-LOT structure, a binary counter over flip sets for the orientation
-search, and a binary counter over the branches at a vertex for the free
-decomposition.  The weight-cycle searches the library replaced are kept
+sub-LOT structure, each tested by merging its edges into vertex groups
+rather than with the library's ``is_sublot``, a binary counter over flip
+sets for the orientation search, and a binary counter over the branches
+at a vertex for the free decomposition.  The weight-cycle searches the library replaced are kept
 too, in their ``Fraction`` form with no bound on any Dijkstra run, as the
 reference the library's witnesses must match exactly, and so is the
 vertex-by-vertex corner walk of a surface diagram, with its pairwise scan
@@ -38,7 +39,7 @@ from lotva import (BoundaryWord, Cell, EdgeEnd, FreeDecomposition,
                    LinkGraph, Lot, LotEdge, ParseError, PreconditionError,
                    SubcomplexFamily, SurfaceDiagram, TwoComplex,
                    WeightAssignment, build_link, build_relative_link,
-                   is_sublot, relative_forest_check, signed_sublinks,
+                   relative_forest_check, signed_sublinks,
                    sublot_closure, sublot_vertices, validate_diagram)
 from lotva.certify import MAX_CERT_DEPTH, _from_sexp
 from lotva.sweep import _ahu_key, _labelings, _prufer_decode, automorphisms
@@ -476,37 +477,39 @@ def reference_small_lots(max_edges: int, orientations: bool = True):
 # LOT structure by exhaustive scans
 # ---------------------------------------------------------------------------
 
+def reference_is_sublot(lot, edge_ids) -> bool:
+    """The sub-LOT test by definition, with no library code: a nonempty set
+    of the LOT's edge ids whose edges merge, by shared endpoints, into one
+    vertex group with one vertex more than there are edges (a subtree),
+    and whose labels all lie in that group."""
+    ids = set(edge_ids)
+    if not ids or not ids <= set(range(len(lot.edges))):
+        return False
+    # connectivity via repeated edge-merging
+    groups = [{lot.edges[i].tail, lot.edges[i].head} for i in ids]
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                if groups[i] & groups[j]:
+                    groups[i] |= groups.pop(j)
+                    merged = True
+                    break
+            if merged:
+                break
+    if len(groups) != 1 or len(groups[0]) != len(ids) + 1:
+        return False
+    return all(lot.edges[i].label in groups[0] for i in ids)
+
+
 def oracle_sublots(lot):
-    """Independent enumeration: every edge subset of the right size whose
-    edges merge into one vertex group, filtered by the label condition."""
+    """Independent enumeration: every edge subset that passes
+    ``reference_is_sublot``."""
     m = lot.num_edges
-    out = set()
-    for k in range(1, m + 1):
-        for combo in combinations(range(m), k):
-            vs = sublot_vertices(lot, combo)
-            if len(vs) != k + 1:
-                continue
-            # connectivity via repeated edge-merging
-            groups = []
-            for i in combo:
-                e = lot.edges[i]
-                groups.append({e.tail, e.head})
-            merged = True
-            while merged:
-                merged = False
-                for i in range(len(groups)):
-                    for j in range(i + 1, len(groups)):
-                        if groups[i] & groups[j]:
-                            groups[i] |= groups.pop(j)
-                            merged = True
-                            break
-                    if merged:
-                        break
-            if len(groups) != 1:
-                continue
-            if all(lot.edges[i].label in vs for i in combo):
-                out.add(frozenset(combo))
-    return out
+    return {frozenset(combo) for k in range(1, m + 1)
+            for combo in combinations(range(m), k)
+            if reference_is_sublot(lot, combo)}
 
 
 def oracle_sublot_structure(lot):
@@ -515,7 +518,8 @@ def oracle_sublot_structure(lot):
     m = lot.num_edges
     all_subs = [frozenset(i for i in range(m) if mask >> i & 1)
                 for mask in range(1, 1 << m)]
-    all_subs = sorted((s for s in all_subs if is_sublot(lot, s)), key=sorted)
+    all_subs = sorted((s for s in all_subs if reference_is_sublot(lot, s)),
+                      key=sorted)
     proper = [s for s in all_subs if len(s) < m]
     maximal = [s for s in proper if not any(s < t for t in proper)]
     witness = min(proper, key=lambda s: (len(s), sorted(s))) if proper else None
@@ -563,7 +567,8 @@ def oracle_free_decomposition(lot):
         k = len(branches)
         for mask in range(1, (1 << k) - 1):
             left = frozenset().union(*(branches[j] for j in range(k) if mask >> j & 1))
-            if is_sublot(lot, left) and is_sublot(lot, all_ids - left):
+            if reference_is_sublot(lot, left) and \
+                    reference_is_sublot(lot, all_ids - left):
                 return FreeDecomposition(left, all_ids - left, v)
     return None
 

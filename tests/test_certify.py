@@ -7,7 +7,7 @@ from lotva import (BaseTrivial, BoundaryReduction, CertifyFailure, ChainStep,
                    CollapseChain, CompleteSetRelative, FreeDecompositionNode,
                    Lot, LotEdge, ParseError, PreconditionError,
                    PrimeWeightTest, boundary_reduce, certify_va,
-                   parse_certificate, parse_log, parse_lot,
+                   parse_certificate, parse_lot,
                    serialize_certificate, verify_certificate)
 from lotva.certify import MAX_CERT_DEPTH
 from lotva.sweep import iter_small_lots, random_lot
@@ -64,7 +64,7 @@ class TestPipeline:
             assert isinstance(side.child, PrimeWeightTest)
 
     def test_single_vertex(self):
-        lot = parse_log("vertex a\n").as_lot()
+        lot = parse_lot("vertex a\n")
         assert isinstance(certify_va(lot), BaseTrivial)
 
     def test_non_injective_rejected(self):
@@ -110,7 +110,7 @@ class TestSerialization:
         assert "(complete-set" in serialize_certificate(certify_va(fig1))
         assert "(free-dec" in serialize_certificate(certify_va(fig3))
         assert "(prime-wt" in serialize_certificate(certify_va(prime))
-        lot = parse_log("vertex a\n").as_lot()
+        lot = parse_lot("vertex a\n")
         assert "(base)" in serialize_certificate(certify_va(lot))
 
     def test_parse_garbage(self):
@@ -118,6 +118,32 @@ class TestSerialization:
             parse_certificate("(prime-wt (flipped 0)")
         with pytest.raises(ParseError):
             parse_certificate("(wat)")
+
+    @pytest.mark.parametrize("text, message", [
+        ("(prime-wt (flipped 1) (flipped 2) (pos) (neg) (junk (x)) 7)",
+         r"\(prime-wt \.\.\.\) takes 3 items, got 6"),
+        ("(bdry-red (edge 0) (vertex a) (edge 5) (base))",
+         r"\(bdry-red \.\.\.\) takes 3 items, got 4"),
+        ("(base junk (x))", r"\(base \.\.\.\) takes 0 items, got 2"),
+        ("(bdry-red (vertex a) (edge 0) (base))",
+         r"expected a \(edge \.\.\.\) field, got \['vertex', 'a'\]"),
+        ("(bdry-red (edge 0 1) (vertex a) (base))",
+         r"\(edge \.\.\.\) takes 1 item, got 2"),
+        ("(prime-wt (flipped) (pos (a b) c) (neg))", "expected a corner pair"),
+        ("(free-dec (left 0) (right 1) (shared a) (base))",
+         r"\(free-dec \.\.\.\) takes 5 items, got 4"),
+        ("(complete-set (sublots) (chain) (final) (flipped) (pos) (neg) "
+         "(children))", r"expected a \(vertices \.\.\.\) field"),
+        ("(complete-set (sublots) (chain) (final (vertices a) x) (flipped) "
+         "(pos) (neg) (children))", r"expected a \(edge \.\.\.\) field"),
+        ("(complete-set (sublots) (chain (step (0) a x)) (final (vertices a)) "
+         "(flipped) (pos) (neg) (children))",
+         r"\(step \.\.\.\) takes 2 items, got 3"),
+    ])
+    def test_reader_takes_only_the_writers_layout(self, text, message):
+        """Every field in the writer's order, each once, and nothing else."""
+        with pytest.raises(ParseError, match=message):
+            parse_certificate(text)
 
     def test_nesting_depth_limit(self):
         cert = parse_certificate(nested(MAX_CERT_DEPTH - 1))

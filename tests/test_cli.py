@@ -53,6 +53,13 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(p))
         assert code == 2 and "error" in err
 
+    def test_empty_file(self, capsys, tmp_path):
+        p = tmp_path / "empty.lot"
+        p.write_text("")
+        code, out, err = run(capsys, "analyze", str(p))
+        assert code == 2 and out == ""
+        assert err == "error: underlying graph is not a tree\n"
+
     def test_directory(self, capsys, tmp_path):
         code, out, err = run(capsys, "analyze", str(tmp_path))
         assert code == 2 and out == ""
@@ -205,8 +212,12 @@ class TestVerifyCertMalformed:
         + _COMPLETE_SET_TAIL,
         "(complete-set (sublots (0)) (chain (step (0) a)) "
         "(final (vertices a b) (edge a b)) " + _COMPLETE_SET_TAIL,
+        "(prime-wt (flipped 1) (flipped 2) (pos) (neg) (junk (x)) 7)",
+        "(bdry-red (edge 0) (vertex a) (edge 5) (base))",
+        "(base junk (x))",
     ], ids=["edge-not-int", "edge-empty", "deep-nesting", "step-not-list",
-            "step-ids-not-list", "final-edge-3-fields"])
+            "step-ids-not-list", "final-edge-3-fields", "extra-fields",
+            "repeated-field", "stray-atom"])
     def test_exit_2(self, capsys, fixture_dir, tmp_path, text):
         cert = tmp_path / "bad.cert"
         cert.write_text(text + "\n")

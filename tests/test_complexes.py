@@ -21,7 +21,7 @@ class TestBuildComplex:
         assert letters(cx, "d_1") == (("b", 1), ("a", 1), ("c", -1), ("a", -1))
 
     def test_single_edge_self_label_cell(self):
-        lot = parse_lot("vertex a\nvertex b\nedge a b a\n").as_lot()
+        lot = parse_lot("vertex a\nvertex b\nedge a b a\n")
         cx = build_complex(lot)
         assert letters(cx, "d_0") == (("a", 1), ("a", 1), ("b", -1), ("a", -1))
 

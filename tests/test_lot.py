@@ -6,15 +6,14 @@ from lotva import (Lot, LotEdge, ParseError, PreconditionError, StructureError,
                    boundary_reducible_witness, check_properties, collapse,
                    collapse_vertex_of, complete_set_search, enumerate_sublots,
                    extract_sublot, format_lot, free_decomposition,
-                   is_compressed, is_injective, is_sublot, parse_log,
-                   parse_lot, reorient, sign_change, sublot_closure,
-                   sublot_vertices)
+                   is_compressed, is_injective, is_sublot, parse_lot,
+                   reorient, sign_change, sublot_closure, sublot_vertices)
 from lotva import lot as lot_module
 from lotva.lot import SublotStructure
 from lotva.sweep import iter_small_lots, random_lot
 
 from oracles import (oracle_free_decomposition, oracle_sublot_structure,
-                     oracle_sublots)
+                     oracle_sublots, reference_is_sublot)
 
 
 def edge_tuples(lot):
@@ -33,31 +32,55 @@ class TestParsing:
         assert fig1.vertices == ("g", "a", "b", "c", "d", "e", "f")
 
     def test_single_vertex(self):
-        log = parse_log("vertex a\n")
-        assert log.vertices == ("a",)
-        assert log.num_edges == 0
-        assert log.as_lot().is_tree()
+        lot = parse_lot("vertex a\n")
+        assert lot.vertices == ("a",)
+        assert lot.num_edges == 0
 
     def test_self_loop_rejected(self):
-        with pytest.raises(ParseError):
-            parse_log("edge a a b\n")
+        with pytest.raises(ParseError, match="self-loop at 'a'"):
+            parse_lot("edge a a b\n")
 
     def test_unknown_label(self):
-        with pytest.raises(ParseError, match="unknown vertex in label"):
-            parse_log("edge a b q\n")
+        with pytest.raises(ParseError, match="unknown vertex in label: 'q'"):
+            parse_lot("edge a b q\n")
 
     def test_comment_and_blank_lines(self):
         lot = parse_lot("# header\n\nlot t\nedge a b c  # trailing\nedge b c a\n")
         assert lot.num_edges == 2
 
     def test_bad_keyword(self):
-        with pytest.raises(ParseError):
-            parse_log("vertices a\n")
+        with pytest.raises(ParseError, match="unknown keyword 'vertices'"):
+            parse_lot("vertices a\n")
 
     def test_non_tree_rejected(self):
-        log = parse_log("edge a b c\nedge c d a\n")  # disconnected pieces
-        with pytest.raises(StructureError):
-            log.as_lot()
+        with pytest.raises(StructureError, match="underlying graph is not a tree"):
+            parse_lot("edge a b c\nedge c d a\n")  # disconnected pieces
+
+    @pytest.mark.parametrize("text", ["", "vertex a\nvertex b\n"])
+    def test_too_few_edges_rejected(self, text):
+        """The edge count is tested before the walk from vertex 0, so a
+        file with no vertices is a StructureError, not an IndexError."""
+        with pytest.raises(StructureError, match="underlying graph is not a tree"):
+            parse_lot(text)
+
+    def test_parse_builds_one_view_and_one_walk(self, monkeypatch, fig1):
+        """parse_lot builds the Lot directly: one int view, one tree walk."""
+        views, walks = [], []
+        int_view, root_paths = lot_module._IntView, lot_module._root_paths
+
+        def counting_view(*args):
+            views.append(args)
+            return int_view(*args)
+
+        def counting_walk(iv):
+            walks.append(iv)
+            return root_paths(iv)
+
+        monkeypatch.setattr(lot_module, "_IntView", counting_view)
+        monkeypatch.setattr(lot_module, "_root_paths", counting_walk)
+        lot = parse_lot(format_lot(fig1))
+        assert (len(views), len(walks)) == (1, 1)
+        assert lot == fig1
 
     def test_format_round_trip(self, fig1):
         assert parse_lot(format_lot(fig1)) == fig1
@@ -78,8 +101,8 @@ class TestProperties:
             frozenset({"b", "c", "d", "e"})
 
     def test_own_vertex_label_not_compressed(self):
-        log = parse_log("vertex a\nvertex b\nedge a b a\n")
-        assert not is_compressed(log)
+        lot = parse_lot("vertex a\nvertex b\nedge a b a\n")
+        assert not is_compressed(lot)
 
     def test_prime_path(self, prime):
         rep = check_properties(prime)
@@ -146,6 +169,31 @@ class TestSublots:
             assert (rep.proper_sublot_witness, rep.prime) == (witness, prime)
             primes += prime
         assert 100 < primes < len(lots) - 100
+
+    def test_is_sublot_matches_reference(self):
+        """Counting edges against vertices settles connectivity in a tree:
+        every edge subset of every <=5-edge LOT and of random 6-11-edge
+        LOTs, some not injective or not compressed, plus empty and
+        out-of-range id sets."""
+        rng = random.Random(71)
+        lots = list(iter_small_lots(5))
+        for _ in range(40):
+            lots.append(random_lot(rng, rng.randrange(6, 12),
+                                   injective=rng.random() < 0.7,
+                                   compressed=rng.random() < 0.8))
+        subsets = found = 0
+        for lot in lots:
+            m = lot.num_edges
+            for ids in ((), (m,), (-1,), (0, m), (0, -1)):
+                assert not is_sublot(lot, ids)
+                assert not reference_is_sublot(lot, ids)
+            for mask in range(1, 1 << m):
+                ids = [i for i in range(m) if mask >> i & 1]
+                got = is_sublot(lot, ids)
+                assert got == reference_is_sublot(lot, ids), (format_lot(lot), ids)
+                subsets += 1
+                found += got
+        assert subsets > 100_000 and 10_000 < found < subsets // 2
 
     def test_all_members_are_sublots(self, fig1):
         all_subs, _ = enumerate_sublots(fig1)
