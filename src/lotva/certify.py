@@ -520,9 +520,14 @@ def _items(x, key: str, n: Optional[int] = None) -> list:
 
 
 def _int_set(items) -> frozenset[int]:
+    """Edge ids as the writer writes them: each once, in increasing order."""
     if not isinstance(items, list):
         raise ParseError(f"expected a list of edge ids, got {items!r}")
-    return frozenset(_int(x) for x in items)
+    ids = [_int(x) for x in items]
+    if any(a >= b for a, b in zip(ids, ids[1:])):
+        raise ParseError(f"edge ids must be distinct and increasing, "
+                         f"got ({' '.join(map(str, items))})")
+    return frozenset(ids)
 
 
 def _pairs(items) -> tuple[tuple[str, str], ...]:

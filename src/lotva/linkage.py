@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import Iterable, NamedTuple, Optional
+from functools import lru_cache
+from itertools import accumulate, count, repeat
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import PreconditionError, StructureError
 from .complexes import SubcomplexFamily, TwoComplex, validate_family
@@ -120,18 +122,17 @@ def _link(cx: TwoComplex, removed: frozenset[str]) -> tuple[
     """The nodes x+, x- per edge in edge order (so end e is nodes[e]), and
     the corners and their ends of every cell not in ``removed``, numbered
     from 0."""
-    nodes = tuple(EdgeEnd(x, s) for x in cx.edge_names for s in (1, -1))
+    # tuple.__new__ is what the named tuples' _make calls, minus its frame
+    nodes = tuple(map(tuple.__new__, repeat(EdgeEnd),
+                      [(x, s) for x in cx.edge_names for s in (1, -1)]))
     ends, first = _complex_corners(cx)
-    corners, kept_ends = [], []
-    for j, cell in enumerate(cx.cells):
-        if cell.name in removed:
-            continue
-        lo = first[j]
-        for i in range(lo, first[j + 1]):
-            a, b = ends[2 * i], ends[2 * i + 1]
-            corners.append(Corner(len(corners), nodes[a], nodes[b],
-                                  ("cell", cell.name, i - lo)))
-            kept_ends += (a, b)
+    kept = [(cell.name, first[j], first[j + 1]) for j, cell in enumerate(cx.cells)
+            if cell.name not in removed]
+    kept_ends = [e for _, lo, hi in kept for e in ends[2 * lo:2 * hi]]
+    ns = list(map(list(nodes).__getitem__, kept_ends))
+    provenance = [("cell", name, i) for name, lo, hi in kept for i in range(hi - lo)]
+    corners = list(map(tuple.__new__, repeat(Corner),
+                       zip(count(), ns[::2], ns[1::2], provenance)))
     return nodes, corners, kept_ends
 
 
@@ -155,30 +156,45 @@ def _polarity_subgraph(g: LinkGraph, pol: int) -> LinkGraph:
     return LinkGraph(nodes, corners)
 
 
+@lru_cache(maxsize=64)
+def delta_ends(k: int) -> Callable[[Sequence], tuple]:
+    """The Delta corners of a block of k nodes, as a function of the
+    block's node order: it returns their ends, two per corner, for every
+    pair i < j (node i, then node j) row by row, then a loop (i, i) at
+    every node.  On range(k) it returns the pattern itself."""
+    pairs = [v for i in range(k) for j in range(i + 1, k) for v in (i, j)]
+    return itemgetter(*pairs, *(v for i in range(k) for v in (i, i))) if k \
+        else (lambda order: ())
+
+
 def build_relative_link(cx: TwoComplex, fam: SubcomplexFamily) -> LinkGraph:
     """lk(L, K): corners of K-cells removed, a Delta-block inserted per part.
 
     Delta(K_i) is the complete graph on the ends of part i's edges plus one
     loop at every such end.  Corners of cells outside K are kept even when
     both their endpoints lie in a part.
+
+    Layout: the kept cell corners come first, in ``build_link`` order;
+    then the blocks, in part order, each one contiguous run of corners.
+    A block's node order is its ends in edge order (x+, x- per edge, so
+    polarities alternate), and its corners are ``delta_ends`` of that
+    order.  Corner ids are positions.  The weight tests read a block in
+    this layout as a whole (see ``relative_weight_test``).
     """
     validate_family(cx, fam)
     nodes, corners, ends = _link(cx, fam.all_cells)
+    col = {x: 2 * k for k, x in enumerate(cx.edge_names)}
     blocks = []
     for bi, (edges, _cells) in enumerate(fam.parts):
-        block = [e for k, x in enumerate(cx.edge_names) if x in edges
-                 for e in (2 * k, 2 * k + 1)]
-        prov = ("delta", bi)
-        start = len(corners)
-        for i, u in enumerate(block):
-            for v in block[i + 1:]:
-                corners.append(Corner(len(corners), nodes[u], nodes[v], prov))
-                ends += (u, v)
-        for u in block:
-            corners.append(Corner(len(corners), nodes[u], nodes[u], prov))
-            ends += (u, u)
-        blocks.append(DeltaBlock(frozenset(nodes[u] for u in block),
-                                 frozenset(range(start, len(corners)))))
+        block = sorted(col[x] + s for x in edges for s in (0, 1))
+        block_nodes = [nodes[u] for u in block]
+        pattern = delta_ends(len(block))
+        ns = pattern(block_nodes)
+        ids = range(len(corners), len(corners) + len(ns) // 2)
+        corners += map(tuple.__new__, repeat(Corner),
+                       zip(ids, ns[::2], ns[1::2], repeat(("delta", bi))))
+        ends += pattern(block)
+        blocks.append(DeltaBlock(frozenset(block_nodes), frozenset(ids)))
     return LinkGraph(nodes, tuple(corners), tuple(blocks), tuple(ends))
 
 

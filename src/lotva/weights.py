@@ -29,6 +29,23 @@ limit is what would take the scanned corner's cycle to 2.  A lower limit
 that is still above the answer drops only pushes that would pop after it,
 and ties break by push order, so the witnesses are those of an unbounded
 search.
+
+Delta-blocks on relative links.  ``build_relative_link`` puts the blocks
+after the cell corners, each one contiguous run in the pattern of
+``linkage.delta_ends`` on nodes of alternating polarity.  A block in that
+layout that carries its prescribed weights is "whole": it is checked by a
+few list comparisons (``_whole_blocks``), its weights are neither scaled
+nor summed, and the search holds one adjacency entry per node for it in
+place of its darts.  The first node of a (block, polarity) that a Dijkstra
+run settles expands the block: every node of the block, in block order, at
++0 within the polarity and +den across, with the dart numbers of the
+pattern.  A node of the same (block, polarity) settled later is no closer,
+so its expansion could not improve any distance and is skipped; the pushes,
+and so the witnesses, are those of a search through every Delta dart.  Any
+other block (reordered corners, other weights) keeps its Delta corners in
+the checks and the adjacency, corner by corner.  Python-level work per
+relative test is then in proportion to the cell corners and the blocks'
+nodes, not to the Delta corners.
 """
 
 from __future__ import annotations
@@ -38,17 +55,21 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Rational
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import ParseError, PreconditionError, StructureError
 from .complexes import (SubcomplexFamily, TwoComplex, exponent_sum,
                         validate_family)
-from .linkage import EdgeEnd, LinkGraph, UnionFind, forest_cycle_index
+from .linkage import (EdgeEnd, LinkGraph, UnionFind, delta_ends,
+                      forest_cycle_index)
 from .lot import Lot, sublot_vertices, is_sublot
 
 Dart = tuple[int, int]  # (corner id, direction 0: a->b, 1: b->a)
 _ZERO, _ONE = Fraction(0), Fraction(1)
+_ID, _PROVENANCE = itemgetter(0), itemgetter(3)  # of a Corner
 
 
 @dataclass(frozen=True)
@@ -96,7 +117,11 @@ class Verdict:
 
 
 def canonical_weights(g: LinkGraph) -> WeightAssignment:
-    """Class-based 0/1 weights; covers Delta corners with their fixed values."""
+    """Class-based 0/1 weights; covers Delta corners with their fixed values.
+
+    Every weight is one of two shared Fraction objects, so the bulk check
+    of a Delta-block's weights (``_whole_blocks``) finds them equal by
+    identity."""
     pol = [n.polarity for n in g.nodes]
     ends = g.ends
     return WeightAssignment({c.id: _ONE if pol[a] != pol[b] else _ZERO
@@ -217,6 +242,71 @@ def _dijkstra_cycle_through(succ, tails, iw, d0: int, limit: int
 # homology reduced cycles on relative links
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _delta_weights(k: int) -> tuple[Fraction, ...]:
+    """The prescribed weights of the corners of ``delta_ends(k)`` on
+    nodes of alternating polarity: 1 across a polarity, else 0."""
+    pattern = delta_ends(k)(range(k))
+    return tuple((_ZERO, _ONE)[(i ^ j) & 1]
+                 for i, j in zip(pattern[::2], pattern[1::2]))
+
+
+def _whole_blocks(g: LinkGraph, w: WeightAssignment
+                  ) -> list[tuple[int, tuple[int, ...], int, int]]:
+    """The Delta-blocks of g in the layout of ``build_relative_link`` and
+    with their prescribed weights, as (block index, node positions in block
+    order, position of the block's first corner, position after its last),
+    in position order.
+
+    The blocks are taken to fill the last corners of g, in block order; a
+    block's node order is read from its first row of corners.  A block
+    counts if its corners are exactly ``delta_ends`` of that order, with
+    its provenance, on its own nodes, of alternating polarity (x+ first),
+    and its weights are 0 within a polarity and 1 across.  All of this is
+    compared in bulk, a few list operations per block.
+    """
+    corners, ends, nodes = g.corners, g.ends, g.nodes
+    sizes = [len(b.nodes) * (len(b.nodes) + 1) // 2 for b in g.delta_blocks]
+    end = len(corners) - sum(sizes)
+    whole = []
+    for bi, (blk, size) in enumerate(zip(g.delta_blocks, sizes)):
+        start, end = end, end + size
+        k = len(blk.nodes)
+        if start < 0 or not k or k % 2:
+            continue
+        e = 2 * start  # the block's first end
+        order = ends[e:e + 1] + ends[e + 1:e + 2 * k - 2:2]
+        seg = corners[start:end]
+        provenance = tuple(map(_PROVENANCE, seg))
+        if (ends[e:2 * end] != delta_ends(k)(order)
+                or set(map(nodes.__getitem__, order)) != blk.nodes
+                or [nodes[u].polarity for u in order] != [1, -1] * (k // 2)
+                or provenance[0] != ("delta", bi)
+                or provenance != provenance[:1] * size):
+            continue
+        ws = tuple(map(w.weights.get, map(_ID, seg)))
+        if ws == _delta_weights(k) and all(
+                issubclass(t, Rational) for t in set(map(type, ws))):
+            whole.append((bi, order, start, end))
+    return whole
+
+
+def _scaled_outside(g: LinkGraph, w: WeightAssignment
+                    ) -> tuple[int, dict[int, int], list]:
+    """(den, iw, whole): ``whole`` as ``_whole_blocks`` finds it, and den
+    and the scaled weights, by position, of every other corner.  A whole
+    block's weights are 0 and 1, so they do not change den."""
+    whole = _whole_blocks(g, w)
+    rest: list[int] = []
+    pos = 0
+    for _, _, start, end in whole:
+        rest += range(pos, start)
+        pos = end
+    rest += range(pos, len(g.corners))
+    den, iw = w.scaled([g.corners[i].id for i in rest])
+    return den, dict(zip(rest, iw)), whole
+
+
 def find_homred_violation(g: LinkGraph, w: WeightAssignment
                           ) -> Optional[tuple[tuple[Dart, ...], Fraction]]:
     """A homology reduced cycle of weight < 2 with >= 1 non-Delta corner,
@@ -226,44 +316,75 @@ def find_homred_violation(g: LinkGraph, w: WeightAssignment
     pieces, and the piece keeping a chosen non-Delta corner weighs no more;
     so it suffices to scan each non-Delta corner e = {u, v} and ask for
     w(e) + (shortest u-v path avoiding e) < 2, or w(e) < 2 when e is a loop.
-    The first violation in corner-id order is returned.
+    The first violation in the link's corner order is returned.
+
+    A Delta-block in the layout of ``build_relative_link`` that carries its
+    prescribed weights is searched as a block (see ``_homred_violation``);
+    any other block, such as one whose corners were reordered or
+    reweighted, is searched corner by corner.  The result is the same.
     """
     if g.delta_blocks is None:
         raise PreconditionError("find_homred_violation expects a relative link "
                                 "(delta decoration present, possibly empty)")
-    return _homred_violation(g, *w.scaled(_corner_ids(g)))
+    return _homred_violation(g, *_scaled_outside(g, w))
 
 
-def _homred_violation(g: LinkGraph, den: int, iw: list[int]
+def _homred_violation(g: LinkGraph, den: int, iw: dict[int, int], whole: list
                       ) -> Optional[tuple[tuple[Dart, ...], Fraction]]:
+    """The scan of ``find_homred_violation``; iw holds the scaled weights,
+    by position, of the corners outside the ``whole`` blocks.  Their darts
+    form an undirected adjacency list, in dart order; each node of a whole
+    block holds one entry, where its block's darts would come, that
+    expands the block once per (block, polarity) and search (see the
+    module docstring)."""
     tails = g.ends
-    # undirected multigraph: (other end, dart, weight) per corner end, a loop once
+    # (other end, dart, weight) per corner end, a loop once; (-1, b, t) for
+    # node t of whole block b
     adj: list[list[tuple[int, int, int]]] = [[] for _ in g.nodes]
-    for d, t in enumerate(tails):
-        if d & 1 == 0 or t != tails[d ^ 1]:
-            adj[t].append((tails[d ^ 1], d, iw[d >> 1]))
-    for i, c in enumerate(g.corners):
+
+    def add_darts(lo: int, hi: int) -> None:  # of the corners at lo .. hi - 1
+        for i in range(lo, hi):
+            a, b, x = tails[2 * i], tails[2 * i + 1], iw[i]
+            adj[a].append((b, 2 * i, x))
+            if a != b:
+                adj[b].append((a, 2 * i + 1, x))
+
+    pos = 0
+    for b, (_, order, start, end) in enumerate(whole):
+        add_darts(pos, start)
+        for t, u in enumerate(order):
+            adj[u].append((-1, b, t))
+        pos = end
+    add_darts(pos, len(g.corners))
+    blocks = [(order, start, len(order)) for _, order, start, _ in whole]
+    corners = g.corners
+    for i, x in iw.items():
+        c = corners[i]
         if c.is_delta:
             continue
         if tails[2 * i] == tails[2 * i + 1]:
-            if iw[i] < 2 * den:
-                return ((c.id, 0),), Fraction(iw[i], den)
+            if x < 2 * den:
+                return ((c.id, 0),), Fraction(x, den)
             continue
-        found = _shortest_path_avoiding(adj, tails, tails[2 * i + 1], tails[2 * i],
-                                        i, 2 * den - iw[i])
+        found = _shortest_path_avoiding(adj, blocks, tails, tails[2 * i + 1],
+                                        tails[2 * i], i, 2 * den - x, den)
         if found is not None:
-            return ((c.id, 0),) + _darts(g, found[1]), Fraction(iw[i] + found[0], den)
+            return ((c.id, 0),) + _darts(g, found[1]), Fraction(x + found[0], den)
     return None
 
 
-def _shortest_path_avoiding(adj, tails, src: int, dst: int, banned: int,
-                            limit: int) -> Optional[tuple[int, list[int]]]:
+def _shortest_path_avoiding(adj, blocks, tails, src: int, dst: int, banned: int,
+                            limit: int, den: int) -> Optional[tuple[int, list[int]]]:
     """Dijkstra on the undirected multigraph minus corner ``banned``: the
     shortest src-dst path as (weight, darts) if it weighs less than
     ``limit``, else None.  The predecessor tree makes the path simple; as in
-    the cycle search, nothing of weight >= limit is pushed."""
+    the cycle search, nothing of weight >= limit is pushed.  An adjacency
+    entry (-1, b, t) is node t of whole block blocks[b] = (node order,
+    position of its first corner, node count), expanded once per (block,
+    polarity)."""
     dist = [limit] * len(adj)
     prev = [-1] * len(adj)
+    expanded = [False] * (2 * len(blocks))
     dist[src] = 0
     counter = 0
     heap = [(0, counter, src)]
@@ -279,6 +400,31 @@ def _shortest_path_avoiding(adj, tails, src: int, dst: int, banned: int,
             path.reverse()
             return du, path
         for v, d, x in adj[u]:
+            if v < 0:
+                if expanded[2 * d + (x & 1)]:
+                    continue
+                expanded[2 * d + (x & 1)] = True
+                order, p, k = blocks[d]
+                # node x's Delta darts in dart order: corner (j, x) backwards
+                # for each j < x, then corner (x, j) for each j > x
+                p += x - 1  # the position of corner (0, x)
+                for j in range(k):
+                    if j < x:
+                        dart = 2 * p + 1
+                        p += k - j - 2
+                    elif j > x:
+                        p += 1
+                        dart = 2 * p
+                    else:
+                        continue
+                    nd = du + den if (j ^ x) & 1 else du
+                    y = order[j]
+                    if nd < dist[y]:
+                        dist[y] = nd
+                        prev[y] = dart
+                        counter += 1
+                        heapq.heappush(heap, (nd, counter, y))
+                continue
             if d >> 1 == banned:
                 continue
             nd = du + x
@@ -309,12 +455,16 @@ def weight_test(cx: TwoComplex, g: LinkGraph, w: WeightAssignment) -> Verdict:
 
 
 def _relative_cell_sums(cx: TwoComplex, g: LinkGraph, k_cells: frozenset[str],
-                        den: int, iw: list[int]) -> dict[str, int]:
+                        den: int, iw: dict[int, int], whole: list) -> dict[str, int]:
     """Each cell's scaled corner weight sum, after checking that g has the
     corners of lk(L, K): every position of every cell outside K once, and
     per Delta-block one corner on each pair of its nodes and one loop at
     each node, all inside the block.  Delta corners must weigh 0 within a
-    polarity and 1 across (condition (3)).  Else PreconditionError."""
+    polarity and 1 across (condition (3)).  Else PreconditionError.
+
+    The ``whole`` blocks (``_whole_blocks``) already hold exactly that; iw
+    gives the scaled weights of the other corners by position, and only
+    those are read here."""
     n = len(g.nodes)
     pol = [x.polarity for x in g.nodes]
     pos = {x: i for i, x in enumerate(g.nodes)}
@@ -329,9 +479,12 @@ def _relative_cell_sums(cx: TwoComplex, g: LinkGraph, k_cells: frozenset[str],
     size = {c.name: len(c.boundary) for c in cx.cells if c.name not in k_cells}
     need += sum(size.values())
     sums = dict.fromkeys(size, 0)
+    whole_ids = {bi for bi, _, _, _ in whole}
     keys: list = []  # an int per Delta corner's node pair, a provenance per cell corner
     ends = g.ends
-    for c, a, b, x in zip(g.corners, ends[::2], ends[1::2], iw):
+    for i, x in iw.items():
+        c = g.corners[i]
+        a, b = ends[2 * i], ends[2 * i + 1]
         prov = c.provenance
         where = prov[1]
         if prov[0] == "delta":
@@ -341,6 +494,8 @@ def _relative_cell_sums(cx: TwoComplex, g: LinkGraph, k_cells: frozenset[str],
             if x != expected * den:
                 raise PreconditionError(f"delta corner {c.id} must have weight "
                                         f"{expected}, got {Fraction(x, den)}")
+            if where in whole_ids:
+                raise PreconditionError(f"link repeats corner {c.id}")
             keys.append(a * n + b if a <= b else b * n + a)
         else:
             if where in k_cells:
@@ -353,11 +508,11 @@ def _relative_cell_sums(cx: TwoComplex, g: LinkGraph, k_cells: frozenset[str],
             keys.append(prov)
     if len(set(keys)) != len(keys):
         seen: set = set()
-        for c, key in zip(g.corners, keys):
+        for i, key in zip(iw, keys):
             if key in seen:
-                raise PreconditionError(f"link repeats corner {c.id}")
+                raise PreconditionError(f"link repeats corner {g.corners[i].id}")
             seen.add(key)
-    if len(keys) != need:
+    if len(keys) + sum(end - start for _, _, start, end in whole) != need:
         raise PreconditionError("link misses corners of the relative link")
     return sums
 
@@ -372,6 +527,13 @@ def relative_weight_test(cx: TwoComplex, fam: SubcomplexFamily,
     other link raises PreconditionError, as do a K-cell of nonzero
     exponent sum and Delta corners that do not carry their fixed weights.
     A family whose parts are not subcomplexes of cx raises StructureError.
+
+    A Delta-block in the builder's layout with its prescribed weights is
+    checked in bulk, by a few list comparisons, and searched as a block
+    (``_homred_violation``): weights are scaled, summed and checked corner
+    by corner only outside such blocks.  A block in any other layout, such
+    as a hand-built link with its Delta corners reordered, is checked and
+    searched corner by corner, with the same verdict and witness.
     """
     validate_family(cx, fam)
     k_cells = fam.all_cells
@@ -385,12 +547,12 @@ def relative_weight_test(cx: TwoComplex, fam: SubcomplexFamily,
             blk.nodes != {EdgeEnd(x, s) for x in edges for s in (1, -1)}
             for blk, (edges, _) in zip(blocks, fam.parts)):
         raise PreconditionError("link is not the relative link of this family")
-    den, iw = w.scaled(_corner_ids(link))
-    sums = _relative_cell_sums(cx, link, k_cells, den, iw)
+    den, iw, whole = _scaled_outside(link, w)
+    sums = _relative_cell_sums(cx, link, k_cells, den, iw, whole)
     cell_verdict = _cell_condition(cx, sums, den, k_cells)
     if not cell_verdict:
         return cell_verdict
-    found = _homred_violation(link, den, iw)
+    found = _homred_violation(link, den, iw, whole)
     if found is not None:
         return Verdict(False, ("cycle", found[0], found[1]))
     return Verdict(True)

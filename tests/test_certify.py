@@ -139,6 +139,16 @@ class TestSerialization:
         ("(complete-set (sublots) (chain (step (0) a x)) (final (vertices a)) "
          "(flipped) (pos) (neg) (children))",
          r"\(step \.\.\.\) takes 2 items, got 3"),
+        # the writer lists each id once, in increasing order
+        ("(prime-wt (flipped 3 1 1) (pos) (neg))",
+         r"edge ids must be distinct and increasing, got \(3 1 1\)"),
+        ("(free-dec (left 1 0 0) (right 2) (shared a) (base) (base))",
+         r"edge ids must be distinct and increasing, got \(1 0 0\)"),
+        ("(complete-set (sublots (0 0)) (chain) (final (vertices a)) "
+         "(flipped) (pos) (neg) (children))",
+         r"edge ids must be distinct and increasing, got \(0 0\)"),
+        ("(prime-wt (flipped 1 01) (pos) (neg))",
+         r"edge ids must be distinct and increasing, got \(1 01\)"),
     ])
     def test_reader_takes_only_the_writers_layout(self, text, message):
         """Every field in the writer's order, each once, and nothing else."""
@@ -207,8 +217,9 @@ class TestAtoms:
         text = f"(bdry-red (edge {atom}) (vertex a) (base))"
         assert parse_certificate(text).edge_id == value
         assert reference_parse_certificate(text).edge_id == value
-        text = f"(prime-wt (flipped {atom} 5) (pos) (neg))"
-        assert parse_certificate(text).flipped == {value, 5}
+        # ids in a field are increasing, and 50 is above every value here
+        text = f"(prime-wt (flipped {atom} 50) (pos) (neg))"
+        assert parse_certificate(text).flipped == {value, 50}
 
     def test_em_space_separates_atoms(self):
         text = "(bdry-red (edge 0) (vertex a) (base))"

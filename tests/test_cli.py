@@ -215,9 +215,12 @@ class TestVerifyCertMalformed:
         "(prime-wt (flipped 1) (flipped 2) (pos) (neg) (junk (x)) 7)",
         "(bdry-red (edge 0) (vertex a) (edge 5) (base))",
         "(base junk (x))",
+        "(prime-wt (flipped 3 1 1) (pos) (neg))",
+        "(free-dec (left 1 0 0) (right 2) (shared a) (base) (base))",
     ], ids=["edge-not-int", "edge-empty", "deep-nesting", "step-not-list",
             "step-ids-not-list", "final-edge-3-fields", "extra-fields",
-            "repeated-field", "stray-atom"])
+            "repeated-field", "stray-atom", "ids-repeated-unsorted",
+            "ids-unsorted-repeated"])
     def test_exit_2(self, capsys, fixture_dir, tmp_path, text):
         cert = tmp_path / "bad.cert"
         cert.write_text(text + "\n")

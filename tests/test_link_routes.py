@@ -3,6 +3,8 @@
 vertices, and the weight searches on links rebuilt by hand."""
 
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -13,10 +15,12 @@ from lotva import (DeltaBlock, LinkGraph, WeightAssignment, build_complex,
                    min_weight_reduced_cycle, relative_weight_test,
                    signed_relative_forest_check, weight_test)
 from lotva.sweep import random_lot
+from lotva.weights import _whole_blocks
 
 from oracles import (closure_family, link_signed_relative_forest_check,
                      random_weights, reference_curvature,
-                     reference_find_folding_vertices, reference_vertex_corners)
+                     reference_find_folding_vertices,
+                     reference_find_homred_violation, reference_vertex_corners)
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +115,56 @@ def test_rebuilt_links_match_built_links(cases):
     # passing and failing tests, found and missing cycles, on both kinds
     assert len({(kind, ok) for kind, ok, _ in outcomes}) == 4
     assert len({(kind, none) for kind, _, none in outcomes}) == 4
+
+
+def _reversed_block(g: LinkGraph, bi: int) -> LinkGraph:
+    """g with the Delta corners of block bi listed in reverse order, ids
+    kept: the same lk(L, K), but not in the builder's layout."""
+    ids = g.delta_blocks[bi].corner_ids
+    back = iter([c for c in g.corners if c.id in ids][::-1])
+    return LinkGraph(g.nodes, tuple(next(back) if c.id in ids else c
+                                    for c in g.corners), g.delta_blocks)
+
+
+def test_block_search_matches_reference(cases):
+    """Delta-blocks searched as blocks give the corner-by-corner
+    reference's cycle, darts and weight, under canonical weights: on the
+    built links and their relabeled copies (blocks read whole), and with
+    the largest block's Delta corners reversed (that block read corner by
+    corner).  ``find_homred_violation`` with one Delta corner reweighted
+    (that block read corner by corner) also gives the reference's cycle."""
+    rng = random.Random(103)
+    seen = Counter()
+    for cx, fam in cases:
+        g = build_relative_link(cx, fam)
+        links = [(g, len(g.delta_blocks)),
+                 (_relabeled(rng, g, canonical_weights(g))[0], len(g.delta_blocks))]
+        sizes = [len(b.nodes) for b in g.delta_blocks]
+        if sizes and max(sizes) > 2:
+            links.append((_reversed_block(g, sizes.index(max(sizes))),
+                           len(sizes) - 1))
+        for h, whole in links:
+            w = canonical_weights(h)
+            assert len(_whole_blocks(h, w)) == whole
+            ref = reference_find_homred_violation(h, w)
+            verdict = relative_weight_test(cx, fam, w, h)
+            if verdict.ok or verdict.violation[0] == "cycle":
+                assert (None if verdict.ok else verdict.violation[1:]) == ref
+            else:
+                assert find_homred_violation(h, w) == ref
+            seen[verdict.ok or verdict.violation[0], whole < len(sizes)] += 1
+        delta = [c.id for c in g.corners if c.is_delta]
+        if delta:
+            weights = dict(canonical_weights(g).weights)
+            weights[rng.choice(delta)] = Fraction(rng.randrange(0, 5), 2)
+            w = WeightAssignment(weights)
+            assert len(_whole_blocks(g, w)) < len(sizes) or \
+                weights == canonical_weights(g).weights
+            found = find_homred_violation(g, w)
+            assert found == reference_find_homred_violation(g, w)
+            seen["reweighted", found is None] += 1
+    # passes and cycle violations on both routes, and both outcomes with a
+    # reweighted Delta corner
+    assert all(seen[kind, route] for kind in (True, "cycle")
+               for route in (False, True))
+    assert all(seen["reweighted", none] for none in (False, True))
