@@ -66,10 +66,17 @@ def inputs(seed: int) -> list:
     return cases
 
 
+def verdict_sha256(verdicts: list) -> str:
+    """sha256 over each relative weight test's (ok, violation), in input
+    order: the same verdicts and witnesses give the same digest."""
+    return hashlib.sha256(
+        repr([(v.ok, v.violation) for v in verdicts]).encode()).hexdigest()
+
+
 def measure(cases: list) -> dict:
     times = []    # (case index, stage seconds...), in run order
     factors = []  # the host factor of each entry of times
-    verdicts = []
+    verdicts, counts = [], []  # of round 0; counts: (Delta corners, corners)
     clock = time.perf_counter
     scaler = Scaler()
     for r in range(ROUNDS):
@@ -83,9 +90,9 @@ def measure(cases: list) -> dict:
             t3 = clock()
             times.append((i, t1 - t0, t2 - t1, t3 - t2))
             if r == 0:
-                verdicts.append((verdict.ok, verdict.violation,
-                                 sum(c.is_delta for c in rg.corners),
-                                 len(rg.corners)))
+                verdicts.append(verdict)
+                counts.append((sum(c.is_delta for c in rg.corners),
+                               len(rg.corners)))
             if scaler.due():
                 factors += [scaler.factor()] * (len(times) - len(factors))
     factors += [scaler.factor()] * (len(times) - len(factors))
@@ -105,11 +112,10 @@ def measure(cases: list) -> dict:
     for k, stage in enumerate(STAGES):
         out[f"raw_{stage}_us_median"] = median_us(3 + k)
     out["host_factor_range"] = [round(min(factors), 3), round(max(factors), 3)]
-    out["delta_corners_mean"] = round(statistics.mean(v[2] for v in verdicts), 1)
-    out["corners_mean"] = round(statistics.mean(v[3] for v in verdicts), 1)
-    out["failed"] = sum(not v[0] for v in verdicts)
-    out["verdict_sha256"] = hashlib.sha256(
-        repr([v[:2] for v in verdicts]).encode()).hexdigest()
+    out["delta_corners_mean"] = round(statistics.mean(d for d, _ in counts), 1)
+    out["corners_mean"] = round(statistics.mean(n for _, n in counts), 1)
+    out["failed"] = sum(not v.ok for v in verdicts)
+    out["verdict_sha256"] = verdict_sha256(verdicts)
     return out
 
 

@@ -16,7 +16,6 @@ cycles) used by the weight machinery.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, count, repeat
 from operator import itemgetter
@@ -57,34 +56,98 @@ class Corner(NamedTuple):
         return self.provenance[0] == "delta"
 
 
-@dataclass(frozen=True)
-class DeltaBlock:
-    nodes: frozenset[EdgeEnd]
-    corner_ids: frozenset[int]
+class _Value:
+    """Equality, hashing and a dataclass-style repr over ``_fields``."""
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._fields) + ")"
 
 
-@dataclass(frozen=True)
-class LinkGraph:
+class DeltaBlock(_Value):
+    """The nodes of one Delta-block and the ids of its Delta corners.
+    ``build_relative_link`` passes the ids as a range (they are positions
+    there); ``corner_ids`` makes the frozenset on first read."""
+    __slots__ = ("nodes", "_ids")
+    _fields = ("nodes", "corner_ids")
+
+    def __init__(self, nodes: frozenset[EdgeEnd], corner_ids: Iterable[int]):
+        self.nodes, self._ids = nodes, corner_ids
+
+    @property
+    def corner_ids(self) -> frozenset[int]:
+        if not isinstance(self._ids, frozenset):
+            self._ids = frozenset(self._ids)
+        return self._ids
+
+
+class LinkGraph(_Value):
     """Multigraph on edge-ends; loops and parallel corners are allowed.
 
     ``ends`` holds the corners' ends as node positions: ends[2 * i] and
-    ends[2 * i + 1] are where a and b of corners[i] sit in ``nodes``.  The
-    builders pass it in; otherwise it is derived from the corners here.
-    """
-    nodes: tuple[EdgeEnd, ...]
-    corners: tuple[Corner, ...]
-    delta_blocks: Optional[tuple[DeltaBlock, ...]] = None
-    ends: Optional[tuple[int, ...]] = field(default=None, compare=False,
-                                            repr=False)
+    ends[2 * i + 1] are where a and b of corners[i] sit in ``nodes``.
 
-    def __post_init__(self):
-        if self.ends is None:
-            pos = {n: i for i, n in enumerate(self.nodes)}
-            try:
-                ends = tuple(pos[e] for c in self.corners for e in (c.a, c.b))
-            except KeyError as exc:
-                raise StructureError(f"corner end {exc.args[0]} is not a node") from None
-            object.__setattr__(self, "ends", ends)
+    ``_ids`` is every corner's id by position.  ``_orders`` holds the
+    Delta-blocks ``build_relative_link`` keeps as node orders, as (block
+    index, node order, position of the first corner, position after the
+    last); ``_corners`` and ``_ends`` hold every other corner.  The Delta
+    corners of those blocks and their ends are a view of ``delta_ends``,
+    filled on the first read of ``corners`` or ``ends``; the weight tests
+    read the private fields and leave it unfilled.
+    """
+    __slots__ = ("nodes", "delta_blocks", "_corners", "_ends", "_ids", "_orders")
+    _fields = ("nodes", "corners", "delta_blocks")
+
+    def __init__(self, nodes: tuple[EdgeEnd, ...], corners: tuple[Corner, ...],
+                 delta_blocks: Optional[tuple[DeltaBlock, ...]] = None):
+        pos = {n: i for i, n in enumerate(nodes)}
+        try:
+            ends = tuple(pos[e] for c in corners for e in (c.a, c.b))
+        except KeyError as exc:
+            raise StructureError(f"corner end {exc.args[0]} is not a node") from None
+        self.nodes, self.delta_blocks = nodes, delta_blocks
+        self._corners, self._ends, self._orders = corners, ends, ()
+        self._ids = tuple(c.id for c in corners)
+
+    @property
+    def corners(self) -> tuple[Corner, ...]:
+        return self._filled()._corners
+
+    @property
+    def ends(self) -> tuple[int, ...]:
+        return self._filled()._ends
+
+    def _filled(self) -> LinkGraph:
+        if not self._orders:
+            return self
+        corners, ends = list(self._corners), list(self._ends)
+        for bi, order, start, _ in self._orders:
+            pattern = delta_ends(len(order))
+            ns = pattern(list(map(self.nodes.__getitem__, order)))
+            corners += map(tuple.__new__, repeat(Corner), zip(
+                count(start), ns[::2], ns[1::2], repeat(("delta", bi))))
+            ends += pattern(order)
+        self._corners, self._ends, self._orders = tuple(corners), tuple(ends), ()
+        return self
+
+
+def _built(nodes, corners, ends, delta_blocks=None, orders=()) -> LinkGraph:
+    """A link of ``build_link`` or ``build_relative_link``: corner ids are
+    positions (see ``LinkGraph``)."""
+    g = object.__new__(LinkGraph)
+    g.nodes, g.delta_blocks, g._corners, g._ends = nodes, delta_blocks, corners, ends
+    g._orders, g._ids = orders, range(orders[-1][3] if orders else len(corners))
+    return g
 
 
 def corner_offsets(cx: TwoComplex) -> list[int]:
@@ -139,7 +202,7 @@ def _link(cx: TwoComplex, removed: frozenset[str]) -> tuple[
 def build_link(cx: TwoComplex) -> LinkGraph:
     """Absolute link: all edge-ends, one corner per boundary position."""
     nodes, corners, ends = _link(cx, frozenset())
-    return LinkGraph(nodes, tuple(corners), None, tuple(ends))
+    return _built(nodes, tuple(corners), tuple(ends))
 
 
 def signed_sublinks(g: LinkGraph) -> tuple[LinkGraph, LinkGraph]:
@@ -178,24 +241,24 @@ def build_relative_link(cx: TwoComplex, fam: SubcomplexFamily) -> LinkGraph:
     then the blocks, in part order, each one contiguous run of corners.
     A block's node order is its ends in edge order (x+, x- per edge, so
     polarities alternate), and its corners are ``delta_ends`` of that
-    order.  Corner ids are positions.  The weight tests read a block in
-    this layout as a whole (see ``relative_weight_test``).
+    order.  Corner ids are positions.  Each block is held as its node
+    order: its Delta corners are a view, filled on first read of
+    ``corners`` or ``ends`` (see ``LinkGraph``), and the weight tests read
+    the block as a whole (see ``relative_weight_test``).
     """
     validate_family(cx, fam)
     nodes, corners, ends = _link(cx, fam.all_cells)
     col = {x: 2 * k for k, x in enumerate(cx.edge_names)}
-    blocks = []
+    orders, blocks = [], []
+    start = len(corners)
     for bi, (edges, _cells) in enumerate(fam.parts):
-        block = sorted(col[x] + s for x in edges for s in (0, 1))
-        block_nodes = [nodes[u] for u in block]
-        pattern = delta_ends(len(block))
-        ns = pattern(block_nodes)
-        ids = range(len(corners), len(corners) + len(ns) // 2)
-        corners += map(tuple.__new__, repeat(Corner),
-                       zip(ids, ns[::2], ns[1::2], repeat(("delta", bi))))
-        ends += pattern(block)
-        blocks.append(DeltaBlock(frozenset(block_nodes), frozenset(ids)))
-    return LinkGraph(nodes, tuple(corners), tuple(blocks), tuple(ends))
+        order = tuple(sorted(col[x] + s for x in edges for s in (0, 1)))
+        end = start + len(order) * (len(order) + 1) // 2
+        orders.append((bi, order, start, end))
+        blocks.append(DeltaBlock(frozenset(map(nodes.__getitem__, order)),
+                                 range(start, end)))
+        start = end
+    return _built(nodes, tuple(corners), tuple(ends), tuple(blocks), tuple(orders))
 
 
 # ---------------------------------------------------------------------------

@@ -32,20 +32,25 @@ search.
 
 Delta-blocks on relative links.  ``build_relative_link`` puts the blocks
 after the cell corners, each one contiguous run in the pattern of
-``linkage.delta_ends`` on nodes of alternating polarity.  A block in that
-layout that carries its prescribed weights is "whole": it is checked by a
-few list comparisons (``_whole_blocks``), its weights are neither scaled
-nor summed, and the search holds one adjacency entry per node for it in
-place of its darts.  The first node of a (block, polarity) that a Dijkstra
-run settles expands the block: every node of the block, in block order, at
-+0 within the polarity and +den across, with the dart numbers of the
-pattern.  A node of the same (block, polarity) settled later is no closer,
-so its expansion could not improve any distance and is skipped; the pushes,
-and so the witnesses, are those of a search through every Delta dart.  Any
-other block (reordered corners, other weights) keeps its Delta corners in
-the checks and the adjacency, corner by corner.  Python-level work per
-relative test is then in proportion to the cell corners and the blocks'
-nodes, not to the Delta corners.
+``linkage.delta_ends`` on nodes of alternating polarity, and holds each
+block as its node order: no object is made per Delta corner, and
+``canonical_weights`` gives a block its weights in bulk.  A block in that
+layout that carries its prescribed weights is "whole": for a held block
+that is one comparison of its weights (``_whole_blocks``); its weights are
+neither scaled nor summed, and the search holds one adjacency entry per
+node for it in place of its darts.  The first node of a (block, polarity)
+that a Dijkstra run settles expands the block: every node of the block, in
+block order, at +0 within the polarity and +den across, with the dart
+numbers of the pattern.  A node of the same (block, polarity) settled later
+is no closer, so its expansion could not improve any distance and is
+skipped; the pushes, and so the witnesses, are those of a search through
+every Delta dart.  Any other block (a hand-built link's block in another
+order, a block with other weights) keeps its Delta corners in the checks
+and the adjacency, corner by corner.  Python-level work per relative test
+is then in proportion to the cell corners and the blocks' nodes, not to
+the Delta corners.  A scan whose limit leaves only weight-0 darts is
+settled by one union-find per test (``_homred_violation``); its Dijkstra
+runs only when the union-find joins the two ends, for the witness.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ from .lot import Lot, sublot_vertices, is_sublot
 
 Dart = tuple[int, int]  # (corner id, direction 0: a->b, 1: b->a)
 _ZERO, _ONE = Fraction(0), Fraction(1)
-_ID, _PROVENANCE = itemgetter(0), itemgetter(3)  # of a Corner
+_PROVENANCE = itemgetter(3)  # of a Corner
 
 
 @dataclass(frozen=True)
@@ -102,10 +107,6 @@ class WeightAssignment:
         raise PreconditionError(f"weights must be nonnegative rationals, got {bad!r}")
 
 
-def _corner_ids(g: LinkGraph) -> list[int]:
-    return [c.id for c in g.corners]
-
-
 @dataclass(frozen=True)
 class Verdict:
     ok: bool
@@ -119,19 +120,22 @@ class Verdict:
 def canonical_weights(g: LinkGraph) -> WeightAssignment:
     """Class-based 0/1 weights; covers Delta corners with their fixed values.
 
-    Every weight is one of two shared Fraction objects, so the bulk check
-    of a Delta-block's weights (``_whole_blocks``) finds them equal by
-    identity."""
+    A Delta-block held as its node order gets its weights in bulk, from
+    ``_delta_weights``.  Every weight is one of two shared Fraction
+    objects, so the bulk check of a block's weights (``_whole_blocks``)
+    finds them equal by identity."""
     pol = [n.polarity for n in g.nodes]
-    ends = g.ends
-    return WeightAssignment({c.id: _ONE if pol[a] != pol[b] else _ZERO
-                             for c, a, b in zip(g.corners, ends[::2], ends[1::2])})
+    ends = g._ends
+    ws = [_ONE if pol[a] != pol[b] else _ZERO for a, b in zip(ends[::2], ends[1::2])]
+    for _, order, _, _ in g._orders:
+        ws += _delta_weights(len(order))
+    return WeightAssignment(dict(zip(g._ids, ws)))
 
 
 def check_cell_condition(cx: TwoComplex, g: LinkGraph, w: WeightAssignment,
                          excluded_cells: frozenset[str] = frozenset()) -> Verdict:
     """Condition (1): every non-excluded cell's corner weights sum to <= q-2."""
-    den, iw = w.scaled(_corner_ids(g))
+    den, iw = w.scaled(g._ids)
     return _cell_condition(cx, _cell_sums(g, iw), den, excluded_cells)
 
 
@@ -160,7 +164,8 @@ def _cell_condition(cx: TwoComplex, sums: dict[str, int], den: int,
 # ---------------------------------------------------------------------------
 
 def _darts(g: LinkGraph, path: list[int]) -> tuple[Dart, ...]:
-    return tuple((g.corners[d >> 1].id, d & 1) for d in path)
+    ids = g._ids
+    return tuple((ids[d >> 1], d & 1) for d in path)
 
 
 def min_weight_reduced_cycle(g: LinkGraph, w: WeightAssignment
@@ -169,7 +174,7 @@ def min_weight_reduced_cycle(g: LinkGraph, w: WeightAssignment
 
     Returns None when the link has no reduced cycle at all.
     """
-    den, iw = w.scaled(_corner_ids(g))
+    den, iw = w.scaled(g._ids)
     # a shortest walk repeats no dart, so every distance is below this limit
     return _min_reduced_cycle(g, den, iw, 2 * sum(iw) + 1)
 
@@ -251,24 +256,24 @@ def _delta_weights(k: int) -> tuple[Fraction, ...]:
                  for i, j in zip(pattern[::2], pattern[1::2]))
 
 
-def _whole_blocks(g: LinkGraph, w: WeightAssignment
-                  ) -> list[tuple[int, tuple[int, ...], int, int]]:
-    """The Delta-blocks of g in the layout of ``build_relative_link`` and
-    with their prescribed weights, as (block index, node positions in block
-    order, position of the block's first corner, position after its last),
-    in position order.
+def _laid_out_blocks(g: LinkGraph) -> list[tuple[int, tuple[int, ...], int, int]]:
+    """The Delta-blocks of g in the layout of ``build_relative_link``, as
+    (block index, node order, position of the block's first corner,
+    position after its last), in position order.
 
-    The blocks are taken to fill the last corners of g, in block order; a
-    block's node order is read from its first row of corners.  A block
-    counts if its corners are exactly ``delta_ends`` of that order, with
-    its provenance, on its own nodes, of alternating polarity (x+ first),
-    and its weights are 0 within a polarity and 1 across.  All of this is
+    The blocks held as node orders (``LinkGraph._orders``) are.  Other
+    blocks are taken to fill the last corners of g, in block order, with a
+    node order read from their first row of corners; one counts if its
+    corners are exactly ``delta_ends`` of that order, with its provenance,
+    on its own nodes, of alternating polarity (x+ first).  All of this is
     compared in bulk, a few list operations per block.
     """
-    corners, ends, nodes = g.corners, g.ends, g.nodes
+    if g._orders:
+        return list(g._orders)
+    corners, ends, nodes = g._corners, g._ends, g.nodes
     sizes = [len(b.nodes) * (len(b.nodes) + 1) // 2 for b in g.delta_blocks]
     end = len(corners) - sum(sizes)
-    whole = []
+    out = []
     for bi, (blk, size) in enumerate(zip(g.delta_blocks, sizes)):
         start, end = end, end + size
         k = len(blk.nodes)
@@ -276,18 +281,28 @@ def _whole_blocks(g: LinkGraph, w: WeightAssignment
             continue
         e = 2 * start  # the block's first end
         order = ends[e:e + 1] + ends[e + 1:e + 2 * k - 2:2]
-        seg = corners[start:end]
-        provenance = tuple(map(_PROVENANCE, seg))
-        if (ends[e:2 * end] != delta_ends(k)(order)
-                or set(map(nodes.__getitem__, order)) != blk.nodes
-                or [nodes[u].polarity for u in order] != [1, -1] * (k // 2)
-                or provenance[0] != ("delta", bi)
-                or provenance != provenance[:1] * size):
-            continue
-        ws = tuple(map(w.weights.get, map(_ID, seg)))
-        if ws == _delta_weights(k) and all(
+        provenance = tuple(map(_PROVENANCE, corners[start:end]))
+        if (ends[e:2 * end] == delta_ends(k)(order)
+                and set(map(nodes.__getitem__, order)) == blk.nodes
+                and [nodes[u].polarity for u in order] == [1, -1] * (k // 2)
+                and provenance[0] == ("delta", bi)
+                and provenance == provenance[:1] * size):
+            out.append((bi, order, start, end))
+    return out
+
+
+def _whole_blocks(g: LinkGraph, w: WeightAssignment
+                  ) -> list[tuple[int, tuple[int, ...], int, int]]:
+    """The Delta-blocks of g in the layout of ``build_relative_link``
+    (``_laid_out_blocks``) that carry their prescribed weights, 0 within a
+    polarity and 1 across, compared in bulk."""
+    whole = []
+    for block in _laid_out_blocks(g):
+        _, order, start, end = block
+        ws = tuple(map(w.weights.get, g._ids[start:end]))
+        if ws == _delta_weights(len(order)) and all(
                 issubclass(t, Rational) for t in set(map(type, ws))):
-            whole.append((bi, order, start, end))
+            whole.append(block)
     return whole
 
 
@@ -295,15 +310,19 @@ def _scaled_outside(g: LinkGraph, w: WeightAssignment
                     ) -> tuple[int, dict[int, int], list]:
     """(den, iw, whole): ``whole`` as ``_whole_blocks`` finds it, and den
     and the scaled weights, by position, of every other corner.  A whole
-    block's weights are 0 and 1, so they do not change den."""
+    block's weights are 0 and 1, so they do not change den.  A block held
+    as its node order that is not whole fills the view (``LinkGraph``), so
+    that ``g._corners`` holds every corner outside the whole blocks."""
     whole = _whole_blocks(g, w)
+    if len(whole) < len(g._orders):  # a held block is read corner by corner
+        g._filled()
     rest: list[int] = []
     pos = 0
     for _, _, start, end in whole:
         rest += range(pos, start)
         pos = end
-    rest += range(pos, len(g.corners))
-    den, iw = w.scaled([g.corners[i].id for i in rest])
+    rest += range(pos, len(g._ids))
+    den, iw = w.scaled(list(map(g._ids.__getitem__, rest)))
     return den, dict(zip(rest, iw)), whole
 
 
@@ -337,7 +356,7 @@ def _homred_violation(g: LinkGraph, den: int, iw: dict[int, int], whole: list
     block holds one entry, where its block's darts would come, that
     expands the block once per (block, polarity) and search (see the
     module docstring)."""
-    tails = g.ends
+    tails = g._ends
     # (other end, dart, weight) per corner end, a loop once; (-1, b, t) for
     # node t of whole block b
     adj: list[list[tuple[int, int, int]]] = [[] for _ in g.nodes]
@@ -355,19 +374,39 @@ def _homred_violation(g: LinkGraph, den: int, iw: dict[int, int], whole: list
         for t, u in enumerate(order):
             adj[u].append((-1, b, t))
         pos = end
-    add_darts(pos, len(g.corners))
+    add_darts(pos, len(g._corners))
     blocks = [(order, start, len(order)) for _, order, start, _ in whole]
-    corners = g.corners
+    corners = g._corners
+    # A search follows no dart as heavy as its limit, 2 * den - x for a
+    # scanned corner of weight x > 0.  If that is at most the lightest
+    # positive weight (so at most x, and at most den), only weight-0 darts
+    # are left: the search fails unless one union-find over the weight-0
+    # corners and each whole block's two polarity classes joins its ends.
+    light = min(filter(None, iw.values()), default=0)
+    zero = None
     for i, x in iw.items():
         c = corners[i]
         if c.is_delta:
             continue
-        if tails[2 * i] == tails[2 * i + 1]:
+        u, v = tails[2 * i + 1], tails[2 * i]
+        if u == v:
             if x < 2 * den:
                 return ((c.id, 0),), Fraction(x, den)
             continue
-        found = _shortest_path_avoiding(adj, blocks, tails, tails[2 * i + 1],
-                                        tails[2 * i], i, 2 * den - x, den)
+        if 0 < x and 2 * den - x <= light:
+            if zero is None:  # a whole block's class is its first node of a polarity
+                rep = list(range(len(g.nodes)))
+                for _, order, _, _ in whole:
+                    for t, y in enumerate(order):
+                        rep[y] = order[t & 1]
+                zero = UnionFind(len(g.nodes))
+                for j, y in iw.items():
+                    if not y:
+                        zero.union(rep[tails[2 * j]], rep[tails[2 * j + 1]])
+            if zero.find(rep[u]) != zero.find(rep[v]):
+                continue
+        found = _shortest_path_avoiding(adj, blocks, tails, u, v, i,
+                                        2 * den - x, den)
         if found is not None:
             return ((c.id, 0),) + _darts(g, found[1]), Fraction(x + found[0], den)
     return None
@@ -396,7 +435,7 @@ def _shortest_path_avoiding(adj, blocks, tails, src: int, dst: int, banned: int,
             path = []
             while u != src:
                 path.append(prev[u])
-                u = tails[prev[u]]
+                u = _dart_tail(tails, blocks, prev[u])
             path.reverse()
             return du, path
         for v, d, x in adj[u]:
@@ -436,6 +475,15 @@ def _shortest_path_avoiding(adj, blocks, tails, src: int, dst: int, banned: int,
     return None
 
 
+def _dart_tail(tails, blocks, d: int) -> int:
+    """The node dart d leaves, read from ``delta_ends`` for a Delta dart of
+    a whole block (a held block's darts lie past the end of ``tails``)."""
+    for order, start, k in blocks:
+        if 0 <= d - 2 * start < k * (k + 1):
+            return delta_ends(k)(order)[d - 2 * start]
+    return tails[d]
+
+
 # ---------------------------------------------------------------------------
 # the tests
 # ---------------------------------------------------------------------------
@@ -444,7 +492,7 @@ def weight_test(cx: TwoComplex, g: LinkGraph, w: WeightAssignment) -> Verdict:
     """Gersten's weight test on an absolute link."""
     if g.delta_blocks is not None:
         raise PreconditionError("weight_test expects an absolute link")
-    den, iw = w.scaled(_corner_ids(g))
+    den, iw = w.scaled(g._ids)
     cell_verdict = _cell_condition(cx, _cell_sums(g, iw), den, frozenset())
     if not cell_verdict:
         return cell_verdict
@@ -481,9 +529,9 @@ def _relative_cell_sums(cx: TwoComplex, g: LinkGraph, k_cells: frozenset[str],
     sums = dict.fromkeys(size, 0)
     whole_ids = {bi for bi, _, _, _ in whole}
     keys: list = []  # an int per Delta corner's node pair, a provenance per cell corner
-    ends = g.ends
+    ends = g._ends
     for i, x in iw.items():
-        c = g.corners[i]
+        c = g._corners[i]
         a, b = ends[2 * i], ends[2 * i + 1]
         prov = c.provenance
         where = prov[1]
@@ -510,7 +558,7 @@ def _relative_cell_sums(cx: TwoComplex, g: LinkGraph, k_cells: frozenset[str],
         seen: set = set()
         for i, key in zip(iw, keys):
             if key in seen:
-                raise PreconditionError(f"link repeats corner {g.corners[i].id}")
+                raise PreconditionError(f"link repeats corner {g._ids[i]}")
             seen.add(key)
     if len(keys) + sum(end - start for _, _, start, end in whole) != need:
         raise PreconditionError("link misses corners of the relative link")

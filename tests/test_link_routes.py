@@ -14,6 +14,7 @@ from lotva import (DeltaBlock, LinkGraph, WeightAssignment, build_complex,
                    find_folding_vertices, find_homred_violation,
                    min_weight_reduced_cycle, relative_weight_test,
                    signed_relative_forest_check, weight_test)
+from lotva.linkage import UnionFind
 from lotva.sweep import random_lot
 from lotva.weights import _whole_blocks
 
@@ -168,3 +169,67 @@ def test_block_search_matches_reference(cases):
     assert all(seen[kind, route] for kind in (True, "cycle")
                for route in (False, True))
     assert all(seen["reweighted", none] for none in (False, True))
+
+
+def _cell_reweighted(rng, g: LinkGraph, values, across=None) -> WeightAssignment:
+    """Canonical weights of g, with every cell corner drawn from ``values``
+    and, with ``across``, every Delta corner across a polarity set to it."""
+    weights = dict(canonical_weights(g).weights)
+    for c in g.corners:
+        if not c.is_delta:
+            weights[c.id] = rng.choice(values)
+        elif across is not None and weights[c.id]:
+            weights[c.id] = across
+    return WeightAssignment(weights)
+
+
+def test_zero_weight_shortcut_matches_reference(cases, monkeypatch):
+    """Scans settled by the weight-0 union-find give the reference's
+    violation, in darts and weight, under non-canonical weights: halves
+    (den 2, whole blocks), every positive weight at least 2 (weight-0
+    scans, which the union-find must not settle), and one reweighted Delta
+    corner; on built, relabeled and reversed-block links.  The relative
+    weight test under canonical weights leaves a built link's Delta view
+    unread."""
+    import lotva.weights as weights_module
+    finds = Counter()
+    kind = "canonical"
+
+    class Counting(UnionFind):
+        def find(self, x):
+            finds[kind] += 1
+            return super().find(x)
+
+    monkeypatch.setattr(weights_module, "UnionFind", Counting)
+    rng = random.Random(107)
+    seen = Counter()
+    half, two = Fraction(1, 2), Fraction(2)
+    for cx, fam in cases[::5]:
+        g = build_relative_link(cx, fam)
+        kind = "canonical"
+        verdict = relative_weight_test(cx, fam, canonical_weights(g), g)
+        assert verdict == relative_weight_test(cx, fam, canonical_weights(g),
+                                               build_relative_link(cx, fam))
+        if fam.parts:
+            assert g._orders, "the Delta view was read"
+        sizes = [len(b.nodes) for b in g.delta_blocks]
+        for kind, values, across in (("halves", (0, half, 3 * half), None),
+                                     ("heavy", (0, 0, two, 5 * half), two),
+                                     ("one-delta", (0, half, 3 * half), None)):
+            g = build_relative_link(cx, fam)
+            w = _cell_reweighted(rng, g, values, across)
+            if kind == "one-delta" and sizes:
+                weights = dict(w.weights)
+                delta = [c.id for c in g.corners if c.is_delta]
+                weights[rng.choice(delta)] = rng.choice((0, half, 1, 3 * half))
+                w = WeightAssignment(weights)
+            links = [(g, w), _relabeled(rng, g, w)]
+            if sizes and max(sizes) > 2:
+                links.append((_reversed_block(g, sizes.index(max(sizes))), w))
+            for h, hw in links:
+                found = find_homred_violation(h, hw)
+                assert found == reference_find_homred_violation(h, hw)
+                seen[kind, found is None] += 1
+    assert all(seen[kind, none] for kind in ("halves", "heavy", "one-delta")
+               for none in (False, True))
+    assert finds["canonical"] and finds["halves"] and finds["one-delta"]

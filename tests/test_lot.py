@@ -223,6 +223,29 @@ class TestSublots:
                     assert sublot_closure(lot, s2) <= c or \
                         sublot_closure(lot, s2) >= c
 
+    def test_bits_match_bit_loop(self):
+        """The byte-table ``_bits`` against a lowest-bit loop, on random
+        masks of up to 200 bits at several densities, and on masks whose
+        set bits straddle the table's 32 bits."""
+        def by_loop(mask):
+            out = []
+            while mask:
+                low = mask & -mask
+                out.append(low.bit_length() - 1)
+                mask ^= low
+            return tuple(out)
+
+        rng = random.Random(5)
+        masks = [0, 1, 1 << 31, 1 << 32, (1 << 33) - 1, 1 << 199]
+        for _ in range(3000):
+            width = rng.randrange(1, 201)
+            mask = rng.getrandbits(width)
+            for _ in range(rng.randrange(3)):  # thin it out
+                mask &= rng.getrandbits(width)
+            masks.append(mask)
+        for mask in masks:
+            assert lot_module._bits(mask) == by_loop(mask)
+
     def test_closures_reuse_tree_walk(self, monkeypatch):
         """A Lot walks its root paths once, in the tree check; closures and
         SublotStructure read the kept paths, which take no part in
