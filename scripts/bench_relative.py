@@ -35,24 +35,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from host import Scaler  # noqa: E402
 from lotva import (build_complex, build_relative_link,  # noqa: E402
                    canonical_weights, derive_subcomplexes, parse_lot,
-                   relative_weight_test, sublot_closure, sublot_vertices)
+                   relative_weight_test)
+from paths import closure_family  # noqa: E402
+from spans import NoTrace  # noqa: E402
 from workloads import lot_text, make_inputs  # noqa: E402
 
 ROUNDS = 5
 STAGES = ("build_relative_link", "canonical_weights", "relative_weight_test")
-
-
-def closure_family(lot) -> list:
-    """The weight path's K: edge closures that are proper sub-LOTs, kept
-    greedily in edge order while vertex-disjoint from those already kept."""
-    parts, used = [], set()
-    for e in range(lot.num_edges):
-        part = sublot_closure(lot, e)
-        vs = sublot_vertices(lot, part)
-        if len(part) < lot.num_edges and not vs & used:
-            parts.append(part)
-            used |= vs
-    return parts
 
 
 def inputs(seed: int) -> list:
@@ -61,8 +50,8 @@ def inputs(seed: int) -> list:
     for kind, s in make_inputs("weights", seed).ops:
         if kind == "weights":
             lot = parse_lot(lot_text(s, "v"))
-            cases.append((build_complex(lot),
-                          derive_subcomplexes(lot, closure_family(lot))))
+            parts = closure_family(NoTrace(), lot)
+            cases.append((build_complex(lot), derive_subcomplexes(lot, parts)))
     return cases
 
 

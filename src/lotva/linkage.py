@@ -100,10 +100,10 @@ class LinkGraph(_Value):
     ``_ids`` is every corner's id by position.  ``_orders`` holds the
     Delta-blocks ``build_relative_link`` keeps as node orders, as (block
     index, node order, position of the first corner, position after the
-    last); ``_corners`` and ``_ends`` hold every other corner.  The Delta
-    corners of those blocks and their ends are a view of ``delta_ends``,
-    filled on the first read of ``corners`` or ``ends``; the weight tests
-    read the private fields and leave it unfilled.
+    last).  Their Delta corners and ends are a view of ``delta_ends``,
+    filled into ``_corners`` and ``_ends`` on the first read of ``corners``
+    or ``ends``; it is filled exactly when ``len(_corners) == len(_ids)``.
+    ``_orders`` stays, so the weight tests read the blocks whole either way.
     """
     __slots__ = ("nodes", "delta_blocks", "_corners", "_ends", "_ids", "_orders")
     _fields = ("nodes", "corners", "delta_blocks")
@@ -128,7 +128,7 @@ class LinkGraph(_Value):
         return self._filled()._ends
 
     def _filled(self) -> LinkGraph:
-        if not self._orders:
+        if len(self._corners) == len(self._ids):
             return self
         corners, ends = list(self._corners), list(self._ends)
         for bi, order, start, _ in self._orders:
@@ -137,7 +137,7 @@ class LinkGraph(_Value):
             corners += map(tuple.__new__, repeat(Corner), zip(
                 count(start), ns[::2], ns[1::2], repeat(("delta", bi))))
             ends += pattern(order)
-        self._corners, self._ends, self._orders = tuple(corners), tuple(ends), ()
+        self._corners, self._ends = tuple(corners), tuple(ends)
         return self
 
 

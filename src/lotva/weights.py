@@ -31,26 +31,25 @@ and ties break by push order, so the witnesses are those of an unbounded
 search.
 
 Delta-blocks on relative links.  ``build_relative_link`` puts the blocks
-after the cell corners, each one contiguous run in the pattern of
-``linkage.delta_ends`` on nodes of alternating polarity, and holds each
-block as its node order: no object is made per Delta corner, and
-``canonical_weights`` gives a block its weights in bulk.  A block in that
-layout that carries its prescribed weights is "whole": for a held block
-that is one comparison of its weights (``_whole_blocks``); its weights are
-neither scaled nor summed, and the search holds one adjacency entry per
-node for it in place of its darts.  The first node of a (block, polarity)
-that a Dijkstra run settles expands the block: every node of the block, in
-block order, at +0 within the polarity and +den across, with the dart
-numbers of the pattern.  A node of the same (block, polarity) settled later
-is no closer, so its expansion could not improve any distance and is
-skipped; the pushes, and so the witnesses, are those of a search through
-every Delta dart.  Any other block (a hand-built link's block in another
-order, a block with other weights) keeps its Delta corners in the checks
-and the adjacency, corner by corner.  Python-level work per relative test
-is then in proportion to the cell corners and the blocks' nodes, not to
-the Delta corners.  A scan whose limit leaves only weight-0 darts is
-settled by one union-find per test (``_homred_violation``); its Dijkstra
-runs only when the union-find joins the two ends, for the witness.
+after the cell corners, each in the pattern of ``linkage.delta_ends`` on
+nodes of alternating polarity, and holds each as its node order
+(``LinkGraph._orders``); ``canonical_weights`` weights it in bulk.  A held
+block that carries its prescribed weights is "whole" (``_whole_blocks``,
+one comparison), before and after the link's view of its corners is
+filled: its weights are neither scaled nor summed, and the search holds
+one adjacency entry per node for it in place of its darts.  The first node
+of a (block, polarity) that a Dijkstra run settles expands the block:
+every node of the block, in block order, at +0 within the polarity and
++den across, with the dart numbers of the pattern.  A node of the same
+(block, polarity) settled later is no closer, so its expansion could not
+improve any distance and is skipped; the pushes, and so the witnesses, are
+those of a search through every Delta dart.  Only held blocks are read
+whole: every block of a link built by hand, and a held block with other
+weights, is checked and searched corner by corner.  Python-level work per
+relative test is then in proportion to the cell corners and the blocks'
+nodes, not to the Delta corners.  A scan whose limit leaves only weight-0
+darts is settled by one union-find per test (``_homred_violation``); its
+Dijkstra runs only when the union-find joins the two ends, for the witness.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import ParseError, PreconditionError, StructureError
@@ -74,7 +72,6 @@ from .lot import Lot, sublot_vertices, is_sublot
 
 Dart = tuple[int, int]  # (corner id, direction 0: a->b, 1: b->a)
 _ZERO, _ONE = Fraction(0), Fraction(1)
-_PROVENANCE = itemgetter(3)  # of a Corner
 
 
 @dataclass(frozen=True)
@@ -120,12 +117,12 @@ class Verdict:
 def canonical_weights(g: LinkGraph) -> WeightAssignment:
     """Class-based 0/1 weights; covers Delta corners with their fixed values.
 
-    A Delta-block held as its node order gets its weights in bulk, from
-    ``_delta_weights``.  Every weight is one of two shared Fraction
-    objects, so the bulk check of a block's weights (``_whole_blocks``)
-    finds them equal by identity."""
+    Corners outside held Delta-blocks are weighted from their ends; a held
+    block gets its weights in bulk, from ``_delta_weights``.  Every weight
+    is one of two shared Fraction objects, so the bulk check of a block's
+    weights (``_whole_blocks``) finds them equal by identity."""
     pol = [n.polarity for n in g.nodes]
-    ends = g._ends
+    ends = g._ends[:2 * g._orders[0][2]] if g._orders else g._ends
     ws = [_ONE if pol[a] != pol[b] else _ZERO for a, b in zip(ends[::2], ends[1::2])]
     for _, order, _, _ in g._orders:
         ws += _delta_weights(len(order))
@@ -256,48 +253,14 @@ def _delta_weights(k: int) -> tuple[Fraction, ...]:
                  for i, j in zip(pattern[::2], pattern[1::2]))
 
 
-def _laid_out_blocks(g: LinkGraph) -> list[tuple[int, tuple[int, ...], int, int]]:
-    """The Delta-blocks of g in the layout of ``build_relative_link``, as
-    (block index, node order, position of the block's first corner,
-    position after its last), in position order.
-
-    The blocks held as node orders (``LinkGraph._orders``) are.  Other
-    blocks are taken to fill the last corners of g, in block order, with a
-    node order read from their first row of corners; one counts if its
-    corners are exactly ``delta_ends`` of that order, with its provenance,
-    on its own nodes, of alternating polarity (x+ first).  All of this is
-    compared in bulk, a few list operations per block.
-    """
-    if g._orders:
-        return list(g._orders)
-    corners, ends, nodes = g._corners, g._ends, g.nodes
-    sizes = [len(b.nodes) * (len(b.nodes) + 1) // 2 for b in g.delta_blocks]
-    end = len(corners) - sum(sizes)
-    out = []
-    for bi, (blk, size) in enumerate(zip(g.delta_blocks, sizes)):
-        start, end = end, end + size
-        k = len(blk.nodes)
-        if start < 0 or not k or k % 2:
-            continue
-        e = 2 * start  # the block's first end
-        order = ends[e:e + 1] + ends[e + 1:e + 2 * k - 2:2]
-        provenance = tuple(map(_PROVENANCE, corners[start:end]))
-        if (ends[e:2 * end] == delta_ends(k)(order)
-                and set(map(nodes.__getitem__, order)) == blk.nodes
-                and [nodes[u].polarity for u in order] == [1, -1] * (k // 2)
-                and provenance[0] == ("delta", bi)
-                and provenance == provenance[:1] * size):
-            out.append((bi, order, start, end))
-    return out
-
-
 def _whole_blocks(g: LinkGraph, w: WeightAssignment
                   ) -> list[tuple[int, tuple[int, ...], int, int]]:
-    """The Delta-blocks of g in the layout of ``build_relative_link``
-    (``_laid_out_blocks``) that carry their prescribed weights, 0 within a
-    polarity and 1 across, compared in bulk."""
+    """The Delta-blocks ``build_relative_link`` holds as node orders
+    (``LinkGraph._orders``) that carry their prescribed weights, 0 within a
+    polarity and 1 across, compared in bulk.  A link built by hand has
+    none."""
     whole = []
-    for block in _laid_out_blocks(g):
+    for block in g._orders:
         _, order, start, end = block
         ws = tuple(map(w.weights.get, g._ids[start:end]))
         if ws == _delta_weights(len(order)) and all(
@@ -337,9 +300,9 @@ def find_homred_violation(g: LinkGraph, w: WeightAssignment
     w(e) + (shortest u-v path avoiding e) < 2, or w(e) < 2 when e is a loop.
     The first violation in the link's corner order is returned.
 
-    A Delta-block in the layout of ``build_relative_link`` that carries its
+    A Delta-block held by ``build_relative_link`` that carries its
     prescribed weights is searched as a block (see ``_homred_violation``);
-    any other block, such as one whose corners were reordered or
+    any other block, such as one of a link built by hand or a held block
     reweighted, is searched corner by corner.  The result is the same.
     """
     if g.delta_blocks is None:
@@ -477,7 +440,7 @@ def _shortest_path_avoiding(adj, blocks, tails, src: int, dst: int, banned: int,
 
 def _dart_tail(tails, blocks, d: int) -> int:
     """The node dart d leaves, read from ``delta_ends`` for a Delta dart of
-    a whole block (a held block's darts lie past the end of ``tails``)."""
+    a whole block (past the end of ``tails`` while the view is unfilled)."""
     for order, start, k in blocks:
         if 0 <= d - 2 * start < k * (k + 1):
             return delta_ends(k)(order)[d - 2 * start]
@@ -527,7 +490,6 @@ def _relative_cell_sums(cx: TwoComplex, g: LinkGraph, k_cells: frozenset[str],
     size = {c.name: len(c.boundary) for c in cx.cells if c.name not in k_cells}
     need += sum(size.values())
     sums = dict.fromkeys(size, 0)
-    whole_ids = {bi for bi, _, _, _ in whole}
     keys: list = []  # an int per Delta corner's node pair, a provenance per cell corner
     ends = g._ends
     for i, x in iw.items():
@@ -542,8 +504,6 @@ def _relative_cell_sums(cx: TwoComplex, g: LinkGraph, k_cells: frozenset[str],
             if x != expected * den:
                 raise PreconditionError(f"delta corner {c.id} must have weight "
                                         f"{expected}, got {Fraction(x, den)}")
-            if where in whole_ids:
-                raise PreconditionError(f"link repeats corner {c.id}")
             keys.append(a * n + b if a <= b else b * n + a)
         else:
             if where in k_cells:
@@ -576,12 +536,12 @@ def relative_weight_test(cx: TwoComplex, fam: SubcomplexFamily,
     exponent sum and Delta corners that do not carry their fixed weights.
     A family whose parts are not subcomplexes of cx raises StructureError.
 
-    A Delta-block in the builder's layout with its prescribed weights is
-    checked in bulk, by a few list comparisons, and searched as a block
+    A Delta-block held by the builder with its prescribed weights is
+    checked in bulk, by one comparison, and searched as a block
     (``_homred_violation``): weights are scaled, summed and checked corner
-    by corner only outside such blocks.  A block in any other layout, such
-    as a hand-built link with its Delta corners reordered, is checked and
-    searched corner by corner, with the same verdict and witness.
+    by corner only outside such blocks.  Every block of a link built by
+    hand is checked and searched corner by corner, with the same verdict
+    and witness.
     """
     validate_family(cx, fam)
     k_cells = fam.all_cells

@@ -12,8 +12,9 @@ from lotva import (DeltaBlock, LinkGraph, WeightAssignment, build_complex,
                    build_link, build_relative_link, canonical_weights,
                    curvature_report, derive_subcomplexes, double_cell_sphere,
                    find_folding_vertices, find_homred_violation,
-                   min_weight_reduced_cycle, relative_weight_test,
-                   signed_relative_forest_check, weight_test)
+                   min_weight_reduced_cycle, parse_weights,
+                   relative_weight_test, signed_relative_forest_check,
+                   weight_test)
 from lotva.linkage import UnionFind
 from lotva.sweep import random_lot
 from lotva.weights import _whole_blocks
@@ -101,7 +102,9 @@ def _results(cx, fam, h: LinkGraph, w: WeightAssignment):
 def test_rebuilt_links_match_built_links(cases):
     """A link rebuilt from its own parts derives the same int ends; it and
     a copy whose corner ids are not positions give the built link's
-    results."""
+    results.  Both are built by hand, so their Delta-blocks are read
+    corner by corner: on relative links this checks the block route
+    against the corner route."""
     rng = random.Random(99)
     outcomes = set()
     for cx, fam in cases:
@@ -130,20 +133,20 @@ def _reversed_block(g: LinkGraph, bi: int) -> LinkGraph:
 def test_block_search_matches_reference(cases):
     """Delta-blocks searched as blocks give the corner-by-corner
     reference's cycle, darts and weight, under canonical weights: on the
-    built links and their relabeled copies (blocks read whole), and with
-    the largest block's Delta corners reversed (that block read corner by
-    corner).  ``find_homred_violation`` with one Delta corner reweighted
-    (that block read corner by corner) also gives the reference's cycle."""
+    built links (blocks read whole), and on their relabeled copies and
+    copies with the largest block's Delta corners reversed (built by hand,
+    so every block is read corner by corner).  ``find_homred_violation``
+    with one Delta corner reweighted (that block read corner by corner)
+    also gives the reference's cycle."""
     rng = random.Random(103)
     seen = Counter()
     for cx, fam in cases:
         g = build_relative_link(cx, fam)
         links = [(g, len(g.delta_blocks)),
-                 (_relabeled(rng, g, canonical_weights(g))[0], len(g.delta_blocks))]
+                 (_relabeled(rng, g, canonical_weights(g))[0], 0)]
         sizes = [len(b.nodes) for b in g.delta_blocks]
         if sizes and max(sizes) > 2:
-            links.append((_reversed_block(g, sizes.index(max(sizes))),
-                           len(sizes) - 1))
+            links.append((_reversed_block(g, sizes.index(max(sizes))), 0))
         for h, whole in links:
             w = canonical_weights(h)
             assert len(_whole_blocks(h, w)) == whole
@@ -169,6 +172,42 @@ def test_block_search_matches_reference(cases):
     assert all(seen[kind, route] for kind in (True, "cycle")
                for route in (False, True))
     assert all(seen["reweighted", none] for none in (False, True))
+
+
+def test_filled_view_keeps_blocks_whole(fig1):
+    """A built relative link whose Delta view was filled, by reading
+    ``corners`` or through ``parse_weights``, still reads every block
+    whole under canonical weights, and gives a fresh link's verdict and
+    first homology reduced violation: on fig1 with K = {1, 2, 3, 4} and on
+    random 16-24-edge LOTs with the greedy closure family."""
+    lots = [(fig1, [frozenset({1, 2, 3, 4})])]
+    for s in (0, 6, 7, 9, 11):  # seeds whose closure family is not empty
+        lot = random_lot(random.Random(s), 16 + s % 9)
+        lots.append((lot, closure_family(lot)))
+    outcomes = set()
+    for lot, parts in lots:
+        cx = build_complex(lot)
+        fam = derive_subcomplexes(lot, parts)
+        fresh = build_relative_link(cx, fam)
+        w = canonical_weights(fresh)
+        expect = (relative_weight_test(cx, fam, w, fresh),
+                  find_homred_violation(fresh, w))
+        assert len(fresh._corners) < len(fresh._ids)
+        assert len(_whole_blocks(fresh, w)) == len(fresh.delta_blocks)
+        for fill in ("corners", "weights file"):
+            g = build_relative_link(cx, fam)
+            if fill == "corners":
+                assert len(g.corners) == len(g._ids)
+                gw = canonical_weights(g)
+            else:
+                gw = parse_weights("", g)
+            assert len(g._corners) == len(g._ids), "the Delta view is unfilled"
+            assert gw == w
+            assert len(_whole_blocks(g, gw)) == len(g.delta_blocks)
+            assert (relative_weight_test(cx, fam, gw, g),
+                    find_homred_violation(g, gw)) == expect
+        outcomes.add(expect[0].ok)
+    assert outcomes == {False, True}
 
 
 def _cell_reweighted(rng, g: LinkGraph, values, across=None) -> WeightAssignment:
@@ -211,7 +250,7 @@ def test_zero_weight_shortcut_matches_reference(cases, monkeypatch):
         assert verdict == relative_weight_test(cx, fam, canonical_weights(g),
                                                build_relative_link(cx, fam))
         if fam.parts:
-            assert g._orders, "the Delta view was read"
+            assert len(g._corners) < len(g._ids), "the Delta view was read"
         sizes = [len(b.nodes) for b in g.delta_blocks]
         for kind, values, across in (("halves", (0, half, 3 * half), None),
                                      ("heavy", (0, 0, two, 5 * half), two),
