@@ -1,0 +1,116 @@
+"""Certify stage benchmark: the public calls ``certify_va`` makes, by stage.
+
+    python3 scripts/bench_certify.py [--out FILE]
+
+Run from anywhere; the library is imported from the ``src/`` next to this
+script, and the inputs from ``perfbench/workloads.py``: the 120 roots of
+the ``large`` workload at seed 0 (boundary-reduced 14-edge LOTs, 40 prime
+and 80 not).  Each root goes through the calls that decide it, in the order
+``certify_va`` makes them: the boundary witness and ``SublotStructure`` on
+every root; ``free_decomposition`` on the non-prime ones;
+``complete_set_search`` on those without a free decomposition;
+``orientation_search`` on the prime roots with nothing fixed, and on the
+complete-set roots with their complete set fixed (``_fixed``); then ``certify_va`` and
+``serialize_certificate`` of the whole certificate.  Every call is timed in
+each of five rounds; its time is its best round, and a stage's figure is
+the median over the roots it runs on, in microseconds.  Each time is stated
+at the reference host speed of ``perfbench/host.py``: its ``Scaler`` times
+a fixed loop about every 0.1 s of work, and the times in between are
+multiplied by its factor.  Records the raw medians and the range of factors
+next to the scaled ones, the roots' node kinds, and the host it ran on.
+Standard library only; a bench, not a test.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from host import Scaler  # noqa: E402
+from workloads import lot_text, make_inputs  # noqa: E402
+from lotva import (boundary_reducible_witness, certify_va,  # noqa: E402
+                   complete_set_search, free_decomposition,
+                   orientation_search, parse_lot, serialize_certificate)
+from lotva.lot import SublotStructure  # noqa: E402
+
+ROUNDS = 5
+
+
+def root_calls(lot) -> tuple[str, list]:
+    """The root's node kind, and its (stage, function, arguments) calls."""
+    calls = [("boundary_witness", boundary_reducible_witness, (lot,)),
+             ("SublotStructure", SublotStructure, (lot,))]
+    cert = certify_va(lot)
+    if cert.kind == "prime-wt":
+        calls.append(("orientation_search", orientation_search, (lot, ())))
+    else:
+        calls.append(("free_decomposition", free_decomposition, (lot,)))
+    if cert.kind == "complete-set":
+        calls += [("complete_set_search", complete_set_search, (lot,)),
+                  ("orientation_search_fixed", orientation_search,
+                   (lot, list(cert.sublots)))]
+    calls += [("certify_va", certify_va, (lot,)),
+              ("serialize", serialize_certificate, (cert,))]
+    return cert.kind, calls
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_certify.json")
+    args = ap.parse_args(argv)
+    lots = [parse_lot(lot_text(shape, "v"))
+            for kind, shape in make_inputs("large", 0).ops if kind == "certify"]
+    kinds, calls = zip(*map(root_calls, lots))
+    times = []    # (root, call index, raw s), in run order
+    factors = []  # the host factor of each entry of times
+    clock = time.perf_counter
+    scaler = Scaler()
+    for _ in range(ROUNDS):
+        for r, root in enumerate(calls):
+            for c, (_, fn, fargs) in enumerate(root):
+                t0 = clock()
+                fn(*fargs)
+                times.append((r, c, clock() - t0))
+            if scaler.due():
+                factors += [scaler.factor()] * (len(times) - len(factors))
+    factors += [scaler.factor()] * (len(times) - len(factors))
+    best: dict[tuple[int, int], list[float]] = {}  # (scaled, raw) per call
+    for (r, c, t), f in zip(times, factors):
+        b = best.setdefault((r, c), [float("inf")] * 2)
+        b[:] = min(b[0], t * f), min(b[1], t)
+    stages: dict[str, list] = {}
+    for (r, c), b in best.items():
+        stages.setdefault(calls[r][c][0], []).append(b)
+    record = {
+        "host": {"python": platform.python_version(),
+                 "machine": platform.machine(), "cpus": os.cpu_count()},
+        "inputs": "perfbench large workload, seed 0: its 120 certify roots",
+        "rounds": ROUNDS,
+        "root_kinds": dict(sorted(Counter(kinds).items())),
+        "stages": {name: {
+            "roots": len(bs),
+            "median_us": round(statistics.median(b[0] for b in bs) * 1e6, 2),
+            "raw_median_us": round(statistics.median(b[1] for b in bs) * 1e6, 2),
+        } for name, bs in stages.items()},
+        "host_factor_range": [round(min(factors), 3), round(max(factors), 3)],
+    }
+    for name, s in record["stages"].items():
+        print(f"{name:20} {s['roots']:4} roots  median {s['median_us']:9.2f} us"
+              f"  (raw {s['raw_median_us']:.2f})")
+    print("host factors", *record["host_factor_range"])
+    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

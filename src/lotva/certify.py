@@ -18,11 +18,11 @@ from typing import Optional, Union
 from .errors import LotvaError, ParseError, PreconditionError
 from .complexes import build_complex, derive_subcomplexes, exponent_sum, is_full
 from .lot import (CollapseChain, ChainStep, Lot, LotEdge, SublotStructure,
-                  boundary_reducible_witness, check_properties, collapse,
-                  collapse_vertex_of, extract_sublot, free_decomposition,
-                  is_compressed, is_injective, is_sublot, search_complete_set,
-                  sublot_vertices)
-from .weights import FlipForests, flip_mask, orientation_search
+                  _bits, boundary_reducible_witness, check_properties,
+                  collapse, collapse_vertex_of, extract_sublot,
+                  free_decomposition, is_compressed, is_injective, is_sublot,
+                  search_complete_set, sublot_vertices)
+from .weights import FlipForests, flip_mask
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +106,13 @@ def boundary_reduce(lot: Lot, edge_id: int, outer_vertex: str) -> Lot:
 def _witness_pairs(lot: Lot, flipped: frozenset[int]
                    ) -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]:
     """lk+ and lk- corner endpoint pairs of the reoriented LOT, by name."""
-    corners = FlipForests(lot, ())
-    flip = flip_mask(lot, flipped)
+    return _named_pairs(lot, FlipForests(lot, ()), flip_mask(lot, flipped))
+
+
+def _named_pairs(lot: Lot, corners: FlipForests, flip: int
+                 ) -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]:
+    """``_witness_pairs`` from the corners of K(lot) (``FlipForests`` with
+    nothing fixed) and a flip mask."""
     names = lot.vertices
     pos, neg = (tuple((names[a], names[b]) for a, b in corners.pairs(flip, pol))
                 for pol in (1, -1))
@@ -147,13 +152,14 @@ def _certify(lot: Lot) -> Union[Certificate, CertifyFailure]:
 
     structure = SublotStructure(lot)
     if structure.prime:
-        flipped = orientation_search(lot, [])
-        if flipped is None:
+        corners = FlipForests(lot, ())
+        flip = corners.first_forest_flip()
+        if flip is None:
             return CertifyFailure(
                 "prime-orientation-search",
                 f"no orientation of {lot.name or 'lot'} gives lk+/lk- forests")
-        pos, neg = _witness_pairs(lot, flipped)
-        return PrimeWeightTest(flipped, pos, neg)
+        pos, neg = _named_pairs(lot, corners, flip)
+        return PrimeWeightTest(frozenset(_bits(flip)), pos, neg)
 
     fd = free_decomposition(lot)
     if fd is not None:
@@ -172,11 +178,14 @@ def _certify(lot: Lot) -> Union[Certificate, CertifyFailure]:
             "complete-set-search",
             "non-prime LOT with neither a free decomposition nor a complete set")
     sublots, chain = found
-    flipped = orientation_search(lot, sublots)
-    if flipped is None:
+    # the search's sub-LOTs are disjoint sub-LOTs, which orientation_search
+    # would check again
+    flip = FlipForests(lot, sublots).first_forest_flip()
+    if flip is None:
         return CertifyFailure(
             "relative-orientation-search",
             "no orientation gives relative lk+/lk- forests")
+    flipped = frozenset(_bits(flip))
     children = []
     for part in sublots:
         child = _certify(extract_sublot(lot, part))
@@ -350,14 +359,21 @@ def _check_forests_and_witnesses(lot, flipped, fixed, pos_rec, neg_rec, prefix):
 # ---------------------------------------------------------------------------
 
 def serialize_certificate(cert: Certificate) -> str:
+    """The certificate as line-oriented s-expressions, laid out by node
+    kind: a ``base`` or ``prime-wt`` node takes one line; a ``bdry-red``,
+    ``free-dec`` or ``complete-set`` node opens a line with its keyword and
+    puts each field and child node on a line of its own, two spaces deeper,
+    and so do the ``chain`` and ``children`` fields with their steps and
+    child nodes.  Every other field takes one line."""
+    lines: list[str] = []
     names: set[str] = set()
-    sexp = _to_sexp(cert, names)
+    _write(cert, 0, lines, names)
     # one test of all the names at once; the per-name one finds the culprit
     if names and ("" in names or _unreadable("".join(names))):
         raise PreconditionError(
             f"vertex name {min(filter(_unreadable, names))!r} cannot be "
             "written as one certificate atom")
-    return _pp(sexp, 0) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def _unreadable(name: str) -> bool:
@@ -366,85 +382,65 @@ def _unreadable(name: str) -> bool:
     return name.split() != [name] or "(" in name or ")" in name
 
 
-def _ids(s) -> list:
-    return sorted(s)
+def _ids(ids) -> str:
+    """Edge ids in increasing order, each with a space in front."""
+    return "".join([f" {i}" for i in sorted(ids)])
 
 
-def _to_sexp(cert: Certificate, names: set[str]):
-    """The nested lists the writer prints; every vertex name placed in them
-    is added to ``names``."""
+def _write(cert: Certificate, depth: int, lines: list[str],
+           names: set[str]) -> None:
+    """Appends the lines of ``cert``, indented ``depth`` steps, to
+    ``lines``, and every vertex name written to ``names``."""
+    pad = "  " * depth
+    inner = pad + "  "
     if isinstance(cert, BaseTrivial):
-        return ["base"]
-    if isinstance(cert, BoundaryReduction):
+        lines.append(pad + "(base)")
+    elif isinstance(cert, BoundaryReduction):
         names.add(cert.outer_vertex)
-        return ["bdry-red", ["edge", cert.edge_id], ["vertex", cert.outer_vertex],
-                _to_sexp(cert.child, names)]
-    if isinstance(cert, FreeDecompositionNode):
+        lines += [pad + "(bdry-red", f"{inner}(edge {cert.edge_id})",
+                  f"{inner}(vertex {cert.outer_vertex})"]
+        _write(cert.child, depth + 1, lines, names)
+        lines[-1] += ")"
+    elif isinstance(cert, FreeDecompositionNode):
         names.add(cert.shared_vertex)
-        return ["free-dec",
-                ["left"] + _ids(cert.left_edges),
-                ["right"] + _ids(cert.right_edges),
-                ["shared", cert.shared_vertex],
-                _to_sexp(cert.left_child, names),
-                _to_sexp(cert.right_child, names)]
-    if isinstance(cert, PrimeWeightTest):
-        return ["prime-wt", ["flipped"] + _ids(cert.flipped),
-                *_corner_fields(cert, names)]
-    if isinstance(cert, CompleteSetRelative):
-        chain = ["chain"]
+        lines += [pad + "(free-dec", f"{inner}(left{_ids(cert.left_edges)})",
+                  f"{inner}(right{_ids(cert.right_edges)})",
+                  f"{inner}(shared {cert.shared_vertex})"]
+        _write(cert.left_child, depth + 1, lines, names)
+        _write(cert.right_child, depth + 1, lines, names)
+        lines[-1] += ")"
+    elif isinstance(cert, PrimeWeightTest):
+        pos, neg = _corner_fields(cert, names)
+        lines.append(f"{pad}(prime-wt (flipped{_ids(cert.flipped)}) {pos} {neg})")
+    elif isinstance(cert, CompleteSetRelative):
+        lines += [pad + "(complete-set", inner + "(sublots" + "".join(
+            [f" ({_ids(p).lstrip()})" for p in cert.sublots]) + ")", inner + "(chain"]
         for step in cert.chain.steps:
             names.add(step.collapse_vertex)
-            chain.append(["step", _ids(step.sublot_edges), step.collapse_vertex])
+            lines.append(f"{inner}  (step ({_ids(step.sublot_edges).lstrip()}) "
+                         f"{step.collapse_vertex})")
+        lines[-1] += ")"
         final = cert.chain.final_quotient
         names.update(final.vertices)  # a Lot's edges name only its vertices
-        final_s = ["final", ["vertices"] + list(final.vertices)]
-        for e in final.edges:
-            final_s.append(["edge", e.tail, e.head, e.label])
-        return ["complete-set",
-                ["sublots"] + [_ids(p) for p in cert.sublots],
-                chain, final_s,
-                ["flipped"] + _ids(cert.flipped), *_corner_fields(cert, names),
-                ["children"] + [_to_sexp(c, names) for c in cert.children]]
-    raise LotvaError(f"cannot serialize {cert!r}")
+        lines.append(f"{inner}(final (vertices"
+                     + "".join([f" {v}" for v in final.vertices]) + ")"
+                     + "".join([f" (edge {e.tail} {e.head} {e.label})"
+                                for e in final.edges]) + ")")
+        lines += [f"{inner}(flipped{_ids(cert.flipped)})",
+                  *(inner + f for f in _corner_fields(cert, names)),
+                  inner + "(children"]
+        for child in cert.children:
+            _write(child, depth + 2, lines, names)
+        lines[-1] += "))"
+    else:
+        raise LotvaError(f"cannot serialize {cert!r}")
 
 
-def _corner_fields(cert, names: set[str]) -> list:
+def _corner_fields(cert, names: set[str]) -> tuple[str, str]:
     """The (pos ...) and (neg ...) fields of a node; adds their names."""
     names.update(*cert.pos_corners, *cert.neg_corners)
-    return [["pos"] + [list(p) for p in cert.pos_corners],
-            ["neg"] + [list(p) for p in cert.neg_corners]]
-
-
-_NESTED = {"bdry-red", "free-dec", "complete-set", "children", "chain"}
-
-
-def _pp(node, depth: int) -> str:
-    pad = "  " * depth
-    if not isinstance(node, list):
-        return pad + _atom(node)
-    if not any(isinstance(x, list) and x and x[0] in _NODE_KEYWORDS
-               for x in node) and node[0] not in _NESTED:
-        return pad + _flat(node)
-    head = node[0]
-    parts = [pad + "(" + str(head)]
-    for x in node[1:]:
-        if isinstance(x, list):
-            parts.append(_pp(x, depth + 1))
-        else:
-            parts.append("  " * (depth + 1) + _atom(x))
-    parts[-1] += ")"
-    return "\n".join(parts)
-
-
-def _flat(node) -> str:
-    out = []
-    for x in node:
-        out.append(_flat(x) if isinstance(x, list) else _atom(x))
-    return "(" + " ".join(out) + ")"
-
-
-def _atom(x) -> str:
-    return str(x)
+    return ("(pos" + "".join([f" ({a} {b})" for a, b in cert.pos_corners]) + ")",
+            "(neg" + "".join([f" ({a} {b})" for a, b in cert.neg_corners]) + ")")
 
 
 MAX_CERT_DEPTH = 500
@@ -541,7 +537,7 @@ def _pairs(items) -> tuple[tuple[str, str], ...]:
 
 def _from_sexp(sexp) -> Certificate:
     """The node ``sexp`` spells, read by position in exactly the layout
-    ``_to_sexp`` writes: a missing, extra, repeated or out-of-order field
+    ``_write`` writes: a missing, extra, repeated or out-of-order field
     or a stray atom is a ParseError."""
     if not isinstance(sexp, list) or not sexp:
         raise ParseError("certificate node must be a list")
@@ -586,5 +582,3 @@ def _from_sexp(sexp) -> Certificate:
             tuple(map(_from_sexp, _items(children, "children"))))
     raise ParseError(f"unknown certificate keyword {head!r}")
 
-
-_NODE_KEYWORDS = {"base", "bdry-red", "free-dec", "prime-wt", "complete-set"}

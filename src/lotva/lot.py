@@ -62,14 +62,14 @@ class Lot:
 
 
 def _lot_from_view(vertices: tuple[str, ...], edges: tuple[LotEdge, ...],
-                   iv: _IntView, paths: tuple[int, ...]) -> Lot:
-    """A nameless Lot built without ``__post_init__``.  The caller
-    guarantees the invariants that ``__post_init__`` checks, and passes
-    exactly the view and root paths it would compute."""
+                   iv: _IntView, paths: tuple[int, ...], name: str = "") -> Lot:
+    """A Lot built without ``__post_init__``.  The caller guarantees the
+    invariants that ``__post_init__`` checks, and passes exactly the view
+    and root paths it would compute."""
     lot = object.__new__(Lot)
     object.__setattr__(lot, "vertices", vertices)
     object.__setattr__(lot, "edges", edges)
-    object.__setattr__(lot, "name", "")
+    object.__setattr__(lot, "name", name)
     object.__setattr__(lot, "_iv", iv)
     object.__setattr__(lot, "_paths", paths)
     return lot
@@ -210,10 +210,7 @@ def _int_view(lot: Lot) -> _IntView:
         if v in idx:
             raise StructureError(f"duplicate vertex {v!r}")
         idx[v] = len(idx)
-    n = len(idx)
     edges = []
-    inc = [[] for _ in range(n)]
-    lab = [0] * n
     for i, e in enumerate(lot.edges):
         if e.tail == e.head:
             raise StructureError(f"edge {i} is a self-loop at {e.tail!r}")
@@ -222,12 +219,19 @@ def _int_view(lot: Lot) -> _IntView:
                 raise StructureError(f"edge {i} uses unknown vertex {v!r}")
         if e.label not in idx:
             raise StructureError(f"edge {i} has unknown label {e.label!r}")
-        t, h, l = idx[e.tail], idx[e.head], idx[e.label]
-        edges.append((t, h, l))
+        edges.append((idx[e.tail], idx[e.head], idx[e.label]))
+    return _view(len(idx), tuple(edges))
+
+
+def _view(n: int, edges: tuple[tuple[int, int, int], ...]) -> _IntView:
+    """The view of n vertices and the given (tail, head, label) edges."""
+    inc = [[] for _ in range(n)]
+    lab = [0] * n
+    for i, (t, h, l) in enumerate(edges):
         inc[t].append(i)
         inc[h].append(i)
         lab[l] += 1
-    return _IntView(n, tuple(edges), tuple(map(tuple, inc)), tuple(lab))
+    return _IntView(n, edges, tuple(map(tuple, inc)), tuple(lab))
 
 
 def sublot_vertices(lot: Lot, edge_ids: Iterable[int]) -> frozenset[str]:
@@ -392,7 +396,9 @@ class SublotStructure:
     sub-LOTs that share a vertex is a sub-LOT.  Everything below follows
     from that in polynomial time, except ``all_sublots``, whose cost grows
     with the number of sub-LOTs it returns.  Build one per LOT and pass it
-    along; nothing is cached beyond the instance.
+    along; nothing is cached beyond the instance.  It reads only the LOT's
+    ``_iv`` and ``_paths``, so the complete-set search builds one straight
+    from each quotient's int view (``_Quotient``).
     """
 
     __slots__ = ("closures", "full", "_touch")
@@ -566,33 +572,79 @@ def complete_set_search(lot: Lot) -> Optional[tuple[list[frozenset[int]], Collap
 def search_complete_set(lot: Lot, structure: SublotStructure
                         ) -> Optional[tuple[list[frozenset[int]], CollapseChain]]:
     """``complete_set_search`` on a LOT whose structure the caller has
-    already built, without the precondition checks."""
+    already built, without the precondition checks.
 
-    def rec(current: Lot, structure: SublotStructure,
-            orig_ids: tuple[int, ...], steps: tuple[ChainStep, ...]):
-        # orig_ids[i] = original edge id of current's edge i
+    The quotients are int views (``_Quotient``): each step collapses a
+    maximal sub-LOT of one view straight into the next, with no named
+    ``Lot`` in between.  Names are read only for each step's collapse
+    vertex and for the final quotient, which is built once.
+    """
+
+    def rec(current: _Quotient, structure: SublotStructure,
+            steps: tuple[ChainStep, ...]):
         if structure.prime:
-            if steps and is_compressed(current) and current.num_edges >= 1:
+            if steps and is_compressed(current) and current._iv.edges:
                 return steps, current
             return None
         for sub in structure.maximal():
-            local = sorted(sub)
-            orig = frozenset(orig_ids[i] for i in local)
-            quotient, x = collapse(current, local)
-            kept = [i for i in range(current.num_edges) if i not in sub]
-            new_orig = tuple(orig_ids[i] for i in kept)
-            found = rec(quotient, SublotStructure(quotient), new_orig,
-                        steps + (ChainStep(orig, x),))
+            quotient, x = current.collapse(sub)
+            step = ChainStep(frozenset(map(current.orig.__getitem__, sub)), x)
+            found = rec(quotient, SublotStructure(quotient), steps + (step,))
             if found is not None:
                 return found
         return None
 
-    found = rec(lot, structure, tuple(range(lot.num_edges)), ())
+    found = rec(_Quotient(lot._iv, lot._paths, lot.vertices,
+                          tuple(range(lot.num_edges))), structure, ())
     if found is None:
         return None
     steps, final = found
-    sublots = [s.sublot_edges for s in steps]
-    return sublots, CollapseChain(steps, final)
+    names = final.names
+    quotient = _lot_from_view(names, tuple([LotEdge(names[t], names[h], names[l])
+                                            for t, h, l in final._iv.edges]),
+                              final._iv, final._paths, lot.name)
+    return [s.sublot_edges for s in steps], CollapseChain(steps, quotient)
+
+
+class _Quotient:
+    """A quotient met by ``search_complete_set``: the int view and root
+    paths that ``SublotStructure`` and ``is_compressed`` read, the vertex
+    names, and each edge's id in the original LOT."""
+
+    __slots__ = ("_iv", "_paths", "names", "orig")
+
+    def __init__(self, iv: _IntView, paths: tuple[int, ...],
+                 names: tuple[str, ...], orig: tuple[int, ...]):
+        self._iv, self._paths, self.names, self.orig = iv, paths, names, orig
+
+    def collapse(self, sub: Iterable[int]) -> tuple[_Quotient, str]:
+        """``collapse`` on the view: the proper sub-LOT with edge ids
+        ``sub`` becomes its one vertex that labels none of its edges (one,
+        as the view is injective); returns the quotient and that vertex's
+        name.  Kept vertices and edges keep their order."""
+        iv = self._iv
+        mask = inside = labels = 0
+        for i in sub:
+            t, h, l = iv.edges[i]
+            mask |= 1 << i
+            inside |= 1 << t | 1 << h
+            labels |= 1 << l
+        x = (inside & ~labels).bit_length() - 1
+        gone = inside ^ 1 << x
+        q = [0] * iv.n  # vertex -> its index in the quotient
+        names = []
+        for v in range(iv.n):
+            if not gone >> v & 1:
+                q[v] = len(names)
+                names.append(self.names[v])
+        for v in _bits(gone):
+            q[v] = q[x]
+        kept = [i for i in range(len(iv.edges)) if not mask >> i & 1]
+        view = _view(len(names), tuple([(q[t], q[h], q[l]) for t, h, l in
+                                        map(iv.edges.__getitem__, kept)]))
+        return (_Quotient(view, tuple(_root_paths(view)), tuple(names),
+                          tuple(map(self.orig.__getitem__, kept))),
+                self.names[x])
 
 
 # ---------------------------------------------------------------------------
@@ -609,71 +661,79 @@ def free_decomposition(lot: Lot) -> Optional[FreeDecomposition]:
     branches linked that way.  The left side is the class with the
     smallest branch mask: the first valid side a binary counter over the
     branches would meet.
+
+    Every vertex's branches come from one rooting of the tree at vertex 0,
+    the one its root paths record.  A branch below v is the edge to a
+    child of v with the subtree under that child; the branch above v is
+    the rest of the tree.  Each branch is held as masks of its edges, its
+    vertices and its edges' labels, and two branches are linked when the
+    labels of one meet the vertices of the other.
     """
-    if lot.num_edges < 2:
+    m = lot.num_edges
+    if m < 2:
         return None
-    iv = lot._iv
-    for vi in range(iv.n):
-        if len(iv.incident[vi]) < 2:
+    iv, paths = lot._iv, lot._paths
+    n = iv.n
+    parent, up_edge = [0] * n, [0] * n
+    kids: list[list[int]] = [[] for _ in range(n)]
+    # per vertex c but the root, the branch at c's parent that holds c:
+    # masks of its edges, its vertices and its edges' labels
+    down_e, down_v, down_l = [0] * n, [0] * n, [0] * n
+    for e, (t, h, l) in enumerate(iv.edges):
+        c, p = (t, h) if paths[t] >> e & 1 else (h, t)
+        parent[c], up_edge[c] = p, e
+        kids[p].append(c)
+        down_e[c], down_v[c], down_l[c] = 1 << e, 1 << c, 1 << l
+    order = sorted(range(n), key=lambda v: paths[v].bit_count())  # parents first
+    for c in reversed(order):
+        p = parent[c]
+        if p:  # the root heads no branch
+            down_e[p] |= down_e[c]
+            down_v[p] |= down_v[c]
+            down_l[p] |= down_l[c]
+    up_l = [0] * n  # labels of the branch above each vertex
+    for p in order:
+        for c in kids[p]:
+            labels = up_l[p] | 1 << iv.edges[up_edge[c]][2]
+            for s in kids[p]:
+                if s != c:
+                    labels |= down_l[s]
+            up_l[c] = labels
+    full_e, full_v = (1 << m) - 1, (1 << n) - 1
+    for v in range(n):
+        if len(iv.incident[v]) < 2:
             continue
-        branches, branch_of = _branches_at(iv, vi)
-        linked: list[list[int]] = [[] for _ in branches]
-        for j, edges in enumerate(branches):
-            for ei in _bits(edges):
-                label = iv.edges[ei][2]
-                if label != vi:
-                    linked[j].append(branch_of[label])
-                    linked[branch_of[label]].append(j)
+        branches = [(down_e[c], down_v[c], down_l[c]) for c in kids[v]]
+        if v:
+            branches.append((full_e ^ down_e[v] | 1 << up_edge[v],
+                             full_v ^ down_v[v], up_l[v]))
+        branches.sort(key=lambda b: b[0] & -b[0])
+        # no branch holds v, so a label v links nothing
         classes = []
-        placed = [False] * len(branches)
-        for j in range(len(branches)):
-            if placed[j]:
+        placed = 0
+        for j, (_, vs, ls) in enumerate(branches):
+            if placed >> j & 1:
                 continue
-            placed[j] = True
-            mask, stack = 0, [j]
-            while stack:
-                b = stack.pop()
-                mask |= 1 << b
-                for c in linked[b]:
-                    if not placed[c]:
-                        placed[c] = True
-                        stack.append(c)
-            classes.append(mask)
+            members = 1 << j
+            grew = True
+            while grew:
+                grew = False
+                for k, (_, bv, bl) in enumerate(branches):
+                    if not members >> k & 1 and (ls & bv or bl & vs):
+                        members |= 1 << k
+                        vs |= bv
+                        ls |= bl
+                        grew = True
+            placed |= members
+            classes.append(members)
         if len(classes) >= 2:
             left = 0
             for j in _bits(min(classes)):
-                left |= branches[j]
-            right = left ^ ((1 << lot.num_edges) - 1)
+                left |= branches[j][0]
             return FreeDecomposition(frozenset(_bits(left)),
-                                     frozenset(_bits(right)), lot.vertices[vi])
+                                     frozenset(_bits(left ^ full_e)),
+                                     lot.vertices[v])
     return None
-
-
-def _branches_at(iv: _IntView, vi: int) -> tuple[list[int], list[int]]:
-    """Edge bitmasks of the connected components hanging off vertex vi,
-    ordered by smallest edge id, and the branch index of every other
-    vertex (-1 at vi)."""
-    owner = [-1] * iv.n  # vertex -> the edge of vi its branch hangs off
-    masks: dict[int, int] = {}
-    for start in iv.incident[vi]:
-        t, h, _ = iv.edges[start]
-        first = h if t == vi else t
-        owner[first] = start
-        masks[start] = 0
-        stack = [first]
-        while stack:
-            v = stack.pop()
-            for ei in iv.incident[v]:
-                masks[start] |= 1 << ei
-                a, b, _ = iv.edges[ei]
-                w = b if a == v else a
-                if w != vi and owner[w] < 0:
-                    owner[w] = start
-                    stack.append(w)
-    order = sorted(masks, key=lambda s: masks[s] & -masks[s])
-    index = {s: j for j, s in enumerate(order)}
-    branch_of = [index[o] if o >= 0 else -1 for o in owner]
-    return [masks[s] for s in order], branch_of
 
 
 # ---------------------------------------------------------------------------

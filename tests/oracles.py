@@ -24,7 +24,10 @@ Small-LOT generation has its filter-then-test form here: tree shapes from
 every Prufer sequence, and each (orientation, labeling) candidate tested
 against every automorphism on its own.  So does the certificate reader that
 one split pass replaced, which built each atom one character at a time and
-read every atom ``int()`` accepts as an int.
+read every atom ``int()`` accepts as an int, and the certificate writer
+that one pass of lines replaced, which printed nested lists.  The
+complete-set search that collapses int views has its name-level form here,
+which builds every quotient as a ``Lot`` with ``collapse``.
 """
 
 import heapq
@@ -35,13 +38,17 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Optional
 
-from lotva import (BoundaryWord, Cell, EdgeEnd, FreeDecomposition,
-                   LinkGraph, Lot, LotEdge, ParseError, PreconditionError,
-                   SubcomplexFamily, SurfaceDiagram, TwoComplex,
-                   WeightAssignment, build_link, build_relative_link,
-                   relative_forest_check, signed_sublinks,
-                   sublot_closure, sublot_vertices, validate_diagram)
-from lotva.certify import MAX_CERT_DEPTH, _from_sexp
+from lotva import (BaseTrivial, BoundaryReduction, BoundaryWord, Cell,
+                   ChainStep, CollapseChain, CompleteSetRelative, EdgeEnd,
+                   FreeDecomposition, FreeDecompositionNode, LinkGraph,
+                   Lot, LotEdge, LotvaError, ParseError, PreconditionError,
+                   PrimeWeightTest, SubcomplexFamily, SurfaceDiagram,
+                   TwoComplex, WeightAssignment, build_link,
+                   build_relative_link, collapse, is_compressed,
+                   relative_forest_check, signed_sublinks, sublot_closure,
+                   sublot_vertices, validate_diagram)
+from lotva.certify import MAX_CERT_DEPTH, _from_sexp, _unreadable
+from lotva.lot import SublotStructure
 from lotva.sweep import _ahu_key, _labelings, _prufer_decode, automorphisms
 from lotva.weights import FlipForests, flip_mask
 
@@ -573,6 +580,36 @@ def oracle_free_decomposition(lot):
     return None
 
 
+def reference_search_complete_set(lot, structure):
+    """``search_complete_set`` with every quotient a named ``Lot`` built by
+    ``collapse``, each with its own ``SublotStructure``, backtracking over
+    the maximal sub-LOTs in the same order."""
+
+    def rec(current, structure, orig_ids, steps):
+        # orig_ids[i] = original edge id of current's edge i
+        if structure.prime:
+            if steps and is_compressed(current) and current.num_edges >= 1:
+                return steps, current
+            return None
+        for sub in structure.maximal():
+            local = sorted(sub)
+            orig = frozenset(orig_ids[i] for i in local)
+            quotient, x = collapse(current, local)
+            kept = [i for i in range(current.num_edges) if i not in sub]
+            new_orig = tuple(orig_ids[i] for i in kept)
+            found = rec(quotient, SublotStructure(quotient), new_orig,
+                        steps + (ChainStep(orig, x),))
+            if found is not None:
+                return found
+        return None
+
+    found = rec(lot, structure, tuple(range(lot.num_edges)), ())
+    if found is None:
+        return None
+    steps, final = found
+    return [s.sublot_edges for s in steps], CollapseChain(steps, final)
+
+
 # ---------------------------------------------------------------------------
 # certificate reader
 # ---------------------------------------------------------------------------
@@ -632,6 +669,94 @@ def reference_parse_certificate(text: str):
     atom, so a name that reads as an int comes back in ``int()``'s
     spelling ("01" as "1")."""
     return _from_sexp(_reference_read(_reference_tokenize(text)))
+
+
+# ---------------------------------------------------------------------------
+# certificate writer
+# ---------------------------------------------------------------------------
+
+def reference_serialize_certificate(cert) -> str:
+    """``serialize_certificate`` as it was before it wrote lines directly:
+    the certificate as nested lists, printed by ``_pp``.  The same bytes,
+    except that a ``complete-set`` node whose ``pos`` or ``neg`` field
+    opens a corner pair with a vertex named like a node keyword (``base``,
+    say) is printed one pair per line: ``_pp`` takes such a pair for a
+    certificate node."""
+    names: set = set()
+    sexp = _to_sexp(cert, names)
+    if names and ("" in names or _unreadable("".join(names))):
+        raise PreconditionError(
+            f"vertex name {min(filter(_unreadable, names))!r} cannot be "
+            "written as one certificate atom")
+    return _pp(sexp, 0) + "\n"
+
+
+def _to_sexp(cert, names: set):
+    if isinstance(cert, BaseTrivial):
+        return ["base"]
+    if isinstance(cert, BoundaryReduction):
+        names.add(cert.outer_vertex)
+        return ["bdry-red", ["edge", cert.edge_id], ["vertex", cert.outer_vertex],
+                _to_sexp(cert.child, names)]
+    if isinstance(cert, FreeDecompositionNode):
+        names.add(cert.shared_vertex)
+        return ["free-dec",
+                ["left"] + sorted(cert.left_edges),
+                ["right"] + sorted(cert.right_edges),
+                ["shared", cert.shared_vertex],
+                _to_sexp(cert.left_child, names),
+                _to_sexp(cert.right_child, names)]
+    if isinstance(cert, PrimeWeightTest):
+        return ["prime-wt", ["flipped"] + sorted(cert.flipped),
+                *_corner_sexps(cert, names)]
+    if isinstance(cert, CompleteSetRelative):
+        chain = ["chain"]
+        for step in cert.chain.steps:
+            names.add(step.collapse_vertex)
+            chain.append(["step", sorted(step.sublot_edges), step.collapse_vertex])
+        final = cert.chain.final_quotient
+        names.update(final.vertices)
+        final_s = ["final", ["vertices"] + list(final.vertices)]
+        for e in final.edges:
+            final_s.append(["edge", e.tail, e.head, e.label])
+        return ["complete-set",
+                ["sublots"] + [sorted(p) for p in cert.sublots],
+                chain, final_s,
+                ["flipped"] + sorted(cert.flipped), *_corner_sexps(cert, names),
+                ["children"] + [_to_sexp(c, names) for c in cert.children]]
+    raise LotvaError(f"cannot serialize {cert!r}")
+
+
+def _corner_sexps(cert, names: set) -> list:
+    names.update(*cert.pos_corners, *cert.neg_corners)
+    return [["pos"] + [list(p) for p in cert.pos_corners],
+            ["neg"] + [list(p) for p in cert.neg_corners]]
+
+
+_NESTED = {"bdry-red", "free-dec", "complete-set", "children", "chain"}
+_NODE_KEYWORDS = {"base", "bdry-red", "free-dec", "prime-wt", "complete-set"}
+
+
+def _pp(node, depth: int) -> str:
+    pad = "  " * depth
+    if not isinstance(node, list):
+        return pad + str(node)
+    if not any(isinstance(x, list) and x and x[0] in _NODE_KEYWORDS
+               for x in node) and node[0] not in _NESTED:
+        return pad + _flat(node)
+    parts = [pad + "(" + str(node[0])]
+    for x in node[1:]:
+        if isinstance(x, list):
+            parts.append(_pp(x, depth + 1))
+        else:
+            parts.append("  " * (depth + 1) + str(x))
+    parts[-1] += ")"
+    return "\n".join(parts)
+
+
+def _flat(node) -> str:
+    return "(" + " ".join(_flat(x) if isinstance(x, list) else str(x)
+                          for x in node) + ")"
 
 
 # ---------------------------------------------------------------------------

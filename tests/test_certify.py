@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -11,7 +12,7 @@ from lotva import (BaseTrivial, BoundaryReduction, CertifyFailure, ChainStep,
                    serialize_certificate, verify_certificate)
 from lotva.certify import MAX_CERT_DEPTH
 from lotva.sweep import iter_small_lots, random_lot
-from oracles import reference_parse_certificate
+from oracles import reference_parse_certificate, reference_serialize_certificate
 
 
 def nested(k):
@@ -112,6 +113,47 @@ class TestSerialization:
         assert "(prime-wt" in serialize_certificate(certify_va(prime))
         lot = parse_lot("vertex a\n")
         assert "(base)" in serialize_certificate(certify_va(lot))
+
+    def test_matches_nested_list_writer(self, sweep6_every97):
+        """Writing lines directly gives the bytes the nested-list writer
+        gave, on names that are not node keywords."""
+        rng = random.Random(17)
+        lots = list(sweep6_every97)
+        lots += [random_lot(rng, rng.randrange(7, 17)) for _ in range(120)]
+        kinds = set()
+        for lot in lots:
+            cert = certify_va(lot)
+            assert serialize_certificate(cert) == reference_serialize_certificate(cert)
+            kinds.add(cert.kind)
+        assert kinds == {"base", "bdry-red", "free-dec", "prime-wt", "complete-set"}
+
+    def test_keyword_named_vertex_keeps_the_layout(self, fixture_dir):
+        """A vertex may be named like a node keyword.  Its corner pairs
+        stay on the pos and neg lines, where the nested-list writer put
+        them one per line; both texts read back as the certificate."""
+        text = (fixture_dir / "fig1.lot").read_text()
+        lot = parse_lot(re.sub(r"\bf\b", "base", text))
+        assert "base" in lot.vertices and "f" not in lot.vertices
+        cert = certify_va(lot)
+        out = serialize_certificate(cert)
+        assert out == """\
+(complete-set
+  (sublots (1 2 3 4))
+  (chain
+    (step (1 2 3 4) a))
+  (final (vertices g a base) (edge g a base) (edge a base g))
+  (flipped)
+  (pos (base g) (d a) (e b) (b c) (c d) (g e))
+  (neg (base a) (d b) (e c) (b d) (c e) (g base))
+  (children
+    (bdry-red
+      (edge 0)
+      (vertex a)
+      (prime-wt (flipped 0) (pos (e c) (b c) (c d)) (neg (e b) (b d) (c e))))))
+"""
+        old = reference_serialize_certificate(cert)
+        assert old != out and "  (pos\n    (base g)\n" in old
+        assert parse_certificate(out) == parse_certificate(old) == cert
 
     def test_parse_garbage(self):
         with pytest.raises(ParseError):

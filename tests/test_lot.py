@@ -9,15 +9,32 @@ from lotva import (Lot, LotEdge, ParseError, PreconditionError, StructureError,
                    is_compressed, is_injective, is_sublot, parse_lot,
                    reorient, sign_change, sublot_closure, sublot_vertices)
 from lotva import lot as lot_module
-from lotva.lot import SublotStructure
+from lotva.lot import SublotStructure, search_complete_set
 from lotva.sweep import iter_small_lots, random_lot
 
 from oracles import (oracle_free_decomposition, oracle_sublot_structure,
-                     oracle_sublots, reference_is_sublot)
+                     oracle_sublots, reference_is_sublot,
+                     reference_search_complete_set)
 
 
 def edge_tuples(lot):
     return [(e.tail, e.head, e.label) for e in lot.edges]
+
+
+def glued_lot(rng, m):
+    """Two random LOTs joined at one vertex, with edges and vertices
+    shuffled: an m-edge LOT that decomposes freely at least there."""
+    a = rng.randrange(2, m - 1)
+    left, right = random_lot(rng, a), random_lot(rng, m - a)
+    join = rng.choice(left.vertices)
+    name = {v: f"r{v}" for v in right.vertices}
+    name[right.vertices[0]] = join
+    edges = list(left.edges) + [LotEdge(name[e.tail], name[e.head], name[e.label])
+                                for e in right.edges]
+    vertices = list(left.vertices) + [name[v] for v in right.vertices[1:]]
+    rng.shuffle(edges)
+    rng.shuffle(vertices)
+    return Lot(tuple(vertices), tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +372,34 @@ class TestCompleteSet:
             hits += 1
         assert hits > 10
 
+    def test_matches_name_level_search(self, fig1, sweep6_every97):
+        """Collapsing int views finds the sub-LOTs, chain steps and final
+        quotient that collapsing named quotients finds, or neither finds
+        a complete set."""
+        rng = random.Random(71)
+        lots = [fig1] + list(sweep6_every97)
+        lots += [random_lot(rng, rng.randrange(7, 25)) for _ in range(150)]
+        found = none = 0
+        for lot in lots:
+            structure = SublotStructure(lot)
+            if structure.prime:
+                continue
+            got = search_complete_set(lot, structure)
+            want = reference_search_complete_set(lot, structure)
+            if want is None:
+                assert got is None
+                none += 1
+                continue
+            assert got[0] == want[0]
+            assert got[1].steps == want[1].steps
+            final, ref = got[1].final_quotient, want[1].final_quotient
+            assert final.vertices == ref.vertices and final.edges == ref.edges
+            # the view and root paths a built Lot computes for itself
+            assert final._iv == ref._iv and final._paths == ref._paths
+            assert repr(final) == repr(ref)  # the LOT's name included
+            found += 1
+        assert found > 400 and none > 50
+
 
 # ---------------------------------------------------------------------------
 # free decomposition
@@ -382,6 +427,11 @@ class TestFreeDecomposition:
         for _ in range(150):
             lots.append(random_lot(rng, rng.randrange(2, 13),
                                    injective=rng.random() < 0.7))
+        rng = random.Random(68)
+        for _ in range(100):
+            lots.append(random_lot(rng, rng.randrange(13, 31),
+                                   injective=rng.random() < 0.7))
+            lots.append(glued_lot(rng, rng.randrange(13, 31)))
         found = 0
         for lot in lots:
             fd = free_decomposition(lot)
