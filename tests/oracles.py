@@ -27,7 +27,10 @@ one split pass replaced, which built each atom one character at a time and
 read every atom ``int()`` accepts as an int, and the certificate writer
 that one pass of lines replaced, which printed nested lists.  The
 complete-set search that collapses int views has its name-level form here,
-which builds every quotient as a ``Lot`` with ``collapse``.
+which builds every quotient as a ``Lot`` with ``collapse``, and so do the
+verifier's own checks of a complete-set node: fullness through K(lot) and
+the collapse chain replayed on named quotients with
+``SublotStructure.maximal``.
 """
 
 import heapq
@@ -43,10 +46,13 @@ from lotva import (BaseTrivial, BoundaryReduction, BoundaryWord, Cell,
                    FreeDecomposition, FreeDecompositionNode, LinkGraph,
                    Lot, LotEdge, LotvaError, ParseError, PreconditionError,
                    PrimeWeightTest, SubcomplexFamily, SurfaceDiagram,
-                   TwoComplex, WeightAssignment, build_link,
-                   build_relative_link, collapse, is_compressed,
+                   TwoComplex, WeightAssignment, boundary_reducible_witness,
+                   build_complex, build_link, build_relative_link,
+                   check_properties, collapse, collapse_vertex_of,
+                   derive_subcomplexes, exponent_sum, extract_sublot,
+                   is_compressed, is_full, is_injective, is_sublot,
                    relative_forest_check, signed_sublinks, sublot_closure,
-                   sublot_vertices, validate_diagram)
+                   sublot_vertices, validate_diagram, verify_certificate)
 from lotva.certify import MAX_CERT_DEPTH, _from_sexp, _unreadable
 from lotva.lot import SublotStructure
 from lotva.sweep import _ahu_key, _labelings, _prufer_decode, automorphisms
@@ -608,6 +614,113 @@ def reference_search_complete_set(lot, structure):
         return None
     steps, final = found
     return [s.sublot_edges for s in steps], CollapseChain(steps, final)
+
+
+def reference_verify_complete_set(lot, cert) -> tuple[bool, Optional[str]]:
+    """``verify_certificate`` on a complete-set node, with the node's own
+    checks made on named LOTs: disjointness by vertex names, fullness and
+    exponent sums through K(lot) (``build_complex``,
+    ``derive_subcomplexes``, ``is_full``) and the chain replayed by
+    ``reference_replay_chain``.  The children go to the library's
+    ``verify_certificate``.  Returns (accepted, failing check)."""
+    try:
+        check = _reference_complete_set_check(lot, cert)
+    except LotvaError:
+        check = "malformed-certificate"
+    return check is None, check
+
+
+def _reference_complete_set_check(lot, cert) -> Optional[str]:
+    """The first check of the node that fails, or None."""
+    m = lot.num_edges
+    if not is_injective(lot):
+        return "node-injective"
+    if not is_compressed(lot):
+        return "node-compressed"
+    if boundary_reducible_witness(lot) is not None:
+        return "complete-set-boundary-reduced"
+    if len(cert.children) != len(cert.sublots):
+        return "complete-set-children-count"
+    if not cert.chain.steps:
+        return "complete-set-chain-nonempty"
+    seen_e: set[int] = set()
+    seen_v: set[str] = set()
+    for part in cert.sublots:
+        if not part or not all(0 <= i < m for i in part):
+            return "complete-set-disjoint"
+        vs = sublot_vertices(lot, part)
+        if part & seen_e or vs & seen_v:
+            return "complete-set-disjoint"
+        seen_e |= part
+        seen_v |= vs
+    cx = build_complex(lot)
+    try:
+        full = all(is_full(cx, derive_subcomplexes(lot, cert.sublots)))
+    except LotvaError:
+        full = False
+    if not full:
+        return "complete-set-full"
+    if any(exponent_sum(c.boundary) for c in cx.cells):
+        return "complete-set-exponent-sums"
+    if not all(0 <= i < m for i in cert.flipped) or cert.flipped & seen_e:
+        return "complete-set-flipped-outside"
+    forests = FlipForests(lot, cert.sublots)
+    flip = flip_mask(lot, cert.flipped)
+    if not forests.is_forest(flip, 1):
+        return "complete-set-positive-forest"
+    if not forests.is_forest(flip, -1):
+        return "complete-set-negative-forest"
+    corners = FlipForests(lot, ())
+    names = lot.vertices
+    pos, neg = (tuple((names[a], names[b]) for a, b in corners.pairs(flip, pol))
+                for pol in (1, -1))
+    if (pos, neg) != (tuple(map(tuple, cert.pos_corners)),
+                      tuple(map(tuple, cert.neg_corners))):
+        return "complete-set-witness-match"
+    check, _ = reference_replay_chain(lot, cert.chain)
+    if check is not None:
+        return check
+    if tuple(s.sublot_edges for s in cert.chain.steps) != cert.sublots:
+        return "complete-set-sublots-match-chain"
+    for part, child in zip(cert.sublots, cert.children):
+        if not is_sublot(lot, part):
+            return "complete-set-sublot-in-original"
+        verdict = verify_certificate(extract_sublot(lot, part), child)
+        if not verdict.accepted:
+            return verdict.failing_check
+    return None
+
+
+def reference_replay_chain(lot, chain) -> tuple[Optional[str], Lot]:
+    """The collapse chain replayed on named quotients: each step's edges,
+    mapped from original ids, must be a proper sub-LOT of the current
+    quotient that ``SublotStructure(current).maximal()`` lists, collapsing
+    to the recorded vertex (``collapse_vertex_of``, ``collapse``); the last
+    quotient must equal the recorded one and be prime, compressed and hold
+    an edge (``check_properties``).  Returns the first failing check or
+    None, and the last quotient reached.  A non-unique collapse vertex
+    raises ``PreconditionError``."""
+    current = lot
+    orig = tuple(range(lot.num_edges))
+    for step in chain.steps:
+        pos_map = {o: i for i, o in enumerate(orig)}
+        if not all(o in pos_map for o in step.sublot_edges):
+            return "complete-set-step-sublot", current
+        local = frozenset(pos_map[o] for o in step.sublot_edges)
+        if not (is_sublot(current, local) and len(local) < current.num_edges):
+            return "complete-set-step-sublot", current
+        if local not in SublotStructure(current).maximal():
+            return "complete-set-step-maximal", current
+        if collapse_vertex_of(current, local) != step.collapse_vertex:
+            return "complete-set-collapse-vertex", current
+        current, _ = collapse(current, sorted(local))
+        orig = tuple(o for o in orig if o not in step.sublot_edges)
+    if current != chain.final_quotient:
+        return "complete-set-final-quotient-match", current
+    rep = check_properties(current)
+    if not (rep.prime and rep.compressed and current.num_edges >= 1):
+        return "complete-set-final-prime", current
+    return None, current
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import itertools
 import random
 import re
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -8,11 +10,15 @@ from lotva import (BaseTrivial, BoundaryReduction, CertifyFailure, ChainStep,
                    CollapseChain, CompleteSetRelative, FreeDecompositionNode,
                    Lot, LotEdge, ParseError, PreconditionError,
                    PrimeWeightTest, boundary_reduce, certify_va,
-                   parse_certificate, parse_lot,
+                   check_properties, collapse, collapse_vertex_of,
+                   extract_sublot, parse_certificate, parse_lot,
                    serialize_certificate, verify_certificate)
 from lotva.certify import MAX_CERT_DEPTH
+from lotva.lot import SublotStructure
 from lotva.sweep import iter_small_lots, random_lot
-from oracles import reference_parse_certificate, reference_serialize_certificate
+from oracles import (reference_parse_certificate, reference_replay_chain,
+                     reference_serialize_certificate,
+                     reference_verify_complete_set)
 
 
 def nested(k):
@@ -421,3 +427,204 @@ class TestVerifier:
 
         for lot in (fig1, fig3):
             walk(lot, certify_va(lot))
+
+
+def complete_set_nodes(lot, cert):
+    """(node LOT, node) for every complete-set node of a certificate."""
+    if isinstance(cert, BoundaryReduction):
+        yield from complete_set_nodes(
+            boundary_reduce(lot, cert.edge_id, cert.outer_vertex), cert.child)
+    elif isinstance(cert, FreeDecompositionNode):
+        for part, child in ((cert.left_edges, cert.left_child),
+                            (cert.right_edges, cert.right_child)):
+            yield from complete_set_nodes(extract_sublot(lot, part), child)
+    elif isinstance(cert, CompleteSetRelative):
+        yield lot, cert
+        for part, child in zip(cert.sublots, cert.children):
+            yield from complete_set_nodes(extract_sublot(lot, part), child)
+
+
+def complete_set_roots(lots):
+    """(LOT, certificate) for the LOTs whose root node is a complete set."""
+    for lot in lots:
+        cert = certify_va(lot)
+        if isinstance(cert, CompleteSetRelative):
+            yield lot, cert
+
+
+def tampers(lot, cert):
+    """(check, detail or None, LOT, node): tampered forms of a complete-set
+    root, each with the check that must reject it first and, where given,
+    that check's detail."""
+    m = lot.num_edges
+    steps, final = cert.chain.steps, cert.chain.final_quotient
+    first = steps[0]
+
+    def chained(steps, final=final, **fields):
+        return replace(cert, chain=CollapseChain(tuple(steps), final), **fields)
+
+    # LOTs near this one: a label repeated, a label moved onto an endpoint
+    # of its edge, and an unlabeled leaf hung on
+    e0, e1 = lot.edges[:2]
+    repeated = Lot(lot.vertices, (e0, LotEdge(e1.tail, e1.head, e0.label),
+                                  *lot.edges[2:]))
+    free = next(v for v in lot.vertices
+                if all(e.label != v for e in lot.edges))
+    i = next(i for i, e in enumerate(lot.edges) if free in (e.tail, e.head))
+    e = lot.edges[i]
+    squashed = Lot(lot.vertices, lot.edges[:i] + (LotEdge(e.tail, e.head, free),)
+                   + lot.edges[i + 1:])
+    stem = next(v for v in lot.vertices if v != free)
+    leafy = Lot(lot.vertices + ("leaf",),
+                lot.edges + (LotEdge(stem, "leaf", free),))
+    yield "node-injective", None, repeated, cert
+    yield "node-compressed", None, squashed, cert
+    yield "complete-set-boundary-reduced", None, leafy, cert
+    yield ("prime-weight-test-boundary-reduced", None, leafy,
+           PrimeWeightTest(frozenset(), (), ()))
+
+    yield ("complete-set-children-count", None, lot,
+           replace(cert, children=cert.children[1:]))
+    yield "complete-set-chain-nonempty", None, lot, chained(())
+    for part, detail in ((frozenset(), "empty part"),
+                         (frozenset({m}), "edge id out of range"),
+                         (cert.sublots[0], "")):
+        yield ("complete-set-disjoint", detail, lot,
+               replace(cert, sublots=cert.sublots + (part,),
+                       children=cert.children + (BaseTrivial(),)))
+
+    yield ("complete-set-step-sublot", "edges already collapsed", lot,
+           chained(steps + (first,)))
+    yield ("complete-set-step-sublot", "", lot,
+           chained((ChainStep(frozenset(range(m)), first.collapse_vertex),
+                    *steps[1:])))
+    structure = SublotStructure(lot)
+    maximal = structure.maximal()
+    inner = next((p for p in structure.all_sublots()
+                  if len(p) < m and p not in maximal), None)
+    if inner is not None:
+        yield ("complete-set-step-maximal", None, lot,
+               chained((ChainStep(inner, collapse_vertex_of(lot, inner)),
+                        *steps[1:])))
+    yield ("complete-set-final-quotient-match", None, lot,
+           chained(steps, Lot(final.vertices[::-1], final.edges)))
+    if len(steps) > 1:
+        # stop after the first step, on the quotient it reaches
+        yield ("complete-set-final-prime", None, lot,
+               chained(steps[:1], collapse(lot, first.sublot_edges)[0]))
+        yield ("complete-set-sublots-match-chain", None, lot,
+               replace(cert, sublots=cert.sublots[::-1],
+                       children=cert.children[::-1]))
+    for other in maximal:
+        if other == first.sublot_edges:
+            continue
+        # another maximal sub-LOT as the one step, ending where it leads
+        quotient = collapse(lot, other)[0]
+        rep = check_properties(quotient)
+        check = ("complete-set-sublots-match-chain"
+                 if rep.prime and rep.compressed else "complete-set-final-prime")
+        yield check, None, lot, chained(
+            (ChainStep(other, collapse_vertex_of(lot, other)),), quotient)
+    yield ("malformed-certificate", None, lot,
+           replace(cert, children=(CertifyFailure("stage", "detail"),
+                                   *cert.children[1:])))
+
+
+class TestCheckNames:
+    def test_each_check_rejects_its_tamper(self, fig1, sweep6_every97):
+        """The verifier checks no other test names, each met by a tampered
+        certificate of fig1 or of a <=6-edge complete-set root.
+
+        Two checks of a complete-set node are never met.  complete-set-exponent-sums holds for
+        every plain Lot: cell d_i of K(lot) reads tail_i label_i head_i^-1
+        label_i^-1, whose exponent sum is 0.  complete-set-sublot-in-original
+        holds once the chain replays: the first part is a sub-LOT of the
+        LOT itself, and each later part avoids the vertices of the parts
+        before it (complete-set-disjoint), so no collapse touches it and it
+        is a sub-LOT of the original exactly when it is one of the
+        quotient.  malformed-certificate is met through a child of no known
+        kind; the verifier raises a library error only
+        for a non-unique collapse vertex, and every quotient of an
+        injective LOT is injective, since a vertex of a sub-LOT other than
+        its collapse vertex labels an edge inside it and so no edge
+        outside."""
+        seen = Counter()
+        roots = [(fig1, certify_va(fig1)), *complete_set_roots(sweep6_every97)]
+        for lot, cert in roots:
+            for check, detail, bad_lot, bad in tampers(lot, cert):
+                verdict = verify_certificate(bad_lot, bad)
+                assert (verdict.accepted, verdict.failing_check) == (False, check)
+                if detail is not None:
+                    assert verdict.detail == detail
+                seen[check, detail] += 1
+        assert {check for check, _ in seen} == {
+            "node-injective", "node-compressed",
+            "prime-weight-test-boundary-reduced",
+            "complete-set-boundary-reduced", "complete-set-children-count",
+            "complete-set-chain-nonempty", "complete-set-disjoint",
+            "complete-set-step-sublot", "complete-set-step-maximal",
+            "complete-set-final-quotient-match", "complete-set-final-prime",
+            "complete-set-sublots-match-chain", "malformed-certificate"}
+        assert seen["complete-set-step-sublot", "edges already collapsed"]
+        assert seen["complete-set-step-sublot", ""]
+
+
+def chain_variants(lot, cert):
+    """The node, and per proper sub-LOT P of its LOT other than its first
+    step: P's step in place of the first one; the same ending on the
+    quotient the named replay reaches; and that with P as the first part
+    too.  Then the chain cut after its first step, ending on the quotient
+    it reaches, and the first part short of each of its edges, in the
+    sub-LOTs and in the first step."""
+    steps, final = cert.chain.steps, cert.chain.final_quotient
+    first, rest = steps[0], steps[1:]
+    yield cert
+    for p in SublotStructure(lot).all_sublots():
+        if len(p) == lot.num_edges or p == first.sublot_edges:
+            continue
+        swapped = (ChainStep(p, collapse_vertex_of(lot, p)),) + rest
+        yield replace(cert, chain=CollapseChain(swapped, final))
+        _, reached = reference_replay_chain(lot, CollapseChain(swapped, final))
+        chain = CollapseChain(swapped, reached)
+        yield replace(cert, chain=chain)
+        yield replace(cert, sublots=(p, *cert.sublots[1:]), chain=chain)
+    if rest:
+        _, reached = reference_replay_chain(lot, CollapseChain((first,), final))
+        yield replace(cert, chain=CollapseChain((first,), reached))
+    for i in first.sublot_edges:
+        short = first.sublot_edges - {i}
+        if short:
+            yield replace(cert, sublots=(short, *cert.sublots[1:]),
+                          chain=CollapseChain(
+                              (ChainStep(short, first.collapse_vertex), *rest),
+                              final))
+
+
+@pytest.fixture(scope="module")
+def complete_set_inputs(sweep6_every97):
+    """(node LOT, node) of every complete-set node in the certificates of
+    every 97th <=6-edge LOT and of 150 random 7-24-edge LOTs."""
+    rng = random.Random(20)
+    lots = [*sweep6_every97,
+            *(random_lot(rng, rng.randrange(7, 25)) for _ in range(150))]
+    return [node for lot in lots
+            for node in complete_set_nodes(lot, certify_va(lot))]
+
+
+class TestCompleteSetAgainstNamedRoute:
+    """The verifier's complete-set checks against their named-LOT route,
+    ``oracles.reference_verify_complete_set``."""
+
+    def test_same_verdict_and_check(self, complete_set_inputs):
+        seen = Counter()
+        for lot, cert in complete_set_inputs:
+            for variant in chain_variants(lot, cert):
+                verdict = verify_certificate(lot, variant)
+                got = verdict.accepted, verdict.failing_check
+                assert got == reference_verify_complete_set(lot, variant)
+                seen[got[1]] += 1
+        assert len(complete_set_inputs) >= 500
+        assert {None, "complete-set-disjoint", "complete-set-full",
+                "complete-set-step-sublot", "complete-set-step-maximal",
+                "complete-set-final-quotient-match", "complete-set-final-prime",
+                "complete-set-sublots-match-chain"} <= set(seen)
