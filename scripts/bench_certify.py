@@ -1,4 +1,4 @@
-"""Certify stage benchmark: the public calls ``certify_va`` makes, by stage.
+"""Certify and verify stage benchmark: the public calls of both paths, by stage.
 
     python3 scripts/bench_certify.py [--out FILE]
 
@@ -11,9 +11,12 @@ every root; ``free_decomposition`` on the non-prime ones;
 ``complete_set_search`` on those without a free decomposition;
 ``orientation_search`` on the prime roots with nothing fixed, and on the
 complete-set roots with their complete set fixed (``_fixed``); then ``certify_va`` and
-``serialize_certificate`` of the whole certificate.  Every call is timed in
+``serialize_certificate`` of the whole certificate.  The verify-cert path
+follows: ``parse_lot`` of the LOT's text, ``parse_certificate`` of the
+certificate's text and ``verify_certificate``.  Every call is timed in
 each of five rounds; its time is its best round, and a stage's figure is
-the median over the roots it runs on, in microseconds.  Each time is stated
+the median over the roots it runs on, in microseconds, over all of them
+and for each root kind (``by_root_kind``).  Each time is stated
 at the reference host speed of ``perfbench/host.py``: its ``Scaler`` times
 a fixed loop about every 0.1 s of work, and the times in between are
 multiplied by its factor.  Records the raw medians and the range of factors
@@ -40,14 +43,17 @@ from host import Scaler  # noqa: E402
 from workloads import lot_text, make_inputs  # noqa: E402
 from lotva import (boundary_reducible_witness, certify_va,  # noqa: E402
                    complete_set_search, free_decomposition,
-                   orientation_search, parse_lot, serialize_certificate)
+                   orientation_search, parse_certificate, parse_lot,
+                   serialize_certificate, verify_certificate)
 from lotva.lot import SublotStructure  # noqa: E402
 
 ROUNDS = 5
 
 
-def root_calls(lot) -> tuple[str, list]:
-    """The root's node kind, and its (stage, function, arguments) calls."""
+def root_calls(text: str) -> tuple[str, list]:
+    """The node kind of the root LOT ``text`` spells, and its (stage,
+    function, arguments) calls."""
+    lot = parse_lot(text)
     calls = [("boundary_witness", boundary_reducible_witness, (lot,)),
              ("SublotStructure", SublotStructure, (lot,))]
     cert = certify_va(lot)
@@ -59,18 +65,29 @@ def root_calls(lot) -> tuple[str, list]:
         calls += [("complete_set_search", complete_set_search, (lot,)),
                   ("orientation_search_fixed", orientation_search,
                    (lot, list(cert.sublots)))]
+    cert_text = serialize_certificate(cert)
     calls += [("certify_va", certify_va, (lot,)),
-              ("serialize", serialize_certificate, (cert,))]
+              ("serialize", serialize_certificate, (cert,)),
+              ("parse_lot", parse_lot, (text,)),
+              ("parse_certificate", parse_certificate, (cert_text,)),
+              ("verify_certificate", verify_certificate, (lot, cert))]
     return cert.kind, calls
+
+
+def summary(bs: list) -> dict:
+    """Root count and scaled and raw medians of (scaled, raw) best times."""
+    return {"roots": len(bs),
+            "median_us": round(statistics.median(b[0] for b in bs) * 1e6, 2),
+            "raw_median_us": round(statistics.median(b[1] for b in bs) * 1e6, 2)}
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_certify.json")
     args = ap.parse_args(argv)
-    lots = [parse_lot(lot_text(shape, "v"))
-            for kind, shape in make_inputs("large", 0).ops if kind == "certify"]
-    kinds, calls = zip(*map(root_calls, lots))
+    texts = [lot_text(shape, "v")
+             for kind, shape in make_inputs("large", 0).ops if kind == "certify"]
+    kinds, calls = zip(*map(root_calls, texts))
     times = []    # (root, call index, raw s), in run order
     factors = []  # the host factor of each entry of times
     clock = time.perf_counter
@@ -89,24 +106,26 @@ def main(argv=None) -> int:
         b = best.setdefault((r, c), [float("inf")] * 2)
         b[:] = min(b[0], t * f), min(b[1], t)
     stages: dict[str, list] = {}
+    by_kind: dict[str, dict[str, list]] = {}
     for (r, c), b in best.items():
         stages.setdefault(calls[r][c][0], []).append(b)
+        by_kind.setdefault(kinds[r], {}).setdefault(calls[r][c][0], []).append(b)
     record = {
         "host": {"python": platform.python_version(),
                  "machine": platform.machine(), "cpus": os.cpu_count()},
         "inputs": "perfbench large workload, seed 0: its 120 certify roots",
         "rounds": ROUNDS,
         "root_kinds": dict(sorted(Counter(kinds).items())),
-        "stages": {name: {
-            "roots": len(bs),
-            "median_us": round(statistics.median(b[0] for b in bs) * 1e6, 2),
-            "raw_median_us": round(statistics.median(b[1] for b in bs) * 1e6, 2),
-        } for name, bs in stages.items()},
+        "stages": {name: summary(bs) for name, bs in stages.items()},
+        "by_root_kind": {kind: {name: summary(bs) for name, bs in st.items()}
+                         for kind, st in sorted(by_kind.items())},
         "host_factor_range": [round(min(factors), 3), round(max(factors), 3)],
     }
-    for name, s in record["stages"].items():
-        print(f"{name:20} {s['roots']:4} roots  median {s['median_us']:9.2f} us"
-              f"  (raw {s['raw_median_us']:.2f})")
+    for kind, st in [("all", record["stages"]), *record["by_root_kind"].items()]:
+        print(f"-- {kind} roots")
+        for name, s in st.items():
+            print(f"{name:24} {s['roots']:4} roots  median {s['median_us']:9.2f}"
+                  f" us  (raw {s['raw_median_us']:.2f})")
     print("host factors", *record["host_factor_range"])
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0

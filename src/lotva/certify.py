@@ -5,9 +5,14 @@ orientation search, free decomposition, complete-set relative reduction.
 Search failures yield a structured failure report, never a negative claim.
 
 ``verify_certificate`` re-derives every hypothesis of every node from the
-LOT alone, using only the lot/complex/linkage primitives; it never trusts
-recorded search state.  Its verdict names the first failing check, which the
-tamper tests rely on.
+LOT alone; it never trusts recorded search state.  Its verdict names the
+first failing check, which the tamper tests rely on.  It decides sub-LOT
+structure with a closure kernel of its own (``_closure``) on each node's
+int view: primality, and for a complete-set node the maximality of each
+chain step, the collapses and the final quotient, and fullness of the
+parts.  It shares with the prover ``FlipForests`` (the forest checks),
+``is_sublot``, ``sublot_vertices``, ``extract_sublot``, ``boundary_reduce``
+and ``boundary_reducible_witness``.
 """
 
 from __future__ import annotations
@@ -16,10 +21,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import LotvaError, ParseError, PreconditionError
-from .complexes import build_complex, derive_subcomplexes, exponent_sum, is_full
 from .lot import (CollapseChain, ChainStep, Lot, LotEdge, SublotStructure,
-                  _bits, boundary_reducible_witness, check_properties,
-                  collapse, collapse_vertex_of, extract_sublot,
+                  _bits, boundary_reducible_witness, extract_sublot,
                   free_decomposition, is_compressed, is_injective, is_sublot,
                   search_complete_set, sublot_vertices)
 from .weights import FlipForests, flip_mask
@@ -268,7 +271,10 @@ def _verify(lot: Lot, cert: Certificate) -> None:
     if isinstance(cert, PrimeWeightTest):
         _need(boundary_reducible_witness(lot) is None,
               "prime-weight-test-boundary-reduced")
-        _need(SublotStructure(lot).prime, "prime-weight-test-prime")
+        edges, paths = lot._iv.edges, lot._paths
+        full = (1 << len(edges)) - 1
+        _need(all(_closure(edges, paths, 1 << e) == full
+                  for e in range(len(edges))), "prime-weight-test-prime")
         _need(all(0 <= i < lot.num_edges for i in cert.flipped),
               "prime-weight-test-flipped-valid")
         _check_forests_and_witnesses(lot, cert.flipped, [], cert.pos_corners,
@@ -282,57 +288,44 @@ def _verify(lot: Lot, cert: Certificate) -> None:
               "complete-set-children-count")
         _need(len(cert.chain.steps) >= 1, "complete-set-chain-nonempty")
 
-        seen_e: set[int] = set()
-        seen_v: set[str] = set()
+        edges, paths = lot._iv.edges, lot._paths
+        m = len(edges)
+        union = seen_v = 0
+        parts = []  # (edge mask, vertex mask) per part
         for part in cert.sublots:
             _need(bool(part), "complete-set-disjoint", "empty part")
-            _need(all(0 <= i < lot.num_edges for i in part),
+            _need(all(0 <= i < m for i in part),
                   "complete-set-disjoint", "edge id out of range")
-            vs = sublot_vertices(lot, part)
-            _need(not (part & seen_e) and not (vs & seen_v),
+            emask = vmask = 0
+            for i in part:
+                t, h, _ = edges[i]
+                emask |= 1 << i
+                vmask |= 1 << t | 1 << h
+            _need(not (emask & union) and not (vmask & seen_v),
                   "complete-set-disjoint")
-            seen_e |= set(part)
-            seen_v |= set(vs)
+            union |= emask
+            seen_v |= vmask
+            parts.append((emask, vmask))
 
-        cx = build_complex(lot)
-        try:
-            fam = derive_subcomplexes(lot, cert.sublots)
-            _need(all(is_full(cx, fam)), "complete-set-full")
-        except LotvaError as exc:
-            raise _Reject("complete-set-full", str(exc))
-        _need(all(exponent_sum(c.boundary) == 0 for c in cx.cells),
-              "complete-set-exponent-sums")
+        # K(part) is a full subcomplex of K(lot): cell d_i has the letters
+        # tail_i, label_i and head_i, so it lies on K(part)'s edges exactly
+        # when the part's vertices hold all three, and that must happen
+        # exactly for the part's own edges
+        for k, (emask, vmask) in enumerate(parts):
+            for i, (t, h, l) in enumerate(edges):
+                _need((vmask >> t & vmask >> h & vmask >> l & 1)
+                      == (emask >> i & 1), "complete-set-full",
+                      f"part {k}, cell d_{i}")
+        # every cell d_i reads tail_i label_i head_i^-1 label_i^-1; for an
+        # unsigned LOT its exponent sum is 0, so this always holds
+        _need(sum(_CELL_SIGNS) == 0, "complete-set-exponent-sums")
 
-        union = frozenset().union(*cert.sublots)
-        _need(all(0 <= i < lot.num_edges for i in cert.flipped)
-              and not (cert.flipped & union),
+        _need(all(0 <= i < m and not union >> i & 1 for i in cert.flipped),
               "complete-set-flipped-outside")
         _check_forests_and_witnesses(lot, cert.flipped, list(cert.sublots),
                                      cert.pos_corners, cert.neg_corners,
                                      "complete-set")
-
-        # replay the collapse chain
-        current = lot
-        orig = tuple(range(lot.num_edges))
-        for step in cert.chain.steps:
-            pos_map = {o: i for i, o in enumerate(orig)}
-            _need(all(o in pos_map for o in step.sublot_edges),
-                  "complete-set-step-sublot", "edges already collapsed")
-            local = frozenset(pos_map[o] for o in step.sublot_edges)
-            _need(is_sublot(current, local) and len(local) < current.num_edges,
-                  "complete-set-step-sublot")
-            _need(local in SublotStructure(current).maximal(),
-                  "complete-set-step-maximal")
-            x = collapse_vertex_of(current, local)
-            _need(x == step.collapse_vertex, "complete-set-collapse-vertex",
-                  f"expected {x}, certificate says {step.collapse_vertex}")
-            current, _ = collapse(current, sorted(local))
-            orig = tuple(o for o in orig if o not in step.sublot_edges)
-        _need(current == cert.chain.final_quotient,
-              "complete-set-final-quotient-match")
-        rep = check_properties(current)
-        _need(rep.prime and rep.compressed and current.num_edges >= 1,
-              "complete-set-final-prime")
+        _replay_chain(lot, cert.chain)
         _need(tuple(s.sublot_edges for s in cert.chain.steps) == cert.sublots,
               "complete-set-sublots-match-chain")
 
@@ -344,12 +337,99 @@ def _verify(lot: Lot, cert: Certificate) -> None:
     raise _Reject("malformed-certificate", f"unknown node {cert!r}")
 
 
+_CELL_SIGNS = (1, 1, -1, -1)
+"""Exponents of the letters tail, label, head, label of a cell of K(lot)
+for an unsigned LOT (``complexes.build_complex``)."""
+
+
+def _replay_chain(lot: Lot, chain: CollapseChain) -> None:
+    """Replays a complete-set node's collapse chain on int views.
+
+    The quotients keep the LOT's edge ids and vertex indices: ``alive``
+    masks the edges not yet collapsed, and ``rep`` maps each vertex to the
+    quotient vertex it became, itself when it is still there.  A collapsed
+    sub-LOT is a subtree, so a tree path meets it in one stretch, and
+    masking the LOT's root paths with ``alive`` gives the quotient's."""
+    iv = lot._iv
+    names = lot.vertices
+    edges, paths = iv.edges, lot._paths
+    m = len(edges)
+    alive = (1 << m) - 1
+    rep = list(range(iv.n))
+    for step in chain.steps:
+        _need(all(0 <= o < m and alive >> o & 1 for o in step.sublot_edges),
+              "complete-set-step-sublot", "edges already collapsed")
+        sub = inside = labels = 0
+        for o in step.sublot_edges:
+            t, h, l = edges[o]
+            sub |= 1 << o
+            inside |= 1 << t | 1 << h
+            labels |= 1 << l
+        k = len(step.sublot_edges)
+        # k edges of a tree on k + 1 vertices are connected
+        _need(0 < k < alive.bit_count() and inside.bit_count() == k + 1
+              and not labels & ~inside, "complete-set-step-sublot")
+        # a sub-LOT S is maximal when S and any one edge more close up to
+        # the whole quotient
+        _need(all(_closure(edges, paths, sub | 1 << e) == alive
+                  for e in _bits(alive & ~sub)), "complete-set-step-maximal")
+        free = inside & ~labels
+        if free & (free - 1):
+            raise PreconditionError(
+                f"collapse vertex is not unique "
+                f"({sorted(names[v] for v in _bits(free))}); input not injective?")
+        x = free.bit_length() - 1
+        _need(names[x] == step.collapse_vertex, "complete-set-collapse-vertex",
+              f"expected {names[x]}, certificate says {step.collapse_vertex}")
+        alive &= ~sub
+        rep = [x if inside >> r & 1 else r for r in rep]
+        edges = tuple([(rep[t], rep[h], rep[l]) for t, h, l in iv.edges])
+        paths = tuple([p & alive for p in paths])
+
+    kept = [v for v in range(iv.n) if rep[v] == v]
+    index = {v: j for j, v in enumerate(kept)}
+    final = chain.final_quotient
+    _need(final.vertices == tuple([names[v] for v in kept])
+          and final._iv.edges == tuple([(index[t], index[h], index[l]) for t, h, l
+                                        in map(edges.__getitem__, _bits(alive))]),
+          "complete-set-final-quotient-match")
+    _need(alive and all(l != t and l != h for t, h, l
+                        in map(edges.__getitem__, _bits(alive)))
+          and all(_closure(edges, paths, 1 << e) == alive for e in _bits(alive)),
+          "complete-set-final-prime")
+
+
+def _closure(edges, paths, mask: int) -> int:
+    """The smallest sub-LOT holding the edges of the nonempty bitmask
+    ``mask``, which need not be connected, as a bitmask.
+
+    ``edges`` are (tail, head, label) vertex indices and ``paths`` root
+    paths as in ``lot._root_paths``; the path between u and v is
+    ``paths[u] ^ paths[v]``.  The paths from one tail to every edge's tail
+    span the mask; then each edge's label adds its path to the span,
+    until no edge comes in."""
+    base = paths[edges[(mask & -mask).bit_length() - 1][0]]
+    new = mask
+    for i in _bits(mask):
+        new |= paths[edges[i][0]] ^ base
+    mask = 0
+    while new:
+        mask |= new
+        grow = 0
+        for i in _bits(new):
+            grow |= paths[edges[i][2]] ^ base
+        new = grow & ~mask
+    return mask
+
+
 def _check_forests_and_witnesses(lot, flipped, fixed, pos_rec, neg_rec, prefix):
     forests = FlipForests(lot, fixed)
     flip = flip_mask(lot, flipped)
     _need(forests.is_forest(flip, 1), f"{prefix}-positive-forest")
     _need(forests.is_forest(flip, -1), f"{prefix}-negative-forest")
-    _need(_witness_pairs(lot, flipped) ==
+    # with nothing fixed, ``forests`` holds the corners of K(lot) itself
+    corners = FlipForests(lot, ()) if fixed else forests
+    _need(_named_pairs(lot, corners, flip) ==
           (tuple(map(tuple, pos_rec)), tuple(map(tuple, neg_rec))),
           f"{prefix}-witness-match")
 

@@ -12,8 +12,9 @@ from lotva import (BaseTrivial, BoundaryReduction, CertifyFailure, ChainStep,
                    PrimeWeightTest, boundary_reduce, certify_va,
                    check_properties, collapse, collapse_vertex_of,
                    extract_sublot, parse_certificate, parse_lot,
-                   serialize_certificate, verify_certificate)
-from lotva.certify import MAX_CERT_DEPTH
+                   serialize_certificate, sublot_closure,
+                   verify_certificate)
+from lotva.certify import MAX_CERT_DEPTH, _closure
 from lotva.lot import SublotStructure
 from lotva.sweep import iter_small_lots, random_lot
 from oracles import (reference_parse_certificate, reference_replay_chain,
@@ -601,13 +602,18 @@ def chain_variants(lot, cert):
 
 
 @pytest.fixture(scope="module")
-def complete_set_inputs(sweep6_every97):
-    """(node LOT, node) of every complete-set node in the certificates of
-    every 97th <=6-edge LOT and of 150 random 7-24-edge LOTs."""
+def differential_lots(sweep6_every97):
+    """Every 97th <=6-edge LOT and 150 random 7-24-edge LOTs."""
     rng = random.Random(20)
-    lots = [*sweep6_every97,
+    return [*sweep6_every97,
             *(random_lot(rng, rng.randrange(7, 25)) for _ in range(150))]
-    return [node for lot in lots
+
+
+@pytest.fixture(scope="module")
+def complete_set_inputs(differential_lots):
+    """(node LOT, node) of every complete-set node in the certificates of
+    ``differential_lots``."""
+    return [node for lot in differential_lots
             for node in complete_set_nodes(lot, certify_va(lot))]
 
 
@@ -628,3 +634,10 @@ class TestCompleteSetAgainstNamedRoute:
                 "complete-set-step-sublot", "complete-set-step-maximal",
                 "complete-set-final-quotient-match", "complete-set-final-prime",
                 "complete-set-sublots-match-chain"} <= set(seen)
+
+    def test_closure_of_one_edge(self, differential_lots):
+        """``certify._closure`` of one edge is ``sublot_closure``."""
+        for lot in differential_lots:
+            for e in range(lot.num_edges):
+                mask = _closure(lot._iv.edges, lot._paths, 1 << e)
+                assert mask == sum(1 << i for i in sublot_closure(lot, e))
