@@ -288,7 +288,7 @@ def _verify(lot: Lot, cert: Certificate) -> None:
               "complete-set-children-count")
         _need(len(cert.chain.steps) >= 1, "complete-set-chain-nonempty")
 
-        edges, paths = lot._iv.edges, lot._paths
+        edges = lot._iv.edges
         m = len(edges)
         union = seen_v = 0
         parts = []  # (edge mask, vertex mask) per part
@@ -313,12 +313,11 @@ def _verify(lot: Lot, cert: Certificate) -> None:
         # exactly for the part's own edges
         for k, (emask, vmask) in enumerate(parts):
             for i, (t, h, l) in enumerate(edges):
-                _need((vmask >> t & vmask >> h & vmask >> l & 1)
-                      == (emask >> i & 1), "complete-set-full",
-                      f"part {k}, cell d_{i}")
-        # every cell d_i reads tail_i label_i head_i^-1 label_i^-1; for an
-        # unsigned LOT its exponent sum is 0, so this always holds
-        _need(sum(_CELL_SIGNS) == 0, "complete-set-exponent-sums")
+                if (vmask >> t & vmask >> h & vmask >> l & 1) != (emask >> i & 1):
+                    raise _Reject("complete-set-full", f"part {k}, cell d_{i}")
+        # cell d_i reads tail_i label_i head_i^-1 label_i^-1 (build_complex);
+        # a LOT is unsigned, so every exponent sum is 0 and this always holds
+        _need(sum((1, 1, -1, -1)) == 0, "complete-set-exponent-sums")
 
         _need(all(0 <= i < m and not union >> i & 1 for i in cert.flipped),
               "complete-set-flipped-outside")
@@ -335,11 +334,6 @@ def _verify(lot: Lot, cert: Certificate) -> None:
         return
 
     raise _Reject("malformed-certificate", f"unknown node {cert!r}")
-
-
-_CELL_SIGNS = (1, 1, -1, -1)
-"""Exponents of the letters tail, label, head, label of a cell of K(lot)
-for an unsigned LOT (``complexes.build_complex``)."""
 
 
 def _replay_chain(lot: Lot, chain: CollapseChain) -> None:
