@@ -9,9 +9,15 @@ from lotva import (build_complex, build_link, build_relative_link,
                    canonical_weights, derive_subcomplexes,
                    min_weight_reduced_cycle, orientation_search, parse_lot,
                    relative_weight_test, reorient, signed_relative_forest_check,
-                   signed_sublinks, to_dot, weight_test)
+                   to_dot, weight_test)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
+
+
+def sublink(g, cls):
+    """The corners of lk+ ("++") or lk- ("--") as pairs of end names."""
+    return [(str(c.a), str(c.b)) for c in g.corners if c.corner_class == cls]
+
 
 fig1 = parse_lot((FIXTURES / "fig1.lot").read_text())
 cx = build_complex(fig1)
@@ -23,9 +29,8 @@ for c in cx.cells:
 
 g = build_link(cx)
 print(f"\nlink graph: {len(g.nodes)} edge-ends, {len(g.corners)} corners")
-pos, neg = signed_sublinks(g)
-print("positive link:", [(str(c.a), str(c.b)) for c in pos.corners])
-print("negative link:", [(str(c.a), str(c.b)) for c in neg.corners])
+print("positive link:", sublink(g, "++"))
+print("negative link:", sublink(g, "--"))
 print("note the parallel pairs in the negative link: they are weight-0")
 print("reduced cycles under the canonical 0/1 weights.")
 
@@ -56,9 +61,8 @@ flip = orientation_search(core)
 print(f"flip set: {sorted(flip)}  (edge 0 = b-c)")
 flipped = reorient(core, flip)
 fg = build_link(build_complex(flipped))
-fpos, fneg = signed_sublinks(fg)
-print("after flipping, lk+ =", [(str(c.a), str(c.b)) for c in fpos.corners])
-print("               lk- =", [(str(c.a), str(c.b)) for c in fneg.corners])
+print("after flipping, lk+ =", sublink(fg, "++"))
+print("               lk- =", sublink(fg, "--"))
 
 print("\nDOT export of the fig1 link (first lines):")
 print("\n".join(to_dot(g).splitlines()[:6]))

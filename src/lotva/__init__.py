@@ -9,17 +9,16 @@ from .errors import (DegenerateDiagramError, LotvaError, ParseError,
                      PreconditionError, StructureError)
 from .lot import (ChainStep, CollapseChain, FreeDecomposition, Lot, LotEdge,
                   PropertyReport, SignedLot, boundary_reducible_witness,
-                  check_properties, collapse, collapse_vertex_of,
-                  complete_set_search, enumerate_sublots, extract_sublot,
-                  format_lot, free_decomposition, is_compressed, is_injective,
-                  is_sublot, parse_lot, reorient, sign_change, sublot_closure,
+                  check_properties, collapse, complete_set_search,
+                  enumerate_sublots, extract_sublot, format_lot,
+                  free_decomposition, is_compressed, is_injective, is_sublot,
+                  parse_lot, reorient, sign_change, sublot_closure,
                   sublot_vertices)
 from .complexes import (BoundaryWord, Cell, SubcomplexFamily, TwoComplex,
                         build_complex, derive_subcomplexes, exponent_sum,
-                        format_complex, is_full, parse_complex)
+                        format_complex, parse_complex)
 from .linkage import (Corner, DeltaBlock, EdgeEnd, LinkGraph, build_link,
-                      build_relative_link, relative_forest_check,
-                      signed_relative_forest_check, signed_sublinks, to_dot)
+                      build_relative_link, signed_relative_forest_check, to_dot)
 from .weights import (Verdict, WeightAssignment, canonical_weights,
                       check_cell_condition, find_homred_violation,
                       format_weights, min_weight_reduced_cycle,

@@ -106,16 +106,11 @@ def boundary_reduce(lot: Lot, edge_id: int, outer_vertex: str) -> Lot:
     return Lot(vertices, edges, name=lot.name)
 
 
-def _witness_pairs(lot: Lot, flipped: frozenset[int]
-                   ) -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]:
-    """lk+ and lk- corner endpoint pairs of the reoriented LOT, by name."""
-    return _named_pairs(lot, FlipForests(lot, ()), flip_mask(lot, flipped))
-
-
 def _named_pairs(lot: Lot, corners: FlipForests, flip: int
                  ) -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]:
-    """``_witness_pairs`` from the corners of K(lot) (``FlipForests`` with
-    nothing fixed) and a flip mask."""
+    """lk+ and lk- corner endpoint pairs of the LOT reoriented by a flip
+    mask, by name, from the corners of K(lot) (``FlipForests`` with nothing
+    fixed)."""
     names = lot.vertices
     pos, neg = (tuple((names[a], names[b]) for a, b in corners.pairs(flip, pol))
                 for pol in (1, -1))
@@ -188,16 +183,15 @@ def _certify(lot: Lot) -> Union[Certificate, CertifyFailure]:
         return CertifyFailure(
             "relative-orientation-search",
             "no orientation gives relative lk+/lk- forests")
-    flipped = frozenset(_bits(flip))
     children = []
     for part in sublots:
         child = _certify(extract_sublot(lot, part))
         if isinstance(child, CertifyFailure):
             return child
         children.append(child)
-    pos, neg = _witness_pairs(lot, flipped)
-    return CompleteSetRelative(tuple(sublots), chain, flipped, pos, neg,
-                               tuple(children))
+    pos, neg = _named_pairs(lot, FlipForests(lot, ()), flip)
+    return CompleteSetRelative(tuple(sublots), chain, frozenset(_bits(flip)),
+                               pos, neg, tuple(children))
 
 
 # ---------------------------------------------------------------------------

@@ -158,19 +158,6 @@ def exponent_sum(w: BoundaryWord) -> int:
     return sum(s for _, s in w.letters)
 
 
-def is_full(cx: TwoComplex, fam: SubcomplexFamily) -> tuple[bool, ...]:
-    """Per part: every cell whose boundary letters all lie in the part's
-    edges must belong to the part's cells."""
-    validate_family(cx, fam)
-    out = []
-    for edges, cells in fam.parts:
-        ok = all(c.name in cells
-                 for c in cx.cells
-                 if all(x in edges for x, _ in c.boundary.letters))
-        out.append(ok)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # complex files
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ of l_i to the initial end of l_{i+1}, read cyclically:
     terminal(x, +) = x-    initial(x, +) = x+
     terminal(x, -) = x+    initial(x, -) = x-
 
-Also here: the positive/negative sublinks, the relative link lk(L, K) with
-its Delta-blocks, and the relative forest check (quotient multigraph has no
-cycles) used by the weight machinery.
+Also here: the int pass over the corners that links and checks share, the
+relative link lk(L, K) with its Delta-blocks, and the signed relative forest
+check (lk^pol(L) relative to lk^pol(K) has no cycle), which reads the int
+corners and builds no link.  Its union-find serves the weight machinery too.
 """
 
 from __future__ import annotations
@@ -205,20 +206,6 @@ def build_link(cx: TwoComplex) -> LinkGraph:
     return _built(nodes, tuple(corners), tuple(ends))
 
 
-def signed_sublinks(g: LinkGraph) -> tuple[LinkGraph, LinkGraph]:
-    """Full subgraphs on the positive / negative nodes (corner ids kept)."""
-    if g.delta_blocks is not None:
-        raise PreconditionError("signed_sublinks expects an absolute link")
-    return (_polarity_subgraph(g, 1), _polarity_subgraph(g, -1))
-
-
-def _polarity_subgraph(g: LinkGraph, pol: int) -> LinkGraph:
-    nodes = tuple(n for n in g.nodes if n.polarity == pol)
-    corners = tuple(c for c in g.corners
-                    if c.a.polarity == pol and c.b.polarity == pol)
-    return LinkGraph(nodes, corners)
-
-
 @lru_cache(maxsize=64)
 def delta_ends(k: int) -> Callable[[Sequence], tuple]:
     """The Delta corners of a block of k nodes, as a function of the
@@ -316,41 +303,6 @@ def forest_cycle_index(n: int, pairs: list[tuple[int, int]]) -> int:
         if not uf.union(u, v):
             return i
     return -1
-
-
-def relative_forest_check(
-    g: LinkGraph,
-    blocks: Iterable[tuple[frozenset[EdgeEnd], frozenset[int]]],
-) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Is g a forest relative to the given blocks?
-
-    Each block is (node subset, designated corner ids); its nodes are
-    contracted to a point and its designated corners vanish.  Any loop,
-    parallel pair or longer cycle in the quotient multigraph counts as a
-    cycle; the witness is such a cycle as a tuple of original corner ids.
-    """
-    blocks = list(blocks)
-    index: dict[EdgeEnd, int] = {}
-    dropped: set[int] = set()
-    for i, (nodes, ids) in enumerate(blocks):
-        if any(n in index for n in nodes):
-            raise PreconditionError("blocks overlap")
-        index.update(dict.fromkeys(nodes, i))
-        dropped |= set(ids)
-
-    size = len(blocks)
-    pairs: list[tuple[int, int]] = []
-    kept: list[int] = []
-    for c in g.corners:
-        if c.id in dropped:
-            continue
-        for n in (c.a, c.b):
-            if n not in index:
-                index[n] = size
-                size += 1
-        pairs.append((index[c.a], index[c.b]))
-        kept.append(c.id)
-    return _forest_witness(size, pairs, kept)
 
 
 def _forest_witness(size: int, pairs: list[tuple[int, int]], kept: list[int]

@@ -505,49 +505,22 @@ def enumerate_sublots(lot: Lot) -> tuple[list[frozenset[int]], list[frozenset[in
 # collapse and complete sets
 # ---------------------------------------------------------------------------
 
-def collapse_vertex_of(lot: Lot, sublot_edges: Iterable[int]) -> str:
-    """The unique vertex of the sub-LOT not occurring as a label inside it.
-
-    Existence and uniqueness need injectivity of the ambient LOT; anything
-    else is reported as a precondition violation.
-    """
-    ids = sorted(set(sublot_edges))
-    vs = sublot_vertices(lot, ids)
-    internal_labels = {lot.edges[i].label for i in ids}
-    candidates = sorted(vs - internal_labels)
-    if len(candidates) != 1:
-        raise PreconditionError(
-            f"collapse vertex is not unique ({candidates}); input not injective?")
-    return candidates[0]
-
-
 def collapse(lot: Lot, sublot_edges: Iterable[int]) -> tuple[Lot, str]:
     """Collapse a sub-LOT to its unlabeled vertex.
 
     The quotient keeps the edges outside the sub-LOT (in ambient id order,
-    re-indexed densely), remaps endpoints inside the sub-LOT to the collapse
-    vertex and leaves labels unchanged.
+    re-indexed densely) and maps every vertex of the sub-LOT, as endpoint
+    or label, to the collapse vertex: ``_Quotient.collapse`` on the LOT's
+    int view.
     """
     ids = sorted(set(sublot_edges))
     if not is_sublot(lot, ids):
         raise PreconditionError(f"edge set {ids} is not a sub-LOT")
     if not is_injective(lot):
         raise PreconditionError("collapse requires an injective LOT")
-    x = collapse_vertex_of(lot, ids)
-    inside = sublot_vertices(lot, ids)
-
-    def q(v: str) -> str:
-        return x if v in inside else v
-
-    kept = [i for i in range(lot.num_edges) if i not in set(ids)]
-    edges = tuple(LotEdge(q(lot.edges[i].tail), q(lot.edges[i].head),
-                          q(lot.edges[i].label)) for i in kept)
-    vset = {x}
-    for e in edges:
-        vset.add(e.tail)
-        vset.add(e.head)
-    vertices = tuple(v for v in lot.vertices if v in vset)
-    return Lot(vertices, edges, name=lot.name), x
+    quotient, x = _Quotient(lot._iv, lot._paths, lot.vertices,
+                            tuple(range(lot.num_edges))).collapse(ids)
+    return quotient.as_lot(lot.name), x
 
 
 def complete_set_search(lot: Lot) -> Optional[tuple[list[frozenset[int]], CollapseChain]]:
@@ -599,17 +572,14 @@ def search_complete_set(lot: Lot, structure: SublotStructure
     if found is None:
         return None
     steps, final = found
-    names = final.names
-    quotient = _lot_from_view(names, tuple([LotEdge(names[t], names[h], names[l])
-                                            for t, h, l in final._iv.edges]),
-                              final._iv, final._paths, lot.name)
-    return [s.sublot_edges for s in steps], CollapseChain(steps, quotient)
+    chain = CollapseChain(steps, final.as_lot(lot.name))
+    return [s.sublot_edges for s in steps], chain
 
 
 class _Quotient:
-    """A quotient met by ``search_complete_set``: the int view and root
-    paths that ``SublotStructure`` and ``is_compressed`` read, the vertex
-    names, and each edge's id in the original LOT."""
+    """A quotient met by ``collapse`` or ``search_complete_set``: the int
+    view and root paths that ``SublotStructure`` and ``is_compressed`` read,
+    the vertex names, and each edge's id in the original LOT."""
 
     __slots__ = ("_iv", "_paths", "names", "orig")
 
@@ -618,10 +588,10 @@ class _Quotient:
         self._iv, self._paths, self.names, self.orig = iv, paths, names, orig
 
     def collapse(self, sub: Iterable[int]) -> tuple[_Quotient, str]:
-        """``collapse`` on the view: the proper sub-LOT with edge ids
-        ``sub`` becomes its one vertex that labels none of its edges (one,
-        as the view is injective); returns the quotient and that vertex's
-        name.  Kept vertices and edges keep their order."""
+        """The sub-LOT with edge ids ``sub`` becomes its one vertex that
+        labels none of its edges (one, as the view is injective); returns
+        the quotient and that vertex's name.  Kept vertices and edges keep
+        their order."""
         iv = self._iv
         mask = inside = labels = 0
         for i in sub:
@@ -645,6 +615,13 @@ class _Quotient:
         return (_Quotient(view, tuple(_root_paths(view)), tuple(names),
                           tuple(map(self.orig.__getitem__, kept))),
                 self.names[x])
+
+    def as_lot(self, name: str) -> Lot:
+        """The quotient as a named ``Lot``, built from its view."""
+        names = self.names
+        return _lot_from_view(names, tuple([LotEdge(names[t], names[h], names[l])
+                                            for t, h, l in self._iv.edges]),
+                              self._iv, self._paths, name)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ too, in their ``Fraction`` form with no bound on any Dijkstra run, as the
 reference the library's witnesses must match exactly, and so is the
 vertex-by-vertex corner walk of a surface diagram, with its pairwise scan
 for folding corners, that the one-pass gluing replaced.  The routes through
-a built lk(L) that the int-indexed corners replaced stay too: the signed
+a built lk(L) that the int-indexed corners replaced stay too: the
+polarity sublinks (``signed_sublinks``), the forest check of a built link
+relative to blocks of its nodes (``relative_forest_check``), the signed
 forest check on the polarity subgraph, and corner ids of diagram corners
 read from the link's provenance.  Two second routes to a library decision
 live here as well: the forest check through the relative link's
@@ -25,11 +27,12 @@ every Prufer sequence, and each (orientation, labeling) candidate tested
 against every automorphism on its own.  So does the certificate reader that
 one split pass replaced, which built each atom one character at a time and
 read every atom ``int()`` accepts as an int, and the certificate writer
-that one pass of lines replaced, which printed nested lists.  The
-complete-set search that collapses int views has its name-level form here,
-which builds every quotient as a ``Lot`` with ``collapse``, and so do the
-verifier's own checks of a complete-set node: fullness through K(lot) and
-the collapse chain replayed on named quotients with
+that one pass of lines replaced, which printed nested lists.  The collapse
+that the library makes on int views has its name-level form here
+(``named_collapse``, with ``collapse_vertex_of``).  The complete-set search
+has a name-level form that builds every quotient with it, and so do the
+verifier's own checks of a complete-set node: fullness through K(lot)
+(``is_full``) and the collapse chain replayed on named quotients with
 ``SublotStructure.maximal``.
 """
 
@@ -48,12 +51,13 @@ from lotva import (BaseTrivial, BoundaryReduction, BoundaryWord, Cell,
                    PrimeWeightTest, SubcomplexFamily, SurfaceDiagram,
                    TwoComplex, WeightAssignment, boundary_reducible_witness,
                    build_complex, build_link, build_relative_link,
-                   check_properties, collapse, collapse_vertex_of,
-                   derive_subcomplexes, exponent_sum, extract_sublot,
-                   is_compressed, is_full, is_injective, is_sublot,
-                   relative_forest_check, signed_sublinks, sublot_closure,
-                   sublot_vertices, validate_diagram, verify_certificate)
+                   check_properties, derive_subcomplexes, exponent_sum,
+                   extract_sublot, is_compressed, is_injective, is_sublot,
+                   sublot_closure, sublot_vertices, validate_diagram,
+                   verify_certificate)
 from lotva.certify import MAX_CERT_DEPTH, _from_sexp, _unreadable
+from lotva.complexes import validate_family
+from lotva.linkage import _forest_witness
 from lotva.lot import SublotStructure
 from lotva.sweep import _ahu_key, _labelings, _prufer_decode, automorphisms
 from lotva.weights import FlipForests, flip_mask
@@ -205,8 +209,54 @@ def is_closed_cycle(g: LinkGraph, blocks, witness) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# second routes to the forest decisions
+# routes to the forest decisions through built links
 # ---------------------------------------------------------------------------
+
+def signed_sublinks(g: LinkGraph) -> tuple[LinkGraph, LinkGraph]:
+    """Full subgraphs of an absolute link on the positive / negative nodes
+    (corner ids kept)."""
+    if g.delta_blocks is not None:
+        raise PreconditionError("signed_sublinks expects an absolute link")
+    return (_polarity_subgraph(g, 1), _polarity_subgraph(g, -1))
+
+
+def _polarity_subgraph(g: LinkGraph, pol: int) -> LinkGraph:
+    nodes = tuple(n for n in g.nodes if n.polarity == pol)
+    corners = tuple(c for c in g.corners
+                    if c.a.polarity == pol and c.b.polarity == pol)
+    return LinkGraph(nodes, corners)
+
+
+def relative_forest_check(g: LinkGraph, blocks):
+    """Is g a forest relative to the given blocks?
+
+    Each block is (node subset, designated corner ids); its nodes are
+    contracted to a point and its designated corners vanish.  Any loop,
+    parallel pair or longer cycle in the quotient multigraph counts as a
+    cycle; the witness is such a cycle as a tuple of original corner ids.
+    """
+    blocks = list(blocks)
+    index: dict[EdgeEnd, int] = {}
+    dropped: set[int] = set()
+    for i, (nodes, ids) in enumerate(blocks):
+        if any(n in index for n in nodes):
+            raise PreconditionError("blocks overlap")
+        index.update(dict.fromkeys(nodes, i))
+        dropped |= set(ids)
+    size = len(blocks)
+    pairs: list[tuple[int, int]] = []
+    kept: list[int] = []
+    for c in g.corners:
+        if c.id in dropped:
+            continue
+        for n in (c.a, c.b):
+            if n not in index:
+                index[n] = size
+                size += 1
+        pairs.append((index[c.a], index[c.b]))
+        kept.append(c.id)
+    return _forest_witness(size, pairs, kept)
+
 
 def delta_relative_forest_check(cx: TwoComplex, fam: SubcomplexFamily, pol: int):
     """Is lk^pol(L, K) a forest relative to Delta^pol(K)?  The route through
@@ -586,10 +636,53 @@ def oracle_free_decomposition(lot):
     return None
 
 
+def collapse_vertex_of(lot: Lot, sublot_edges) -> str:
+    """The unique vertex of the sub-LOT not occurring as a label inside it.
+
+    Existence and uniqueness need injectivity of the ambient LOT; anything
+    else is reported as a precondition violation.
+    """
+    ids = sorted(set(sublot_edges))
+    vs = sublot_vertices(lot, ids)
+    internal_labels = {lot.edges[i].label for i in ids}
+    candidates = sorted(vs - internal_labels)
+    if len(candidates) != 1:
+        raise PreconditionError(
+            f"collapse vertex is not unique ({candidates}); input not injective?")
+    return candidates[0]
+
+
+def named_collapse(lot: Lot, sublot_edges) -> tuple[Lot, str]:
+    """``collapse`` on vertex names: the quotient keeps the edges outside
+    the sub-LOT (in ambient id order, re-indexed densely), maps every
+    vertex of the sub-LOT to ``collapse_vertex_of`` and is built through
+    ``Lot``'s own checks.  Same preconditions, in the same order."""
+    ids = sorted(set(sublot_edges))
+    if not is_sublot(lot, ids):
+        raise PreconditionError(f"edge set {ids} is not a sub-LOT")
+    if not is_injective(lot):
+        raise PreconditionError("collapse requires an injective LOT")
+    x = collapse_vertex_of(lot, ids)
+    inside = sublot_vertices(lot, ids)
+
+    def q(v: str) -> str:
+        return x if v in inside else v
+
+    kept = [i for i in range(lot.num_edges) if i not in set(ids)]
+    edges = tuple(LotEdge(q(lot.edges[i].tail), q(lot.edges[i].head),
+                          q(lot.edges[i].label)) for i in kept)
+    vset = {x}
+    for e in edges:
+        vset.add(e.tail)
+        vset.add(e.head)
+    vertices = tuple(v for v in lot.vertices if v in vset)
+    return Lot(vertices, edges, name=lot.name), x
+
+
 def reference_search_complete_set(lot, structure):
     """``search_complete_set`` with every quotient a named ``Lot`` built by
-    ``collapse``, each with its own ``SublotStructure``, backtracking over
-    the maximal sub-LOTs in the same order."""
+    ``named_collapse``, each with its own ``SublotStructure``, backtracking
+    over the maximal sub-LOTs in the same order."""
 
     def rec(current, structure, orig_ids, steps):
         # orig_ids[i] = original edge id of current's edge i
@@ -600,7 +693,7 @@ def reference_search_complete_set(lot, structure):
         for sub in structure.maximal():
             local = sorted(sub)
             orig = frozenset(orig_ids[i] for i in local)
-            quotient, x = collapse(current, local)
+            quotient, x = named_collapse(current, local)
             kept = [i for i in range(current.num_edges) if i not in sub]
             new_orig = tuple(orig_ids[i] for i in kept)
             found = rec(quotient, SublotStructure(quotient), new_orig,
@@ -614,6 +707,15 @@ def reference_search_complete_set(lot, structure):
         return None
     steps, final = found
     return [s.sublot_edges for s in steps], CollapseChain(steps, final)
+
+
+def is_full(cx: TwoComplex, fam: SubcomplexFamily) -> tuple[bool, ...]:
+    """Per part: every cell whose boundary letters all lie in the part's
+    edges must belong to the part's cells."""
+    validate_family(cx, fam)
+    return tuple(all(c.name in cells for c in cx.cells
+                     if all(x in edges for x, _ in c.boundary.letters))
+                 for edges, cells in fam.parts)
 
 
 def reference_verify_complete_set(lot, cert) -> tuple[bool, Optional[str]]:
@@ -695,9 +797,9 @@ def reference_replay_chain(lot, chain) -> tuple[Optional[str], Lot]:
     """The collapse chain replayed on named quotients: each step's edges,
     mapped from original ids, must be a proper sub-LOT of the current
     quotient that ``SublotStructure(current).maximal()`` lists, collapsing
-    to the recorded vertex (``collapse_vertex_of``, ``collapse``); the last
-    quotient must equal the recorded one and be prime, compressed and hold
-    an edge (``check_properties``).  Returns the first failing check or
+    to the recorded vertex (``collapse_vertex_of``, ``named_collapse``);
+    the last quotient must equal the recorded one and be prime, compressed
+    and hold an edge (``check_properties``).  Returns the first failing check or
     None, and the last quotient reached.  A non-unique collapse vertex
     raises ``PreconditionError``."""
     current = lot
@@ -713,7 +815,7 @@ def reference_replay_chain(lot, chain) -> tuple[Optional[str], Lot]:
             return "complete-set-step-maximal", current
         if collapse_vertex_of(current, local) != step.collapse_vertex:
             return "complete-set-collapse-vertex", current
-        current, _ = collapse(current, sorted(local))
+        current, _ = named_collapse(current, sorted(local))
         orig = tuple(o for o in orig if o not in step.sublot_edges)
     if current != chain.final_quotient:
         return "complete-set-final-quotient-match", current

@@ -6,16 +6,18 @@ complete; the whole module is also part of the default suite.
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
 from lotva import (BaseTrivial, BoundaryReduction, CertifyFailure, ChainStep,
                    CollapseChain, CompleteSetRelative, DegenerateDiagramError,
-                   FreeDecompositionNode, PrimeWeightTest, build_complex,
-                   build_link, build_relative_link, canonical_weights,
-                   certify_va, check_properties, complete_set_search,
-                   curvature_report, derive_subcomplexes, double_cell_sphere,
-                   enumerate_sublots, find_homred_violation, find_sink_source,
+                   FreeDecompositionNode, PrimeWeightTest, boundary_reduce,
+                   build_complex, build_link, build_relative_link,
+                   canonical_weights, certify_va, check_properties,
+                   complete_set_search, curvature_report, derive_subcomplexes,
+                   double_cell_sphere, enumerate_sublots, extract_sublot,
+                   find_homred_violation, find_sink_source, format_lot,
                    free_decomposition, is_sublot, min_weight_reduced_cycle,
                    relative_weight_test, reorient, sign_change,
                    signed_relative_forest_check, sublot_vertices,
@@ -194,6 +196,55 @@ def test_criterion_08_forests_imply_relative_weight_test():
     report(8, f"relative weight test passed on {hits} random (LOT, family) "
               f"pairs with both relative forests "
               f"({time.perf_counter() - t0:.1f}s)")
+
+
+def _weight_test_nodes(lot, cert, counts):
+    """Walks a certificate the way ``verify_certificate`` does and runs the
+    paper's weight test, with canonical weights, at every node that rests
+    on lk+ and lk- forests: the absolute test on K of the reoriented LOT at
+    a prime-wt node, the relative test on it and its complete set at a
+    complete-set node."""
+    if isinstance(cert, BoundaryReduction):
+        _weight_test_nodes(boundary_reduce(lot, cert.edge_id, cert.outer_vertex),
+                           cert.child, counts)
+    elif isinstance(cert, FreeDecompositionNode):
+        _weight_test_nodes(extract_sublot(lot, cert.left_edges),
+                           cert.left_child, counts)
+        _weight_test_nodes(extract_sublot(lot, cert.right_edges),
+                           cert.right_child, counts)
+    elif isinstance(cert, PrimeWeightTest):
+        cx = build_complex(reorient(lot, cert.flipped))
+        g = build_link(cx)
+        assert weight_test(cx, g, canonical_weights(g)).ok, format_lot(lot)
+        counts[cert.kind] += 1
+    elif isinstance(cert, CompleteSetRelative):
+        flipped = reorient(lot, cert.flipped)
+        cx = build_complex(flipped)
+        fam = derive_subcomplexes(flipped, cert.sublots)
+        g = build_relative_link(cx, fam)
+        assert relative_weight_test(cx, fam, canonical_weights(g), link=g).ok, \
+            format_lot(lot)
+        counts[cert.kind] += 1
+        for part, child in zip(cert.sublots, cert.children):
+            _weight_test_nodes(extract_sublot(lot, part), child, counts)
+
+
+def test_criterion_08_certified_nodes_pass_weight_tests(sweep6_every97):
+    """Every accepted certificate rests on the paper's weight test: its
+    prime-wt nodes pass the absolute test, its complete-set nodes the
+    relative test, on a sweep stride and on random 7-20-edge LOTs."""
+    t0 = time.perf_counter()
+    lots = list(sweep6_every97) + [random_lot(random.Random(7000 + s), 7 + s % 14)
+                                   for s in range(30)]
+    counts = Counter()
+    for lot in lots:
+        cert = certify_va(lot)
+        assert verify_certificate(lot, cert), format_lot(lot)
+        _weight_test_nodes(lot, cert, counts)
+    assert counts["prime-wt"] > 1000 and counts["complete-set"] > 300
+    report(8, f"weight tests pass at all {counts['prime-wt']} prime-wt and "
+              f"{counts['complete-set']} complete-set nodes of the certificates "
+              f"of {len(lots)} LOTs ({time.perf_counter() - t0:.1f}s)")
 
 
 def test_criterion_09_sign_change_invariance():

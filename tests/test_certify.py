@@ -10,14 +10,14 @@ from lotva import (BaseTrivial, BoundaryReduction, CertifyFailure, ChainStep,
                    CollapseChain, CompleteSetRelative, FreeDecompositionNode,
                    Lot, LotEdge, ParseError, PreconditionError,
                    PrimeWeightTest, boundary_reduce, certify_va,
-                   check_properties, collapse, collapse_vertex_of,
-                   extract_sublot, parse_certificate, parse_lot,
+                   check_properties, collapse, extract_sublot, parse_certificate, parse_lot,
                    serialize_certificate, sublot_closure,
                    verify_certificate)
 from lotva.certify import MAX_CERT_DEPTH, _closure
 from lotva.lot import SublotStructure
 from lotva.sweep import iter_small_lots, random_lot
-from oracles import (reference_parse_certificate, reference_replay_chain,
+from oracles import (collapse_vertex_of, reference_parse_certificate,
+                     reference_replay_chain,
                      reference_serialize_certificate,
                      reference_verify_complete_set)
 

@@ -4,9 +4,11 @@ import pytest
 
 from lotva import (BoundaryWord, ParseError, PreconditionError, StructureError,
                    build_complex, derive_subcomplexes, exponent_sum,
-                   format_complex, is_full, parse_complex, parse_lot,
-                   sign_change, SubcomplexFamily)
+                   format_complex, parse_complex, parse_lot, sign_change,
+                   SubcomplexFamily)
 from lotva.sweep import random_lot
+
+from oracles import is_full
 
 
 def letters(cx, name):

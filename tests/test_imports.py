@@ -1,5 +1,7 @@
-"""Every name a library module imports is used in that module, and every
-function, class and method the library defines is used somewhere.
+"""Every name a library module imports is used in that module, every
+function, class and method the library defines is used somewhere, and the
+names the package re-exports are the ones the README's "Public API" section
+lists.
 
 Plain ``ast`` scans, no dependency: a name counts as used when it occurs as
 an identifier, annotations included.  The package ``__init__`` is exempt
@@ -8,6 +10,7 @@ uses of a definition either.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -113,3 +116,43 @@ def test_no_dead_definitions_in_library():
             elif path != SRC / "__init__.py":
                 others.append(source)
     assert dead_definitions(library, others) == []
+
+
+def readme_public_api(text: str) -> dict[str, list[str]]:
+    """Per module, sorted, the names the "Public API" section of the README
+    text lists: a bullet ``- `lotva.MODULE`: `name`, ...`` and its indented
+    continuation lines."""
+    section = text.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    api: dict[str, list[str]] = {}
+    module = None
+    for line in section.splitlines():
+        if line.startswith("- `lotva."):
+            module, line = line[len("- `lotva."):].split("`:", 1)
+            api[module] = []
+        elif not line.startswith("  "):
+            module = None
+        if module:
+            api[module] += re.findall(r"`(\w+)`", line)
+    return {module: sorted(names) for module, names in api.items()}
+
+
+def package_reexports(source: str) -> dict[str, list[str]]:
+    """Per module, sorted, the names the package ``__init__`` source
+    imports from it."""
+    out: dict[str, list[str]] = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.setdefault(node.module, []).extend(a.name for a in node.names)
+    return {module: sorted(names) for module, names in out.items()}
+
+
+def test_readme_scanner_reads_bullets():
+    text = ("# t\n## Public API\n\nIntro `x`.\n\n- `lotva.a`: `f`, `G`,\n  `h`\n"
+            "- `lotva.b`: `k`\n\nProse `z`.\n\n## Next\n- `lotva.c`: `q`\n")
+    assert readme_public_api(text) == {"a": ["G", "f", "h"], "b": ["k"]}
+
+
+def test_public_api_matches_readme():
+    listed = readme_public_api((ROOT / "README.md").read_text(encoding="utf-8"))
+    exported = package_reexports((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert listed == exported

@@ -5,13 +5,13 @@ import pytest
 from lotva import linkage
 from lotva import (EdgeEnd, PreconditionError, build_complex, build_link,
                    build_relative_link, derive_subcomplexes, enumerate_sublots,
-                   parse_complex, parse_lot, relative_forest_check, reorient,
-                   sign_change, signed_relative_forest_check, signed_sublinks,
-                   to_dot)
+                   parse_complex, parse_lot, reorient, sign_change,
+                   signed_relative_forest_check, to_dot)
 from lotva.sweep import random_lot
 
 from oracles import (delta_relative_forest_check, is_closed_cycle,
-                     oracle_relative_forest, random_complex)
+                     oracle_relative_forest, random_complex,
+                     relative_forest_check, signed_sublinks)
 
 
 def corner_names(g):

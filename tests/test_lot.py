@@ -4,17 +4,17 @@ import pytest
 
 from lotva import (Lot, LotEdge, ParseError, PreconditionError, StructureError,
                    boundary_reducible_witness, check_properties, collapse,
-                   collapse_vertex_of, complete_set_search, enumerate_sublots,
-                   extract_sublot, format_lot, free_decomposition,
-                   is_compressed, is_injective, is_sublot, parse_lot,
-                   reorient, sign_change, sublot_closure, sublot_vertices)
+                   complete_set_search, enumerate_sublots, extract_sublot,
+                   format_lot, free_decomposition, is_compressed,
+                   is_injective, is_sublot, parse_lot, reorient, sign_change,
+                   sublot_closure, sublot_vertices)
 from lotva import lot as lot_module
 from lotva.lot import SublotStructure, search_complete_set
 from lotva.sweep import iter_small_lots, random_lot
 
-from oracles import (oracle_free_decomposition, oracle_sublot_structure,
-                     oracle_sublots, reference_is_sublot,
-                     reference_search_complete_set)
+from oracles import (named_collapse, oracle_free_decomposition,
+                     oracle_sublot_structure, oracle_sublots,
+                     reference_is_sublot, reference_search_complete_set)
 
 
 def edge_tuples(lot):
@@ -323,6 +323,48 @@ class TestCollapse:
                     assert is_injective(q)
                     checked += 1
         assert checked > 20
+
+    def test_matches_named_collapse(self, sweep6_every97):
+        """``collapse`` on the int view builds the quotient the name-level
+        route in ``oracles`` builds, int view and root paths included, on
+        every sub-LOT of a sweep stride and of random 7-20-edge LOTs."""
+        rng = random.Random(21)
+        lots = list(sweep6_every97)
+        for k in range(200):
+            lot = random_lot(rng, rng.randrange(7, 21), compressed=k % 2 == 0)
+            lots.append(Lot(lot.vertices, lot.edges, name=f"r{k}"))
+        checked = 0
+        for lot in lots:
+            for s in SublotStructure(lot).all_sublots():
+                q, x = collapse(lot, s)
+                ref, y = named_collapse(lot, s)
+                assert (q, q.name, x) == (ref, ref.name, y)
+                assert (q._iv, q._paths) == (ref._iv, ref._paths)
+                checked += 1
+        assert checked > 4_000
+
+    def test_refuses_like_named_collapse(self, sweep6_every97):
+        """Both routes refuse a set that is no sub-LOT, then a LOT that is
+        not injective, with the same message."""
+
+        def refusal(route, lot, ids):
+            with pytest.raises(PreconditionError) as info:
+                route(lot, ids)
+            return str(info.value)
+
+        rng = random.Random(22)
+        cases = [(lot, ids) for lot in sweep6_every97[::5]
+                 for ids in ([], [lot.num_edges], [0], range(lot.num_edges - 1))
+                 if not is_sublot(lot, ids)]
+        while len(cases) < 400:
+            lot = random_lot(rng, rng.randrange(3, 21), injective=False,
+                             compressed=False)
+            if not is_injective(lot):
+                cases += [(lot, s) for s in SublotStructure(lot).all_sublots()]
+                cases.append((lot, [0, lot.num_edges]))
+        for lot, ids in cases:
+            assert refusal(collapse, lot, ids) == \
+                refusal(named_collapse, lot, ids)
 
 
 # ---------------------------------------------------------------------------

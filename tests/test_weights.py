@@ -11,7 +11,7 @@ from lotva import (Corner, EdgeEnd, LinkGraph, Lot, LotEdge, PreconditionError,
                    find_homred_violation, format_weights,
                    min_weight_reduced_cycle, orientation_search, parse_complex,
                    parse_lot, parse_weights, relative_weight_test, reorient,
-                   sign_change, signed_relative_forest_check, signed_sublinks,
+                   sign_change, signed_relative_forest_check,
                    sublot_closure, sublot_vertices, weight_test)
 from lotva.weights import FlipForests
 from lotva.sweep import random_lot
@@ -21,7 +21,8 @@ from oracles import (oracle_homred_violation_exists, oracle_min_reduced_cycle,
                      random_complex, random_link, random_relative_link,
                      random_weights,
                      reference_find_homred_violation,
-                     reference_min_weight_reduced_cycle)
+                     reference_min_weight_reduced_cycle,
+                     relative_forest_check, signed_sublinks)
 
 
 class TestCanonicalWeights:
@@ -632,7 +633,6 @@ class TestOrientationSearch:
     def test_fast_path_matches_link_route(self):
         """The pair-based forest check agrees with building the complex and
         links explicitly."""
-        from lotva import relative_forest_check
         rng = random.Random(90)
         for _ in range(40):
             lot = random_lot(rng, rng.randrange(2, 7))
