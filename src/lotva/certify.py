@@ -22,7 +22,7 @@ from typing import Optional, Union
 
 from .errors import LotvaError, ParseError, PreconditionError
 from .lot import (CollapseChain, ChainStep, Lot, LotEdge, SublotStructure,
-                  _bits, boundary_reducible_witness, extract_sublot,
+                  _bits, _lot_on, boundary_reducible_witness, extract_sublot,
                   free_decomposition, is_compressed, is_injective, is_sublot,
                   search_complete_set, sublot_vertices)
 from .weights import FlipForests, flip_mask
@@ -101,9 +101,17 @@ class VerificationVerdict:
 
 def boundary_reduce(lot: Lot, edge_id: int, outer_vertex: str) -> Lot:
     """Remove a boundary-reducible leaf and its edge."""
-    edges = tuple(e for i, e in enumerate(lot.edges) if i != edge_id)
-    vertices = tuple(v for v in lot.vertices if v != outer_vertex)
-    return Lot(vertices, edges, name=lot.name)
+    edges = tuple([e for i, e in enumerate(lot.edges) if i != edge_id])
+    iv = lot._iv
+    v = lot.vertices.index(outer_vertex) if outer_vertex in lot.vertices else -1
+    if (v >= 0 and iv.incident[v] == (edge_id,)
+            and iv.label_count[v] == (iv.edges[edge_id][2] == v)):
+        return _lot_on(lot, [u for u in range(iv.n) if u != v],
+                       [e for i, e in enumerate(iv.edges) if i != edge_id],
+                       edges, lot.name)
+    # otherwise Lot's own checks decide, from the names
+    return Lot(tuple(u for u in lot.vertices if u != outer_vertex), edges,
+               name=lot.name)
 
 
 def _named_pairs(lot: Lot, corners: FlipForests, flip: int

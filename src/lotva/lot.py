@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ParseError, PreconditionError, StructureError
 
@@ -143,9 +143,10 @@ def parse_lot(text: str) -> Lot:
     raw_edges: list[tuple[str, str, str, int]] = []
 
     def add_vertex(v, lineno):
-        if not _IDENT.match(v):
-            raise ParseError(f"bad identifier {v!r}", lineno)
+        # a name seen before passed the identifier check where it first came
         if v not in vset:
+            if not _IDENT.match(v):
+                raise ParseError(f"bad identifier {v!r}", lineno)
             vset.add(v)
             vertices.append(v)
 
@@ -268,10 +269,21 @@ def extract_sublot(lot: Lot, edge_ids: Iterable[int]) -> Lot:
     ids = sorted(set(edge_ids))
     if not is_sublot(lot, ids):
         raise PreconditionError(f"edge set {ids} is not a sub-LOT")
-    vs = sublot_vertices(lot, ids)
-    vertices = tuple(v for v in lot.vertices if v in vs)
-    edges = tuple(lot.edges[i] for i in ids)
-    return Lot(vertices, edges)
+    edges = [lot._iv.edges[i] for i in ids]
+    return _lot_on(lot, sorted({v for t, h, _ in edges for v in (t, h)}), edges,
+                   tuple([lot.edges[i] for i in ids]))
+
+
+def _lot_on(lot: Lot, kept: Sequence[int], edges: Iterable[tuple[int, int, int]],
+            lot_edges: tuple[LotEdge, ...], name: str = "") -> Lot:
+    """The Lot on the LOT's vertices ``kept`` (ascending indices) and the
+    (tail, head, label) ``edges`` among them, named ``lot_edges``, built
+    from the LOT's view; the caller guarantees that it is a LOT."""
+    index = dict(zip(kept, range(len(kept))))
+    view = _view(len(kept), tuple([(index[t], index[h], index[l])
+                                   for t, h, l in edges]))
+    return _lot_from_view(tuple(map(lot.vertices.__getitem__, kept)), lot_edges,
+                          view, tuple(_root_paths(view)), name)
 
 
 # ---------------------------------------------------------------------------
@@ -351,20 +363,29 @@ def _root_paths(iv: _IntView) -> list[int]:
     return paths
 
 
-def _closure_mask(iv: _IntView, paths: tuple[int, ...], seed_edge: int) -> int:
+def _closure_mask(iv: _IntView, paths: tuple[int, ...], seed_edge: int,
+                  known: Sequence[int] = ()) -> int:
     """``sublot_closure`` as an edge bitmask (bit i = edge i).
 
     Adjoining the path from each label to the seed's tail adds exactly the
     path from the label to the subtree, since the rest of it already lies
-    inside; so each edge's label is handled once, when the edge joins."""
+    inside; so each edge's label is handled once, when the edge joins.  An
+    edge f < len(known) brings its closure ``known[f]`` in whole instead:
+    a sub-LOT holding f, whose labels are its own vertices."""
     base = paths[iv.edges[seed_edge][0]]
     mask = new = 1 << seed_edge
+    k = len(known)
     while new:
         grow = 0
         while new:
             low = new & -new
             new ^= low
-            grow |= paths[iv.edges[low.bit_length() - 1][2]] ^ base
+            f = low.bit_length() - 1
+            if f < k:  # its closure's edges need no walk either
+                mask |= known[f]
+                new &= ~known[f]
+            else:
+                grow |= paths[iv.edges[f][2]] ^ base
         new = grow & ~mask
         mask |= new
     return mask
@@ -395,25 +416,19 @@ class SublotStructure:
     sub-LOT is the union of its edges' closures, and the union of two
     sub-LOTs that share a vertex is a sub-LOT.  Everything below follows
     from that in polynomial time, except ``all_sublots``, whose cost grows
-    with the number of sub-LOTs it returns.  Build one per LOT and pass it
-    along; nothing is cached beyond the instance.  It reads only the LOT's
-    ``_iv`` and ``_paths``, so the complete-set search builds one straight
-    from each quotient's int view (``_Quotient``).
+    with the number of sub-LOTs it returns.  The closures come in one pass
+    by edge id, each reusing those of smaller ids (``_closure_mask``).
+    Build one per LOT and pass it along; nothing is cached beyond it.
     """
 
-    __slots__ = ("closures", "full", "_touch")
+    __slots__ = ("closures", "full", "_iv")
 
     def __init__(self, lot: Lot):
-        iv = lot._iv
+        iv, closures = lot._iv, []
         self.full = (1 << len(iv.edges)) - 1
-        # edge bitmasks: closure of each edge; edges sharing a vertex with it
-        self.closures = tuple(_closure_mask(iv, lot._paths, e)
-                              for e in range(len(iv.edges)))
-        at = [0] * iv.n
-        for i, (t, h, _) in enumerate(iv.edges):
-            at[t] |= 1 << i
-            at[h] |= 1 << i
-        self._touch = tuple(at[t] | at[h] for t, h, _ in iv.edges)
+        for e in range(len(iv.edges)):
+            closures.append(_closure_mask(iv, lot._paths, e, closures))
+        self.closures, self._iv = tuple(closures), iv
 
     @property
     def prime(self) -> bool:
@@ -430,27 +445,9 @@ class SublotStructure:
         return frozenset(min(proper, key=lambda ids: (len(ids), ids)))
 
     def maximal(self) -> list[frozenset[int]]:
-        """The inclusion-maximal proper sub-LOTs, sorted by sorted edge ids.
-
-        A maximal proper sub-LOT M misses some edge e.  The closures of
-        M's edges avoid e and, M being connected, lie in one connected
-        piece of the union of all closures avoiding e; that piece is a
-        proper sub-LOT containing M, so it is M.  The candidates are these
-        pieces for every e, and the answer is their maximal members.
-        """
-        pieces = set()
-        for e in range(len(self.closures)):
-            rest = 0
-            for c in self.closures:
-                if not c >> e & 1:
-                    rest |= c
-            while rest:
-                piece = self._piece(rest, rest & -rest)
-                pieces.add(piece)
-                rest &= ~piece
-        tops = [p for p in pieces
-                if not any(p != q and p & q == p for q in pieces)]
-        return [frozenset(ids) for ids in sorted(map(_bits, tops))]
+        """The inclusion-maximal proper sub-LOTs, sorted by sorted edge ids."""
+        return [frozenset(_bits(p)) for p in _maximal(
+            self.closures, self._iv.edges, range(self._iv.n), self.full)]
 
     def all_sublots(self) -> list[frozenset[int]]:
         """Every sub-LOT, sorted by sorted edge ids.
@@ -459,11 +456,12 @@ class SublotStructure:
         for every edge f outside S that touches it.  A sub-LOT S is reached
         from the closure of any of its edges, since while the current set
         is short of S some edge of S touches it."""
+        touch = _touch_masks(self._iv.edges, range(self._iv.n), self.full)
         found = set(self.closures)
         stack = list(found)
         while stack:
             s = stack.pop()
-            near = self._near(s) & ~s
+            near = _near(touch, s) & ~s
             while near:
                 low = near & -near
                 near ^= low
@@ -473,20 +471,68 @@ class SublotStructure:
                     stack.append(grown)
         return [frozenset(ids) for ids in sorted(map(_bits, found))]
 
-    def _near(self, edges: int) -> int:
-        """Edges sharing a vertex with some edge of the mask."""
-        out = 0
-        for i in _bits(edges):
-            out |= self._touch[i]
-        return out
 
-    def _piece(self, edges: int, start: int) -> int:
-        """The connected piece of the edge mask ``edges`` holding ``start``."""
-        piece = frontier = start
-        while frontier:
-            frontier = self._near(frontier) & edges & ~piece
-            piece |= frontier
-        return piece
+def _touch_masks(edges, rep, alive: int) -> list[int]:
+    """Per edge id, the edges of ``alive`` meeting it, vertex v read as ``rep[v]``."""
+    at = [0] * len(rep)
+    for i in _bits(alive):
+        t, h, _ = edges[i]
+        at[rep[t]] |= 1 << i
+        at[rep[h]] |= 1 << i
+    return [at[rep[t]] | at[rep[h]] for t, h, _ in edges]
+
+
+def _maximal(closures, edges, rep, alive: int) -> list[int]:
+    """The maximal proper sub-LOTs, as masks sorted by sorted edge ids, of
+    the quotient on the edge mask ``alive`` that reads vertex v of the
+    (tail, head, label) ``edges`` as ``rep[v]``: closures[e] & alive.
+
+    Every proper sub-LOT is a union of proper closures, so when their
+    union U is connected and proper it is the one maximal sub-LOT.  Else
+    a maximal proper sub-LOT M misses some edge e.  The closures of M's
+    edges avoid e and, M being connected, lie in one connected piece of
+    the union of all closures avoiding e; that piece is a proper sub-LOT
+    containing M, so it is M.  The candidates are these pieces for every
+    e, and the answer is their maximal members.
+    """
+    union = vs = 0
+    for e in _bits(alive):
+        if closures[e] & alive != alive:
+            union |= closures[e] & alive
+    if not union:
+        return []
+    for i in _bits(union):
+        t, h, _ = edges[i]
+        vs |= 1 << rep[t] | 1 << rep[h]
+    if union != alive and vs.bit_count() == union.bit_count() + 1:
+        return [union]
+    # two or more maximal sub-LOTs: 584 quotients in certifying the <=6
+    # sweep (46,550 settled by U), 51 on perfbench's large seeds 0-9 (968)
+    touch = _touch_masks(edges, rep, alive)
+    live = [closures[f] & alive for f in _bits(alive)]
+    pieces = set()
+    for e in _bits(alive):
+        rest = 0
+        for c in live:
+            if not c >> e & 1:
+                rest |= c
+        while rest:
+            piece = frontier = rest & -rest
+            while frontier:
+                frontier = _near(touch, frontier) & rest & ~piece
+                piece |= frontier
+            pieces.add(piece)
+            rest &= ~piece
+    tops = [p for p in pieces if not any(p != q and p & q == p for q in pieces)]
+    return sorted(tops, key=_bits)
+
+
+def _near(touch, edges: int) -> int:
+    """Edges sharing a vertex with some edge of the mask."""
+    out = 0
+    for i in _bits(edges):
+        out |= touch[i]
+    return out
 
 
 def enumerate_sublots(lot: Lot) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
@@ -510,29 +556,29 @@ def collapse(lot: Lot, sublot_edges: Iterable[int]) -> tuple[Lot, str]:
 
     The quotient keeps the edges outside the sub-LOT (in ambient id order,
     re-indexed densely) and maps every vertex of the sub-LOT, as endpoint
-    or label, to the collapse vertex: ``_Quotient.collapse`` on the LOT's
-    int view.
+    or label, to the collapse vertex: ``_collapse`` on the LOT's int view,
+    as in the complete-set search.
     """
     ids = sorted(set(sublot_edges))
     if not is_sublot(lot, ids):
         raise PreconditionError(f"edge set {ids} is not a sub-LOT")
     if not is_injective(lot):
         raise PreconditionError("collapse requires an injective LOT")
-    quotient, x = _Quotient(lot._iv, lot._paths, lot.vertices,
-                            tuple(range(lot.num_edges))).collapse(ids)
-    return quotient.as_lot(lot.name), x
+    sub = sum(1 << i for i in ids)
+    x, rep = _collapse(lot._iv.edges, range(lot._iv.n), sub)
+    return _quotient(lot, ((1 << lot.num_edges) - 1) & ~sub, rep), lot.vertices[x]
 
 
 def complete_set_search(lot: Lot) -> Optional[tuple[list[frozenset[int]], CollapseChain]]:
     """Search for a complete set of sub-LOTs.
 
     Backtracks over choices of maximal proper sub-LOTs of the successive
-    quotients (``SublotStructure.maximal``, sorted by sorted edge ids) until
-    a compressed injective prime quotient with at least one edge is
-    reached.  Each quotient's structure comes from its edge closures, so a
-    step costs polynomial time; only the number of choices explored can
-    grow.  Returns the disjoint preimage sub-LOTs of the original LOT plus
-    the collapse chain, or None if no choice sequence works.
+    quotients (sorted by sorted edge ids) until a compressed injective
+    prime quotient with at least one edge is reached.  Each quotient's
+    closures are the LOT's own, masked to the quotient's edges, so a step
+    costs polynomial time; only the number of choices explored can grow.
+    Returns the disjoint preimage sub-LOTs of the original LOT plus the
+    collapse chain, or None if no choice sequence works.
     """
     if not is_injective(lot) or not is_compressed(lot):
         raise PreconditionError("complete_set_search requires an injective compressed LOT")
@@ -547,81 +593,57 @@ def search_complete_set(lot: Lot, structure: SublotStructure
     """``complete_set_search`` on a LOT whose structure the caller has
     already built, without the precondition checks.
 
-    The quotients are int views (``_Quotient``): each step collapses a
-    maximal sub-LOT of one view straight into the next, with no named
-    ``Lot`` in between.  Names are read only for each step's collapse
-    vertex and for the final quotient, which is built once.
+    Every quotient stays in the LOT's edge ids and vertex indices, as the
+    verifier's chain replay does: ``alive`` masks the edges not yet
+    collapsed, and ``rep`` maps each vertex to the quotient vertex it
+    became.  The sub-LOTs of a quotient Q = L/S are those of L that avoid
+    S's vertices and, with S taken out, those that hold S; so an edge's
+    closure in Q is its closure in L minus S, and along the chain
+    closure_Q(e) = closure_L(e) & alive.  Only the final quotient is built.
     """
+    iv, closures = lot._iv, structure.closures
 
-    def rec(current: _Quotient, structure: SublotStructure,
-            steps: tuple[ChainStep, ...]):
-        if structure.prime:
-            if steps and is_compressed(current) and current._iv.edges:
-                return steps, current
-            return None
-        for sub in structure.maximal():
-            quotient, x = current.collapse(sub)
-            step = ChainStep(frozenset(map(current.orig.__getitem__, sub)), x)
-            found = rec(quotient, SublotStructure(quotient), steps + (step,))
+    def rec(alive: int, rep, steps: tuple[ChainStep, ...]):
+        subs = _maximal(closures, iv.edges, rep, alive)
+        if not subs:  # prime: the end, if compressed with an edge
+            final = _quotient(lot, alive, rep) if steps and alive else None
+            return (steps, final) if final and is_compressed(final) else None
+        # no measured certify run has backtracked, but no lemma forbids it
+        for sub in subs:
+            x, new_rep = _collapse(iv.edges, rep, sub)
+            step = ChainStep(frozenset(_bits(sub)), lot.vertices[x])
+            found = rec(alive & ~sub, new_rep, steps + (step,))
             if found is not None:
                 return found
         return None
 
-    found = rec(_Quotient(lot._iv, lot._paths, lot.vertices,
-                          tuple(range(lot.num_edges))), structure, ())
+    found = rec((1 << len(iv.edges)) - 1, range(iv.n), ())
     if found is None:
         return None
     steps, final = found
-    chain = CollapseChain(steps, final.as_lot(lot.name))
-    return [s.sublot_edges for s in steps], chain
+    return [s.sublot_edges for s in steps], CollapseChain(steps, final)
 
 
-class _Quotient:
-    """A quotient met by ``collapse`` or ``search_complete_set``: the int
-    view and root paths that ``SublotStructure`` and ``is_compressed`` read,
-    the vertex names, and each edge's id in the original LOT."""
+def _collapse(edges, rep, sub: int) -> tuple[int, list[int]]:
+    """Collapses the sub-LOT ``sub`` (edge mask) of the quotient that maps
+    vertex v to ``rep[v]`` to its one vertex x labeling none of its edges
+    (one, as the LOT is injective); returns x and the new vertex map."""
+    inside = labels = 0
+    for i in _bits(sub):
+        t, h, l = edges[i]
+        inside |= 1 << rep[t] | 1 << rep[h]
+        labels |= 1 << rep[l]
+    x = (inside & ~labels).bit_length() - 1
+    return x, [x if inside >> r & 1 else r for r in rep]
 
-    __slots__ = ("_iv", "_paths", "names", "orig")
 
-    def __init__(self, iv: _IntView, paths: tuple[int, ...],
-                 names: tuple[str, ...], orig: tuple[int, ...]):
-        self._iv, self._paths, self.names, self.orig = iv, paths, names, orig
-
-    def collapse(self, sub: Iterable[int]) -> tuple[_Quotient, str]:
-        """The sub-LOT with edge ids ``sub`` becomes its one vertex that
-        labels none of its edges (one, as the view is injective); returns
-        the quotient and that vertex's name.  Kept vertices and edges keep
-        their order."""
-        iv = self._iv
-        mask = inside = labels = 0
-        for i in sub:
-            t, h, l = iv.edges[i]
-            mask |= 1 << i
-            inside |= 1 << t | 1 << h
-            labels |= 1 << l
-        x = (inside & ~labels).bit_length() - 1
-        gone = inside ^ 1 << x
-        q = [0] * iv.n  # vertex -> its index in the quotient
-        names = []
-        for v in range(iv.n):
-            if not gone >> v & 1:
-                q[v] = len(names)
-                names.append(self.names[v])
-        for v in _bits(gone):
-            q[v] = q[x]
-        kept = [i for i in range(len(iv.edges)) if not mask >> i & 1]
-        view = _view(len(names), tuple([(q[t], q[h], q[l]) for t, h, l in
-                                        map(iv.edges.__getitem__, kept)]))
-        return (_Quotient(view, tuple(_root_paths(view)), tuple(names),
-                          tuple(map(self.orig.__getitem__, kept))),
-                self.names[x])
-
-    def as_lot(self, name: str) -> Lot:
-        """The quotient as a named ``Lot``, built from its view."""
-        names = self.names
-        return _lot_from_view(names, tuple([LotEdge(names[t], names[h], names[l])
-                                            for t, h, l in self._iv.edges]),
-                              self._iv, self._paths, name)
+def _quotient(lot: Lot, alive: int, rep) -> Lot:
+    """The LOT's quotient on the edge mask ``alive``, v renamed ``rep[v]``."""
+    names = lot.vertices
+    edges = [tuple(map(rep.__getitem__, lot._iv.edges[i])) for i in _bits(alive)]
+    return _lot_on(lot, [v for v in range(len(names)) if rep[v] == v], edges,
+                   tuple([LotEdge(names[t], names[h], names[l])
+                          for t, h, l in edges]), lot.name)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import random
+import re
 
 import pytest
 
-from lotva import (Lot, LotEdge, ParseError, PreconditionError, StructureError,
+from lotva import (Lot, LotEdge, LotvaError, ParseError, PreconditionError,
+                   StructureError, boundary_reduce,
                    boundary_reducible_witness, check_properties, collapse,
                    complete_set_search, enumerate_sublots, extract_sublot,
                    format_lot, free_decomposition, is_compressed,
@@ -101,6 +103,18 @@ class TestParsing:
 
     def test_format_round_trip(self, fig1):
         assert parse_lot(format_lot(fig1)) == fig1
+
+    @pytest.mark.parametrize("text, line", [
+        ("edge a b c\nedge b 9x a\nedge 9x d b\n", 2),
+        ("vertex a\nedge a b c\nvertex x-y\nedge c x-y a\nedge x-y d b\n", 3),
+        ("edge a b x-y\nedge b x-y a\n", 2),
+    ])
+    def test_bad_name_raises_where_it_first_comes(self, text, line):
+        """Only names not seen before are matched against the identifier
+        pattern; a bad name still fails on the line where it first comes
+        as a vertex, however often it recurs."""
+        with pytest.raises(ParseError, match=rf"^line {line}: bad identifier "):
+            parse_lot(text)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +300,63 @@ class TestSublots:
         assert "_paths" not in repr(same)
 
 
+class TestChildren:
+    def test_built_like_the_constructor(self, sweep6_every97):
+        """``extract_sublot`` and ``boundary_reduce`` build from the
+        parent's view the Lot that ``Lot(vertices, edges)`` builds from
+        names, int view and root paths included: every sub-LOT, and every
+        edge with either endpoint, of a sweep stride and of random LOTs,
+        some neither injective nor compressed.  Where the names make no
+        LOT, ``boundary_reduce`` raises what the constructor raises."""
+
+        def built(make):
+            try:
+                return make()
+            except LotvaError as exc:
+                return type(exc), str(exc)
+
+        def same(got, want):
+            assert (got, got.name) == (want, want.name)
+            assert (got._iv, got._paths) == (want._iv, want._paths)
+
+        rng = random.Random(23)
+        lots = list(sweep6_every97)
+        for k in range(200):
+            lot = random_lot(rng, rng.randrange(2, 16),
+                             injective=rng.random() < 0.7, compressed=False)
+            lots.append(Lot(lot.vertices, lot.edges, name=f"r{k}"))
+        subs = leaves = refused = 0
+        for lot in lots:
+            for s in SublotStructure(lot).all_sublots():
+                ids = sorted(s)
+                vs = sublot_vertices(lot, ids)
+                same(extract_sublot(lot, reversed(ids)),
+                     Lot(tuple(v for v in lot.vertices if v in vs),
+                         tuple(lot.edges[i] for i in ids)))
+                subs += 1
+            for e, edge in enumerate(lot.edges):
+                for v in (edge.tail, edge.head, "nowhere"):
+                    got = built(lambda: boundary_reduce(lot, e, v))
+                    want = built(lambda: Lot(
+                        tuple(u for u in lot.vertices if u != v),
+                        tuple(d for i, d in enumerate(lot.edges) if i != e),
+                        name=lot.name))
+                    if isinstance(want, Lot):
+                        same(got, want)
+                        leaves += 1
+                    else:
+                        assert got == want
+                        refused += 1
+        assert subs > 4_000 and leaves > 500 and refused > 5_000
+
+    def test_non_sublot_refused(self, fig1):
+        for ids, text in [([5, 0, 5], "[0, 5]"), ([], "[]"), ([6], "[6]"),
+                          ([1, 2, 3, 4, 9], "[1, 2, 3, 4, 9]")]:
+            with pytest.raises(PreconditionError,
+                               match=rf"^edge set {re.escape(text)} is not a sub-LOT$"):
+                extract_sublot(fig1, ids)
+
+
 # ---------------------------------------------------------------------------
 # collapse
 # ---------------------------------------------------------------------------
@@ -441,6 +512,118 @@ class TestCompleteSet:
             assert repr(final) == repr(ref)  # the LOT's name included
             found += 1
         assert found > 400 and none > 50
+
+
+    def test_mask_quotients_match_named_quotients(self, sweep6_every97,
+                                                  monkeypatch):
+        """At every quotient the search meets, by the named route, the
+        LOT's closures masked with the quotient's edges are the quotient's
+        own closures, and ``_maximal`` on them gives the quotient's maximal
+        sub-LOTs (as read off ``all_sublots``); the union of the proper
+        closures answers alone exactly when there is one.  Three random
+        LOTs (seeds found by a scan of 20,000) have a quotient below the
+        root with two maximal sub-LOTs; no <=6-edge LOT has."""
+        fallbacks = []
+        touch_masks = lot_module._touch_masks
+
+        def spy(*args):
+            fallbacks.append(args)
+            return touch_masks(*args)
+
+        monkeypatch.setattr(lot_module, "_touch_masks", spy)
+        rng = random.Random(73)
+        lots = list(sweep6_every97)
+        lots += [random_lot(rng, rng.randrange(7, 25)) for _ in range(150)]
+        for seed in (956, 3003, 18719):
+            rng = random.Random(seed)
+            lots.append(random_lot(rng, rng.randrange(6, 16)))
+        counts = {}
+        below_root = 0
+        for lot in lots:
+            structure = SublotStructure(lot)
+            assert structure.closures == tuple(
+                lot_module._closure_mask(lot._iv, lot._paths, e)
+                for e in range(lot.num_edges))
+            if structure.prime:
+                continue
+            for quotient, orig, rep in named_chain_quotients(lot):
+
+                def to_orig(ids):
+                    return sum(1 << orig[i] for i in ids)
+
+                alive = to_orig(range(quotient.num_edges))
+                own = SublotStructure(quotient).closures
+                assert [structure.closures[o] & alive for o in orig] == \
+                    [to_orig(lot_module._bits(c)) for c in own]
+                proper = [s for s in SublotStructure(quotient).all_sublots()
+                          if len(s) < quotient.num_edges]
+                want = [to_orig(s) for s in proper
+                        if not any(s < t for t in proper)]
+                fallbacks.clear()
+                assert lot_module._maximal(structure.closures, lot._iv.edges,
+                                           rep, alive) == want
+                assert bool(fallbacks) == (len(want) > 1)
+                counts[len(want)] = counts.get(len(want), 0) + 1
+                below_root += len(want) > 1 and quotient is not lot
+        assert counts[0] > 400 and counts[1] > 400 and counts[2] > 5
+        assert below_root >= 3
+
+    def test_two_maximal_sublots_reach_the_fallback(self, monkeypatch):
+        """A <=6-edge LOT whose root has two maximal sub-LOTs, {0, 1, 2, 4}
+        and {0, 1, 3, 5}: the search takes the pieces route and still
+        finds what the name-level search finds.  It builds no view, tree
+        walk or structure for any quotient but the final one."""
+        lot = parse_lot("edge v0 v1 v2\nedge v0 v2 v1\nedge v0 v3 v5\n"
+                        "edge v0 v4 v6\nedge v1 v5 v3\nedge v1 v6 v4\n")
+        structure = SublotStructure(lot)
+        assert structure.maximal() == [frozenset({0, 1, 2, 4}),
+                                       frozenset({0, 1, 3, 5})]
+        want = reference_search_complete_set(lot, structure)
+        calls = {"_touch_masks": 0, "_view": 0, "_root_paths": 0,
+                 "SublotStructure": 0}
+        for name in calls:
+            real = getattr(lot_module, name)
+
+            def counting(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(lot_module, name, counting)
+        got = search_complete_set(lot, structure)
+        assert calls == {"_touch_masks": 1, "_view": 1, "_root_paths": 1,
+                         "SublotStructure": 0}
+        assert got[0] == want[0] == [frozenset({0, 1, 2, 4})]
+        assert got[1].steps == want[1].steps
+        final, ref = got[1].final_quotient, want[1].final_quotient
+        assert (final, final._iv, final._paths) == (ref, ref._iv, ref._paths)
+
+
+def named_chain_quotients(lot):
+    """Every quotient the complete-set search meets on the LOT, by the
+    named route: ``named_collapse`` and ``SublotStructure`` per quotient,
+    backtracking over ``maximal()`` in order up to the first compressed
+    prime quotient with an edge.  Each comes with the original id of each
+    of its edges and, per original vertex, the original index of the
+    quotient vertex it became."""
+    index = {v: i for i, v in enumerate(lot.vertices)}
+    met = []
+
+    def rec(current, orig, to, depth):
+        met.append((current, orig, [index[to[v]] for v in lot.vertices]))
+        structure = SublotStructure(current)
+        if structure.prime:
+            return depth and current.num_edges and is_compressed(current)
+        for sub in structure.maximal():
+            quotient, x = named_collapse(current, sub)
+            inside = sublot_vertices(current, sub)
+            kept = tuple(o for i, o in enumerate(orig) if i not in sub)
+            if rec(quotient, kept, {v: x if w in inside else w
+                                    for v, w in to.items()}, depth + 1):
+                return True
+        return False
+
+    rec(lot, tuple(range(lot.num_edges)), {v: v for v in lot.vertices}, 0)
+    return met
 
 
 # ---------------------------------------------------------------------------
