@@ -353,17 +353,18 @@ def curvature_report(d: SurfaceDiagram, cx: TwoComplex,
     kappa(face) = sum of its corner weights - (q - 2); kappa(v) = 2 - sum of
     the corner weights at v.  The total always equals 2 * chi exactly.
     w must give every corner of lk(L) a nonnegative rational weight
-    (``WeightAssignment.scaled``).
+    (``WeightAssignment.scaled``).  Each face and vertex is summed in
+    scaled ints, units of 1/den, and made one Fraction at the end.
     """
     gluing = _require_valid(d, cx)
     corners = _face_corner_to_link(d, cx, gluing.report.rotations)
     den, iw = w.scaled(range(corner_offsets(cx)[-1]))  # the corner ids of lk(L)
-    face_curv = {f.name: Fraction(sum(iw[cid] for cid, _ in fc), den)
-                 - (len(fc) - 2) for f, fc in zip(d.faces, corners)}
-    vertex_curv = {v: 2 - Fraction(sum(iw[corners[fi][i][0]]
-                                       for fi, i in gluing.cycles[v]), den)
-                   for v in d.vertices}
-    total = sum(face_curv.values(), Fraction(0)) + sum(vertex_curv.values(), Fraction(0))
+    faces = [sum(iw[cid] for cid, _ in fc) - (len(fc) - 2) * den for fc in corners]
+    vertices = [2 * den - sum(iw[corners[fi][i][0]] for fi, i in gluing.cycles[v])
+                for v in d.vertices]
+    face_curv = {f.name: Fraction(x, den) for f, x in zip(d.faces, faces)}
+    vertex_curv = {v: Fraction(x, den) for v, x in zip(d.vertices, vertices)}
+    total = Fraction(sum(faces) + sum(vertices), den)
     if total != 2 * gluing.report.chi:
         raise RuntimeError("internal error: combinatorial Gauss-Bonnet failed")
     return CurvatureReport(face_curv, vertex_curv, total, gluing.report.chi)

@@ -17,18 +17,37 @@ Cycle conditions:
   plus a shortest path between its endpoints avoiding it.
 
 Both searches run on exact ints: every weight times den, the lcm of the
-denominators (``WeightAssignment.scaled``), so 2 becomes 2*den and a result
-is Fraction(total, den).  Each Dijkstra run is bounded: nothing is pushed
-that weighs as much as the limit.  In the absolute search the limit starts
-where the caller needs it (2*den for the weight test, above every reduced
-cycle for ``min_weight_reduced_cycle``) and drops to 1 when a union-find
-pass finds a cycle among the weight-0 corners (the minimum is then 0).
-Corners as heavy as that limit are left out of the dart graph, and each
-cycle found lowers the limit to its weight.  In the relative search the
-limit is what would take the scanned corner's cycle to 2.  A lower limit
-that is still above the answer drops only pushes that would pop after it,
-and ties break by push order, so the witnesses are those of an unbounded
-search.
+denominators (``WeightAssignment.scaled``; canonical weights are ints, den
+1), so 2 becomes 2*den and a result is Fraction(total, den).  Each Dijkstra
+run is bounded: nothing is pushed that weighs as much as the limit (2*den
+for the weight test, above every reduced cycle for
+``min_weight_reduced_cycle``, what would take the scanned corner's cycle to
+2 in the relative scan), and each cycle found lowers it to its weight.  A
+lower limit still above the answer drops only pushes that would pop after
+it, and ties break by push order, so the witnesses are those of an
+unbounded search.  A dart's successors are read off its head when popped.
+
+The weight-0 corners, H0, pick the searches that can succeed.  Any other
+search would return None and leave the limit as it is, so skipping it
+changes no result:
+
+* absolute: a weight-0 dart starts a reduced weight-0 closed walk exactly
+  when its corner is on the 2-core of H0 (a loop gives degree 2), so the
+  first to succeed is dart 2i of the first core corner i, with limit 1.
+  If H0 is a forest, every reduced cycle holds a positive corner, so the
+  search stops at the first as light as the lightest positive weight,
+  floor.  If also 2*floor >= limit, a cycle under the limit holds one
+  positive corner, lighter than the limit and with both ends on one tree
+  of H0; with no such corner no search runs.
+* relative: H0/~ contracts each whole block's polarity classes (below).  A
+  scan of weight x > 0 whose limit 2*den - x is at most the lightest
+  positive weight follows only weight-0 darts: it succeeds iff one
+  union-find over H0/~ joins its ends.  With no positive weight below den,
+  a path under 2*den holds at most one positive corner, so a weight-0 scan
+  of e succeeds iff e is no bridge of H0/~ or a positive corner under
+  2*den (a whole block's cross corners count as one) joins e's two sides
+  (``_zero_cuts``, one depth-first search).  Only the first corner to
+  succeed is searched, for its witness.
 
 Delta-blocks on relative links.  ``build_relative_link`` puts the blocks
 after the cell corners, each in the pattern of ``linkage.delta_ends`` on
@@ -47,9 +66,7 @@ those of a search through every Delta dart.  Only held blocks are read
 whole: every block of a link built by hand, and a held block with other
 weights, is checked and searched corner by corner.  Python-level work per
 relative test is then in proportion to the cell corners and the blocks'
-nodes, not to the Delta corners.  A scan whose limit leaves only weight-0
-darts is settled by one union-find per test (``_homred_violation``); its
-Dijkstra runs only when the union-find joins the two ends, for the witness.
+nodes, not to the Delta corners.
 """
 
 from __future__ import annotations
@@ -57,10 +74,12 @@ from __future__ import annotations
 import heapq
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
+from operator import xor
 from typing import Iterable, Optional, Sequence
 
 from .errors import ParseError, PreconditionError, StructureError
@@ -71,13 +90,40 @@ from .linkage import (EdgeEnd, LinkGraph, UnionFind, delta_ends,
 from .lot import Lot, sublot_vertices, is_sublot
 
 Dart = tuple[int, int]  # (corner id, direction 0: a->b, 1: b->a)
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_WEIGHTS = (Fraction(0), Fraction(1))
+
+
+class _CanonicalWeights(Mapping):
+    """Read-only total map corner ids[i] -> the shared Fraction of
+    ints[i], 0 or 1 (``canonical_weights``)."""
+    __slots__ = ("_ids", "_ints", "by_id")
+
+    def __init__(self, ids: Sequence[int], ints: tuple[int, ...]):
+        self._ids, self._ints = ids, ints
+        # the ints indexed by corner id, where every id is its position
+        self.by_id = ints if ids == range(len(ints)) else None
+
+    def __getitem__(self, cid) -> Fraction:
+        try:
+            return _WEIGHTS[self._ints[self._ids.index(cid)]]
+        except ValueError:
+            raise KeyError(cid) from None
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 @dataclass(frozen=True)
 class WeightAssignment:
-    """Total map corner id -> nonnegative rational."""
-    weights: dict[int, Fraction]
+    """Total map corner id -> nonnegative rational.  A user map is a dict;
+    ``canonical_weights`` gives a read-only mapping that holds 0/1 ints."""
+    weights: Mapping[int, Fraction]
 
     def __getitem__(self, cid: int) -> Fraction:
         return self.weights[cid]
@@ -92,6 +138,12 @@ class WeightAssignment:
         corners ``ids`` and iw[i] = den * (weight of ids[i]), an exact int.
         Raises StructureError if an id has no weight, and PreconditionError
         unless every weight is a numbers.Rational >= 0."""
+        ints = self.weights.by_id if type(self.weights) is _CanonicalWeights else None
+        if ints is not None and (not ids or min(ids) >= 0):
+            try:
+                return 1, list(map(ints.__getitem__, ids))
+            except (IndexError, TypeError):  # an id with no weight
+                pass
         ws = list(map(self.weights.get, ids))
         if all(issubclass(t, Rational) for t in set(map(type, ws))):
             nums = [x.numerator for x in ws]
@@ -117,16 +169,18 @@ class Verdict:
 def canonical_weights(g: LinkGraph) -> WeightAssignment:
     """Class-based 0/1 weights; covers Delta corners with their fixed values.
 
-    Corners outside held Delta-blocks are weighted from their ends; a held
-    block gets its weights in bulk, from ``_delta_weights``.  Every weight
-    is one of two shared Fraction objects, so the bulk check of a block's
-    weights (``_whole_blocks``) finds them equal by identity."""
-    pol = [n.polarity for n in g.nodes]
+    The weights are ints by position: a corner outside held Delta-blocks
+    is weighted from its ends, a held block gets ``_delta_ints`` in bulk.
+    The read-only map answers each id with one of two shared Fractions;
+    ``scaled`` returns the ints with den 1, and ``_whole_blocks`` compares
+    a block's ints to the pattern at once."""
+    side = [(1 - n.polarity) >> 1 for n in g.nodes]  # 0 for x+, 1 for x-
     ends = g._ends[:2 * g._orders[0][2]] if g._orders else g._ends
-    ws = [_ONE if pol[a] != pol[b] else _ZERO for a, b in zip(ends[::2], ends[1::2])]
+    ints = list(map(xor, map(side.__getitem__, ends[::2]),
+                    map(side.__getitem__, ends[1::2])))
     for _, order, _, _ in g._orders:
-        ws += _delta_weights(len(order))
-    return WeightAssignment(dict(zip(g._ids, ws)))
+        ints += _delta_ints(len(order))
+    return WeightAssignment(_CanonicalWeights(g._ids, tuple(ints)))
 
 
 def check_cell_condition(cx: TwoComplex, g: LinkGraph, w: WeightAssignment,
@@ -182,34 +236,69 @@ def _min_reduced_cycle(g: LinkGraph, den: int, iw: list[int], limit: int
     units): the first dart, in dart order, to reach the minimum, and its
     Dijkstra path.  Else None."""
     tails = g.ends  # of darts d = 2*i + direction of corners[i]; d ^ 1 reverses d
-    # Weights are nonnegative, so the minimum is 0 exactly when the weight-0
-    # corners hold a cycle (a loop or parallel pair counts).
-    zero = [(tails[2 * i], tails[2 * i + 1]) for i, x in enumerate(iw) if x == 0]
-    if limit > 1 and forest_cycle_index(len(g.nodes), zero) >= 0:
-        limit = 1
+    zero = [i for i, x in enumerate(iw) if not x]
+    core = _core_corner(len(g.nodes), tails, zero)
+    start = stop = 0  # the first dart to search; no cycle weighs less than stop
+    if core is not None:
+        # every dart before 2 * core fails, and 2 * core starts a weight-0 cycle
+        start, limit = 2 * core, min(limit, 1)
+    else:
+        stop = min(filter(None, iw), default=limit)
+        if 2 * stop >= limit:  # a cycle under the limit has one positive corner
+            trees = UnionFind(len(g.nodes))
+            for i in zero:
+                trees.union(tails[2 * i], tails[2 * i + 1])
+            if not any(0 < x < limit and trees.find(tails[2 * i]) ==
+                       trees.find(tails[2 * i + 1]) for i, x in enumerate(iw)):
+                return None
     # a dart as heavy as the limit is never pushed, so it is left out
     out: list[list[tuple[int, int]]] = [[] for _ in g.nodes]
     for d, t in enumerate(tails):
         if iw[d >> 1] < limit:
             out[t].append((d, iw[d >> 1]))
-    # the darts that may follow d: out of its head, except its reverse
-    succ = [[vx for vx in out[tails[d ^ 1]] if vx[0] != d ^ 1]
-            if iw[d >> 1] < limit else () for d in range(len(tails))]
     best = None
-    for d0 in range(len(tails)):
-        found = _dijkstra_cycle_through(succ, tails, iw, d0, limit)
+    for d0 in range(start, len(tails)):
+        found = _dijkstra_cycle_through(out, tails, iw, d0, limit)
         if found is not None:
             limit, best = found
-            if limit == 0:
+            if limit == stop:
                 break
     return None if best is None else (Fraction(limit, den), _darts(g, best))
 
 
-def _dijkstra_cycle_through(succ, tails, iw, d0: int, limit: int
+def _core_corner(n: int, tails, zero: list[int]) -> Optional[int]:
+    """The first corner of ``zero`` on the 2-core of the graph they form
+    on nodes 0..n-1, or None if they form a forest.  Leaves are peeled one
+    at a time; a node keeps the xor of its remaining neighbours, which is
+    a leaf's last one.  A corner is on the core when both its ends are."""
+    deg, nbrs = [0] * n, [0] * n
+    for i in zero:
+        a, b = tails[2 * i], tails[2 * i + 1]
+        deg[a] += 1
+        deg[b] += 1
+        nbrs[a] ^= b
+        nbrs[b] ^= a
+    leaves = [y for y in range(n) if deg[y] == 1]
+    while leaves:
+        y = leaves.pop()
+        if deg[y] == 1:
+            z = nbrs[y]
+            deg[y] = 0
+            deg[z] -= 1
+            nbrs[z] ^= y
+            if deg[z] == 1:
+                leaves.append(z)
+    return next((i for i in zero if deg[tails[2 * i]] and deg[tails[2 * i + 1]]),
+                None)
+
+
+def _dijkstra_cycle_through(out, tails, iw, d0: int, limit: int
                             ) -> Optional[tuple[int, list[int]]]:
     """Cheapest reduced closed walk whose first dart is d0, if it weighs
     less than ``limit``.  Walks of weight >= limit are never pushed, which
-    only ends the search sooner: the heap pops the rest in the same order."""
+    only ends the search sooner: the heap pops the rest in the same order.
+    A popped dart u may be followed by the darts ``out`` of its head but
+    its reverse."""
     if iw[d0 >> 1] >= limit:
         return None
     start_node, back = tails[d0], d0 ^ 1
@@ -223,14 +312,17 @@ def _dijkstra_cycle_through(succ, tails, iw, d0: int, limit: int
         if du != dist[u]:
             continue
         # closing costs nothing, so the first closable pop is minimal
-        if tails[u ^ 1] == start_node and u != back:
+        head = tails[u ^ 1]
+        if head == start_node and u != back:
             path = [u]
             while u != d0:
                 u = prev[u]
                 path.append(u)
             path.reverse()
             return du, path
-        for v, x in succ[u]:
+        for v, x in out[head]:
+            if v == u ^ 1:
+                continue
             nd = du + x
             if nd < dist[v]:
                 dist[v] = nd
@@ -245,26 +337,28 @@ def _dijkstra_cycle_through(succ, tails, iw, d0: int, limit: int
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _delta_weights(k: int) -> tuple[Fraction, ...]:
+def _delta_ints(k: int) -> tuple[int, ...]:
     """The prescribed weights of the corners of ``delta_ends(k)`` on
     nodes of alternating polarity: 1 across a polarity, else 0."""
     pattern = delta_ends(k)(range(k))
-    return tuple((_ZERO, _ONE)[(i ^ j) & 1]
-                 for i, j in zip(pattern[::2], pattern[1::2]))
+    return tuple((i ^ j) & 1 for i, j in zip(pattern[::2], pattern[1::2]))
 
 
 def _whole_blocks(g: LinkGraph, w: WeightAssignment
                   ) -> list[tuple[int, tuple[int, ...], int, int]]:
     """The Delta-blocks ``build_relative_link`` holds as node orders
     (``LinkGraph._orders``) that carry their prescribed weights, 0 within a
-    polarity and 1 across, compared in bulk.  A link built by hand has
-    none."""
+    polarity and 1 across, compared in bulk: the ints of a canonical map
+    whose ids are positions, as the link's are, else the weights.  A link
+    built by hand has none."""
+    ws = w.weights
+    ints = ws.by_id if type(ws) is _CanonicalWeights else None
     whole = []
     for block in g._orders:
         _, order, start, end = block
-        ws = tuple(map(w.weights.get, g._ids[start:end]))
-        if ws == _delta_weights(len(order)) and all(
-                issubclass(t, Rational) for t in set(map(type, ws))):
+        xs = ints[start:end] if ints else tuple(map(ws.get, g._ids[start:end]))
+        if xs == _delta_ints(len(order)) and (ints or all(
+                issubclass(t, Rational) for t in set(map(type, xs)))):
             whole.append(block)
     return whole
 
@@ -298,7 +392,10 @@ def find_homred_violation(g: LinkGraph, w: WeightAssignment
     pieces, and the piece keeping a chosen non-Delta corner weighs no more;
     so it suffices to scan each non-Delta corner e = {u, v} and ask for
     w(e) + (shortest u-v path avoiding e) < 2, or w(e) < 2 when e is a loop.
-    The first violation in the link's corner order is returned.
+    The first violation in the link's corner order is returned.  Scans
+    that the weight-0 corners settle run no Dijkstra search (see the
+    module docstring); with canonical weights every scan is settled so,
+    and only the first violating corner is searched, for its witness.
 
     A Delta-block held by ``build_relative_link`` that carries its
     prescribed weights is searched as a block (see ``_homred_violation``);
@@ -340,13 +437,9 @@ def _homred_violation(g: LinkGraph, den: int, iw: dict[int, int], whole: list
     add_darts(pos, len(g._corners))
     blocks = [(order, start, len(order)) for _, order, start, _ in whole]
     corners = g._corners
-    # A search follows no dart as heavy as its limit, 2 * den - x for a
-    # scanned corner of weight x > 0.  If that is at most the lightest
-    # positive weight (so at most x, and at most den), only weight-0 darts
-    # are left: the search fails unless one union-find over the weight-0
-    # corners and each whole block's two polarity classes joins its ends.
+    # scans the weight-0 corners decide (see the module docstring)
     light = min(filter(None, iw.values()), default=0)
-    zero = None
+    rep = zero = cuts = None
     for i, x in iw.items():
         c = corners[i]
         if c.is_delta:
@@ -356,23 +449,76 @@ def _homred_violation(g: LinkGraph, den: int, iw: dict[int, int], whole: list
             if x < 2 * den:
                 return ((c.id, 0),), Fraction(x, den)
             continue
+        if rep is None:  # a whole block's class is its first node of a polarity
+            rep = list(range(len(g.nodes)))
+            for _, order, _, _ in whole:
+                for t, y in enumerate(order):
+                    rep[y] = order[t & 1]
         if 0 < x and 2 * den - x <= light:
-            if zero is None:  # a whole block's class is its first node of a polarity
-                rep = list(range(len(g.nodes)))
-                for _, order, _, _ in whole:
-                    for t, y in enumerate(order):
-                        rep[y] = order[t & 1]
+            if zero is None:
                 zero = UnionFind(len(g.nodes))
                 for j, y in iw.items():
                     if not y:
                         zero.union(rep[tails[2 * j]], rep[tails[2 * j + 1]])
             if zero.find(rep[u]) != zero.find(rep[v]):
                 continue
+        elif not x and not 0 < light < den:
+            if cuts is None:
+                cuts = _zero_cuts(rep, tails, iw, whole, 2 * den)
+            if i in cuts:
+                continue
         found = _shortest_path_avoiding(adj, blocks, tails, u, v, i,
                                         2 * den - x, den)
         if found is not None:
             return ((c.id, 0),) + _darts(g, found[1]), Fraction(x + found[0], den)
     return None
+
+
+def _zero_cuts(rep: list[int], tails, iw: dict[int, int], whole: list,
+               limit: int) -> set[int]:
+    """The weight-0 corners, by position, whose scan fails when no
+    positive weight is below den: the bridges of H0/~ (on the nodes
+    ``rep``) that no positive corner lighter than ``limit`` crosses.  The
+    depth-first search numbers nodes in preorder, so a subtree is an
+    interval; the tree corner into y is such a bridge when no other corner
+    joins y's subtree to the rest of its component."""
+    n = len(rep)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    pairs = [(order[0], order[1], -1) for _, order, _, _ in whole]  # -1: positive
+    for j, x in iw.items():
+        a, b = rep[tails[2 * j]], rep[tails[2 * j + 1]]
+        if a != b and x < limit:
+            pairs.append((a, b, -1 if x else j))
+            if not x:
+                adj[a].append((b, j))
+                adj[b].append((a, j))
+    # an isolated node is its own component, and the search skips it
+    pre, up, parent, root = [-1] * n, [-1] * n, [-1] * n, list(range(n))
+    seq: list[int] = []
+    for r in range(n):
+        stack = [r] if pre[r] < 0 and adj[r] else ()
+        while stack:
+            y = stack.pop()
+            if pre[y] < 0:
+                pre[y], root[y] = len(seq), r
+                seq.append(y)
+                for z, j in adj[y]:
+                    if pre[z] < 0:
+                        parent[z], up[z] = y, j
+                        stack.append(z)
+    lo, hi = pre[:], pre[:]  # the least and greatest preorder reached
+    for a, b, j in pairs:
+        if root[a] == root[b] and (j < 0 or up[a] != j != up[b]):
+            lo[a], hi[a] = min(lo[a], pre[b]), max(hi[a], pre[b])
+            lo[b], hi[b] = min(lo[b], pre[a]), max(hi[b], pre[a])
+    size = [1] * n
+    for y in reversed(seq):  # children before parents
+        p = parent[y]
+        if p >= 0:
+            lo[p], hi[p] = min(lo[p], lo[y]), max(hi[p], hi[y])
+            size[p] += size[y]
+    return {up[y] for y in seq
+            if parent[y] >= 0 and lo[y] == pre[y] and hi[y] < pre[y] + size[y]}
 
 
 def _shortest_path_avoiding(adj, blocks, tails, src: int, dst: int, banned: int,

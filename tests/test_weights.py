@@ -13,7 +13,8 @@ from lotva import (Corner, EdgeEnd, LinkGraph, Lot, LotEdge, PreconditionError,
                    parse_lot, parse_weights, relative_weight_test, reorient,
                    sign_change, signed_relative_forest_check,
                    sublot_closure, sublot_vertices, weight_test)
-from lotva.weights import FlipForests
+from lotva.linkage import UnionFind
+from lotva.weights import _WEIGHTS, FlipForests
 from lotva.sweep import random_lot
 
 from oracles import (oracle_homred_violation_exists, oracle_min_reduced_cycle,
@@ -46,6 +47,44 @@ class TestCanonicalWeights:
                     assert w[c.id] == 0
                 else:
                     assert w[c.id] == 1
+
+    def test_int_map(self, fig1):
+        """The map of ``canonical_weights`` reads as the total dict of
+        Fractions it stands for, with the same keys in id order, equal
+        values, and each value one of two shared Fraction objects: on
+        absolute and relative links of fig1 and of a 20-edge LOT (ids past
+        256), and on a link built by hand whose ids are not positions.  It
+        is read-only, and dict(), parse_weights, format_weights and repr
+        read it as they read that dict."""
+        lot = random_lot(random.Random(0), 20)
+        links = []
+        for lt, parts in ((fig1, [frozenset({1, 2, 3, 4})]),
+                          (lot, _closure_family(lot))):
+            cx = build_complex(lt)
+            links += [build_link(cx), build_relative_link(cx, derive_subcomplexes(lt, parts))]
+        g = links[0]
+        links.append(LinkGraph(g.nodes, tuple(c._replace(id=3 * c.id + 7)
+                                              for c in g.corners)))
+        assert any(len(h._ids) > 256 for h in links)
+        for h in links:
+            w = canonical_weights(h)  # before the Delta view is filled
+            expect = {c.id: Fraction(int(c.a.polarity != c.b.polarity))
+                      for c in h.corners}
+            assert list(w.weights) == list(expect) and w.weights == expect
+            assert dict(w.weights) == expect and len(w.weights) == len(expect)
+            assert all(x is _WEIGHTS[x.numerator] for x in w.weights.values())
+            with pytest.raises(TypeError):
+                w.weights[h.corners[0].id] = Fraction(1)
+            plain = WeightAssignment(expect)
+            assert w == plain and repr(w) == repr(plain)
+            assert parse_weights("", h) == plain
+            assert format_weights(h, w) == format_weights(h, plain)
+            ids = list(expect)[::-1]
+            assert w.scaled(ids) == plain.scaled(ids)
+            for missing in (-1, max(expect) + 1, 1.5 if 0 in expect else 0):
+                assert missing not in w.weights
+                with pytest.raises(StructureError, match="weights missing"):
+                    w.scaled(ids + [missing])
 
 
 class TestCellCondition:
@@ -291,6 +330,79 @@ class TestFractionReference:
                 assert find_homred_violation(rg, w) == \
                     reference_find_homred_violation(rg, w)
 
+    def test_relative_bridge_gate(self, monkeypatch):
+        """Relative links of random LOTs whose cell corners weigh 0 or at
+        least 1 but not all 1, so weight-0 scans are settled by the bridges
+        of the weight-0 corners (``_zero_cuts``), and the same with one cell
+        corner below 1, where that rule must stay off."""
+        import lotva.weights as weights_module
+        cuts = []
+
+        def counted(*args, _cuts=weights_module._zero_cuts):
+            cuts.append(args)
+            return _cuts(*args)
+
+        monkeypatch.setattr(weights_module, "_zero_cuts", counted)
+        rng = random.Random(105)
+        seen = set()
+        for _ in range(100):
+            lot = random_lot(rng, rng.randrange(6, 20))
+            cx = build_complex(lot)
+            rg = build_relative_link(cx, derive_subcomplexes(lot, _closure_family(lot)))
+            cells = [c.id for c in rg.corners if not c.is_delta]
+            for light in (False, True):
+                weights = dict(canonical_weights(rg).weights)
+                for cid in cells:
+                    weights[cid] = Fraction(rng.choice((0, 0, 2, 3, 4, 5)), 2)
+                if light:
+                    weights[rng.choice(cells)] = Fraction(rng.choice((1, 2)), 3)
+                w = WeightAssignment(weights)
+                cuts.clear()
+                got = find_homred_violation(rg, w)
+                assert got == reference_find_homred_violation(rg, w)
+                assert not (light and cuts)
+                seen.add((light, bool(cuts), got is None))
+        assert {(False, True, False), (False, True, True), (True, False, False),
+                (True, False, True)} <= seen
+
+    def test_absolute_forest_gate(self):
+        """Links whose weight-0 corners form a forest: with a positive
+        corner lighter than 2 that closes a cycle through one tree, and
+        without one (the weight test then passes with no search).  The
+        positive weights are at least 1 or start at 1/2, so the weight
+        test's limit is at most or above twice the lightest, and
+        ``min_weight_reduced_cycle`` searches below twice it."""
+        rng = random.Random(106)
+        seen = set()
+        for _ in range(400):
+            cx = random_complex(rng)
+            g = build_link(cx)
+            values = rng.choice(((1, 1.5, 2, 3), (0.5, 1, 1.5, 2)))
+            trees = UnionFind(len(g.nodes))
+            ends = g.ends
+            weights = {}
+            for i, c in enumerate(g.corners):
+                zero = rng.random() < 0.6 and trees.union(ends[2 * i], ends[2 * i + 1])
+                weights[c.id] = Fraction(0 if zero else rng.choice(values))
+            closing = rng.random() < 0.5
+            if not closing:  # no corner lighter than 2 closes a cycle in a tree
+                for i, c in enumerate(g.corners):
+                    if weights[c.id] and trees.find(ends[2 * i]) == trees.find(ends[2 * i + 1]):
+                        weights[c.id] = Fraction(rng.choice((2, 3)))
+            w = WeightAssignment(weights)
+            got = min_weight_reduced_cycle(g, w)
+            assert got == reference_min_weight_reduced_cycle(g, w)
+            bare = TwoComplex(cx.edge_names, ())
+            for c in (cx, bare):
+                assert weight_test(c, g, w) == _reference_weight_test(c, g, w)
+            verdict = weight_test(bare, g, w)
+            if values[0] == 1 and not closing:
+                assert verdict.ok
+            seen.add((values[0], closing, verdict.ok, got is None))
+        assert {(1, True, False), (1, False, True), (0.5, True, False),
+                (0.5, False, False)} <= {k[:3] for k in seen}
+        assert any(k[3] for k in seen) and not all(k[3] for k in seen)
+
     @pytest.mark.parametrize("bad", [0.5, "1", Fraction(-1, 2)],
                              ids=["float", "str", "negative"])
     def test_non_rational_or_negative_rejected(self, fig1, bad):
@@ -530,6 +642,45 @@ class TestRelativeWeightTest:
             g = build_relative_link(cx, fam)
             assert relative_weight_test(cx, fam, canonical_weights(g), link=g).ok
             hits += 1
+
+
+def test_one_search_per_failing_verdict(sweep6_every97, monkeypatch):
+    """Under canonical weights, on the sweep sample and 150 random LOTs of
+    7-24 edges with the greedy closure family: a failing weight test or
+    relative weight test runs one Dijkstra search, which returns its
+    witness, and a passing one runs none.  Every failure here is a
+    weight-0 cycle; an absolute failure at weight 1 over a weight-0 forest
+    would still search darts from the first."""
+    import lotva.weights as weights_module
+    runs = []
+    for name in ("_dijkstra_cycle_through", "_shortest_path_avoiding"):
+        def counted(*args, _search=getattr(weights_module, name)):
+            runs.append(_search(*args))
+            return runs[-1]
+        monkeypatch.setattr(weights_module, name, counted)
+    rng = random.Random(107)
+    lots = list(sweep6_every97)
+    lots += [random_lot(rng, rng.randrange(7, 25)) for _ in range(150)]
+    seen = {}
+    for lot in lots:
+        cx = build_complex(lot)
+        fam = derive_subcomplexes(lot, _closure_family(lot))
+        g, rg = build_link(cx), build_relative_link(cx, fam)
+        for test, args, extra in (
+                (weight_test, (cx, g, canonical_weights(g)), 0),
+                (relative_weight_test, (cx, fam, canonical_weights(rg), rg), 1)):
+            runs.clear()
+            verdict = test(*args)
+            if verdict.ok:
+                assert runs == []
+            else:
+                kind, darts, weight = verdict.violation
+                assert kind == "cycle" and weight == 0
+                assert len(runs) == 1 and runs[0] is not None
+                assert len(runs[0][1]) + extra == len(darts)
+            key = test.__name__, verdict.ok
+            seen[key] = seen.get(key, 0) + 1
+    assert len(seen) == 4 and min(seen.values()) > 100, seen
 
 
 class TestOrientationSearch:
