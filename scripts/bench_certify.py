@@ -7,8 +7,10 @@ script, and the inputs from ``perfbench/workloads.py``: the 120 roots of
 the ``large`` workload at seed 0 (boundary-reduced 14-edge LOTs, 40 prime
 and 80 not).  Each root goes through the calls that decide it, in the order
 ``certify_va`` makes them: the boundary witness and ``SublotStructure`` on
-every root; ``free_decomposition`` on the non-prime ones;
-``complete_set_search`` on those without a free decomposition;
+every root; ``free_decomposition`` on the non-prime ones whose every edge
+closure is proper (``certify_va`` skips the scan where some closure is the
+whole LOT, which rules a free decomposition out); ``complete_set_search``
+on the non-prime roots without a free decomposition;
 ``orientation_search`` on the prime roots with nothing fixed, and on the
 complete-set roots with their complete set fixed (``_fixed``); then ``certify_va`` and
 ``serialize_certificate`` of the whole certificate.  The verify-cert path
@@ -57,9 +59,10 @@ def root_calls(text: str) -> tuple[str, list]:
     calls = [("boundary_witness", boundary_reducible_witness, (lot,)),
              ("SublotStructure", SublotStructure, (lot,))]
     cert = certify_va(lot)
+    structure = SublotStructure(lot)
     if cert.kind == "prime-wt":
         calls.append(("orientation_search", orientation_search, (lot, ())))
-    else:
+    elif structure.full not in structure.closures:
         calls.append(("free_decomposition", free_decomposition, (lot,)))
     if cert.kind == "complete-set":
         calls += [("complete_set_search", complete_set_search, (lot,)),

@@ -152,10 +152,17 @@ def cmd_weight_test(args) -> int:
     return 1
 
 
+ORIENT_SEARCH_BUDGET = 1_000_000
+"""Back-ups ``orient-search`` allows its walk before it gives up with exit
+code 2: about 2 s on a 2-CPU x86-64 host.  Certifying the 24-edge prime
+``random_lot(Random(6), 24)`` takes 456,561; ``random_lot(Random(2), 24)``,
+which has no orientation, takes about 3.4 million."""
+
+
 def cmd_orient_search(args) -> int:
     lot = _load_lot(args.lot)
     fixed = _parse_sublot_specs(lot, args.fix) if args.fix else []
-    found = orientation_search(lot, fixed)
+    found = orientation_search(lot, fixed, ORIENT_SEARCH_BUDGET)
     if found is None:
         print("no orientation satisfies the forest conditions")
         return 1

@@ -276,14 +276,18 @@ class UnionFind:
     def union(self, u: int, v: int) -> bool:
         """Join the classes of u and v; False (and no change) if they are
         already one class, i.e. the pair closes a cycle (a loop counts)."""
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
+        parent, size = self.parent, self.size  # roots found inline, as in find
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        if u == v:
             return False
-        if self.size[ru] > self.size[rv]:
-            ru, rv = rv, ru
-        self.parent[ru] = rv
-        self.size[rv] += self.size[ru]
-        self._joined.append(ru)
+        if size[u] > size[v]:
+            u, v = v, u
+        parent[u] = v
+        size[v] += size[u]
+        self._joined.append(u)
         return True
 
     def undo(self) -> None:

@@ -638,12 +638,15 @@ def _collapse(edges, rep, sub: int) -> tuple[int, list[int]]:
 
 
 def _quotient(lot: Lot, alive: int, rep) -> Lot:
-    """The LOT's quotient on the edge mask ``alive``, v renamed ``rep[v]``."""
-    names = lot.vertices
-    edges = [tuple(map(rep.__getitem__, lot._iv.edges[i])) for i in _bits(alive)]
+    """The LOT's quotient on the edge mask ``alive``, v renamed ``rep[v]``;
+    an edge that touches no collapsed vertex keeps its ``LotEdge``."""
+    names, view, ids = lot.vertices, lot._iv.edges, _bits(alive)
+    edges = [(rep[t], rep[h], rep[l]) for t, h, l in map(view.__getitem__, ids)]
+    named = [lot.edges[i] if q == view[i] else
+             LotEdge(names[q[0]], names[q[1]], names[q[2]])
+             for i, q in zip(ids, edges)]
     return _lot_on(lot, [v for v in range(len(names)) if rep[v] == v], edges,
-                   tuple([LotEdge(names[t], names[h], names[l])
-                          for t, h, l in edges]), lot.name)
+                   tuple(named), lot.name)
 
 
 # ---------------------------------------------------------------------------

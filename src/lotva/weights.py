@@ -82,7 +82,7 @@ from numbers import Rational
 from operator import xor
 from typing import Iterable, Optional, Sequence
 
-from .errors import ParseError, PreconditionError, StructureError
+from .errors import LotvaError, ParseError, PreconditionError, StructureError
 from .complexes import (SubcomplexFamily, TwoComplex, exponent_sum,
                         validate_family)
 from .linkage import (EdgeEnd, LinkGraph, UnionFind, delta_ends,
@@ -764,7 +764,7 @@ class FlipForests:
     def is_forest(self, flip: int, pol: int) -> bool:
         return forest_cycle_index(self._size, self.pairs(flip, pol)) < 0
 
-    def first_forest_flip(self) -> Optional[int]:
+    def first_forest_flip(self, budget: Optional[int] = None) -> Optional[int]:
         """Smallest flip mask, in binary-counter order over the kept edges,
         for which lk+ and lk- are both forests; None if there is none.
 
@@ -774,44 +774,55 @@ class FlipForests:
         the node count) and cuts the branch when either closes a cycle:
         adding corners never removes a cycle, so no completion can work.
         The walk keeps its own stack, so depth is not bounded by Python's
-        recursion limit.
+        recursion limit.  With a ``budget``, it raises ``LotvaError`` at
+        the first back-up past that many; only back-ups pay for the count.
         """
         size = self._size
         uf = UnionFind(2 * size)
+        union, undo = uf.union, uf.undo
+        limit = budget
         edges = self._edges[::-1]
         choice = [0] * len(edges)  # per depth: next to try, 0 keep, 1 flip
         flip = depth = 0
         while depth < len(edges):
             bit, l, t, h = edges[depth]
             if choice[depth] == 2:  # both tried: back up one edge
+                if budget is not None:
+                    budget -= 1
+                    if budget < 0:
+                        raise LotvaError(f"orientation search gave up "
+                                         f"after {limit} back-ups")
                 choice[depth] = 0
                 depth -= 1
                 if depth < 0:
                     return None
-                uf.undo()
-                uf.undo()
+                undo()
+                undo()
                 flip &= ~edges[depth][0]
                 continue
             flipped = choice[depth]
             choice[depth] += 1
             pos_end, neg_end = (h, t) if flipped else (t, h)
-            if uf.union(l, pos_end):
-                if uf.union(size + l, size + neg_end):
+            if union(l, pos_end):
+                if union(size + l, size + neg_end):
                     if flipped:
                         flip |= bit
                     depth += 1
                     continue
-                uf.undo()
+                undo()
         return flip
 
 
-def orientation_search(lot: Lot, fixed: Iterable[frozenset[int]] = ()
+def orientation_search(lot: Lot, fixed: Iterable[frozenset[int]] = (),
+                       budget: Optional[int] = None
                        ) -> Optional[frozenset[int]]:
     """Smallest (binary-counter order) flip set of non-fixed edges making
     lk+ and lk- forests relative to lk+/-(K(fixed)); None if no orientation
     works.  Edges inside fixed sub-LOTs are never flipped.  The search is
     depth-first and pruned (``FlipForests.first_forest_flip``), so it stops
-    short of the 2^k flip sets whenever a cycle shows early.
+    short of the 2^k flip sets whenever a cycle shows early; it can still
+    take exponential time, which a ``budget`` of back-ups bounds by raising
+    ``LotvaError``.
     """
     fixed = list(fixed)
     seen_edges: set[int] = set()
@@ -825,7 +836,7 @@ def orientation_search(lot: Lot, fixed: Iterable[frozenset[int]] = ()
         seen_edges |= set(ids)
         seen_verts |= vs
 
-    flip = FlipForests(lot, fixed).first_forest_flip()
+    flip = FlipForests(lot, fixed).first_forest_flip(budget)
     if flip is None:
         return None
     return frozenset(ei for ei in range(lot.num_edges) if flip >> ei & 1)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -92,6 +93,17 @@ class TestPipeline:
             cert = certify_va(lot)
             assert not isinstance(cert, CertifyFailure)
             assert verify_certificate(lot, cert).accepted
+
+    def test_prime_root_at_scale(self):
+        """A 24-edge prime root whose orientation walk backs up 456,561
+        times: its certificate is pinned byte for byte."""
+        lot = random_lot(random.Random(6), 24)
+        assert SublotStructure(lot).prime
+        cert = certify_va(lot)
+        assert isinstance(cert, PrimeWeightTest)
+        assert verify_certificate(lot, cert).accepted
+        assert hashlib.sha256(serialize_certificate(cert).encode()).hexdigest() \
+            == "16be10dd38ccfd595896ba36eb0082db5c8fec9debace1540e65743dbfbf242e"
 
     def test_small_exhaustive_slice(self):
         for lot in itertools.islice(iter_small_lots(5), 0, 1500):

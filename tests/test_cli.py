@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from lotva import format_lot
-from lotva.cli import main
+from lotva.cli import ORIENT_SEARCH_BUDGET, main
 from lotva.sweep import random_lot
 
 
@@ -158,6 +158,16 @@ class TestOrientSearch:
     def test_fig1_absolute_negative(self, capsys, fixture_dir):
         code, out, _ = run(capsys, "orient-search", str(fixture_dir / "fig1.lot"))
         assert code == 1
+
+    def test_gives_up_at_budget(self, capsys, tmp_path):
+        """A 24-edge LOT with no orientation, whose full walk backs up about
+        3.4 million times, stops at the budget with exit code 2."""
+        p = tmp_path / "hard.lot"
+        p.write_text(format_lot(random_lot(random.Random(2), 24)))
+        code, out, err = run(capsys, "orient-search", str(p))
+        assert code == 2 and out == ""
+        assert err == (f"error: orientation search gave up after "
+                       f"{ORIENT_SEARCH_BUDGET} back-ups\n")
 
 
 class TestCertifyCli:

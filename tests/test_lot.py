@@ -646,7 +646,9 @@ class TestFreeDecomposition:
 
     def test_matches_branch_scan(self, sweep6_every97):
         """Linking branches by labels finds the decomposition a binary
-        counter over the branches at each vertex finds, or none."""
+        counter over the branches at each vertex finds, or none.  There is
+        none where some edge's closure is the whole LOT, as certify assumes:
+        the two sides are proper sub-LOTs holding every edge."""
         rng = random.Random(67)
         lots = list(sweep6_every97)
         for _ in range(150):
@@ -657,12 +659,17 @@ class TestFreeDecomposition:
             lots.append(random_lot(rng, rng.randrange(13, 31),
                                    injective=rng.random() < 0.7))
             lots.append(glued_lot(rng, rng.randrange(13, 31)))
-        found = 0
+        found = whole = 0
         for lot in lots:
             fd = free_decomposition(lot)
             assert fd == oracle_free_decomposition(lot)
             found += fd is not None
+            structure = SublotStructure(lot)
+            if structure.full in structure.closures:
+                assert fd is None
+                whole += 1
         assert 50 < found < len(lots) - 500
+        assert whole > 1000
 
     def test_halves_are_sublots(self):
         rng = random.Random(3)

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from lotva import (Corner, EdgeEnd, LinkGraph, Lot, LotEdge, PreconditionError,
-                   StructureError, SubcomplexFamily, TwoComplex, Verdict,
+from lotva import (Corner, EdgeEnd, LinkGraph, Lot, LotEdge, LotvaError,
+                   PreconditionError, StructureError, SubcomplexFamily,
+                   TwoComplex, Verdict,
                    WeightAssignment, build_complex, build_link,
                    build_relative_link, canonical_weights,
                    check_cell_condition, derive_subcomplexes, enumerate_sublots,
@@ -697,6 +698,22 @@ class TestOrientationSearch:
     def test_never_flips_fixed_edges(self, fig1):
         found = orientation_search(fig1, [frozenset({1, 2, 3, 4})])
         assert not (found & {1, 2, 3, 4})
+
+    def test_budget_counts_back_ups(self, fig1):
+        """The walk that finds no absolute orientation of fig1 backs up k
+        times; a budget of k lets it finish, one of k - 1 stops it."""
+        k = 0
+        while True:
+            try:
+                assert orientation_search(fig1, budget=k) is None
+                break
+            except LotvaError as exc:
+                assert str(exc) == f"orientation search gave up after {k} back-ups"
+                k += 1
+        assert k > 1
+        # with the complete set fixed the walk never backs up
+        fixed = [frozenset({1, 2, 3, 4})]
+        assert orientation_search(fig1, fixed, budget=0) == orientation_search(fig1, fixed)
 
     def test_deep_walk_needs_no_recursion(self):
         """Path v0 -> ... -> v1500, edge i labeled v(i+2), the last one v0:
