@@ -9,12 +9,13 @@ failure report, never a negative claim.
 ``verify_certificate`` re-derives every hypothesis of every node from the
 LOT alone; it never trusts recorded search state.  Its verdict names the
 first failing check, which the tamper tests rely on.  It decides sub-LOT
-structure with a closure kernel of its own (``_closure``) on each node's
-int view: primality, and for a complete-set node the maximality of each
-chain step, the collapses and the final quotient, and fullness of the
-parts.  It shares with the prover ``FlipForests`` (the forest checks),
-``is_sublot``, ``sublot_vertices``, ``extract_sublot``, ``boundary_reduce``
-and ``boundary_reducible_witness``.
+structure on each node's int view with a closure kernel of its own
+(``_closes_up``): primality, and for a complete-set node the maximality of
+each chain step, the collapses and the final quotient.  Partitions, parts,
+fullness and boundary vertices it reads off edge and vertex masks, and it
+builds free-decomposition and complete-set children from those masks.  It
+shares with the prover only ``FlipForests`` (the forest checks) and
+``boundary_reduce``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from typing import Optional, Union
 from .errors import LotvaError, ParseError, PreconditionError
 from .lot import (CollapseChain, ChainStep, Lot, LotEdge, SublotStructure,
                   _bits, _lot_on, boundary_reducible_witness, extract_sublot,
-                  free_decomposition, is_compressed, is_injective, is_sublot,
-                  search_complete_set, sublot_vertices)
+                  free_decomposition, is_compressed, is_injective,
+                  search_complete_set)
 from .weights import FlipForests, flip_mask
 
 
@@ -236,6 +237,7 @@ def verify_certificate(lot: Lot, cert: Certificate) -> VerificationVerdict:
 def _verify(lot: Lot, cert: Certificate) -> None:
     _need(is_injective(lot), "node-injective")
     _need(is_compressed(lot), "node-compressed")
+    iv = lot._iv
 
     if isinstance(cert, BaseTrivial):
         _need(lot.num_edges <= 1, "base-edge-count",
@@ -259,29 +261,26 @@ def _verify(lot: Lot, cert: Certificate) -> None:
         return
 
     if isinstance(cert, FreeDecompositionNode):
-        all_ids = frozenset(range(lot.num_edges))
-        _need(cert.left_edges and cert.right_edges
-              and cert.left_edges | cert.right_edges == all_ids
-              and not cert.left_edges & cert.right_edges,
-              "free-decomposition-partition")
-        _need(is_sublot(lot, cert.left_edges), "free-decomposition-left-sublot")
-        _need(is_sublot(lot, cert.right_edges), "free-decomposition-right-sublot")
-        shared = sublot_vertices(lot, cert.left_edges) & \
-            sublot_vertices(lot, cert.right_edges)
-        _need(shared == {cert.shared_vertex},
-              "free-decomposition-single-shared-vertex",
+        left, right = cert.left_edges, cert.right_edges
+        _need(left and right and left | right == frozenset(range(lot.num_edges))
+              and not left & right, "free-decomposition-partition")
+        halves = [_span(iv.edges, left), _span(iv.edges, right)]
+        for side, (emask, vmask, labels) in zip(("left", "right"), halves):
+            _need(vmask.bit_count() == emask.bit_count() + 1
+                  and not labels & ~vmask, f"free-decomposition-{side}-sublot")
+        shared = [lot.vertices[v] for v in _bits(halves[0][1] & halves[1][1])]
+        _need(shared == [cert.shared_vertex], "free-decomposition-single-shared-vertex",
               f"intersection is {sorted(shared)}")
-        _verify(extract_sublot(lot, cert.left_edges), cert.left_child)
-        _verify(extract_sublot(lot, cert.right_edges), cert.right_child)
+        _verify(_child(lot, *halves[0][:2]), cert.left_child)
+        _verify(_child(lot, *halves[1][:2]), cert.right_child)
         return
 
     if isinstance(cert, PrimeWeightTest):
-        _need(boundary_reducible_witness(lot) is None,
+        # every leaf labels an edge
+        _need(all(len(i) != 1 or c for i, c in zip(iv.incident, iv.label_count)),
               "prime-weight-test-boundary-reduced")
-        edges, paths = lot._iv.edges, lot._paths
-        full = (1 << len(edges)) - 1
-        _need(all(_closure(edges, paths, 1 << e) == full
-                  for e in range(len(edges))), "prime-weight-test-prime")
+        _need(_closes_up(iv.edges, lot._paths, 0, (1 << len(iv.edges)) - 1),
+              "prime-weight-test-prime")
         _need(all(0 <= i < lot.num_edges for i in cert.flipped),
               "prime-weight-test-flipped-valid")
         _check_forests_and_witnesses(lot, cert.flipped, [], cert.pos_corners,
@@ -289,13 +288,13 @@ def _verify(lot: Lot, cert: Certificate) -> None:
         return
 
     if isinstance(cert, CompleteSetRelative):
-        _need(boundary_reducible_witness(lot) is None,
+        _need(all(len(i) != 1 or c for i, c in zip(iv.incident, iv.label_count)),
               "complete-set-boundary-reduced")
         _need(len(cert.children) == len(cert.sublots),
               "complete-set-children-count")
         _need(len(cert.chain.steps) >= 1, "complete-set-chain-nonempty")
 
-        edges = lot._iv.edges
+        edges = iv.edges
         m = len(edges)
         union = seen_v = 0
         parts = []  # (edge mask, vertex mask) per part
@@ -303,15 +302,10 @@ def _verify(lot: Lot, cert: Certificate) -> None:
             _need(bool(part), "complete-set-disjoint", "empty part")
             _need(all(0 <= i < m for i in part),
                   "complete-set-disjoint", "edge id out of range")
-            emask = vmask = 0
-            for i in part:
-                t, h, _ = edges[i]
-                emask |= 1 << i
-                vmask |= 1 << t | 1 << h
+            emask, vmask, _ = _span(edges, part)
             _need(not (emask & union) and not (vmask & seen_v),
                   "complete-set-disjoint")
-            union |= emask
-            seen_v |= vmask
+            union, seen_v = union | emask, seen_v | vmask
             parts.append((emask, vmask))
 
         # K(part) is a full subcomplex of K(lot): cell d_i has the letters
@@ -335,9 +329,12 @@ def _verify(lot: Lot, cert: Certificate) -> None:
         _need(tuple(s.sublot_edges for s in cert.chain.steps) == cert.sublots,
               "complete-set-sublots-match-chain")
 
-        for part, child in zip(cert.sublots, cert.children):
-            _need(is_sublot(lot, part), "complete-set-sublot-in-original")
-            _verify(extract_sublot(lot, part), child)
+        # complete-set-full put every label of a part among its vertices,
+        # so a part is a sub-LOT exactly when it is connected
+        for (emask, vmask), child in zip(parts, cert.children):
+            _need(vmask.bit_count() == emask.bit_count() + 1,
+                  "complete-set-sublot-in-original")
+            _verify(_child(lot, emask, vmask), child)
         return
 
     raise _Reject("malformed-certificate", f"unknown node {cert!r}")
@@ -360,20 +357,14 @@ def _replay_chain(lot: Lot, chain: CollapseChain) -> None:
     for step in chain.steps:
         _need(all(0 <= o < m and alive >> o & 1 for o in step.sublot_edges),
               "complete-set-step-sublot", "edges already collapsed")
-        sub = inside = labels = 0
-        for o in step.sublot_edges:
-            t, h, l = edges[o]
-            sub |= 1 << o
-            inside |= 1 << t | 1 << h
-            labels |= 1 << l
+        sub, inside, labels = _span(edges, step.sublot_edges)
         k = len(step.sublot_edges)
         # k edges of a tree on k + 1 vertices are connected
         _need(0 < k < alive.bit_count() and inside.bit_count() == k + 1
               and not labels & ~inside, "complete-set-step-sublot")
         # a sub-LOT S is maximal when S and any one edge more close up to
         # the whole quotient
-        _need(all(_closure(edges, paths, sub | 1 << e) == alive
-                  for e in _bits(alive & ~sub)), "complete-set-step-maximal")
+        _need(_closes_up(edges, paths, sub, alive), "complete-set-step-maximal")
         free = inside & ~labels
         if free & (free - 1):
             raise PreconditionError(
@@ -396,31 +387,50 @@ def _replay_chain(lot: Lot, chain: CollapseChain) -> None:
           "complete-set-final-quotient-match")
     _need(alive and all(l != t and l != h for t, h, l
                         in map(edges.__getitem__, _bits(alive)))
-          and all(_closure(edges, paths, 1 << e) == alive for e in _bits(alive)),
-          "complete-set-final-prime")
+          and _closes_up(edges, paths, 0, alive), "complete-set-final-prime")
 
 
-def _closure(edges, paths, mask: int) -> int:
-    """The smallest sub-LOT holding the edges of the nonempty bitmask
-    ``mask``, which need not be connected, as a bitmask.
+def _closes_up(edges, paths, sub: int, alive: int) -> bool:
+    """Whether closure(sub | e), the smallest sub-LOT holding sub and e, is
+    ``alive`` for every edge e of ``alive`` outside ``sub``, which is 0 or
+    a sub-LOT; ``edges`` and ``paths`` are as in ``_replay_chain``.
 
-    ``edges`` are (tail, head, label) vertex indices and ``paths`` root
-    paths as in ``lot._root_paths``; the path between u and v is
-    ``paths[u] ^ paths[v]``.  The paths from one tail to every edge's tail
-    span the mask; then each edge's label adds its path to the span,
-    until no edge comes in."""
-    base = paths[edges[(mask & -mask).bit_length() - 1][0]]
-    new = mask
-    for i in _bits(mask):
-        new |= paths[edges[i][0]] ^ base
-    mask = 0
-    while new:
-        mask |= new
-        grow = 0
-        for i in _bits(new):
-            grow |= paths[edges[i][2]] ^ base
-        new = grow & ~mask
-    return mask
+    Closure is monotone, so a walk that meets an edge f already shown to
+    close up holds closure(sub | f) = alive and stops there.  And sub's
+    labels are its own vertices, so closure(sub | e) starts from sub, e and
+    the path from e's tail to sub, and only later edges' labels are walked."""
+    low, done = (sub & -sub).bit_length() - 1, 0
+    for e in _bits(alive & ~sub):
+        base = paths[edges[e if low < 0 else low][0]]
+        mask, new = sub, (paths[edges[e][0]] ^ base) & ~sub | 1 << e
+        while new and not new & done and mask | new != alive:
+            mask |= new
+            grow = 0
+            for i in _bits(new):
+                grow |= paths[edges[i][2]] ^ base
+            new = grow & ~mask
+        if not new:
+            return False
+        done |= 1 << e
+    return True
+
+
+def _span(edges, ids) -> tuple[int, int, int]:
+    """The edge, vertex and label masks of the edges ``ids``."""
+    emask = vmask = labels = 0
+    for i in ids:
+        t, h, l = edges[i]
+        emask |= 1 << i
+        vmask |= 1 << t | 1 << h
+        labels |= 1 << l
+    return emask, vmask, labels
+
+
+def _child(lot: Lot, emask: int, vmask: int) -> Lot:
+    """The sub-LOT on edge mask ``emask``, as ``extract_sublot`` builds it."""
+    ids = _bits(emask)
+    return _lot_on(lot, _bits(vmask), map(lot._iv.edges.__getitem__, ids),
+                   tuple(map(lot.edges.__getitem__, ids)))
 
 
 def _check_forests_and_witnesses(lot, flipped, fixed, pos_rec, neg_rec, prefix):

@@ -33,7 +33,9 @@ that the library makes on int views has its name-level form here
 has a name-level form that builds every quotient with it, and so do the
 verifier's own checks of a complete-set node: fullness through K(lot)
 (``is_full``) and the collapse chain replayed on named quotients with
-``SublotStructure.maximal``.
+``SublotStructure.maximal``.  The closure of an edge mask walked from
+scratch (``reference_closure``) is the definition behind the verifier's
+amortized closure checks.
 """
 
 import heapq
@@ -564,6 +566,32 @@ def reference_is_sublot(lot, edge_ids) -> bool:
     if len(groups) != 1 or len(groups[0]) != len(ids) + 1:
         return False
     return all(lot.edges[i].label in groups[0] for i in ids)
+
+
+def reference_closure(edges, paths, mask: int) -> int:
+    """The smallest sub-LOT holding the edges of the nonempty bitmask
+    ``mask``, which need not be connected, as a bitmask: the definition the
+    verifier's ``_closes_up`` answers for many masks at once.
+
+    ``edges`` are (tail, head, label) vertex indices and ``paths`` root
+    paths as in ``lot._root_paths``; the path between u and v is
+    ``paths[u] ^ paths[v]``.  The paths from one tail to every edge's tail
+    span the mask; then each edge's label adds its path to the span,
+    until no edge comes in."""
+    base = paths[edges[(mask & -mask).bit_length() - 1][0]]
+    new = mask
+    for i in range(len(edges)):
+        if mask >> i & 1:
+            new |= paths[edges[i][0]] ^ base
+    mask = 0
+    while new:
+        mask |= new
+        grow = 0
+        for i in range(len(edges)):
+            if new >> i & 1:
+                grow |= paths[edges[i][2]] ^ base
+        new = grow & ~mask
+    return mask
 
 
 def oracle_sublots(lot):

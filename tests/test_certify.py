@@ -14,11 +14,13 @@ from lotva import (BaseTrivial, BoundaryReduction, CertifyFailure, ChainStep,
                    check_properties, collapse, extract_sublot, parse_certificate, parse_lot,
                    serialize_certificate, sublot_closure,
                    verify_certificate)
-from lotva.certify import MAX_CERT_DEPTH, _closure
+import lotva.certify
+import lotva.lot
+from lotva.certify import MAX_CERT_DEPTH, _closes_up
 from lotva.lot import SublotStructure
 from lotva.sweep import iter_small_lots, random_lot
-from oracles import (collapse_vertex_of, reference_parse_certificate,
-                     reference_replay_chain,
+from oracles import (collapse_vertex_of, reference_closure,
+                     reference_parse_certificate, reference_replay_chain,
                      reference_serialize_certificate,
                      reference_verify_complete_set)
 
@@ -648,8 +650,49 @@ class TestCompleteSetAgainstNamedRoute:
                 "complete-set-sublots-match-chain"} <= set(seen)
 
     def test_closure_of_one_edge(self, differential_lots):
-        """``certify._closure`` of one edge is ``sublot_closure``."""
+        """``oracles.reference_closure`` of one edge is ``sublot_closure``."""
         for lot in differential_lots:
             for e in range(lot.num_edges):
-                mask = _closure(lot._iv.edges, lot._paths, 1 << e)
+                mask = reference_closure(lot._iv.edges, lot._paths, 1 << e)
                 assert mask == sum(1 << i for i in sublot_closure(lot, e))
+
+    def test_closes_up_against_reference_closures(self, differential_lots):
+        """``_closes_up(edges, paths, sub, full)`` holds exactly when every
+        ``reference_closure(sub | e)`` is the whole LOT, for sub = 0, each
+        proper edge closure and each maximal sub-LOT."""
+        seen = Counter()
+        for lot in differential_lots:
+            edges, paths = lot._iv.edges, lot._paths
+            structure = SublotStructure(lot)
+            full = structure.full
+            subs = {0, *(c for c in structure.closures if c != full),
+                    *(sum(1 << i for i in s) for s in structure.maximal())}
+            for sub in subs:
+                want = all(reference_closure(edges, paths, sub | 1 << e) == full
+                           for e in range(lot.num_edges) if not sub >> e & 1)
+                got = _closes_up(edges, paths, sub, full)
+                assert got == want, (lot, sub)
+                seen[sub == 0, got] += 1
+        assert set(seen) == {(True, True), (True, False),
+                             (False, True), (False, False)}
+
+
+class TestVerifierIndependence:
+    """The verifier decides sub-LOTs, boundary vertices and children on its
+    own masks, not with the prover's helpers."""
+
+    def test_accepts_with_the_provers_sublot_helpers_gone(
+            self, fig1, fig3, sweep6_every97, monkeypatch):
+        certified = [(lot, certify_va(lot)) for lot in (fig1, fig3, *sweep6_every97)]
+        assert {"bdry-red", "free-dec", "prime-wt", "complete-set"} <= {
+            cert.kind for _, cert in certified}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the verifier called a prover helper")
+
+        for module in (lotva.certify, lotva.lot):
+            for name in ("extract_sublot", "boundary_reducible_witness",
+                         "is_sublot", "sublot_vertices"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        for lot, cert in certified:
+            assert verify_certificate(lot, cert), cert.kind
