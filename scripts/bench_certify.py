@@ -16,20 +16,27 @@ complete-set roots with their complete set fixed (``_fixed``); then ``certify_va
 ``serialize_certificate`` of the whole certificate.  The verify-cert path
 follows: ``parse_lot`` of the LOT's text, ``parse_certificate`` of the
 certificate's text and ``verify_certificate``.  Every call is timed in
-each of five rounds; its time is its best round, and a stage's figure is
-the median over the roots it runs on, in microseconds, over all of them
-and for each root kind (``by_root_kind``).  Each time is stated
+each of five rounds; its time is its best round, and a stage's figures are
+the median, the 90th percentile (nearest rank) and the maximum over the
+roots it runs on, in microseconds, over all of them and for each root kind
+(``by_root_kind``); the p90 and the maximum show a tail that the median
+hides, such as a few orientation walks that back up far.  Each time is stated
 at the reference host speed of ``perfbench/host.py``: its ``Scaler`` times
 a fixed loop about every 0.1 s of work, and the times in between are
 multiplied by its factor.  Records the raw medians and the range of factors
 next to the scaled ones, the roots' node kinds, and the host it ran on.
 Standard library only; a bench, not a test.
+
+One before/after pair of runs does not resolve a change under about 10%:
+on a 2-CPU x86-64 host, stages that neither commit changed moved by up to
+10% between the two runs of a pair.  Compare several alternating pairs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -78,9 +85,13 @@ def root_calls(text: str) -> tuple[str, list]:
 
 
 def summary(bs: list) -> dict:
-    """Root count and scaled and raw medians of (scaled, raw) best times."""
+    """Root count, the scaled median, p90 and maximum, and the raw median of
+    (scaled, raw) best times."""
+    scaled = sorted(b[0] for b in bs)
     return {"roots": len(bs),
-            "median_us": round(statistics.median(b[0] for b in bs) * 1e6, 2),
+            "median_us": round(statistics.median(scaled) * 1e6, 2),
+            "p90_us": round(scaled[math.ceil(0.9 * len(scaled)) - 1] * 1e6, 2),
+            "max_us": round(scaled[-1] * 1e6, 2),
             "raw_median_us": round(statistics.median(b[1] for b in bs) * 1e6, 2)}
 
 
@@ -128,7 +139,8 @@ def main(argv=None) -> int:
         print(f"-- {kind} roots")
         for name, s in st.items():
             print(f"{name:24} {s['roots']:4} roots  median {s['median_us']:9.2f}"
-                  f" us  (raw {s['raw_median_us']:.2f})")
+                  f"  p90 {s['p90_us']:9.2f}  max {s['max_us']:9.2f} us"
+                  f"  (raw median {s['raw_median_us']:.2f})")
     print("host factors", *record["host_factor_range"])
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0

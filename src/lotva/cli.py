@@ -154,9 +154,11 @@ def cmd_weight_test(args) -> int:
 
 ORIENT_SEARCH_BUDGET = 1_000_000
 """Back-ups ``orient-search`` allows its walk before it gives up with exit
-code 2: about 2 s on a 2-CPU x86-64 host.  Certifying the 24-edge prime
-``random_lot(Random(6), 24)`` takes 456,561; ``random_lot(Random(2), 24)``,
-which has no orientation, takes about 3.4 million."""
+code 2: about 2 s on a 2-CPU x86-64 host.  The walk on the 24-edge prime
+``random_lot(Random(6), 24)`` backs up 96 times, and on
+``random_lot(Random(2), 24)``, which has no orientation, 96 times before
+its exact test answers None (4 per kept edge; without it, 456,561 and
+about 3.4 million)."""
 
 
 def cmd_orient_search(args) -> int:

@@ -253,19 +253,14 @@ def build_relative_link(cx: TwoComplex, fam: SubcomplexFamily) -> LinkGraph:
 # ---------------------------------------------------------------------------
 
 class UnionFind:
-    """Union by size over nodes 0..n-1, list-indexed, with undo.
+    """Union by size over nodes 0..n-1, list-indexed; without path
+    compression, union by size keeps ``find`` logarithmic."""
 
-    There is no path compression, so every union can be rolled back;
-    union by size keeps ``find`` logarithmic.  The orientation search
-    adds and removes one edge's corners per step of its depth-first walk.
-    """
-
-    __slots__ = ("parent", "size", "_joined")
+    __slots__ = ("parent", "size")
 
     def __init__(self, n: int):
         self.parent = list(range(n))
         self.size = [1] * n
-        self._joined: list[int] = []  # absorbed roots, in union order
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -287,15 +282,7 @@ class UnionFind:
             u, v = v, u
         parent[u] = v
         size[v] += size[u]
-        self._joined.append(u)
         return True
-
-    def undo(self) -> None:
-        """Revert the most recent successful union."""
-        ru = self._joined.pop()
-        rv = self.parent[ru]
-        self.size[rv] -= self.size[ru]
-        self.parent[ru] = ru
 
 
 def forest_cycle_index(n: int, pairs: list[tuple[int, int]]) -> int:

@@ -35,7 +35,9 @@ verifier's own checks of a complete-set node: fullness through K(lot)
 (``is_full``) and the collapse chain replayed on named quotients with
 ``SublotStructure.maximal``.  The closure of an edge mask walked from
 scratch (``reference_closure``) is the definition behind the verifier's
-amortized closure checks.
+amortized closure checks.  The orientation walk with a cycle as its only
+cut, on ``UnionFind`` with an undo log (``reference_first_forest_flip``),
+is the reference for the library walk's reachability checks.
 """
 
 import heapq
@@ -59,7 +61,7 @@ from lotva import (BaseTrivial, BoundaryReduction, BoundaryWord, Cell,
                    verify_certificate)
 from lotva.certify import MAX_CERT_DEPTH, _from_sexp, _unreadable
 from lotva.complexes import validate_family
-from lotva.linkage import _forest_witness
+from lotva.linkage import UnionFind, _forest_witness
 from lotva.lot import SublotStructure
 from lotva.sweep import _ahu_key, _labelings, _prufer_decode, automorphisms
 from lotva.weights import FlipForests, flip_mask
@@ -628,6 +630,72 @@ def oracle_orientation_search(lot, fixed=()):
         if orientation_search_check(lot, fixed, flip):
             return flip
     return None
+
+
+def reference_first_forest_flip(forests, budget=None):
+    """``FlipForests.first_forest_flip`` as a plain depth-first walk: one
+    union-find with an undo log over lk+ and lk- (lk- nodes offset by the
+    node count), a cycle the only cut, and no existence test.  It returns
+    the same mask, None included, and raises at the same budget where the
+    library walk never prunes."""
+    size = forests._size
+    uf = _UndoUnionFind(2 * size)
+    limit = budget
+    edges = forests._edges[::-1]
+    choice = [0] * len(edges)  # per depth: next to try, 0 keep, 1 flip
+    flip = depth = 0
+    while depth < len(edges):
+        bit, l, t, h = edges[depth]
+        if choice[depth] == 2:  # both tried: back up one edge
+            if budget is not None:
+                budget -= 1
+                if budget < 0:
+                    raise LotvaError(f"orientation search gave up "
+                                     f"after {limit} back-ups")
+            choice[depth] = 0
+            depth -= 1
+            if depth < 0:
+                return None
+            uf.undo()
+            uf.undo()
+            flip &= ~edges[depth][0]
+            continue
+        flipped = choice[depth]
+        choice[depth] += 1
+        pos_end, neg_end = (h, t) if flipped else (t, h)
+        if uf.union(l, pos_end):
+            if uf.union(size + l, size + neg_end):
+                if flipped:
+                    flip |= bit
+                depth += 1
+                continue
+            uf.undo()
+    return flip
+
+
+class _UndoUnionFind(UnionFind):
+    """Union-find that logs the roots it absorbs, so the last union can be
+    rolled back (there is no path compression)."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.joined = []
+
+    def union(self, u, v):
+        u, v = self.find(u), self.find(v)
+        if u == v:
+            return False
+        if self.size[u] > self.size[v]:
+            u, v = v, u
+        self.parent[u] = v
+        self.size[v] += self.size[u]
+        self.joined.append(u)
+        return True
+
+    def undo(self):
+        u = self.joined.pop()
+        self.size[self.parent[u]] -= self.size[u]
+        self.parent[u] = u
 
 
 def oracle_free_decomposition(lot):

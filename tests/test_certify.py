@@ -97,8 +97,9 @@ class TestPipeline:
             assert verify_certificate(lot, cert).accepted
 
     def test_prime_root_at_scale(self):
-        """A 24-edge prime root whose orientation walk backs up 456,561
-        times: its certificate is pinned byte for byte."""
+        """A 24-edge prime root whose orientation walk backs up 96 times
+        before the pruned walk finds the mask (456,561 times unpruned): its
+        certificate is pinned byte for byte."""
         lot = random_lot(random.Random(6), 24)
         assert SublotStructure(lot).prime
         cert = certify_va(lot)
@@ -106,6 +107,16 @@ class TestPipeline:
         assert verify_certificate(lot, cert).accepted
         assert hashlib.sha256(serialize_certificate(cert).encode()).hexdigest() \
             == "16be10dd38ccfd595896ba36eb0082db5c8fec9debace1540e65743dbfbf242e"
+
+    @pytest.mark.parametrize("seed, m", [(25, 40), (11, 30)])
+    def test_hard_orientation_walks(self, seed, m):
+        """Prime roots whose orientation walks go on checked certify, and
+        their certificates verify; the unchecked walk on the 40-edge one
+        ran for over 5 minutes."""
+        lot = random_lot(random.Random(seed), m)
+        cert = certify_va(lot)
+        assert not isinstance(cert, CertifyFailure)
+        assert verify_certificate(lot, cert).accepted
 
     def test_small_exhaustive_slice(self):
         for lot in itertools.islice(iter_small_lots(5), 0, 1500):

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from lotva import format_lot
-from lotva.cli import ORIENT_SEARCH_BUDGET, main
+from lotva import cli
+from lotva.cli import main
 from lotva.sweep import random_lot
 
 
@@ -159,15 +160,25 @@ class TestOrientSearch:
         code, out, _ = run(capsys, "orient-search", str(fixture_dir / "fig1.lot"))
         assert code == 1
 
-    def test_gives_up_at_budget(self, capsys, tmp_path):
-        """A 24-edge LOT with no orientation, whose full walk backs up about
-        3.4 million times, stops at the budget with exit code 2."""
+    def test_gives_up_at_budget(self, capsys, tmp_path, monkeypatch):
+        """With the budget lowered to 50, a 24-edge LOT whose walk backs up
+        96 times before its exact test answers stops at the budget with
+        exit code 2."""
+        monkeypatch.setattr(cli, "ORIENT_SEARCH_BUDGET", 50)
         p = tmp_path / "hard.lot"
         p.write_text(format_lot(random_lot(random.Random(2), 24)))
         code, out, err = run(capsys, "orient-search", str(p))
         assert code == 2 and out == ""
-        assert err == (f"error: orientation search gave up after "
-                       f"{ORIENT_SEARCH_BUDGET} back-ups\n")
+        assert err == "error: orientation search gave up after 50 back-ups\n"
+
+    def test_no_orientation_at_scale(self, capsys, tmp_path):
+        """The 24-edge LOT with no orientation, whose plain walk backs up
+        about 3.4 million times, is answered by the exact test."""
+        p = tmp_path / "hard.lot"
+        p.write_text(format_lot(random_lot(random.Random(2), 24)))
+        code, out, err = run(capsys, "orient-search", str(p))
+        assert (code, out, err) == (
+            1, "no orientation satisfies the forest conditions\n", "")
 
 
 class TestCertifyCli:

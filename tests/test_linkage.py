@@ -154,31 +154,6 @@ class TestRelativeLink:
         assert not b0.corner_ids & b1.corner_ids
 
 
-class TestUnionFind:
-    def test_undo_restores(self):
-        """Undoing the unions of a random mix of unions and undos, cycles
-        and loops included, gives back parent and size as they were."""
-        rng = random.Random(71)
-        for n in (1, 2, 5, 60):
-            uf = linkage.UnionFind(n)
-            for _ in range(n // 2):  # start from a forest that is not all roots
-                uf.union(rng.randrange(n), rng.randrange(n))
-            before = list(uf.parent), list(uf.size)
-            joined = 0
-            for _ in range(400):
-                if joined and rng.random() < 0.4:
-                    uf.undo()
-                    joined -= 1
-                else:
-                    u, v = rng.randrange(n), rng.randrange(n)
-                    cycle = uf.find(u) == uf.find(v)
-                    assert uf.union(u, v) is not cycle
-                    joined += not cycle
-            for _ in range(joined):
-                uf.undo()
-            assert (uf.parent, uf.size) == before
-
-
 class TestRelativeForest:
     def test_fig1_relative_passes(self, fig1):
         cx = build_complex(fig1)

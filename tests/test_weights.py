@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from lotva import (Corner, EdgeEnd, LinkGraph, Lot, LotEdge, LotvaError,
                    PreconditionError, StructureError, SubcomplexFamily,
                    TwoComplex, Verdict,
                    WeightAssignment, build_complex, build_link,
-                   build_relative_link, canonical_weights,
+                   build_relative_link, canonical_weights, complete_set_search,
                    check_cell_condition, derive_subcomplexes, enumerate_sublots,
                    find_homred_violation, format_weights,
                    min_weight_reduced_cycle, orientation_search, parse_complex,
@@ -15,14 +16,17 @@ from lotva import (Corner, EdgeEnd, LinkGraph, Lot, LotEdge, LotvaError,
                    sign_change, signed_relative_forest_check,
                    sublot_closure, sublot_vertices, weight_test)
 from lotva.linkage import UnionFind
+from lotva.lot import SublotStructure
 from lotva.weights import _WEIGHTS, FlipForests
 from lotva.sweep import random_lot
 
-from oracles import (oracle_homred_violation_exists, oracle_min_reduced_cycle,
+from oracles import (closure_family, oracle_homred_violation_exists,
+                     oracle_min_reduced_cycle,
                      oracle_orientation_search, orientation_search_check,
                      random_complex, random_link, random_relative_link,
                      random_weights,
                      reference_find_homred_violation,
+                     reference_first_forest_flip,
                      reference_min_weight_reduced_cycle,
                      relative_forest_check, signed_sublinks)
 
@@ -797,6 +801,102 @@ class TestOrientationSearch:
                     oracle_orientation_search(lot, parts)
                 with_fixed += 1
         assert found > 100 and nones > 100 and with_fixed > 500
+
+    def test_matches_reference_walk(self, sweep6_every97, monkeypatch):
+        """The walk returns the plain reference walk's mask, None included,
+        absolute and with a greedy closure family fixed: every 97th LOT of
+        the <=6 sweep, then random LOTs with 10-22 edges, where at least 50
+        walks back up often enough to go on checked."""
+        checked = []
+        checks = FlipForests._checks
+
+        def counting(forests):
+            found = checks(forests)
+            checked.append(found is not None)
+            return found
+
+        monkeypatch.setattr(FlipForests, "_checks", counting)
+        rng = random.Random(95)
+        lots = list(sweep6_every97)
+        lots += [random_lot(rng, rng.randrange(10, 23)) for _ in range(150)]
+        nones = 0
+        for lot in lots:
+            for fixed in ([], closure_family(lot)):
+                forests = FlipForests(lot, fixed)
+                expect = reference_first_forest_flip(forests)
+                assert forests.first_forest_flip() == expect
+                nones += expect is None
+        assert sum(checked) >= 50 and nones > 100, (sum(checked), nones)
+
+    def test_exact_test_matches_counter_oracle(self, sweep6_every97):
+        """Where ``FlipForests._checks`` applies, its verdict on whether
+        any flip works is the counter oracle's: absolute, with a complete
+        set fixed and with a greedy closure family fixed, on every 97th LOT
+        of the <=6 sweep, then on random LOTs with 2-12 edges.  No complete
+        set of these is without a relative orientation."""
+        rng = random.Random(96)
+        lots = list(sweep6_every97)
+        lots += [random_lot(rng, rng.randrange(2, 13)) for _ in range(300)]
+        seen = Counter()
+        for lot in lots:
+            families = {"none": [], "greedy": closure_family(lot)}
+            if lot.num_edges > 1 and not SublotStructure(lot).prime:
+                found = complete_set_search(lot)
+                if found is not None:
+                    families["complete"] = found[0]
+            for kind, fixed in families.items():
+                checks = FlipForests(lot, fixed)._checks()
+                if checks is not None:
+                    works = oracle_orientation_search(lot, fixed) is not None
+                    assert checks[3] == works
+                    seen[kind, works] += 1
+        assert set(seen) == {("none", True), ("none", False), ("greedy", True),
+                             ("greedy", False), ("complete", True)}, seen
+        assert min(seen.values()) > 50, seen
+
+    def test_checks_cut_only_dead_branches(self, sweep6_every97):
+        """``fits`` and ``propagates`` turn a partial flip down only when no
+        completion of it makes lk+ and lk- forests, checked against every
+        completion: random prefixes of walks on every 7th LOT of the <=6
+        stride and on random LOTs with 7-10 edges, absolute and with a
+        greedy closure family fixed."""
+        rng = random.Random(98)
+        lots = list(sweep6_every97)[::7]
+        lots += [random_lot(rng, rng.randrange(7, 11)) for _ in range(120)]
+        seen = Counter()
+        for lot in lots:
+            for fixed in ([], closure_family(lot)):
+                forests = FlipForests(lot, fixed)
+                checks = forests._checks()
+                if checks is None:
+                    continue
+                placed, fits, propagates, _ = checks
+                bits = [bit for bit, _, _, _ in forests._edges[::-1]]
+                flip, depth = 0, rng.randrange(len(bits))
+                for j in range(depth):  # a prefix the checks let through
+                    c = rng.randrange(2)
+                    c = c if fits(j, c) else c ^ 1
+                    if not fits(j, c):
+                        depth = j
+                        break
+                    placed[j] = c
+                    flip |= bits[j] if c else 0
+                tails = [0]  # every choice for the edges below depth
+                for bit in bits[depth + 1:]:
+                    tails += [tail | bit for tail in tails]
+                for c in (0, 1):
+                    head = flip | (bits[depth] if c else 0)
+                    alive = any(forests.is_forest(head | tail, 1) and
+                                forests.is_forest(head | tail, -1)
+                                for tail in tails)
+                    placed[depth] = c
+                    fit = fits(depth, c)
+                    verdict = fit and propagates(depth)
+                    placed[depth] = -1
+                    assert verdict or not alive
+                    seen[fit, verdict, alive] += 1
+        assert seen[True, True, True] > 50 and seen[False, False, False] > 50
+        assert seen[True, False, False] > 0, seen  # propagation cut more
 
     def test_fast_path_matches_link_route(self):
         """The pair-based forest check agrees with building the complex and
