@@ -8,16 +8,17 @@ first cell.
 Run from anywhere; the library is imported from the ``src/`` next to this
 script.  The inputs are the weight-path LOTs of the ``weights`` workload of
 ``perfbench/workloads.py`` at ``--seed`` (default 0): 800 LOTs with 16-24
-edges, each with the greedy closure family of the weight path as K, and
-lk(L), its canonical weights and the pillow made once, untimed, as the
-weight path makes them.  Each LOT goes through the five stages in each of
-five rounds; a stage's time on a LOT is its best round, and its figure is
-the median over the LOTs, in microseconds.  Each time is stated at the reference host speed of
-``perfbench/host.py``: its ``Scaler`` times a fixed loop about every 0.1 s
-of work, and the times in between are multiplied by its factor.  Records
-the raw medians and the range of factors next to the scaled ones, the
+edges, each with the greedy closure family of the weight path as K.  The
+relative link lk(L, K) and its canonical weights, lk(L) and its canonical
+weights, and the pillow are made once per LOT, untimed, as the weight path
+makes them.  The stages are timed by ``bench_certify.py``'s loop: each call
+in each of five rounds, its best round, and per stage the median, p90 and
+maximum over the LOTs, scaled to the reference host speed of
+``perfbench/host.py``, with the raw medians and the range of factors.
+Records those, the median over the LOTs of the five stages' sum, the
 corner counts of the relative links, a digest of the relative verdicts,
-the failure counts, and the host it ran on.  Standard library only; a bench, not a test.
+the failure counts, and the host it ran on.  Standard library only; a
+bench, not a test.
 """
 
 from __future__ import annotations
@@ -25,17 +26,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
-import platform
 import statistics
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "scripts")]
 
-from host import Scaler  # noqa: E402
+from bench_certify import HOST, ROUNDS, best_times, report, summary  # noqa: E402
 from lotva import (build_complex, build_link,  # noqa: E402
                    build_relative_link, canonical_weights, curvature_report,
                    derive_subcomplexes, double_cell_sphere, parse_lot,
@@ -43,10 +41,6 @@ from lotva import (build_complex, build_link,  # noqa: E402
 from paths import closure_family  # noqa: E402
 from spans import NoTrace  # noqa: E402
 from workloads import lot_text, make_inputs  # noqa: E402
-
-ROUNDS = 5
-STAGES = ("build_relative_link", "canonical_weights", "relative_weight_test",
-          "weight_test", "curvature_report")
 
 
 def inputs(seed: int) -> list:
@@ -67,62 +61,43 @@ def verdict_sha256(verdicts: list) -> str:
         repr([(v.ok, v.violation) for v in verdicts]).encode()).hexdigest()
 
 
+def case_calls(cx, fam) -> list:
+    """The (stage, function, arguments) calls of one LOT."""
+    g, rg = build_link(cx), build_relative_link(cx, fam)
+    w, rw = canonical_weights(g), canonical_weights(rg)
+    return [("build_relative_link", build_relative_link, (cx, fam)),
+            ("canonical_weights", canonical_weights, (rg,)),
+            ("relative_weight_test", relative_weight_test, (cx, fam, rw, rg)),
+            ("weight_test", weight_test, (cx, g, w)),
+            ("curvature_report", curvature_report,
+             (double_cell_sphere(cx, "d_0"), cx, w))]
+
+
 def measure(cases: list) -> dict:
-    times = []    # (case index, stage seconds...), in run order
-    factors = []  # the host factor of each entry of times
-    verdicts, counts = [], []  # of round 0; counts: (Delta corners, corners)
-    absolute = []  # of round 0: the weight test verdicts
-    links = []  # per case: lk(L), its canonical weights, the pillow
-    for cx, _ in cases:
-        g = build_link(cx)
-        links.append((g, canonical_weights(g), double_cell_sphere(cx, "d_0")))
-    clock = time.perf_counter
-    scaler = Scaler()
-    for r in range(ROUNDS):
-        for i, ((cx, fam), (g, w, pillow)) in enumerate(zip(cases, links)):
-            t0 = clock()
-            rg = build_relative_link(cx, fam)
-            t1 = clock()
-            rw = canonical_weights(rg)
-            t2 = clock()
-            verdict = relative_weight_test(cx, fam, rw, rg)
-            t3 = clock()
-            absolute_verdict = weight_test(cx, g, w)
-            t4 = clock()
-            curvature_report(pillow, cx, w)
-            t5 = clock()
-            times.append((i, t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4))
-            if r == 0:
-                verdicts.append(verdict)
-                absolute.append(absolute_verdict)
-                counts.append((sum(c.is_delta for c in rg.corners),
-                               len(rg.corners)))
-            if scaler.due():
-                factors += [scaler.factor()] * (len(times) - len(factors))
-    factors += [scaler.factor()] * (len(times) - len(factors))
-    # per case: best round of each stage, scaled then raw
-    k = len(STAGES)
-    best = [[float("inf")] * 2 * k for _ in cases]
-    for (i, *ts), f in zip(times, factors):
-        best[i] = [min(b, t) for b, t in zip(best[i], [t * f for t in ts] + ts)]
-
-    def median_us(column):
-        return round(statistics.median(b[column] for b in best) * 1e6, 2)
-
-    out = {"lots": len(cases)}
-    for j, stage in enumerate(STAGES):
-        out[f"{stage}_us_median"] = median_us(j)
-    out["stages_us_median"] = round(statistics.median(
-        sum(b[:k]) for b in best) * 1e6, 2)
-    for j, stage in enumerate(STAGES):
-        out[f"raw_{stage}_us_median"] = median_us(k + j)
-    out["host_factor_range"] = [round(min(factors), 3), round(max(factors), 3)]
-    out["delta_corners_mean"] = round(statistics.mean(d for d, _ in counts), 1)
-    out["corners_mean"] = round(statistics.mean(n for _, n in counts), 1)
-    out["failed"] = sum(not v.ok for v in verdicts)
-    out["weight_test_failed"] = sum(not v.ok for v in absolute)
-    out["verdict_sha256"] = verdict_sha256(verdicts)
-    return out
+    calls = [case_calls(cx, fam) for cx, fam in cases]
+    verdicts = [relative_weight_test(*c[2][2]) for c in calls]
+    absolute = [weight_test(*c[3][2]) for c in calls]
+    best, factor_range = best_times(
+        [((i, stage), fn, args) for i, c in enumerate(calls)
+         for stage, fn, args in c])
+    stages: dict[str, list] = {}
+    sums = [0.0] * len(cases)  # per LOT, the scaled times of its stages
+    for (i, stage), b in best.items():
+        stages.setdefault(stage, []).append(b)
+        sums[i] += b[0]
+    links = [c[1][2][0] for c in calls]  # lk(L, K), read after the timing
+    return {
+        "lots": len(cases),
+        "stages": {stage: summary(bs) for stage, bs in stages.items()},
+        "stages_us_median": round(statistics.median(sums) * 1e6, 2),
+        "host_factor_range": factor_range,
+        "delta_corners_mean": round(statistics.mean(
+            sum(c.is_delta for c in rg.corners) for rg in links), 1),
+        "corners_mean": round(statistics.mean(len(rg.corners) for rg in links), 1),
+        "failed": sum(not v.ok for v in verdicts),
+        "weight_test_failed": sum(not v.ok for v in absolute),
+        "verdict_sha256": verdict_sha256(verdicts),
+    }
 
 
 def main(argv=None) -> int:
@@ -132,19 +107,11 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_relative.json")
     args = ap.parse_args(argv)
     result = measure(inputs(args.seed))
-    lo, hi = result["host_factor_range"]
-    print(f"weights seed {args.seed}: {result['lots']} LOTs, "
-          + ", ".join(f"{s} {result[s + '_us_median']} us" for s in STAGES)
-          + f", all five {result['stages_us_median']} us (raw "
-          + " / ".join(str(result[f"raw_{s}_us_median"]) for s in STAGES)
-          + f" us, host factors {lo}..{hi})")
-    record = {
-        "host": {"python": platform.python_version(),
-                 "machine": platform.machine(), "cpus": os.cpu_count()},
-        "rounds": ROUNDS,
-        "seed": args.seed,
-        "weights": result,
-    }
+    report(f"weights seed {args.seed}: {result['lots']} LOTs", result["stages"])
+    print(f"all five: median {result['stages_us_median']} us; host factors",
+          *result["host_factor_range"])
+    record = {"host": HOST, "rounds": ROUNDS, "seed": args.seed,
+              "weights": result}
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 

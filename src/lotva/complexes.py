@@ -13,11 +13,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from .errors import ParseError, PreconditionError, StructureError
-from .lot import Lot, SignedLot, sublot_vertices
+from .lot import _IDENT, Lot, SignedLot, sublot_vertices
 
 Letter = tuple[str, int]  # (edge name, +1 or -1)
-
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,10 @@ from .errors import (DegenerateDiagramError, ParseError, PreconditionError,
                      StructureError)
 from .complexes import TwoComplex, exponent_sum
 from .linkage import corner_offsets
+from .lot import _IDENT
 from .weights import WeightAssignment
 
 Dart = tuple[int, int]  # (edge index, +1 along tail->head, -1 against)
-
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 
 
 @dataclass(frozen=True)
@@ -484,6 +483,9 @@ def parse_diagram(text: str) -> SurfaceDiagram:
             if len(parts) != 7 or parts[4] != "maps" or parts[6] not in ("+", "-"):
                 raise ParseError("expected: edge NAME TAIL HEAD maps EDGE SIGN", lineno)
             ename, tail, head, _, img, sgn = parts[1:]
+            for v in (ename, tail, head):
+                if not _IDENT.match(v):
+                    raise ParseError(f"bad identifier {v!r}", lineno)
             if ename in eidx:
                 raise ParseError(f"duplicate edge {ename!r}", lineno)
             for v in (tail, head):
@@ -499,6 +501,8 @@ def parse_diagram(text: str) -> SurfaceDiagram:
                 raise ParseError(
                     "expected: face NAME cell CELL orient ± boundary E1,±E2,...", lineno)
             fname, cell, orient, blist = m.groups()
+            if not _IDENT.match(fname):
+                raise ParseError(f"bad identifier {fname!r}", lineno)
             if fname in fnames:
                 raise ParseError(f"duplicate face {fname!r}", lineno)
             fnames.add(fname)

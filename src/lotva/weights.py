@@ -41,13 +41,14 @@ changes no result:
   of H0; with no such corner no search runs.
 * relative: H0/~ contracts each whole block's polarity classes (below).  A
   scan of weight x > 0 whose limit 2*den - x is at most the lightest
-  positive weight follows only weight-0 darts: it succeeds iff one
-  union-find over H0/~ joins its ends.  With no positive weight below den,
-  a path under 2*den holds at most one positive corner, so a weight-0 scan
+  positive weight follows only weight-0 darts: it succeeds iff its ends
+  lie in one component of H0/~.  With no positive weight below den, a
+  path under 2*den holds at most one positive corner, so a weight-0 scan
   of e succeeds iff e is no bridge of H0/~ or a positive corner under
-  2*den (a whole block's cross corners count as one) joins e's two sides
-  (``_zero_cuts``, one depth-first search).  Only the first corner to
-  succeed is searched, for its witness.
+  2*den (a whole block's cross corners count as one) joins e's two sides.
+  One depth-first search over H0/~ (``_zero_cuts``) finds both its
+  components and those bridges.  Only the first corner to succeed is
+  searched, for its witness.
 
 Delta-blocks on relative links.  ``build_relative_link`` puts the blocks
 after the cell corners, each in the pattern of ``linkage.delta_ends`` on
@@ -444,7 +445,7 @@ def _homred_violation(g: LinkGraph, den: int, iw: dict[int, int], whole: list
     corners = g._corners
     # scans the weight-0 corners decide (see the module docstring)
     light = min(filter(None, iw.values()), default=0)
-    rep = zero = cuts = None
+    cuts = None
     for i, x in iw.items():
         c = corners[i]
         if c.is_delta:
@@ -454,23 +455,12 @@ def _homred_violation(g: LinkGraph, den: int, iw: dict[int, int], whole: list
             if x < 2 * den:
                 return ((c.id, 0),), Fraction(x, den)
             continue
-        if rep is None:  # a whole block's class is its first node of a polarity
-            rep = list(range(len(g.nodes)))
-            for _, order, _, _ in whole:
-                for t, y in enumerate(order):
-                    rep[y] = order[t & 1]
-        if 0 < x and 2 * den - x <= light:
-            if zero is None:
-                zero = UnionFind(len(g.nodes))
-                for j, y in iw.items():
-                    if not y:
-                        zero.union(rep[tails[2 * j]], rep[tails[2 * j + 1]])
-            if zero.find(rep[u]) != zero.find(rep[v]):
-                continue
-        elif not x and not 0 < light < den:
+        # a positive scan that can follow only weight-0 darts, or a weight-0
+        # scan with no positive weight below den
+        if 0 < x and 2 * den - x <= light or not x and not 0 < light < den:
             if cuts is None:
-                cuts = _zero_cuts(rep, tails, iw, whole, 2 * den)
-            if i in cuts:
+                cuts, comp = _zero_cuts(len(g.nodes), tails, iw, whole, 2 * den)
+            if (comp[u] != comp[v]) if x else (i in cuts):
                 continue
         found = _shortest_path_avoiding(adj, blocks, tails, u, v, i,
                                         2 * den - x, den)
@@ -479,15 +469,19 @@ def _homred_violation(g: LinkGraph, den: int, iw: dict[int, int], whole: list
     return None
 
 
-def _zero_cuts(rep: list[int], tails, iw: dict[int, int], whole: list,
-               limit: int) -> set[int]:
+def _zero_cuts(n: int, tails, iw: dict[int, int], whole: list, limit: int
+               ) -> tuple[set[int], list[int]]:
     """The weight-0 corners, by position, whose scan fails when no
-    positive weight is below den: the bridges of H0/~ (on the nodes
-    ``rep``) that no positive corner lighter than ``limit`` crosses.  The
-    depth-first search numbers nodes in preorder, so a subtree is an
-    interval; the tree corner into y is such a bridge when no other corner
-    joins y's subtree to the rest of its component."""
-    n = len(rep)
+    positive weight is below den: the bridges of H0/~ that no positive
+    corner lighter than ``limit`` crosses; and the component of H0/~ of
+    each of the ``n`` nodes, which settles a scan that follows only
+    weight-0 darts.  The depth-first search numbers nodes in preorder, so a
+    subtree is an interval; the tree corner into y is such a bridge when no
+    other corner joins y's subtree to the rest of its component."""
+    rep = list(range(n))  # a whole block's class is its first node of a polarity
+    for _, order, _, _ in whole:
+        for t, y in enumerate(order):
+            rep[y] = order[t & 1]
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     pairs = [(order[0], order[1], -1) for _, order, _, _ in whole]  # -1: positive
     for j, x in iw.items():
@@ -522,8 +516,9 @@ def _zero_cuts(rep: list[int], tails, iw: dict[int, int], whole: list,
         if p >= 0:
             lo[p], hi[p] = min(lo[p], lo[y]), max(hi[p], hi[y])
             size[p] += size[y]
-    return {up[y] for y in seq
-            if parent[y] >= 0 and lo[y] == pre[y] and hi[y] < pre[y] + size[y]}
+    return ({up[y] for y in seq
+             if parent[y] >= 0 and lo[y] == pre[y] and hi[y] < pre[y] + size[y]},
+            [root[y] for y in rep])
 
 
 def _shortest_path_avoiding(adj, blocks, tails, src: int, dst: int, banned: int,

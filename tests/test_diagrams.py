@@ -542,6 +542,19 @@ class TestDiagramFiles:
     def test_parse_errors(self):
         with pytest.raises(ParseError):
             parse_diagram("diagram d over c\nface f cell q orient + boundary e\n")
+        # every vertex, edge and face name is an identifier, wherever it is
+        # first named, so that format_diagram's output parses again
+        head = "diagram d over c\nvertex v\n"
+        for line, name in [("edge e 1a v maps x +", "1a"),
+                           ("edge e v 1a maps x +", "1a"),
+                           ("edge f,g v v maps x +", "f,g"),
+                           ("edge 1e v v maps x +", "1e")]:
+            with pytest.raises(ParseError,
+                               match=f"^line 3: bad identifier '{name}'$"):
+                parse_diagram(head + line + "\n")
+        with pytest.raises(ParseError, match="^line 4: bad identifier '1f'$"):
+            parse_diagram(head + "edge e v v maps x +\n"
+                          "face 1f cell q orient + boundary e\n")
 
     def test_duplicate_face_name(self, pillow):
         text = format_diagram(pillow).replace("face back", "face front")

@@ -15,7 +15,6 @@ from lotva import (DeltaBlock, LinkGraph, WeightAssignment, build_complex,
                    min_weight_reduced_cycle, parse_weights,
                    relative_weight_test, signed_relative_forest_check,
                    weight_test)
-from lotva.linkage import UnionFind
 from lotva.sweep import random_lot
 from lotva.weights import _whole_blocks
 
@@ -223,23 +222,27 @@ def _cell_reweighted(rng, g: LinkGraph, values, across=None) -> WeightAssignment
 
 
 def test_zero_weight_shortcut_matches_reference(cases, monkeypatch):
-    """Scans settled by the weight-0 union-find give the reference's
-    violation, in darts and weight, under non-canonical weights: halves
-    (den 2, whole blocks), every positive weight at least 2 (weight-0
-    scans, which the union-find must not settle), and one reweighted Delta
-    corner; on built, relabeled and reversed-block links.  The relative
-    weight test under canonical weights leaves a built link's Delta view
-    unread."""
+    """Scans settled by the components of the weight-0 corners give the
+    reference's violation, in darts and weight, under non-canonical
+    weights: halves (den 2, whole blocks), every positive weight at least 2
+    (weight-0 scans, which the components must not settle), and one
+    reweighted Delta corner; on built, relabeled and reversed-block links.
+    The relative weight test under canonical weights leaves a built link's
+    Delta view unread."""
     import lotva.weights as weights_module
-    finds = Counter()
+    finds = Counter()  # lookups of a node's weight-0 component, by kind
     kind = "canonical"
 
-    class Counting(UnionFind):
-        def find(self, x):
+    class Counting(list):
+        def __getitem__(self, x):
             finds[kind] += 1
-            return super().find(x)
+            return super().__getitem__(x)
 
-    monkeypatch.setattr(weights_module, "UnionFind", Counting)
+    def counted(*args, _cuts=weights_module._zero_cuts):
+        cuts, comp = _cuts(*args)
+        return cuts, Counting(comp)
+
+    monkeypatch.setattr(weights_module, "_zero_cuts", counted)
     rng = random.Random(107)
     seen = Counter()
     half, two = Fraction(1, 2), Fraction(2)

@@ -341,11 +341,16 @@ class TestFractionReference:
         of the weight-0 corners (``_zero_cuts``), and the same with one cell
         corner below 1, where that rule must stay off."""
         import lotva.weights as weights_module
-        cuts = []
+        cuts = []  # the corners the scans looked up among the bridges
+
+        class Probed(set):
+            def __contains__(self, j):
+                cuts.append(j)
+                return super().__contains__(j)
 
         def counted(*args, _cuts=weights_module._zero_cuts):
-            cuts.append(args)
-            return _cuts(*args)
+            bridges, comp = _cuts(*args)
+            return Probed(bridges), comp
 
         monkeypatch.setattr(weights_module, "_zero_cuts", counted)
         rng = random.Random(105)
