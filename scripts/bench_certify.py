@@ -19,6 +19,9 @@ roots certified by a complete set; then ``certify_va`` and
 follows: ``parse_lot`` of the LOT's text, ``parse_certificate`` of the
 certificate's text and ``verify_certificate``.  Every certificate must
 read back as itself, and its bytes are recorded (total, median, maximum).
+Timed between each root's other calls, ``serialize`` and
+``parse_certificate`` read about 40% above those calls timed alone, and
+are not comparable with the former ``BENCH_codec.json`` figures.
 
 ``best_times`` runs every call in each of five rounds and keeps its best
 round; a stage's figures (``summary``) are the median, the 90th percentile
@@ -66,15 +69,15 @@ HOST = {"python": platform.python_version(), "machine": platform.machine(),
         "cpus": os.cpu_count()}
 
 
-def best_times(calls: list, rounds: int = ROUNDS) -> tuple[dict, list]:
+def best_times(calls: list) -> tuple[dict, list]:
     """Each (key, function, arguments) of ``calls`` run in each of
-    ``rounds`` rounds, in order: the best (scaled, raw) seconds per key, and
+    ``ROUNDS`` rounds, in order: the best (scaled, raw) seconds per key, and
     the [least, greatest] host factor."""
     times = []    # (key, raw s), in run order
     factors = []  # the host factor of each entry of times
     clock = time.perf_counter
     scaler = Scaler()
-    for _ in range(rounds):
+    for _ in range(ROUNDS):
         for key, fn, args in calls:
             t0 = clock()
             fn(*args)
@@ -138,13 +141,13 @@ def root_calls(text: str) -> tuple[str, int, list]:
     return cert.kind, len(cert_text.encode()), calls
 
 
-def measure(texts: list, rounds: int = ROUNDS) -> dict:
+def measure(texts: list) -> dict:
     """The record of one input set: the roots' kinds and certificate
     bytes, and each stage's summary, over all roots and by root kind."""
     kinds, sizes, calls = zip(*map(root_calls, texts))
     best, factor_range = best_times(
         [((r, stage), fn, args) for r, root in enumerate(calls)
-         for stage, fn, args in root], rounds)
+         for stage, fn, args in root])
     stages: dict[str, list] = {}
     by_kind: dict[str, dict[str, list]] = {}
     for (r, stage), b in best.items():

@@ -59,16 +59,16 @@ def test_bench_relative_verdicts():
 
 def test_bench_certify_loop():
     """The timing loop and summary of ``scripts/bench_certify.py``, which
-    ``bench_relative.py`` shares, on fig1 and two LOTs of the <=6 sweep in
-    one round: every (root, stage) call gets a finite scaled and raw time,
-    and the record holds each certificate's byte count."""
+    ``bench_relative.py`` shares, on fig1 and two LOTs of the <=6 sweep:
+    every (root, stage) call gets a finite scaled and raw time, and the
+    record holds each certificate's byte count."""
     bench = load("bench_certify")
     texts = [(ROOT / "fixtures" / "fig1.lot").read_text()] + [
         format_lot(lot) for lot in islice(iter_small_lots(6), 0, 80, 40)]
     roots = [bench.root_calls(text) for text in texts]
     calls = [((r, stage), fn, args) for r, (_, _, root) in enumerate(roots)
              for stage, fn, args in root]
-    best, factors = bench.best_times(calls, rounds=1)
+    best, factors = bench.best_times(calls)
     assert sorted(best) == sorted(key for key, _, _ in calls)
     assert all(math.isfinite(t) and t > 0 for b in best.values() for t in b)
     assert 0 < factors[0] <= factors[1]
@@ -78,6 +78,6 @@ def test_bench_certify_loop():
     sizes = [len(serialize_certificate(certify_va(parse_lot(t))).encode())
              for t in texts]
     assert [size for _, size, _ in roots] == sizes
-    record = bench.measure(texts, rounds=1)
+    record = bench.measure(texts)
     assert (record["bytes_total"], record["bytes_max"]) == (sum(sizes), max(sizes))
     assert record["stages"]["certify_va"]["count"] == len(texts)
