@@ -144,29 +144,34 @@ def certify_va(lot: Lot) -> Union[Certificate, CertifyFailure]:
         raise PreconditionError("certify_va requires an injective LOT")
     if not is_compressed(lot):
         raise PreconditionError("certify_va requires a compressed LOT")
-    return _certify(lot)
+    try:
+        return _certify(lot)
+    except _GiveUp as stop:
+        return stop.args[0]
 
 
-def _certify(lot: Lot) -> Union[Certificate, CertifyFailure]:
+class _GiveUp(Exception):
+    """Raised with the ``CertifyFailure`` of a search that came up empty,
+    which ``certify_va`` returns."""
+
+
+def _certify(lot: Lot) -> Certificate:
     if lot.num_edges <= 1:
         return BaseTrivial()
 
     bw = boundary_reducible_witness(lot)
     if bw is not None:
         edge_id, v = bw
-        child = _certify(boundary_reduce(lot, edge_id, v))
-        if isinstance(child, CertifyFailure):
-            return child
-        return BoundaryReduction(edge_id, v, child)
+        return BoundaryReduction(edge_id, v, _certify(boundary_reduce(lot, edge_id, v)))
 
     structure = SublotStructure(lot)
     if structure.prime:
         corners = FlipForests(lot, ())
         flip = corners.first_forest_flip()
         if flip is None:
-            return CertifyFailure(
+            raise _GiveUp(CertifyFailure(
                 "prime-orientation-search",
-                f"no orientation of {lot.name or 'lot'} gives lk+/lk- forests")
+                f"no orientation of {lot.name or 'lot'} gives lk+/lk- forests"))
         pos, neg = _named_pairs(lot, corners, flip)
         return PrimeWeightTest(frozenset(_bits(flip)), pos, neg)
 
@@ -175,37 +180,27 @@ def _certify(lot: Lot) -> Union[Certificate, CertifyFailure]:
     # out (12,528 of 14,145 non-prime LOTs at every 7th place of the <=6 sweep)
     fd = None if structure.full in structure.closures else free_decomposition(lot)
     if fd is not None:
-        left = _certify(extract_sublot(lot, fd.left_edges))
-        if isinstance(left, CertifyFailure):
-            return left
-        right = _certify(extract_sublot(lot, fd.right_edges))
-        if isinstance(right, CertifyFailure):
-            return right
-        return FreeDecompositionNode(fd.left_edges, fd.right_edges,
-                                     fd.shared_vertex, left, right)
+        return FreeDecompositionNode(fd.left_edges, fd.right_edges, fd.shared_vertex,
+                                     _certify(extract_sublot(lot, fd.left_edges)),
+                                     _certify(extract_sublot(lot, fd.right_edges)))
 
     found = search_complete_set(lot, structure)
     if found is None:
-        return CertifyFailure(
+        raise _GiveUp(CertifyFailure(
             "complete-set-search",
-            "non-prime LOT with neither a free decomposition nor a complete set")
+            "non-prime LOT with neither a free decomposition nor a complete set"))
     sublots, chain = found
     # the search's sub-LOTs are disjoint sub-LOTs, which orientation_search
     # would check again
     flip = FlipForests(lot, sublots).first_forest_flip()
     if flip is None:
-        return CertifyFailure(
+        raise _GiveUp(CertifyFailure(
             "relative-orientation-search",
-            "no orientation gives relative lk+/lk- forests")
-    children = []
-    for part in sublots:
-        child = _certify(extract_sublot(lot, part))
-        if isinstance(child, CertifyFailure):
-            return child
-        children.append(child)
+            "no orientation gives relative lk+/lk- forests"))
+    children = tuple(_certify(extract_sublot(lot, part)) for part in sublots)
     pos, neg = _named_pairs(lot, FlipForests(lot, ()), flip)
     return CompleteSetRelative(tuple(sublots), chain, frozenset(_bits(flip)),
-                               pos, neg, tuple(children))
+                               pos, neg, children)
 
 
 # ---------------------------------------------------------------------------

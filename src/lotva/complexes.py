@@ -47,14 +47,15 @@ class Cell:
 class TwoComplex:
     """Standard 2-complex with a single (implicit) vertex.
 
-    ``_int_corners`` holds ``linkage.int_corners`` of the complex once a
-    link builder or forest check has asked for it, so the pass runs at
+    ``_int_corners`` holds the link nodes and ``linkage.int_corners`` of
+    the complex (``linkage._complex_corners``) once a link builder, forest
+    check or relative weight test has asked for them, so the pass runs at
     most once per complex.  Equality, hashing and repr ignore it.
     """
     edge_names: tuple[str, ...]
     cells: tuple[Cell, ...]
     name: str = field(default="", compare=False)
-    _int_corners: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = field(
+    _int_corners: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):

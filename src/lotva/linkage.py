@@ -174,22 +174,23 @@ def int_corners(cx: TwoComplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(ends), tuple(corner_offsets(cx))
 
 
-def _complex_corners(cx: TwoComplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``int_corners(cx)``, computed on first use and kept on cx."""
+def _complex_corners(cx: TwoComplex) -> tuple[
+        tuple[EdgeEnd, ...], tuple[int, ...], tuple[int, ...]]:
+    """The nodes x+, x- per edge in edge order (so end e is nodes[e]), then
+    ``int_corners(cx)``; computed on first use and kept on cx."""
     if cx._int_corners is None:
-        object.__setattr__(cx, "_int_corners", int_corners(cx))
+        # tuple.__new__ is what the named tuples' _make calls, minus its frame
+        nodes = tuple(map(tuple.__new__, repeat(EdgeEnd),
+                          [(x, s) for x in cx.edge_names for s in (1, -1)]))
+        object.__setattr__(cx, "_int_corners", (nodes, *int_corners(cx)))
     return cx._int_corners
 
 
 def _link(cx: TwoComplex, removed: frozenset[str]) -> tuple[
         tuple[EdgeEnd, ...], list[Corner], list[int]]:
-    """The nodes x+, x- per edge in edge order (so end e is nodes[e]), and
-    the corners and their ends of every cell not in ``removed``, numbered
-    from 0."""
-    # tuple.__new__ is what the named tuples' _make calls, minus its frame
-    nodes = tuple(map(tuple.__new__, repeat(EdgeEnd),
-                      [(x, s) for x in cx.edge_names for s in (1, -1)]))
-    ends, first = _complex_corners(cx)
+    """The nodes of ``_complex_corners``, and the corners and their ends of
+    every cell not in ``removed``, numbered from 0."""
+    nodes, ends, first = _complex_corners(cx)
     kept = [(cell.name, first[j], first[j + 1]) for j, cell in enumerate(cx.cells)
             if cell.name not in removed]
     kept_ends = [e for _, lo, hi in kept for e in ends[2 * lo:2 * hi]]
@@ -347,7 +348,7 @@ def signed_relative_forest_check(cx: TwoComplex, fam: SubcomplexFamily, pol: int
     if pol not in (1, -1):
         raise PreconditionError(f"polarity must be 1 or -1, got {pol!r}")
     validate_family(cx, fam)
-    ends, first = _complex_corners(cx)
+    _, ends, first = _complex_corners(cx)
     n = len(cx.edge_names)
     part = {x: n + i for i, (edges, _) in enumerate(fam.parts) for x in edges}
     # per edge, the quotient node of its end of polarity pol

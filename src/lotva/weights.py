@@ -84,6 +84,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from numbers import Rational
 from operator import xor
 from typing import Iterable, Optional, Sequence
@@ -91,7 +92,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import LotvaError, ParseError, PreconditionError, StructureError
 from .complexes import (SubcomplexFamily, TwoComplex, exponent_sum,
                         validate_family)
-from .linkage import (EdgeEnd, LinkGraph, UnionFind, delta_ends,
+from .linkage import (LinkGraph, UnionFind, _complex_corners, delta_ends,
                       forest_cycle_index)
 from .lot import Lot, sublot_vertices, is_sublot
 
@@ -462,8 +463,7 @@ def _homred_violation(g: LinkGraph, den: int, iw: dict[int, int], whole: list
                 cuts, comp = _zero_cuts(len(g.nodes), tails, iw, whole, 2 * den)
             if (comp[u] != comp[v]) if x else (i in cuts):
                 continue
-        found = _shortest_path_avoiding(adj, blocks, tails, u, v, i,
-                                        2 * den - x, den)
+        found = _shortest_path_avoiding(adj, blocks, u, v, i, 2 * den - x, den)
         if found is not None:
             return ((c.id, 0),) + _darts(g, found[1]), Fraction(x + found[0], den)
     return None
@@ -521,17 +521,17 @@ def _zero_cuts(n: int, tails, iw: dict[int, int], whole: list, limit: int
             [root[y] for y in rep])
 
 
-def _shortest_path_avoiding(adj, blocks, tails, src: int, dst: int, banned: int,
+def _shortest_path_avoiding(adj, blocks, src: int, dst: int, banned: int,
                             limit: int, den: int) -> Optional[tuple[int, list[int]]]:
     """Dijkstra on the undirected multigraph minus corner ``banned``: the
     shortest src-dst path as (weight, darts) if it weighs less than
-    ``limit``, else None.  The predecessor tree makes the path simple; as in
-    the cycle search, nothing of weight >= limit is pushed.  An adjacency
-    entry (-1, b, t) is node t of whole block blocks[b] = (node order,
-    position of its first corner, node count), expanded once per (block,
-    polarity)."""
+    ``limit``, else None.  The predecessor tree, (dart, node) per node,
+    makes the path simple; as in the cycle search, nothing of weight >=
+    limit is pushed.  An adjacency entry (-1, b, t) is node t of whole
+    block blocks[b] = (node order, position of its first corner, node
+    count), expanded once per (block, polarity)."""
     dist = [limit] * len(adj)
-    prev = [-1] * len(adj)
+    prev: list = [None] * len(adj)
     expanded = [False] * (2 * len(blocks))
     dist[src] = 0
     counter = 0
@@ -543,8 +543,8 @@ def _shortest_path_avoiding(adj, blocks, tails, src: int, dst: int, banned: int,
         if u == dst:
             path = []
             while u != src:
-                path.append(prev[u])
-                u = _dart_tail(tails, blocks, prev[u])
+                d, u = prev[u]
+                path.append(d)
             path.reverse()
             return du, path
         for v, d, x in adj[u]:
@@ -569,7 +569,7 @@ def _shortest_path_avoiding(adj, blocks, tails, src: int, dst: int, banned: int,
                     y = order[j]
                     if nd < dist[y]:
                         dist[y] = nd
-                        prev[y] = dart
+                        prev[y] = dart, u
                         counter += 1
                         heapq.heappush(heap, (nd, counter, y))
                 continue
@@ -578,19 +578,10 @@ def _shortest_path_avoiding(adj, blocks, tails, src: int, dst: int, banned: int,
             nd = du + x
             if nd < dist[v]:
                 dist[v] = nd
-                prev[v] = d
+                prev[v] = d, u
                 counter += 1
                 heapq.heappush(heap, (nd, counter, v))
     return None
-
-
-def _dart_tail(tails, blocks, d: int) -> int:
-    """The node dart d leaves, read from ``delta_ends`` for a Delta dart of
-    a whole block (past the end of ``tails`` while the view is unfilled)."""
-    for order, start, k in blocks:
-        if 0 <= d - 2 * start < k * (k + 1):
-            return delta_ends(k)(order)[d - 2 * start]
-    return tails[d]
 
 
 # ---------------------------------------------------------------------------
@@ -611,62 +602,63 @@ def weight_test(cx: TwoComplex, g: LinkGraph, w: WeightAssignment) -> Verdict:
     return Verdict(True)
 
 
-def _relative_cell_sums(cx: TwoComplex, g: LinkGraph, k_cells: frozenset[str],
-                        den: int, iw: dict[int, int], whole: list) -> dict[str, int]:
-    """Each cell's scaled corner weight sum, after checking that g has the
-    corners of lk(L, K): every position of every cell outside K once, and
-    per Delta-block one corner on each pair of its nodes and one loop at
-    each node, all inside the block.  Delta corners must weigh 0 within a
-    polarity and 1 across (condition (3)).  Else PreconditionError.
-
-    The ``whole`` blocks (``_whole_blocks``) already hold exactly that; iw
-    gives the scaled weights of the other corners by position, and only
-    those are read here."""
-    n = len(g.nodes)
-    pol = [x.polarity for x in g.nodes]
-    pos = {x: i for i, x in enumerate(g.nodes)}
-    block_of: list[Optional[int]] = [None] * n
-    need = 0
-    for bi, blk in enumerate(g.delta_blocks):
-        if not blk.nodes <= pos.keys():
-            raise PreconditionError("link is not the relative link of this family")
-        for x in blk.nodes:
-            block_of[pos[x]] = bi
-        need += len(blk.nodes) * (len(blk.nodes) + 1) // 2
-    size = {c.name: len(c.boundary) for c in cx.cells if c.name not in k_cells}
-    need += sum(size.values())
-    sums = dict.fromkeys(size, 0)
-    keys: list = []  # an int per Delta corner's node pair, a provenance per cell corner
-    ends = g._ends
+def _relative_cell_sums(cx: TwoComplex, fam: SubcomplexFamily, g: LinkGraph,
+                        den: int, iw: dict[int, int]) -> dict[str, int]:
+    """Each cell's scaled corner weight sum, once g is found to be lk(L, K)
+    of cx and fam (see ``relative_weight_test``), else PreconditionError.
+    Only corners outside the whole blocks (iw, by position) are read: a
+    whole block is its part's Delta corners, laid out by the builder on
+    its DeltaBlock's nodes, checked here.  Ends are compared as ends of
+    ``int_corners(cx)``, which a link built from cx has as positions."""
+    nodes, want, first = _complex_corners(cx)
+    ends, parts, blocks = g._ends, fam.parts, g.delta_blocks
+    if g.nodes is not nodes:
+        code = list(map(dict(zip(nodes, count())).get, g.nodes))
+        if len(code) != len(nodes) or set(code) != set(range(len(nodes))):
+            raise PreconditionError("link nodes are not the edge-ends of this complex")
+        ends = list(map(code.__getitem__, ends))
+    if blocks is None or len(blocks) != len(parts) or any(
+            blk.nodes != {(x, s) for x in edges for s in (1, -1)}
+            for blk, (edges, _) in zip(blocks, parts)):
+        raise PreconditionError("link is not the relative link of this family")
+    k_cells = fam.all_cells
+    span = {c.name: (first[j], first[j + 1]) for j, c in enumerate(cx.cells)
+            if c.name not in k_cells}
+    sums = dict.fromkeys(span, 0)
+    names, n, corners = cx.edge_names, len(nodes), g._corners
+    seen: dict[int, int] = {}  # key: position; int_corners index or -1 - end pair
     for i, x in iw.items():
-        c = g._corners[i]
-        a, b = ends[2 * i], ends[2 * i + 1]
+        c = corners[i]
+        u, v = ends[2 * i], ends[2 * i + 1]
         prov = c.provenance
         where = prov[1]
         if prov[0] == "delta":
-            if block_of[a] != where or block_of[b] != where:
+            if not (0 <= where < len(parts) and names[u >> 1] in parts[where][0]
+                    and names[v >> 1] in parts[where][0]):
                 raise PreconditionError(f"delta corner {c.id} leaves its block")
-            expected = int(pol[a] != pol[b])
-            if x != expected * den:
+            if x != ((u ^ v) & 1) * den:
                 raise PreconditionError(f"delta corner {c.id} must have weight "
-                                        f"{expected}, got {Fraction(x, den)}")
-            keys.append(a * n + b if a <= b else b * n + a)
+                                        f"{(u ^ v) & 1}, got {Fraction(x, den)}")
+            key = -1 - (u * n + v if u <= v else v * n + u)
         else:
-            if where in k_cells:
-                raise PreconditionError(f"link keeps corner {c.id} of K-cell "
-                                        f"{where!r}")
-            if not 0 <= prov[2] < size.get(where, 0):
-                raise PreconditionError(f"corner {c.id} at {where!r} position "
-                                        f"{prov[2]} is no corner of lk(L, K)")
+            lo, hi = span.get(where, (0, 0))
+            key = lo + prov[2]
+            if not lo <= key < hi:
+                raise PreconditionError(
+                    f"link keeps corner {c.id} of K-cell {where!r}" if where in k_cells
+                    else f"corner {c.id} at {where!r} position {prov[2]} is no "
+                    f"corner of lk(L, K)")
+            a, b = want[2 * key], want[2 * key + 1]
+            if not (u == a and v == b or u == b and v == a):
+                raise PreconditionError(
+                    f"corner {c.id} at {where!r} position {prov[2]} joins {c.a} "
+                    f"and {c.b}, not {nodes[a]} and {nodes[b]}")
             sums[where] += x
-            keys.append(prov)
-    if len(set(keys)) != len(keys):
-        seen: set = set()
-        for i, key in zip(iw, keys):
-            if key in seen:
-                raise PreconditionError(f"link repeats corner {g._ids[i]}")
-            seen.add(key)
-    if len(keys) + sum(end - start for _, _, start, end in whole) != need:
+        if seen.setdefault(key, i) != i:
+            raise PreconditionError(f"link repeats corner {c.id}")
+    # k(k + 1)/2 Delta corners per block of k ends, and the cells' corners
+    if len(g._ids) != sum(len(e) * (2 * len(e) + 1) for e, _ in parts) + sum(
+            hi - lo for lo, hi in span.values()):
         raise PreconditionError("link misses corners of the relative link")
     return sums
 
@@ -675,12 +667,23 @@ def relative_weight_test(cx: TwoComplex, fam: SubcomplexFamily,
                          w: WeightAssignment, link: LinkGraph) -> Verdict:
     """Weight test relative to K = K_1 v ... v K_n.
 
-    ``link`` is lk(L, K) as ``build_relative_link(cx, fam)`` builds it: one
-    Delta-block per part, on exactly that part's edge-ends, holding the
-    part's Delta corners, and each corner of a cell outside K once.  Any
-    other link raises PreconditionError, as do a K-cell of nonzero
-    exponent sum and Delta corners that do not carry their fixed weights.
-    A family whose parts are not subcomplexes of cx raises StructureError.
+    ``link`` must be lk(L, K) of cx and fam, as ``build_relative_link``
+    builds it up to corner ids and the order of nodes, of corners and of
+    each corner's two ends.  Else PreconditionError:
+
+    * its nodes are the edge-ends of cx, and its Delta-blocks, one per
+      part in part order, hold exactly the ends of that part's edges;
+    * the corner of a cell outside K at position p joins the two
+      edge-ends that ``int_corners(cx)`` gives there, in either order;
+    * a Delta corner of block i joins two ends of part i, or one (a
+      loop), and weighs 0 within a polarity and 1 across;
+    * each of those corners comes once and none is missing: one per
+      position of each cell outside K, and per block one per pair of its
+      ends and one loop at each.  Any other corner, such as one of a
+      K-cell, is refused.
+
+    A K-cell of nonzero exponent sum raises PreconditionError too, and a
+    family whose parts are not subcomplexes of cx StructureError.
 
     A Delta-block held by the builder with its prescribed weights is
     checked in bulk, by one comparison, and searched as a block
@@ -696,13 +699,8 @@ def relative_weight_test(cx: TwoComplex, fam: SubcomplexFamily,
         if exponent_sum(cmap[cn].boundary) != 0:
             raise PreconditionError(
                 f"K-cell {cn!r} has exponent sum {exponent_sum(cmap[cn].boundary)}")
-    blocks = link.delta_blocks
-    if blocks is None or len(blocks) != len(fam.parts) or any(
-            blk.nodes != {EdgeEnd(x, s) for x in edges for s in (1, -1)}
-            for blk, (edges, _) in zip(blocks, fam.parts)):
-        raise PreconditionError("link is not the relative link of this family")
     den, iw, whole = _scaled_outside(link, w)
-    sums = _relative_cell_sums(cx, link, k_cells, den, iw, whole)
+    sums = _relative_cell_sums(cx, fam, link, den, iw)
     cell_verdict = _cell_condition(cx, sums, den, k_cells)
     if not cell_verdict:
         return cell_verdict

@@ -19,6 +19,7 @@ import lotva.lot
 from lotva.certify import MAX_CERT_DEPTH, _closes_up
 from lotva.lot import SublotStructure
 from lotva.sweep import iter_small_lots, random_lot
+from lotva.weights import FlipForests
 from oracles import (collapse_vertex_of, reference_closure,
                      reference_parse_certificate, reference_replay_chain,
                      reference_serialize_certificate,
@@ -123,6 +124,66 @@ class TestPipeline:
             cert = certify_va(lot)
             assert not isinstance(cert, CertifyFailure)
             assert verify_certificate(lot, cert).accepted
+
+
+_NO_PRIME_ORIENTATION = "no orientation of {} gives lk+/lk- forests"
+
+
+def _failing_walks(monkeypatch, fails):
+    """certify.py's ``FlipForests``, whose orientation walk returns None
+    where ``fails(lot, fixed)`` holds and runs as before elsewhere."""
+    real = lotva.certify.FlipForests
+
+    def forests(lot, fixed):
+        walk = real(lot, fixed)
+        if fails(lot, fixed):
+            walk.first_forest_flip = lambda budget=None: None
+        return walk
+
+    monkeypatch.setattr(lotva.certify, "FlipForests", forests)
+
+
+class TestGiveUp:
+    """Each search of the prover that comes up empty ends ``certify_va``
+    with a ``CertifyFailure`` naming it, from the root or from a node
+    under a boundary reduction, either side of a free decomposition or a
+    complete set."""
+
+    def test_prime_root(self, prime, monkeypatch):
+        monkeypatch.setattr(FlipForests, "first_forest_flip",
+                            lambda self, budget=None: None)
+        assert certify_va(prime) == CertifyFailure(
+            "prime-orientation-search", _NO_PRIME_ORIENTATION.format("prime"))
+
+    @pytest.mark.parametrize("root, source, only", [
+        ("bdry-red", "edge v0 v1 v2\nedge v0 v2 v1\nedge v1 v3 v0\n", None),
+        ("free-dec", "fig3", "x1"),
+        ("free-dec", "fig3", "y1"),
+        ("complete-set", "fig1", None)])
+    def test_prime_node_under(self, fixture_dir, monkeypatch, root, source, only):
+        """Walks with nothing fixed fail (on the sub-LOT holding vertex
+        ``only``, if given): the first prime node's failure is the
+        result.  That node's LOT is a sub-LOT, which has no name."""
+        path = fixture_dir / f"{source}.lot"
+        lot = parse_lot(path.read_text() if path.exists() else source)
+        assert certify_va(lot).kind == root
+        _failing_walks(monkeypatch, lambda sub, fixed: not fixed and (
+            only is None or only in sub.vertices))
+        assert certify_va(lot) == CertifyFailure(
+            "prime-orientation-search", _NO_PRIME_ORIENTATION.format("lot"))
+
+    def test_relative_walk(self, fig1, monkeypatch):
+        _failing_walks(monkeypatch, lambda lot, fixed: bool(fixed))
+        assert certify_va(fig1) == CertifyFailure(
+            "relative-orientation-search",
+            "no orientation gives relative lk+/lk- forests")
+
+    def test_complete_set_search(self, fig1, monkeypatch):
+        monkeypatch.setattr(lotva.certify, "search_complete_set",
+                            lambda lot, structure: None)
+        assert certify_va(fig1) == CertifyFailure(
+            "complete-set-search",
+            "non-prime LOT with neither a free decomposition nor a complete set")
 
 
 class TestSerialization:

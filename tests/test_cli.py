@@ -10,6 +10,7 @@ from lotva import format_lot
 from lotva import cli
 from lotva.cli import main
 from lotva.sweep import random_lot
+from lotva.weights import FlipForests
 
 
 def run(capsys, *argv):
@@ -214,6 +215,14 @@ class TestCertifyCli:
         p.write_text("vertex a\nvertex b\nedge a b a\n")
         code, _, err = run(capsys, "certify", str(p))
         assert code == 2
+
+    def test_no_certificate_found(self, capsys, fixture_dir, monkeypatch):
+        monkeypatch.setattr(FlipForests, "first_forest_flip",
+                            lambda self, budget=None: None)
+        code, out, err = run(capsys, "certify", str(fixture_dir / "prime.lot"))
+        assert (code, out, err) == (1, "", "no certificate found: prime-orientation-"
+                                    "search: no orientation of prime gives lk+/lk- "
+                                    "forests\n")
 
 
 _COMPLETE_SET_TAIL = "(flipped) (pos) (neg) (children))"

@@ -554,7 +554,10 @@ class TestRelativeWeightTest:
     def test_link_of_another_family_rejected(self, fig1):
         """Given the absolute link, or the relative link of the empty family,
         the test used to search the wrong graph and report a weight-0 cycle
-        ((5, 0), (13, 0)); a link that is not lk(L, K) is now refused."""
+        ((5, 0), (13, 0)); a link that is not lk(L, K) is now refused.  So
+        is the link of fig1 given with fig1 with edge 0 reversed, which
+        used to pass although that complex's own link fails, and a link
+        with one node more, new or repeated."""
         cx = build_complex(fig1)
         fam = derive_subcomplexes(fig1, [frozenset({1, 2, 3, 4})])
         own = build_relative_link(cx, fam)
@@ -564,39 +567,66 @@ class TestRelativeWeightTest:
                   build_relative_link(cx, derive_subcomplexes(fig1, []))):
             with pytest.raises(PreconditionError, match="not the relative link"):
                 relative_weight_test(cx, fam, canonical_weights(g), g)
+        flipped = build_complex(reorient(fig1, {0}))
+        g = build_relative_link(flipped, fam)
+        assert relative_weight_test(flipped, fam, canonical_weights(g), g) == \
+            Verdict(False, ("cycle", ((1, 0), (5, 0)), 0))
+        with pytest.raises(PreconditionError,
+                           match="corner 0 at 'd_0' position 0 joins g- and f\\+"):
+            relative_weight_test(flipped, fam, canonical_weights(own), own)
+        for extra in (EdgeEnd("zz", 1), own.nodes[0]):  # one node more
+            g = LinkGraph(own.nodes + (extra,), own.corners, own.delta_blocks)
+            with pytest.raises(PreconditionError, match="not the edge-ends"):
+                relative_weight_test(cx, fam, canonical_weights(g), g)
         # same Delta-block, but the corners of the K-cells are still there
         g = build_relative_link(cx, edges_only)
         with pytest.raises(PreconditionError, match="corner 4 of K-cell 'd_1'"):
             relative_weight_test(cx, fam, canonical_weights(g), g)
 
     @pytest.mark.parametrize("change", ["no delta", "delta outside", "cell twice",
-                                        "block node missing"])
+                                        "block node missing", "cell corner rewired",
+                                        "cell corner reversed"])
     def test_other_corners_rejected(self, fig1, change):
         """Right blocks, wrong corners: all 55 Delta corners dropped, a
-        Delta corner moved outside its block, a cell corner twice, or a
-        block node missing from the link with its corners.  The first two
-        used to pass and the third to report a cell violation."""
-        cx = build_complex(fig1)
+        Delta corner moved outside its block, a cell corner twice, a block
+        node missing from the link with its corners, or corner 0 moved to
+        a node that is neither of its ends.  The first two and the last
+        used to pass and the third to report a cell violation.  Corner 0
+        with its ends swapped is the same corner, so that link is accepted
+        with the built link's verdict: a pass on fig1, and a fail on fig1
+        with edge 0 reversed."""
         fam = derive_subcomplexes(fig1, [frozenset({1, 2, 3, 4})])
-        g = build_relative_link(cx, fam)
-        corners = list(g.corners)
-        if change == "no delta":
-            assert sum(c.is_delta for c in corners) == 55
-            corners = [c for c in corners if not c.is_delta]
-        elif change == "delta outside":
-            outside = next(n for n in g.nodes if n not in g.delta_blocks[0].nodes)
-            i = next(i for i, c in enumerate(corners) if c.is_delta and c.a != c.b)
-            corners[i] = corners[i]._replace(b=outside)
-        elif change == "cell twice":
-            corners.append(corners[0]._replace(id=len(corners)))
-        nodes = g.nodes
-        if change == "block node missing":
-            gone = next(iter(g.delta_blocks[0].nodes))
-            nodes = tuple(n for n in nodes if n != gone)
-            corners = [c for c in corners if gone not in (c.a, c.b)]
-        h = LinkGraph(nodes, tuple(corners), g.delta_blocks)
-        with pytest.raises(PreconditionError):
-            relative_weight_test(cx, fam, canonical_weights(h), h)
+        for flip in ({0}, set()) if change == "cell corner reversed" else (set(),):
+            cx = build_complex(reorient(fig1, flip))
+            g = build_relative_link(cx, fam)
+            corners = list(g.corners)
+            if change == "no delta":
+                assert sum(c.is_delta for c in corners) == 55
+                corners = [c for c in corners if not c.is_delta]
+            elif change == "delta outside":
+                outside = next(n for n in g.nodes if n not in g.delta_blocks[0].nodes)
+                i = next(i for i, c in enumerate(corners) if c.is_delta and c.a != c.b)
+                corners[i] = corners[i]._replace(b=outside)
+            elif change == "cell twice":
+                corners.append(corners[0]._replace(id=len(corners)))
+            elif change == "cell corner rewired":
+                c = corners[0]
+                corners[0] = c._replace(b=next(n for n in g.nodes if n not in (c.a, c.b)))
+            elif change == "cell corner reversed":
+                corners[0] = corners[0]._replace(a=corners[0].b, b=corners[0].a)
+            nodes = g.nodes
+            if change == "block node missing":
+                gone = next(iter(g.delta_blocks[0].nodes))
+                nodes = tuple(n for n in nodes if n != gone)
+                corners = [c for c in corners if gone not in (c.a, c.b)]
+            h = LinkGraph(nodes, tuple(corners), g.delta_blocks)
+            if change != "cell corner reversed":
+                with pytest.raises(PreconditionError):
+                    relative_weight_test(cx, fam, canonical_weights(h), h)
+                continue
+            verdict = relative_weight_test(cx, fam, canonical_weights(h), h)
+            assert verdict.ok == (not flip)
+            assert verdict.ok == relative_weight_test(cx, fam, canonical_weights(g), g).ok
 
     def test_unknown_family_cell_rejected(self, fig1):
         cx = build_complex(fig1)
