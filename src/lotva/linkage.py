@@ -20,7 +20,7 @@ from collections import deque
 from functools import lru_cache
 from itertools import accumulate, count, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import PreconditionError, StructureError
 from .complexes import SubcomplexFamily, TwoComplex, validate_family
@@ -76,20 +76,13 @@ class _Value:
 
 
 class DeltaBlock(_Value):
-    """The nodes of one Delta-block and the ids of its Delta corners.
-    ``build_relative_link`` passes the ids as a range (they are positions
-    there); ``corner_ids`` makes the frozenset on first read."""
-    __slots__ = ("nodes", "_ids")
-    _fields = ("nodes", "corner_ids")
+    """The nodes of one Delta-block.  Its Delta corners are those whose
+    provenance is ("delta", block index)."""
+    __slots__ = ("nodes",)
+    _fields = ("nodes",)
 
-    def __init__(self, nodes: frozenset[EdgeEnd], corner_ids: Iterable[int]):
-        self.nodes, self._ids = nodes, corner_ids
-
-    @property
-    def corner_ids(self) -> frozenset[int]:
-        if not isinstance(self._ids, frozenset):
-            self._ids = frozenset(self._ids)
-        return self._ids
+    def __init__(self, nodes: frozenset[EdgeEnd]):
+        self.nodes = nodes
 
 
 class LinkGraph(_Value):
@@ -99,12 +92,14 @@ class LinkGraph(_Value):
     ends[2 * i + 1] are where a and b of corners[i] sit in ``nodes``.
 
     ``_ids`` is every corner's id by position.  ``_orders`` holds the
-    Delta-blocks ``build_relative_link`` keeps as node orders, as (block
-    index, node order, position of the first corner, position after the
-    last).  Their Delta corners and ends are a view of ``delta_ends``,
-    filled into ``_corners`` and ``_ends`` on the first read of ``corners``
-    or ``ends``; it is filled exactly when ``len(_corners) == len(_ids)``.
-    ``_orders`` stays, so the weight tests read the blocks whole either way.
+    Delta-blocks as (block index, node order, position of the first
+    corner, position after the last), or is None when the link's Delta
+    corners are not in the layout of ``build_relative_link`` (see
+    ``_held_orders``): the weight tests read only held blocks, each as a
+    whole, and refuse any other relative link.  The Delta corners and ends
+    of a built link are a view of ``delta_ends``, filled into ``_corners``
+    and ``_ends`` on the first read of ``corners`` or ``ends``; it is
+    filled exactly when ``len(_corners) == len(_ids)``.
     """
     __slots__ = ("nodes", "delta_blocks", "_corners", "_ends", "_ids", "_orders")
     _fields = ("nodes", "corners", "delta_blocks")
@@ -117,8 +112,9 @@ class LinkGraph(_Value):
         except KeyError as exc:
             raise StructureError(f"corner end {exc.args[0]} is not a node") from None
         self.nodes, self.delta_blocks = nodes, delta_blocks
-        self._corners, self._ends, self._orders = corners, ends, ()
+        self._corners, self._ends = corners, ends
         self._ids = tuple(c.id for c in corners)
+        self._orders = _held_orders(nodes, corners, ends, delta_blocks or ())
 
     @property
     def corners(self) -> tuple[Corner, ...]:
@@ -149,6 +145,29 @@ def _built(nodes, corners, ends, delta_blocks=None, orders=()) -> LinkGraph:
     g.nodes, g.delta_blocks, g._corners, g._ends = nodes, delta_blocks, corners, ends
     g._orders, g._ids = orders, range(orders[-1][3] if orders else len(corners))
     return g
+
+
+def _held_orders(nodes, corners, ends, blocks) -> Optional[tuple]:
+    """``LinkGraph._orders`` of a link built by hand: the Delta corners
+    follow the cell corners, block after block in block order, and block
+    i's run is ``delta_ends`` of an order of its nodes that alternates x+,
+    x-, which its loops, the last k corners of the run, give.  Corner ids
+    and the order of the link's nodes may be anything.  Else None."""
+    start = next((i for i, c in enumerate(corners) if c.is_delta), len(corners))
+    orders = []
+    for bi, blk in enumerate(blocks):
+        k = len(blk.nodes)
+        end = start + k * (k + 1) // 2
+        order = ends[2 * end - 2 * k:2 * end:2]
+        if end > len(corners) or any(c.provenance != ("delta", bi)
+                                     for c in corners[start:end]) \
+                or [nodes[u].polarity for u in order] != [1, -1] * (k // 2) \
+                or {nodes[u] for u in order} != blk.nodes \
+                or ends[2 * start:2 * end] != delta_ends(k)(order):
+            return None
+        orders.append((bi, order, start, end))
+        start = end
+    return tuple(orders) if start == len(corners) else None
 
 
 def corner_offsets(cx: TwoComplex) -> list[int]:
@@ -243,8 +262,7 @@ def build_relative_link(cx: TwoComplex, fam: SubcomplexFamily) -> LinkGraph:
         order = tuple(sorted(col[x] + s for x in edges for s in (0, 1)))
         end = start + len(order) * (len(order) + 1) // 2
         orders.append((bi, order, start, end))
-        blocks.append(DeltaBlock(frozenset(map(nodes.__getitem__, order)),
-                                 range(start, end)))
+        blocks.append(DeltaBlock(frozenset(map(nodes.__getitem__, order))))
         start = end
     return _built(nodes, tuple(corners), tuple(ends), tuple(blocks), tuple(orders))
 

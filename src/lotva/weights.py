@@ -39,13 +39,13 @@ changes no result:
   floor.  If also 2*floor >= limit, a cycle under the limit holds one
   positive corner, lighter than the limit and with both ends on one tree
   of H0; with no such corner no search runs.
-* relative: H0/~ contracts each whole block's polarity classes (below).  A
+* relative: H0/~ contracts each block's polarity classes (below).  A
   scan of weight x > 0 whose limit 2*den - x is at most the lightest
   positive weight follows only weight-0 darts: it succeeds iff its ends
   lie in one component of H0/~.  With no positive weight below den, a
   path under 2*den holds at most one positive corner, so a weight-0 scan
   of e succeeds iff e is no bridge of H0/~ or a positive corner under
-  2*den (a whole block's cross corners count as one) joins e's two sides.
+  2*den (a block's cross corners count as one) joins e's two sides.
   One depth-first search over H0/~ (``_zero_cuts``) finds both its
   components and those bridges.  Only the first corner to succeed is
   searched, for its witness.
@@ -53,21 +53,19 @@ changes no result:
 Delta-blocks on relative links.  ``build_relative_link`` puts the blocks
 after the cell corners, each in the pattern of ``linkage.delta_ends`` on
 nodes of alternating polarity, and holds each as its node order
-(``LinkGraph._orders``); ``canonical_weights`` weights it in bulk.  A held
-block that carries its prescribed weights is "whole" (``_whole_blocks``,
-one comparison), before and after the link's view of its corners is
-filled: its weights are neither scaled nor summed, and the search holds
-one adjacency entry per node for it in place of its darts.  The first node
-of a (block, polarity) that a Dijkstra run settles expands the block:
-every node of the block, in block order, at +0 within the polarity and
-+den across, with the dart numbers of the pattern.  A node of the same
-(block, polarity) settled later is no closer, so its expansion could not
-improve any distance and is skipped; the pushes, and so the witnesses, are
-those of a search through every Delta dart.  Only held blocks are read
-whole: every block of a link built by hand, and a held block with other
-weights, is checked and searched corner by corner.  Python-level work per
-relative test is then in proportion to the cell corners and the blocks'
-nodes, not to the Delta corners.
+(``LinkGraph._orders``); a link built by hand in that layout holds its
+blocks too.  The relative tests read only such links, and only with the
+prescribed Delta weights, compared once per block (``_scaled_cells``);
+anything else is refused.  A block's weights are neither scaled nor
+summed, and the search holds one adjacency entry per node for it in place
+of its darts.  The first node of a (block, polarity) that a Dijkstra run
+settles expands the block: every node of the block, in block order, at +0
+within the polarity and +den across, with the dart numbers of the
+pattern.  A node of the same (block, polarity) settled later is no
+closer, so its expansion could not improve any distance and is skipped;
+the pushes, and so the witnesses, are those of a search through every
+Delta dart.  Python-level work per relative test is then in proportion
+to the cell corners and the blocks' nodes, not to the Delta corners.
 
 Orientation search (``FlipForests.first_forest_flip``) walks flip masks in
 counter order.  Where each node but a root labels one free edge, a walk
@@ -179,29 +177,33 @@ def canonical_weights(g: LinkGraph) -> WeightAssignment:
     The weights are ints by position: a corner outside held Delta-blocks
     is weighted from its ends, a held block gets ``_delta_ints`` in bulk.
     The read-only map answers each id with one of two shared Fractions;
-    ``scaled`` returns the ints with den 1, and ``_whole_blocks`` compares
+    ``scaled`` returns the ints with den 1, and ``_scaled_cells`` compares
     a block's ints to the pattern at once."""
     side = [(1 - n.polarity) >> 1 for n in g.nodes]  # 0 for x+, 1 for x-
-    ends = g._ends[:2 * g._orders[0][2]] if g._orders else g._ends
+    orders = g._orders or ()
+    ends = g._ends[:2 * orders[0][2]] if orders else g._ends
     ints = list(map(xor, map(side.__getitem__, ends[::2]),
                     map(side.__getitem__, ends[1::2])))
-    for _, order, _, _ in g._orders:
+    for _, order, _, _ in orders:
         ints += _delta_ints(len(order))
     return WeightAssignment(_CanonicalWeights(g._ids, tuple(ints)))
 
 
 def check_cell_condition(cx: TwoComplex, g: LinkGraph, w: WeightAssignment,
                          excluded_cells: frozenset[str] = frozenset()) -> Verdict:
-    """Condition (1): every non-excluded cell's corner weights sum to <= q-2."""
-    den, iw = w.scaled(g._ids)
+    """Condition (1): every non-excluded cell's corner weights sum to <= q-2.
+    On a relative link only the cell corners are read, as in
+    ``relative_weight_test``: its Delta-blocks must be held and carry their
+    prescribed weights (``_scaled_cells``)."""
+    den, iw = w.scaled(g._ids) if g.delta_blocks is None else _scaled_cells(g, w)
     return _cell_condition(cx, _cell_sums(g, iw), den, excluded_cells)
 
 
 def _cell_sums(g: LinkGraph, iw: list[int]) -> dict[str, int]:
+    """Each cell's sum of iw, the scaled weights of the first corners."""
     sums: dict[str, int] = {}
-    for c, x in zip(g.corners, iw):
-        if not c.is_delta:
-            sums[c.provenance[1]] = sums.get(c.provenance[1], 0) + x
+    for c, x in zip(g._corners, iw):
+        sums[c.provenance[1]] = sums.get(c.provenance[1], 0) + x
     return sums
 
 
@@ -351,43 +353,30 @@ def _delta_ints(k: int) -> tuple[int, ...]:
     return tuple((i ^ j) & 1 for i, j in zip(pattern[::2], pattern[1::2]))
 
 
-def _whole_blocks(g: LinkGraph, w: WeightAssignment
-                  ) -> list[tuple[int, tuple[int, ...], int, int]]:
-    """The Delta-blocks ``build_relative_link`` holds as node orders
-    (``LinkGraph._orders``) that carry their prescribed weights, 0 within a
-    polarity and 1 across, compared in bulk: the ints of a canonical map
-    whose ids are positions, as the link's are, else the weights.  A link
-    built by hand has none."""
-    ws = w.weights
-    ints = ws.by_id if type(ws) is _CanonicalWeights else None
-    whole = []
-    for block in g._orders:
-        _, order, start, end = block
-        xs = ints[start:end] if ints else tuple(map(ws.get, g._ids[start:end]))
-        if xs == _delta_ints(len(order)) and (ints or all(
-                issubclass(t, Rational) for t in set(map(type, xs)))):
-            whole.append(block)
-    return whole
-
-
-def _scaled_outside(g: LinkGraph, w: WeightAssignment
-                    ) -> tuple[int, dict[int, int], list]:
-    """(den, iw, whole): ``whole`` as ``_whole_blocks`` finds it, and den
-    and the scaled weights, by position, of every other corner.  A whole
-    block's weights are 0 and 1, so they do not change den.  A block held
-    as its node order that is not whole fills the view (``LinkGraph``), so
-    that ``g._corners`` holds every corner outside the whole blocks."""
-    whole = _whole_blocks(g, w)
-    if len(whole) < len(g._orders):  # a held block is read corner by corner
-        g._filled()
-    rest: list[int] = []
-    pos = 0
-    for _, _, start, end in whole:
-        rest += range(pos, start)
-        pos = end
-    rest += range(pos, len(g._ids))
-    den, iw = w.scaled(list(map(g._ids.__getitem__, rest)))
-    return den, dict(zip(rest, iw)), whole
+def _scaled_cells(g: LinkGraph, w: WeightAssignment) -> tuple[int, list[int]]:
+    """(den, iw): den and the scaled weights, by position, of the cell
+    corners of a relative link, which come first.  Every Delta-block must
+    be held (``LinkGraph._orders``) and carry its prescribed weights, 0
+    within a polarity and 1 across, compared in bulk: the ints of a
+    canonical map of the link's ids, else the weights.  Else
+    PreconditionError, or StructureError for a missing weight.  The blocks'
+    weights are 0 and 1, so they do not change den."""
+    if g._orders is None:
+        raise PreconditionError("Delta corners are not laid out as "
+                                "build_relative_link lays them out")
+    ws, ids = w.weights, g._ids
+    ints = ws._ints if type(ws) is _CanonicalWeights and ws._ids == ids else None
+    for _, order, start, end in g._orders:
+        xs = ints[start:end] if ints else tuple(map(ws.get, ids[start:end]))
+        want = _delta_ints(len(order))
+        if xs != want or not ints and not all(
+                issubclass(t, Rational) for t in set(map(type, xs))):
+            w.check_total(ids[start:end])
+            j = next(j for j, x in enumerate(xs)
+                     if x != want[j] or not isinstance(x, Rational))
+            raise PreconditionError(f"delta corner {ids[start + j]} must have "
+                                    f"weight {want[j]}, got {xs[j]!r}")
+    return w.scaled(ids[:g._orders[0][2]] if g._orders else ids)
 
 
 def find_homred_violation(g: LinkGraph, w: WeightAssignment
@@ -404,72 +393,61 @@ def find_homred_violation(g: LinkGraph, w: WeightAssignment
     module docstring); with canonical weights every scan is settled so,
     and only the first violating corner is searched, for its witness.
 
-    A Delta-block held by ``build_relative_link`` that carries its
-    prescribed weights is searched as a block (see ``_homred_violation``);
-    any other block, such as one of a link built by hand or a held block
-    reweighted, is searched corner by corner.  The result is the same.
+    Each Delta-block is searched as a block (see ``_homred_violation``).
+    So the link must have its Delta corners in the layout of
+    ``build_relative_link`` (ids and node order may differ) and the
+    weights must give them their prescribed values; else
+    PreconditionError, or StructureError for a missing weight.
     """
     if g.delta_blocks is None:
         raise PreconditionError("find_homred_violation expects a relative link "
                                 "(delta decoration present, possibly empty)")
-    return _homred_violation(g, *_scaled_outside(g, w))
+    return _homred_violation(g, *_scaled_cells(g, w))
 
 
-def _homred_violation(g: LinkGraph, den: int, iw: dict[int, int], whole: list
+def _homred_violation(g: LinkGraph, den: int, iw: list[int]
                       ) -> Optional[tuple[tuple[Dart, ...], Fraction]]:
-    """The scan of ``find_homred_violation``; iw holds the scaled weights,
-    by position, of the corners outside the ``whole`` blocks.  Their darts
-    form an undirected adjacency list, in dart order; each node of a whole
-    block holds one entry, where its block's darts would come, that
-    expands the block once per (block, polarity) and search (see the
-    module docstring)."""
-    tails = g._ends
+    """The scan of ``find_homred_violation``; iw holds the scaled weights
+    of the cell corners, by position.  Their darts form an undirected
+    adjacency list, in dart order; then each node of a Delta-block holds
+    one entry that expands the block once per (block, polarity) and search
+    (see the module docstring)."""
+    tails, ids = g._ends, g._ids
     # (other end, dart, weight) per corner end, a loop once; (-1, b, t) for
-    # node t of whole block b
+    # node t of block b
     adj: list[list[tuple[int, int, int]]] = [[] for _ in g.nodes]
-
-    def add_darts(lo: int, hi: int) -> None:  # of the corners at lo .. hi - 1
-        for i in range(lo, hi):
-            a, b, x = tails[2 * i], tails[2 * i + 1], iw[i]
-            adj[a].append((b, 2 * i, x))
-            if a != b:
-                adj[b].append((a, 2 * i + 1, x))
-
-    pos = 0
-    for b, (_, order, start, end) in enumerate(whole):
-        add_darts(pos, start)
+    for i, x in enumerate(iw):
+        a, b = tails[2 * i], tails[2 * i + 1]
+        adj[a].append((b, 2 * i, x))
+        if a != b:
+            adj[b].append((a, 2 * i + 1, x))
+    for b, (_, order, _, _) in enumerate(g._orders):
         for t, u in enumerate(order):
             adj[u].append((-1, b, t))
-        pos = end
-    add_darts(pos, len(g._corners))
-    blocks = [(order, start, len(order)) for _, order, start, _ in whole]
-    corners = g._corners
+    blocks = [(order, start, len(order)) for _, order, start, _ in g._orders]
     # scans the weight-0 corners decide (see the module docstring)
-    light = min(filter(None, iw.values()), default=0)
+    light = min(filter(None, iw), default=0)
     cuts = None
-    for i, x in iw.items():
-        c = corners[i]
-        if c.is_delta:
-            continue
+    for i, x in enumerate(iw):
         u, v = tails[2 * i + 1], tails[2 * i]
         if u == v:
             if x < 2 * den:
-                return ((c.id, 0),), Fraction(x, den)
+                return ((ids[i], 0),), Fraction(x, den)
             continue
         # a positive scan that can follow only weight-0 darts, or a weight-0
         # scan with no positive weight below den
         if 0 < x and 2 * den - x <= light or not x and not 0 < light < den:
             if cuts is None:
-                cuts, comp = _zero_cuts(len(g.nodes), tails, iw, whole, 2 * den)
+                cuts, comp = _zero_cuts(len(g.nodes), tails, iw, g._orders, 2 * den)
             if (comp[u] != comp[v]) if x else (i in cuts):
                 continue
         found = _shortest_path_avoiding(adj, blocks, u, v, i, 2 * den - x, den)
         if found is not None:
-            return ((c.id, 0),) + _darts(g, found[1]), Fraction(x + found[0], den)
+            return ((ids[i], 0),) + _darts(g, found[1]), Fraction(x + found[0], den)
     return None
 
 
-def _zero_cuts(n: int, tails, iw: dict[int, int], whole: list, limit: int
+def _zero_cuts(n: int, tails, iw: list[int], orders: tuple, limit: int
                ) -> tuple[set[int], list[int]]:
     """The weight-0 corners, by position, whose scan fails when no
     positive weight is below den: the bridges of H0/~ that no positive
@@ -478,13 +456,13 @@ def _zero_cuts(n: int, tails, iw: dict[int, int], whole: list, limit: int
     weight-0 darts.  The depth-first search numbers nodes in preorder, so a
     subtree is an interval; the tree corner into y is such a bridge when no
     other corner joins y's subtree to the rest of its component."""
-    rep = list(range(n))  # a whole block's class is its first node of a polarity
-    for _, order, _, _ in whole:
+    rep = list(range(n))  # a block's class is its first node of a polarity
+    for _, order, _, _ in orders:
         for t, y in enumerate(order):
             rep[y] = order[t & 1]
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    pairs = [(order[0], order[1], -1) for _, order, _, _ in whole]  # -1: positive
-    for j, x in iw.items():
+    pairs = [(order[0], order[1], -1) for _, order, _, _ in orders]  # -1: positive
+    for j, x in enumerate(iw):
         a, b = rep[tails[2 * j]], rep[tails[2 * j + 1]]
         if a != b and x < limit:
             pairs.append((a, b, -1 if x else j))
@@ -527,7 +505,7 @@ def _shortest_path_avoiding(adj, blocks, src: int, dst: int, banned: int,
     shortest src-dst path as (weight, darts) if it weighs less than
     ``limit``, else None.  The predecessor tree, (dart, node) per node,
     makes the path simple; as in the cycle search, nothing of weight >=
-    limit is pushed.  An adjacency entry (-1, b, t) is node t of whole
+    limit is pushed.  An adjacency entry (-1, b, t) is node t of
     block blocks[b] = (node order, position of its first corner, node
     count), expanded once per (block, polarity)."""
     dist = [limit] * len(adj)
@@ -603,20 +581,20 @@ def weight_test(cx: TwoComplex, g: LinkGraph, w: WeightAssignment) -> Verdict:
 
 
 def _relative_cell_sums(cx: TwoComplex, fam: SubcomplexFamily, g: LinkGraph,
-                        den: int, iw: dict[int, int]) -> dict[str, int]:
+                        iw: list[int]) -> dict[str, int]:
     """Each cell's scaled corner weight sum, once g is found to be lk(L, K)
     of cx and fam (see ``relative_weight_test``), else PreconditionError.
-    Only corners outside the whole blocks (iw, by position) are read: a
-    whole block is its part's Delta corners, laid out by the builder on
-    its DeltaBlock's nodes, checked here.  Ends are compared as ends of
-    ``int_corners(cx)``, which a link built from cx has as positions."""
+    iw holds the weights of the cell corners, which come first; the held
+    blocks behind them (``_scaled_cells``) are checked against the parts
+    by their nodes.  Ends are compared as ends of ``int_corners(cx)``,
+    which a link built from cx has as positions."""
     nodes, want, first = _complex_corners(cx)
     ends, parts, blocks = g._ends, fam.parts, g.delta_blocks
     if g.nodes is not nodes:
         code = list(map(dict(zip(nodes, count())).get, g.nodes))
         if len(code) != len(nodes) or set(code) != set(range(len(nodes))):
             raise PreconditionError("link nodes are not the edge-ends of this complex")
-        ends = list(map(code.__getitem__, ends))
+        ends = list(map(code.__getitem__, ends[:2 * len(iw)]))
     if blocks is None or len(blocks) != len(parts) or any(
             blk.nodes != {(x, s) for x in edges for s in (1, -1)}
             for blk, (edges, _) in zip(blocks, parts)):
@@ -625,40 +603,27 @@ def _relative_cell_sums(cx: TwoComplex, fam: SubcomplexFamily, g: LinkGraph,
     span = {c.name: (first[j], first[j + 1]) for j, c in enumerate(cx.cells)
             if c.name not in k_cells}
     sums = dict.fromkeys(span, 0)
-    names, n, corners = cx.edge_names, len(nodes), g._corners
-    seen: dict[int, int] = {}  # key: position; int_corners index or -1 - end pair
-    for i, x in iw.items():
-        c = corners[i]
+    seen: set[int] = set()  # int_corners indices
+    for i, (c, x) in enumerate(zip(g._corners, iw)):
         u, v = ends[2 * i], ends[2 * i + 1]
-        prov = c.provenance
-        where = prov[1]
-        if prov[0] == "delta":
-            if not (0 <= where < len(parts) and names[u >> 1] in parts[where][0]
-                    and names[v >> 1] in parts[where][0]):
-                raise PreconditionError(f"delta corner {c.id} leaves its block")
-            if x != ((u ^ v) & 1) * den:
-                raise PreconditionError(f"delta corner {c.id} must have weight "
-                                        f"{(u ^ v) & 1}, got {Fraction(x, den)}")
-            key = -1 - (u * n + v if u <= v else v * n + u)
-        else:
-            lo, hi = span.get(where, (0, 0))
-            key = lo + prov[2]
-            if not lo <= key < hi:
-                raise PreconditionError(
-                    f"link keeps corner {c.id} of K-cell {where!r}" if where in k_cells
-                    else f"corner {c.id} at {where!r} position {prov[2]} is no "
-                    f"corner of lk(L, K)")
-            a, b = want[2 * key], want[2 * key + 1]
-            if not (u == a and v == b or u == b and v == a):
-                raise PreconditionError(
-                    f"corner {c.id} at {where!r} position {prov[2]} joins {c.a} "
-                    f"and {c.b}, not {nodes[a]} and {nodes[b]}")
-            sums[where] += x
-        if seen.setdefault(key, i) != i:
+        where, at = c.provenance[1], c.provenance[2]
+        lo, hi = span.get(where, (0, 0))
+        key = lo + at
+        if not lo <= key < hi:
+            raise PreconditionError(
+                f"link keeps corner {c.id} of K-cell {where!r}" if where in k_cells
+                else f"corner {c.id} at {where!r} position {at} is no "
+                f"corner of lk(L, K)")
+        a, b = want[2 * key], want[2 * key + 1]
+        if not (u == a and v == b or u == b and v == a):
+            raise PreconditionError(
+                f"corner {c.id} at {where!r} position {at} joins {c.a} "
+                f"and {c.b}, not {nodes[a]} and {nodes[b]}")
+        if key in seen:
             raise PreconditionError(f"link repeats corner {c.id}")
-    # k(k + 1)/2 Delta corners per block of k ends, and the cells' corners
-    if len(g._ids) != sum(len(e) * (2 * len(e) + 1) for e, _ in parts) + sum(
-            hi - lo for lo, hi in span.values()):
+        seen.add(key)
+        sums[where] += x
+    if len(iw) != sum(hi - lo for lo, hi in span.values()):
         raise PreconditionError("link misses corners of the relative link")
     return sums
 
@@ -668,29 +633,27 @@ def relative_weight_test(cx: TwoComplex, fam: SubcomplexFamily,
     """Weight test relative to K = K_1 v ... v K_n.
 
     ``link`` must be lk(L, K) of cx and fam, as ``build_relative_link``
-    builds it up to corner ids and the order of nodes, of corners and of
-    each corner's two ends.  Else PreconditionError:
+    builds it up to corner ids, the order of nodes and of the cell
+    corners, and the order of each cell corner's two ends.  Else
+    PreconditionError:
 
     * its nodes are the edge-ends of cx, and its Delta-blocks, one per
       part in part order, hold exactly the ends of that part's edges;
+    * its Delta corners follow its cell corners in the builder's layout
+      (``LinkGraph._orders``), and weigh 0 within a polarity and 1 across;
     * the corner of a cell outside K at position p joins the two
       edge-ends that ``int_corners(cx)`` gives there, in either order;
-    * a Delta corner of block i joins two ends of part i, or one (a
-      loop), and weighs 0 within a polarity and 1 across;
-    * each of those corners comes once and none is missing: one per
-      position of each cell outside K, and per block one per pair of its
-      ends and one loop at each.  Any other corner, such as one of a
-      K-cell, is refused.
+    * each cell corner comes once and none is missing: one per position
+      of each cell outside K.  Any other corner, such as one of a K-cell,
+      is refused.
 
-    A K-cell of nonzero exponent sum raises PreconditionError too, and a
-    family whose parts are not subcomplexes of cx StructureError.
+    A K-cell of nonzero exponent sum raises PreconditionError too, a
+    family whose parts are not subcomplexes of cx StructureError, and so
+    does a corner with no weight.
 
-    A Delta-block held by the builder with its prescribed weights is
-    checked in bulk, by one comparison, and searched as a block
-    (``_homred_violation``): weights are scaled, summed and checked corner
-    by corner only outside such blocks.  Every block of a link built by
-    hand is checked and searched corner by corner, with the same verdict
-    and witness.
+    Each Delta-block is checked by one comparison and searched as a block
+    (``_homred_violation``): only the cell corners' weights are scaled,
+    summed and checked one by one.
     """
     validate_family(cx, fam)
     k_cells = fam.all_cells
@@ -699,12 +662,12 @@ def relative_weight_test(cx: TwoComplex, fam: SubcomplexFamily,
         if exponent_sum(cmap[cn].boundary) != 0:
             raise PreconditionError(
                 f"K-cell {cn!r} has exponent sum {exponent_sum(cmap[cn].boundary)}")
-    den, iw, whole = _scaled_outside(link, w)
-    sums = _relative_cell_sums(cx, fam, link, den, iw)
+    den, iw = _scaled_cells(link, w)
+    sums = _relative_cell_sums(cx, fam, link, iw)
     cell_verdict = _cell_condition(cx, sums, den, k_cells)
     if not cell_verdict:
         return cell_verdict
-    found = _homred_violation(link, den, iw, whole)
+    found = _homred_violation(link, den, iw)
     if found is not None:
         return Verdict(False, ("cycle", found[0], found[1]))
     return Verdict(True)

@@ -55,10 +55,10 @@ from lotva import (BaseTrivial, BoundaryReduction, BoundaryWord, Cell,
                    PrimeWeightTest, SubcomplexFamily, SurfaceDiagram,
                    TwoComplex, WeightAssignment, boundary_reducible_witness,
                    build_complex, build_link, build_relative_link,
-                   check_properties, derive_subcomplexes, exponent_sum,
-                   extract_sublot, is_compressed, is_injective, is_sublot,
-                   sublot_closure, sublot_vertices, validate_diagram,
-                   verify_certificate)
+                   canonical_weights, check_properties, derive_subcomplexes,
+                   exponent_sum, extract_sublot, is_compressed, is_injective,
+                   is_sublot, sublot_closure, sublot_vertices,
+                   validate_diagram, verify_certificate)
 from lotva.certify import MAX_CERT_DEPTH, _from_sexp, _unreadable
 from lotva.complexes import validate_family
 from lotva.linkage import UnionFind, _forest_witness
@@ -271,8 +271,8 @@ def delta_relative_forest_check(cx: TwoComplex, fam: SubcomplexFamily, pol: int)
                  if c.a.polarity == pol and c.b.polarity == pol)
     sub = LinkGraph(tuple(n for n in rg.nodes if n.polarity == pol), kept)
     blocks = [(frozenset(n for n in blk.nodes if n.polarity == pol),
-               frozenset(c.id for c in kept if c.id in blk.corner_ids))
-              for blk in rg.delta_blocks]
+               frozenset(c.id for c in kept if c.provenance == ("delta", bi)))
+              for bi, blk in enumerate(rg.delta_blocks)]
     return relative_forest_check(sub, blocks)
 
 
@@ -1154,9 +1154,20 @@ def reference_find_folding_vertices(d: SurfaceDiagram, corners, scope=None):
 # ---------------------------------------------------------------------------
 
 def random_weights(rng: random.Random, g: LinkGraph) -> WeightAssignment:
-    return WeightAssignment({
-        c.id: Fraction(rng.randrange(0, 9), rng.choice([1, 2, 3, 4]))
-        for c in g.corners})
+    """Random weights on the cell corners; Delta corners keep their
+    prescribed weights, the only ones the relative tests accept."""
+    return with_cell_weights(g, lambda: Fraction(rng.randrange(0, 9),
+                                                 rng.choice([1, 2, 3, 4])))
+
+
+def with_cell_weights(g: LinkGraph, draw) -> WeightAssignment:
+    """Canonical weights of g, with every cell corner's weight drawn by
+    ``draw()``, in corner order."""
+    weights = dict(canonical_weights(g).weights)
+    for c in g.corners:
+        if not c.is_delta:
+            weights[c.id] = draw()
+    return WeightAssignment(weights)
 
 
 def random_complex(rng: random.Random, max_corners=12,

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 complete; the whole module is also part of the default suite.
 """
 
+import hashlib
 import random
 import time
 from collections import Counter
@@ -19,8 +20,8 @@ from lotva import (BaseTrivial, BoundaryReduction, CertifyFailure, ChainStep,
                    double_cell_sphere, enumerate_sublots, extract_sublot,
                    find_homred_violation, find_sink_source, format_lot,
                    free_decomposition, is_sublot, min_weight_reduced_cycle,
-                   relative_weight_test, reorient, sign_change,
-                   signed_relative_forest_check, sublot_vertices,
+                   relative_weight_test, reorient, serialize_certificate,
+                   sign_change, signed_relative_forest_check, sublot_vertices,
                    verify_certificate, weight_test)
 from lotva.weights import orientation_search
 from lotva.sweep import iter_small_lots, random_lot
@@ -107,14 +108,22 @@ def test_criterion_04_fig3(fig3):
               f"decomposes at z, certifies via free decomposition ({elapsed:.2f}s)")
 
 
+# sha256 over the certificate texts of the <=6-edge sweep, concatenated in
+# sweep order: a refactor must leave every certificate byte unchanged
+SWEEP6_CERT_SHA256 = \
+    "b2ff06e1c3ea5dfad4151634879e7ab0677c4e92f95cf01a491f94adf2404c3b"
+
+
 def test_criterion_05_exhaustive_small_sweep():
     t0 = time.perf_counter()
     certified = 0
     reduced_nonprime = 0
+    digest = hashlib.sha256()
     for lot in iter_small_lots(6):
         cert = certify_va(lot)
         assert not isinstance(cert, CertifyFailure), lot
         assert verify_certificate(lot, cert).accepted, lot
+        digest.update(serialize_certificate(cert).encode())
         certified += 1
         rep = check_properties(lot)
         if rep.reduced and not rep.prime:
@@ -125,10 +134,12 @@ def test_criterion_05_exhaustive_small_sweep():
     elapsed = time.perf_counter() - t0
     assert certified > 150000
     assert reduced_nonprime > 10000
+    assert digest.hexdigest() == SWEEP6_CERT_SHA256
     assert elapsed < 600.0
     report(5, f"{certified} LOTs (<=6 edges, up to iso) certified and "
-              f"verified; {reduced_nonprime} reduced non-prime ones all have "
-              f"a complete set or free decomposition ({elapsed:.0f}s)")
+              f"verified, certificate digest unchanged; {reduced_nonprime} "
+              f"reduced non-prime ones all have a complete set or free "
+              f"decomposition ({elapsed:.0f}s)")
 
 
 def test_criterion_06_reduced_cycle_oracle():

@@ -8,20 +8,20 @@ from fractions import Fraction
 
 import pytest
 
-from lotva import (DeltaBlock, LinkGraph, WeightAssignment, build_complex,
-                   build_link, build_relative_link, canonical_weights,
-                   curvature_report, derive_subcomplexes, double_cell_sphere,
-                   find_folding_vertices, find_homred_violation,
-                   min_weight_reduced_cycle, parse_weights,
-                   relative_weight_test, signed_relative_forest_check,
-                   weight_test)
+from lotva import (LinkGraph, PreconditionError, WeightAssignment,
+                   build_complex, build_link, build_relative_link,
+                   canonical_weights, curvature_report, derive_subcomplexes,
+                   double_cell_sphere, find_folding_vertices,
+                   find_homred_violation, min_weight_reduced_cycle,
+                   parse_weights, relative_weight_test,
+                   signed_relative_forest_check, weight_test)
 from lotva.sweep import random_lot
-from lotva.weights import _whole_blocks
 
 from oracles import (closure_family, link_signed_relative_forest_check,
                      random_weights, reference_curvature,
                      reference_find_folding_vertices,
-                     reference_find_homred_violation, reference_vertex_corners)
+                     reference_find_homred_violation, reference_vertex_corners,
+                     with_cell_weights)
 
 
 @pytest.fixture(scope="module")
@@ -67,16 +67,20 @@ def test_curvature_and_folding_match_link_route(cases):
 
 def _relabeled(rng, g: LinkGraph, w: WeightAssignment):
     """g with corner i renamed 3 * i + 7 and its nodes shuffled, so its
-    ids are not positions and its ends are derived afresh; w to match."""
+    ids are not positions and its ends are derived afresh; w to match.
+    Its corners keep their order, so it is in the builder's layout."""
     new = {c.id: 3 * i + 7 for i, c in enumerate(g.corners)}
     nodes = list(g.nodes)
     rng.shuffle(nodes)
-    blocks = None if g.delta_blocks is None else tuple(
-        DeltaBlock(b.nodes, frozenset(new[i] for i in b.corner_ids))
-        for b in g.delta_blocks)
     corners = tuple(c._replace(id=new[c.id]) for c in g.corners)
-    return (LinkGraph(tuple(nodes), corners, blocks),
+    return (LinkGraph(tuple(nodes), corners, g.delta_blocks),
             WeightAssignment({new[i]: x for i, x in w.weights.items()}))
+
+
+def _held(h: LinkGraph) -> list:
+    """The blocks h holds, with their node orders as edge-ends."""
+    return [(bi, tuple(map(h.nodes.__getitem__, order)), start, end)
+            for bi, order, start, end in h._orders]
 
 
 def _results(cx, fam, h: LinkGraph, w: WeightAssignment):
@@ -100,10 +104,9 @@ def _results(cx, fam, h: LinkGraph, w: WeightAssignment):
 
 def test_rebuilt_links_match_built_links(cases):
     """A link rebuilt from its own parts derives the same int ends; it and
-    a copy whose corner ids are not positions give the built link's
-    results.  Both are built by hand, so their Delta-blocks are read
-    corner by corner: on relative links this checks the block route
-    against the corner route."""
+    a copy whose corner ids are not positions and whose nodes are
+    shuffled hold every Delta-block of the built link, in the same node
+    order, and give its results under random cell weights."""
     rng = random.Random(99)
     outcomes = set()
     for cx, fam in cases:
@@ -112,8 +115,9 @@ def test_rebuilt_links_match_built_links(cases):
             same = LinkGraph(g.nodes, g.corners, g.delta_blocks)
             assert same.ends == g.ends
             expect = _results(cx, fam, g, w)
-            assert _results(cx, fam, same, w) == expect
-            assert _results(cx, fam, *_relabeled(rng, g, w)) == expect
+            for h, hw in ((same, w), _relabeled(rng, g, w)):
+                assert _held(h) == _held(g)
+                assert _results(cx, fam, h, hw) == expect
             outcomes.add((g.delta_blocks is None, expect[0], expect[2] is None))
     # passing and failing tests, found and missing cycles, on both kinds
     assert len({(kind, ok) for kind, ok, _ in outcomes}) == 4
@@ -123,62 +127,77 @@ def test_rebuilt_links_match_built_links(cases):
 def _reversed_block(g: LinkGraph, bi: int) -> LinkGraph:
     """g with the Delta corners of block bi listed in reverse order, ids
     kept: the same lk(L, K), but not in the builder's layout."""
-    ids = g.delta_blocks[bi].corner_ids
+    ids = {c.id for c in g.corners if c.provenance == ("delta", bi)}
     back = iter([c for c in g.corners if c.id in ids][::-1])
     return LinkGraph(g.nodes, tuple(next(back) if c.id in ids else c
                                     for c in g.corners), g.delta_blocks)
 
 
+def _off_prescribed(rng, g: LinkGraph, w: WeightAssignment):
+    """w with one Delta corner of g given another weight; that corner."""
+    weights = dict(w.weights)
+    cid = rng.choice([c.id for c in g.corners if c.is_delta])
+    weights[cid] = rng.choice([x for x in (0, Fraction(1, 2), 1, 2)
+                               if x != weights[cid]])
+    return WeightAssignment(weights), cid
+
+
 def test_block_search_matches_reference(cases):
     """Delta-blocks searched as blocks give the corner-by-corner
-    reference's cycle, darts and weight, under canonical weights: on the
-    built links (blocks read whole), and on their relabeled copies and
-    copies with the largest block's Delta corners reversed (built by hand,
-    so every block is read corner by corner).  ``find_homred_violation``
-    with one Delta corner reweighted (that block read corner by corner)
-    also gives the reference's cycle."""
+    reference's cycle, darts and weight: under canonical weights on the
+    built links and on their relabeled copies, which hold their blocks,
+    and under random cell weights on the built links.  Copies with the
+    largest block's Delta corners reversed are not in the builder's
+    layout, and a Delta corner off its prescribed weight is no relative
+    weighting: both relative functions refuse them."""
     rng = random.Random(103)
     seen = Counter()
     for cx, fam in cases:
         g = build_relative_link(cx, fam)
-        links = [(g, len(g.delta_blocks)),
-                 (_relabeled(rng, g, canonical_weights(g))[0], 0)]
-        sizes = [len(b.nodes) for b in g.delta_blocks]
-        if sizes and max(sizes) > 2:
-            links.append((_reversed_block(g, sizes.index(max(sizes))), 0))
-        for h, whole in links:
+        for h in (g, _relabeled(rng, g, canonical_weights(g))[0]):
             w = canonical_weights(h)
-            assert len(_whole_blocks(h, w)) == whole
+            assert _held(h) == _held(g)
             ref = reference_find_homred_violation(h, w)
             verdict = relative_weight_test(cx, fam, w, h)
             if verdict.ok or verdict.violation[0] == "cycle":
                 assert (None if verdict.ok else verdict.violation[1:]) == ref
             else:
                 assert find_homred_violation(h, w) == ref
-            seen[verdict.ok or verdict.violation[0], whole < len(sizes)] += 1
-        delta = [c.id for c in g.corners if c.is_delta]
-        if delta:
-            weights = dict(canonical_weights(g).weights)
-            weights[rng.choice(delta)] = Fraction(rng.randrange(0, 5), 2)
-            w = WeightAssignment(weights)
-            assert len(_whole_blocks(g, w)) < len(sizes) or \
-                weights == canonical_weights(g).weights
-            found = find_homred_violation(g, w)
-            assert found == reference_find_homred_violation(g, w)
-            seen["reweighted", found is None] += 1
-    # passes and cycle violations on both routes, and both outcomes with a
-    # reweighted Delta corner
-    assert all(seen[kind, route] for kind in (True, "cycle")
-               for route in (False, True))
-    assert all(seen["reweighted", none] for none in (False, True))
+            seen[verdict.ok or verdict.violation[0], h is g] += 1
+        w = random_weights(rng, g)
+        found = find_homred_violation(g, w)
+        assert found == reference_find_homred_violation(g, w)
+        seen["random cells", found is None] += 1
+        sizes = [len(b.nodes) for b in g.delta_blocks]
+        if sizes:
+            w, cid = _off_prescribed(rng, g, canonical_weights(g))
+            with pytest.raises(PreconditionError,
+                               match=f"delta corner {cid} must have weight"):
+                find_homred_violation(g, w)
+            seen["refused", "weight"] += 1
+        if max(sizes, default=0) > 2:
+            h = _reversed_block(g, sizes.index(max(sizes)))
+            assert h._orders is None
+            w = canonical_weights(h)
+            for call in (lambda: find_homred_violation(h, w),
+                         lambda: relative_weight_test(cx, fam, w, h)):
+                with pytest.raises(PreconditionError, match="not laid out"):
+                    call()
+            seen["refused", "layout"] += 1
+    # passes and cycle violations on built and relabeled links, both
+    # outcomes under random cell weights, and both refusals
+    assert all(seen[kind, built] for kind in (True, "cycle")
+               for built in (False, True))
+    assert all(seen["random cells", none] for none in (False, True))
+    assert seen["refused", "weight"] and seen["refused", "layout"]
 
 
 def test_filled_view_keeps_blocks_whole(fig1):
     """A built relative link whose Delta view was filled, by reading
-    ``corners`` or through ``parse_weights``, still reads every block
-    whole under canonical weights, and gives a fresh link's verdict and
-    first homology reduced violation: on fig1 with K = {1, 2, 3, 4} and on
-    random 16-24-edge LOTs with the greedy closure family."""
+    ``corners`` or through ``parse_weights``, still holds every block and
+    gives a fresh link's verdict and first homology reduced violation under
+    canonical weights: on fig1 with K = {1, 2, 3, 4} and on random
+    16-24-edge LOTs with the greedy closure family."""
     lots = [(fig1, [frozenset({1, 2, 3, 4})])]
     for s in (0, 6, 7, 9, 11):  # seeds whose closure family is not empty
         lot = random_lot(random.Random(s), 16 + s % 9)
@@ -192,7 +211,6 @@ def test_filled_view_keeps_blocks_whole(fig1):
         expect = (relative_weight_test(cx, fam, w, fresh),
                   find_homred_violation(fresh, w))
         assert len(fresh._corners) < len(fresh._ids)
-        assert len(_whole_blocks(fresh, w)) == len(fresh.delta_blocks)
         for fill in ("corners", "weights file"):
             g = build_relative_link(cx, fam)
             if fill == "corners":
@@ -202,33 +220,21 @@ def test_filled_view_keeps_blocks_whole(fig1):
                 gw = parse_weights("", g)
             assert len(g._corners) == len(g._ids), "the Delta view is unfilled"
             assert gw == w
-            assert len(_whole_blocks(g, gw)) == len(g.delta_blocks)
+            assert _held(g) == _held(fresh)
             assert (relative_weight_test(cx, fam, gw, g),
                     find_homred_violation(g, gw)) == expect
         outcomes.add(expect[0].ok)
     assert outcomes == {False, True}
 
 
-def _cell_reweighted(rng, g: LinkGraph, values, across=None) -> WeightAssignment:
-    """Canonical weights of g, with every cell corner drawn from ``values``
-    and, with ``across``, every Delta corner across a polarity set to it."""
-    weights = dict(canonical_weights(g).weights)
-    for c in g.corners:
-        if not c.is_delta:
-            weights[c.id] = rng.choice(values)
-        elif across is not None and weights[c.id]:
-            weights[c.id] = across
-    return WeightAssignment(weights)
-
-
 def test_zero_weight_shortcut_matches_reference(cases, monkeypatch):
     """Scans settled by the components of the weight-0 corners give the
-    reference's violation, in darts and weight, under non-canonical
-    weights: halves (den 2, whole blocks), every positive weight at least 2
-    (weight-0 scans, which the components must not settle), and one
-    reweighted Delta corner; on built, relabeled and reversed-block links.
-    The relative weight test under canonical weights leaves a built link's
-    Delta view unread."""
+    reference's violation, in darts and weight, under non-canonical cell
+    weights: halves (den 2) and every positive weight at least 2 (weight-0
+    scans, which the components must not settle); on built and relabeled
+    links.  Reversed-block links and one Delta corner off its prescribed
+    weight are refused.  The relative weight test under canonical weights
+    leaves a built link's Delta view unread."""
     import lotva.weights as weights_module
     finds = Counter()  # lookups of a node's weight-0 component, by kind
     kind = "canonical"
@@ -255,23 +261,24 @@ def test_zero_weight_shortcut_matches_reference(cases, monkeypatch):
         if fam.parts:
             assert len(g._corners) < len(g._ids), "the Delta view was read"
         sizes = [len(b.nodes) for b in g.delta_blocks]
-        for kind, values, across in (("halves", (0, half, 3 * half), None),
-                                     ("heavy", (0, 0, two, 5 * half), two),
-                                     ("one-delta", (0, half, 3 * half), None)):
+        for kind, values in (("halves", (0, half, 3 * half)),
+                             ("heavy", (0, 0, two, 5 * half))):
             g = build_relative_link(cx, fam)
-            w = _cell_reweighted(rng, g, values, across)
-            if kind == "one-delta" and sizes:
-                weights = dict(w.weights)
-                delta = [c.id for c in g.corners if c.is_delta]
-                weights[rng.choice(delta)] = rng.choice((0, half, 1, 3 * half))
-                w = WeightAssignment(weights)
-            links = [(g, w), _relabeled(rng, g, w)]
-            if sizes and max(sizes) > 2:
-                links.append((_reversed_block(g, sizes.index(max(sizes))), w))
-            for h, hw in links:
+            w = with_cell_weights(g, lambda: rng.choice(values))
+            for h, hw in ((g, w), _relabeled(rng, g, w)):
                 found = find_homred_violation(h, hw)
                 assert found == reference_find_homred_violation(h, hw)
                 seen[kind, found is None] += 1
-    assert all(seen[kind, none] for kind in ("halves", "heavy", "one-delta")
+            if max(sizes, default=0) > 2:
+                with pytest.raises(PreconditionError, match="not laid out"):
+                    find_homred_violation(
+                        _reversed_block(g, sizes.index(max(sizes))), w)
+                seen[kind, "refused"] += 1
+            if sizes:
+                with pytest.raises(PreconditionError, match="must have weight"):
+                    find_homred_violation(g, _off_prescribed(rng, g, w)[0])
+                seen["one-delta", "refused"] += 1
+    assert all(seen[kind, none] for kind in ("halves", "heavy")
                for none in (False, True))
-    assert finds["canonical"] and finds["halves"] and finds["one-delta"]
+    assert all(seen[kind, "refused"] for kind in ("halves", "heavy", "one-delta"))
+    assert finds["canonical"] and finds["halves"]

@@ -151,7 +151,15 @@ class TestRelativeLink:
         rg = build_relative_link(cx, fam)
         b0, b1 = rg.delta_blocks
         assert not b0.nodes & b1.nodes
-        assert not b0.corner_ids & b1.corner_ids
+        # a Delta corner's provenance names its block, whose nodes it joins
+        delta = [c for c in rg.corners if c.is_delta]
+        for bi, blk in enumerate(rg.delta_blocks):
+            own = [c for c in delta if c.provenance == ("delta", bi)]
+            k = len(blk.nodes)
+            assert len(own) == k * (k + 1) // 2
+            assert all({c.a, c.b} <= blk.nodes for c in own)
+        assert len(delta) == sum(len(b.nodes) * (len(b.nodes) + 1) // 2
+                                 for b in rg.delta_blocks)
 
 
 class TestRelativeForest:

@@ -28,7 +28,8 @@ from oracles import (closure_family, oracle_homred_violation_exists,
                      reference_find_homred_violation,
                      reference_first_forest_flip,
                      reference_min_weight_reduced_cycle,
-                     relative_forest_check, signed_sublinks)
+                     relative_forest_check, signed_sublinks,
+                     with_cell_weights)
 
 
 class TestCanonicalWeights:
@@ -263,13 +264,13 @@ def _closure_family(lot):
 
 
 def _rational_weights(rng, g):
-    """Random weights in [0, 3) with denominators from {1, 2, 3, 5, 7, 12},
-    so the common scale of a link is larger than any one denominator."""
-    out = {}
-    for c in g.corners:
+    """Random cell corner weights in [0, 3) with denominators from {1, 2,
+    3, 5, 7, 12}, so the common scale of a link is larger than any one
+    denominator; Delta corners keep their prescribed weights."""
+    def draw():
         q = rng.choice((1, 2, 3, 5, 7, 12))
-        out[c.id] = Fraction(rng.randrange(0, 3 * q), q)
-    return WeightAssignment(out)
+        return Fraction(rng.randrange(0, 3 * q), q)
+    return with_cell_weights(g, draw)
 
 
 class TestFractionReference:
@@ -637,6 +638,8 @@ class TestRelativeWeightTest:
             relative_weight_test(cx, bad, canonical_weights(g), g)
 
     def test_delta_reweighting_rejected(self, fig1):
+        """A Delta loop weighted 1 is refused, and a Delta corner with no
+        weight is a missing weight, by every relative function."""
         cx = build_complex(fig1)
         fam = derive_subcomplexes(fig1, [frozenset({1, 2, 3, 4})])
         g = build_relative_link(cx, fam)
@@ -645,6 +648,12 @@ class TestRelativeWeightTest:
         w[loop.id] = Fraction(1)
         with pytest.raises(PreconditionError):
             relative_weight_test(cx, fam, WeightAssignment(w), link=g)
+        del w[loop.id]
+        for call in (lambda: relative_weight_test(cx, fam, WeightAssignment(w), g),
+                     lambda: find_homred_violation(g, WeightAssignment(w)),
+                     lambda: check_cell_condition(cx, g, WeightAssignment(w))):
+            with pytest.raises(StructureError, match="weights missing"):
+                call()
 
     def test_signed_part_cell_rejected(self, prime):
         # sign change inside the would-be part gives a K-cell of exponent sum 2
