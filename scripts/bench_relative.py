@@ -1,7 +1,5 @@
-"""Weight test benchmark, stage by stage: ``build_relative_link``,
-``canonical_weights`` on lk(L, K) and ``relative_weight_test``, then
-``weight_test`` on lk(L) and ``curvature_report`` on the pillow over the
-first cell.
+"""Weight path benchmark, stage by stage: every call of the ``weights``
+workload's path after ``parse_lot``, in its order.
 
     python3 scripts/bench_relative.py [--seed N] [--out FILE]
 
@@ -9,16 +7,26 @@ Run from anywhere; the library is imported from the ``src/`` next to this
 script.  The inputs are the weight-path LOTs of the ``weights`` workload of
 ``perfbench/workloads.py`` at ``--seed`` (default 0): 800 LOTs with 16-24
 edges, each with the greedy closure family of the weight path as K.  The
-relative link lk(L, K) and its canonical weights, lk(L) and its canonical
-weights, and the pillow are made once per LOT, untimed, as the weight path
-makes them.  The stages are timed by ``bench_certify.py``'s loop: each call
-in each of five rounds, its best round, and per stage the median, p90 and
-maximum over the LOTs, scaled to the reference host speed of
+stages: ``build_complex`` and ``build_link``; the greedy closure family
+through ``sublot_closure`` (``closure_family`` of ``perfbench/paths.py``)
+and ``derive_subcomplexes``; ``build_relative_link``,
+``canonical_weights`` on lk(L, K) and ``relative_weight_test``;
+``signed_relative_forest_check`` for each sign; ``weight_test`` on lk(L);
+``curvature_report`` and ``find_sink_source`` on the pillow over the first
+cell.  Each stage's inputs (the complex, the links and their weights, the
+family and the pillow) are made once per LOT, untimed, as the weight path
+makes them; so ``build_link`` and the stages after it read the complex's
+corner pass, which the weight path runs once, in its ``build_link``.  The
+closure family is built on a copy of the LOT that has not run its
+closure pass (``bench_certify.fresh``), as a parsed LOT has not.  The
+stages are timed by ``bench_certify.py``'s loop: each call in each of
+five rounds, its best round, and per stage the median, p90 and maximum
+over the LOTs, scaled to the reference host speed of
 ``perfbench/host.py``, with the raw medians and the range of factors.
-Records those, the median over the LOTs of the five stages' sum, the
-corner counts of the relative links, a digest of the relative verdicts,
-the failure counts, and the host it ran on.  Standard library only; a
-bench, not a test.
+Records those, the median over the LOTs of the stages' sum, the corner
+counts of the relative links, a digest of the relative verdicts, the
+failure counts, and the host it ran on.  Standard library only; a bench,
+not a test.
 """
 
 from __future__ import annotations
@@ -33,25 +41,33 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "scripts")]
 
-from bench_certify import HOST, ROUNDS, best_times, report, summary  # noqa: E402
+from bench_certify import (HOST, ROUNDS, best_times, fresh,  # noqa: E402
+                           report, summary)
 from lotva import (build_complex, build_link,  # noqa: E402
                    build_relative_link, canonical_weights, curvature_report,
-                   derive_subcomplexes, double_cell_sphere, parse_lot,
-                   relative_weight_test, weight_test)
+                   derive_subcomplexes, double_cell_sphere, find_sink_source,
+                   parse_lot, relative_weight_test,
+                   signed_relative_forest_check, weight_test)
 from paths import closure_family  # noqa: E402
 from spans import NoTrace  # noqa: E402
 from workloads import lot_text, make_inputs  # noqa: E402
 
 
+def weight_lots(seed: int) -> list:
+    """The weight-path LOTs of the workload, parsed."""
+    return [parse_lot(lot_text(s, "v"))
+            for kind, s in make_inputs("weights", seed).ops if kind == "weights"]
+
+
+def family(lot) -> list:
+    """The weight path's greedy closure family of the LOT."""
+    return closure_family(NoTrace(), lot)
+
+
 def inputs(seed: int) -> list:
     """(complex, family) of every weight-path LOT of the workload."""
-    cases = []
-    for kind, s in make_inputs("weights", seed).ops:
-        if kind == "weights":
-            lot = parse_lot(lot_text(s, "v"))
-            parts = closure_family(NoTrace(), lot)
-            cases.append((build_complex(lot), derive_subcomplexes(lot, parts)))
-    return cases
+    return [(build_complex(lot), derive_subcomplexes(lot, family(lot)))
+            for lot in weight_lots(seed)]
 
 
 def verdict_sha256(verdicts: list) -> str:
@@ -61,33 +77,44 @@ def verdict_sha256(verdicts: list) -> str:
         repr([(v.ok, v.violation) for v in verdicts]).encode()).hexdigest()
 
 
-def case_calls(cx, fam) -> list:
+def case_calls(lot) -> list:
     """The (stage, function, arguments) calls of one LOT."""
+    parts = family(lot)
+    cx, fam = build_complex(lot), derive_subcomplexes(lot, parts)
     g, rg = build_link(cx), build_relative_link(cx, fam)
     w, rw = canonical_weights(g), canonical_weights(rg)
-    return [("build_relative_link", build_relative_link, (cx, fam)),
+    pillow = double_cell_sphere(cx, "d_0")
+    return [("build_complex", build_complex, (lot,)),
+            ("build_link", build_link, (cx,)),
+            ("closure_family", fresh(family), (lot,)),
+            ("derive_subcomplexes", derive_subcomplexes, (lot, parts)),
+            ("build_relative_link", build_relative_link, (cx, fam)),
             ("canonical_weights", canonical_weights, (rg,)),
             ("relative_weight_test", relative_weight_test, (cx, fam, rw, rg)),
+            ("forest_check_pos", signed_relative_forest_check, (cx, fam, 1)),
+            ("forest_check_neg", signed_relative_forest_check, (cx, fam, -1)),
             ("weight_test", weight_test, (cx, g, w)),
-            ("curvature_report", curvature_report,
-             (double_cell_sphere(cx, "d_0"), cx, w))]
+            ("curvature_report", curvature_report, (pillow, cx, w)),
+            ("find_sink_source", find_sink_source, (pillow, cx))]
 
 
-def measure(cases: list) -> dict:
-    calls = [case_calls(cx, fam) for cx, fam in cases]
-    verdicts = [relative_weight_test(*c[2][2]) for c in calls]
-    absolute = [weight_test(*c[3][2]) for c in calls]
+def measure(lots: list) -> dict:
+    calls = [dict((stage, (fn, args)) for stage, fn, args in case_calls(lot))
+             for lot in lots]
+    verdicts = [relative_weight_test(*c["relative_weight_test"][1]) for c in calls]
+    absolute = [weight_test(*c["weight_test"][1]) for c in calls]
     best, factor_range = best_times(
         [((i, stage), fn, args) for i, c in enumerate(calls)
-         for stage, fn, args in c])
+         for stage, (fn, args) in c.items()])
     stages: dict[str, list] = {}
-    sums = [0.0] * len(cases)  # per LOT, the scaled times of its stages
+    sums = [0.0] * len(lots)  # per LOT, the scaled times of its stages
     for (i, stage), b in best.items():
         stages.setdefault(stage, []).append(b)
         sums[i] += b[0]
-    links = [c[1][2][0] for c in calls]  # lk(L, K), read after the timing
+    # lk(L, K), read after the timing
+    links = [c["canonical_weights"][1][0] for c in calls]
     return {
-        "lots": len(cases),
+        "lots": len(lots),
         "stages": {stage: summary(bs) for stage, bs in stages.items()},
         "stages_us_median": round(statistics.median(sums) * 1e6, 2),
         "host_factor_range": factor_range,
@@ -106,9 +133,9 @@ def main(argv=None) -> int:
                     help="seed of the weights workload (default 0)")
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_relative.json")
     args = ap.parse_args(argv)
-    result = measure(inputs(args.seed))
+    result = measure(weight_lots(args.seed))
     report(f"weights seed {args.seed}: {result['lots']} LOTs", result["stages"])
-    print(f"all five: median {result['stages_us_median']} us; host factors",
+    print(f"all stages: median {result['stages_us_median']} us; host factors",
           *result["host_factor_range"])
     record = {"host": HOST, "rounds": ROUNDS, "seed": args.seed,
               "weights": result}

@@ -47,35 +47,40 @@ class Cell:
 class TwoComplex:
     """Standard 2-complex with a single (implicit) vertex.
 
-    ``_int_corners`` holds the link nodes and ``linkage.int_corners`` of
-    the complex (``linkage._complex_corners``) once a link builder, forest
-    check or relative weight test has asked for them, so the pass runs at
-    most once per complex.  Equality, hashing and repr ignore it.
+    ``_edge_index`` and ``_cell_index`` map each edge name and cell name
+    to its position.  ``_int_corners`` holds the link nodes and
+    ``linkage.int_corners`` of the complex (``linkage._complex_corners``)
+    once a link builder, forest check or relative weight test has asked
+    for them, so the pass runs at most once per complex.  Equality,
+    hashing and repr ignore all three.
     """
     edge_names: tuple[str, ...]
     cells: tuple[Cell, ...]
     name: str = field(default="", compare=False)
+    _edge_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _cell_index: dict[str, int] = field(init=False, repr=False, compare=False)
     _int_corners: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.edge_names)) != len(self.edge_names):
+        edge_index = dict(zip(self.edge_names, range(len(self.edge_names))))
+        if len(edge_index) != len(self.edge_names):
             raise StructureError("duplicate edge names")
-        cell_names = [c.name for c in self.cells]
-        if len(set(cell_names)) != len(cell_names):
+        cell_index = {c.name: j for j, c in enumerate(self.cells)}
+        if len(cell_index) != len(self.cells):
             raise StructureError("duplicate cell names")
-        eset = set(self.edge_names)
         for c in self.cells:
             for x, _ in c.boundary.letters:
-                if x not in eset:
+                if x not in edge_index:
                     raise StructureError(
                         f"cell {c.name!r} uses unknown edge {x!r}")
+        object.__setattr__(self, "_edge_index", edge_index)
+        object.__setattr__(self, "_cell_index", cell_index)
 
     def cell(self, name: str) -> Cell:
-        for c in self.cells:
-            if c.name == name:
-                return c
-        raise StructureError(f"no cell named {name!r}")
+        if name not in self._cell_index:
+            raise StructureError(f"no cell named {name!r}")
+        return self.cells[self._cell_index[name]]
 
 
 @dataclass(frozen=True)
@@ -99,15 +104,14 @@ class SubcomplexFamily:
 
 def validate_family(cx: TwoComplex, fam: SubcomplexFamily) -> None:
     """Each part must be a subcomplex: part cells only use part edges."""
-    eset = set(cx.edge_names)
-    cmap = {c.name: c for c in cx.cells}
     for i, (edges, cells) in enumerate(fam.parts):
-        if not edges <= eset:
+        if not cx._edge_index.keys() >= edges:
             raise StructureError(f"part {i} has unknown edges")
         for cn in cells:
-            if cn not in cmap:
+            j = cx._cell_index.get(cn)
+            if j is None:
                 raise StructureError(f"part {i} has unknown cell {cn!r}")
-            if any(x not in edges for x, _ in cmap[cn].boundary.letters):
+            if any(x not in edges for x, _ in cx.cells[j].boundary.letters):
                 raise StructureError(
                     f"part {i} is not a subcomplex: cell {cn!r} leaves its edges")
 

@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 from .errors import (DegenerateDiagramError, ParseError, PreconditionError,
                      StructureError)
 from .complexes import TwoComplex, exponent_sum
-from .linkage import corner_offsets
+from .linkage import _complex_corners
 from .lot import _IDENT
 from .weights import WeightAssignment
 
@@ -155,12 +155,12 @@ def _glue(d: SurfaceDiagram, cx: TwoComplex) -> _Gluing:
         enames.add(e.name)
         if e.tail not in vset or e.head not in vset:
             return fail(f"edge {e.name!r} has unknown endpoint")
-        if e.image_edge not in cx.edge_names:
+        if e.image_edge not in cx._edge_index:
             return fail(f"edge {e.name!r} maps to unknown complex edge")
         if e.image_sign not in (1, -1):
             return fail(f"edge {e.name!r} has bad image sign")
 
-    cmap = {c.name: c for c in cx.cells}
+    cell_at = cx._cell_index
     where: list[Optional[tuple[int, int]]] = [None] * (2 * len(d.edges))
     succ = [0] * len(where)
     fnames = set()
@@ -169,7 +169,7 @@ def _glue(d: SurfaceDiagram, cx: TwoComplex) -> _Gluing:
         if f.name in fnames:
             return fail(f"duplicate face name {f.name!r}")
         fnames.add(f.name)
-        if f.cell not in cmap:
+        if f.cell not in cell_at:
             return fail(f"face {f.name!r} maps to unknown cell {f.cell!r}")
         if not f.boundary:
             return fail(f"face {f.name!r} has empty boundary")
@@ -188,7 +188,7 @@ def _glue(d: SurfaceDiagram, cx: TwoComplex) -> _Gluing:
             if _dart_head(d, dart) != _dart_tail(d, nxt):
                 return fail(f"face {f.name!r} boundary is not a closed walk")
         read = tuple(_dart_image(d, dart) for dart in f.boundary)
-        word = cmap[f.cell].boundary
+        word = cx.cells[cell_at[f.cell]].boundary
         target = word.letters if f.orientation > 0 else word.inverse().letters
         r = _rotation_match(read, target)
         if r is None:
@@ -269,10 +269,10 @@ def _face_corner_to_link(d: SurfaceDiagram, cx: TwoComplex, rotations
     (i + r) mod q; a - face reads corner (q - 2 - i - r) mod q, traversed
     backwards.  Corner p of a cell has id (its first corner's id) + p.
     """
-    base_of = dict(zip((c.name for c in cx.cells), corner_offsets(cx)))
+    first, at = _complex_corners(cx)[2], cx._cell_index
     out = []
     for f, r in zip(d.faces, rotations):
-        q, base = len(f.boundary), base_of[f.cell]
+        q, base = len(f.boundary), first[at[f.cell]]
         if f.orientation > 0:
             out.append([(base + (i + r) % q, 1) for i in range(q)])
         else:
@@ -357,7 +357,7 @@ def curvature_report(d: SurfaceDiagram, cx: TwoComplex,
     """
     gluing = _require_valid(d, cx)
     corners = _face_corner_to_link(d, cx, gluing.report.rotations)
-    den, iw = w.scaled(range(corner_offsets(cx)[-1]))  # the corner ids of lk(L)
+    den, iw = w.scaled(range(_complex_corners(cx)[2][-1]))  # the corner ids of lk(L)
     faces = [sum(iw[cid] for cid, _ in fc) - (len(fc) - 2) * den for fc in corners]
     vertices = [2 * den - sum(iw[corners[fi][i][0]] for fi, i in gluing.cycles[v])
                 for v in d.vertices]
@@ -382,9 +382,8 @@ def find_sink_source(d: SurfaceDiagram, cx: TwoComplex
     connected; heights are exponent sums of paths from the first vertex.
     """
     report = _require_valid(d, cx).report
-    cmap = {c.name: c for c in cx.cells}
     for f in d.faces:
-        es = exponent_sum(cmap[f.cell].boundary)
+        es = exponent_sum(cx.cell(f.cell).boundary)
         if es != 0:
             raise PreconditionError(
                 f"face {f.name!r} maps to cell with exponent sum {es}")

@@ -170,27 +170,23 @@ def _held_orders(nodes, corners, ends, blocks) -> Optional[tuple]:
     return tuple(orders) if start == len(corners) else None
 
 
-def corner_offsets(cx: TwoComplex) -> list[int]:
-    """Per cell, the id in lk(L) of its corner at position 0; then the
-    number of corners.  Corners are numbered cell by cell, by position."""
-    return list(accumulate((len(c.boundary) for c in cx.cells), initial=0))
-
-
 def int_corners(cx: TwoComplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The corners of lk(L) on ints, in one pass over the cells.
 
-    Corner i joins ends[2 * i] and ends[2 * i + 1]; the corners of cell j
-    are first[j] .. first[j + 1] - 1 (``corner_offsets``).  An end is
+    Corner i joins ends[2 * i] and ends[2 * i + 1].  Corners are numbered
+    cell by cell, by position: the corners of cell j are first[j] ..
+    first[j + 1] - 1, and first ends with their number.  An end is
     2 * edge index + (0 for x+, 1 for x-), so the initial end of the
     letter x^s is 2k + (s < 0) and its terminal end that number ^ 1.
     """
-    col = {x: 2 * k for k, x in enumerate(cx.edge_names)}
+    col = cx._edge_index
     ends: list[int] = []
     for cell in cx.cells:
-        init = [col[x] + (s < 0) for x, s in cell.boundary.letters]
+        init = [2 * col[x] + (s < 0) for x, s in cell.boundary.letters]
         for u, v in zip(init, init[1:] + init[:1]):
             ends += (u ^ 1, v)
-    return tuple(ends), tuple(corner_offsets(cx))
+    return tuple(ends), tuple(accumulate((len(c.boundary) for c in cx.cells),
+                                         initial=0))
 
 
 def _complex_corners(cx: TwoComplex) -> tuple[
@@ -255,11 +251,11 @@ def build_relative_link(cx: TwoComplex, fam: SubcomplexFamily) -> LinkGraph:
     """
     validate_family(cx, fam)
     nodes, corners, ends = _link(cx, fam.all_cells)
-    col = {x: 2 * k for k, x in enumerate(cx.edge_names)}
+    col = cx._edge_index
     orders, blocks = [], []
     start = len(corners)
     for bi, (edges, _cells) in enumerate(fam.parts):
-        order = tuple(sorted(col[x] + s for x in edges for s in (0, 1)))
+        order = tuple(sorted(2 * col[x] + s for x in edges for s in (0, 1)))
         end = start + len(order) * (len(order) + 1) // 2
         orders.append((bi, order, start, end))
         blocks.append(DeltaBlock(frozenset(map(nodes.__getitem__, order))))

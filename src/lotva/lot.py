@@ -37,14 +37,17 @@ class Lot:
     positions 0..E-1, and the underlying undirected graph is a tree.
     ``name`` is metadata and ignored for equality.  ``_iv`` keeps the int
     view and ``_paths`` the root paths (see ``_root_paths``) that the tree
-    check walks, for the edge closures; neither takes part in equality,
-    hashing or repr.
+    check walks, for the edge closures; ``_closures`` keeps those, once
+    ``_edge_closures`` has computed them.  None of the three takes part in
+    equality, hashing or repr.
     """
     vertices: tuple[str, ...]
     edges: tuple[LotEdge, ...]
     name: str = field(default="", compare=False)
     _iv: _IntView = field(init=False, repr=False, compare=False)
     _paths: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _closures: Optional[tuple[int, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         iv = _int_view(self)
@@ -337,12 +340,24 @@ def sublot_closure(lot: Lot, seed_edge: int) -> frozenset[int]:
 
     While some label of the current subtree is not one of its vertices,
     adjoin the unique tree path from the subtree to that label; the fixpoint
-    is unique because tree paths are.
+    is unique because tree paths are.  Read off the LOT's closure pass
+    (``_edge_closures``).
     """
-    iv = lot._iv
-    if not 0 <= seed_edge < len(iv.edges):
+    if not 0 <= seed_edge < len(lot.edges):
         raise StructureError(f"unknown edge id {seed_edge}")
-    return frozenset(_bits(_closure_mask(iv, lot._paths, seed_edge)))
+    return frozenset(_bits(_edge_closures(lot)[seed_edge]))
+
+
+def _edge_closures(lot: Lot) -> tuple[int, ...]:
+    """Every edge's closure as a mask, in one pass by edge id, each reusing
+    those of smaller ids (``_closure_mask``); computed on first use and
+    kept on the lot."""
+    if lot._closures is None:
+        iv, closures = lot._iv, []
+        for e in range(len(iv.edges)):
+            closures.append(_closure_mask(iv, lot._paths, e, closures))
+        object.__setattr__(lot, "_closures", tuple(closures))
+    return lot._closures
 
 
 def _root_paths(iv: _IntView) -> list[int]:
@@ -416,19 +431,15 @@ class SublotStructure:
     sub-LOT is the union of its edges' closures, and the union of two
     sub-LOTs that share a vertex is a sub-LOT.  Everything below follows
     from that in polynomial time, except ``all_sublots``, whose cost grows
-    with the number of sub-LOTs it returns.  The closures come in one pass
-    by edge id, each reusing those of smaller ids (``_closure_mask``).
-    Build one per LOT and pass it along; nothing is cached beyond it.
+    with the number of sub-LOTs it returns.  The closures are the lot's
+    own (``_edge_closures``).
     """
 
     __slots__ = ("closures", "full", "_iv")
 
     def __init__(self, lot: Lot):
-        iv, closures = lot._iv, []
-        self.full = (1 << len(iv.edges)) - 1
-        for e in range(len(iv.edges)):
-            closures.append(_closure_mask(iv, lot._paths, e, closures))
-        self.closures, self._iv = tuple(closures), iv
+        self.closures, self._iv = _edge_closures(lot), lot._iv
+        self.full = (1 << len(lot.edges)) - 1
 
     @property
     def prime(self) -> bool:

@@ -101,18 +101,18 @@ _WEIGHTS = (Fraction(0), Fraction(1))
 class _CanonicalWeights(Mapping):
     """Read-only total map corner ids[i] -> the shared Fraction of
     ints[i], 0 or 1 (``canonical_weights``)."""
-    __slots__ = ("_ids", "_ints", "by_id")
+    __slots__ = ("_ids", "_ints", "by_id", "_at")
 
     def __init__(self, ids: Sequence[int], ints: tuple[int, ...]):
         self._ids, self._ints = ids, ints
         # the ints indexed by corner id, where every id is its position
         self.by_id = ints if ids == range(len(ints)) else None
+        self._at = None  # id -> position, built on the first lookup
 
     def __getitem__(self, cid) -> Fraction:
-        try:
-            return _WEIGHTS[self._ints[self._ids.index(cid)]]
-        except ValueError:
-            raise KeyError(cid) from None
+        if self._at is None:
+            self._at = dict(zip(self._ids, count()))
+        return _WEIGHTS[self._ints[self._at[cid]]]
 
     def __iter__(self):
         return iter(self._ids)
@@ -232,8 +232,11 @@ def min_weight_reduced_cycle(g: LinkGraph, w: WeightAssignment
                              ) -> Optional[tuple[Fraction, tuple[Dart, ...]]]:
     """Exact minimum weight over all reduced cycles, with a witness.
 
-    Returns None when the link has no reduced cycle at all.
+    Returns None when the link has no reduced cycle at all.  A relative
+    link is refused, as ``weight_test`` refuses it.
     """
+    if g.delta_blocks is not None:
+        raise PreconditionError("min_weight_reduced_cycle expects an absolute link")
     den, iw = w.scaled(g._ids)
     # a shortest walk repeats no dart, so every distance is below this limit
     return _min_reduced_cycle(g, den, iw, 2 * sum(iw) + 1)
@@ -657,11 +660,10 @@ def relative_weight_test(cx: TwoComplex, fam: SubcomplexFamily,
     """
     validate_family(cx, fam)
     k_cells = fam.all_cells
-    cmap = {c.name: c for c in cx.cells}
     for cn in sorted(k_cells):
-        if exponent_sum(cmap[cn].boundary) != 0:
+        if exponent_sum(cx.cell(cn).boundary) != 0:
             raise PreconditionError(
-                f"K-cell {cn!r} has exponent sum {exponent_sum(cmap[cn].boundary)}")
+                f"K-cell {cn!r} has exponent sum {exponent_sum(cx.cell(cn).boundary)}")
     den, iw = _scaled_cells(link, w)
     sums = _relative_cell_sums(cx, fam, link, iw)
     cell_verdict = _cell_condition(cx, sums, den, k_cells)

@@ -16,7 +16,8 @@ from lotva.sweep import iter_small_lots, random_lot
 
 from oracles import (named_collapse, oracle_free_decomposition,
                      oracle_sublot_structure, oracle_sublots,
-                     reference_is_sublot, reference_search_complete_set)
+                     reference_closure, reference_is_sublot,
+                     reference_search_complete_set)
 
 
 def edge_tuples(lot):
@@ -298,6 +299,55 @@ class TestSublots:
         assert len(walks) == 1
         assert same == lot and repr(same) == repr(lot)
         assert "_paths" not in repr(same)
+
+    def test_closures_match_reference(self, sweep6_every97):
+        """Every edge's closure, asked for in shuffled order, is
+        ``reference_closure`` of that edge, and ``SublotStructure`` reads
+        the same masks: every 97th LOT of the <=6 sweep and 30 random LOTs
+        with 7-24 edges, some not injective or not compressed.  Each LOT is
+        built afresh, so its closure pass starts at the shuffled first."""
+        rng = random.Random(89)
+        lots = list(sweep6_every97) + [
+            random_lot(rng, rng.randrange(7, 25), injective=rng.random() < 0.7,
+                       compressed=rng.random() < 0.8) for _ in range(30)]
+        for lot in lots:
+            fresh = Lot(lot.vertices, lot.edges)
+            assert fresh._closures is None
+            iv, paths = fresh._iv, fresh._paths
+            want = [reference_closure(iv.edges, paths, 1 << e)
+                    for e in range(fresh.num_edges)]
+            order = list(range(fresh.num_edges))
+            rng.shuffle(order)
+            for e in order:
+                assert sublot_closure(fresh, e) == frozenset(lot_module._bits(want[e])), \
+                    (format_lot(lot), e)
+            assert SublotStructure(fresh).closures == tuple(want)
+        assert max(lot.num_edges for lot in lots) > 20
+
+    def test_one_closure_pass_per_lot(self, monkeypatch):
+        """A Lot runs its closure pass once, on first use, and keeps it:
+        m ``sublot_closure`` calls, ``check_properties`` and
+        ``SublotStructure`` make m ``_closure_mask`` calls in all, one per
+        edge in id order.  Building a Lot, or a child Lot of it, runs none."""
+        lot = random_lot(random.Random(7), 16, injective=False)
+        part = sublot_closure(lot, 0)
+        assert len(part) < lot.num_edges
+        calls = []
+        closure_mask = lot_module._closure_mask
+
+        def counting(iv, paths, seed_edge, known=()):
+            calls.append(seed_edge)
+            return closure_mask(iv, paths, seed_edge, known)
+
+        monkeypatch.setattr(lot_module, "_closure_mask", counting)
+        fresh = Lot(lot.vertices, lot.edges)
+        child = extract_sublot(fresh, part)
+        assert calls == [] and child._closures is None
+        for e in reversed(range(fresh.num_edges)):
+            sublot_closure(fresh, e)
+        check_properties(fresh)
+        assert SublotStructure(fresh).closures is fresh._closures
+        assert calls == list(range(fresh.num_edges))
 
 
 class TestChildren:

@@ -65,7 +65,7 @@ class TestCanonicalWeights:
         lot = random_lot(random.Random(0), 20)
         links = []
         for lt, parts in ((fig1, [frozenset({1, 2, 3, 4})]),
-                          (lot, _closure_family(lot))):
+                          (lot, closure_family(lot))):
             cx = build_complex(lt)
             links += [build_link(cx), build_relative_link(cx, derive_subcomplexes(lt, parts))]
         g = links[0]
@@ -91,6 +91,25 @@ class TestCanonicalWeights:
                 assert missing not in w.weights
                 with pytest.raises(StructureError, match="weights missing"):
                     w.scaled(ids + [missing])
+
+    def test_renamed_ids_read_as_positions(self):
+        """A canonical map whose ids are not positions reads as the
+        positional map renamed: lk(L, K) of a 24-edge LOT with its greedy
+        closure family (1,180 corners), every id i renamed 3i + 7.  Ids are
+        looked up through one id -> position map, built on the first read."""
+        lot = random_lot(random.Random(2), 24)
+        g = build_relative_link(build_complex(lot),
+                                derive_subcomplexes(lot, closure_family(lot)))
+        h = LinkGraph(g.nodes, tuple(c._replace(id=3 * c.id + 7) for c in g.corners),
+                      g.delta_blocks)
+        positional, renamed = canonical_weights(g).weights, canonical_weights(h).weights
+        assert renamed.by_id is None and len(renamed) == len(positional) == 1180
+        assert dict(renamed) == {3 * i + 7: x for i, x in dict(positional).items()}
+        at = renamed._at
+        assert all(renamed[3 * i + 7] is positional[i] for i in range(1180))
+        assert renamed._at is at and len(at) == 1180
+        for missing in (0, 8, 3 * 1180 + 7):
+            assert missing not in renamed
 
 
 class TestCellCondition:
@@ -154,6 +173,25 @@ class TestMinReducedCycle:
         w = WeightAssignment({c.id: Fraction(-1) for c in g.corners})
         with pytest.raises(PreconditionError):
             min_weight_reduced_cycle(g, w)
+
+    def test_relative_link_refused(self, fig1):
+        """A relative link is refused, as ``weight_test`` refuses it: lk(L,
+        K) of fig1, of a 24-edge LOT with its greedy closure family (1,180
+        corners, where the Delta corners would read as a weight-0 reduced
+        cycle), and of an empty family."""
+        lot = random_lot(random.Random(2), 24)
+        sizes = []
+        for lt, parts in ((fig1, [frozenset({1, 2, 3, 4})]),
+                          (lot, closure_family(lot)), (lot, [])):
+            cx = build_complex(lt)
+            rg = build_relative_link(cx, derive_subcomplexes(lt, parts))
+            w = canonical_weights(rg)
+            with pytest.raises(PreconditionError, match="expects an absolute link"):
+                min_weight_reduced_cycle(rg, w)
+            with pytest.raises(PreconditionError, match="expects an absolute link"):
+                weight_test(cx, rg, w)
+            sizes.append(len(rg._ids))
+        assert sizes[1] == 1180
 
     def test_against_dp_oracle(self):
         rng = random.Random(60)
@@ -250,19 +288,6 @@ class TestHomredViolation:
                 assert any(not g.corners[cid].is_delta for cid, _ in darts)
 
 
-def _closure_family(lot):
-    """Edge closures that are proper sub-LOTs, kept greedily in edge order
-    while vertex-disjoint from those already kept."""
-    parts, used = [], set()
-    for e in range(lot.num_edges):
-        part = sublot_closure(lot, e)
-        vs = sublot_vertices(lot, part)
-        if len(part) < lot.num_edges and not vs & used:
-            parts.append(part)
-            used |= vs
-    return parts
-
-
 def _rational_weights(rng, g):
     """Random cell corner weights in [0, 3) with denominators from {1, 2,
     3, 5, 7, 12}, so the common scale of a link is larger than any one
@@ -286,7 +311,7 @@ class TestFractionReference:
         weights, outcome) kinds it saw."""
         cx = build_complex(lot)
         g = build_link(cx)
-        rg = build_relative_link(cx, derive_subcomplexes(lot, _closure_family(lot)))
+        rg = build_relative_link(cx, derive_subcomplexes(lot, closure_family(lot)))
         seen = set()
         # (link, search, reference, where the result keeps its weight)
         for link, search, reference, at in (
@@ -359,7 +384,7 @@ class TestFractionReference:
         for _ in range(100):
             lot = random_lot(rng, rng.randrange(6, 20))
             cx = build_complex(lot)
-            rg = build_relative_link(cx, derive_subcomplexes(lot, _closure_family(lot)))
+            rg = build_relative_link(cx, derive_subcomplexes(lot, closure_family(lot)))
             cells = [c.id for c in rg.corners if not c.is_delta]
             for light in (False, True):
                 weights = dict(canonical_weights(rg).weights)
@@ -713,7 +738,7 @@ def test_one_search_per_failing_verdict(sweep6_every97, monkeypatch):
     seen = {}
     for lot in lots:
         cx = build_complex(lot)
-        fam = derive_subcomplexes(lot, _closure_family(lot))
+        fam = derive_subcomplexes(lot, closure_family(lot))
         g, rg = build_link(cx), build_relative_link(cx, fam)
         for test, args, extra in (
                 (weight_test, (cx, g, canonical_weights(g)), 0),
