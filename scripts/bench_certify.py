@@ -19,12 +19,11 @@ roots certified by a complete set; then ``certify_va`` and
 follows: ``parse_lot`` of the LOT's text, ``parse_certificate`` of the
 certificate's text and ``verify_certificate``.  Every certificate must
 read back as itself, and its bytes are recorded (total, median, maximum).
-Timed between each root's other calls, ``serialize`` and
-``parse_certificate`` read about 40% above those calls timed alone, and
-are not comparable with the former ``BENCH_codec.json`` figures.
 
-``best_times`` runs every call in each of five rounds and keeps its best
-round; a stage's figures (``summary``) are the median, the 90th percentile
+``best_times`` runs the calls stage by stage: every root's call of one
+stage in each of five rounds, then the next stage's, so that no other
+stage runs between a stage's calls; each call keeps its best round.  A
+stage's figures (``summary``) are the median, the 90th percentile
 (nearest rank) and the maximum over its calls, in microseconds, over all
 roots and by root kind; the p90 and the maximum show a tail that the
 median hides, such as a few orientation walks that back up far.  Each time
@@ -72,20 +71,25 @@ HOST = {"python": platform.python_version(), "machine": platform.machine(),
 
 
 def best_times(calls: list) -> tuple[dict, list]:
-    """Each (key, function, arguments) of ``calls`` run in each of
-    ``ROUNDS`` rounds, in order: the best (scaled, raw) seconds per key, and
-    the [least, greatest] host factor."""
+    """Each (key, function, arguments) of ``calls``, keyed (root, stage),
+    run stage by stage: a stage's calls, in order, in each of ``ROUNDS``
+    rounds, before the next stage's.  Returns the best (scaled, raw)
+    seconds per key, and the [least, greatest] host factor."""
+    stages: dict = {}
+    for call in calls:
+        stages.setdefault(call[0][1], []).append(call)
     times = []    # (key, raw s), in run order
     factors = []  # the host factor of each entry of times
     clock = time.perf_counter
     scaler = Scaler()
-    for _ in range(ROUNDS):
-        for key, fn, args in calls:
-            t0 = clock()
-            fn(*args)
-            times.append((key, clock() - t0))
-            if scaler.due():
-                factors += [scaler.factor()] * (len(times) - len(factors))
+    for stage_calls in stages.values():
+        for _ in range(ROUNDS):
+            for key, fn, args in stage_calls:
+                t0 = clock()
+                fn(*args)
+                times.append((key, clock() - t0))
+                if scaler.due():
+                    factors += [scaler.factor()] * (len(times) - len(factors))
     factors += [scaler.factor()] * (len(times) - len(factors))
     best: dict = {}
     for (key, t), f in zip(times, factors):

@@ -19,9 +19,9 @@ makes them; so ``build_link`` and the stages after it read the complex's
 corner pass, which the weight path runs once, in its ``build_link``.  The
 closure family is built on a copy of the LOT that has not run its
 closure pass (``bench_certify.fresh``), as a parsed LOT has not.  The
-stages are timed by ``bench_certify.py``'s loop: each call in each of
-five rounds, its best round, and per stage the median, p90 and maximum
-over the LOTs, scaled to the reference host speed of
+stages are timed by ``bench_certify.py``'s loop, stage by stage: each
+call in each of five rounds, its best round, and per stage the median,
+p90 and maximum over the LOTs, scaled to the reference host speed of
 ``perfbench/host.py``, with the raw medians and the range of factors.
 Records those, the median over the LOTs of the stages' sum, the corner
 counts of the relative links, a digest of the relative verdicts, the

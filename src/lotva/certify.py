@@ -241,15 +241,13 @@ def _verify(lot: Lot, cert: Certificate) -> None:
 
     if isinstance(cert, BoundaryReduction):
         _need(0 <= cert.edge_id < lot.num_edges, "boundary-reduction-edge-valid")
-        e = lot.edges[cert.edge_id]
-        _need(cert.outer_vertex in (e.tail, e.head),
+        _need(cert.outer_vertex in lot.edges[cert.edge_id][:2],
               "boundary-reduction-outer-vertex",
               "vertex not on the removed edge")
-        degree = sum(1 for d in lot.edges
-                     if cert.outer_vertex in (d.tail, d.head))
+        degree = sum(1 for t, h, _ in lot.edges if cert.outer_vertex in (t, h))
         _need(degree == 1, "boundary-reduction-outer-vertex",
               "vertex is not a boundary vertex")
-        _need(all(d.label != cert.outer_vertex for d in lot.edges),
+        _need(all(l != cert.outer_vertex for _, _, l in lot.edges),
               "boundary-reduction-vertex-unlabeled",
               f"{cert.outer_vertex} occurs as an edge label")
         _verify(boundary_reduce(lot, cert.edge_id, cert.outer_vertex), cert.child)
@@ -510,8 +508,8 @@ def _write(cert: Certificate, depth: int, lines: list[str],
         names.update(final.vertices)  # a Lot's edges name only its vertices
         lines.append(f"{inner}(final (vertices"
                      + "".join([f" {v}" for v in final.vertices]) + ")"
-                     + "".join([f" (edge {e.tail} {e.head} {e.label})"
-                                for e in final.edges]) + ")")
+                     + "".join([f" (edge {t} {h} {l})"
+                                for t, h, l in final.edges]) + ")")
         lines += [f"{inner}(flipped{_ids(cert.flipped)})",
                   *(inner + f for f in _corner_fields(cert, names)),
                   inner + "(children"]
@@ -536,45 +534,144 @@ verifier recurse once per node, so this also bounds their recursion."""
 
 
 def parse_certificate(text: str) -> Certificate:
-    return _from_sexp(_read(text))
+    """The certificate ``text`` spells.
+
+    Its tokens are the parentheses and the whitespace-separated runs
+    between them.  ``_node`` reads the writer's layout straight off the
+    token list.  Any other text, and a certificate with a node within
+    three levels of MAX_CERT_DEPTH, is read again as nested lists by
+    ``_read`` and ``_from_sexp``: they check each node's item count before
+    its fields, so a malformed certificate gets the error it always got."""
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    try:
+        cert, end = _node(tokens, 0, 1)
+        if end == len(tokens):
+            return cert
+    except (LotvaError, LookupError, ValueError):
+        pass
+    return _from_sexp(_read(tokens))
 
 
-def _read(text: str):
-    """The single s-expression ``text`` spells, every atom kept as its text.
+def _node(t: list[str], i: int, depth: int):
+    """The node whose "(" is t[i], at nesting ``depth``, and the index past
+    its ")"; ValueError, LookupError or LotvaError where the tokens leave
+    the writer's layout."""
+    if t[i] != "(" or depth > MAX_CERT_DEPTH - 3:
+        raise ValueError
+    kind, k = t[i + 1], i + 2
+    if kind == "base":
+        node = BaseTrivial()
+    elif kind == "bdry-red":
+        (edge,), k = _field(t, k, "edge")
+        (vertex,), k = _field(t, k, "vertex")
+        child, k = _node(t, k, depth + 1)
+        node = BoundaryReduction(int(edge), vertex, child)
+    elif kind == "free-dec":
+        left, k = _field(t, k, "left")
+        right, k = _field(t, k, "right")
+        (shared,), k = _field(t, k, "shared")
+        left_child, k = _node(t, k, depth + 1)
+        right_child, k = _node(t, k, depth + 1)
+        node = FreeDecompositionNode(_int_set(left), _int_set(right), shared,
+                                     left_child, right_child)
+    elif kind == "prime-wt":
+        flipped, k = _field(t, k, "flipped")
+        pos, k = _corners(t, k, "pos")
+        neg, k = _corners(t, k, "neg")
+        node = PrimeWeightTest(_int_set(flipped), pos, neg)
+    elif kind == "complete-set":
+        k, sublots = _open(t, k, "sublots"), []
+        while t[k] == "(":
+            j = t.index(")", k)
+            sublots.append(_int_set(t[k + 1:j]))
+            k = j + 1
+        k, steps = _open(t, _close(t, k), "chain"), []
+        while t[k] == "(":  # (step (ids) vertex)
+            j = t.index(")", k)
+            if (t[k + 1:k + 3] != ["step", "("] or t[j + 1] in ("(", ")")
+                    or t[j + 2] != ")"):
+                raise ValueError
+            steps.append(ChainStep(_int_set(t[k + 3:j]), t[j + 1]))
+            k = j + 3
+        vertices, k = _field(t, _open(t, _close(t, k), "final"), "vertices")
+        edges = []
+        while t[k] == "(":
+            (tail, head, label), k = _field(t, k, "edge")
+            edges.append(LotEdge(tail, head, label))
+        flipped, k = _field(t, _close(t, k), "flipped")
+        pos, k = _corners(t, k, "pos")
+        neg, k = _corners(t, k, "neg")
+        k, children = _open(t, k, "children"), []
+        while t[k] == "(":
+            child, k = _node(t, k, depth + 2)
+            children.append(child)
+        chain = CollapseChain(tuple(steps), Lot(tuple(vertices), tuple(edges)))
+        node = CompleteSetRelative(tuple(sublots), chain, _int_set(flipped),
+                                   pos, neg, tuple(children))
+        k = _close(t, k)
+    else:
+        raise ValueError
+    return node, _close(t, k)
 
-    The tokens are the parentheses and the whitespace-separated runs
-    between them.  Iterative, with the open lists on an explicit stack no
-    deeper than MAX_CERT_DEPTH.
-    """
-    root: list = []
-    stack = [root]
-    cur = root
-    tokens = iter(text.replace("(", " ( ").replace(")", " ) ").split())
-    for tok in tokens:
-        if tok == ")":
-            if cur is root:
-                raise ParseError("unexpected )")
-            stack.pop()
-            cur = stack[-1]
-            if cur is root:
-                break
-        elif tok == "(":
+
+def _open(t: list[str], k: int, key: str) -> int:
+    """The index past the "( key" at t[k]."""
+    if t[k] != "(" or t[k + 1] != key:
+        raise ValueError
+    return k + 2
+
+
+def _close(t: list[str], k: int) -> int:
+    """The index past the ")" at t[k]."""
+    if t[k] != ")":
+        raise ValueError
+    return k + 1
+
+
+def _field(t: list[str], k: int, key: str) -> tuple[list[str], int]:
+    """The atoms of the field (key atom ...) at t[k], and the index past it."""
+    k = _open(t, k, key)
+    j = t.index(")", k)
+    if "(" in t[k:j]:
+        raise ValueError
+    return t[k:j], j + 1
+
+
+def _corners(t: list[str], k: int, key: str):
+    """The pairs of the field (key (a b) ...) at t[k], read in 4-token
+    strides, and the index past it."""
+    s = j = _open(t, k, key)
+    while t[j] == "(":
+        j += 4
+    a, b = t[s + 1:j:4], t[s + 2:j:4]
+    if (t[j] != ")" or t[s + 3:j:4].count(")") != len(a)
+            or not {*a, *b}.isdisjoint("()")):
+        raise ValueError
+    return tuple(zip(a, b)), j + 1
+
+
+def _read(tokens: list[str]):
+    """The single s-expression the tokens spell, every atom kept as its
+    text, with the open lists on a stack no deeper than MAX_CERT_DEPTH."""
+    stack: list[list] = [[]]
+    for k, tok in enumerate(tokens):
+        if tok == "(":
             if len(stack) > MAX_CERT_DEPTH:
                 raise ParseError(f"certificate nests deeper than {MAX_CERT_DEPTH}")
-            cur.append([])
-            cur = cur[-1]
-            stack.append(cur)
+            stack.append([])
+        elif tok == ")":
+            if len(stack) == 1:
+                raise ParseError("unexpected )")
+            done = stack.pop()
+            stack[-1].append(done)
         else:
-            cur.append(tok)
-            if cur is root:
-                break
-    if len(stack) > 1:
-        raise ParseError("unbalanced parentheses")
-    if not root:
-        raise ParseError("unexpected end of certificate")
-    if next(tokens, None) is not None:
-        raise ParseError("trailing data after certificate")
-    return root[0]
+            stack[-1].append(tok)
+        if len(stack) == 1:
+            if k + 1 < len(tokens):
+                raise ParseError("trailing data after certificate")
+            return stack[0][0]
+    raise ParseError("unbalanced parentheses" if tokens
+                     else "unexpected end of certificate")
 
 
 def _int(x) -> int:
@@ -605,8 +702,11 @@ def _int_set(items) -> frozenset[int]:
     """Edge ids as the writer writes them: each once, in increasing order."""
     if not isinstance(items, list):
         raise ParseError(f"expected a list of edge ids, got {items!r}")
-    ids = [_int(x) for x in items]
-    if any(a >= b for a, b in zip(ids, ids[1:])):
+    try:
+        ids = list(map(int, items))
+    except (TypeError, ValueError):
+        ids = [_int(x) for x in items]  # names the first that is not an id
+    if ids != sorted(set(ids)):
         raise ParseError(f"edge ids must be distinct and increasing, "
                          f"got ({' '.join(map(str, items))})")
     return frozenset(ids)

@@ -127,13 +127,8 @@ def build_complex(slot: Union[Lot, SignedLot]) -> TwoComplex:
     lot = slot.lot
     sgn = {v: s for v, s in zip(lot.vertices, slot.sign)}
     cells = []
-    for i, e in enumerate(lot.edges):
-        word = BoundaryWord((
-            (e.tail, sgn[e.tail]),
-            (e.label, 1),
-            (e.head, -sgn[e.head]),
-            (e.label, -1),
-        ))
+    for i, (t, h, l) in enumerate(lot.edges):
+        word = BoundaryWord(((t, sgn[t]), (l, 1), (h, -sgn[h]), (l, -1)))
         cells.append(Cell(f"d_{i}", word))
     return TwoComplex(tuple(lot.vertices), tuple(cells), name=lot.name)
 

@@ -21,9 +21,9 @@ from .errors import ParseError, PreconditionError, StructureError
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 
 
-@dataclass(frozen=True)
-class LotEdge:
-    """Oriented labeled edge; its id is its position in the edge tuple."""
+class LotEdge(NamedTuple):
+    """Oriented labeled edge; its id is its position in the edge tuple.  A
+    named (tail, head, label) tuple: it unpacks, and equals the plain tuple."""
     tail: str
     head: str
     label: str
@@ -51,13 +51,8 @@ class Lot:
 
     def __post_init__(self):
         iv = _int_view(self)
-        # n - 1 edges, and a walk from vertex 0 reaches every vertex; the
-        # count comes first, so a LOT with no vertices walks nothing
-        paths = _root_paths(iv) if len(iv.edges) == iv.n - 1 else [-1]
-        if min(paths) < 0:
-            raise StructureError("underlying graph is not a tree")
+        object.__setattr__(self, "_paths", _tree_paths(iv))
         object.__setattr__(self, "_iv", iv)
-        object.__setattr__(self, "_paths", tuple(paths))
 
     @property
     def num_edges(self) -> int:
@@ -138,58 +133,61 @@ def parse_lot(text: str) -> Lot:
     ``edge TAIL HEAD LABEL``.  Vertices are implied by edge endpoints in
     order of first appearance; edge ids follow file order.  Labels must name
     a declared or implied vertex, and the underlying graph must be a tree
-    (``StructureError`` otherwise).
+    (``StructureError`` otherwise).  Names become vertex indices as the
+    lines are read, so the Lot comes with its int view built.
     """
     name = ""
-    vertices: list[str] = []
-    vset: set[str] = set()
-    raw_edges: list[tuple[str, str, str, int]] = []
+    index: dict[str, int] = {}  # vertex -> index, in order of first appearance
+    lines: list[tuple[list[str], int]] = []  # each edge line's words and number
 
-    def add_vertex(v, lineno):
-        # a name seen before passed the identifier check where it first came
-        if v not in vset:
-            if not _IDENT.match(v):
-                raise ParseError(f"bad identifier {v!r}", lineno)
-            vset.add(v)
-            vertices.append(v)
+    def add(v, lineno):
+        # a name seen before passed this check where it first came
+        if not _IDENT.match(v):
+            raise ParseError(f"bad identifier {v!r}", lineno)
+        index[v] = len(index)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not parts:
             continue
-        parts = line.split()
         kw = parts[0]
-        if kw == "lot":
-            if len(parts) != 2:
-                raise ParseError("expected: lot NAME", lineno)
-            name = parts[1]
+        if kw == "edge":
+            if len(parts) != 4:
+                raise ParseError("expected: edge TAIL HEAD LABEL", lineno)
+            _, tail, head, _ = parts
+            if tail == head:
+                raise ParseError(f"self-loop at {tail!r}", lineno)
+            if tail not in index:
+                add(tail, lineno)
+            if head not in index:
+                add(head, lineno)
+            lines.append((parts, lineno))
         elif kw == "vertex":
             if len(parts) != 2:
                 raise ParseError("expected: vertex NAME", lineno)
-            add_vertex(parts[1], lineno)
-        elif kw == "edge":
-            if len(parts) != 4:
-                raise ParseError("expected: edge TAIL HEAD LABEL", lineno)
-            tail, head, label = parts[1:]
-            if tail == head:
-                raise ParseError(f"self-loop at {tail!r}", lineno)
-            add_vertex(tail, lineno)
-            add_vertex(head, lineno)
-            raw_edges.append((tail, head, label, lineno))
+            if parts[1] not in index:
+                add(parts[1], lineno)
+        elif kw == "lot":
+            if len(parts) != 2:
+                raise ParseError("expected: lot NAME", lineno)
+            name = parts[1]
         else:
             raise ParseError(f"unknown keyword {kw!r}", lineno)
 
-    for tail, head, label, lineno in raw_edges:
-        if label not in vset:
+    edges = []
+    for (_, tail, head, label), lineno in lines:
+        if label not in index:
             raise ParseError(f"unknown vertex in label: {label!r}", lineno)
-    edges = tuple(LotEdge(t, h, l) for t, h, l, _ in raw_edges)
-    return Lot(tuple(vertices), edges, name=name)
+        edges.append((index[tail], index[head], index[label]))
+    iv = _view(len(index), tuple(edges))
+    named = tuple([LotEdge._make(p[1:]) for p, _ in lines])
+    return _lot_from_view(tuple(index), named, iv, _tree_paths(iv), name)
 
 
 def format_lot(lot: Lot) -> str:
     lines = [f"lot {lot.name}" if lot.name else "lot unnamed"]
     lines += [f"vertex {v}" for v in lot.vertices]
-    lines += [f"edge {e.tail} {e.head} {e.label}" for e in lot.edges]
+    lines += [f"edge {t} {h} {l}" for t, h, l in lot.edges]
     return "\n".join(lines) + "\n"
 
 
@@ -215,16 +213,26 @@ def _int_view(lot: Lot) -> _IntView:
             raise StructureError(f"duplicate vertex {v!r}")
         idx[v] = len(idx)
     edges = []
-    for i, e in enumerate(lot.edges):
-        if e.tail == e.head:
-            raise StructureError(f"edge {i} is a self-loop at {e.tail!r}")
-        for v in (e.tail, e.head):
+    for i, (t, h, l) in enumerate(lot.edges):
+        if t == h:
+            raise StructureError(f"edge {i} is a self-loop at {t!r}")
+        for v in (t, h):
             if v not in idx:
                 raise StructureError(f"edge {i} uses unknown vertex {v!r}")
-        if e.label not in idx:
-            raise StructureError(f"edge {i} has unknown label {e.label!r}")
-        edges.append((idx[e.tail], idx[e.head], idx[e.label]))
+        if l not in idx:
+            raise StructureError(f"edge {i} has unknown label {l!r}")
+        edges.append((idx[t], idx[h], idx[l]))
     return _view(len(idx), tuple(edges))
+
+
+def _tree_paths(iv: _IntView) -> tuple[int, ...]:
+    """The view's root paths (``_root_paths``); StructureError unless its
+    graph is a tree: n - 1 edges, and a walk from vertex 0 reaches every
+    vertex.  The count comes first, so a LOT with no vertices walks nothing."""
+    paths = _root_paths(iv) if len(iv.edges) == iv.n - 1 else [-1]
+    if min(paths) < 0:
+        raise StructureError("underlying graph is not a tree")
+    return tuple(paths)
 
 
 def _view(n: int, edges: tuple[tuple[int, int, int], ...]) -> _IntView:
@@ -240,13 +248,13 @@ def _view(n: int, edges: tuple[tuple[int, int, int], ...]) -> _IntView:
 
 def sublot_vertices(lot: Lot, edge_ids: Iterable[int]) -> frozenset[str]:
     """Vertices spanned by a set of edges."""
-    out = set()
+    edges, names, out = lot._iv.edges, lot.vertices, set()
     for i in edge_ids:
-        if not 0 <= i < len(lot.edges):
+        if not 0 <= i < len(edges):
             raise StructureError(f"unknown edge id {i}")
-        e = lot.edges[i]
-        out.add(e.tail)
-        out.add(e.head)
+        t, h, _ = edges[i]
+        out.add(names[t])
+        out.add(names[h])
     return frozenset(out)
 
 

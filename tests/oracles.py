@@ -26,7 +26,10 @@ Small-LOT generation has its filter-then-test form here: tree shapes from
 every Prufer sequence, and each (orientation, labeling) candidate tested
 against every automorphism on its own.  So does the certificate reader that
 one split pass replaced, which built each atom one character at a time and
-read every atom ``int()`` accepts as an int, and the certificate writer
+read every atom ``int()`` accepts as an int; kept with its own node builder,
+and with atoms left as text it is the nested-list reader that the
+token-list reader replaced.  So do the LOT reader that collected names
+before ``Lot(...)`` mapped them to ints, and the certificate writer
 that one pass of lines replaced, which printed nested lists.  The collapse
 that the library makes on int views has its name-level form here
 (``named_collapse``, with ``collapse_vertex_of``).  The complete-set search
@@ -59,10 +62,10 @@ from lotva import (BaseTrivial, BoundaryReduction, BoundaryWord, Cell,
                    exponent_sum, extract_sublot, is_compressed, is_injective,
                    is_sublot, sublot_closure, sublot_vertices,
                    validate_diagram, verify_certificate)
-from lotva.certify import MAX_CERT_DEPTH, _from_sexp, _unreadable
+from lotva.certify import MAX_CERT_DEPTH, _unreadable
 from lotva.complexes import validate_family
 from lotva.linkage import UnionFind, _forest_witness
-from lotva.lot import SublotStructure
+from lotva.lot import _IDENT, SublotStructure
 from lotva.sweep import _ahu_key, _labelings, _prufer_decode, automorphisms
 from lotva.weights import FlipForests, flip_mask
 
@@ -922,6 +925,59 @@ def reference_replay_chain(lot, chain) -> tuple[Optional[str], Lot]:
 
 
 # ---------------------------------------------------------------------------
+# LOT reader
+# ---------------------------------------------------------------------------
+
+def reference_parse_lot(text: str) -> Lot:
+    """``parse_lot`` as it was before it built the int view in its line
+    loop: vertex and edge names first, then ``Lot(...)``, whose
+    ``__post_init__`` maps the names to ints."""
+    name = ""
+    vertices: list[str] = []
+    vset: set[str] = set()
+    raw_edges: list[tuple[str, str, str, int]] = []
+
+    def add_vertex(v, lineno):
+        if v not in vset:
+            if not _IDENT.match(v):
+                raise ParseError(f"bad identifier {v!r}", lineno)
+            vset.add(v)
+            vertices.append(v)
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        kw = parts[0]
+        if kw == "lot":
+            if len(parts) != 2:
+                raise ParseError("expected: lot NAME", lineno)
+            name = parts[1]
+        elif kw == "vertex":
+            if len(parts) != 2:
+                raise ParseError("expected: vertex NAME", lineno)
+            add_vertex(parts[1], lineno)
+        elif kw == "edge":
+            if len(parts) != 4:
+                raise ParseError("expected: edge TAIL HEAD LABEL", lineno)
+            tail, head, label = parts[1:]
+            if tail == head:
+                raise ParseError(f"self-loop at {tail!r}", lineno)
+            add_vertex(tail, lineno)
+            add_vertex(head, lineno)
+            raw_edges.append((tail, head, label, lineno))
+        else:
+            raise ParseError(f"unknown keyword {kw!r}", lineno)
+
+    for tail, head, label, lineno in raw_edges:
+        if label not in vset:
+            raise ParseError(f"unknown vertex in label: {label!r}", lineno)
+    edges = tuple(LotEdge(t, h, l) for t, h, l, _ in raw_edges)
+    return Lot(tuple(vertices), edges, name=name)
+
+
+# ---------------------------------------------------------------------------
 # certificate reader
 # ---------------------------------------------------------------------------
 
@@ -945,8 +1001,9 @@ def _reference_tokenize(text: str) -> list[str]:
     return out
 
 
-def _reference_read(tokens: list[str]):
-    """The single s-expression the tokens spell; integer atoms become ints."""
+def _reference_read(tokens: list[str], int_atoms: bool = True):
+    """The single s-expression the tokens spell; with ``int_atoms``,
+    integer atoms become ints."""
     stack: list[list] = [[]]
     for tok in tokens:
         if len(stack) == 1 and stack[0]:
@@ -962,7 +1019,7 @@ def _reference_read(tokens: list[str]):
             stack[-1].append(done)
         else:
             try:
-                stack[-1].append(int(tok))
+                stack[-1].append(int(tok) if int_atoms else tok)
             except ValueError:
                 stack[-1].append(tok)
     if len(stack) > 1:
@@ -972,14 +1029,104 @@ def _reference_read(tokens: list[str]):
     return stack[0][0]
 
 
-def reference_parse_certificate(text: str):
-    """``parse_certificate`` with the reader it had before: the library's
-    node builder over the nested lists that ``_reference_read`` spells.
-    The builder's ``_int`` takes an int atom as it is and raises the same
-    error as before on any other atom.  Its ``_name`` takes ``str()`` of an
-    atom, so a name that reads as an int comes back in ``int()``'s
-    spelling ("01" as "1")."""
-    return _from_sexp(_reference_read(_reference_tokenize(text)))
+def _ref_int(x) -> int:
+    try:
+        return int(x)
+    except (TypeError, ValueError):
+        raise ParseError(f"expected edge id, got {x!r}") from None
+
+
+def _ref_name(x) -> str:
+    if isinstance(x, list):
+        raise ParseError(f"expected a vertex name, got {x!r}")
+    return str(x)
+
+
+def _ref_items(x, key: str, n: Optional[int] = None) -> list:
+    if not (isinstance(x, list) and x and x[0] == key):
+        raise ParseError(f"expected a ({key} ...) field, got {x!r:.80}")
+    if n is not None and len(x) != n + 1:
+        raise ParseError(f"({key} ...) takes {n} item{'s' * (n != 1)}, "
+                         f"got {len(x) - 1}")
+    return x[1:]
+
+
+def _ref_int_set(items) -> frozenset:
+    if not isinstance(items, list):
+        raise ParseError(f"expected a list of edge ids, got {items!r}")
+    ids = [_ref_int(x) for x in items]
+    if any(a >= b for a, b in zip(ids, ids[1:])):
+        raise ParseError(f"edge ids must be distinct and increasing, "
+                         f"got ({' '.join(map(str, items))})")
+    return frozenset(ids)
+
+
+def _ref_pairs(items) -> tuple:
+    out = []
+    for p in items:
+        if not (isinstance(p, list) and len(p) == 2):
+            raise ParseError(f"expected a corner pair, got {p!r}")
+        out.append((_ref_name(p[0]), _ref_name(p[1])))
+    return tuple(out)
+
+
+def _reference_from_sexp(sexp):
+    """The node ``sexp`` spells, field by field in the writer's order."""
+    if not isinstance(sexp, list) or not sexp:
+        raise ParseError("certificate node must be a list")
+    head = sexp[0]
+    if head == "base":
+        _ref_items(sexp, head, 0)
+        return BaseTrivial()
+    if head == "bdry-red":
+        edge, vertex, child = _ref_items(sexp, head, 3)
+        return BoundaryReduction(_ref_int(*_ref_items(edge, "edge", 1)),
+                                 _ref_name(*_ref_items(vertex, "vertex", 1)),
+                                 _reference_from_sexp(child))
+    if head == "free-dec":
+        left, right, shared, left_child, right_child = _ref_items(sexp, head, 5)
+        return FreeDecompositionNode(
+            _ref_int_set(_ref_items(left, "left")),
+            _ref_int_set(_ref_items(right, "right")),
+            _ref_name(*_ref_items(shared, "shared", 1)),
+            _reference_from_sexp(left_child), _reference_from_sexp(right_child))
+    if head == "prime-wt":
+        flipped, pos, neg = _ref_items(sexp, head, 3)
+        return PrimeWeightTest(_ref_int_set(_ref_items(flipped, "flipped")),
+                               _ref_pairs(_ref_items(pos, "pos")),
+                               _ref_pairs(_ref_items(neg, "neg")))
+    if head == "complete-set":
+        sublots, chain, final, flipped, pos, neg, children = _ref_items(sexp, head, 7)
+        steps = []
+        for step in _ref_items(chain, "chain"):
+            ids, vertex = _ref_items(step, "step", 2)
+            steps.append(ChainStep(_ref_int_set(ids), _ref_name(vertex)))
+        final_items = _ref_items(final, "final")
+        if not final_items:
+            raise ParseError(f"expected a (vertices ...) field in {final!r}")
+        vertices, *edges = final_items
+        quotient = Lot(tuple(map(_ref_name, _ref_items(vertices, "vertices"))),
+                       tuple(LotEdge(*map(_ref_name, _ref_items(e, "edge", 3)))
+                             for e in edges))
+        return CompleteSetRelative(
+            tuple(map(_ref_int_set, _ref_items(sublots, "sublots"))),
+            CollapseChain(tuple(steps), quotient),
+            _ref_int_set(_ref_items(flipped, "flipped")),
+            _ref_pairs(_ref_items(pos, "pos")), _ref_pairs(_ref_items(neg, "neg")),
+            tuple(map(_reference_from_sexp, _ref_items(children, "children"))))
+    raise ParseError(f"unknown certificate keyword {head!r}")
+
+
+def reference_parse_certificate(text: str, int_atoms: bool = True):
+    """``parse_certificate`` as it was: nested lists from a character-by-
+    character reader (``_reference_read``), then a node builder that reads
+    each node's fields by position (``_reference_from_sexp``).  With
+    ``int_atoms``, the reader before the one-split-pass reader: every atom
+    ``int()`` accepts becomes an int, so a name that reads as an int comes
+    back in ``int()``'s spelling ("01" as "1").  Without it, every atom
+    stays its text, as in the reader that the token-list reader replaced,
+    whose values and error messages it gives."""
+    return _reference_from_sexp(_reference_read(_reference_tokenize(text), int_atoms))
 
 
 # ---------------------------------------------------------------------------

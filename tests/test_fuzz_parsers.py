@@ -7,7 +7,9 @@ doubled or replaced, and its result goes on to the call that uses it:
 complex, ``validate_diagram`` over the square complex and, when it passes,
 every diagram operation for a diagram, and
 ``verify_certificate`` against fig1, fig3 and prime for a certificate.  No
-input may end in any exception other than ``LotvaError``.
+input may end in any exception other than ``LotvaError``.  The LOT and
+certificate readers are also held to the readers they replaced
+(``oracles.reference_parse_lot`` and ``reference_parse_certificate``).
 """
 
 import re
@@ -26,6 +28,7 @@ from lotva import (LotvaError, SubcomplexFamily, build_complex,  # noqa: E402
                    parse_certificate, parse_complex, parse_diagram, parse_lot,
                    serialize_certificate, validate_diagram, verify_certificate,
                    vertex_link_cycle, weight_test)
+from oracles import reference_parse_certificate, reference_parse_lot  # noqa: E402
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 LOT_TEXTS = [(FIXTURES / f"{n}.lot").read_text() for n in ("fig1", "fig3", "prime")]
@@ -137,3 +140,54 @@ def test_certificate_file_parses_or_raises_lotva_error(text, lot):
         verify_certificate(lot, parse_certificate(text))
     except LotvaError:
         pass
+
+
+def _outcome(read, text):
+    """The value ``read`` gives for ``text``, or its error's class and text."""
+    try:
+        return read(text)
+    except LotvaError as exc:
+        return type(exc), str(exc)
+
+
+@_SETTINGS
+@given(text=_files(LOT_TEXTS))
+def test_lot_reader_matches_reference(text):
+    """The same Lot, name, int view and root paths as the reader that
+    collected names before ``Lot(...)``, or the same error."""
+    got, ref = _outcome(parse_lot, text), _outcome(reference_parse_lot, text)
+    assert got == ref
+    if not isinstance(got, tuple):
+        assert (got.name, got._iv, got._paths) == (ref.name, ref._iv, ref._paths)
+
+
+def _respelled(text):
+    """Whether an atom that ``int()`` reads is spelled otherwise than
+    ``int()`` prints it; the int-atom reader reads such a name back in the
+    printed spelling."""
+    for atom in re.findall(r"[^\s()]+", text):
+        try:
+            if str(int(atom)) != atom:
+                return True
+        except ValueError:
+            pass
+    return False
+
+
+@_SETTINGS
+@given(text=_files(CERT_TEXTS))
+def test_certificate_reader_matches_reference(text):
+    """The same value or the same error as the nested-list reader with
+    atoms kept as text; the same value as the int-atom reader before it,
+    or an error from both, unless an atom reads as an int spelled
+    otherwise."""
+    got = _outcome(parse_certificate, text)
+    assert got == _outcome(lambda s: reference_parse_certificate(s, int_atoms=False),
+                           text)
+    if _respelled(text):
+        return
+    ref = _outcome(reference_parse_certificate, text)
+    if isinstance(got, tuple):
+        assert isinstance(ref, tuple) and got[0] is ref[0]
+    else:
+        assert got == ref

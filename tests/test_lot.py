@@ -105,6 +105,21 @@ class TestParsing:
     def test_format_round_trip(self, fig1):
         assert parse_lot(format_lot(fig1)) == fig1
 
+    def test_lot_edge_is_a_named_tuple(self, fig1):
+        """Among LotEdges, repr, == and hash are those of the frozen
+        dataclass it was, and so are Lot equality and hashing; a LotEdge
+        also unpacks, and equals the plain (tail, head, label) tuple."""
+        e = LotEdge("a", "b", "c")
+        assert repr(e) == "LotEdge(tail='a', head='b', label='c')"
+        assert e == LotEdge("a", "b", "c") and e != LotEdge("b", "a", "c")
+        assert hash(e) == hash(("a", "b", "c")) == hash(LotEdge("a", "b", "c"))
+        assert (e.tail, e.head, e.label) == tuple(e) == e == ("a", "b", "c")
+        tail, head, label = e
+        assert (tail, head, label) == ("a", "b", "c")
+        lot = Lot(fig1.vertices, tuple(LotEdge(*e) for e in fig1.edges), name="x")
+        assert lot == fig1 and hash(lot) == hash(fig1)
+        assert Lot(fig1.vertices, tuple(map(tuple, fig1.edges))) == fig1
+
     @pytest.mark.parametrize("text, line", [
         ("edge a b c\nedge b 9x a\nedge 9x d b\n", 2),
         ("vertex a\nedge a b c\nvertex x-y\nedge c x-y a\nedge x-y d b\n", 3),

@@ -60,15 +60,24 @@ def test_bench_relative_verdicts():
 def test_bench_certify_loop():
     """The timing loop and summary of ``scripts/bench_certify.py``, which
     ``bench_relative.py`` shares, on fig1 and two LOTs of the <=6 sweep:
-    every (root, stage) call gets a finite scaled and raw time, and the
-    record holds each certificate's byte count."""
+    every (root, stage) call gets a finite scaled and raw time, the calls
+    run stage by stage (each stage's calls in every round before the next
+    stage's), and the record holds each certificate's byte count."""
     bench = load("bench_certify")
     texts = [(ROOT / "fixtures" / "fig1.lot").read_text()] + [
         format_lot(lot) for lot in islice(iter_small_lots(6), 0, 80, 40)]
     roots = [bench.root_calls(text) for text in texts]
-    calls = [((r, stage), fn, args) for r, (_, _, root) in enumerate(roots)
-             for stage, fn, args in root]
+    ran = []
+
+    def logged(key, fn):
+        return lambda *args: (ran.append(key), fn(*args))
+
+    calls = [((r, stage), logged((r, stage), fn), args)
+             for r, (_, _, root) in enumerate(roots) for stage, fn, args in root]
     best, factors = bench.best_times(calls)
+    stages = list(dict.fromkeys(stage for (_, stage), _, _ in calls))
+    assert ran == [key for stage in stages for _ in range(bench.ROUNDS)
+                   for key, _, _ in calls if key[1] == stage]
     assert sorted(best) == sorted(key for key, _, _ in calls)
     assert all(math.isfinite(t) and t > 0 for b in best.values() for t in b)
     assert 0 < factors[0] <= factors[1]
