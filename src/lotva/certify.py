@@ -532,159 +532,164 @@ MAX_CERT_DEPTH = 500
 sits at least one level below its parent node, and node building and the
 verifier recurse once per node, so this also bounds their recursion."""
 
+_ITEM_COUNTS = {"base": 0, "bdry-red": 3, "free-dec": 5, "prime-wt": 3,
+                "complete-set": 7}
+
 
 def parse_certificate(text: str) -> Certificate:
-    """The certificate ``text`` spells.
-
-    Its tokens are the parentheses and the whitespace-separated runs
-    between them.  ``_node`` reads the writer's layout straight off the
-    token list.  Any other text, and a certificate with a node within
-    three levels of MAX_CERT_DEPTH, is read again as nested lists by
-    ``_read`` and ``_from_sexp``: they check each node's item count before
-    its fields, so a malformed certificate gets the error it always got."""
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    """The certificate ``text`` spells in exactly the layout ``_write``
+    writes, built by ``_node`` straight off its tokens: the parentheses and
+    the whitespace-separated runs between them.  A fault in the
+    parentheses, or data after the certificate, is reported first."""
+    t = text.replace("(", " ( ").replace(")", " ) ").split()
     try:
-        cert, end = _node(tokens, 0, 1)
-        if end == len(tokens):
-            return cert
+        cert, end = _node(t, 0, 1)
     except (LotvaError, LookupError, ValueError):
-        pass
-    return _from_sexp(_read(tokens))
+        if _read(t, 0)[1] == len(t):
+            raise
+        end = -1
+    if end != len(t):
+        raise ParseError("trailing data after certificate")
+    return cert
 
 
 def _node(t: list[str], i: int, depth: int):
-    """The node whose "(" is t[i], at nesting ``depth``, and the index past
-    its ")"; ValueError, LookupError or LotvaError where the tokens leave
-    the writer's layout."""
-    if t[i] != "(" or depth > MAX_CERT_DEPTH - 3:
-        raise ValueError
-    kind, k = t[i + 1], i + 2
-    if kind == "base":
-        node = BaseTrivial()
-    elif kind == "bdry-red":
-        (edge,), k = _field(t, k, "edge")
-        (vertex,), k = _field(t, k, "vertex")
-        child, k = _node(t, k, depth + 1)
-        node = BoundaryReduction(int(edge), vertex, child)
-    elif kind == "free-dec":
-        left, k = _field(t, k, "left")
-        right, k = _field(t, k, "right")
-        (shared,), k = _field(t, k, "shared")
-        left_child, k = _node(t, k, depth + 1)
-        right_child, k = _node(t, k, depth + 1)
-        node = FreeDecompositionNode(_int_set(left), _int_set(right), shared,
-                                     left_child, right_child)
-    elif kind == "prime-wt":
-        flipped, k = _field(t, k, "flipped")
-        pos, k = _corners(t, k, "pos")
-        neg, k = _corners(t, k, "neg")
-        node = PrimeWeightTest(_int_set(flipped), pos, neg)
-    elif kind == "complete-set":
-        k, sublots = _open(t, k, "sublots"), []
-        while t[k] == "(":
-            j = t.index(")", k)
-            sublots.append(_int_set(t[k + 1:j]))
-            k = j + 1
-        k, steps = _open(t, _close(t, k), "chain"), []
-        while t[k] == "(":  # (step (ids) vertex)
-            j = t.index(")", k)
-            if (t[k + 1:k + 3] != ["step", "("] or t[j + 1] in ("(", ")")
-                    or t[j + 2] != ")"):
-                raise ValueError
-            steps.append(ChainStep(_int_set(t[k + 3:j]), t[j + 1]))
-            k = j + 3
-        vertices, k = _field(t, _open(t, _close(t, k), "final"), "vertices")
-        edges = []
-        while t[k] == "(":
-            (tail, head, label), k = _field(t, k, "edge")
-            edges.append(LotEdge(tail, head, label))
-        flipped, k = _field(t, _close(t, k), "flipped")
-        pos, k = _corners(t, k, "pos")
-        neg, k = _corners(t, k, "neg")
-        k, children = _open(t, k, "children"), []
-        while t[k] == "(":
-            child, k = _node(t, k, depth + 2)
-            children.append(child)
-        chain = CollapseChain(tuple(steps), Lot(tuple(vertices), tuple(edges)))
-        node = CompleteSetRelative(tuple(sublots), chain, _int_set(flipped),
-                                   pos, neg, tuple(children))
-        k = _close(t, k)
-    else:
-        raise ValueError
-    return node, _close(t, k)
+    """The node whose "(" is t[i], ``depth`` levels deep, and the index past
+    its ")".  Where the parentheses balance, its first fault raises the
+    LotvaError that names it: a wrong item count, then a fault in its
+    fields in order (a complete-set node's sublots after its final
+    quotient), then one in its children."""
+    if depth > MAX_CERT_DEPTH:
+        raise ValueError("nested too deep")
+    kind = t[i + 1] if t[i] == "(" else None
+    if kind not in _ITEM_COUNTS:
+        x = _read(t, i)[0]
+        if not (isinstance(x, list) and x):
+            raise ParseError("certificate node must be a list")
+        raise ParseError(f"unknown certificate keyword {x[0]!r}")
+    k, reach = i + 2, 1  # reach: how many levels its own fields nest
+    try:
+        if kind == "base":
+            node, reach = BaseTrivial(), 0
+        elif kind == "bdry-red":
+            (edge,), k = _field(t, k, "edge", 1, ids=True)
+            (vertex,), k = _field(t, k, "vertex", 1)
+            child, k = _node(t, k, depth + 1)
+            node = BoundaryReduction(edge, vertex, child)
+        elif kind == "free-dec":
+            left, k = _field(t, k, "left", ids=True)
+            right, k = _field(t, k, "right", ids=True)
+            (shared,), k = _field(t, k, "shared", 1)
+            left_child, k = _node(t, k, depth + 1)
+            right_child, k = _node(t, k, depth + 1)
+            node = FreeDecompositionNode(left, right, shared, left_child,
+                                         right_child)
+        elif kind == "prime-wt":
+            flipped, k = _field(t, k, "flipped", ids=True)
+            pos, k = _corners(t, k, "pos")
+            neg, k = _corners(t, k, "neg")
+            node, reach = PrimeWeightTest(flipped, pos, neg), 1 + bool(pos or neg)
+        else:
+            sublots, k = _read(t, k)
+            chain, k = _read(t, k)
+            steps = tuple(ChainStep(_int_set(ids), _name(vertex)) for ids, vertex
+                          in (_items(s, "step", 2) for s in _items(chain, "chain")))
+            k = _open(t, k, "final")
+            if t[k] == ")":
+                raise ParseError("expected a (vertices ...) field in ['final']")
+            vertices, k = _field(t, k, "vertices")
+            edges = []
+            while t[k] != ")":
+                edge, k = _field(t, k, "edge", 3)
+                edges.append(LotEdge._make(edge))
+            chain = CollapseChain(steps, Lot(tuple(vertices), tuple(edges)))
+            sublots = tuple(map(_int_set, _items(sublots, "sublots")))
+            flipped, k = _field(t, k + 1, "flipped", ids=True)
+            pos, k = _corners(t, k, "pos")
+            neg, k = _corners(t, k, "neg")
+            k, children = _open(t, k, "children"), []
+            while t[k] != ")":
+                child, k = _node(t, k, depth + 2)
+                children.append(child)
+            node = CompleteSetRelative(sublots, chain, flipped, pos, neg,
+                                       tuple(children))
+            k, reach = k + 1, 2 + bool(steps)
+        if t[k] != ")":
+            raise ParseError("")  # an item too many, which the count names
+    except LotvaError:
+        _items(_read(t, i)[0], kind, _ITEM_COUNTS[kind])
+        raise
+    if depth + reach > MAX_CERT_DEPTH:
+        raise ValueError("nested too deep")
+    return node, k + 1
+
+
+def _read(t: list[str], k: int):
+    """The item at t[k] as nested lists of atoms, and the index past it,
+    with the open lists on a stack no deeper than MAX_CERT_DEPTH."""
+    stack: list[list] = []
+    out: list = []
+    for k in range(k, len(t)):
+        tok = t[k]
+        if tok == "(":
+            if len(stack) == MAX_CERT_DEPTH:
+                raise ParseError(f"certificate nests deeper than {MAX_CERT_DEPTH}")
+            stack.append(out)
+            out = []
+        elif tok == ")":
+            if not stack:
+                raise ParseError("unexpected )")
+            done, out = out, stack.pop()
+            out.append(done)
+        else:
+            out.append(tok)
+        if not stack:
+            return out[0], k + 1
+    raise ParseError("unbalanced parentheses" if t
+                     else "unexpected end of certificate")
 
 
 def _open(t: list[str], k: int, key: str) -> int:
-    """The index past the "( key" at t[k]."""
+    """The index past the "( key" that opens the field at t[k]."""
     if t[k] != "(" or t[k + 1] != key:
-        raise ValueError
+        _items(_read(t, k)[0], key)  # raises
     return k + 2
 
 
-def _close(t: list[str], k: int) -> int:
-    """The index past the ")" at t[k]."""
-    if t[k] != ")":
-        raise ValueError
-    return k + 1
-
-
-def _field(t: list[str], k: int, key: str) -> tuple[list[str], int]:
-    """The atoms of the field (key atom ...) at t[k], and the index past it."""
-    k = _open(t, k, key)
-    j = t.index(")", k)
-    if "(" in t[k:j]:
-        raise ValueError
-    return t[k:j], j + 1
+def _field(t: list[str], k: int, key: str, n: Optional[int] = None,
+           ids: bool = False):
+    """The atoms of the field (key ...) at t[k], n of them if n is given,
+    as a set of edge ids if ``ids``; and the index past the field."""
+    if t[k] == "(" and t[k + 1] == key:
+        j = t.index(")", k)
+        items = t[k + 2:j]
+        if "(" not in items and (n is None or j - k - 2 == n):
+            return (_int_set(items) if ids else items), j + 1
+    x, j = _read(t, k)
+    items = _items(x, key, n)
+    return (_int_set(items) if ids else list(map(_name, items))), j
 
 
 def _corners(t: list[str], k: int, key: str):
     """The pairs of the field (key (a b) ...) at t[k], read in 4-token
     strides, and the index past it."""
-    s = j = _open(t, k, key)
-    while t[j] == "(":
-        j += 4
-    a, b = t[s + 1:j:4], t[s + 2:j:4]
-    if (t[j] != ")" or t[s + 3:j:4].count(")") != len(a)
-            or not {*a, *b}.isdisjoint("()")):
-        raise ValueError
-    return tuple(zip(a, b)), j + 1
-
-
-def _read(tokens: list[str]):
-    """The single s-expression the tokens spell, every atom kept as its
-    text, with the open lists on a stack no deeper than MAX_CERT_DEPTH."""
-    stack: list[list] = [[]]
-    for k, tok in enumerate(tokens):
-        if tok == "(":
-            if len(stack) > MAX_CERT_DEPTH:
-                raise ParseError(f"certificate nests deeper than {MAX_CERT_DEPTH}")
-            stack.append([])
-        elif tok == ")":
-            if len(stack) == 1:
-                raise ParseError("unexpected )")
-            done = stack.pop()
-            stack[-1].append(done)
-        else:
-            stack[-1].append(tok)
-        if len(stack) == 1:
-            if k + 1 < len(tokens):
-                raise ParseError("trailing data after certificate")
-            return stack[0][0]
-    raise ParseError("unbalanced parentheses" if tokens
-                     else "unexpected end of certificate")
-
-
-def _int(x) -> int:
-    try:
-        return int(x)
-    except (TypeError, ValueError):
-        raise ParseError(f"expected edge id, got {x!r}") from None
-
-
-def _name(x) -> str:
-    if isinstance(x, list):
-        raise ParseError(f"expected a vertex name, got {x!r}")
-    return str(x)
+    if t[k] == "(" and t[k + 1] == key:
+        s = j = k + 2
+        end = len(t)
+        while j < end and t[j] == "(":
+            j += 4
+        a, b = t[s + 1:j:4], t[s + 2:j:4]
+        if (t[j:j + 1] == [")"] and t[s + 3:j:4].count(")") == len(a)
+                and "(" not in a and ")" not in a and "(" not in b
+                and ")" not in b):
+            return tuple(zip(a, b)), j + 1
+    x, j = _read(t, k)
+    pairs = _items(x, key)
+    for p in pairs:
+        if not (isinstance(p, list) and len(p) == 2):
+            raise ParseError(f"expected a corner pair, got {p!r}")
+        _name(p[0]), _name(p[1])
+    return tuple(map(tuple, pairs)), j
 
 
 def _items(x, key: str, n: Optional[int] = None) -> list:
@@ -698,6 +703,12 @@ def _items(x, key: str, n: Optional[int] = None) -> list:
     return x[1:]
 
 
+def _name(x) -> str:
+    if isinstance(x, list):
+        raise ParseError(f"expected a vertex name, got {x!r}")
+    return x
+
+
 def _int_set(items) -> frozenset[int]:
     """Edge ids as the writer writes them: each once, in increasing order."""
     if not isinstance(items, list):
@@ -705,66 +716,12 @@ def _int_set(items) -> frozenset[int]:
     try:
         ids = list(map(int, items))
     except (TypeError, ValueError):
-        ids = [_int(x) for x in items]  # names the first that is not an id
+        for x in items:  # name the first that is not an id
+            try:
+                int(x)
+            except (TypeError, ValueError):
+                raise ParseError(f"expected edge id, got {x!r}") from None
     if ids != sorted(set(ids)):
         raise ParseError(f"edge ids must be distinct and increasing, "
                          f"got ({' '.join(map(str, items))})")
     return frozenset(ids)
-
-
-def _pairs(items) -> tuple[tuple[str, str], ...]:
-    out = []
-    for p in items:
-        if not (isinstance(p, list) and len(p) == 2):
-            raise ParseError(f"expected a corner pair, got {p!r}")
-        out.append((_name(p[0]), _name(p[1])))
-    return tuple(out)
-
-
-def _from_sexp(sexp) -> Certificate:
-    """The node ``sexp`` spells, read by position in exactly the layout
-    ``_write`` writes: a missing, extra, repeated or out-of-order field
-    or a stray atom is a ParseError."""
-    if not isinstance(sexp, list) or not sexp:
-        raise ParseError("certificate node must be a list")
-    head = sexp[0]
-    if head == "base":
-        _items(sexp, head, 0)
-        return BaseTrivial()
-    if head == "bdry-red":
-        edge, vertex, child = _items(sexp, head, 3)
-        return BoundaryReduction(_int(*_items(edge, "edge", 1)),
-                                 _name(*_items(vertex, "vertex", 1)),
-                                 _from_sexp(child))
-    if head == "free-dec":
-        left, right, shared, left_child, right_child = _items(sexp, head, 5)
-        return FreeDecompositionNode(
-            _int_set(_items(left, "left")), _int_set(_items(right, "right")),
-            _name(*_items(shared, "shared", 1)),
-            _from_sexp(left_child), _from_sexp(right_child))
-    if head == "prime-wt":
-        flipped, pos, neg = _items(sexp, head, 3)
-        return PrimeWeightTest(_int_set(_items(flipped, "flipped")),
-                               _pairs(_items(pos, "pos")),
-                               _pairs(_items(neg, "neg")))
-    if head == "complete-set":
-        sublots, chain, final, flipped, pos, neg, children = _items(sexp, head, 7)
-        steps = []
-        for step in _items(chain, "chain"):
-            ids, vertex = _items(step, "step", 2)
-            steps.append(ChainStep(_int_set(ids), _name(vertex)))
-        final_items = _items(final, "final")
-        if not final_items:
-            raise ParseError(f"expected a (vertices ...) field in {final!r}")
-        vertices, *edges = final_items
-        quotient = Lot(tuple(map(_name, _items(vertices, "vertices"))),
-                       tuple(LotEdge(*map(_name, _items(e, "edge", 3)))
-                             for e in edges))
-        return CompleteSetRelative(
-            tuple(map(_int_set, _items(sublots, "sublots"))),
-            CollapseChain(tuple(steps), quotient),
-            _int_set(_items(flipped, "flipped")),
-            _pairs(_items(pos, "pos")), _pairs(_items(neg, "neg")),
-            tuple(map(_from_sexp, _items(children, "children"))))
-    raise ParseError(f"unknown certificate keyword {head!r}")
-

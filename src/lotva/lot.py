@@ -767,7 +767,7 @@ def reorient(lot: Lot, flipped: Iterable[int]) -> Lot:
     for i in flip:
         if not 0 <= i < lot.num_edges:
             raise StructureError(f"unknown edge id {i}")
-    edges = tuple(LotEdge(e.head, e.tail, e.label) if i in flip else e
+    edges = tuple(LotEdge(e[1], e[0], e[2]) if i in flip else e
                   for i, e in enumerate(lot.edges))
     return Lot(lot.vertices, edges, name=lot.name)
 

@@ -118,7 +118,9 @@ class TestParsing:
         assert (tail, head, label) == ("a", "b", "c")
         lot = Lot(fig1.vertices, tuple(LotEdge(*e) for e in fig1.edges), name="x")
         assert lot == fig1 and hash(lot) == hash(fig1)
-        assert Lot(fig1.vertices, tuple(map(tuple, fig1.edges))) == fig1
+        plain = Lot(fig1.vertices, tuple(map(tuple, fig1.edges)))
+        assert plain == fig1
+        assert reorient(plain, {0, 2}) == reorient(fig1, {0, 2})
 
     @pytest.mark.parametrize("text, line", [
         ("edge a b c\nedge b 9x a\nedge 9x d b\n", 2),
