@@ -10,9 +10,9 @@ prime and 80 not) and of ``sweep6`` (every 40th LOT of the <=6-edge sweep,
 order ``certify_va`` makes them: the boundary witness on every root of two
 or more edges; on those not boundary reducible ``SublotStructure``, then
 ``orientation_search`` with nothing fixed on the prime ones, and
-``free_decomposition`` on the others whose every edge closure is proper
-(``certify_va`` skips the scan where some closure is the whole LOT, which
-rules a free decomposition out); ``complete_set_search`` and
+``free_decomposition`` on the others (it returns at once where an edge's
+closure is the whole LOT), on the Lot whose closures ``certify_va`` has
+kept, as there; ``complete_set_search`` and
 ``orientation_search`` with the complete set fixed (``_fixed``) on the
 roots certified by a complete set; then ``certify_va`` and
 ``serialize_certificate`` of the whole certificate.  The verify-cert path
@@ -138,11 +138,10 @@ def root_calls(text: str) -> tuple[str, int, list]:
     if lot.num_edges > 1:
         calls.append(("boundary_witness", boundary_reducible_witness, (lot,)))
     if cert.kind not in ("base", "bdry-red"):
-        structure = SublotStructure(lot)
         calls.append(("SublotStructure", fresh(SublotStructure), (lot,)))
         if cert.kind == "prime-wt":
             calls.append(("orientation_search", orientation_search, (lot, ())))
-        elif structure.full not in structure.closures:
+        else:
             calls.append(("free_decomposition", free_decomposition, (lot,)))
     if cert.kind == "complete-set":
         calls += [("complete_set_search", fresh(complete_set_search), (lot,)),

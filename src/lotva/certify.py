@@ -1,10 +1,8 @@
 """Certificate-producing decision procedure for vertex asphericity.
 
 ``certify_va`` runs the recursion: trivial base, boundary reduction, prime
-orientation search, free decomposition, complete-set relative reduction;
-it skips the free-decomposition scan where an edge's closure is the whole
-LOT, which rules a decomposition out.  Search failures yield a structured
-failure report, never a negative claim.
+orientation search, free decomposition, complete-set relative reduction.
+Search failures yield a structured failure report, never a negative claim.
 
 ``verify_certificate`` re-derives every hypothesis of every node from the
 LOT alone; it never trusts recorded search state.  Its verdict names the
@@ -14,8 +12,9 @@ structure on each node's int view with a closure kernel of its own
 each chain step, the collapses and the final quotient.  Partitions, parts,
 fullness and boundary vertices it reads off edge and vertex masks, and it
 builds free-decomposition and complete-set children from those masks.  It
-shares with the prover only ``FlipForests`` (the forest checks) and
-``boundary_reduce``.
+shares with the prover only ``FlipForests`` (the forest checks),
+``_named_pairs`` (the witness pairs, read straight off the LOT's edges)
+and ``boundary_reduce``.
 """
 
 from __future__ import annotations
@@ -117,15 +116,18 @@ def boundary_reduce(lot: Lot, edge_id: int, outer_vertex: str) -> Lot:
                name=lot.name)
 
 
-def _named_pairs(lot: Lot, corners: FlipForests, flip: int
+def _named_pairs(lot: Lot, flip: int
                  ) -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]:
     """lk+ and lk- corner endpoint pairs of the LOT reoriented by a flip
-    mask, by name, from the corners of K(lot) (``FlipForests`` with nothing
-    fixed)."""
-    names = lot.vertices
-    pos, neg = (tuple((names[a], names[b]) for a, b in corners.pairs(flip, pol))
-                for pol in (1, -1))
-    return pos, neg
+    mask, by name, in edge order: label+ -- tail+ and label- -- head- of
+    each edge, its tail and head swapped where the flip has its bit."""
+    pos, neg = [], []
+    for i, (t, h, l) in enumerate(lot.edges):
+        if flip >> i & 1:
+            t, h = h, t
+        pos.append((l, t))
+        neg.append((l, h))
+    return tuple(pos), tuple(neg)
 
 
 # ---------------------------------------------------------------------------
@@ -166,19 +168,15 @@ def _certify(lot: Lot) -> Certificate:
 
     structure = SublotStructure(lot)
     if structure.prime:
-        corners = FlipForests(lot, ())
-        flip = corners.first_forest_flip()
+        flip = FlipForests(lot, ()).first_forest_flip()
         if flip is None:
             raise _GiveUp(CertifyFailure(
                 "prime-orientation-search",
                 f"no orientation of {lot.name or 'lot'} gives lk+/lk- forests"))
-        pos, neg = _named_pairs(lot, corners, flip)
+        pos, neg = _named_pairs(lot, flip)
         return PrimeWeightTest(frozenset(_bits(flip)), pos, neg)
 
-    # both sides of a free decomposition are proper sub-LOTs holding every
-    # edge, so every closure is proper; one equal to the whole LOT rules it
-    # out (12,528 of 14,145 non-prime LOTs at every 7th place of the <=6 sweep)
-    fd = None if structure.full in structure.closures else free_decomposition(lot)
+    fd = free_decomposition(lot)
     if fd is not None:
         return FreeDecompositionNode(fd.left_edges, fd.right_edges, fd.shared_vertex,
                                      _certify(extract_sublot(lot, fd.left_edges)),
@@ -198,7 +196,7 @@ def _certify(lot: Lot) -> Certificate:
             "relative-orientation-search",
             "no orientation gives relative lk+/lk- forests"))
     children = tuple(_certify(extract_sublot(lot, part)) for part in sublots)
-    pos, neg = _named_pairs(lot, FlipForests(lot, ()), flip)
+    pos, neg = _named_pairs(lot, flip)
     return CompleteSetRelative(tuple(sublots), chain, frozenset(_bits(flip)),
                                pos, neg, children)
 
@@ -221,6 +219,10 @@ def _need(cond, check, detail=""):
 def verify_certificate(lot: Lot, cert: Certificate) -> VerificationVerdict:
     """Re-derive every hypothesis of every certificate node."""
     try:
+        # a child node's edges are some of its parent's, with the same
+        # labels, so it is injective and compressed when the root is
+        _need(is_injective(lot), "node-injective")
+        _need(is_compressed(lot), "node-compressed")
         _verify(lot, cert)
     except _Reject as r:
         return VerificationVerdict(False, r.check, r.detail)
@@ -230,8 +232,6 @@ def verify_certificate(lot: Lot, cert: Certificate) -> VerificationVerdict:
 
 
 def _verify(lot: Lot, cert: Certificate) -> None:
-    _need(is_injective(lot), "node-injective")
-    _need(is_compressed(lot), "node-compressed")
     iv = lot._iv
 
     if isinstance(cert, BaseTrivial):
@@ -431,9 +431,7 @@ def _check_forests_and_witnesses(lot, flipped, fixed, pos_rec, neg_rec, prefix):
     flip = flip_mask(lot, flipped)
     _need(forests.is_forest(flip, 1), f"{prefix}-positive-forest")
     _need(forests.is_forest(flip, -1), f"{prefix}-negative-forest")
-    # with nothing fixed, ``forests`` holds the corners of K(lot) itself
-    corners = FlipForests(lot, ()) if fixed else forests
-    _need(_named_pairs(lot, corners, flip) ==
+    _need(_named_pairs(lot, flip) ==
           (tuple(map(tuple, pos_rec)), tuple(map(tuple, neg_rec))),
           f"{prefix}-witness-match")
 

@@ -675,85 +675,52 @@ def _quotient(lot: Lot, alive: int, rep) -> Lot:
 def free_decomposition(lot: Lot) -> Optional[FreeDecomposition]:
     """First decomposition of the LOT into two sub-LOTs sharing one vertex.
 
-    Vertices are scanned in order.  At vertex v, number the branches
-    hanging off v by smallest edge id.  A side holding an edge e whose
-    label is not v must also hold the branch containing label(e), so the
-    valid sides are exactly the nonempty proper unions of the classes of
-    branches linked that way.  The left side is the class with the
-    smallest branch mask: the first valid side a binary counter over the
-    branches would meet.
+    Both sides are proper sub-LOTs holding every edge, so an edge whose
+    closure is the whole LOT rules a decomposition out.  Else vertices are
+    scanned in order.  At vertex v, number the branches hanging off v by
+    smallest edge id.  A union of branches is a sub-LOT exactly when it
+    holds the closure of each of its edges, so the valid sides are the
+    nonempty proper unions of the classes of branches linked by the
+    closure of an edge of one meeting the edges of another.  A closure is
+    connected, so one that meets two branches holds both of their edges
+    at v: the classes, as masks of v's edges, are the masks of v's edges
+    that the closures hold, merged where they overlap.
 
-    Every vertex's branches come from one rooting of the tree at vertex 0,
-    the one its root paths record.  A branch below v is the edge to a
-    child of v with the subtree under that child; the branch above v is
-    the rest of the tree.  Each branch is held as masks of its edges, its
-    vertices and its edges' labels, and two branches are linked when the
-    labels of one meet the vertices of the other.
+    The left side is the class with the smallest branch mask: the first
+    valid side a binary counter over the branches would meet.  Of two
+    disjoint masks the smaller has the lower highest branch, so it is the
+    class whose greatest smallest edge id is least.  The branch through
+    v's edge f is the union of the tree paths from v that start with f,
+    each read off the root paths as ``paths[v] ^ paths[w]``.
     """
-    m = lot.num_edges
-    if m < 2:
+    m, closures = lot.num_edges, _edge_closures(lot)
+    full = (1 << m) - 1
+    if m < 2 or full in closures:
         return None
     iv, paths = lot._iv, lot._paths
-    n = iv.n
-    parent, up_edge = [0] * n, [0] * n
-    kids: list[list[int]] = [[] for _ in range(n)]
-    # per vertex c but the root, the branch at c's parent that holds c:
-    # masks of its edges, its vertices and its edges' labels
-    down_e, down_v, down_l = [0] * n, [0] * n, [0] * n
-    for e, (t, h, l) in enumerate(iv.edges):
-        c, p = (t, h) if paths[t] >> e & 1 else (h, t)
-        parent[c], up_edge[c] = p, e
-        kids[p].append(c)
-        down_e[c], down_v[c], down_l[c] = 1 << e, 1 << c, 1 << l
-    order = sorted(range(n), key=lambda v: paths[v].bit_count())  # parents first
-    for c in reversed(order):
-        p = parent[c]
-        if p:  # the root heads no branch
-            down_e[p] |= down_e[c]
-            down_v[p] |= down_v[c]
-            down_l[p] |= down_l[c]
-    up_l = [0] * n  # labels of the branch above each vertex
-    for p in order:
-        for c in kids[p]:
-            labels = up_l[p] | 1 << iv.edges[up_edge[c]][2]
-            for s in kids[p]:
-                if s != c:
-                    labels |= down_l[s]
-            up_l[c] = labels
-    full_e, full_v = (1 << m) - 1, (1 << n) - 1
-    for v in range(n):
-        if len(iv.incident[v]) < 2:
+    for v, incident in enumerate(iv.incident):
+        if len(incident) < 2:
             continue
-        branches = [(down_e[c], down_v[c], down_l[c]) for c in kids[v]]
-        if v:
-            branches.append((full_e ^ down_e[v] | 1 << up_edge[v],
-                             full_v ^ down_v[v], up_l[v]))
-        branches.sort(key=lambda b: b[0] & -b[0])
-        # no branch holds v, so a label v links nothing
-        classes = []
-        placed = 0
-        for j, (_, vs, ls) in enumerate(branches):
-            if placed >> j & 1:
-                continue
-            members = 1 << j
-            grew = True
-            while grew:
-                grew = False
-                for k, (_, bv, bl) in enumerate(branches):
-                    if not members >> k & 1 and (ls & bv or bl & vs):
-                        members |= 1 << k
-                        vs |= bv
-                        ls |= bl
-                        grew = True
-            placed |= members
-            classes.append(members)
-        if len(classes) >= 2:
-            left = 0
-            for j in _bits(min(classes)):
-                left |= branches[j][0]
-            return FreeDecomposition(frozenset(_bits(left)),
-                                     frozenset(_bits(left ^ full_e)),
-                                     lot.vertices[v])
+        at_v = 0
+        for f in incident:
+            at_v |= 1 << f
+        classes: list[int] = []
+        for held in {c & at_v for c in closures} - {0}:
+            for other in [c for c in classes if c & held]:
+                classes.remove(other)
+                held |= other
+            classes.append(held)
+        if len(classes) < 2:
+            continue
+        branch = dict.fromkeys([1 << f for f in incident], 0)
+        for p in paths:
+            if p != paths[v]:
+                branch[(p ^ paths[v]) & at_v] |= p ^ paths[v]
+        sides = [[branch[1 << f] for f in _bits(c)] for c in classes]
+        left = sum(min(sides, key=lambda bs: max(b & -b for b in bs)))
+        return FreeDecomposition(frozenset(_bits(left)),
+                                 frozenset(_bits(left ^ full)),
+                                 lot.vertices[v])
     return None
 
 

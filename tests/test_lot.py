@@ -712,12 +712,14 @@ class TestFreeDecomposition:
         assert free_decomposition(prime) is None
 
     def test_matches_branch_scan(self, sweep6_every97):
-        """Linking branches by labels finds the decomposition a binary
-        counter over the branches at each vertex finds, or none.  There is
-        none where some edge's closure is the whole LOT, as certify assumes:
-        the two sides are proper sub-LOTs holding every edge."""
+        """Linking branches by the edge closures finds the decomposition a
+        binary counter over the branches at each vertex finds, or none, on
+        every <=6-edge LOT up to orientation (which a decomposition
+        ignores), a <=6 stride and random and glued LOTs.  There is none
+        where some edge's closure is the whole LOT: the two sides are
+        proper sub-LOTs holding every edge."""
         rng = random.Random(67)
-        lots = list(sweep6_every97)
+        lots = [*iter_small_lots(6, orientations=False), *sweep6_every97]
         for _ in range(150):
             lots.append(random_lot(rng, rng.randrange(2, 13),
                                    injective=rng.random() < 0.7))
