@@ -8,7 +8,9 @@ at seed 0 of the ``large`` workload (120 boundary-reduced 14-edge LOTs, 40
 prime and 80 not) and of ``sweep6`` (every 40th LOT of the <=6-edge sweep,
 4,082 LOTs).  Each root goes through the calls that decide it, in the
 order ``certify_va`` makes them: the boundary witness on every root of two
-or more edges; on those not boundary reducible ``SublotStructure``, then
+or more edges; on those not boundary reducible the closure pass
+(``closure_pass``: ``_edge_closures`` on a fresh Lot, which the prime
+test, the free decomposition and the complete-set search read), then
 ``orientation_search`` with nothing fixed on the prime ones, and
 ``free_decomposition`` on the others (it returns at once where an edge's
 closure is the whole LOT), on the Lot whose closures ``certify_va`` has
@@ -63,7 +65,7 @@ from lotva import (boundary_reducible_witness, certify_va,  # noqa: E402
                    complete_set_search, free_decomposition,
                    orientation_search, parse_certificate, parse_lot,
                    serialize_certificate, verify_certificate)
-from lotva.lot import SublotStructure, _lot_from_view  # noqa: E402
+from lotva.lot import _edge_closures, _lot_from_view  # noqa: E402
 
 ROUNDS = 5
 HOST = {"python": platform.python_version(), "machine": platform.machine(),
@@ -138,7 +140,7 @@ def root_calls(text: str) -> tuple[str, int, list]:
     if lot.num_edges > 1:
         calls.append(("boundary_witness", boundary_reducible_witness, (lot,)))
     if cert.kind not in ("base", "bdry-red"):
-        calls.append(("SublotStructure", fresh(SublotStructure), (lot,)))
+        calls.append(("closure_pass", fresh(_edge_closures), (lot,)))
         if cert.kind == "prime-wt":
             calls.append(("orientation_search", orientation_search, (lot, ())))
         else:

@@ -11,10 +11,12 @@ structure on each node's int view with a closure kernel of its own
 (``_closes_up``): primality, and for a complete-set node the maximality of
 each chain step, the collapses and the final quotient.  Partitions, parts,
 fullness and boundary vertices it reads off edge and vertex masks, and it
-builds free-decomposition and complete-set children from those masks.  It
-shares with the prover only ``FlipForests`` (the forest checks),
-``_named_pairs`` (the witness pairs, read straight off the LOT's edges)
-and ``boundary_reduce``.
+builds every child, boundary-reduction ones included, from those masks.
+It checks lk+ and lk- for forests with one union-find pass each over the
+node's int edges, each part contracted by its vertex mask and the flip
+built from the ids it has range-checked.  Of the prover's code it calls
+only ``_named_pairs`` (the witness pairs, read straight off the LOT's
+edges) and ``_lot_on`` (which builds a child Lot from a view).
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import LotvaError, ParseError, PreconditionError
-from .lot import (CollapseChain, ChainStep, Lot, LotEdge, SublotStructure,
-                  _bits, _lot_on, boundary_reducible_witness, extract_sublot,
+from .linkage import UnionFind
+from .lot import (CollapseChain, ChainStep, Lot, LotEdge, _bits, _is_prime,
+                  _lot_on, boundary_reducible_witness, extract_sublot,
                   free_decomposition, is_compressed, is_injective,
                   search_complete_set)
-from .weights import FlipForests, flip_mask
+from .weights import FlipForests
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +101,7 @@ class VerificationVerdict:
 
 
 # ---------------------------------------------------------------------------
-# helpers shared by prover and verifier
+# helpers: boundary reduction (the prover's) and the witness pairs (shared)
 # ---------------------------------------------------------------------------
 
 def boundary_reduce(lot: Lot, edge_id: int, outer_vertex: str) -> Lot:
@@ -166,8 +169,7 @@ def _certify(lot: Lot) -> Certificate:
         edge_id, v = bw
         return BoundaryReduction(edge_id, v, _certify(boundary_reduce(lot, edge_id, v)))
 
-    structure = SublotStructure(lot)
-    if structure.prime:
+    if _is_prime(lot):
         flip = FlipForests(lot, ()).first_forest_flip()
         if flip is None:
             raise _GiveUp(CertifyFailure(
@@ -182,7 +184,7 @@ def _certify(lot: Lot) -> Certificate:
                                      _certify(extract_sublot(lot, fd.left_edges)),
                                      _certify(extract_sublot(lot, fd.right_edges)))
 
-    found = search_complete_set(lot, structure)
+    found = search_complete_set(lot)
     if found is None:
         raise _GiveUp(CertifyFailure(
             "complete-set-search",
@@ -250,7 +252,9 @@ def _verify(lot: Lot, cert: Certificate) -> None:
         _need(all(l != cert.outer_vertex for _, _, l in lot.edges),
               "boundary-reduction-vertex-unlabeled",
               f"{cert.outer_vertex} occurs as an edge label")
-        _verify(boundary_reduce(lot, cert.edge_id, cert.outer_vertex), cert.child)
+        leaf = lot.vertices.index(cert.outer_vertex)
+        _verify(_child(lot, (1 << lot.num_edges) - 1 ^ 1 << cert.edge_id,
+                       (1 << iv.n) - 1 ^ 1 << leaf), cert.child)
         return
 
     if isinstance(cert, FreeDecompositionNode):
@@ -276,8 +280,9 @@ def _verify(lot: Lot, cert: Certificate) -> None:
               "prime-weight-test-prime")
         _need(all(0 <= i < lot.num_edges for i in cert.flipped),
               "prime-weight-test-flipped-valid")
-        _check_forests_and_witnesses(lot, cert.flipped, [], cert.pos_corners,
-                                     cert.neg_corners, "prime-weight-test")
+        _check_forests_and_witnesses(lot, _span(iv.edges, cert.flipped)[0], [],
+                                     cert.pos_corners, cert.neg_corners,
+                                     "prime-weight-test")
         return
 
     if isinstance(cert, CompleteSetRelative):
@@ -315,7 +320,7 @@ def _verify(lot: Lot, cert: Certificate) -> None:
 
         _need(all(0 <= i < m and not union >> i & 1 for i in cert.flipped),
               "complete-set-flipped-outside")
-        _check_forests_and_witnesses(lot, cert.flipped, list(cert.sublots),
+        _check_forests_and_witnesses(lot, _span(edges, cert.flipped)[0], parts,
                                      cert.pos_corners, cert.neg_corners,
                                      "complete-set")
         _replay_chain(lot, cert.chain)
@@ -420,17 +425,32 @@ def _span(edges, ids) -> tuple[int, int, int]:
 
 
 def _child(lot: Lot, emask: int, vmask: int) -> Lot:
-    """The sub-LOT on edge mask ``emask``, as ``extract_sublot`` builds it."""
+    """The Lot on edge mask ``emask`` and vertex mask ``vmask``, a subtree
+    whose labels are its own vertices, as ``extract_sublot`` builds it."""
     ids = _bits(emask)
     return _lot_on(lot, _bits(vmask), map(lot._iv.edges.__getitem__, ids),
                    tuple(map(lot.edges.__getitem__, ids)))
 
 
-def _check_forests_and_witnesses(lot, flipped, fixed, pos_rec, neg_rec, prefix):
-    forests = FlipForests(lot, fixed)
-    flip = flip_mask(lot, flipped)
-    _need(forests.is_forest(flip, 1), f"{prefix}-positive-forest")
-    _need(forests.is_forest(flip, -1), f"{prefix}-negative-forest")
+def _check_forests_and_witnesses(lot, flip, parts, pos_rec, neg_rec, prefix):
+    """lk+ and then lk- of K(lot), its edges flipped per the mask ``flip``,
+    must be forests relative to the parts' lk+ and lk-: each part, an
+    (edge mask, vertex mask) pair, contracted to one node, and its own
+    edges' corners dropped.  One union-find pass per colour, over label+
+    -- tail+ (label- -- head-) of each edge outside the parts; then the
+    recorded corner pairs must be the LOT's own under the flip."""
+    iv = lot._iv
+    node, inside = list(range(iv.n)), 0
+    for k, (emask, vmask) in enumerate(parts):
+        for v in _bits(vmask):
+            node[v] = iv.n + k
+        inside |= emask
+    for neg, colour in ((0, "positive"), (1, "negative")):
+        forest = UnionFind(iv.n + len(parts))
+        for i, (t, h, l) in enumerate(iv.edges):
+            if not inside >> i & 1:
+                end = h if flip >> i & 1 ^ neg else t
+                _need(forest.union(node[l], node[end]), f"{prefix}-{colour}-forest")
     _need(_named_pairs(lot, flip) ==
           (tuple(map(tuple, pos_rec)), tuple(map(tuple, neg_rec))),
           f"{prefix}-witness-match")

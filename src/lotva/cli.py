@@ -11,8 +11,8 @@ import sys
 from pathlib import Path
 
 from .errors import LotvaError
-from .lot import Lot, SublotStructure, check_properties, free_decomposition, \
-    is_sublot, parse_lot, search_complete_set
+from .lot import Lot, check_properties, free_decomposition, is_sublot, \
+    maximal_sublots, parse_lot, search_complete_set
 from .complexes import SubcomplexFamily, TwoComplex, build_complex, \
     derive_subcomplexes, parse_complex
 from .linkage import LinkGraph, build_link, build_relative_link, to_dot
@@ -66,7 +66,6 @@ def _parse_sublot_specs(lot: Lot, specs: list[str]):
 def cmd_analyze(args) -> int:
     lot = _load_lot(args.lot)
     rep = check_properties(lot)
-    structure = SublotStructure(lot)
     print(f"lot {lot.name or 'unnamed'}: {len(lot.vertices)} vertices, "
           f"{lot.num_edges} edges")
     yn = lambda b: "yes" if b else "no"
@@ -81,7 +80,7 @@ def cmd_analyze(args) -> int:
     if rep.proper_sublot_witness is not None:
         ids = sorted(rep.proper_sublot_witness)
         print(f"  smallest proper sub-LOT: edges {ids}")
-        maximal = structure.maximal()
+        maximal = maximal_sublots(lot)
         print(f"  maximal proper sub-LOTs: {[sorted(s) for s in maximal]}")
     if lot.num_edges >= 2:
         fd = free_decomposition(lot)
@@ -91,7 +90,7 @@ def cmd_analyze(args) -> int:
             print(f"free decomposition: at {fd.shared_vertex}, "
                   f"left {sorted(fd.left_edges)}, right {sorted(fd.right_edges)}")
     if rep.injective and rep.compressed and not rep.prime:
-        found = search_complete_set(lot, structure)
+        found = search_complete_set(lot)
         if found is None:
             print("complete set of sub-LOTs: none")
         else:

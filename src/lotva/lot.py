@@ -328,7 +328,12 @@ def check_properties(lot: Lot) -> PropertyReport:
     inj = is_injective(lot)
     comp = is_compressed(lot)
     bdry = boundary_reducible_witness(lot)
-    witness = SublotStructure(lot).witness()
+    # a smallest proper sub-LOT holds no smaller one, so it is the closure
+    # of each of its edges
+    full = (1 << lot.num_edges) - 1
+    proper = {_bits(c) for c in _edge_closures(lot) if c != full}
+    witness = (frozenset(min(proper, key=lambda ids: (len(ids), ids)))
+               if proper else None)
     return PropertyReport(
         injective=inj,
         compressed=comp,
@@ -359,7 +364,12 @@ def sublot_closure(lot: Lot, seed_edge: int) -> frozenset[int]:
 def _edge_closures(lot: Lot) -> tuple[int, ...]:
     """Every edge's closure as a mask, in one pass by edge id, each reusing
     those of smaller ids (``_closure_mask``); computed on first use and
-    kept on the lot."""
+    kept on the lot.
+
+    The closure of edge e lies inside every sub-LOT that contains e, so a
+    sub-LOT is the union of its edges' closures, and the union of two
+    sub-LOTs that share a vertex is a sub-LOT: every sub-LOT question in
+    this module is answered from the closures."""
     if lot._closures is None:
         iv, closures = lot._iv, []
         for e in range(len(iv.edges)):
@@ -432,65 +442,6 @@ def _bits(mask: int) -> tuple[int, ...]:
     return out
 
 
-class SublotStructure:
-    """Sub-LOT structure of one LOT, from its m edge closures.
-
-    The closure of edge e lies inside every sub-LOT that contains e, so a
-    sub-LOT is the union of its edges' closures, and the union of two
-    sub-LOTs that share a vertex is a sub-LOT.  Everything below follows
-    from that in polynomial time, except ``all_sublots``, whose cost grows
-    with the number of sub-LOTs it returns.  The closures are the lot's
-    own (``_edge_closures``).
-    """
-
-    __slots__ = ("closures", "full", "_iv")
-
-    def __init__(self, lot: Lot):
-        self.closures, self._iv = _edge_closures(lot), lot._iv
-        self.full = (1 << len(lot.edges)) - 1
-
-    @property
-    def prime(self) -> bool:
-        """No proper sub-LOT: every closure is the whole LOT."""
-        return all(c == self.full for c in self.closures)
-
-    def witness(self) -> Optional[frozenset[int]]:
-        """The smallest proper sub-LOT in (size, sorted edge ids) order, or
-        None if prime.  A smallest one holds no smaller sub-LOT, so it is
-        the closure of each of its edges."""
-        proper = {_bits(c) for c in self.closures if c != self.full}
-        if not proper:
-            return None
-        return frozenset(min(proper, key=lambda ids: (len(ids), ids)))
-
-    def maximal(self) -> list[frozenset[int]]:
-        """The inclusion-maximal proper sub-LOTs, sorted by sorted edge ids."""
-        return [frozenset(_bits(p)) for p in _maximal(
-            self.closures, self._iv.edges, range(self._iv.n), self.full)]
-
-    def all_sublots(self) -> list[frozenset[int]]:
-        """Every sub-LOT, sorted by sorted edge ids.
-
-        Starts from the closures and grows each found S to S | closure(f)
-        for every edge f outside S that touches it.  A sub-LOT S is reached
-        from the closure of any of its edges, since while the current set
-        is short of S some edge of S touches it."""
-        touch = _touch_masks(self._iv.edges, range(self._iv.n), self.full)
-        found = set(self.closures)
-        stack = list(found)
-        while stack:
-            s = stack.pop()
-            near = _near(touch, s) & ~s
-            while near:
-                low = near & -near
-                near ^= low
-                grown = s | self.closures[low.bit_length() - 1]
-                if grown not in found:
-                    found.add(grown)
-                    stack.append(grown)
-        return [frozenset(ids) for ids in sorted(map(_bits, found))]
-
-
 def _touch_masks(edges, rep, alive: int) -> list[int]:
     """Per edge id, the edges of ``alive`` meeting it, vertex v read as ``rep[v]``."""
     at = [0] * len(rep)
@@ -554,16 +505,45 @@ def _near(touch, edges: int) -> int:
     return out
 
 
-def enumerate_sublots(lot: Lot) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
-    """All sub-LOTs and the inclusion-maximal proper ones.
+def _is_prime(lot: Lot) -> bool:
+    """No proper sub-LOT: every edge's closure is the whole LOT."""
+    full = (1 << lot.num_edges) - 1
+    return all(c == full for c in _edge_closures(lot))
 
-    Both come from ``SublotStructure``: the maximal ones in polynomial time,
-    the full list in time proportional to its length (times m^2), never by
-    a scan of the 2^m edge subsets.  Both lists are sorted by their sorted
-    edge-id tuples.
+
+def maximal_sublots(lot: Lot) -> list[frozenset[int]]:
+    """The inclusion-maximal proper sub-LOTs, sorted by sorted edge ids."""
+    iv = lot._iv
+    return [frozenset(_bits(p)) for p in _maximal(
+        _edge_closures(lot), iv.edges, range(iv.n), (1 << len(iv.edges)) - 1)]
+
+
+def enumerate_sublots(lot: Lot) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
+    """All sub-LOTs and the inclusion-maximal proper ones, both sorted by
+    their sorted edge-id tuples.
+
+    The search starts from the closures and grows each found S to
+    S | closure(f) for every edge f outside S that touches it.  A sub-LOT
+    S is reached from the closure of any of its edges, since while the
+    current set is short of S some edge of S touches it.  So it takes
+    time proportional to the number found (times m^2), never a scan of
+    the 2^m edge subsets; the maximal ones come in polynomial time.
     """
-    sub = SublotStructure(lot)
-    return sub.all_sublots(), sub.maximal()
+    closures, iv = _edge_closures(lot), lot._iv
+    touch = _touch_masks(iv.edges, range(iv.n), (1 << len(iv.edges)) - 1)
+    found = set(closures)
+    stack = list(found)
+    while stack:
+        s = stack.pop()
+        near = _near(touch, s) & ~s
+        while near:
+            low = near & -near
+            near ^= low
+            grown = s | closures[low.bit_length() - 1]
+            if grown not in found:
+                found.add(grown)
+                stack.append(grown)
+    return [frozenset(ids) for ids in sorted(map(_bits, found))], maximal_sublots(lot)
 
 
 # ---------------------------------------------------------------------------
@@ -601,16 +581,13 @@ def complete_set_search(lot: Lot) -> Optional[tuple[list[frozenset[int]], Collap
     """
     if not is_injective(lot) or not is_compressed(lot):
         raise PreconditionError("complete_set_search requires an injective compressed LOT")
-    structure = SublotStructure(lot)
-    if structure.prime:
+    if _is_prime(lot):
         raise PreconditionError("complete_set_search requires a non-prime LOT")
-    return search_complete_set(lot, structure)
+    return search_complete_set(lot)
 
 
-def search_complete_set(lot: Lot, structure: SublotStructure
-                        ) -> Optional[tuple[list[frozenset[int]], CollapseChain]]:
-    """``complete_set_search`` on a LOT whose structure the caller has
-    already built, without the precondition checks.
+def search_complete_set(lot: Lot) -> Optional[tuple[list[frozenset[int]], CollapseChain]]:
+    """``complete_set_search`` without the precondition checks.
 
     Every quotient stays in the LOT's edge ids and vertex indices, as the
     verifier's chain replay does: ``alive`` masks the edges not yet
@@ -620,7 +597,7 @@ def search_complete_set(lot: Lot, structure: SublotStructure
     closure in Q is its closure in L minus S, and along the chain
     closure_Q(e) = closure_L(e) & alive.  Only the final quotient is built.
     """
-    iv, closures = lot._iv, structure.closures
+    iv, closures = lot._iv, _edge_closures(lot)
 
     def rec(alive: int, rep, steps: tuple[ChainStep, ...]):
         subs = _maximal(closures, iv.edges, rep, alive)

@@ -90,8 +90,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import LotvaError, ParseError, PreconditionError, StructureError
 from .complexes import (SubcomplexFamily, TwoComplex, exponent_sum,
                         validate_family)
-from .linkage import (LinkGraph, UnionFind, _complex_corners, delta_ends,
-                      forest_cycle_index)
+from .linkage import LinkGraph, UnionFind, _complex_corners, delta_ends
 from .lot import Lot, sublot_vertices, is_sublot
 
 Dart = tuple[int, int]  # (corner id, direction 0: a->b, 1: b->a)
@@ -679,24 +678,13 @@ def relative_weight_test(cx: TwoComplex, fam: SubcomplexFamily,
 # orientation search
 # ---------------------------------------------------------------------------
 
-def flip_mask(lot: Lot, flipped: Iterable[int]) -> int:
-    """Bitmask of a flip set of edge ids."""
-    flip = 0
-    for ei in flipped:
-        if not 0 <= ei < lot.num_edges:
-            raise StructureError(f"unknown edge id {ei}")
-        flip |= 1 << ei
-    return flip
-
-
 class FlipForests:
-    """lk+ and lk- of K(lot), with edges flipped per bitmask, each checked
-    for being a forest relative to lk+/-(K(fixed)).
+    """The orientation walk over flips of a LOT's edges that make lk+ and
+    lk- of K(lot) forests relative to lk+/-(K(fixed)).
 
     Each fixed sub-LOT's vertices are contracted to one node and its own
-    corners dropped once, here; a check then costs one union-find pass over
-    the remaining (++) or (--) corners.  Other nodes keep their vertex
-    index, so with no fixed sub-LOTs ``pairs`` gives the corners of K(lot).
+    corners dropped once, here; other nodes keep their vertex index.  The
+    walk (``first_forest_flip``) joins the remaining (++) and (--) corners.
     """
 
     def __init__(self, lot: Lot, fixed: Iterable[frozenset[int]]):
@@ -716,16 +704,6 @@ class FlipForests:
         # per kept edge: its bit, and its label, tail and head nodes
         self._edges = [(1 << i, node[l], node[t], node[h])
                        for i, (t, h, l) in enumerate(iv.edges) if i not in dropped]
-
-    def pairs(self, flip: int, pol: int) -> list[tuple[int, int]]:
-        """Per kept edge, in edge order, its (++) corner label+ -- tail+
-        (pol 1) or its (--) corner label- -- head- (pol -1), after the flip."""
-        if pol > 0:
-            return [(l, h if flip & bit else t) for bit, l, t, h in self._edges]
-        return [(l, t if flip & bit else h) for bit, l, t, h in self._edges]
-
-    def is_forest(self, flip: int, pol: int) -> bool:
-        return forest_cycle_index(self._size, self.pairs(flip, pol)) < 0
 
     def first_forest_flip(self, budget: Optional[int] = None) -> Optional[int]:
         """Smallest flip mask, in binary-counter order over the kept edges,

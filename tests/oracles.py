@@ -21,7 +21,8 @@ relative to blocks of its nodes (``relative_forest_check``), the signed
 forest check on the polarity subgraph, and corner ids of diagram corners
 read from the link's provenance.  Two second routes to a library decision
 live here as well: the forest check through the relative link's
-Delta-blocks, and the flip-set forest check of lk+ and lk- as one yes/no.
+Delta-blocks, and the flip-set forest check of lk+ and lk- as one yes/no
+on vertex names with a union-find of its own.
 Small-LOT generation has its filter-then-test form here: tree shapes from
 every Prufer sequence, and each (orientation, labeling) candidate tested
 against every automorphism on its own.  So does the certificate reader that
@@ -35,10 +36,11 @@ that the library makes on int views has its name-level form here
 (``named_collapse``, with ``collapse_vertex_of``).  The complete-set search
 has a name-level form that builds every quotient with it, and so do the
 verifier's own checks of a complete-set node: fullness through K(lot)
-(``is_full``) and the collapse chain replayed on named quotients with
-``SublotStructure.maximal``.  The closure of an edge mask walked from
-scratch (``reference_closure``) is the definition behind the verifier's
-amortized closure checks.  The orientation walk with a cycle as its only
+(``is_full``), both relative forests through the reoriented K(lot)
+(``signed_relative_forest_check``) and the collapse chain replayed on
+named quotients with ``maximal_sublots``.  The closure of an edge mask
+walked from scratch (``reference_closure``) is the definition behind the
+verifier's amortized closure checks.  The orientation walk with a cycle as its only
 cut, on ``UnionFind`` with an undo log (``reference_first_forest_flip``),
 is the reference for the library walk's reachability checks.
 """
@@ -60,14 +62,14 @@ from lotva import (BaseTrivial, BoundaryReduction, BoundaryWord, Cell,
                    build_complex, build_link, build_relative_link,
                    canonical_weights, check_properties, derive_subcomplexes,
                    exponent_sum, extract_sublot, is_compressed, is_injective,
-                   is_sublot, sublot_closure, sublot_vertices,
-                   validate_diagram, verify_certificate)
+                   is_sublot, reorient, signed_relative_forest_check,
+                   sublot_closure, sublot_vertices, validate_diagram,
+                   verify_certificate)
 from lotva.certify import MAX_CERT_DEPTH, _unreadable
 from lotva.complexes import validate_family
 from lotva.linkage import UnionFind, _forest_witness
-from lotva.lot import _IDENT, SublotStructure
+from lotva.lot import _IDENT, maximal_sublots
 from lotva.sweep import _ahu_key, _labelings, _prufer_decode, automorphisms
-from lotva.weights import FlipForests, flip_mask
 
 
 def _dart_tail(g, d):
@@ -310,10 +312,43 @@ def closure_family(lot):
 
 def orientation_search_check(lot, fixed, flipped) -> bool:
     """Do lk+ and lk- both pass the relative forest check under this flip
-    set?  The certificate verifier makes the same two checks one by one."""
-    forests = FlipForests(lot, fixed)
-    flip = flip_mask(lot, flipped)
-    return forests.is_forest(flip, 1) and forests.is_forest(flip, -1)
+    set?  On vertex names: each fixed sub-LOT's vertices merge into one
+    node (``sublot_vertices``, which refuses an unknown edge id), its own
+    edges drop out, and each colour's corners label+ -- tail+ and label- --
+    head- of the reoriented edges go through ``_names_form_forest``."""
+    node = {v: v for v in lot.vertices}
+    inside = set()
+    for k, ids in enumerate(fixed):
+        for v in sublot_vertices(lot, ids):
+            node[v] = ("part", k)
+        inside |= set(ids)
+    flipped = set(flipped)
+    pos, neg = [], []
+    for i, (t, h, l) in enumerate(lot.edges):
+        if i not in inside:
+            if i in flipped:
+                t, h = h, t
+            pos.append((node[l], node[t]))
+            neg.append((node[l], node[h]))
+    return _names_form_forest(pos) and _names_form_forest(neg)
+
+
+def _names_form_forest(pairs) -> bool:
+    """Whether the pairs of nodes form a forest: plain links to a root in
+    a dict, no union by size, a loop a cycle."""
+    up = {}
+
+    def root(x):
+        while x in up:
+            x = up[x]
+        return x
+
+    for a, b in pairs:
+        a, b = root(a), root(b)
+        if a == b:
+            return False
+        up[a] = b
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -778,30 +813,30 @@ def named_collapse(lot: Lot, sublot_edges) -> tuple[Lot, str]:
     return Lot(vertices, edges, name=lot.name), x
 
 
-def reference_search_complete_set(lot, structure):
+def reference_search_complete_set(lot):
     """``search_complete_set`` with every quotient a named ``Lot`` built by
-    ``named_collapse``, each with its own ``SublotStructure``, backtracking
-    over the maximal sub-LOTs in the same order."""
+    ``named_collapse``, each with its own closures and ``maximal_sublots``,
+    backtracking over the maximal sub-LOTs in the same order."""
 
-    def rec(current, structure, orig_ids, steps):
+    def rec(current, orig_ids, steps):
         # orig_ids[i] = original edge id of current's edge i
-        if structure.prime:
+        maximal = maximal_sublots(current)
+        if not maximal:  # prime
             if steps and is_compressed(current) and current.num_edges >= 1:
                 return steps, current
             return None
-        for sub in structure.maximal():
+        for sub in maximal:
             local = sorted(sub)
             orig = frozenset(orig_ids[i] for i in local)
             quotient, x = named_collapse(current, local)
             kept = [i for i in range(current.num_edges) if i not in sub]
             new_orig = tuple(orig_ids[i] for i in kept)
-            found = rec(quotient, SublotStructure(quotient), new_orig,
-                        steps + (ChainStep(orig, x),))
+            found = rec(quotient, new_orig, steps + (ChainStep(orig, x),))
             if found is not None:
                 return found
         return None
 
-    found = rec(lot, structure, tuple(range(lot.num_edges)), ())
+    found = rec(lot, tuple(range(lot.num_edges)), ())
     if found is None:
         return None
     steps, final = found
@@ -821,9 +856,10 @@ def reference_verify_complete_set(lot, cert) -> tuple[bool, Optional[str]]:
     """``verify_certificate`` on a complete-set node, with the node's own
     checks made on named LOTs: disjointness by vertex names, fullness and
     exponent sums through K(lot) (``build_complex``,
-    ``derive_subcomplexes``, ``is_full``) and the chain replayed by
-    ``reference_replay_chain``.  The children go to the library's
-    ``verify_certificate``.  Returns (accepted, failing check)."""
+    ``derive_subcomplexes``, ``is_full``), both forests through K of the
+    reoriented LOT (``signed_relative_forest_check``), the witness pairs
+    by name and the chain replayed by ``reference_replay_chain``.  The
+    children go to the library's ``verify_certificate``.  Returns (accepted, failing check)."""
     try:
         check = _reference_complete_set_check(lot, cert)
     except LotvaError:
@@ -865,16 +901,15 @@ def _reference_complete_set_check(lot, cert) -> Optional[str]:
         return "complete-set-exponent-sums"
     if not all(0 <= i < m for i in cert.flipped) or cert.flipped & seen_e:
         return "complete-set-flipped-outside"
-    forests = FlipForests(lot, cert.sublots)
-    flip = flip_mask(lot, cert.flipped)
-    if not forests.is_forest(flip, 1):
+    flipped = reorient(lot, cert.flipped)
+    cx = build_complex(flipped)
+    fam = derive_subcomplexes(flipped, cert.sublots)
+    if not signed_relative_forest_check(cx, fam, 1)[0]:
         return "complete-set-positive-forest"
-    if not forests.is_forest(flip, -1):
+    if not signed_relative_forest_check(cx, fam, -1)[0]:
         return "complete-set-negative-forest"
-    corners = FlipForests(lot, ())
-    names = lot.vertices
-    pos, neg = (tuple((names[a], names[b]) for a, b in corners.pairs(flip, pol))
-                for pol in (1, -1))
+    pos, neg = (tuple((l, t) for t, _, l in flipped.edges),
+                tuple((l, h) for _, h, l in flipped.edges))
     if (pos, neg) != (tuple(map(tuple, cert.pos_corners)),
                       tuple(map(tuple, cert.neg_corners))):
         return "complete-set-witness-match"
@@ -895,7 +930,7 @@ def _reference_complete_set_check(lot, cert) -> Optional[str]:
 def reference_replay_chain(lot, chain) -> tuple[Optional[str], Lot]:
     """The collapse chain replayed on named quotients: each step's edges,
     mapped from original ids, must be a proper sub-LOT of the current
-    quotient that ``SublotStructure(current).maximal()`` lists, collapsing
+    quotient that ``maximal_sublots(current)`` lists, collapsing
     to the recorded vertex (``collapse_vertex_of``, ``named_collapse``);
     the last quotient must equal the recorded one and be prime, compressed
     and hold an edge (``check_properties``).  Returns the first failing check or
@@ -910,7 +945,7 @@ def reference_replay_chain(lot, chain) -> tuple[Optional[str], Lot]:
         local = frozenset(pos_map[o] for o in step.sublot_edges)
         if not (is_sublot(current, local) and len(local) < current.num_edges):
             return "complete-set-step-sublot", current
-        if local not in SublotStructure(current).maximal():
+        if local not in maximal_sublots(current):
             return "complete-set-step-maximal", current
         if collapse_vertex_of(current, local) != step.collapse_vertex:
             return "complete-set-collapse-vertex", current

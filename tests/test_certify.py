@@ -10,14 +10,17 @@ import pytest
 from lotva import (BaseTrivial, BoundaryReduction, CertifyFailure, ChainStep,
                    CollapseChain, CompleteSetRelative, FreeDecompositionNode,
                    Lot, LotEdge, ParseError, PreconditionError,
-                   PrimeWeightTest, boundary_reduce, certify_va,
-                   check_properties, collapse, extract_sublot, parse_certificate, parse_lot,
-                   serialize_certificate, sublot_closure,
-                   verify_certificate)
+                   PrimeWeightTest, boundary_reduce, build_complex,
+                   certify_va, check_properties, collapse,
+                   derive_subcomplexes, enumerate_sublots, extract_sublot,
+                   format_lot, parse_certificate, parse_lot, reorient,
+                   serialize_certificate, signed_relative_forest_check,
+                   sublot_closure, verify_certificate)
 import lotva.certify
 import lotva.lot
+import lotva.weights
 from lotva.certify import MAX_CERT_DEPTH, _closes_up
-from lotva.lot import SublotStructure
+from lotva.lot import _edge_closures, maximal_sublots
 from lotva.sweep import iter_small_lots, random_lot
 from lotva.weights import FlipForests
 from oracles import (collapse_vertex_of, reference_closure,
@@ -102,7 +105,7 @@ class TestPipeline:
         before the pruned walk finds the mask (456,561 times unpruned): its
         certificate is pinned byte for byte."""
         lot = random_lot(random.Random(6), 24)
-        assert SublotStructure(lot).prime
+        assert check_properties(lot).prime
         cert = certify_va(lot)
         assert isinstance(cert, PrimeWeightTest)
         assert verify_certificate(lot, cert).accepted
@@ -180,7 +183,7 @@ class TestGiveUp:
 
     def test_complete_set_search(self, fig1, monkeypatch):
         monkeypatch.setattr(lotva.certify, "search_complete_set",
-                            lambda lot, structure: None)
+                            lambda lot: None)
         assert certify_va(fig1) == CertifyFailure(
             "complete-set-search",
             "non-prime LOT with neither a free decomposition nor a complete set")
@@ -516,19 +519,19 @@ class TestVerifier:
             walk(lot, certify_va(lot))
 
 
-def complete_set_nodes(lot, cert):
-    """(node LOT, node) for every complete-set node of a certificate."""
+def certificate_nodes(lot, cert):
+    """(node LOT, node) for every node of a certificate, parents first."""
+    yield lot, cert
     if isinstance(cert, BoundaryReduction):
-        yield from complete_set_nodes(
+        yield from certificate_nodes(
             boundary_reduce(lot, cert.edge_id, cert.outer_vertex), cert.child)
     elif isinstance(cert, FreeDecompositionNode):
         for part, child in ((cert.left_edges, cert.left_child),
                             (cert.right_edges, cert.right_child)):
-            yield from complete_set_nodes(extract_sublot(lot, part), child)
+            yield from certificate_nodes(extract_sublot(lot, part), child)
     elif isinstance(cert, CompleteSetRelative):
-        yield lot, cert
         for part, child in zip(cert.sublots, cert.children):
-            yield from complete_set_nodes(extract_sublot(lot, part), child)
+            yield from certificate_nodes(extract_sublot(lot, part), child)
 
 
 def complete_set_roots(lots):
@@ -585,9 +588,8 @@ def tampers(lot, cert):
     yield ("complete-set-step-sublot", "", lot,
            chained((ChainStep(frozenset(range(m)), first.collapse_vertex),
                     *steps[1:])))
-    structure = SublotStructure(lot)
-    maximal = structure.maximal()
-    inner = next((p for p in structure.all_sublots()
+    maximal = maximal_sublots(lot)
+    inner = next((p for p in enumerate_sublots(lot)[0]
                   if len(p) < m and p not in maximal), None)
     if inner is not None:
         yield ("complete-set-step-maximal", None, lot,
@@ -666,7 +668,7 @@ def chain_variants(lot, cert):
     steps, final = cert.chain.steps, cert.chain.final_quotient
     first, rest = steps[0], steps[1:]
     yield cert
-    for p in SublotStructure(lot).all_sublots():
+    for p in enumerate_sublots(lot)[0]:
         if len(p) == lot.num_edges or p == first.sublot_edges:
             continue
         swapped = (ChainStep(p, collapse_vertex_of(lot, p)),) + rest
@@ -699,8 +701,9 @@ def differential_lots(sweep6_every97):
 def complete_set_inputs(differential_lots):
     """(node LOT, node) of every complete-set node in the certificates of
     ``differential_lots``."""
-    return [node for lot in differential_lots
-            for node in complete_set_nodes(lot, certify_va(lot))]
+    return [(node_lot, node) for lot in differential_lots
+            for node_lot, node in certificate_nodes(lot, certify_va(lot))
+            if isinstance(node, CompleteSetRelative)]
 
 
 class TestCompleteSetAgainstNamedRoute:
@@ -735,10 +738,9 @@ class TestCompleteSetAgainstNamedRoute:
         seen = Counter()
         for lot in differential_lots:
             edges, paths = lot._iv.edges, lot._paths
-            structure = SublotStructure(lot)
-            full = structure.full
-            subs = {0, *(c for c in structure.closures if c != full),
-                    *(sum(1 << i for i in s) for s in structure.maximal())}
+            full = (1 << lot.num_edges) - 1
+            subs = {0, *(c for c in _edge_closures(lot) if c != full),
+                    *(sum(1 << i for i in s) for s in maximal_sublots(lot))}
             for sub in subs:
                 want = all(reference_closure(edges, paths, sub | 1 << e) == full
                            for e in range(lot.num_edges) if not sub >> e & 1)
@@ -749,9 +751,55 @@ class TestCompleteSetAgainstNamedRoute:
                              (False, True), (False, False)}
 
 
+class TestForestPassAgainstComplexRoute:
+    """The verifier's lk+ and lk- forest pass against K of the reoriented
+    LOT: ``reorient``, ``build_complex``, ``derive_subcomplexes`` and
+    ``signed_relative_forest_check`` of each colour."""
+
+    def test_one_free_edge_toggled(self, fig1, fig3, differential_lots):
+        """Every prime-wt and complete-set node of the certificates of
+        fig1, fig3, the every-97th <=6 stride and 150 random 7-24-edge
+        LOTs, with one free edge of its flip set toggled and its corner
+        pairs rewritten to match: the verdict is the positive (negative)
+        forest check exactly when the complex route finds lk+ (lk-, lk+
+        being a forest) no forest, and acceptance otherwise."""
+        rng = random.Random(33)
+        seen = Counter()
+        for root in (fig1, fig3, *differential_lots):
+            for lot, node in certificate_nodes(root, certify_va(root)):
+                if isinstance(node, PrimeWeightTest):
+                    prefix, parts = "prime-weight-test", []
+                elif isinstance(node, CompleteSetRelative):
+                    prefix, parts = "complete-set", list(node.sublots)
+                else:
+                    continue
+                inside = frozenset().union(*parts)
+                free = [i for i in range(lot.num_edges) if i not in inside]
+                flipped = node.flipped ^ {rng.choice(free)}
+                reoriented = reorient(lot, flipped)
+                cx = build_complex(reoriented)
+                fam = derive_subcomplexes(reoriented, parts)
+                forests = [signed_relative_forest_check(cx, fam, pol)[0]
+                           for pol in (1, -1)]
+                want = (None if all(forests) else
+                        f"{prefix}-{'negative' if forests[0] else 'positive'}-forest")
+                toggled = replace(
+                    node, flipped=flipped,
+                    pos_corners=tuple((l, t) for t, _, l in reoriented.edges),
+                    neg_corners=tuple((l, h) for _, h, l in reoriented.edges))
+                verdict = verify_certificate(lot, toggled)
+                assert (verdict.accepted, verdict.failing_check) == \
+                    (want is None, want), (format_lot(lot), flipped)
+                seen[prefix, want] += 1
+        assert set(seen) == {
+            (prefix, want) for prefix in ("prime-weight-test", "complete-set")
+            for want in (None, f"{prefix}-positive-forest",
+                         f"{prefix}-negative-forest")}, seen
+
+
 class TestVerifierIndependence:
-    """The verifier decides sub-LOTs, boundary vertices and children on its
-    own masks, not with the prover's helpers."""
+    """The verifier decides sub-LOTs, boundary vertices, children and the
+    lk+/lk- forests on its own masks, not with the prover's helpers."""
 
     def test_accepts_with_the_provers_sublot_helpers_gone(
             self, fig1, fig3, sweep6_every97, monkeypatch):
@@ -762,9 +810,10 @@ class TestVerifierIndependence:
         def refuse(*args, **kwargs):
             raise AssertionError("the verifier called a prover helper")
 
-        for module in (lotva.certify, lotva.lot):
+        for module in (lotva.certify, lotva.lot, lotva.weights):
             for name in ("extract_sublot", "boundary_reducible_witness",
-                         "is_sublot", "sublot_vertices"):
+                         "is_sublot", "sublot_vertices", "FlipForests",
+                         "boundary_reduce"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
         for lot, cert in certified:
             assert verify_certificate(lot, cert), cert.kind

@@ -13,7 +13,7 @@ from lotva import (DegenerateDiagramError, DiagramEdge, DiagramFace,
                    find_sink_source, format_diagram, is_vertex_reduced,
                    k_thin_check, parse_complex, parse_diagram, sign_change,
                    validate_diagram, vertex_link_cycle, vertex_link_cycles)
-from lotva.lot import SublotStructure
+from lotva.lot import maximal_sublots
 
 from oracles import (random_weights, reference_find_folding_vertices,
                      reference_vertex_corners)
@@ -256,7 +256,7 @@ class TestAgainstWalkReference:
         checked = 0
         for lot in sweep6_every97:
             cx = build_complex(lot)
-            maximal = SublotStructure(lot).maximal()[:1]
+            maximal = maximal_sublots(lot)[:1]
             scopes = [derive_subcomplexes(lot, maximal)] if maximal else []
             for cell in cx.cells:
                 d = double_cell_sphere(cx, cell.name)

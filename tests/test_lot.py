@@ -11,7 +11,7 @@ from lotva import (Lot, LotEdge, LotvaError, ParseError, PreconditionError,
                    is_injective, is_sublot, parse_lot, reorient, sign_change,
                    sublot_closure, sublot_vertices)
 from lotva import lot as lot_module
-from lotva.lot import SublotStructure, search_complete_set
+from lotva.lot import _edge_closures, maximal_sublots, search_complete_set
 from lotva.sweep import iter_small_lots, random_lot
 
 from oracles import (named_collapse, oracle_free_decomposition,
@@ -297,7 +297,7 @@ class TestSublots:
 
     def test_closures_reuse_tree_walk(self, monkeypatch):
         """A Lot walks its root paths once, in the tree check; closures and
-        SublotStructure read the kept paths, which take no part in
+        the closure pass read the kept paths, which take no part in
         equality or repr."""
         lot = random_lot(random.Random(3), 12)
         walks = []
@@ -311,7 +311,7 @@ class TestSublots:
         same = Lot(lot.vertices, lot.edges)
         assert len(walks) == 1
         closures = [sublot_closure(same, e) for e in range(same.num_edges)]
-        assert SublotStructure(same).closures == tuple(
+        assert _edge_closures(same) == tuple(
             sum(1 << i for i in c) for c in closures)
         assert len(walks) == 1
         assert same == lot and repr(same) == repr(lot)
@@ -319,7 +319,7 @@ class TestSublots:
 
     def test_closures_match_reference(self, sweep6_every97):
         """Every edge's closure, asked for in shuffled order, is
-        ``reference_closure`` of that edge, and ``SublotStructure`` reads
+        ``reference_closure`` of that edge, and ``_edge_closures`` holds
         the same masks: every 97th LOT of the <=6 sweep and 30 random LOTs
         with 7-24 edges, some not injective or not compressed.  Each LOT is
         built afresh, so its closure pass starts at the shuffled first."""
@@ -338,14 +338,17 @@ class TestSublots:
             for e in order:
                 assert sublot_closure(fresh, e) == frozenset(lot_module._bits(want[e])), \
                     (format_lot(lot), e)
-            assert SublotStructure(fresh).closures == tuple(want)
+            assert _edge_closures(fresh) == tuple(want)
         assert max(lot.num_edges for lot in lots) > 20
 
     def test_one_closure_pass_per_lot(self, monkeypatch):
         """A Lot runs its closure pass once, on first use, and keeps it:
-        m ``sublot_closure`` calls, ``check_properties`` and
-        ``SublotStructure`` make m ``_closure_mask`` calls in all, one per
-        edge in id order.  Building a Lot, or a child Lot of it, runs none."""
+        m ``sublot_closure`` calls and ``check_properties`` make m
+        ``_closure_mask`` calls in all, one per edge in id order, and
+        ``_edge_closures`` returns the kept pass.  After it,
+        ``maximal_sublots``, ``enumerate_sublots``, ``free_decomposition``
+        and, on an injective LOT with a complete set, ``search_complete_set``
+        make none.  Building a Lot, or a child Lot of it, runs none."""
         lot = random_lot(random.Random(7), 16, injective=False)
         part = sublot_closure(lot, 0)
         assert len(part) < lot.num_edges
@@ -363,8 +366,18 @@ class TestSublots:
         for e in reversed(range(fresh.num_edges)):
             sublot_closure(fresh, e)
         check_properties(fresh)
-        assert SublotStructure(fresh).closures is fresh._closures
+        assert _edge_closures(fresh) is fresh._closures
         assert calls == list(range(fresh.num_edges))
+        injective = random_lot(random.Random(1), 16)
+        other = Lot(injective.vertices, injective.edges)
+        _edge_closures(other)
+        calls.clear()
+        for lot in (fresh, other):
+            assert len(maximal_sublots(lot)) >= 1
+            enumerate_sublots(lot)
+            free_decomposition(lot)
+        assert search_complete_set(other) is not None
+        assert calls == []
 
 
 class TestChildren:
@@ -394,7 +407,7 @@ class TestChildren:
             lots.append(Lot(lot.vertices, lot.edges, name=f"r{k}"))
         subs = leaves = refused = 0
         for lot in lots:
-            for s in SublotStructure(lot).all_sublots():
+            for s in enumerate_sublots(lot)[0]:
                 ids = sorted(s)
                 vs = sublot_vertices(lot, ids)
                 same(extract_sublot(lot, reversed(ids)),
@@ -473,7 +486,7 @@ class TestCollapse:
             lots.append(Lot(lot.vertices, lot.edges, name=f"r{k}"))
         checked = 0
         for lot in lots:
-            for s in SublotStructure(lot).all_sublots():
+            for s in enumerate_sublots(lot)[0]:
                 q, x = collapse(lot, s)
                 ref, y = named_collapse(lot, s)
                 assert (q, q.name, x) == (ref, ref.name, y)
@@ -498,7 +511,7 @@ class TestCollapse:
             lot = random_lot(rng, rng.randrange(3, 21), injective=False,
                              compressed=False)
             if not is_injective(lot):
-                cases += [(lot, s) for s in SublotStructure(lot).all_sublots()]
+                cases += [(lot, s) for s in enumerate_sublots(lot)[0]]
                 cases.append((lot, [0, lot.num_edges]))
         for lot, ids in cases:
             assert refusal(collapse, lot, ids) == \
@@ -561,11 +574,10 @@ class TestCompleteSet:
         lots += [random_lot(rng, rng.randrange(7, 25)) for _ in range(150)]
         found = none = 0
         for lot in lots:
-            structure = SublotStructure(lot)
-            if structure.prime:
+            if check_properties(lot).prime:
                 continue
-            got = search_complete_set(lot, structure)
-            want = reference_search_complete_set(lot, structure)
+            got = search_complete_set(lot)
+            want = reference_search_complete_set(lot)
             if want is None:
                 assert got is None
                 none += 1
@@ -607,11 +619,11 @@ class TestCompleteSet:
         counts = {}
         below_root = 0
         for lot in lots:
-            structure = SublotStructure(lot)
-            assert structure.closures == tuple(
+            closures = _edge_closures(lot)
+            assert closures == tuple(
                 lot_module._closure_mask(lot._iv, lot._paths, e)
                 for e in range(lot.num_edges))
-            if structure.prime:
+            if check_properties(lot).prime:
                 continue
             for quotient, orig, rep in named_chain_quotients(lot):
 
@@ -619,15 +631,15 @@ class TestCompleteSet:
                     return sum(1 << orig[i] for i in ids)
 
                 alive = to_orig(range(quotient.num_edges))
-                own = SublotStructure(quotient).closures
-                assert [structure.closures[o] & alive for o in orig] == \
+                own = _edge_closures(quotient)
+                assert [closures[o] & alive for o in orig] == \
                     [to_orig(lot_module._bits(c)) for c in own]
-                proper = [s for s in SublotStructure(quotient).all_sublots()
+                proper = [s for s in enumerate_sublots(quotient)[0]
                           if len(s) < quotient.num_edges]
                 want = [to_orig(s) for s in proper
                         if not any(s < t for t in proper)]
                 fallbacks.clear()
-                assert lot_module._maximal(structure.closures, lot._iv.edges,
+                assert lot_module._maximal(closures, lot._iv.edges,
                                            rep, alive) == want
                 assert bool(fallbacks) == (len(want) > 1)
                 counts[len(want)] = counts.get(len(want), 0) + 1
@@ -638,16 +650,16 @@ class TestCompleteSet:
     def test_two_maximal_sublots_reach_the_fallback(self, monkeypatch):
         """A <=6-edge LOT whose root has two maximal sub-LOTs, {0, 1, 2, 4}
         and {0, 1, 3, 5}: the search takes the pieces route and still
-        finds what the name-level search finds.  It builds no view, tree
-        walk or structure for any quotient but the final one."""
+        finds what the name-level search finds.  It builds no closures,
+        view or tree walk for any quotient but the final one, and the
+        final one builds no closures."""
         lot = parse_lot("edge v0 v1 v2\nedge v0 v2 v1\nedge v0 v3 v5\n"
                         "edge v0 v4 v6\nedge v1 v5 v3\nedge v1 v6 v4\n")
-        structure = SublotStructure(lot)
-        assert structure.maximal() == [frozenset({0, 1, 2, 4}),
-                                       frozenset({0, 1, 3, 5})]
-        want = reference_search_complete_set(lot, structure)
+        assert maximal_sublots(lot) == [frozenset({0, 1, 2, 4}),
+                                        frozenset({0, 1, 3, 5})]
+        want = reference_search_complete_set(lot)
         calls = {"_touch_masks": 0, "_view": 0, "_root_paths": 0,
-                 "SublotStructure": 0}
+                 "_closure_mask": 0}
         for name in calls:
             real = getattr(lot_module, name)
 
@@ -656,9 +668,9 @@ class TestCompleteSet:
                 return _real(*args)
 
             monkeypatch.setattr(lot_module, name, counting)
-        got = search_complete_set(lot, structure)
+        got = search_complete_set(lot)
         assert calls == {"_touch_masks": 1, "_view": 1, "_root_paths": 1,
-                         "SublotStructure": 0}
+                         "_closure_mask": 0}
         assert got[0] == want[0] == [frozenset({0, 1, 2, 4})]
         assert got[1].steps == want[1].steps
         final, ref = got[1].final_quotient, want[1].final_quotient
@@ -667,8 +679,8 @@ class TestCompleteSet:
 
 def named_chain_quotients(lot):
     """Every quotient the complete-set search meets on the LOT, by the
-    named route: ``named_collapse`` and ``SublotStructure`` per quotient,
-    backtracking over ``maximal()`` in order up to the first compressed
+    named route: ``named_collapse`` and ``maximal_sublots`` per quotient,
+    backtracking over its list in order up to the first compressed
     prime quotient with an edge.  Each comes with the original id of each
     of its edges and, per original vertex, the original index of the
     quotient vertex it became."""
@@ -677,10 +689,10 @@ def named_chain_quotients(lot):
 
     def rec(current, orig, to, depth):
         met.append((current, orig, [index[to[v]] for v in lot.vertices]))
-        structure = SublotStructure(current)
-        if structure.prime:
+        maximal = maximal_sublots(current)
+        if not maximal:  # prime
             return depth and current.num_edges and is_compressed(current)
-        for sub in structure.maximal():
+        for sub in maximal:
             quotient, x = named_collapse(current, sub)
             inside = sublot_vertices(current, sub)
             kept = tuple(o for i, o in enumerate(orig) if i not in sub)
@@ -733,8 +745,7 @@ class TestFreeDecomposition:
             fd = free_decomposition(lot)
             assert fd == oracle_free_decomposition(lot)
             found += fd is not None
-            structure = SublotStructure(lot)
-            if structure.full in structure.closures:
+            if (1 << lot.num_edges) - 1 in _edge_closures(lot):
                 assert fd is None
                 whole += 1
         assert 50 < found < len(lots) - 500

@@ -9,14 +9,13 @@ from lotva import (Corner, EdgeEnd, LinkGraph, Lot, LotEdge, LotvaError,
                    TwoComplex, Verdict,
                    WeightAssignment, build_complex, build_link,
                    build_relative_link, canonical_weights, complete_set_search,
-                   check_cell_condition, derive_subcomplexes, enumerate_sublots,
+                   check_cell_condition, check_properties, derive_subcomplexes, enumerate_sublots,
                    find_homred_violation, format_weights,
                    min_weight_reduced_cycle, orientation_search, parse_complex,
                    parse_lot, parse_weights, relative_weight_test, reorient,
                    sign_change, signed_relative_forest_check,
                    sublot_closure, sublot_vertices, weight_test)
 from lotva.linkage import UnionFind
-from lotva.lot import SublotStructure
 from lotva.weights import _WEIGHTS, FlipForests
 from lotva.sweep import random_lot
 
@@ -810,9 +809,11 @@ class TestOrientationSearch:
             orientation_search(fig3, [frozenset({0, 1}), frozenset({0, 1, 2})])
 
     def test_fixed_families_match_link_route(self, sweep6_every97):
-        """With non-empty fixed families, the flip-set forest check agrees
-        with building the reoriented complex and checking both signed
-        relative forests, on a stride sample of the <=6-edge sweep."""
+        """With non-empty fixed families, the oracles' flip-set forest
+        check agrees with building the reoriented complex and checking both
+        signed relative forests, on a stride sample of the <=6-edge sweep.
+        The verifier's own forest pass meets the same route in
+        ``test_certify.py::TestForestPassAgainstComplexRoute``."""
         rng = random.Random(91)
         compared = 0
         for lot in sweep6_every97:
@@ -834,10 +835,6 @@ class TestOrientationSearch:
                 fam = derive_subcomplexes(flipped, parts)
                 pos = signed_relative_forest_check(cx, fam, 1)[0]
                 neg = signed_relative_forest_check(cx, fam, -1)[0]
-                forests = FlipForests(lot, parts)
-                mask = sum(1 << i for i in flip)
-                assert (forests.is_forest(mask, 1),
-                        forests.is_forest(mask, -1)) == (pos, neg)
                 assert orientation_search_check(lot, parts, flip) == (pos and neg)
                 compared += 1
         assert compared > 1000
@@ -909,7 +906,7 @@ class TestOrientationSearch:
         seen = Counter()
         for lot in lots:
             families = {"none": [], "greedy": closure_family(lot)}
-            if lot.num_edges > 1 and not SublotStructure(lot).prime:
+            if lot.num_edges > 1 and not check_properties(lot).prime:
                 found = complete_set_search(lot)
                 if found is not None:
                     families["complete"] = found[0]
@@ -926,9 +923,10 @@ class TestOrientationSearch:
     def test_checks_cut_only_dead_branches(self, sweep6_every97):
         """``fits`` and ``propagates`` turn a partial flip down only when no
         completion of it makes lk+ and lk- forests, checked against every
-        completion: random prefixes of walks on every 7th LOT of the <=6
-        stride and on random LOTs with 7-10 edges, absolute and with a
-        greedy closure family fixed."""
+        completion with the oracles' ``orientation_search_check``: random
+        prefixes of walks on every 7th LOT of the <=6 stride and on random
+        LOTs with 7-10 edges, absolute and with a greedy closure family
+        fixed."""
         rng = random.Random(98)
         lots = list(sweep6_every97)[::7]
         lots += [random_lot(rng, rng.randrange(7, 11)) for _ in range(120)]
@@ -955,9 +953,10 @@ class TestOrientationSearch:
                     tails += [tail | bit for tail in tails]
                 for c in (0, 1):
                     head = flip | (bits[depth] if c else 0)
-                    alive = any(forests.is_forest(head | tail, 1) and
-                                forests.is_forest(head | tail, -1)
-                                for tail in tails)
+                    alive = any(orientation_search_check(
+                        lot, fixed, [i for i in range(lot.num_edges)
+                                     if (head | tail) >> i & 1])
+                        for tail in tails)
                     placed[depth] = c
                     fit = fits(depth, c)
                     verdict = fit and propagates(depth)
