@@ -7,16 +7,15 @@ Search failures yield a structured failure report, never a negative claim.
 ``verify_certificate`` re-derives every hypothesis of every node from the
 LOT alone; it never trusts recorded search state.  Its verdict names the
 first failing check, which the tamper tests rely on.  It decides sub-LOT
-structure on each node's int view with a closure kernel of its own
-(``_closes_up``): primality, and for a complete-set node the maximality of
-each chain step, the collapses and the final quotient.  Partitions, parts,
-fullness and boundary vertices it reads off edge and vertex masks, and it
-builds every child, boundary-reduction ones included, from those masks.
-It checks lk+ and lk- for forests with one union-find pass each over the
-node's int edges, each part contracted by its vertex mask and the flip
-built from the ids it has range-checked.  Of the prover's code it calls
-only ``_named_pairs`` (the witness pairs, read straight off the LOT's
-edges) and ``_lot_on`` (which builds a child Lot from a view).
+structure with a closure kernel of its own (``_closes_up``): primality,
+and for a complete-set node the maximality of each chain step, the
+collapses and the final quotient.  Every node is an edge mask and a vertex
+mask of the root's int view, and so is every child: it builds no Lot.
+Partitions, parts, fullness and boundary vertices it reads off those
+masks, and it checks lk+ and lk- for forests with one union-find pass each
+over the node's edges, each part contracted by its vertex mask.  Of the
+prover's code it calls only ``_named_pairs`` (the witness pairs, read
+straight off the node's named edges).
 """
 
 from __future__ import annotations
@@ -119,13 +118,13 @@ def boundary_reduce(lot: Lot, edge_id: int, outer_vertex: str) -> Lot:
                name=lot.name)
 
 
-def _named_pairs(lot: Lot, flip: int
+def _named_pairs(edges, flip: int
                  ) -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]:
-    """lk+ and lk- corner endpoint pairs of the LOT reoriented by a flip
-    mask, by name, in edge order: label+ -- tail+ and label- -- head- of
-    each edge, its tail and head swapped where the flip has its bit."""
+    """lk+ and lk- corner endpoint pairs of a LOT's named ``edges``
+    reoriented by a flip mask, in edge order: label+ -- tail+ and label- --
+    head- of each edge, its tail and head swapped where the flip has its bit."""
     pos, neg = [], []
-    for i, (t, h, l) in enumerate(lot.edges):
+    for i, (t, h, l) in enumerate(edges):
         if flip >> i & 1:
             t, h = h, t
         pos.append((l, t))
@@ -175,7 +174,7 @@ def _certify(lot: Lot) -> Certificate:
             raise _GiveUp(CertifyFailure(
                 "prime-orientation-search",
                 f"no orientation of {lot.name or 'lot'} gives lk+/lk- forests"))
-        pos, neg = _named_pairs(lot, flip)
+        pos, neg = _named_pairs(lot.edges, flip)
         return PrimeWeightTest(frozenset(_bits(flip)), pos, neg)
 
     fd = free_decomposition(lot)
@@ -198,7 +197,7 @@ def _certify(lot: Lot) -> Certificate:
             "relative-orientation-search",
             "no orientation gives relative lk+/lk- forests"))
     children = tuple(_certify(extract_sublot(lot, part)) for part in sublots)
-    pos, neg = _named_pairs(lot, flip)
+    pos, neg = _named_pairs(lot.edges, flip)
     return CompleteSetRelative(tuple(sublots), chain, frozenset(_bits(flip)),
                                pos, neg, children)
 
@@ -225,7 +224,7 @@ def verify_certificate(lot: Lot, cert: Certificate) -> VerificationVerdict:
         # labels, so it is injective and compressed when the root is
         _need(is_injective(lot), "node-injective")
         _need(is_compressed(lot), "node-compressed")
-        _verify(lot, cert)
+        _verify(lot, cert, (1 << lot.num_edges) - 1, (1 << len(lot.vertices)) - 1)
     except _Reject as r:
         return VerificationVerdict(False, r.check, r.detail)
     except LotvaError as exc:
@@ -233,129 +232,120 @@ def verify_certificate(lot: Lot, cert: Certificate) -> VerificationVerdict:
     return VerificationVerdict(True)
 
 
-def _verify(lot: Lot, cert: Certificate) -> None:
-    iv = lot._iv
+def _verify(lot: Lot, cert: Certificate, emask: int, vmask: int) -> None:
+    """Checks ``cert`` on the node of the LOT's edges ``emask`` and vertices
+    ``vmask``, a subtree: the node's edge j is the LOT's edge ``ids[j]``."""
+    iv, names = lot._iv, lot.vertices
+    edges, ids = iv.edges, _bits(emask)
+    m = len(ids)
 
     if isinstance(cert, BaseTrivial):
-        _need(lot.num_edges <= 1, "base-edge-count",
-              f"{lot.num_edges} edges")
+        _need(m <= 1, "base-edge-count", f"{m} edges")
         return
 
     if isinstance(cert, BoundaryReduction):
-        _need(0 <= cert.edge_id < lot.num_edges, "boundary-reduction-edge-valid")
-        _need(cert.outer_vertex in lot.edges[cert.edge_id][:2],
-              "boundary-reduction-outer-vertex",
+        _need(0 <= cert.edge_id < m, "boundary-reduction-edge-valid")
+        e = ids[cert.edge_id]
+        leaf = next((v for v in edges[e][:2] if names[v] == cert.outer_vertex), -1)
+        _need(leaf >= 0, "boundary-reduction-outer-vertex",
               "vertex not on the removed edge")
-        degree = sum(1 for t, h, _ in lot.edges if cert.outer_vertex in (t, h))
-        _need(degree == 1, "boundary-reduction-outer-vertex",
-              "vertex is not a boundary vertex")
-        _need(all(l != cert.outer_vertex for _, _, l in lot.edges),
+        _need(sum(emask >> i & 1 for i in iv.incident[leaf]) == 1,
+              "boundary-reduction-outer-vertex", "vertex is not a boundary vertex")
+        _need(all(edges[i][2] != leaf for i in ids),
               "boundary-reduction-vertex-unlabeled",
               f"{cert.outer_vertex} occurs as an edge label")
-        leaf = lot.vertices.index(cert.outer_vertex)
-        _verify(_child(lot, (1 << lot.num_edges) - 1 ^ 1 << cert.edge_id,
-                       (1 << iv.n) - 1 ^ 1 << leaf), cert.child)
+        _verify(lot, cert.child, emask ^ 1 << e, vmask ^ 1 << leaf)
         return
 
     if isinstance(cert, FreeDecompositionNode):
         left, right = cert.left_edges, cert.right_edges
-        _need(left and right and left | right == frozenset(range(lot.num_edges))
+        _need(left and right and left | right == frozenset(range(m))
               and not left & right, "free-decomposition-partition")
-        halves = [_span(iv.edges, left), _span(iv.edges, right)]
-        for side, (emask, vmask, labels) in zip(("left", "right"), halves):
-            _need(vmask.bit_count() == emask.bit_count() + 1
-                  and not labels & ~vmask, f"free-decomposition-{side}-sublot")
-        shared = [lot.vertices[v] for v in _bits(halves[0][1] & halves[1][1])]
+        halves = [_span(edges, map(ids.__getitem__, s)) for s in (left, right)]
+        for side, (em, vm, labels) in zip(("left", "right"), halves):
+            _need(vm.bit_count() == em.bit_count() + 1
+                  and not labels & ~vm, f"free-decomposition-{side}-sublot")
+        shared = [names[v] for v in _bits(halves[0][1] & halves[1][1])]
         _need(shared == [cert.shared_vertex], "free-decomposition-single-shared-vertex",
               f"intersection is {sorted(shared)}")
-        _verify(_child(lot, *halves[0][:2]), cert.left_child)
-        _verify(_child(lot, *halves[1][:2]), cert.right_child)
+        _verify(lot, cert.left_child, *halves[0][:2])
+        _verify(lot, cert.right_child, *halves[1][:2])
         return
 
     if isinstance(cert, PrimeWeightTest):
-        # every leaf labels an edge
-        _need(all(len(i) != 1 or c for i, c in zip(iv.incident, iv.label_count)),
-              "prime-weight-test-boundary-reduced")
-        _need(_closes_up(iv.edges, lot._paths, 0, (1 << len(iv.edges)) - 1),
-              "prime-weight-test-prime")
-        _need(all(0 <= i < lot.num_edges for i in cert.flipped),
+        _need(_boundary_reduced(edges, ids), "prime-weight-test-boundary-reduced")
+        _need(_closes_up(edges, lot._paths, 0, emask), "prime-weight-test-prime")
+        _need(all(0 <= i < m for i in cert.flipped),
               "prime-weight-test-flipped-valid")
-        _check_forests_and_witnesses(lot, _span(iv.edges, cert.flipped)[0], [],
-                                     cert.pos_corners, cert.neg_corners,
-                                     "prime-weight-test")
+        _check_forests_and_witnesses(lot, ids, cert, [], "prime-weight-test")
         return
 
     if isinstance(cert, CompleteSetRelative):
-        _need(all(len(i) != 1 or c for i, c in zip(iv.incident, iv.label_count)),
-              "complete-set-boundary-reduced")
+        _need(_boundary_reduced(edges, ids), "complete-set-boundary-reduced")
         _need(len(cert.children) == len(cert.sublots),
               "complete-set-children-count")
         _need(len(cert.chain.steps) >= 1, "complete-set-chain-nonempty")
 
-        edges = iv.edges
-        m = len(edges)
         union = seen_v = 0
         parts = []  # (edge mask, vertex mask) per part
         for part in cert.sublots:
             _need(bool(part), "complete-set-disjoint", "empty part")
             _need(all(0 <= i < m for i in part),
                   "complete-set-disjoint", "edge id out of range")
-            emask, vmask, _ = _span(edges, part)
-            _need(not (emask & union) and not (vmask & seen_v),
+            pe, pv, _ = _span(edges, map(ids.__getitem__, part))
+            _need(not (pe & union) and not (pv & seen_v),
                   "complete-set-disjoint")
-            union, seen_v = union | emask, seen_v | vmask
-            parts.append((emask, vmask))
+            union, seen_v = union | pe, seen_v | pv
+            parts.append((pe, pv))
 
-        # K(part) is a full subcomplex of K(lot): cell d_i has the letters
-        # tail_i, label_i and head_i, so it lies on K(part)'s edges exactly
+        # K(part) is a full subcomplex of K(lot): cell d_j has the letters
+        # tail_j, label_j and head_j, so it lies on K(part)'s edges exactly
         # when the part's vertices hold all three, and that must happen
         # exactly for the part's own edges
-        for k, (emask, vmask) in enumerate(parts):
-            for i, (t, h, l) in enumerate(edges):
-                if (vmask >> t & vmask >> h & vmask >> l & 1) != (emask >> i & 1):
-                    raise _Reject("complete-set-full", f"part {k}, cell d_{i}")
-        # cell d_i reads tail_i label_i head_i^-1 label_i^-1 (build_complex);
+        for k, (pe, pv) in enumerate(parts):
+            for j, i in enumerate(ids):
+                t, h, l = edges[i]
+                if (pv >> t & pv >> h & pv >> l & 1) != (pe >> i & 1):
+                    raise _Reject("complete-set-full", f"part {k}, cell d_{j}")
+        # cell d_j reads tail_j label_j head_j^-1 label_j^-1 (build_complex);
         # a LOT is unsigned, so every exponent sum is 0 and this always holds
         _need(sum((1, 1, -1, -1)) == 0, "complete-set-exponent-sums")
 
-        _need(all(0 <= i < m and not union >> i & 1 for i in cert.flipped),
+        _need(all(0 <= i < m and not union >> ids[i] & 1 for i in cert.flipped),
               "complete-set-flipped-outside")
-        _check_forests_and_witnesses(lot, _span(edges, cert.flipped)[0], parts,
-                                     cert.pos_corners, cert.neg_corners,
-                                     "complete-set")
-        _replay_chain(lot, cert.chain)
+        _check_forests_and_witnesses(lot, ids, cert, parts, "complete-set")
+        _replay_chain(lot, cert.chain, ids, emask, vmask)
         _need(tuple(s.sublot_edges for s in cert.chain.steps) == cert.sublots,
               "complete-set-sublots-match-chain")
 
         # complete-set-full put every label of a part among its vertices,
         # so a part is a sub-LOT exactly when it is connected
-        for (emask, vmask), child in zip(parts, cert.children):
-            _need(vmask.bit_count() == emask.bit_count() + 1,
+        for (pe, pv), child in zip(parts, cert.children):
+            _need(pv.bit_count() == pe.bit_count() + 1,
                   "complete-set-sublot-in-original")
-            _verify(_child(lot, emask, vmask), child)
+            _verify(lot, child, pe, pv)
         return
 
     raise _Reject("malformed-certificate", f"unknown node {cert!r}")
 
 
-def _replay_chain(lot: Lot, chain: CollapseChain) -> None:
-    """Replays a complete-set node's collapse chain on int views.
+def _replay_chain(lot: Lot, chain: CollapseChain, ids, emask, vmask) -> None:
+    """Replays a complete-set node's collapse chain on the LOT's int view.
 
     The quotients keep the LOT's edge ids and vertex indices: ``alive``
-    masks the edges not yet collapsed, and ``rep`` maps each vertex to the
-    quotient vertex it became, itself when it is still there.  A collapsed
-    sub-LOT is a subtree, so a tree path meets it in one stretch, and
-    masking the LOT's root paths with ``alive`` gives the quotient's."""
+    masks the node's edges not yet collapsed, and ``rep`` maps each vertex
+    to the quotient vertex it became, itself when it is still there.  A
+    collapsed sub-LOT is a subtree, so a tree path meets it in one stretch,
+    and masking the LOT's root paths with ``alive`` gives the quotient's."""
     iv = lot._iv
     names = lot.vertices
     edges, paths = iv.edges, lot._paths
-    m = len(edges)
-    alive = (1 << m) - 1
+    m, alive = len(ids), emask
     rep = list(range(iv.n))
     for step in chain.steps:
-        _need(all(0 <= o < m and alive >> o & 1 for o in step.sublot_edges),
+        _need(all(0 <= o < m and alive >> ids[o] & 1 for o in step.sublot_edges),
               "complete-set-step-sublot", "edges already collapsed")
-        sub, inside, labels = _span(edges, step.sublot_edges)
+        sub, inside, labels = _span(edges, map(ids.__getitem__, step.sublot_edges))
         k = len(step.sublot_edges)
         # k edges of a tree on k + 1 vertices are connected
         _need(0 < k < alive.bit_count() and inside.bit_count() == k + 1
@@ -376,7 +366,7 @@ def _replay_chain(lot: Lot, chain: CollapseChain) -> None:
         edges = tuple([(rep[t], rep[h], rep[l]) for t, h, l in iv.edges])
         paths = tuple([p & alive for p in paths])
 
-    kept = [v for v in range(iv.n) if rep[v] == v]
+    kept = [v for v in _bits(vmask) if rep[v] == v]
     index = {v: j for j, v in enumerate(kept)}
     final = chain.final_quotient
     _need(final.vertices == tuple([names[v] for v in kept])
@@ -424,35 +414,40 @@ def _span(edges, ids) -> tuple[int, int, int]:
     return emask, vmask, labels
 
 
-def _child(lot: Lot, emask: int, vmask: int) -> Lot:
-    """The Lot on edge mask ``emask`` and vertex mask ``vmask``, a subtree
-    whose labels are its own vertices, as ``extract_sublot`` builds it."""
-    ids = _bits(emask)
-    return _lot_on(lot, _bits(vmask), map(lot._iv.edges.__getitem__, ids),
-                   tuple(map(lot.edges.__getitem__, ids)))
+def _boundary_reduced(edges, ids) -> bool:
+    """Whether every leaf of the subtree on the edges ``ids`` labels one."""
+    once = more = labels = 0
+    for i in ids:
+        t, h, l = edges[i]
+        more |= once & (1 << t | 1 << h)
+        once |= 1 << t | 1 << h
+        labels |= 1 << l
+    return not once & ~more & ~labels
 
 
-def _check_forests_and_witnesses(lot, flip, parts, pos_rec, neg_rec, prefix):
-    """lk+ and then lk- of K(lot), its edges flipped per the mask ``flip``,
-    must be forests relative to the parts' lk+ and lk-: each part, an
-    (edge mask, vertex mask) pair, contracted to one node, and its own
-    edges' corners dropped.  One union-find pass per colour, over label+
-    -- tail+ (label- -- head-) of each edge outside the parts; then the
-    recorded corner pairs must be the LOT's own under the flip."""
+def _check_forests_and_witnesses(lot, ids, cert, parts, prefix):
+    """lk+ and then lk- of the node on the LOT's edges ``ids``, reoriented
+    by ``cert.flipped`` (node ids), must be forests relative to the parts'
+    lk+ and lk-: each part, an (edge mask, vertex mask) pair, contracted to
+    one node, and its own edges' corners dropped.  One union-find pass per
+    colour, over label+ -- tail+ (label- -- head-) of each edge outside the
+    parts; then the recorded corner pairs must be the node's own."""
     iv = lot._iv
+    flip = sum([1 << j for j in cert.flipped])
     node, inside = list(range(iv.n)), 0
-    for k, (emask, vmask) in enumerate(parts):
-        for v in _bits(vmask):
+    for k, (pe, pv) in enumerate(parts):
+        for v in _bits(pv):
             node[v] = iv.n + k
-        inside |= emask
+        inside |= pe
     for neg, colour in ((0, "positive"), (1, "negative")):
         forest = UnionFind(iv.n + len(parts))
-        for i, (t, h, l) in enumerate(iv.edges):
+        for j, i in enumerate(ids):
             if not inside >> i & 1:
-                end = h if flip >> i & 1 ^ neg else t
+                t, h, l = iv.edges[i]
+                end = h if flip >> j & 1 ^ neg else t
                 _need(forest.union(node[l], node[end]), f"{prefix}-{colour}-forest")
-    _need(_named_pairs(lot, flip) ==
-          (tuple(map(tuple, pos_rec)), tuple(map(tuple, neg_rec))),
+    _need(_named_pairs(map(lot.edges.__getitem__, ids), flip) ==
+          (tuple(map(tuple, cert.pos_corners)), tuple(map(tuple, cert.neg_corners))),
           f"{prefix}-witness-match")
 
 

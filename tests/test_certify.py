@@ -456,8 +456,13 @@ class TestVerifier:
         chain = CollapseChain((ChainStep(part, "a"),), c.chain.final_quotient)
         bad = CompleteSetRelative((part,), chain, c.flipped,
                                   c.pos_corners, c.neg_corners, c.children)
-        v = verify_certificate(fig1, bad)
-        assert not v.accepted and v.failing_check == "complete-set-full"
+        # the detail names the node's own cell, also where the node's edge
+        # ids are not the root's: under a leaf peeled off edge 0, fig1's
+        # edge j is the root's edge j + 1
+        leafed = Lot(("p",) + fig1.vertices, (LotEdge("p", "g", "a"),) + fig1.edges)
+        for lot, cert in ((fig1, bad), (leafed, BoundaryReduction(0, "p", bad))):
+            v = verify_certificate(lot, cert)
+            assert (v.failing_check, v.detail) == ("complete-set-full", "part 0, cell d_3")
 
     def test_rejects_wrong_node_kind(self, fig1):
         v = verify_certificate(fig1, BaseTrivial())
@@ -799,21 +804,36 @@ class TestForestPassAgainstComplexRoute:
 
 class TestVerifierIndependence:
     """The verifier decides sub-LOTs, boundary vertices, children and the
-    lk+/lk- forests on its own masks, not with the prover's helpers."""
+    lk+/lk- forests on its own masks, not with the prover's helpers, and
+    walks every node as masks of the root's int view."""
 
-    def test_accepts_with_the_provers_sublot_helpers_gone(
-            self, fig1, fig3, sweep6_every97, monkeypatch):
+    @pytest.fixture(scope="class")
+    def certified(self, fig1, fig3, sweep6_every97):
         certified = [(lot, certify_va(lot)) for lot in (fig1, fig3, *sweep6_every97)]
         assert {"bdry-red", "free-dec", "prime-wt", "complete-set"} <= {
             cert.kind for _, cert in certified}
+        return certified
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("the verifier called a prover helper")
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verifier called a helper it must not")
 
+    def test_accepts_with_the_provers_sublot_helpers_gone(self, certified,
+                                                          monkeypatch):
         for module in (lotva.certify, lotva.lot, lotva.weights):
             for name in ("extract_sublot", "boundary_reducible_witness",
                          "is_sublot", "sublot_vertices", "FlipForests",
                          "boundary_reduce"):
-                monkeypatch.setattr(module, name, refuse, raising=False)
+                monkeypatch.setattr(module, name, self.refuse, raising=False)
         for lot, cert in certified:
+            assert verify_certificate(lot, cert), cert.kind
+
+    def test_builds_no_lot_view_or_root_paths(self, certified, monkeypatch):
+        parsed = [(lot, parse_certificate(serialize_certificate(cert)))
+                  for lot, cert in certified]
+        for name in ("_view", "_root_paths", "_lot_on", "_lot_from_view"):
+            monkeypatch.setattr(lotva.lot, name, self.refuse)
+        for name in ("_lot_on", "_lot_from_view"):
+            monkeypatch.setattr(lotva.certify, name, self.refuse, raising=False)
+        for lot, cert in parsed:
             assert verify_certificate(lot, cert), cert.kind

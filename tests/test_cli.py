@@ -35,6 +35,13 @@ class TestAnalyze:
         assert "free decomposition: at z" in out
         assert "complete set of sub-LOTs: none" in out
 
+    def test_boundary_reducible(self, capsys, tmp_path):
+        p = tmp_path / "leaf.lot"
+        p.write_text("edge a b c\nedge b c a\nedge c d b\n")
+        code, out, _ = run(capsys, "analyze", str(p))
+        assert code == 0
+        assert "boundary reduced: no\n  reducible at vertex d (edge 2)\n" in out
+
     @pytest.mark.parametrize("seed, prime", [(5, True), (28, False)])
     def test_24_edges(self, capsys, tmp_path, seed, prime):
         """No scan of the 2^24 edge masks: the report comes back at once."""
@@ -108,6 +115,18 @@ class TestLinks:
         code, _, err = run(capsys, "links", str(fixture_dir / "fig1.lot"),
                            "--relative", "0,5")
         assert code == 2 and "not a sub-LOT" in err
+
+    def test_sublot_spec_not_ids(self, capsys, fixture_dir):
+        code, out, err = run(capsys, "links", str(fixture_dir / "fig1.lot"),
+                             "--relative", "0,x")
+        assert (code, out) == (2, "")
+        assert err == "error: bad sub-LOT spec '0,x': expected edge ids\n"
+
+    def test_relative_needs_a_lot(self, capsys, fixture_dir):
+        code, out, err = run(capsys, "links", str(fixture_dir / "square.cplx"),
+                             "--relative", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: --relative requires a LOT input\n"
 
 
 class TestWeightTest:

@@ -6,6 +6,7 @@ from lotva import (BoundaryWord, ParseError, PreconditionError, StructureError,
                    build_complex, derive_subcomplexes, exponent_sum,
                    format_complex, parse_complex, parse_lot, sign_change,
                    SubcomplexFamily)
+from lotva.complexes import validate_family
 from lotva.sweep import random_lot
 
 from oracles import is_full
@@ -99,6 +100,17 @@ class TestSubcomplexes:
         with pytest.raises(PreconditionError):
             derive_subcomplexes(fig1, [frozenset({1, 2, 3, 4}),
                                        frozenset({2, 3, 4})])
+
+    def test_family_parts_overlap(self):
+        part = (frozenset({"a"}), frozenset())
+        with pytest.raises(StructureError, match="^family parts overlap$"):
+            SubcomplexFamily((part, part))
+
+    def test_family_with_unknown_edges(self, fig1):
+        fam = SubcomplexFamily(((frozenset({"a"}), frozenset()),
+                                (frozenset({"z"}), frozenset())))
+        with pytest.raises(StructureError, match="^part 1 has unknown edges$"):
+            validate_family(build_complex(fig1), fam)
 
     def test_unknown_edge_ids_rejected(self, fig1):
         for bad in (99, -1):

@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,27 @@ class TestValidate:
         rep = validate_diagram(parse_diagram(""), square_complex)
         assert not rep.valid and rep.error == "empty diagram"
 
+    @pytest.mark.parametrize("fault, message", [
+        ("vertex twice", "duplicate vertex names"),
+        ("edge name twice", "duplicate edge name 'e0'"),
+        ("unknown endpoint", "edge 'e0' has unknown endpoint"),
+        ("unknown image", "edge 'e0' maps to unknown complex edge"),
+        ("image sign 0", "edge 'e0' has bad image sign"),
+        ("unknown cell", "face 'front' maps to unknown cell 'd_9'"),
+        ("empty boundary", "face 'front' has empty boundary"),
+        ("dart past the edges", "face 'front' has a dangling dart"),
+        ("dart sign 0", "face 'front' has a dangling dart"),
+        ("vertex on no edge", "vertex 'w' is isolated"),
+        ("two pillows at v0", "link of vertex 'v0' is not a single circle"),
+    ])
+    def test_one_fault_each(self, pillow, prime_cx, fault, message):
+        d = _with_fault(pillow, fault)
+        rep = validate_diagram(d, prime_cx)
+        assert rep.valid is False and rep.error == message
+        with pytest.raises(PreconditionError) as exc:
+            find_folding_vertices(d, prime_cx)
+        assert str(exc.value) == f"invalid diagram: {message}"
+
     def test_fuzz_random_edits(self, prime_cx, square_complex, torus):
         """Random single edits are either rejected by validate_diagram or the
         other operations stay total on them."""
@@ -101,6 +123,53 @@ class TestValidate:
                 vertex_link_cycle(d, d.vertices[0], prime_cx)
                 find_folding_vertices(d, prime_cx)
                 curvature_report(d, prime_cx, w)
+
+
+def _renamed(d, suffix, keep=()):
+    """A copy of d with every vertex, edge and face name but those in
+    ``keep`` suffixed."""
+    name = lambda x: x if x in keep else x + suffix
+    return SurfaceDiagram(
+        d.name, d.complex_name, tuple(map(name, d.vertices)),
+        tuple(DiagramEdge(name(e.name), name(e.tail), name(e.head),
+                          e.image_edge, e.image_sign) for e in d.edges),
+        tuple(DiagramFace(name(f.name), f.cell, f.orientation, f.boundary)
+              for f in d.faces))
+
+
+def _beside(d, other):
+    """d and other side by side, other's darts moved past d's edges."""
+    k = len(d.edges)
+    faces = tuple(DiagramFace(f.name, f.cell, f.orientation,
+                              tuple((i + k, s) for i, s in f.boundary))
+                  for f in other.faces)
+    vertices = d.vertices + tuple(v for v in other.vertices
+                                  if v not in d.vertices)
+    return SurfaceDiagram(d.name, d.complex_name, vertices,
+                          d.edges + other.edges, d.faces + faces)
+
+
+def _with_fault(pillow, fault):
+    """The pillow with one validation fault."""
+    (e0, *edges), (front, back) = pillow.edges, pillow.faces
+    edge = lambda **kw: (replace(e0, **kw), *edges)
+    face = lambda **kw: (replace(front, **kw), back)
+    return {
+        "vertex twice": lambda: replace(pillow, vertices=pillow.vertices + ("v0",)),
+        "edge name twice": lambda: replace(
+            pillow, edges=(e0, replace(edges[0], name="e0"), *edges[1:])),
+        "unknown endpoint": lambda: replace(pillow, edges=edge(tail="w")),
+        "unknown image": lambda: replace(pillow, edges=edge(image_edge="z")),
+        "image sign 0": lambda: replace(pillow, edges=edge(image_sign=0)),
+        "unknown cell": lambda: replace(pillow, faces=face(cell="d_9")),
+        "empty boundary": lambda: replace(pillow, faces=face(boundary=())),
+        "dart past the edges": lambda: replace(
+            pillow, faces=face(boundary=front.boundary + ((4, 1),))),
+        "dart sign 0": lambda: replace(
+            pillow, faces=face(boundary=((0, 0),) + front.boundary[1:])),
+        "vertex on no edge": lambda: replace(pillow, vertices=pillow.vertices + ("w",)),
+        "two pillows at v0": lambda: _beside(pillow, _renamed(pillow, "_2", {"v0"})),
+    }[fault]()
 
 
 def _mutate(rng, d):
@@ -501,6 +570,13 @@ class TestSinkSource:
         pillow = double_cell_sphere(cx, "d_0")
         with pytest.raises(PreconditionError):
             find_sink_source(pillow, cx)
+
+    def test_disconnected(self, pillow, prime_cx):
+        two = _beside(pillow, _renamed(pillow, "_2"))
+        rep = validate_diagram(two, prime_cx)
+        assert rep.valid and rep.connected is False and rep.genus is None
+        with pytest.raises(PreconditionError, match="^diagram is not connected$"):
+            find_sink_source(two, prime_cx)
 
     def test_torus_degenerate(self, torus, square_complex):
         with pytest.raises(DegenerateDiagramError) as exc:

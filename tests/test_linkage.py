@@ -3,7 +3,8 @@ import random
 import pytest
 
 from lotva import linkage
-from lotva import (EdgeEnd, PreconditionError, build_complex, build_link,
+from lotva import (Corner, DeltaBlock, EdgeEnd, LinkGraph, PreconditionError,
+                   StructureError, build_complex, build_link,
                    build_relative_link, derive_subcomplexes, enumerate_sublots,
                    parse_complex, parse_lot, reorient, sign_change,
                    signed_relative_forest_check, to_dot)
@@ -160,6 +161,32 @@ class TestRelativeLink:
             assert all({c.a, c.b} <= blk.nodes for c in own)
         assert len(delta) == sum(len(b.nodes) * (len(b.nodes) + 1) // 2
                                  for b in rg.delta_blocks)
+
+
+class TestValueSemantics:
+    """A link is a value: equal, and hashed alike, to one rebuilt by hand
+    from its nodes, corners and Delta-blocks; one provenance differs."""
+
+    @pytest.mark.parametrize("relative", [False, True])
+    def test_rebuilt_link_equals_the_built_one(self, fig1, relative):
+        cx = build_complex(fig1)
+        g = (build_relative_link(cx, derive_subcomplexes(fig1, [frozenset({1, 2, 3, 4})]))
+             if relative else build_link(cx))
+        same = LinkGraph(g.nodes, g.corners, g.delta_blocks)
+        assert same == g and hash(same) == hash(g) and repr(same) == repr(g)
+        assert repr(g).startswith("LinkGraph(nodes=(EdgeEnd(")
+        if relative:
+            assert g.delta_blocks == tuple(DeltaBlock(b.nodes) for b in g.delta_blocks)
+            assert repr(g.delta_blocks[0]).startswith("DeltaBlock(nodes=frozenset(")
+        c = g.corners[0]
+        moved = LinkGraph(g.nodes, (c._replace(provenance=("cell", "d_9", 0)),
+                                    *g.corners[1:]), g.delta_blocks)
+        assert moved != g and g != g.corners
+
+    def test_corner_end_not_a_node(self):
+        a, b = EdgeEnd("a", 1), EdgeEnd("a", -1)
+        with pytest.raises(StructureError, match="^corner end a- is not a node$"):
+            LinkGraph((a,), (Corner(0, a, b, ("cell", "d_0", 0)),))
 
 
 class TestRelativeForest:

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from lotva import (Lot, LotEdge, LotvaError, ParseError, PreconditionError,
-                   StructureError, boundary_reduce,
+                   SignedLot, StructureError, boundary_reduce,
                    boundary_reducible_witness, check_properties, collapse,
                    complete_set_search, enumerate_sublots, extract_sublot,
                    format_lot, free_decomposition, is_compressed,
@@ -168,6 +168,37 @@ class TestProperties:
     def test_fig3_report(self, fig3):
         rep = check_properties(fig3)
         assert rep.reduced and not rep.prime
+
+
+class TestRefusals:
+    """Constructors and searches refuse input outside their preconditions."""
+
+    def test_lot_duplicate_vertex(self):
+        with pytest.raises(StructureError, match="^duplicate vertex 'a'$"):
+            Lot(("a", "b", "a"), (LotEdge("a", "b", "a"),))
+
+    def test_lot_self_loop(self):
+        with pytest.raises(StructureError, match="^edge 1 is a self-loop at 'b'$"):
+            Lot(("a", "b"), (LotEdge("a", "b", "a"), LotEdge("b", "b", "a")))
+
+    def test_signed_lot_signs(self, prime):
+        n = len(prime.vertices)
+        assert SignedLot(prime, (1,) * (n - 1) + (-1,)).sign_of(prime.vertices[-1]) == -1
+        with pytest.raises(StructureError, match="^sign map is not total"):
+            SignedLot(prime, (1,) * (n - 1))
+        with pytest.raises(StructureError, match="^signs must be"):
+            SignedLot(prime, (1,) * (n - 1) + (0,))
+
+    @pytest.mark.parametrize("bad", [6, -1])
+    def test_sublot_closure_unknown_id(self, fig1, bad):
+        with pytest.raises(StructureError, match=f"^unknown edge id {bad}$"):
+            sublot_closure(fig1, bad)
+
+    def test_complete_set_search_needs_injective(self):
+        lot = parse_lot("edge a b c\nedge b c a\nedge c d a\n")
+        assert is_compressed(lot) and not is_injective(lot)
+        with pytest.raises(PreconditionError, match="requires an injective"):
+            complete_set_search(lot)
 
 
 # ---------------------------------------------------------------------------

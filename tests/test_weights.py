@@ -767,6 +767,11 @@ class TestOrientationSearch:
     def test_fig1_absolute_none(self, fig1):
         assert orientation_search(fig1) is None
 
+    def test_fixed_set_must_be_a_sublot(self, fig1):
+        with pytest.raises(PreconditionError,
+                           match=r"^fixed edge set \[0, 5\] is not a sub-LOT$"):
+            orientation_search(fig1, [frozenset({0, 5})])
+
     def test_never_flips_fixed_edges(self, fig1):
         found = orientation_search(fig1, [frozenset({1, 2, 3, 4})])
         assert not (found & {1, 2, 3, 4})
