@@ -8,13 +8,15 @@ at seed 0 of the ``large`` workload (120 boundary-reduced 14-edge LOTs, 40
 prime and 80 not) and of ``sweep6`` (every 40th LOT of the <=6-edge sweep,
 4,082 LOTs).  Each root goes through the calls that decide it, in the
 order ``certify_va`` makes them: the boundary witness on every root of two
-or more edges; on those not boundary reducible the closure pass
-(``closure_pass``: ``_edge_closures`` on a fresh Lot, which the prime
-test, the free decomposition and the complete-set search read), then
-``orientation_search`` with nothing fixed on the prime ones, and
-``free_decomposition`` on the others (it returns at once where an edge's
-closure is the whole LOT), on the Lot whose closures ``certify_va`` has
-kept, as there; ``complete_set_search`` and
+or more edges; the closure pass (``closure_pass``: ``_edge_closures`` on a
+fresh Lot, which the prime test, the free decomposition and the
+complete-set search read) on every root but a base one, the boundary
+reducible ones too, since ``certify_va`` walks every node below a root
+on the root's int view and reads the root's closures; then
+``orientation_search`` with nothing fixed on the prime roots, and
+``free_decomposition`` on the free-dec and complete-set ones (it returns
+at once where an edge's closure is the whole LOT), on the Lot whose
+closures ``certify_va`` has kept, as there; ``complete_set_search`` and
 ``orientation_search`` with the complete set fixed (``_fixed``) on the
 roots certified by a complete set; then ``certify_va`` and
 ``serialize_certificate`` of the whole certificate.  The verify-cert path
@@ -139,12 +141,12 @@ def root_calls(text: str) -> tuple[str, int, list]:
     calls = []
     if lot.num_edges > 1:
         calls.append(("boundary_witness", boundary_reducible_witness, (lot,)))
-    if cert.kind not in ("base", "bdry-red"):
+    if cert.kind != "base":
         calls.append(("closure_pass", fresh(_edge_closures), (lot,)))
-        if cert.kind == "prime-wt":
-            calls.append(("orientation_search", orientation_search, (lot, ())))
-        else:
-            calls.append(("free_decomposition", free_decomposition, (lot,)))
+    if cert.kind == "prime-wt":
+        calls.append(("orientation_search", orientation_search, (lot, ())))
+    elif cert.kind in ("free-dec", "complete-set"):
+        calls.append(("free_decomposition", free_decomposition, (lot,)))
     if cert.kind == "complete-set":
         calls += [("complete_set_search", fresh(complete_set_search), (lot,)),
                   ("orientation_search_fixed", orientation_search,

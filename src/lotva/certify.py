@@ -3,6 +3,9 @@
 ``certify_va`` runs the recursion: trivial base, boundary reduction, prime
 orientation search, free decomposition, complete-set relative reduction.
 Search failures yield a structured failure report, never a negative claim.
+Every node is an edge mask and a vertex mask of the root's int view, and a
+child is a sub-LOT of the root, so its edge closures are the root's: the
+prover builds a Lot only for each complete-set node's final quotient.
 
 ``verify_certificate`` re-derives every hypothesis of every node from the
 LOT alone; it never trusts recorded search state.  Its verdict names the
@@ -25,10 +28,9 @@ from typing import Optional, Union
 
 from .errors import LotvaError, ParseError, PreconditionError
 from .linkage import UnionFind
-from .lot import (CollapseChain, ChainStep, Lot, LotEdge, _bits, _is_prime,
-                  _lot_on, boundary_reducible_witness, extract_sublot,
-                  free_decomposition, is_compressed, is_injective,
-                  search_complete_set)
+from .lot import (CollapseChain, ChainStep, Lot, LotEdge, _bits, _chain_search,
+                  _free_split, _is_prime, _leaf_witness, is_compressed,
+                  is_injective)
 from .weights import FlipForests
 
 
@@ -100,21 +102,14 @@ class VerificationVerdict:
 
 
 # ---------------------------------------------------------------------------
-# helpers: boundary reduction (the prover's) and the witness pairs (shared)
+# helpers: boundary reduction (a Lot of its own) and the witness pairs (shared)
 # ---------------------------------------------------------------------------
 
 def boundary_reduce(lot: Lot, edge_id: int, outer_vertex: str) -> Lot:
-    """Remove a boundary-reducible leaf and its edge."""
-    edges = tuple([e for i, e in enumerate(lot.edges) if i != edge_id])
-    iv = lot._iv
-    v = lot.vertices.index(outer_vertex) if outer_vertex in lot.vertices else -1
-    if (v >= 0 and iv.incident[v] == (edge_id,)
-            and iv.label_count[v] == (iv.edges[edge_id][2] == v)):
-        return _lot_on(lot, [u for u in range(iv.n) if u != v],
-                       [e for i, e in enumerate(iv.edges) if i != edge_id],
-                       edges, lot.name)
-    # otherwise Lot's own checks decide, from the names
-    return Lot(tuple(u for u in lot.vertices if u != outer_vertex), edges,
+    """Remove a boundary-reducible leaf and its edge; Lot's own checks
+    decide, from the names, whether that leaves a LOT."""
+    return Lot(tuple(u for u in lot.vertices if u != outer_vertex),
+               tuple([e for i, e in enumerate(lot.edges) if i != edge_id]),
                name=lot.name)
 
 
@@ -149,7 +144,8 @@ def certify_va(lot: Lot) -> Union[Certificate, CertifyFailure]:
     if not is_compressed(lot):
         raise PreconditionError("certify_va requires a compressed LOT")
     try:
-        return _certify(lot)
+        return _certify(lot, (1 << lot.num_edges) - 1,
+                        (1 << len(lot.vertices)) - 1, lot.name)
     except _GiveUp as stop:
         return stop.args[0]
 
@@ -159,47 +155,69 @@ class _GiveUp(Exception):
     which ``certify_va`` returns."""
 
 
-def _certify(lot: Lot) -> Certificate:
-    if lot.num_edges <= 1:
+def _certify(lot: Lot, emask: int, vmask: int, name: str) -> Certificate:
+    """The certificate of the node on the LOT's edges ``emask`` and vertices
+    ``vmask``, named ``name`` while only boundary reductions lead to it.
+    Node edge j is the LOT's ``ids[j]``; only written fields take ranks."""
+    iv = lot._iv
+    ids = _bits(emask)
+    if len(ids) <= 1:
         return BaseTrivial()
 
-    bw = boundary_reducible_witness(lot)
-    if bw is not None:
-        edge_id, v = bw
-        return BoundaryReduction(edge_id, v, _certify(boundary_reduce(lot, edge_id, v)))
+    leaf = _leaf_witness(iv, emask, vmask)
+    if leaf is not None:
+        e, v = leaf
+        return BoundaryReduction(ids.index(e), lot.vertices[v],
+                                 _certify(lot, emask ^ 1 << e, vmask ^ 1 << v, name))
 
-    if _is_prime(lot):
-        flip = FlipForests(lot, ()).first_forest_flip()
+    edges = [iv.edges[i] for i in ids]
+    if _is_prime(lot, emask):
+        flip = FlipForests(iv.n, edges).first_forest_flip()
         if flip is None:
             raise _GiveUp(CertifyFailure(
                 "prime-orientation-search",
-                f"no orientation of {lot.name or 'lot'} gives lk+/lk- forests"))
-        pos, neg = _named_pairs(lot.edges, flip)
+                f"no orientation of {name or 'lot'} gives lk+/lk- forests"))
+        pos, neg = _named_pairs(map(lot.edges.__getitem__, ids), flip)
         return PrimeWeightTest(frozenset(_bits(flip)), pos, neg)
 
-    fd = free_decomposition(lot)
+    fd = _free_split(lot, emask, vmask)
     if fd is not None:
-        return FreeDecompositionNode(fd.left_edges, fd.right_edges, fd.shared_vertex,
-                                     _certify(extract_sublot(lot, fd.left_edges)),
-                                     _certify(extract_sublot(lot, fd.right_edges)))
+        left, v = fd
+        return FreeDecompositionNode(
+            _local(emask, left), _local(emask, emask ^ left), lot.vertices[v],
+            _certify(lot, left, _ends(iv, left), ""),
+            _certify(lot, emask ^ left, _ends(iv, emask ^ left), ""))
 
-    found = search_complete_set(lot)
+    found = _chain_search(lot, emask, vmask)
     if found is None:
         raise _GiveUp(CertifyFailure(
             "complete-set-search",
             "non-prime LOT with neither a free decomposition nor a complete set"))
-    sublots, chain = found
+    steps, final = found
+    sublots = tuple([_local(emask, sub) for sub, _ in steps])
     # the search's sub-LOTs are disjoint sub-LOTs, which orientation_search
     # would check again
-    flip = FlipForests(lot, sublots).first_forest_flip()
+    flip = FlipForests(iv.n, edges, sublots).first_forest_flip()
     if flip is None:
         raise _GiveUp(CertifyFailure(
             "relative-orientation-search",
             "no orientation gives relative lk+/lk- forests"))
-    children = tuple(_certify(extract_sublot(lot, part)) for part in sublots)
-    pos, neg = _named_pairs(lot.edges, flip)
-    return CompleteSetRelative(tuple(sublots), chain, frozenset(_bits(flip)),
+    children = tuple([_certify(lot, sub, _ends(iv, sub), "") for sub, _ in steps])
+    chain = CollapseChain(tuple([ChainStep(part, lot.vertices[x]) for part, (_, x)
+                                 in zip(sublots, steps)]), final)
+    pos, neg = _named_pairs(map(lot.edges.__getitem__, ids), flip)
+    return CompleteSetRelative(sublots, chain, frozenset(_bits(flip)),
                                pos, neg, children)
+
+
+def _local(emask: int, mask: int) -> frozenset[int]:
+    """Node-local ids, ranks among the node's edges ``emask``, of ``mask``."""
+    return frozenset([(emask & (1 << i) - 1).bit_count() for i in _bits(mask)])
+
+
+def _ends(iv, emask: int) -> int:
+    """The vertex mask of the view's edges ``emask``."""
+    return sum({1 << v for i in _bits(emask) for v in iv.edges[i][:2]})
 
 
 # ---------------------------------------------------------------------------

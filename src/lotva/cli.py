@@ -11,8 +11,8 @@ import sys
 from pathlib import Path
 
 from .errors import LotvaError
-from .lot import Lot, check_properties, free_decomposition, is_sublot, \
-    maximal_sublots, parse_lot, search_complete_set
+from .lot import Lot, check_properties, complete_set_search, \
+    free_decomposition, is_sublot, maximal_sublots, parse_lot
 from .complexes import SubcomplexFamily, TwoComplex, build_complex, \
     derive_subcomplexes, parse_complex
 from .linkage import LinkGraph, build_link, build_relative_link, to_dot
@@ -90,7 +90,7 @@ def cmd_analyze(args) -> int:
             print(f"free decomposition: at {fd.shared_vertex}, "
                   f"left {sorted(fd.left_edges)}, right {sorted(fd.right_edges)}")
     if rep.injective and rep.compressed and not rep.prime:
-        found = search_complete_set(lot)
+        found = complete_set_search(lot)
         if found is None:
             print("complete set of sub-LOTs: none")
         else:

@@ -201,7 +201,7 @@ class _IntView(NamedTuple):
     n: int
     edges: tuple[tuple[int, int, int], ...]  # (tail, head, label) as indices
     incident: tuple[tuple[int, ...], ...]    # vertex -> incident edge ids
-    label_count: tuple[int, ...]             # vertex -> #edges labeled by it
+    labelled: tuple[int, ...]                # vertex -> mask of edges it labels
 
 
 def _int_view(lot: Lot) -> _IntView:
@@ -242,7 +242,7 @@ def _view(n: int, edges: tuple[tuple[int, int, int], ...]) -> _IntView:
     for i, (t, h, l) in enumerate(edges):
         inc[t].append(i)
         inc[h].append(i)
-        lab[l] += 1
+        lab[l] |= 1 << i
     return _IntView(n, edges, tuple(map(tuple, inc)), tuple(lab))
 
 
@@ -302,7 +302,7 @@ def _lot_on(lot: Lot, kept: Sequence[int], edges: Iterable[tuple[int, int, int]]
 # ---------------------------------------------------------------------------
 
 def is_injective(lot: Lot) -> bool:
-    return all(c <= 1 for c in lot._iv.label_count)
+    return all(not m & (m - 1) for m in lot._iv.labelled)
 
 
 def is_compressed(lot: Lot) -> bool:
@@ -312,10 +312,19 @@ def is_compressed(lot: Lot) -> bool:
 def boundary_reducible_witness(lot: Lot) -> Optional[tuple[int, str]]:
     """First boundary vertex (in vertex order) that never occurs as an edge
     label, together with its unique incident edge.  None if boundary reduced."""
-    iv = lot._iv
-    for vi, v in enumerate(lot.vertices):
-        if len(iv.incident[vi]) == 1 and iv.label_count[vi] == 0:
-            return (iv.incident[vi][0], v)
+    found = _leaf_witness(lot._iv, (1 << lot.num_edges) - 1, (1 << len(lot.vertices)) - 1)
+    return found and (found[0], lot.vertices[found[1]])
+
+
+def _leaf_witness(iv: _IntView, emask: int, vmask: int) -> Optional[tuple[int, int]]:
+    """``boundary_reducible_witness`` of the sub-LOT on the edges ``emask``
+    and vertices ``vmask``, as an edge id and a vertex index."""
+    labelled, incident = iv.labelled, iv.incident
+    for v in _bits(vmask):
+        if not labelled[v] & emask:
+            at = [i for i in incident[v] if emask >> i & 1]
+            if len(at) == 1:
+                return at[0], v
     return None
 
 
@@ -505,10 +514,10 @@ def _near(touch, edges: int) -> int:
     return out
 
 
-def _is_prime(lot: Lot) -> bool:
-    """No proper sub-LOT: every edge's closure is the whole LOT."""
-    full = (1 << lot.num_edges) - 1
-    return all(c == full for c in _edge_closures(lot))
+def _is_prime(lot: Lot, emask: int) -> bool:
+    """No proper sub-LOT in the sub-LOT ``emask``: each edge closes up to it."""
+    closures = _edge_closures(lot)
+    return all(closures[e] == emask for e in _bits(emask))
 
 
 def maximal_sublots(lot: Lot) -> list[frozenset[int]]:
@@ -565,7 +574,8 @@ def collapse(lot: Lot, sublot_edges: Iterable[int]) -> tuple[Lot, str]:
         raise PreconditionError("collapse requires an injective LOT")
     sub = sum(1 << i for i in ids)
     x, rep = _collapse(lot._iv.edges, range(lot._iv.n), sub)
-    return _quotient(lot, ((1 << lot.num_edges) - 1) & ~sub, rep), lot.vertices[x]
+    full = (1 << lot.num_edges) - 1
+    return _quotient(lot, full & ~sub, rep, (1 << len(rep)) - 1), lot.vertices[x]
 
 
 def complete_set_search(lot: Lot) -> Optional[tuple[list[frozenset[int]], CollapseChain]]:
@@ -578,16 +588,6 @@ def complete_set_search(lot: Lot) -> Optional[tuple[list[frozenset[int]], Collap
     costs polynomial time; only the number of choices explored can grow.
     Returns the disjoint preimage sub-LOTs of the original LOT plus the
     collapse chain, or None if no choice sequence works.
-    """
-    if not is_injective(lot) or not is_compressed(lot):
-        raise PreconditionError("complete_set_search requires an injective compressed LOT")
-    if _is_prime(lot):
-        raise PreconditionError("complete_set_search requires a non-prime LOT")
-    return search_complete_set(lot)
-
-
-def search_complete_set(lot: Lot) -> Optional[tuple[list[frozenset[int]], CollapseChain]]:
-    """``complete_set_search`` without the precondition checks.
 
     Every quotient stays in the LOT's edge ids and vertex indices, as the
     verifier's chain replay does: ``alive`` masks the edges not yet
@@ -597,27 +597,38 @@ def search_complete_set(lot: Lot) -> Optional[tuple[list[frozenset[int]], Collap
     closure in Q is its closure in L minus S, and along the chain
     closure_Q(e) = closure_L(e) & alive.  Only the final quotient is built.
     """
+    full = (1 << lot.num_edges) - 1
+    if not is_injective(lot) or not is_compressed(lot):
+        raise PreconditionError("complete_set_search requires an injective compressed LOT")
+    if _is_prime(lot, full):
+        raise PreconditionError("complete_set_search requires a non-prime LOT")
+    found = _chain_search(lot, full, (1 << len(lot.vertices)) - 1)
+    if found is None:
+        return None
+    steps = tuple([ChainStep(frozenset(_bits(sub)), lot.vertices[x])
+                   for sub, x in found[0]])
+    return [s.sublot_edges for s in steps], CollapseChain(steps, found[1])
+
+
+def _chain_search(lot: Lot, emask: int, vmask: int):
+    """``complete_set_search`` on the sub-LOT of the edges ``emask`` and
+    vertices ``vmask``: (sub-LOT mask, collapse vertex) steps, final quotient."""
     iv, closures = lot._iv, _edge_closures(lot)
 
-    def rec(alive: int, rep, steps: tuple[ChainStep, ...]):
+    def rec(alive: int, rep, steps: tuple[tuple[int, int], ...]):
         subs = _maximal(closures, iv.edges, rep, alive)
         if not subs:  # prime: the end, if compressed with an edge
-            final = _quotient(lot, alive, rep) if steps and alive else None
+            final = _quotient(lot, alive, rep, vmask) if steps and alive else None
             return (steps, final) if final and is_compressed(final) else None
         # no measured certify run has backtracked, but no lemma forbids it
         for sub in subs:
             x, new_rep = _collapse(iv.edges, rep, sub)
-            step = ChainStep(frozenset(_bits(sub)), lot.vertices[x])
-            found = rec(alive & ~sub, new_rep, steps + (step,))
+            found = rec(alive & ~sub, new_rep, steps + ((sub, x),))
             if found is not None:
                 return found
         return None
 
-    found = rec((1 << len(iv.edges)) - 1, range(iv.n), ())
-    if found is None:
-        return None
-    steps, final = found
-    return [s.sublot_edges for s in steps], CollapseChain(steps, final)
+    return rec(emask, range(iv.n), ())
 
 
 def _collapse(edges, rep, sub: int) -> tuple[int, list[int]]:
@@ -633,15 +644,15 @@ def _collapse(edges, rep, sub: int) -> tuple[int, list[int]]:
     return x, [x if inside >> r & 1 else r for r in rep]
 
 
-def _quotient(lot: Lot, alive: int, rep) -> Lot:
-    """The LOT's quotient on the edge mask ``alive``, v renamed ``rep[v]``;
-    an edge that touches no collapsed vertex keeps its ``LotEdge``."""
+def _quotient(lot: Lot, alive: int, rep, vmask: int) -> Lot:
+    """The quotient on the edges ``alive`` of the sub-LOT on the vertices
+    ``vmask``, v renamed ``rep[v]``; an edge off the collapses keeps its ``LotEdge``."""
     names, view, ids = lot.vertices, lot._iv.edges, _bits(alive)
     edges = [(rep[t], rep[h], rep[l]) for t, h, l in map(view.__getitem__, ids)]
     named = [lot.edges[i] if q == view[i] else
              LotEdge(names[q[0]], names[q[1]], names[q[2]])
              for i, q in zip(ids, edges)]
-    return _lot_on(lot, [v for v in range(len(names)) if rep[v] == v], edges,
+    return _lot_on(lot, [v for v in _bits(vmask) if rep[v] == v], edges,
                    tuple(named), lot.name)
 
 
@@ -670,34 +681,41 @@ def free_decomposition(lot: Lot) -> Optional[FreeDecomposition]:
     v's edge f is the union of the tree paths from v that start with f,
     each read off the root paths as ``paths[v] ^ paths[w]``.
     """
-    m, closures = lot.num_edges, _edge_closures(lot)
-    full = (1 << m) - 1
-    if m < 2 or full in closures:
+    full = (1 << lot.num_edges) - 1
+    found = _free_split(lot, full, (1 << len(lot.vertices)) - 1)
+    if found is None:
         return None
-    iv, paths = lot._iv, lot._paths
-    for v, incident in enumerate(iv.incident):
-        if len(incident) < 2:
+    left, v = found
+    return FreeDecomposition(frozenset(_bits(left)),
+                             frozenset(_bits(left ^ full)), lot.vertices[v])
+
+
+def _free_split(lot: Lot, emask: int, vmask: int) -> Optional[tuple[int, int]]:
+    """``free_decomposition`` of the sub-LOT on the edges ``emask`` and
+    vertices ``vmask``: the left side's edge mask and the shared vertex."""
+    closures, ids = _edge_closures(lot), _bits(emask)
+    if len(ids) < 2 or emask in map(closures.__getitem__, ids):
+        return None
+    iv, paths, vs = lot._iv, lot._paths, _bits(vmask)
+    for v in vs:
+        at_v = sum([1 << f for f in iv.incident[v]]) & emask
+        if not at_v & (at_v - 1):
             continue
-        at_v = 0
-        for f in incident:
-            at_v |= 1 << f
         classes: list[int] = []
-        for held in {c & at_v for c in closures} - {0}:
+        for held in {closures[e] & at_v for e in ids} - {0}:
             for other in [c for c in classes if c & held]:
                 classes.remove(other)
                 held |= other
             classes.append(held)
         if len(classes) < 2:
             continue
-        branch = dict.fromkeys([1 << f for f in incident], 0)
-        for p in paths:
-            if p != paths[v]:
-                branch[(p ^ paths[v]) & at_v] |= p ^ paths[v]
+        branch = dict.fromkeys([1 << f for f in _bits(at_v)], 0)
+        for w in vs:
+            if w != v:
+                p = paths[w] ^ paths[v]
+                branch[p & at_v] |= p
         sides = [[branch[1 << f] for f in _bits(c)] for c in classes]
-        left = sum(min(sides, key=lambda bs: max(b & -b for b in bs)))
-        return FreeDecomposition(frozenset(_bits(left)),
-                                 frozenset(_bits(left ^ full)),
-                                 lot.vertices[v])
+        return sum(min(sides, key=lambda bs: max(b & -b for b in bs))), v
     return None
 
 

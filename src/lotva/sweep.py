@@ -264,14 +264,16 @@ def iter_small_lots(max_edges: int, orientations: bool = True) -> Iterator[Lot]:
                 choice = [ends[i][labels[i]] for i in range(m)]
                 ints = [((a, b, l), (b, a, l))
                         for (a, b), l in zip(shape, labels)]
-                label_count = tuple(map(labels.count, range(n)))
+                labelled = [0] * n
+                for i, l in enumerate(labels):
+                    labelled[l] |= 1 << i
+                labelled = tuple(labelled)
                 for orient, bits in enumerate(flips):
                     if not rejected >> orient & 1:
                         yield _lot_from_view(
                             names, tuple(map(getitem, choice, bits)),
                             _IntView(n, tuple(map(getitem, ints, bits)),
-                                     incident, label_count),
-                            paths)
+                                     incident, labelled), paths)
 
 
 # ---------------------------------------------------------------------------

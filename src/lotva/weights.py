@@ -16,56 +16,16 @@ Cycle conditions:
   simple, so it suffices to check, for each non-Delta corner, that corner
   plus a shortest path between its endpoints avoiding it.
 
-Both searches run on exact ints: every weight times den, the lcm of the
-denominators (``WeightAssignment.scaled``; canonical weights are ints, den
-1), so 2 becomes 2*den and a result is Fraction(total, den).  Each Dijkstra
-run is bounded: nothing is pushed that weighs as much as the limit (2*den
-for the weight test, above every reduced cycle for
-``min_weight_reduced_cycle``, what would take the scanned corner's cycle to
-2 in the relative scan), and each cycle found lowers it to its weight.  A
-lower limit still above the answer drops only pushes that would pop after
-it, and ties break by push order, so the witnesses are those of an
-unbounded search.  A dart's successors are read off its head when popped.
-
-The weight-0 corners, H0, pick the searches that can succeed.  Any other
-search would return None and leave the limit as it is, so skipping it
-changes no result:
-
-* absolute: a weight-0 dart starts a reduced weight-0 closed walk exactly
-  when its corner is on the 2-core of H0 (a loop gives degree 2), so the
-  first to succeed is dart 2i of the first core corner i, with limit 1.
-  If H0 is a forest, every reduced cycle holds a positive corner, so the
-  search stops at the first as light as the lightest positive weight,
-  floor.  If also 2*floor >= limit, a cycle under the limit holds one
-  positive corner, lighter than the limit and with both ends on one tree
-  of H0; with no such corner no search runs.
-* relative: H0/~ contracts each block's polarity classes (below).  A
-  scan of weight x > 0 whose limit 2*den - x is at most the lightest
-  positive weight follows only weight-0 darts: it succeeds iff its ends
-  lie in one component of H0/~.  With no positive weight below den, a
-  path under 2*den holds at most one positive corner, so a weight-0 scan
-  of e succeeds iff e is no bridge of H0/~ or a positive corner under
-  2*den (a block's cross corners count as one) joins e's two sides.
-  One depth-first search over H0/~ (``_zero_cuts``) finds both its
-  components and those bridges.  Only the first corner to succeed is
-  searched, for its witness.
-
-Delta-blocks on relative links.  ``build_relative_link`` puts the blocks
-after the cell corners, each in the pattern of ``linkage.delta_ends`` on
-nodes of alternating polarity, and holds each as its node order
-(``LinkGraph._orders``); a link built by hand in that layout holds its
-blocks too.  The relative tests read only such links, and only with the
-prescribed Delta weights, compared once per block (``_scaled_cells``);
-anything else is refused.  A block's weights are neither scaled nor
-summed, and the search holds one adjacency entry per node for it in place
-of its darts.  The first node of a (block, polarity) that a Dijkstra run
-settles expands the block: every node of the block, in block order, at +0
-within the polarity and +den across, with the dart numbers of the
-pattern.  A node of the same (block, polarity) settled later is no
-closer, so its expansion could not improve any distance and is skipped;
-the pushes, and so the witnesses, are those of a search through every
-Delta dart.  Python-level work per relative test is then in proportion
-to the cell corners and the blocks' nodes, not to the Delta corners.
+Both searches run on exact ints, every weight times den, the lcm of the
+denominators (``WeightAssignment.scaled``), and each Dijkstra run is
+bounded by a limit that every cycle found lowers.  The weight-0 corners,
+H0, pick the runs that can succeed (``_core_corner``, ``_zero_cuts``).  A
+relative link's Delta-blocks, laid out as ``build_relative_link`` lays
+them out, are read whole: a run expands a block once per (block,
+polarity), from the first of its nodes it settles.  Why each of these
+returns the minimum, witness and verdict of an unbounded Fraction search
+through every dart is set out beside the tests that hold them to that
+search (``tests/test_weights.py``, ``TestFractionReference``).
 
 Orientation search (``FlipForests.first_forest_flip``) walks flip masks in
 counter order.  Where each node but a root labels one free edge, a walk
@@ -682,28 +642,30 @@ class FlipForests:
     """The orientation walk over flips of a LOT's edges that make lk+ and
     lk- of K(lot) forests relative to lk+/-(K(fixed)).
 
-    Each fixed sub-LOT's vertices are contracted to one node and its own
-    corners dropped once, here; other nodes keep their vertex index.  The
-    walk (``first_forest_flip``) joins the remaining (++) and (--) corners.
+    The LOT's ``edges`` are (tail, head, label) triples of vertex indices
+    below ``n`` (a sub-LOT's are its root's), edge j the flip's bit j.  Each
+    fixed sub-LOT's vertices are contracted to one node and its own corners
+    dropped once, here; other nodes keep their vertex index.  The walk
+    (``first_forest_flip``) joins the remaining (++) and (--) corners.
     """
 
-    def __init__(self, lot: Lot, fixed: Iterable[frozenset[int]]):
-        iv = lot._iv
-        node = list(range(iv.n))
+    def __init__(self, n: int, edges: Sequence[tuple[int, int, int]],
+                 fixed: Iterable[frozenset[int]] = ()):
+        node = list(range(n))
         dropped: set[int] = set()
-        size = iv.n
+        size = n
         for ids in fixed:
             for i in ids:
-                if not 0 <= i < len(iv.edges):
+                if not 0 <= i < len(edges):
                     raise StructureError(f"unknown edge id {i}")
-                t, h, _ = iv.edges[i]
+                t, h, _ = edges[i]
                 node[t] = node[h] = size
             dropped |= set(ids)
             size += 1
         self._size = size
         # per kept edge: its bit, and its label, tail and head nodes
         self._edges = [(1 << i, node[l], node[t], node[h])
-                       for i, (t, h, l) in enumerate(iv.edges) if i not in dropped]
+                       for i, (t, h, l) in enumerate(edges) if i not in dropped]
 
     def first_forest_flip(self, budget: Optional[int] = None) -> Optional[int]:
         """Smallest flip mask, in binary-counter order over the kept edges,
@@ -882,7 +844,7 @@ def orientation_search(lot: Lot, fixed: Iterable[frozenset[int]] = (),
         seen_edges |= set(ids)
         seen_verts |= vs
 
-    flip = FlipForests(lot, fixed).first_forest_flip(budget)
+    flip = FlipForests(lot._iv.n, lot._iv.edges, fixed).first_forest_flip(budget)
     if flip is None:
         return None
     return frozenset(ei for ei in range(lot.num_edges) if flip >> ei & 1)

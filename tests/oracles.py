@@ -42,7 +42,10 @@ named quotients with ``maximal_sublots``.  The closure of an edge mask
 walked from scratch (``reference_closure``) is the definition behind the
 verifier's amortized closure checks.  The orientation walk with a cycle as its only
 cut, on ``UnionFind`` with an undo log (``reference_first_forest_flip``),
-is the reference for the library walk's reachability checks.
+is the reference for the library walk's reachability checks.  The prover
+that built every child node as a ``Lot`` of its own, and decided it with
+the Lot-level calls, is kept as ``reference_certify``: the library prover,
+which walks masks of the root's view, must return its certificates.
 """
 
 import heapq
@@ -54,17 +57,19 @@ from itertools import combinations, product
 from typing import Optional
 
 from lotva import (BaseTrivial, BoundaryReduction, BoundaryWord, Cell,
-                   ChainStep, CollapseChain, CompleteSetRelative, EdgeEnd,
-                   FreeDecomposition, FreeDecompositionNode, LinkGraph,
-                   Lot, LotEdge, LotvaError, ParseError, PreconditionError,
-                   PrimeWeightTest, SubcomplexFamily, SurfaceDiagram,
-                   TwoComplex, WeightAssignment, boundary_reducible_witness,
-                   build_complex, build_link, build_relative_link,
-                   canonical_weights, check_properties, derive_subcomplexes,
-                   exponent_sum, extract_sublot, is_compressed, is_injective,
-                   is_sublot, reorient, signed_relative_forest_check,
-                   sublot_closure, sublot_vertices, validate_diagram,
-                   verify_certificate)
+                   CertifyFailure, ChainStep, CollapseChain,
+                   CompleteSetRelative, EdgeEnd, FreeDecomposition,
+                   FreeDecompositionNode, LinkGraph, Lot, LotEdge, LotvaError,
+                   ParseError, PreconditionError, PrimeWeightTest,
+                   SubcomplexFamily, SurfaceDiagram, TwoComplex,
+                   WeightAssignment, boundary_reduce,
+                   boundary_reducible_witness, build_complex, build_link,
+                   build_relative_link, canonical_weights, check_properties,
+                   complete_set_search, derive_subcomplexes, exponent_sum,
+                   extract_sublot, free_decomposition, is_compressed,
+                   is_injective, is_sublot, orientation_search, reorient,
+                   signed_relative_forest_check, sublot_closure,
+                   sublot_vertices, validate_diagram, verify_certificate)
 from lotva.certify import MAX_CERT_DEPTH, _unreadable
 from lotva.complexes import validate_family
 from lotva.linkage import UnionFind, _forest_witness
@@ -814,7 +819,7 @@ def named_collapse(lot: Lot, sublot_edges) -> tuple[Lot, str]:
 
 
 def reference_search_complete_set(lot):
-    """``search_complete_set`` with every quotient a named ``Lot`` built by
+    """``complete_set_search`` with every quotient a named ``Lot`` built by
     ``named_collapse``, each with its own closures and ``maximal_sublots``,
     backtracking over the maximal sub-LOTs in the same order."""
 
@@ -841,6 +846,67 @@ def reference_search_complete_set(lot):
         return None
     steps, final = found
     return [s.sublot_edges for s in steps], CollapseChain(steps, final)
+
+
+class _ReferenceGiveUp(Exception):
+    """Carries the ``CertifyFailure`` of a search that came up empty."""
+
+
+def reference_certify(lot):
+    """``certify_va`` with every bdry-red, free-dec and complete-set child a
+    ``Lot`` of its own, built with ``boundary_reduce`` and
+    ``extract_sublot``, and each node decided by the Lot-level calls:
+    ``boundary_reducible_witness``, ``check_properties``,
+    ``orientation_search``, ``free_decomposition`` and
+    ``complete_set_search``.  Its certificates, final quotients included,
+    are the library prover's."""
+    try:
+        return _reference_certify(lot)
+    except _ReferenceGiveUp as stop:
+        return stop.args[0]
+
+
+def _reference_certify(lot):
+    if lot.num_edges <= 1:
+        return BaseTrivial()
+    bw = boundary_reducible_witness(lot)
+    if bw is not None:
+        return BoundaryReduction(*bw, _reference_certify(boundary_reduce(lot, *bw)))
+    if check_properties(lot).prime:
+        flipped = orientation_search(lot)
+        if flipped is None:
+            raise _ReferenceGiveUp(CertifyFailure(
+                "prime-orientation-search",
+                f"no orientation of {lot.name or 'lot'} gives lk+/lk- forests"))
+        return PrimeWeightTest(flipped, *_reference_corners(lot, flipped))
+    fd = free_decomposition(lot)
+    if fd is not None:
+        return FreeDecompositionNode(
+            fd.left_edges, fd.right_edges, fd.shared_vertex,
+            _reference_certify(extract_sublot(lot, fd.left_edges)),
+            _reference_certify(extract_sublot(lot, fd.right_edges)))
+    found = complete_set_search(lot)
+    if found is None:
+        raise _ReferenceGiveUp(CertifyFailure(
+            "complete-set-search",
+            "non-prime LOT with neither a free decomposition nor a complete set"))
+    sublots, chain = found
+    flipped = orientation_search(lot, sublots)
+    if flipped is None:
+        raise _ReferenceGiveUp(CertifyFailure(
+            "relative-orientation-search",
+            "no orientation gives relative lk+/lk- forests"))
+    children = tuple(_reference_certify(extract_sublot(lot, p)) for p in sublots)
+    return CompleteSetRelative(tuple(sublots), chain, flipped,
+                               *_reference_corners(lot, flipped), children)
+
+
+def _reference_corners(lot, flipped):
+    """The lk+ and lk- corner pairs, label+ -- tail+ and label- -- head-
+    of each edge of the LOT reoriented by ``flipped``."""
+    edges = reorient(lot, flipped).edges
+    return (tuple((l, t) for t, _, l in edges),
+            tuple((l, h) for _, h, l in edges))
 
 
 def is_full(cx: TwoComplex, fam: SubcomplexFamily) -> tuple[bool, ...]:

@@ -23,7 +23,7 @@ from lotva.certify import MAX_CERT_DEPTH, _closes_up
 from lotva.lot import _edge_closures, maximal_sublots
 from lotva.sweep import iter_small_lots, random_lot
 from lotva.weights import FlipForests
-from oracles import (collapse_vertex_of, reference_closure,
+from oracles import (collapse_vertex_of, reference_certify, reference_closure,
                      reference_parse_certificate, reference_replay_chain,
                      reference_serialize_certificate,
                      reference_verify_complete_set)
@@ -134,12 +134,13 @@ _NO_PRIME_ORIENTATION = "no orientation of {} gives lk+/lk- forests"
 
 def _failing_walks(monkeypatch, fails):
     """certify.py's ``FlipForests``, whose orientation walk returns None
-    where ``fails(lot, fixed)`` holds and runs as before elsewhere."""
+    where ``fails(edges, fixed)`` holds and runs as before elsewhere; the
+    node's ``edges`` are (tail, head, label) triples of root indices."""
     real = lotva.certify.FlipForests
 
-    def forests(lot, fixed):
-        walk = real(lot, fixed)
-        if fails(lot, fixed):
+    def forests(n, edges, fixed=()):
+        walk = real(n, edges, fixed)
+        if fails(edges, fixed):
             walk.first_forest_flip = lambda budget=None: None
         return walk
 
@@ -170,20 +171,30 @@ class TestGiveUp:
         path = fixture_dir / f"{source}.lot"
         lot = parse_lot(path.read_text() if path.exists() else source)
         assert certify_va(lot).kind == root
-        _failing_walks(monkeypatch, lambda sub, fixed: not fixed and (
-            only is None or only in sub.vertices))
+        _failing_walks(monkeypatch, lambda edges, fixed: not fixed and (
+            only is None or lot.vertices.index(only) in
+            {v for t, h, _ in edges for v in (t, h)}))
         assert certify_va(lot) == CertifyFailure(
             "prime-orientation-search", _NO_PRIME_ORIENTATION.format("lot"))
 
+    def test_prime_node_under_boundary_reductions_named(self, monkeypatch):
+        """A node that only boundary reductions lead to is still named after
+        the root in the failure detail."""
+        lot = parse_lot("lot r\nedge v0 v1 v2\nedge v0 v2 v1\nedge v1 v3 v0\n")
+        assert certify_va(lot).kind == "bdry-red"
+        _failing_walks(monkeypatch, lambda edges, fixed: True)
+        assert certify_va(lot) == CertifyFailure(
+            "prime-orientation-search", _NO_PRIME_ORIENTATION.format("r"))
+
     def test_relative_walk(self, fig1, monkeypatch):
-        _failing_walks(monkeypatch, lambda lot, fixed: bool(fixed))
+        _failing_walks(monkeypatch, lambda edges, fixed: bool(fixed))
         assert certify_va(fig1) == CertifyFailure(
             "relative-orientation-search",
             "no orientation gives relative lk+/lk- forests")
 
     def test_complete_set_search(self, fig1, monkeypatch):
-        monkeypatch.setattr(lotva.certify, "search_complete_set",
-                            lambda lot: None)
+        monkeypatch.setattr(lotva.certify, "_chain_search",
+                            lambda lot, emask, vmask: None)
         assert certify_va(fig1) == CertifyFailure(
             "complete-set-search",
             "non-prime LOT with neither a free decomposition nor a complete set")
@@ -804,8 +815,9 @@ class TestForestPassAgainstComplexRoute:
 
 class TestVerifierIndependence:
     """The verifier decides sub-LOTs, boundary vertices, children and the
-    lk+/lk- forests on its own masks, not with the prover's helpers, and
-    walks every node as masks of the root's int view."""
+    lk+/lk- forests on its own masks, not with the prover's helpers (its
+    mask walks included), and walks every node as masks of the root's int
+    view."""
 
     @pytest.fixture(scope="class")
     def certified(self, fig1, fig3, sweep6_every97):
@@ -823,7 +835,9 @@ class TestVerifierIndependence:
         for module in (lotva.certify, lotva.lot, lotva.weights):
             for name in ("extract_sublot", "boundary_reducible_witness",
                          "is_sublot", "sublot_vertices", "FlipForests",
-                         "boundary_reduce"):
+                         "boundary_reduce", "_leaf_witness", "_is_prime",
+                         "_free_split", "_chain_search", "_quotient",
+                         "_local", "_ends"):
                 monkeypatch.setattr(module, name, self.refuse, raising=False)
         for lot, cert in certified:
             assert verify_certificate(lot, cert), cert.kind
@@ -837,3 +851,57 @@ class TestVerifierIndependence:
             monkeypatch.setattr(lotva.certify, name, self.refuse, raising=False)
         for lot, cert in parsed:
             assert verify_certificate(lot, cert), cert.kind
+
+
+class TestProverOnMasks:
+    """The prover walks every node as masks of the root's int view: it
+    returns the certificates of the prover that built each child as a
+    ``Lot`` (``oracles.reference_certify``), builds a ``Lot`` only for each
+    complete-set node's final quotient, and calls none of the verifier's
+    kernels."""
+
+    def test_matches_lot_building_prover(self, fig1, fig3, differential_lots):
+        """fig1, fig3, the every-97th <=6 stride, 150 random 7-24-edge LOTs
+        and ``random_lot(Random(s), 60)`` for s = 0..4: equal certificates,
+        final quotients included, with every node kind met below a root."""
+        seen = Counter()
+        lots = [fig1, fig3, *differential_lots,
+                *(random_lot(random.Random(s), 60) for s in range(5))]
+        for lot in lots:
+            cert = certify_va(lot)
+            assert cert == reference_certify(lot), format_lot(lot)
+            seen.update(node.kind for _, node in certificate_nodes(lot, cert)
+                        if node is not cert)
+        assert {"bdry-red", "free-dec", "prime-wt", "complete-set"} <= set(seen)
+
+    def test_builds_a_lot_only_per_final_quotient(self, fig1, fig3,
+                                                  sweep6_every97, monkeypatch):
+        """``_lot_on`` runs once per complete-set node, and neither the
+        child builders nor the Lot constructor nor the verifier's kernels
+        run at all."""
+        certified = []
+        for lot in (fig1, fig3, *sweep6_every97):
+            cert = certify_va(lot)
+            certified.append((lot, cert, sum(
+                isinstance(node, CompleteSetRelative)
+                for _, node in certificate_nodes(lot, cert))))
+        built = []
+        lot_on = lotva.lot._lot_on
+
+        def counting(*args):
+            built.append(args)
+            return lot_on(*args)
+
+        monkeypatch.setattr(lotva.lot, "_lot_on", counting)
+        monkeypatch.setattr(Lot, "__post_init__", TestVerifierIndependence.refuse)
+        for name in ("boundary_reduce", "extract_sublot", "_closes_up", "_span",
+                     "_boundary_reduced", "_check_forests_and_witnesses"):
+            monkeypatch.setattr(lotva.certify, name,
+                                TestVerifierIndependence.refuse, raising=False)
+        monkeypatch.setattr(lotva.lot, "extract_sublot",
+                            TestVerifierIndependence.refuse)
+        for lot, cert, finals in certified:
+            built.clear()
+            assert certify_va(lot) == cert
+            assert len(built) == finals, cert
+        assert sum(finals for _, _, finals in certified) >= 100

@@ -5,13 +5,13 @@ import pytest
 
 from lotva import (Lot, LotEdge, LotvaError, ParseError, PreconditionError,
                    SignedLot, StructureError, boundary_reduce,
-                   boundary_reducible_witness, check_properties, collapse,
-                   complete_set_search, enumerate_sublots, extract_sublot,
-                   format_lot, free_decomposition, is_compressed,
-                   is_injective, is_sublot, parse_lot, reorient, sign_change,
-                   sublot_closure, sublot_vertices)
+                   boundary_reducible_witness, certify_va, check_properties,
+                   collapse, complete_set_search, enumerate_sublots,
+                   extract_sublot, format_lot, free_decomposition,
+                   is_compressed, is_injective, is_sublot, parse_lot,
+                   reorient, sign_change, sublot_closure, sublot_vertices)
 from lotva import lot as lot_module
-from lotva.lot import _edge_closures, maximal_sublots, search_complete_set
+from lotva.lot import _edge_closures, maximal_sublots
 from lotva.sweep import iter_small_lots, random_lot
 
 from oracles import (named_collapse, oracle_free_decomposition,
@@ -164,6 +164,9 @@ class TestProperties:
         assert not is_injective(lot)  # a labels two edges
         lot2 = parse_lot("edge a b c\nedge b c a\nedge c d b\n")
         assert boundary_reducible_witness(lot2) == (2, "d")
+        # of two such leaves, the first in vertex order
+        both = parse_lot("vertex c\nedge a b b\nedge b c b\n")
+        assert boundary_reducible_witness(both) == (1, "c")
 
     def test_fig3_report(self, fig3):
         rep = check_properties(fig3)
@@ -378,8 +381,11 @@ class TestSublots:
         ``_closure_mask`` calls in all, one per edge in id order, and
         ``_edge_closures`` returns the kept pass.  After it,
         ``maximal_sublots``, ``enumerate_sublots``, ``free_decomposition``
-        and, on an injective LOT with a complete set, ``search_complete_set``
-        make none.  Building a Lot, or a child Lot of it, runs none."""
+        and, on an injective LOT with a complete set, ``complete_set_search``
+        make none.  Building a Lot, or a child Lot of it, runs none.
+        ``certify_va`` on a fresh root of m >= 2 edges makes m, one per edge
+        in id order, and none for any node below it, whatever the root's
+        kind: a boundary-reduced root pays its own pass, not its child's."""
         lot = random_lot(random.Random(7), 16, injective=False)
         part = sublot_closure(lot, 0)
         assert len(part) < lot.num_edges
@@ -407,8 +413,15 @@ class TestSublots:
             assert len(maximal_sublots(lot)) >= 1
             enumerate_sublots(lot)
             free_decomposition(lot)
-        assert search_complete_set(other) is not None
+        assert complete_set_search(other) is not None
         assert calls == []
+        rng, kinds = random.Random(8), set()
+        for _ in range(80):
+            root = random_lot(rng, rng.randrange(2, 13))
+            calls.clear()
+            kinds.add(certify_va(Lot(root.vertices, root.edges)).kind)
+            assert calls == list(range(root.num_edges)), format_lot(root)
+        assert kinds == {"bdry-red", "free-dec", "prime-wt", "complete-set"}
 
 
 class TestChildren:
@@ -607,7 +620,7 @@ class TestCompleteSet:
         for lot in lots:
             if check_properties(lot).prime:
                 continue
-            got = search_complete_set(lot)
+            got = complete_set_search(lot)
             want = reference_search_complete_set(lot)
             if want is None:
                 assert got is None
@@ -699,7 +712,7 @@ class TestCompleteSet:
                 return _real(*args)
 
             monkeypatch.setattr(lot_module, name, counting)
-        got = search_complete_set(lot)
+        got = complete_set_search(lot)
         assert calls == {"_touch_masks": 1, "_view": 1, "_root_paths": 1,
                          "_closure_mask": 0}
         assert got[0] == want[0] == [frozenset({0, 1, 2, 4})]

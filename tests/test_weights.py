@@ -302,7 +302,61 @@ class TestFractionReference:
     searches of ``oracles`` return: the same minimum and witness darts, and
     the same first violating corner with its path.  The references take
     milliseconds per link, so the sweep sample is halved and only every
-    fifth LOT also gets random rationals."""
+    fifth LOT also gets random rationals.
+
+    Why the shortcuts of ``lotva.weights`` keep those results:
+
+    Both searches run on exact ints: every weight times den, the lcm of the
+    denominators (``WeightAssignment.scaled``; canonical weights are ints, den
+    1), so 2 becomes 2*den and a result is Fraction(total, den).  Each Dijkstra
+    run is bounded: nothing is pushed that weighs as much as the limit (2*den
+    for the weight test, above every reduced cycle for
+    ``min_weight_reduced_cycle``, what would take the scanned corner's cycle to
+    2 in the relative scan), and each cycle found lowers it to its weight.  A
+    lower limit still above the answer drops only pushes that would pop after
+    it, and ties break by push order, so the witnesses are those of an
+    unbounded search.  A dart's successors are read off its head when popped.
+
+    The weight-0 corners, H0, pick the searches that can succeed.  Any other
+    search would return None and leave the limit as it is, so skipping it
+    changes no result:
+
+    * absolute: a weight-0 dart starts a reduced weight-0 closed walk exactly
+      when its corner is on the 2-core of H0 (a loop gives degree 2), so the
+      first to succeed is dart 2i of the first core corner i, with limit 1.
+      If H0 is a forest, every reduced cycle holds a positive corner, so the
+      search stops at the first as light as the lightest positive weight,
+      floor.  If also 2*floor >= limit, a cycle under the limit holds one
+      positive corner, lighter than the limit and with both ends on one tree
+      of H0; with no such corner no search runs.
+    * relative: H0/~ contracts each block's polarity classes (below).  A
+      scan of weight x > 0 whose limit 2*den - x is at most the lightest
+      positive weight follows only weight-0 darts: it succeeds iff its ends
+      lie in one component of H0/~.  With no positive weight below den, a
+      path under 2*den holds at most one positive corner, so a weight-0 scan
+      of e succeeds iff e is no bridge of H0/~ or a positive corner under
+      2*den (a block's cross corners count as one) joins e's two sides.
+      One depth-first search over H0/~ (``_zero_cuts``) finds both its
+      components and those bridges.  Only the first corner to succeed is
+      searched, for its witness.
+
+    Delta-blocks on relative links.  ``build_relative_link`` puts the blocks
+    after the cell corners, each in the pattern of ``linkage.delta_ends`` on
+    nodes of alternating polarity, and holds each as its node order
+    (``LinkGraph._orders``); a link built by hand in that layout holds its
+    blocks too.  The relative tests read only such links, and only with the
+    prescribed Delta weights, compared once per block (``_scaled_cells``);
+    anything else is refused.  A block's weights are neither scaled nor
+    summed, and the search holds one adjacency entry per node for it in place
+    of its darts.  The first node of a (block, polarity) that a Dijkstra run
+    settles expands the block: every node of the block, in block order, at +0
+    within the polarity and +den across, with the dart numbers of the
+    pattern.  A node of the same (block, polarity) settled later is no
+    closer, so its expansion could not improve any distance and is skipped;
+    the pushes, and so the witnesses, are those of a search through every
+    Delta dart.  Python-level work per relative test is then in proportion
+    to the cell corners and the blocks' nodes, not to the Delta corners.
+    """
 
     @staticmethod
     def check_lot(lot, rng, rational: bool) -> set:
@@ -807,7 +861,7 @@ class TestOrientationSearch:
         with pytest.raises(StructureError, match="unknown edge id 99"):
             orientation_search_check(fig1, [frozenset({99})], frozenset())
         with pytest.raises(StructureError, match="unknown edge id -1"):
-            FlipForests(fig1, [frozenset({-1})])
+            FlipForests(fig1._iv.n, fig1._iv.edges, [frozenset({-1})])
 
     def test_overlapping_fixed_rejected(self, fig3):
         with pytest.raises(PreconditionError):
@@ -893,7 +947,7 @@ class TestOrientationSearch:
         nones = 0
         for lot in lots:
             for fixed in ([], closure_family(lot)):
-                forests = FlipForests(lot, fixed)
+                forests = FlipForests(lot._iv.n, lot._iv.edges, fixed)
                 expect = reference_first_forest_flip(forests)
                 assert forests.first_forest_flip() == expect
                 nones += expect is None
@@ -916,7 +970,7 @@ class TestOrientationSearch:
                 if found is not None:
                     families["complete"] = found[0]
             for kind, fixed in families.items():
-                checks = FlipForests(lot, fixed)._checks()
+                checks = FlipForests(lot._iv.n, lot._iv.edges, fixed)._checks()
                 if checks is not None:
                     works = oracle_orientation_search(lot, fixed) is not None
                     assert checks[3] == works
@@ -938,7 +992,7 @@ class TestOrientationSearch:
         seen = Counter()
         for lot in lots:
             for fixed in ([], closure_family(lot)):
-                forests = FlipForests(lot, fixed)
+                forests = FlipForests(lot._iv.n, lot._iv.edges, fixed)
                 checks = forests._checks()
                 if checks is None:
                     continue
