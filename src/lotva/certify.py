@@ -27,11 +27,10 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import LotvaError, ParseError, PreconditionError
-from .linkage import UnionFind
 from .lot import (CollapseChain, ChainStep, Lot, LotEdge, _bits, _chain_search,
                   _free_split, _is_prime, _leaf_witness, is_compressed,
                   is_injective)
-from .weights import FlipForests
+from .orient import FlipForests, UnionFind
 
 
 # ---------------------------------------------------------------------------

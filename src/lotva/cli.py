@@ -9,19 +9,18 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import LotvaError
 from .lot import Lot, check_properties, complete_set_search, \
     free_decomposition, is_sublot, maximal_sublots, parse_lot
-from .complexes import SubcomplexFamily, TwoComplex, build_complex, \
-    derive_subcomplexes, parse_complex
-from .linkage import LinkGraph, build_link, build_relative_link, to_dot
-from .weights import canonical_weights, orientation_search, parse_weights, \
-    relative_weight_test, weight_test
-from .diagrams import double_cell_sphere, format_diagram, parse_diagram, \
-    validate_diagram
+from .orient import orientation_search
 from .certify import CertifyFailure, certify_va, parse_certificate, \
     serialize_certificate, verify_certificate
+
+if TYPE_CHECKING:  # the paper layer loads in the subcommands that use it
+    from .complexes import SubcomplexFamily, TwoComplex
+    from .linkage import LinkGraph
 
 
 def _read(path: str) -> str:
@@ -38,6 +37,7 @@ def _load_lot(path: str) -> Lot:
 def _load_complex_or_lot(path: str) -> tuple[TwoComplex, Lot | None]:
     """Sniff the first keyword: ``complex`` files load directly, anything
     else is parsed as a LOT and its complex is built."""
+    from .complexes import build_complex, parse_complex
     text = _read(path)
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -103,6 +103,8 @@ def cmd_analyze(args) -> int:
 def _load_link(args) -> tuple[TwoComplex, SubcomplexFamily | None, LinkGraph]:
     """The complex of ``args.lot``, the family of the ``--relative``
     sub-LOTs (None without them) and lk(L), or lk(L, K) with them."""
+    from .complexes import derive_subcomplexes
+    from .linkage import build_link, build_relative_link
     cx, lot = _load_complex_or_lot(args.lot)
     if not args.relative:
         return cx, None, build_link(cx)
@@ -113,6 +115,7 @@ def _load_link(args) -> tuple[TwoComplex, SubcomplexFamily | None, LinkGraph]:
 
 
 def cmd_links(args) -> int:
+    from .linkage import to_dot
     cx, _, g = _load_link(args)
     if args.dot:
         print(to_dot(g, name=cx.name or "lk"), end="")
@@ -128,6 +131,8 @@ def cmd_links(args) -> int:
 
 
 def cmd_weight_test(args) -> int:
+    from .weights import canonical_weights, parse_weights, \
+        relative_weight_test, weight_test
     cx, fam, g = _load_link(args)
     w = parse_weights(_read(args.weights), g) if args.weights \
         else canonical_weights(g)
@@ -204,6 +209,8 @@ def cmd_verify_cert(args) -> int:
 
 
 def cmd_diagram_check(args) -> int:
+    from .complexes import parse_complex
+    from .diagrams import parse_diagram, validate_diagram
     cx = parse_complex(_read(args.complex))
     d = parse_diagram(_read(args.diagram))
     rep = validate_diagram(d, cx)
@@ -217,6 +224,8 @@ def cmd_diagram_check(args) -> int:
 
 
 def cmd_diagram_double(args) -> int:
+    from .complexes import parse_complex
+    from .diagrams import double_cell_sphere, format_diagram
     cx = parse_complex(_read(args.complex))
     d = double_cell_sphere(cx, args.cell)
     print(format_diagram(d), end="")

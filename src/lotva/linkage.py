@@ -11,7 +11,7 @@ of l_i to the initial end of l_{i+1}, read cyclically:
 Also here: the int pass over the corners that links and checks share, the
 relative link lk(L, K) with its Delta-blocks, and the signed relative forest
 check (lk^pol(L) relative to lk^pol(K) has no cycle), which reads the int
-corners and builds no link.  Its union-find serves the weight machinery too.
+corners and builds no link, on the core's ``UnionFind`` (``lotva.orient``).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import PreconditionError, StructureError
 from .complexes import SubcomplexFamily, TwoComplex, validate_family
+from .orient import UnionFind
 
 
 class EdgeEnd(NamedTuple):
@@ -267,57 +268,17 @@ def build_relative_link(cx: TwoComplex, fam: SubcomplexFamily) -> LinkGraph:
 # relative forest check
 # ---------------------------------------------------------------------------
 
-class UnionFind:
-    """Union by size over nodes 0..n-1, list-indexed; without path
-    compression, union by size keeps ``find`` logarithmic."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def union(self, u: int, v: int) -> bool:
-        """Join the classes of u and v; False (and no change) if they are
-        already one class, i.e. the pair closes a cycle (a loop counts)."""
-        parent, size = self.parent, self.size  # roots found inline, as in find
-        while parent[u] != u:
-            u = parent[u]
-        while parent[v] != v:
-            v = parent[v]
-        if u == v:
-            return False
-        if size[u] > size[v]:
-            u, v = v, u
-        parent[u] = v
-        size[v] += size[u]
-        return True
-
-
-def forest_cycle_index(n: int, pairs: list[tuple[int, int]]) -> int:
-    """Union-find over nodes 0..n-1: the index of the first pair whose
-    endpoints are already connected (a loop counts), or -1 if the pairs
-    form a forest."""
-    uf = UnionFind(n)
-    for i, (u, v) in enumerate(pairs):
-        if not uf.union(u, v):
-            return i
-    return -1
-
-
 def _forest_witness(size: int, pairs: list[tuple[int, int]], kept: list[int]
                     ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """(True, None) if the pairs on nodes 0..size-1 form a forest, else
     (False, a cycle): the closing pair's corner id after the tree path
-    between its ends, in ``kept`` ids (one per pair)."""
-    closing = forest_cycle_index(size, pairs)
-    if closing < 0:
+    between its ends, in ``kept`` ids (one per pair).  The closing pair is
+    the first whose ends union-find has already joined (a loop counts)."""
+    uf = UnionFind(size)
+    for closing, (u, v) in enumerate(pairs):
+        if not uf.union(u, v):
+            break
+    else:
         return True, None
     # the pairs before the closing one form a forest holding its endpoints
     adj: dict[int, list[tuple[int, int]]] = {}

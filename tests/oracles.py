@@ -72,8 +72,9 @@ from lotva import (BaseTrivial, BoundaryReduction, BoundaryWord, Cell,
                    sublot_vertices, validate_diagram, verify_certificate)
 from lotva.certify import MAX_CERT_DEPTH, _unreadable
 from lotva.complexes import validate_family
-from lotva.linkage import UnionFind, _forest_witness
+from lotva.linkage import _forest_witness
 from lotva.lot import _IDENT, maximal_sublots
+from lotva.orient import UnionFind
 from lotva.sweep import _ahu_key, _labelings, _prufer_decode, automorphisms
 
 

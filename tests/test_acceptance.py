@@ -23,7 +23,7 @@ from lotva import (BaseTrivial, BoundaryReduction, CertifyFailure, ChainStep,
                    relative_weight_test, reorient, serialize_certificate,
                    sign_change, signed_relative_forest_check, sublot_vertices,
                    verify_certificate, weight_test)
-from lotva.weights import orientation_search
+from lotva.orient import orientation_search
 from lotva.sweep import iter_small_lots, random_lot
 
 from oracles import (oracle_homred_violation_exists, oracle_min_reduced_cycle,

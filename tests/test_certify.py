@@ -18,11 +18,12 @@ from lotva import (BaseTrivial, BoundaryReduction, CertifyFailure, ChainStep,
                    sublot_closure, verify_certificate)
 import lotva.certify
 import lotva.lot
+import lotva.orient
 import lotva.weights
 from lotva.certify import MAX_CERT_DEPTH, _closes_up
 from lotva.lot import _edge_closures, maximal_sublots
+from lotva.orient import FlipForests
 from lotva.sweep import iter_small_lots, random_lot
-from lotva.weights import FlipForests
 from oracles import (collapse_vertex_of, reference_certify, reference_closure,
                      reference_parse_certificate, reference_replay_chain,
                      reference_serialize_certificate,
@@ -830,25 +831,33 @@ class TestVerifierIndependence:
     def refuse(*args, **kwargs):
         raise AssertionError("the verifier called a helper it must not")
 
+    @staticmethod
+    def refuse_all(monkeypatch, modules, names):
+        """Patch every name to ``refuse`` in every module that binds it.
+        Each name must be bound in one of them: a name that moved out
+        would otherwise stop being refused without a word."""
+        for name in names:
+            bound = [m for m in modules if hasattr(m, name)]
+            assert bound, f"no module binds {name}"
+            for module in bound:
+                monkeypatch.setattr(module, name, TestVerifierIndependence.refuse)
+
     def test_accepts_with_the_provers_sublot_helpers_gone(self, certified,
                                                           monkeypatch):
-        for module in (lotva.certify, lotva.lot, lotva.weights):
-            for name in ("extract_sublot", "boundary_reducible_witness",
-                         "is_sublot", "sublot_vertices", "FlipForests",
-                         "boundary_reduce", "_leaf_witness", "_is_prime",
-                         "_free_split", "_chain_search", "_quotient",
-                         "_local", "_ends"):
-                monkeypatch.setattr(module, name, self.refuse, raising=False)
+        self.refuse_all(
+            monkeypatch, (lotva.certify, lotva.lot, lotva.orient, lotva.weights),
+            ("extract_sublot", "boundary_reducible_witness", "is_sublot",
+             "sublot_vertices", "FlipForests", "boundary_reduce",
+             "_leaf_witness", "_is_prime", "_free_split", "_chain_search",
+             "_quotient", "_local", "_ends"))
         for lot, cert in certified:
             assert verify_certificate(lot, cert), cert.kind
 
     def test_builds_no_lot_view_or_root_paths(self, certified, monkeypatch):
         parsed = [(lot, parse_certificate(serialize_certificate(cert)))
                   for lot, cert in certified]
-        for name in ("_view", "_root_paths", "_lot_on", "_lot_from_view"):
-            monkeypatch.setattr(lotva.lot, name, self.refuse)
-        for name in ("_lot_on", "_lot_from_view"):
-            monkeypatch.setattr(lotva.certify, name, self.refuse, raising=False)
+        self.refuse_all(monkeypatch, (lotva.lot, lotva.certify),
+                        ("_view", "_root_paths", "_lot_on", "_lot_from_view"))
         for lot, cert in parsed:
             assert verify_certificate(lot, cert), cert.kind
 
@@ -894,12 +903,10 @@ class TestProverOnMasks:
 
         monkeypatch.setattr(lotva.lot, "_lot_on", counting)
         monkeypatch.setattr(Lot, "__post_init__", TestVerifierIndependence.refuse)
-        for name in ("boundary_reduce", "extract_sublot", "_closes_up", "_span",
-                     "_boundary_reduced", "_check_forests_and_witnesses"):
-            monkeypatch.setattr(lotva.certify, name,
-                                TestVerifierIndependence.refuse, raising=False)
-        monkeypatch.setattr(lotva.lot, "extract_sublot",
-                            TestVerifierIndependence.refuse)
+        TestVerifierIndependence.refuse_all(
+            monkeypatch, (lotva.certify, lotva.lot),
+            ("boundary_reduce", "extract_sublot", "_closes_up", "_span",
+             "_boundary_reduced", "_check_forests_and_witnesses"))
         for lot, cert, finals in certified:
             built.clear()
             assert certify_va(lot) == cert

@@ -10,7 +10,7 @@ from lotva import format_lot
 from lotva import cli
 from lotva.cli import main
 from lotva.sweep import random_lot
-from lotva.weights import FlipForests
+from lotva.orient import FlipForests
 
 
 def run(capsys, *argv):
@@ -328,6 +328,27 @@ class TestDiagramCli:
         assert err.startswith("error: line 2: unknown diagram edge 'e'")
 
 
+ROOT = Path(__file__).parent.parent
+PAPER_LAYER = ("lotva.complexes", "lotva.linkage", "lotva.weights",
+               "lotva.diagrams")
+
+
+def fresh(*argv) -> tuple[int, str, list[str]]:
+    """``python -m lotva`` with argv in a fresh interpreter that imports
+    the library from ``src/``: its exit code, stdout and the ``lotva``
+    modules it imported (read off ``-X importtime`` on stderr)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "lotva", *argv],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
+    imported = [line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "Traceback" not in done.stderr, done.stderr
+    return done.returncode, done.stdout, [m for m in imported if m.startswith("lotva")]
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 2
@@ -335,16 +356,44 @@ class TestUsage:
     def test_python_m_lotva(self, capsys, fixture_dir):
         """``python -m lotva`` runs the same command line as ``cli.main``."""
         lot = str(fixture_dir / "fig1.lot")
-        root = Path(__file__).parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        done = subprocess.run([sys.executable, "-m", "lotva", "weight-test", lot],
-                              cwd=root, env=env, capture_output=True, text=True,
-                              timeout=120)
+        done = fresh("weight-test", lot)
         code, out, _ = run(capsys, "weight-test", lot)
         assert code == 1 and out
-        assert (done.returncode, done.stdout) == (code, out)
+        assert done[:2] == (code, out)
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+class TestFreshInterpreter:
+    """Every subcommand, run once by ``python -m lotva`` in a fresh
+    interpreter, gives the exit code and stdout of ``cli.main`` in this
+    process.  This process has loaded the whole library, so only a fresh
+    interpreter shows a subcommand whose import of the paper layer went
+    missing; the subcommands of the decision procedure load none of it."""
+
+    @pytest.fixture(scope="class")
+    def cert(self, tmp_path_factory, fixture_dir):
+        path = tmp_path_factory.mktemp("fresh") / "fig1.cert"
+        assert main(["certify", str(fixture_dir / "fig1.lot"),
+                     "--out", str(path)]) == 0
+        return str(path)
+
+    @pytest.mark.parametrize("argv, core", [
+        (("analyze", "fig1.lot"), True),
+        (("links", "fig1.lot", "--relative", "1,2,3,4", "--dot"), False),
+        (("weight-test", "fig1.lot", "--relative", "1,2,3,4"), False),
+        (("orient-search", "fig1.lot", "--fix", "1,2,3,4"), True),
+        (("certify", "fig1.lot"), True),
+        (("verify-cert", "fig1.lot", "CERT"), True),
+        (("diagram", "check", "torus.diag", "--complex", "square.cplx"), False),
+        (("diagram", "double", "square.cplx", "--cell", "sq"), False),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else ("paper", "core")[v])
+    def test_matches_cli_main(self, capsys, fixture_dir, cert, argv, core):
+        argv = [cert if a == "CERT" else str(fixture_dir / a)
+                if (fixture_dir / a).is_file() else a for a in argv]
+        code, out, imported = fresh(*argv)
+        assert (code, out) == run(capsys, *argv)[:2]
+        assert out and code == 0
+        # the core subcommands load no paper module, the others some
+        assert (not set(PAPER_LAYER) & set(imported)) == core, imported

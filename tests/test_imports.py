@@ -6,13 +6,22 @@ lists.
 Plain ``ast`` scans, no dependency: a name counts as used when it occurs as
 an identifier, annotations included.  The package ``__init__`` is exempt
 because its imports are the public re-exports, and those do not count as
-uses of a definition either.
+uses of a definition either.  A fresh interpreter checks that the core
+loads none of the paper layer, which loads on first use.
 """
 
 import ast
+import importlib
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
+
+import lotva
 
 ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "lotva"
@@ -138,12 +147,23 @@ def readme_public_api(text: str) -> dict[str, list[str]]:
 
 def package_reexports(source: str) -> dict[str, list[str]]:
     """Per module, sorted, the names the package ``__init__`` source
-    imports from it."""
+    imports from it, and those its lazy name table ``_PAPER`` (module ->
+    names, space-separated) loads on first use."""
     out: dict[str, list[str]] = {}
     for node in ast.parse(source).body:
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             out.setdefault(node.module, []).extend(a.name for a in node.names)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_PAPER" for t in node.targets):
+            for module, names in ast.literal_eval(node.value).items():
+                out.setdefault(module, []).extend(names.split())
     return {module: sorted(names) for module, names in out.items()}
+
+
+def test_reexport_scanner_reads_the_lazy_table():
+    source = ("from .a import f, G\n_PAPER = {\"b\": \"k h\",\n"
+              "          \"a\": \"z\"}\nOTHER = {\"c\": \"q\"}\n")
+    assert package_reexports(source) == {"a": ["G", "f", "z"], "b": ["h", "k"]}
 
 
 def test_readme_scanner_reads_bullets():
@@ -156,3 +176,46 @@ def test_public_api_matches_readme():
     listed = readme_public_api((ROOT / "README.md").read_text(encoding="utf-8"))
     exported = package_reexports((SRC / "__init__.py").read_text(encoding="utf-8"))
     assert listed == exported
+
+
+def test_lazy_names_resolve_to_their_modules():
+    """Each name of the lazy table is, through ``getattr(lotva, name)``,
+    the object its module defines, and ``dir(lotva)`` lists it; so does
+    each lazy module, as an attribute of the package."""
+    for module, names in lotva._PAPER.items():
+        mod = importlib.import_module(f"lotva.{module}")
+        assert getattr(lotva, module) is mod
+        for name in names.split():
+            assert getattr(lotva, name) is getattr(mod, name), name
+            assert name in dir(lotva), name
+        assert module in dir(lotva)
+    assert set(lotva._LAZY) <= set(lotva.__all__)
+
+
+PAPER_LAYER = ("lotva.complexes", "lotva.linkage", "lotva.weights",
+               "lotva.diagrams")
+
+
+@pytest.mark.parametrize("module", ["lotva", "lotva.certify", "lotva.cli"])
+def test_core_imports_leave_the_paper_layer_unloaded(module):
+    """A fresh interpreter that imports the package, the certify core or
+    the command line loads none of the paper layer; one that then reads a
+    paper-layer name, or a paper module as a package attribute, loads
+    that module and what it imports."""
+    code = (f"import sys, {module}, lotva\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m in PAPER)\n"
+            f"PAPER = {PAPER_LAYER!r}\n"
+            "print(loaded())\n"
+            "lotva.build_link\n"
+            "print(loaded())\n"
+            "lotva.weights.weight_test\n"
+            "print(loaded())\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "[]", "['lotva.complexes', 'lotva.linkage']",
+        "['lotva.complexes', 'lotva.linkage', 'lotva.weights']"]

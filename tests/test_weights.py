@@ -15,8 +15,8 @@ from lotva import (Corner, EdgeEnd, LinkGraph, Lot, LotEdge, LotvaError,
                    parse_lot, parse_weights, relative_weight_test, reorient,
                    sign_change, signed_relative_forest_check,
                    sublot_closure, sublot_vertices, weight_test)
-from lotva.linkage import UnionFind
-from lotva.weights import _WEIGHTS, FlipForests
+from lotva.orient import FlipForests, UnionFind
+from lotva.weights import _WEIGHTS
 from lotva.sweep import random_lot
 
 from oracles import (closure_family, oracle_homred_violation_exists,
