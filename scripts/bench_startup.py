@@ -1,7 +1,7 @@
 """Start-up benchmark: the wall time of one command line call in a fresh
 interpreter, where import time dominates.
 
-    python3 scripts/bench_startup.py [--rounds N] [--root DIR] [--out FILE]
+    python3 scripts/bench_startup.py [--root DIR] [--out FILE]
 
 Times, each in a new interpreter: ``python -c pass`` (the floor), ``import
 lotva``, ``lotva certify fixtures/fig1.lot`` and ``lotva verify-cert`` of
@@ -10,13 +10,13 @@ its certificate (both as ``python -m lotva``).  The library is the
 copied twice into a temporary directory: once run with no bytecode cache,
 so every call compiles the library from source, and once with a cache
 that ``compileall`` fills first.  No ``__pycache__`` is written in the
-checkout, and none there is read.  Each round runs every call once, the
-two copies in turn and the floor among them, so a slow spell of the host
-touches all alike.  Records, per copy, the median, p25 and p75 wall time
-of each call over the rounds, its median over the floor, and the median
-``-X importtime`` cumulative time of each ``lotva`` module during
-``verify-cert``; with the host it ran on.  Standard library only; a
-bench, not a test.
+checkout, and none there is read.  Each of ``ROUNDS`` rounds runs every
+call once, the two copies in turn and the floor among them, so a slow
+spell of the host touches all alike.  Records, per copy, the median, p25
+and p75 wall time of each call over the rounds, its median over the
+floor, and the median ``-X importtime`` cumulative time of each ``lotva``
+module during ``verify-cert``; with the host it ran on.  Standard library
+only; a bench, not a test.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODES = ("source", "bytecode")
+ROUNDS = 21
 
 
 def calls(cert: Path) -> dict[str, list[str]]:
@@ -91,7 +92,7 @@ def stats(xs: list[float]) -> dict[str, float]:
             "p25_ms": round(1000 * q[0], 2), "p75_ms": round(1000 * q[2], 2)}
 
 
-def measure(root: Path, rounds: int) -> dict:
+def measure(root: Path) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         cert = tmp / "fig1.cert"
@@ -104,12 +105,12 @@ def measure(root: Path, rounds: int) -> dict:
         timed = calls(cert)
         wall(timed["certify"], envs["source"], root)  # the cert verify-cert reads
         times = {(mode, name): [] for mode in MODES for name in timed}
-        for _ in range(rounds):
+        for _ in range(ROUNDS):
             for mode in MODES:
                 for name, args in timed.items():
                     times[mode, name].append(wall(args, envs[mode], root))
         imports = {mode: [import_times(timed["verify_cert"], envs[mode], root)
-                          for _ in range(max(3, rounds // 4))] for mode in MODES}
+                          for _ in range(ROUNDS // 4)] for mode in MODES}
     record = {}
     for mode in MODES:
         floor = statistics.median(times[mode, "pass"])
@@ -125,18 +126,15 @@ def measure(root: Path, rounds: int) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--rounds", type=int, default=21)
     ap.add_argument("--root", type=Path, default=ROOT,
                     help="checkout whose src/ and fixtures/ to time")
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_startup.json")
     args = ap.parse_args(argv)
-    if args.rounds < 2:
-        ap.error("--rounds must be at least 2")
     record = {
         "host": {"python": platform.python_version(),
                  "machine": platform.machine(), "cpus": os.cpu_count()},
-        "rounds": args.rounds,
-        **measure(args.root.resolve(), args.rounds),
+        "rounds": ROUNDS,
+        **measure(args.root.resolve()),
     }
     for mode in MODES:
         print(mode + ": " + ", ".join(

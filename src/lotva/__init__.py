@@ -43,7 +43,8 @@ _PAPER = {
                 "validate_diagram vertex_link_cycle vertex_link_cycles",
 }
 _LAZY = {name: module for module, names in _PAPER.items() for name in names.split()}
-__all__ = [*(name for name in globals() if not name.startswith("_")), *_LAZY]
+__all__ = [*(name for name in globals() if not name.startswith("_")), *_LAZY,
+           *_PAPER]
 
 
 def __getattr__(name: str):

@@ -190,6 +190,7 @@ def test_lazy_names_resolve_to_their_modules():
             assert name in dir(lotva), name
         assert module in dir(lotva)
     assert set(lotva._LAZY) <= set(lotva.__all__)
+    assert set(lotva._PAPER) <= set(lotva.__all__)
 
 
 PAPER_LAYER = ("lotva.complexes", "lotva.linkage", "lotva.weights",
