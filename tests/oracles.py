@@ -70,7 +70,7 @@ from lotva import (BaseTrivial, BoundaryReduction, BoundaryWord, Cell,
                    is_injective, is_sublot, orientation_search, reorient,
                    signed_relative_forest_check, sublot_closure,
                    sublot_vertices, validate_diagram, verify_certificate)
-from lotva.certify import MAX_CERT_DEPTH, _unreadable
+from lotva.certify import MAX_CERT_DEPTH
 from lotva.complexes import validate_family
 from lotva.linkage import _forest_witness
 from lotva.lot import _IDENT, maximal_sublots
@@ -1234,6 +1234,13 @@ def reference_parse_certificate(text: str, int_atoms: bool = True):
 # ---------------------------------------------------------------------------
 # certificate writer
 # ---------------------------------------------------------------------------
+
+def _unreadable(name: str) -> bool:
+    """Whether a reader of atoms would not read ``name`` back as one: it
+    is empty, or holds whitespace or a parenthesis.  The writer's own test,
+    kept apart so that the two writers share no code."""
+    return name.split() != [name] or "(" in name or ")" in name
+
 
 def reference_serialize_certificate(cert) -> str:
     """``serialize_certificate`` as it was before it wrote lines directly:

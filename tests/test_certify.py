@@ -9,8 +9,8 @@ import pytest
 
 from lotva import (BaseTrivial, BoundaryReduction, CertifyFailure, ChainStep,
                    CollapseChain, CompleteSetRelative, FreeDecompositionNode,
-                   Lot, LotEdge, ParseError, PreconditionError,
-                   PrimeWeightTest, boundary_reduce, build_complex,
+                   Lot, LotEdge, LotvaError, ParseError, PreconditionError,
+                   PrimeWeightTest, StructureError, boundary_reduce, build_complex,
                    certify_va, check_properties, collapse,
                    derive_subcomplexes, enumerate_sublots, extract_sublot,
                    format_lot, parse_certificate, parse_lot, reorient,
@@ -403,6 +403,12 @@ class TestReaderAgainstReference:
         "(base) (base)", "()", "x",
         "(prime-wt (flipped 0) (pos (a)) (neg))",
         "(prime-wt (flipped 0) (pos (a (b))) (neg))",
+        # the former reader read a complete-set node's collapse chain
+        # first, its sublots after it
+        "(complete-set (sublots x) (chain) (final) (flipped) (pos) (neg) "
+        "(children))",
+        "(complete-set (sublots x) (chain y) (final (vertices a)) (flipped) "
+        "(pos) (neg) (children))",
         pytest.param(nested(MAX_CERT_DEPTH), id="depth-501"),
         pytest.param("(bdry-red (edge " + "9" * 5000 + ") (vertex a) (base))",
                      id="edge-id-of-5000-digits")])
@@ -412,6 +418,38 @@ class TestReaderAgainstReference:
         with pytest.raises(ParseError) as ref:
             reference_parse_certificate(text)
         assert str(new.value) == str(ref.value)
+
+    # the node and field keywords a certificate holds, and the parentheses
+    EDITS = ("base", "bdry-red", "free-dec", "prime-wt", "complete-set",
+             "edge", "vertex", "left", "right", "shared", "flipped", "pos",
+             "neg", "sublots", "chain", "step", "final", "vertices",
+             "children", "(", ")")
+
+    def test_every_single_token_edit(self, fig1, fig3, prime):
+        """Each token of the fig1, fig3 and prime certificates deleted,
+        doubled, or replaced by a keyword or a parenthesis: the same value,
+        or the same error class and message, as the former reader's,
+        including the StructureError of an edited final quotient."""
+        def outcome(parse, text):
+            try:
+                return "value", parse(text)
+            except LotvaError as exc:
+                return type(exc), str(exc)
+
+        sizes, seen = [], Counter()
+        for lot in (fig1, fig3, prime):
+            tokens = serialize_certificate(certify_va(lot)).replace(
+                "(", " ( ").replace(")", " ) ").split()
+            sizes.append(len(tokens))
+            for j, tok in enumerate(tokens):
+                for edit in ([], [tok, tok], *([x] for x in self.EDITS if x != tok)):
+                    text = " ".join(tokens[:j] + edit + tokens[j + 1:])
+                    got = outcome(parse_certificate, text)
+                    assert got == outcome(lambda s: reference_parse_certificate(
+                        s, int_atoms=False), text), text
+                    seen[got[0]] += 1
+        assert sizes == [154, 97, 28]
+        assert {"value", ParseError, StructureError} <= set(seen)
 
     def test_same_value_at_the_depth_limit(self):
         # == on 499 nested nodes would pass the recursion limit; the
