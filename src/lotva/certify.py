@@ -24,8 +24,7 @@ straight off the node's named edges).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Callable, NamedTuple, Optional, Union, get_args
+from typing import Optional, Union
 
 from .errors import LotvaError, ParseError, PreconditionError, StructureError
 from .lot import (CollapseChain, ChainStep, Lot, LotEdge, _bits, _chain_search,
@@ -470,50 +469,19 @@ def _check_forests_and_witnesses(lot, ids, cert, parts, prefix):
 
 
 # ---------------------------------------------------------------------------
-# serialization: line-oriented s-expressions, one schema entry per node kind
+# serialization: line-oriented s-expressions
 # ---------------------------------------------------------------------------
 
-MAX_CERT_DEPTH = 500
-"""Deepest parenthesis nesting ``parse_certificate`` accepts.  Every node
-sits at least one level below its parent node, and node building and the
-verifier recurse once per node, so this also bounds their recursion."""
-
-# The certificate format.  Per node kind: what the reader builds the node
-# with from its field values, and its fields in write order, each a
-# (keyword, attribute, form) triple; a child node writes no keyword.  A kind
-# with a child or children field takes several lines, any other one line.
-_SCHEMA = {
-    "base": (BaseTrivial, ()),
-    "bdry-red": (BoundaryReduction, (
-        ("edge", "edge_id", "id"), ("vertex", "outer_vertex", "name"),
-        ("", "child", "child"))),
-    "free-dec": (FreeDecompositionNode, (
-        ("left", "left_edges", "ids"), ("right", "right_edges", "ids"),
-        ("shared", "shared_vertex", "name"),
-        ("", "left_child", "child"), ("", "right_child", "child"))),
-    "prime-wt": (PrimeWeightTest, (
-        ("flipped", "flipped", "ids"), ("pos", "pos_corners", "corners"),
-        ("neg", "neg_corners", "corners"))),
-    "complete-set": (
-        lambda sublots, steps, final, *rest: CompleteSetRelative(
-            sublots, CollapseChain(steps, final), *rest), (
-            ("sublots", "sublots", "sublots"), ("chain", "chain.steps", "chain"),
-            ("final", "chain.final_quotient", "final"),
-            ("flipped", "flipped", "ids"), ("pos", "pos_corners", "corners"),
-            ("neg", "neg_corners", "corners"),
-            ("children", "children", "children"))),
-}
-
-
 def serialize_certificate(cert: Certificate) -> str:
-    """The certificate as line-oriented s-expressions, each node laid out
-    as ``_SCHEMA`` has its kind: a one-line node on one line; any other
-    opens a line with its keyword and puts each field and child node on a
-    line of its own, two spaces deeper, and so do its ``chain`` and
-    ``children`` fields with their steps and child nodes."""
+    """The certificate as line-oriented s-expressions, laid out by node
+    kind: a ``base`` or ``prime-wt`` node takes one line; a ``bdry-red``,
+    ``free-dec`` or ``complete-set`` node opens a line with its keyword and
+    puts each field and child node on a line of its own, two spaces deeper,
+    and so do the ``chain`` and ``children`` fields with their steps and
+    child nodes.  Every other field takes one line."""
     lines: list[str] = []
     names: set[str] = set()
-    _write("", cert, names, 0, lines)
+    _write(cert, 0, lines, names)
     # one test of all the names at once; the per-name one finds the culprit
     if names and ("" in names or _unreadable("".join(names))):
         raise PreconditionError(
@@ -528,90 +496,84 @@ def _unreadable(name: str) -> bool:
     return name.split() != [name] or "(" in name or ")" in name
 
 
-def _write(word, cert: Certificate, names: set[str], depth: int,
-           lines: list[str]) -> None:
+def _ids(ids) -> str:
+    """Edge ids in increasing order, each with a space in front."""
+    return "".join([f" {i}" for i in sorted(ids)])
+
+
+def _write(cert: Certificate, depth: int, lines: list[str],
+           names: set[str]) -> None:
     """Appends the lines of ``cert``, indented ``depth`` steps, to
     ``lines``, and every vertex name written to ``names``."""
-    try:
-        one_line, head, fields = _WRITE[type(cert)]
-    except KeyError:
-        raise LotvaError(f"cannot serialize {cert!r}") from None
     pad = "  " * depth
-    if one_line:
-        line = pad + head
-        for w, get, text, _ in fields:
-            line += " " + text(w, get(cert), names)
-        lines.append(line + ")")
-        return
-    lines.append(pad + head)
-    pad += "  "
-    for w, get, text, write in fields:
-        if write:
-            write(w, get(cert), names, depth + 1, lines)
-        else:
-            lines.append(pad + text(w, get(cert), names))
-    lines[-1] += ")"
+    inner = pad + "  "
+    if isinstance(cert, BaseTrivial):
+        lines.append(pad + "(base)")
+    elif isinstance(cert, BoundaryReduction):
+        names.add(cert.outer_vertex)
+        lines += [pad + "(bdry-red", f"{inner}(edge {cert.edge_id})",
+                  f"{inner}(vertex {cert.outer_vertex})"]
+        _write(cert.child, depth + 1, lines, names)
+        lines[-1] += ")"
+    elif isinstance(cert, FreeDecompositionNode):
+        names.add(cert.shared_vertex)
+        lines += [pad + "(free-dec", f"{inner}(left{_ids(cert.left_edges)})",
+                  f"{inner}(right{_ids(cert.right_edges)})",
+                  f"{inner}(shared {cert.shared_vertex})"]
+        _write(cert.left_child, depth + 1, lines, names)
+        _write(cert.right_child, depth + 1, lines, names)
+        lines[-1] += ")"
+    elif isinstance(cert, PrimeWeightTest):
+        pos, neg = _corner_fields(cert, names)
+        lines.append(f"{pad}(prime-wt (flipped{_ids(cert.flipped)}) {pos} {neg})")
+    elif isinstance(cert, CompleteSetRelative):
+        lines += [pad + "(complete-set", inner + "(sublots" + "".join(
+            [f" ({_ids(p).lstrip()})" for p in cert.sublots]) + ")", inner + "(chain"]
+        for step in cert.chain.steps:
+            names.add(step.collapse_vertex)
+            lines.append(f"{inner}  (step ({_ids(step.sublot_edges).lstrip()}) "
+                         f"{step.collapse_vertex})")
+        lines[-1] += ")"
+        final = cert.chain.final_quotient
+        names.update(final.vertices)  # a Lot's edges name only its vertices
+        lines.append(f"{inner}(final (vertices"
+                     + "".join([f" {v}" for v in final.vertices]) + ")"
+                     + "".join([f" (edge {t} {h} {l})"
+                                for t, h, l in final.edges]) + ")")
+        lines += [f"{inner}(flipped{_ids(cert.flipped)})",
+                  *(inner + f for f in _corner_fields(cert, names)),
+                  inner + "(children"]
+        for child in cert.children:
+            _write(child, depth + 2, lines, names)
+        lines[-1] += "))"
+    else:
+        raise LotvaError(f"cannot serialize {cert!r}")
 
 
-def _write_chain(word, steps, names, depth, lines) -> None:
-    """The chain field: its keyword on a line, then each step on a line of
-    its own, two spaces deeper."""
-    pad = "  " * depth
-    lines.append(f"{pad}({word}")
-    for step in steps:
-        names.add(step.collapse_vertex)
-        lines.append(f"{pad}  (step ({_ids(step.sublot_edges)}) "
-                     f"{step.collapse_vertex})")
-    lines[-1] += ")"
+def _corner_fields(cert, names: set[str]) -> tuple[str, str]:
+    """The (pos ...) and (neg ...) fields of a node; adds their names."""
+    names.update(*cert.pos_corners, *cert.neg_corners)
+    return ("(pos" + "".join([f" ({a} {b})" for a, b in cert.pos_corners]) + ")",
+            "(neg" + "".join([f" ({a} {b})" for a, b in cert.neg_corners]) + ")")
 
 
-def _write_children(word, nodes, names, depth, lines) -> None:
-    lines.append(f"{'  ' * depth}({word}")
-    for node in nodes:
-        _write("", node, names, depth + 1, lines)
-    lines[-1] += ")"
+MAX_CERT_DEPTH = 500
+"""Deepest parenthesis nesting ``parse_certificate`` accepts.  Every node
+sits at least one level below its parent node, and node building and the
+verifier recurse once per node, so this also bounds their recursion."""
 
-
-def _ids(ids) -> str:
-    """Edge ids in increasing order, separated by spaces."""
-    return " ".join([str(i) for i in sorted(ids)])
-
-
-# The field texts, (keyword, value, names) -> the field on one line; each
-# adds the vertex names it writes to ``names``.
-
-def _name_text(word, name, names) -> str:
-    names.add(name)
-    return f"({word} {name})"
-
-
-def _ids_text(word, ids, names) -> str:
-    return f"({word} {_ids(ids)})" if ids else f"({word})"
-
-
-def _corners_text(word, pairs, names) -> str:
-    if not pairs:
-        return f"({word})"
-    names.update(*pairs)
-    return f"({word} (" + ") (".join(map(" ".join, pairs)) + "))"
-
-
-def _final_text(word, final, names) -> str:
-    names.update(final.vertices)  # a Lot's edges name only its vertices
-    edges = ") (edge ".join(map(" ".join, final.edges))
-    return (f"({word} " + " ".join(("(vertices", *final.vertices)) + ")"
-            + (f" (edge {edges}))" if edges else ")"))
+_ITEM_COUNTS = {"base": 0, "bdry-red": 3, "free-dec": 5, "prime-wt": 3,
+                "complete-set": 7}
 
 
 def parse_certificate(text: str) -> Certificate:
-    """The certificate ``text`` spells in exactly the layout the writer
-    writes, read by ``_node`` straight off its tokens, the parentheses and
-    the whitespace-separated runs between them, field by field as
-    ``_SCHEMA`` lists them.  A fault in the parentheses, or data after the
-    certificate, is reported first."""
+    """The certificate ``text`` spells in exactly the layout ``_write``
+    writes, built by ``_node`` straight off its tokens: the parentheses and
+    the whitespace-separated runs between them.  A fault in the
+    parentheses, or data after the certificate, is reported first."""
     t = text.replace("(", " ( ").replace(")", " ) ").split()
     try:
-        cert, end = _node(t, 0, "", 1)
+        cert, end = _node(t, 0, 1)
     except (LotvaError, LookupError, ValueError):
         if _read(t, 0)[1] == len(t):
             raise
@@ -621,45 +583,89 @@ def parse_certificate(text: str) -> Certificate:
     return cert
 
 
-def _node(t: list[str], i: int, word, depth: int):
+def _node(t: list[str], i: int, depth: int):
     """The node whose "(" is t[i], ``depth`` levels deep, and the index past
-    its ")"; a field reader, the reader of a child node, so ``word`` goes
-    unused.  Where the parentheses balance, its first fault raises the
+    its ")".  Where the parentheses balance, its first fault raises the
     LotvaError that names it: a wrong item count, then a fault in its
-    fields in the order the former reader checked them, which read a
-    complete-set node's collapse chain (the fields with a dotted
-    attribute) first and the others in write order, children last."""
+    fields in order (a complete-set node's sublots after its final
+    quotient), then one in its children."""
     if depth > MAX_CERT_DEPTH:
         raise ValueError("nested too deep")
     kind = t[i + 1] if t[i] == "(" else None
-    try:
-        build, fields = _READ[kind]
-    except KeyError:
+    if kind not in _ITEM_COUNTS:
         x = _read(t, i)[0]
         if not (isinstance(x, list) and x):
-            raise ParseError("certificate node must be a list") from None
-        raise ParseError(f"unknown certificate keyword {x[0]!r}") from None
-    k, values, inner = i + 2, [], depth + 1
+            raise ParseError("certificate node must be a list")
+        raise ParseError(f"unknown certificate keyword {x[0]!r}")
+    k, reach = i + 2, 1  # reach: how many levels its own fields nest
     try:
-        for w, read in fields:
-            value, k = read(t, k, w, inner)
-            values.append(value)
+        if kind == "base":
+            node, reach = BaseTrivial(), 0
+        elif kind == "bdry-red":
+            (edge,), k = _field(t, k, "edge", 1, ids=True)
+            (vertex,), k = _field(t, k, "vertex", 1)
+            child, k = _node(t, k, depth + 1)
+            node = BoundaryReduction(edge, vertex, child)
+        elif kind == "free-dec":
+            left, k = _field(t, k, "left", ids=True)
+            right, k = _field(t, k, "right", ids=True)
+            (shared,), k = _field(t, k, "shared", 1)
+            left_child, k = _node(t, k, depth + 1)
+            right_child, k = _node(t, k, depth + 1)
+            node = FreeDecompositionNode(left, right, shared, left_child,
+                                         right_child)
+        elif kind == "prime-wt":
+            flipped, k = _field(t, k, "flipped", ids=True)
+            pos, k = _corners(t, k, "pos")
+            neg, k = _corners(t, k, "neg")
+            node, reach = PrimeWeightTest(flipped, pos, neg), 1 + bool(pos or neg)
+        else:
+            sublots, k = _read(t, k)
+            chain, k = _read(t, k)
+            steps = tuple(ChainStep(_int_set(ids), _name(vertex)) for ids, vertex
+                          in (_items(s, "step", 2) for s in _items(chain, "chain")))
+            k = _open(t, k, "final")
+            if t[k] == ")":
+                raise ParseError("expected a (vertices ...) field in ['final']")
+            vertices, k = _field(t, k, "vertices")
+            edges = []
+            while t[k] != ")":
+                edge, k = _field(t, k, "edge", 3)
+                edges.append(LotEdge._make(edge))
+            chain = CollapseChain(steps, _final(tuple(vertices), tuple(edges)))
+            sublots = tuple(map(_int_set, _items(sublots, "sublots")))
+            flipped, k = _field(t, k + 1, "flipped", ids=True)
+            pos, k = _corners(t, k, "pos")
+            neg, k = _corners(t, k, "neg")
+            k, children = _open(t, k, "children"), []
+            while t[k] != ")":
+                child, k = _node(t, k, depth + 2)
+                children.append(child)
+            node = CompleteSetRelative(sublots, chain, flipped, pos, neg,
+                                       tuple(children))
+            k, reach = k + 1, 2 + bool(steps)
         if t[k] != ")":
             raise ParseError("")  # an item too many, which the count names
     except LotvaError:
-        _items(_read(t, i)[0], kind, len(fields))
-        k = i + 2
-        for w, attr, form in _SCHEMA[kind][1]:
-            if "." in attr:
-                _FORMS[form].read(t, k, w, inner)
-            k = _read(t, k)[1]
+        _items(_read(t, i)[0], kind, _ITEM_COUNTS[kind])
         raise
-    # a field nests as deep as its form allows, or one level when empty
-    if depth > _SHALLOW and depth + max(
-            [_FORMS[f].reach if v else 1 for (_, _, f), v
-             in zip(_SCHEMA[kind][1], values)], default=0) > MAX_CERT_DEPTH:
+    if depth + reach > MAX_CERT_DEPTH:
         raise ValueError("nested too deep")
-    return build(*values), k + 1
+    return node, k + 1
+
+
+def _final(vertices: tuple[str, ...], edges: tuple[LotEdge, ...]) -> Lot:
+    """The final quotient as read, its int view built on one name -> index
+    map, which ``Lot(...)`` would build a second time in its checks.  A
+    duplicate vertex, a loop or a name off the vertices leaves no tree;
+    then ``Lot`` raises the StructureError that names it."""
+    index = dict(zip(vertices, range(len(vertices))))
+    try:
+        iv = _view(len(vertices), tuple([(index[a], index[b], index[c])
+                                         for a, b, c in edges]))
+        return _lot_from_view(vertices, edges, iv, _tree_paths(iv))
+    except (KeyError, StructureError):
+        return Lot(vertices, edges)
 
 
 def _read(t: list[str], k: int):
@@ -687,51 +693,31 @@ def _read(t: list[str], k: int):
                      else "unexpected end of certificate")
 
 
-# The field readers, (tokens, index, keyword, depth) -> (value, index past
-# the field).  Each reads the writer's layout straight off the tokens; off
-# it, the field is read as nested lists to name what is wrong.
-
-def _open(t: list[str], k: int, word: str) -> int:
-    """The index past the "( word" that opens the field at t[k]."""
-    if t[k] != "(" or t[k + 1] != word:
-        _items(_read(t, k)[0], word)  # raises
+def _open(t: list[str], k: int, key: str) -> int:
+    """The index past the "( key" that opens the field at t[k]."""
+    if t[k] != "(" or t[k + 1] != key:
+        _items(_read(t, k)[0], key)  # raises
     return k + 2
 
 
-def _field(t, k, word, depth, n: Optional[int] = None, ids: bool = True):
-    """The atoms of the field (word ...) at t[k], read as a slice, n of
-    them if n is given, as a set of edge ids if ``ids``; and the index
-    past the field."""
-    if t[k] == "(" and t[k + 1] == word:
+def _field(t: list[str], k: int, key: str, n: Optional[int] = None,
+           ids: bool = False):
+    """The atoms of the field (key ...) at t[k], n of them if n is given,
+    as a set of edge ids if ``ids``; and the index past the field."""
+    if t[k] == "(" and t[k + 1] == key:
         j = t.index(")", k)
         items = t[k + 2:j]
         if "(" not in items and (n is None or j - k - 2 == n):
             return (_int_set(items) if ids else items), j + 1
     x, j = _read(t, k)
-    items = _items(x, word, n)
+    items = _items(x, key, n)
     return (_int_set(items) if ids else list(map(_name, items))), j
 
 
-def _one(t, k, word, depth):
-    """The one atom of the field (word a) at t[k]; the writer's layout is
-    read off four tokens, without ``_field``'s search for the ")"."""
-    if (t[k] == "(" and t[k + 1] == word and t[k + 3] == ")"
-            and t[k + 2] not in "()"):
-        return t[k + 2], k + 4
-    (atom,), k = _field(t, k, word, depth, 1, False)
-    return atom, k
-
-
-def _id(t, k, word, depth):
-    """The one edge id of the field (word i) at t[k]."""
-    (i,), k = _field(t, k, word, depth, 1)
-    return i, k
-
-
-def _corners(t, k, word, depth):
-    """The pairs of the field (word (a b) ...) at t[k], read in 4-token
+def _corners(t: list[str], k: int, key: str):
+    """The pairs of the field (key (a b) ...) at t[k], read in 4-token
     strides, and the index past it."""
-    if t[k] == "(" and t[k + 1] == word:
+    if t[k] == "(" and t[k + 1] == key:
         s = j = k + 2
         end = len(t)
         while j < end and t[j] == "(":
@@ -742,53 +728,12 @@ def _corners(t, k, word, depth):
                 and ")" not in b):
             return tuple(zip(a, b)), j + 1
     x, j = _read(t, k)
-    pairs = _items(x, word)
+    pairs = _items(x, key)
     for p in pairs:
         if not (isinstance(p, list) and len(p) == 2):
             raise ParseError(f"expected a corner pair, got {p!r}")
         _name(p[0]), _name(p[1])
     return tuple(map(tuple, pairs)), j
-
-
-def _sublots(t, k, word, depth):
-    x, k = _read(t, k)
-    return tuple(map(_int_set, _items(x, word))), k
-
-
-def _chain(t, k, word, depth):
-    x, k = _read(t, k)
-    return tuple([ChainStep(_int_set(ids), _name(vertex)) for ids, vertex
-                  in (_items(step, "step", 2) for step in _items(x, word))]), k
-
-
-def _final(t, k, word, depth):
-    """The final quotient, its int view built on the reader's own name ->
-    index map.  A duplicate vertex, a loop or a name off the vertices
-    leaves no tree; then ``Lot`` raises the StructureError that names it."""
-    k = _open(t, k, word)
-    if t[k] == ")":
-        raise ParseError(f"expected a (vertices ...) field in {[word]!r}")
-    vertices, k = _field(t, k, "vertices", depth, None, False)
-    edges = []
-    while t[k] != ")":
-        edge, k = _field(t, k, "edge", depth, 3, False)
-        edges.append(LotEdge._make(edge))
-    vertices, edges = tuple(vertices), tuple(edges)
-    index = dict(zip(vertices, range(len(vertices))))
-    try:
-        iv = _view(len(vertices), tuple([(index[a], index[b], index[c])
-                                         for a, b, c in edges]))
-        return _lot_from_view(vertices, edges, iv, _tree_paths(iv)), k + 1
-    except (KeyError, StructureError):
-        return Lot(vertices, edges), k + 1
-
-
-def _children(t, k, word, depth):
-    k, nodes = _open(t, k, word), []
-    while t[k] != ")":
-        node, k = _node(t, k, "", depth + 1)
-        nodes.append(node)
-    return tuple(nodes), k + 1
 
 
 def _items(x, key: str, n: Optional[int] = None) -> list:
@@ -824,34 +769,3 @@ def _int_set(items) -> frozenset[int]:
         raise ParseError(f"edge ids must be distinct and increasing, "
                          f"got ({' '.join(map(str, items))})")
     return frozenset(ids)
-
-
-class _Form(NamedTuple):
-    read: Callable             # the field reader
-    text: Optional[Callable]   # (keyword, value, names) -> the field's line
-    write: Optional[Callable]  # or (keyword, value, names, depth, lines)
-    reach: int                 # how many levels the field nests at most
-
-
-_FORMS = {
-    "id": _Form(_id, lambda w, v, names: f"({w} {v})", None, 1),
-    "name": _Form(_one, _name_text, None, 1),
-    "ids": _Form(_field, _ids_text, None, 1),
-    "corners": _Form(_corners, _corners_text, None, 2),
-    "sublots": _Form(_sublots, lambda w, v, names: f"({w}" + "".join(
-        [f" ({_ids(p)})" for p in v]) + ")", None, 2),
-    "chain": _Form(_chain, None, _write_chain, 3),
-    "final": _Form(_final, _final_text, None, 2),
-    "child": _Form(_node, None, _write, 1),
-    "children": _Form(_children, None, _write_children, 1),
-}
-# a node this many levels deep or less nests no deeper than MAX_CERT_DEPTH
-_SHALLOW = MAX_CERT_DEPTH - max(form.reach for form in _FORMS.values())
-# what ``_node`` takes of each kind: the builder and (keyword, reader) pairs
-_READ = {kind: (build, tuple([(w, _FORMS[f].read) for w, _, f in fields]))
-         for kind, (build, fields) in _SCHEMA.items()}
-# what ``_write`` takes of each node class: whether it takes one line, its
-# opening, and (keyword, getter, text, write) tuples
-_WRITE = {cls: (all(_FORMS[f].text for _, _, f in fields), "(" + cls.kind, tuple(
-    [(w, attrgetter(a), *_FORMS[f][1:3]) for w, a, f in fields]))
-    for cls in get_args(Certificate) for fields in [_SCHEMA[cls.kind][1]]}

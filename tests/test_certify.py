@@ -403,8 +403,8 @@ class TestReaderAgainstReference:
         "(base) (base)", "()", "x",
         "(prime-wt (flipped 0) (pos (a)) (neg))",
         "(prime-wt (flipped 0) (pos (a (b))) (neg))",
-        # the former reader read a complete-set node's collapse chain
-        # first, its sublots after it
+        # a complete-set node's collapse chain is read before its
+        # sublots, so a fault in either names the chain's
         "(complete-set (sublots x) (chain) (final) (flipped) (pos) (neg) "
         "(children))",
         "(complete-set (sublots x) (chain y) (final (vertices a)) (flipped) "
