@@ -7,6 +7,7 @@ Exit codes: 0 = pass / positive decision, 1 = negative decision,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -293,10 +294,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except LotvaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # stdout closed early, as by ``lotva links ... | head``
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit
+        return 1  # Python's own exit code on a broken pipe
 
 
 if __name__ == "__main__":

@@ -10,12 +10,24 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from itertools import repeat
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import ParseError, PreconditionError, StructureError
 from .lot import _IDENT, Lot, SignedLot, sublot_vertices
 
 Letter = tuple[str, int]  # (edge name, +1 or -1)
+
+
+class EdgeEnd(NamedTuple):
+    edge: str
+    polarity: int  # +1 for x+, -1 for x-
+
+    def __str__(self):
+        return f"{self.edge}{'+' if self.polarity > 0 else '-'}"
+
+
+IntCorners = tuple[tuple[EdgeEnd, ...], tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -48,11 +60,10 @@ class TwoComplex:
     """Standard 2-complex with a single (implicit) vertex.
 
     ``_edge_index`` and ``_cell_index`` map each edge name and cell name
-    to its position.  ``_int_corners`` holds the link nodes and
-    ``linkage.int_corners`` of the complex (``linkage._complex_corners``)
-    once a link builder, forest check or relative weight test has asked
-    for them, so the pass runs at most once per complex.  Equality,
-    hashing and repr ignore all three.
+    to its position.  ``_int_corners`` holds the link nodes and corners
+    on ints (``linkage._complex_corners``): ``build_complex`` makes them,
+    and any other complex on first use, so the pass runs at most once per
+    complex.  Equality, hashing and repr ignore all three.
     """
     edge_names: tuple[str, ...]
     cells: tuple[Cell, ...]
@@ -87,6 +98,8 @@ class TwoComplex:
 class SubcomplexFamily:
     """Pairwise disjoint wedge summands K_1, ..., K_n of a complex."""
     parts: tuple[tuple[frozenset[str], frozenset[str]], ...]  # (edges, cells)
+    _valid_on: Optional[TwoComplex] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen_e: set[str] = set()
@@ -103,7 +116,11 @@ class SubcomplexFamily:
 
 
 def validate_family(cx: TwoComplex, fam: SubcomplexFamily) -> None:
-    """Each part must be a subcomplex: part cells only use part edges."""
+    """Each part must be a subcomplex: part cells only use part edges.
+    The family keeps the complex object it last passed on (``_valid_on``,
+    outside equality, hashing and repr), which passes again unchecked."""
+    if fam._valid_on is cx:
+        return
     for i, (edges, cells) in enumerate(fam.parts):
         if not cx._edge_index.keys() >= edges:
             raise StructureError(f"part {i} has unknown edges")
@@ -114,23 +131,58 @@ def validate_family(cx: TwoComplex, fam: SubcomplexFamily) -> None:
             if any(x not in edges for x, _ in cx.cells[j].boundary.letters):
                 raise StructureError(
                     f"part {i} is not a subcomplex: cell {cn!r} leaves its edges")
+    object.__setattr__(fam, "_valid_on", cx)
 
 
 # ---------------------------------------------------------------------------
 # LOT complexes
 # ---------------------------------------------------------------------------
 
+def _corner_pass(edge_names: Sequence[str],
+                 inits: Iterable[Sequence[int]]) -> IntCorners:
+    """The nodes x+, x- of lk(L) per edge (end e is nodes[e]), and its
+    corners from each cell's initial ends (of x^s, 2 * edge index +
+    (s < 0), whose ^ 1 is its terminal end): corner i joins ends[2 * i],
+    the terminal end of a letter, and ends[2 * i + 1], the initial end of
+    the next, cyclically; cell j has corners first[j] .. first[j + 1] - 1."""
+    init: list[int] = []  # every cell's initial ends, cell after cell
+    succ: list[int] = []  # each one's successor in its cell, cyclically
+    first = [0]
+    for cell in inits:
+        init += cell
+        succ += (*cell[1:], cell[0])
+        first.append(len(init))
+    ends = [0] * (2 * len(init))
+    ends[::2] = [u ^ 1 for u in init]
+    ends[1::2] = succ
+    # tuple.__new__ is what the named tuples' _make calls, minus its frame
+    return (tuple(map(tuple.__new__, repeat(EdgeEnd),
+                      [(x, s) for x in edge_names for s in (1, -1)])),
+            tuple(ends), tuple(first))
+
+
 def build_complex(slot: Union[Lot, SignedLot]) -> TwoComplex:
-    """The LOT complex K(Gamma); a plain Lot counts as all-positive."""
-    if isinstance(slot, Lot):
-        slot = SignedLot(slot, tuple(1 for _ in slot.vertices))
-    lot = slot.lot
-    sgn = {v: s for v, s in zip(lot.vertices, slot.sign)}
-    cells = []
-    for i, (t, h, l) in enumerate(lot.edges):
-        word = BoundaryWord(((t, sgn[t]), (l, 1), (h, -sgn[h]), (l, -1)))
-        cells.append(Cell(f"d_{i}", word))
-    return TwoComplex(tuple(lot.vertices), tuple(cells), name=lot.name)
+    """The LOT complex K(Gamma); a plain Lot counts as all-positive.
+
+    One pass over the LOT's int view makes the cells, the indexes and the
+    corner pass, from the initial ends of each cell's letters
+    (``_corner_pass``), that ``TwoComplex`` keeps; the LOT's invariants
+    stand in for the constructor's checks."""
+    lot, sign = (slot, None) if isinstance(slot, Lot) else (slot.lot, slot.sign)
+    names = tuple(lot.vertices)
+    sign = sign or (1,) * len(names)
+    cells, inits = [], []
+    for i, (t, h, l) in enumerate(lot._iv.edges):
+        st, sh, z = sign[t], sign[h], names[l]
+        cells.append(Cell(f"d_{i}", BoundaryWord(
+            ((names[t], st), (z, 1), (names[h], -sh), (z, -1)))))
+        inits.append((2 * t + (st < 0), 2 * l, 2 * h + (sh > 0), 2 * l + 1))
+    cx = object.__new__(TwoComplex)
+    vars(cx).update(edge_names=names, cells=tuple(cells), name=lot.name,
+                    _edge_index=dict(zip(names, range(len(names)))),
+                    _cell_index={c.name: j for j, c in enumerate(cells)},
+                    _int_corners=_corner_pass(names, inits))
+    return cx
 
 
 def derive_subcomplexes(lot: Lot, sublots: Iterable[frozenset[int]]) -> SubcomplexFamily:

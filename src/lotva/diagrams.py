@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -53,6 +53,8 @@ class SurfaceDiagram:
     vertices: tuple[str, ...]
     edges: tuple[DiagramEdge, ...]
     faces: tuple[DiagramFace, ...]
+    _glued: Optional[tuple[TwoComplex, _Gluing]] = field(
+        default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -96,14 +98,9 @@ def _dart_image(d: SurfaceDiagram, dart: Dart) -> tuple[str, int]:
 
 
 def _rotation_match(read: tuple, target: tuple) -> Optional[int]:
-    """r such that read[i] == target[(i + r) % q], if any."""
-    q = len(target)
-    if len(read) != q:
-        return None
-    for r in range(q):
-        if all(read[i] == target[(i + r) % q] for i in range(q)):
-            return r
-    return None
+    """The least r such that read[i] == target[(i + r) % q], if any."""
+    return next((r for r in range(len(target))
+                 if read == target[r:] + target[:r]), None)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +123,7 @@ def _dart_id(dart: Dart) -> int:
 def validate_diagram(d: SurfaceDiagram, cx: TwoComplex) -> DiagramReport:
     """Structural validation; reports Euler characteristic, genus and the
     per-face rotation aligning the read word with the cell boundary."""
-    return _glue(d, cx).report
+    return _gluing(d, cx).report
 
 
 def _glue(d: SurfaceDiagram, cx: TwoComplex) -> _Gluing:
@@ -250,8 +247,16 @@ def _is_connected(d: SurfaceDiagram) -> bool:
     return len(seen) == len(d.vertices)
 
 
+def _gluing(d: SurfaceDiagram, cx: TwoComplex) -> _Gluing:
+    """``_glue(d, cx)``, valid or not, kept on d (``_glued``, outside
+    equality, hashing and repr) for the complex object it was glued on."""
+    if d._glued is None or d._glued[0] is not cx:
+        object.__setattr__(d, "_glued", (cx, _glue(d, cx)))
+    return d._glued[1]
+
+
 def _require_valid(d: SurfaceDiagram, cx: TwoComplex) -> _Gluing:
-    gluing = _glue(d, cx)
+    gluing = _gluing(d, cx)
     if not gluing.report.valid:
         raise PreconditionError(f"invalid diagram: {gluing.report.error}")
     return gluing

@@ -18,21 +18,14 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from itertools import accumulate, count, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import PreconditionError, StructureError
-from .complexes import SubcomplexFamily, TwoComplex, validate_family
+from .complexes import (EdgeEnd, IntCorners, SubcomplexFamily, TwoComplex,
+                        _corner_pass, validate_family)
 from .orient import UnionFind
-
-
-class EdgeEnd(NamedTuple):
-    edge: str
-    polarity: int  # +1 for x+, -1 for x-
-
-    def __str__(self):
-        return f"{self.edge}{'+' if self.polarity > 0 else '-'}"
 
 
 class Corner(NamedTuple):
@@ -92,17 +85,18 @@ class LinkGraph(_Value):
     ``ends`` holds the corners' ends as node positions: ends[2 * i] and
     ends[2 * i + 1] are where a and b of corners[i] sit in ``nodes``.
 
-    ``_ids`` is every corner's id by position.  ``_orders`` holds the
-    Delta-blocks as (block index, node order, position of the first
-    corner, position after the last), or is None when the link's Delta
-    corners are not in the layout of ``build_relative_link`` (see
-    ``_held_orders``): the weight tests read only held blocks, each as a
-    whole, and refuse any other relative link.  The Delta corners and ends
-    of a built link are a view of ``delta_ends``, filled into ``_corners``
-    and ``_ends`` on the first read of ``corners`` or ``ends``; it is
-    filled exactly when ``len(_corners) == len(_ids)``.
+    ``_ids`` is every corner's id by position, and ``_runs`` the corners
+    in runs (cell name, position of the first in its cell, count), one per
+    corner in a link built by hand.  ``_orders`` holds the Delta-blocks as
+    (block index, node order, position of the first corner, position after
+    the last), or is None when the Delta corners are not in the layout of
+    ``build_relative_link`` (``_held_orders``): the weight tests read only
+    held blocks, each as a whole.  A built link holds no ``Corner``:
+    ``ends`` adds the Delta ends on its first read, and ``corners`` builds
+    them all on its first read; the weight tests read ids, ends and runs.
     """
-    __slots__ = ("nodes", "delta_blocks", "_corners", "_ends", "_ids", "_orders")
+    __slots__ = ("nodes", "delta_blocks", "_corners", "_ends", "_ids", "_orders",
+                 "_runs")
     _fields = ("nodes", "corners", "delta_blocks")
 
     def __init__(self, nodes: tuple[EdgeEnd, ...], corners: tuple[Corner, ...],
@@ -116,36 +110,26 @@ class LinkGraph(_Value):
         self._corners, self._ends = corners, ends
         self._ids = tuple(c.id for c in corners)
         self._orders = _held_orders(nodes, corners, ends, delta_blocks or ())
+        self._runs = tuple((c.provenance[1], 0 if c.is_delta else c.provenance[2], 1)
+                           for c in corners)
 
     @property
     def corners(self) -> tuple[Corner, ...]:
-        return self._filled()._corners
+        if len(self._corners) < len(self._ids):
+            ns = list(map(self.nodes.__getitem__, self.ends))
+            where = [("cell", name, i) for name, _, k in self._runs for i in range(k)]
+            for bi, _, start, end in self._orders:
+                where += repeat(("delta", bi), end - start)
+            self._corners = tuple(map(tuple.__new__, repeat(Corner), zip(
+                self._ids, ns[::2], ns[1::2], where)))
+        return self._corners
 
     @property
     def ends(self) -> tuple[int, ...]:
-        return self._filled()._ends
-
-    def _filled(self) -> LinkGraph:
-        if len(self._corners) == len(self._ids):
-            return self
-        corners, ends = list(self._corners), list(self._ends)
-        for bi, order, start, _ in self._orders:
-            pattern = delta_ends(len(order))
-            ns = pattern(list(map(self.nodes.__getitem__, order)))
-            corners += map(tuple.__new__, repeat(Corner), zip(
-                count(start), ns[::2], ns[1::2], repeat(("delta", bi))))
-            ends += pattern(order)
-        self._corners, self._ends = tuple(corners), tuple(ends)
-        return self
-
-
-def _built(nodes, corners, ends, delta_blocks=None, orders=()) -> LinkGraph:
-    """A link of ``build_link`` or ``build_relative_link``: corner ids are
-    positions (see ``LinkGraph``)."""
-    g = object.__new__(LinkGraph)
-    g.nodes, g.delta_blocks, g._corners, g._ends = nodes, delta_blocks, corners, ends
-    g._orders, g._ids = orders, range(orders[-1][3] if orders else len(corners))
-    return g
+        if len(self._ends) < 2 * len(self._ids):
+            self._ends += tuple(e for _, order, _, _ in self._orders
+                                for e in delta_ends(len(order))(order))
+        return self._ends
 
 
 def _held_orders(nodes, corners, ends, blocks) -> Optional[tuple]:
@@ -171,56 +155,50 @@ def _held_orders(nodes, corners, ends, blocks) -> Optional[tuple]:
     return tuple(orders) if start == len(corners) else None
 
 
-def int_corners(cx: TwoComplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The corners of lk(L) on ints, in one pass over the cells.
-
-    Corner i joins ends[2 * i] and ends[2 * i + 1].  Corners are numbered
-    cell by cell, by position: the corners of cell j are first[j] ..
-    first[j + 1] - 1, and first ends with their number.  An end is
-    2 * edge index + (0 for x+, 1 for x-), so the initial end of the
-    letter x^s is 2k + (s < 0) and its terminal end that number ^ 1.
-    """
+def int_corners(cx: TwoComplex) -> IntCorners:
+    """The nodes and the corners of lk(L) on ints (``complexes._corner_pass``),
+    from the initial ends of each cell's letters."""
     col = cx._edge_index
-    ends: list[int] = []
-    for cell in cx.cells:
-        init = [2 * col[x] + (s < 0) for x, s in cell.boundary.letters]
-        for u, v in zip(init, init[1:] + init[:1]):
-            ends += (u ^ 1, v)
-    return tuple(ends), tuple(accumulate((len(c.boundary) for c in cx.cells),
-                                         initial=0))
+    return _corner_pass(cx.edge_names, (
+        [2 * col[x] + (s < 0) for x, s in c.boundary.letters] for c in cx.cells))
 
 
-def _complex_corners(cx: TwoComplex) -> tuple[
-        tuple[EdgeEnd, ...], tuple[int, ...], tuple[int, ...]]:
-    """The nodes x+, x- per edge in edge order (so end e is nodes[e]), then
-    ``int_corners(cx)``; computed on first use and kept on cx."""
+def _complex_corners(cx: TwoComplex) -> IntCorners:
+    """``int_corners(cx)``, kept on cx: ``build_complex`` makes it, and any
+    other complex computes it on first use."""
     if cx._int_corners is None:
-        # tuple.__new__ is what the named tuples' _make calls, minus its frame
-        nodes = tuple(map(tuple.__new__, repeat(EdgeEnd),
-                          [(x, s) for x in cx.edge_names for s in (1, -1)]))
-        object.__setattr__(cx, "_int_corners", (nodes, *int_corners(cx)))
+        object.__setattr__(cx, "_int_corners", int_corners(cx))
     return cx._int_corners
 
 
-def _link(cx: TwoComplex, removed: frozenset[str]) -> tuple[
-        tuple[EdgeEnd, ...], list[Corner], list[int]]:
-    """The nodes of ``_complex_corners``, and the corners and their ends of
-    every cell not in ``removed``, numbered from 0."""
+def _built(cx: TwoComplex, fam: Optional[SubcomplexFamily] = None) -> LinkGraph:
+    """lk(L) of cx, or lk(L, K) of cx and fam, laid out as
+    ``build_relative_link`` says: corner ids are positions, the kept cell
+    corners are held as one run per cell and their ends, and each block as
+    its node order; no ``Corner`` is built (see ``LinkGraph``)."""
     nodes, ends, first = _complex_corners(cx)
-    kept = [(cell.name, first[j], first[j + 1]) for j, cell in enumerate(cx.cells)
-            if cell.name not in removed]
-    kept_ends = [e for _, lo, hi in kept for e in ends[2 * lo:2 * hi]]
-    ns = list(map(list(nodes).__getitem__, kept_ends))
-    provenance = [("cell", name, i) for name, lo, hi in kept for i in range(hi - lo)]
-    corners = list(map(tuple.__new__, repeat(Corner),
-                       zip(count(), ns[::2], ns[1::2], provenance)))
-    return nodes, corners, kept_ends
+    removed = fam.all_cells if fam else ()
+    kept = [(c.name, first[j], first[j + 1]) for j, c in enumerate(cx.cells)
+            if c.name not in removed]
+    if len(kept) < len(cx.cells):
+        ends = tuple(e for _, lo, hi in kept for e in ends[2 * lo:2 * hi])
+    orders, blocks, start, col = [], [], len(ends) // 2, cx._edge_index
+    for bi, (edges, _) in enumerate(fam.parts if fam else ()):
+        order = tuple(sorted(2 * col[x] + s for x in edges for s in (0, 1)))
+        end = start + len(order) * (len(order) + 1) // 2
+        orders.append((bi, order, start, end))
+        blocks.append(DeltaBlock(frozenset(map(nodes.__getitem__, order))))
+        start = end
+    g = object.__new__(LinkGraph)
+    g.nodes, g._corners, g._ends, g._ids = nodes, (), ends, range(start)
+    g._runs = tuple((name, 0, hi - lo) for name, lo, hi in kept)
+    g.delta_blocks, g._orders = (tuple(blocks) if fam else None), tuple(orders)
+    return g
 
 
 def build_link(cx: TwoComplex) -> LinkGraph:
     """Absolute link: all edge-ends, one corner per boundary position."""
-    nodes, corners, ends = _link(cx, frozenset())
-    return _built(nodes, tuple(corners), tuple(ends))
+    return _built(cx)
 
 
 @lru_cache(maxsize=64)
@@ -245,23 +223,13 @@ def build_relative_link(cx: TwoComplex, fam: SubcomplexFamily) -> LinkGraph:
     then the blocks, in part order, each one contiguous run of corners.
     A block's node order is its ends in edge order (x+, x- per edge, so
     polarities alternate), and its corners are ``delta_ends`` of that
-    order.  Corner ids are positions.  Each block is held as its node
-    order: its Delta corners are a view, filled on first read of
-    ``corners`` or ``ends`` (see ``LinkGraph``), and the weight tests read
-    the block as a whole (see ``relative_weight_test``).
+    order.  Corner ids are positions.  The cell corners are held as runs
+    and ends, and each block as its node order: the ``Corner``s and the
+    Delta ends are a view (see ``LinkGraph``), and the weight tests read
+    each block as a whole (see ``relative_weight_test``).
     """
     validate_family(cx, fam)
-    nodes, corners, ends = _link(cx, fam.all_cells)
-    col = cx._edge_index
-    orders, blocks = [], []
-    start = len(corners)
-    for bi, (edges, _cells) in enumerate(fam.parts):
-        order = tuple(sorted(2 * col[x] + s for x in edges for s in (0, 1)))
-        end = start + len(order) * (len(order) + 1) // 2
-        orders.append((bi, order, start, end))
-        blocks.append(DeltaBlock(frozenset(map(nodes.__getitem__, order))))
-        start = end
-    return _built(nodes, tuple(corners), tuple(ends), tuple(blocks), tuple(orders))
+    return _built(cx, fam)
 
 
 # ---------------------------------------------------------------------------

@@ -157,10 +157,12 @@ def check_cell_condition(cx: TwoComplex, g: LinkGraph, w: WeightAssignment,
 
 
 def _cell_sums(g: LinkGraph, iw: list[int]) -> dict[str, int]:
-    """Each cell's sum of iw, the scaled weights of the first corners."""
+    """Each cell's sum of iw, the scaled weights of the first corners, by run."""
     sums: dict[str, int] = {}
-    for c, x in zip(g._corners, iw):
-        sums[c.provenance[1]] = sums.get(c.provenance[1], 0) + x
+    p = 0  # the position of the run's first corner
+    for name, _, k in g._runs:
+        sums[name] = sums.get(name, 0) + sum(iw[p:p + k])
+        p += k
     return sums
 
 
@@ -547,14 +549,15 @@ def _relative_cell_sums(cx: TwoComplex, fam: SubcomplexFamily, g: LinkGraph,
     iw holds the weights of the cell corners, which come first; the held
     blocks behind them (``_scaled_cells``) are checked against the parts
     by their nodes.  Ends are compared as ends of ``int_corners(cx)``,
-    which a link built from cx has as positions."""
+    which a link built from cx has as positions, a run at a time; a run
+    that differs is walked to name the first corner at fault."""
     nodes, want, first = _complex_corners(cx)
     ends, parts, blocks = g._ends, fam.parts, g.delta_blocks
     if g.nodes is not nodes:
         code = list(map(dict(zip(nodes, count())).get, g.nodes))
         if len(code) != len(nodes) or set(code) != set(range(len(nodes))):
             raise PreconditionError("link nodes are not the edge-ends of this complex")
-        ends = list(map(code.__getitem__, ends[:2 * len(iw)]))
+        ends = tuple(map(code.__getitem__, ends[:2 * len(iw)]))
     if blocks is None or len(blocks) != len(parts) or any(
             blk.nodes != {(x, s) for x in edges for s in (1, -1)}
             for blk, (edges, _) in zip(blocks, parts)):
@@ -563,26 +566,32 @@ def _relative_cell_sums(cx: TwoComplex, fam: SubcomplexFamily, g: LinkGraph,
     span = {c.name: (first[j], first[j + 1]) for j, c in enumerate(cx.cells)
             if c.name not in k_cells}
     sums = dict.fromkeys(span, 0)
-    seen: set[int] = set()  # int_corners indices
-    for i, (c, x) in enumerate(zip(g._corners, iw)):
-        u, v = ends[2 * i], ends[2 * i + 1]
-        where, at = c.provenance[1], c.provenance[2]
+    seen = bytearray(first[-1])  # 1 at each int_corners index met
+    p = 0
+    for where, at, k in g._runs:
+        if p >= len(iw):
+            break
         lo, hi = span.get(where, (0, 0))
         key = lo + at
-        if not lo <= key < hi:
-            raise PreconditionError(
-                f"link keeps corner {c.id} of K-cell {where!r}" if where in k_cells
-                else f"corner {c.id} at {where!r} position {at} is no "
-                f"corner of lk(L, K)")
-        a, b = want[2 * key], want[2 * key + 1]
-        if not (u == a and v == b or u == b and v == a):
-            raise PreconditionError(
-                f"corner {c.id} at {where!r} position {at} joins {c.a} "
-                f"and {c.b}, not {nodes[a]} and {nodes[b]}")
-        if key in seen:
-            raise PreconditionError(f"link repeats corner {c.id}")
-        seen.add(key)
-        sums[where] += x
+        if not (lo <= key and key + k <= hi and seen.find(1, key, key + k) < 0
+                and ends[2 * p:2 * p + 2 * k] == want[2 * key:2 * key + 2 * k]):
+            for i in range(p, p + k):  # the run's corners, one by one
+                c, pos, j = g.corners[i], at + i - p, key + i - p
+                if not lo <= j < hi:
+                    raise PreconditionError(
+                        f"link keeps corner {c.id} of K-cell {where!r}"
+                        if where in k_cells else f"corner {c.id} at {where!r} "
+                        f"position {pos} is no corner of lk(L, K)")
+                u, v, a, b = ends[2 * i], ends[2 * i + 1], want[2 * j], want[2 * j + 1]
+                if not (u == a and v == b or u == b and v == a):
+                    raise PreconditionError(
+                        f"corner {c.id} at {where!r} position {pos} joins {c.a} "
+                        f"and {c.b}, not {nodes[a]} and {nodes[b]}")
+                if seen[j]:  # a run's own positions are distinct
+                    raise PreconditionError(f"link repeats corner {c.id}")
+        seen[key:key + k] = b"\1" * k
+        sums[where] += sum(iw[p:p + k])
+        p += k
     if len(iw) != sum(hi - lo for lo, hi in span.values()):
         raise PreconditionError("link misses corners of the relative link")
     return sums

@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from lotva import parse_complex, parse_diagram, parse_lot
-from lotva.sweep import iter_small_lots
+from lotva.sweep import iter_small_lots, random_lot
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -47,3 +48,11 @@ def sweep6_every97():
     """Every 97th LOT of the <=6-edge sweep; generating the sweep is the
     expensive part, so the differential tests share one copy."""
     return list(itertools.islice(iter_small_lots(6), 0, None, 97))
+
+
+@pytest.fixture(scope="module")
+def differential_lots(sweep6_every97):
+    """Every 97th <=6-edge LOT and 150 random 7-24-edge LOTs."""
+    rng = random.Random(20)
+    return [*sweep6_every97,
+            *(random_lot(rng, rng.randrange(7, 25)) for _ in range(150))]

@@ -19,7 +19,13 @@ a built lk(L) that the int-indexed corners replaced stay too: the
 polarity sublinks (``signed_sublinks``), the forest check of a built link
 relative to blocks of its nodes (``relative_forest_check``), the signed
 forest check on the polarity subgraph, and corner ids of diagram corners
-read from the link's provenance.  Two second routes to a library decision
+read from the link's provenance.  So do the builders that made every
+``Corner`` of a link at once, the LOT complex through the checked
+``TwoComplex`` constructor, and the cell sums taken corner by corner by
+provenance, which the int-view complex and the links' runs replaced
+(``reference_build_complex``, ``reference_build_link``,
+``reference_build_relative_link``, ``reference_cell_sums``,
+``reference_relative_cell_sums``).  Two second routes to a library decision
 live here as well: the forest check through the relative link's
 Delta-blocks, and the flip-set forest check of lk+ and lk- as one yes/no
 on vertex names with a union-find of its own.
@@ -58,11 +64,11 @@ from typing import Optional
 
 from lotva import (BaseTrivial, BoundaryReduction, BoundaryWord, Cell,
                    CertifyFailure, ChainStep, CollapseChain,
-                   CompleteSetRelative, EdgeEnd, FreeDecomposition,
-                   FreeDecompositionNode, LinkGraph, Lot, LotEdge, LotvaError,
-                   ParseError, PreconditionError, PrimeWeightTest,
-                   SubcomplexFamily, SurfaceDiagram, TwoComplex,
-                   WeightAssignment, boundary_reduce,
+                   CompleteSetRelative, Corner, DeltaBlock, EdgeEnd,
+                   FreeDecomposition, FreeDecompositionNode, LinkGraph, Lot,
+                   LotEdge, LotvaError, ParseError, PreconditionError,
+                   PrimeWeightTest, SignedLot, SubcomplexFamily,
+                   SurfaceDiagram, TwoComplex, WeightAssignment, boundary_reduce,
                    boundary_reducible_witness, build_complex, build_link,
                    build_relative_link, canonical_weights, check_properties,
                    complete_set_search, derive_subcomplexes, exponent_sum,
@@ -72,7 +78,7 @@ from lotva import (BaseTrivial, BoundaryReduction, BoundaryWord, Cell,
                    sublot_vertices, validate_diagram, verify_certificate)
 from lotva.certify import MAX_CERT_DEPTH
 from lotva.complexes import validate_family
-from lotva.linkage import _forest_witness
+from lotva.linkage import _complex_corners, _forest_witness
 from lotva.lot import _IDENT, maximal_sublots
 from lotva.orient import UnionFind
 from lotva.sweep import _ahu_key, _labelings, _prufer_decode, automorphisms
@@ -221,6 +227,121 @@ def is_closed_cycle(g: LinkGraph, blocks, witness) -> bool:
             if at == start:
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# the eager builders of complexes and links, and the corner-by-corner sums
+# ---------------------------------------------------------------------------
+
+def reference_build_complex(slot) -> TwoComplex:
+    """The LOT complex through the checked constructor, from the LOT's
+    names: one cell d_i = t^s(t) l h^-s(h) l^-1 per edge i = (t, h, l)."""
+    if isinstance(slot, Lot):
+        slot = SignedLot(slot, tuple(1 for _ in slot.vertices))
+    lot = slot.lot
+    sgn = dict(zip(lot.vertices, slot.sign))
+    cells = tuple(Cell(f"d_{i}", BoundaryWord(((t, sgn[t]), (l, 1), (h, -sgn[h]),
+                                               (l, -1))))
+                  for i, (t, h, l) in enumerate(lot.edges))
+    return TwoComplex(tuple(lot.vertices), cells, name=lot.name)
+
+
+def _terminal(letter) -> EdgeEnd:
+    x, s = letter
+    return EdgeEnd(x, -s)
+
+
+def _initial(letter) -> EdgeEnd:
+    x, s = letter
+    return EdgeEnd(x, s)
+
+
+def reference_build_link(cx: TwoComplex, removed=frozenset()) -> LinkGraph:
+    """lk(L) with every ``Corner`` built at once, through the checked
+    constructor: the corner at position i of a cell joins the terminal end
+    of letter i and the initial end of letter i + 1, cyclically; cells in
+    ``removed`` are left out.  Nodes x+, x- per edge, ids positions."""
+    nodes = tuple(EdgeEnd(x, s) for x in cx.edge_names for s in (1, -1))
+    corners = []
+    for cell in cx.cells:
+        if cell.name in removed:
+            continue
+        w = cell.boundary.letters
+        for i in range(len(w)):
+            corners.append(Corner(len(corners), _terminal(w[i]),
+                                  _initial(w[(i + 1) % len(w)]),
+                                  ("cell", cell.name, i)))
+    return LinkGraph(nodes, tuple(corners))
+
+
+def reference_build_relative_link(cx: TwoComplex, fam: SubcomplexFamily) -> LinkGraph:
+    """lk(L, K) with every ``Corner`` built at once: the corners of cells
+    outside K, then per part its Delta-block, the ends of its edges in
+    edge order, with a corner for each pair i < j row by row, then a loop
+    at each end."""
+    g = reference_build_link(cx, fam.all_cells)
+    corners, blocks = list(g.corners), []
+    for bi, (edges, _) in enumerate(fam.parts):
+        order = [n for n in g.nodes if n.edge in edges]
+        pairs = [(order[i], order[j]) for i in range(len(order))
+                 for j in range(i + 1, len(order))] + [(n, n) for n in order]
+        corners += [Corner(len(corners) + k, a, b, ("delta", bi))
+                    for k, (a, b) in enumerate(pairs)]
+        blocks.append(DeltaBlock(frozenset(order)))
+    return LinkGraph(g.nodes, tuple(corners), tuple(blocks))
+
+
+def reference_cell_sums(g: LinkGraph, iw: list) -> dict:
+    """``weights._cell_sums`` corner by corner, by provenance."""
+    sums: dict = {}
+    for c, x in zip(g.corners, iw):
+        sums[c.provenance[1]] = sums.get(c.provenance[1], 0) + x
+    return sums
+
+
+def reference_relative_cell_sums(cx: TwoComplex, fam: SubcomplexFamily,
+                                 g: LinkGraph, iw: list) -> dict:
+    """``weights._relative_cell_sums`` corner by corner: each cell corner
+    checked against the ends ``int_corners`` gives at its provenance, with
+    the same PreconditionError messages in the same order."""
+    nodes, want, first = _complex_corners(cx)
+    ends, parts, blocks = g.ends, fam.parts, g.delta_blocks
+    if g.nodes is not nodes:
+        code = list(map(dict(zip(nodes, range(len(nodes)))).get, g.nodes))
+        if len(code) != len(nodes) or set(code) != set(range(len(nodes))):
+            raise PreconditionError("link nodes are not the edge-ends of this complex")
+        ends = list(map(code.__getitem__, ends[:2 * len(iw)]))
+    if blocks is None or len(blocks) != len(parts) or any(
+            blk.nodes != {(x, s) for x in edges for s in (1, -1)}
+            for blk, (edges, _) in zip(blocks, parts)):
+        raise PreconditionError("link is not the relative link of this family")
+    k_cells = fam.all_cells
+    span = {c.name: (first[j], first[j + 1]) for j, c in enumerate(cx.cells)
+            if c.name not in k_cells}
+    sums = dict.fromkeys(span, 0)
+    seen: set = set()
+    for i, (c, x) in enumerate(zip(g.corners, iw)):
+        u, v = ends[2 * i], ends[2 * i + 1]
+        where, at = c.provenance[1], c.provenance[2]
+        lo, hi = span.get(where, (0, 0))
+        key = lo + at
+        if not lo <= key < hi:
+            raise PreconditionError(
+                f"link keeps corner {c.id} of K-cell {where!r}" if where in k_cells
+                else f"corner {c.id} at {where!r} position {at} is no "
+                f"corner of lk(L, K)")
+        a, b = want[2 * key], want[2 * key + 1]
+        if not (u == a and v == b or u == b and v == a):
+            raise PreconditionError(
+                f"corner {c.id} at {where!r} position {at} joins {c.a} "
+                f"and {c.b}, not {nodes[a]} and {nodes[b]}")
+        if key in seen:
+            raise PreconditionError(f"link repeats corner {c.id}")
+        seen.add(key)
+        sums[where] += x
+    if len(iw) != sum(hi - lo for lo, hi in span.values()):
+        raise PreconditionError("link misses corners of the relative link")
+    return sums
 
 
 # ---------------------------------------------------------------------------

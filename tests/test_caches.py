@@ -1,5 +1,7 @@
 """No module-level cache keeps library values alive after their last use,
-and what a value keeps on itself takes no part in its identity."""
+and what a value keeps on itself takes no part in its identity: a Lot's
+closures, a complex's indexes and corner pass, a family's validation and a
+diagram's gluing."""
 
 import gc
 import weakref
@@ -7,10 +9,11 @@ import weakref
 import pytest
 
 from lotva import (BoundaryWord, Cell, Lot, ParseError, StructureError,
-                   TwoComplex, build_complex, build_link, build_relative_link,
-                   canonical_weights, certify_va, curvature_report,
-                   derive_subcomplexes, double_cell_sphere, find_sink_source,
-                   parse_complex, parse_lot, signed_relative_forest_check,
+                   SubcomplexFamily, TwoComplex, build_complex, build_link,
+                   build_relative_link, canonical_weights, certify_va,
+                   curvature_report, derive_subcomplexes, double_cell_sphere,
+                   find_sink_source, parse_complex, parse_lot,
+                   relative_weight_test, signed_relative_forest_check,
                    sublot_closure, verify_certificate)
 
 
@@ -30,6 +33,8 @@ def test_lot_and_complex_are_collected(fixture_dir):
     assert lot._closures is not None  # the lot keeps its closure pass
     assert cx._int_corners is not None  # the complex keeps its corner pass
     assert cx._cell_index["d_0"] == 0  # and its index
+    assert pillow._glued[0] is cx  # the pillow keeps its gluing on cx
+    assert fam._valid_on is cx  # and the family its validation
 
     lot_ref, cx_ref = weakref.ref(lot), weakref.ref(cx)
     del lot, cert, cx, pillow, fam
@@ -56,6 +61,54 @@ def test_kept_structure_is_not_identity(fixture_dir):
     assert cx._int_corners is not None and again._int_corners is None
     assert cx == again and hash(cx) == hash(again) and repr(cx) == repr(again)
     assert not any(f in repr(cx) for f in ("_edge_index", "_cell_index", "_int_corners"))
+
+    fam = derive_subcomplexes(lot, [frozenset({1, 2, 3, 4})])
+    unchecked = SubcomplexFamily(fam.parts)
+    build_relative_link(cx, fam)
+    assert fam._valid_on is cx and unchecked._valid_on is None
+    assert fam == unchecked and hash(fam) == hash(unchecked)
+    assert repr(fam) == repr(unchecked) and "_valid_on" not in repr(fam)
+
+    pillow, unglued = double_cell_sphere(cx, "d_0"), double_cell_sphere(cx, "d_0")
+    find_sink_source(pillow, cx)
+    assert pillow._glued[0] is cx and unglued._glued is None
+    assert pillow == unglued and hash(pillow) == hash(unglued)
+    assert repr(pillow) == repr(unglued) and "_glued" not in repr(pillow)
+
+
+class _CountingIndex(dict):
+    """A cell index that counts its ``get`` calls, which only the family
+    check makes: one per part cell."""
+    gets = 0
+
+    def get(self, *args):
+        _CountingIndex.gets += 1
+        return super().get(*args)
+
+
+def test_family_validated_once_per_complex(fig1, monkeypatch):
+    """The relative link, the relative weight test and both signed forest
+    checks on one family and one complex check the family once; an equal
+    but distinct complex checks it again, as does the first complex once
+    another has been checked.  A family checked on one complex is still
+    refused by a complex that lacks its edges."""
+    monkeypatch.setattr(_CountingIndex, "gets", 0)
+    fam = derive_subcomplexes(fig1, [frozenset({1, 2, 3, 4})])
+    cxs = [build_complex(fig1) for _ in range(2)]
+    for cx in cxs:
+        object.__setattr__(cx, "_cell_index", _CountingIndex(cx._cell_index))
+    for cx in (cxs[0], cxs[0], cxs[1], cxs[0]):
+        g = build_relative_link(cx, fam)
+        relative_weight_test(cx, fam, canonical_weights(g), g)
+        for pol in (1, -1):
+            signed_relative_forest_check(cx, fam, pol)
+    assert _CountingIndex.gets == 3 * 4  # three checks of the four part cells
+    other = parse_complex("complex c\nedge a\ncell d_1 = a\n")
+    for call in (lambda: build_relative_link(other, fam),
+                 lambda: signed_relative_forest_check(other, fam, 1)):
+        with pytest.raises(StructureError, match="^part 0 has unknown edges$"):
+            call()
+    assert fam._valid_on is cxs[0]
 
 
 def _cell(name, *letters):

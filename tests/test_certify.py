@@ -745,14 +745,6 @@ def chain_variants(lot, cert):
 
 
 @pytest.fixture(scope="module")
-def differential_lots(sweep6_every97):
-    """Every 97th <=6-edge LOT and 150 random 7-24-edge LOTs."""
-    rng = random.Random(20)
-    return [*sweep6_every97,
-            *(random_lot(rng, rng.randrange(7, 25)) for _ in range(150))]
-
-
-@pytest.fixture(scope="module")
 def complete_set_inputs(differential_lots):
     """(node LOT, node) of every complete-set node in the certificates of
     ``differential_lots``."""

@@ -361,6 +361,27 @@ class TestUsage:
         assert code == 1 and out
         assert done[:2] == (code, out)
 
+    def test_closed_stdout_leaves_no_traceback(self, tmp_path):
+        """A reader that stops after one line (``lotva links ... | head -1``)
+        ends the run with exit code 1 and nothing on stderr.  The link of
+        a 1000-edge LOT is about 180 kB of text, more than a pipe holds, so
+        the command is still writing when the pipe closes."""
+        path = tmp_path / "big.lot"
+        path.write_text(format_lot(random_lot(random.Random(1), 1000)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.Popen([sys.executable, "-m", "lotva", "links", str(path)],
+                                cwd=ROOT, env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert first.startswith(b"link of unnamed: 2002 nodes, 4000 corners")
+        assert err == b"", err.decode()
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
 

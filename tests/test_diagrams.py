@@ -584,6 +584,47 @@ class TestSinkSource:
         assert exc.value.code == "degenerate-single-vertex"
 
 
+class TestKeptGluing:
+    """A diagram keeps its gluing for the complex object it was glued on."""
+
+    @pytest.fixture
+    def glued(self, monkeypatch):
+        """The complexes ``_glue`` is called with, in order."""
+        import lotva.diagrams as diagrams_module
+        calls = []
+        real = diagrams_module._glue
+        monkeypatch.setattr(diagrams_module, "_glue",
+                            lambda d, cx: calls.append(cx) or real(d, cx))
+        return calls
+
+    def test_one_gluing_per_complex(self, prime, glued):
+        """Curvature and sink/source on one pillow and complex glue once;
+        an equal but distinct complex is glued again, with the same
+        results, and then kept in turn."""
+        cx, twin = build_complex(prime), build_complex(prime)
+        d = double_cell_sphere(cx, "d_0")
+        w = canonical_weights(build_link(cx))
+        first = (curvature_report(d, cx, w), find_sink_source(d, cx))
+        assert glued == [cx] and glued[0] is cx
+        assert (curvature_report(d, twin, w), find_sink_source(d, twin)) == first
+        assert len(glued) == 2 and glued[1] is twin
+        assert validate_diagram(d, twin).valid
+        assert vertex_link_cycles(d, twin) == vertex_link_cycles(d, cx)
+        assert len(glued) == 3 and glued[2] is cx
+
+    def test_invalid_diagram_raises_every_call(self, pillow, prime_cx, glued):
+        d = _with_fault(pillow, "unknown cell")
+        w = canonical_weights(build_link(prime_cx))
+        for call in (lambda: curvature_report(d, prime_cx, w),
+                     lambda: find_sink_source(d, prime_cx),
+                     lambda: find_folding_vertices(d, prime_cx)):
+            with pytest.raises(PreconditionError, match="^invalid diagram: face "
+                               "'front' maps to unknown cell 'd_9'$"):
+                call()
+        assert not validate_diagram(d, prime_cx).valid
+        assert len(glued) == 1
+
+
 class TestDoubleSphere:
     def test_q4(self, prime_cx):
         d = double_cell_sphere(prime_cx, "d_0")

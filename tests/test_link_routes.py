@@ -10,17 +10,21 @@ import pytest
 
 from lotva import (LinkGraph, PreconditionError, WeightAssignment,
                    build_complex, build_link, build_relative_link,
-                   canonical_weights, curvature_report, derive_subcomplexes,
-                   double_cell_sphere, find_folding_vertices,
-                   find_homred_violation, min_weight_reduced_cycle,
-                   parse_weights, relative_weight_test,
+                   canonical_weights, check_cell_condition, curvature_report,
+                   derive_subcomplexes, double_cell_sphere,
+                   find_folding_vertices, find_homred_violation, linkage,
+                   min_weight_reduced_cycle, parse_weights,
+                   relative_weight_test, sign_change,
                    signed_relative_forest_check, weight_test)
 from lotva.sweep import random_lot
 
 from oracles import (closure_family, link_signed_relative_forest_check,
-                     random_weights, reference_curvature,
+                     random_weights, reference_build_complex,
+                     reference_build_link, reference_build_relative_link,
+                     reference_cell_sums, reference_curvature,
                      reference_find_folding_vertices,
-                     reference_find_homred_violation, reference_vertex_corners,
+                     reference_find_homred_violation,
+                     reference_relative_cell_sums, reference_vertex_corners,
                      with_cell_weights)
 
 
@@ -282,3 +286,152 @@ def test_zero_weight_shortcut_matches_reference(cases, monkeypatch):
                for none in (False, True))
     assert all(seen[kind, "refused"] for kind in ("halves", "heavy", "one-delta"))
     assert finds["canonical"] and finds["halves"]
+
+
+# ---------------------------------------------------------------------------
+# the LOT complex from the int view, and links of runs, against the eager
+# builders and the corner-by-corner sums
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def lot_cases(differential_lots):
+    """(complex, greedy closure family) of every differential LOT."""
+    return [(build_complex(lot), derive_subcomplexes(lot, closure_family(lot)))
+            for lot in differential_lots]
+
+
+def test_lot_complex_matches_checked_constructor(differential_lots):
+    """``build_complex`` of each LOT, plain and signed by ``sign_change``
+    on every other vertex and on all of them, equals the complex that the
+    checked constructor makes from the LOT's names: same edges, cells,
+    name and indexes; and its nodes and corner pass are ``int_corners`` of
+    that complex."""
+    signs = Counter()
+    for lot in differential_lots:
+        for slot in (lot, sign_change(lot, lot.vertices[::2]),
+                     sign_change(lot, lot.vertices)):
+            cx, ref = build_complex(slot), reference_build_complex(slot)
+            assert cx == ref and cx.name == ref.name
+            assert (cx._edge_index, cx._cell_index) == (ref._edge_index, ref._cell_index)
+            assert ref._int_corners is None
+            assert cx._int_corners == linkage.int_corners(ref)
+            signs[sum(s for c in cx.cells for _, s in c.boundary.letters)] += 1
+    assert len(signs) > 3  # the signed words differ from the plain ones
+
+
+def test_built_links_match_eager_builders(lot_cases):
+    """``build_link`` and ``build_relative_link`` have the nodes, ends,
+    corners and Delta-blocks of the builders that made every ``Corner`` at
+    once, and equal their links; reading ``ends`` first builds no
+    ``Corner``."""
+    for cx, fam in lot_cases:
+        for g, ref in ((build_link(cx), reference_build_link(cx)),
+                       (build_relative_link(cx, fam),
+                        reference_build_relative_link(cx, fam))):
+            assert g.ends == ref.ends and g._corners == ()
+            assert g.corners == ref.corners
+            assert (g.nodes, g.delta_blocks) == (ref.nodes, ref.delta_blocks)
+            assert g == ref and hash(g) == hash(ref) and repr(g) == repr(ref)
+
+
+def test_weight_tests_build_no_corners(lot_cases):
+    """The weights, the weight tests, their searches and the cell
+    condition read a built link's ids, ends and runs, and build none of
+    its ``Corner``s."""
+    seen = set()
+    for cx, fam in lot_cases:
+        g, rg = build_link(cx), build_relative_link(cx, fam)
+        w, rw = canonical_weights(g), canonical_weights(rg)
+        seen.add(("absolute", weight_test(cx, g, w).ok))
+        seen.add(("relative", relative_weight_test(cx, fam, rw, rg).ok))
+        min_weight_reduced_cycle(g, w)
+        find_homred_violation(rg, rw)
+        check_cell_condition(cx, g, w)
+        check_cell_condition(cx, rg, rw)
+        assert g._corners == () and rg._corners == ()
+    assert len(seen) == 4
+
+
+def _hand_built(rng, cx, fam, g: LinkGraph, change: str) -> LinkGraph:
+    """g rebuilt by hand, changed by ``change``; its cell corners come
+    first, as in ``build_relative_link``."""
+    n = sum(not c.is_delta for c in g.corners)
+    cells, rest = list(g.corners[:n]), list(g.corners[n:])
+    i = rng.randrange(n)
+    c = cells[i]
+    where = c.provenance[1]
+    if change == "shuffled":
+        rng.shuffle(cells)
+    elif change == "one cell's ends swapped":
+        cells = [d._replace(a=d.b, b=d.a) if d.provenance[1] == where else d
+                 for d in cells]
+    elif change == "dropped":
+        del cells[i]
+    elif change == "repeated":
+        cells.insert(rng.randrange(n + 1), c._replace(id=10 ** 6))
+    elif change == "rewired":
+        cells[i] = c._replace(b=rng.choice([m for m in g.nodes if m not in (c.a, c.b)]))
+    elif change == "K-cell":
+        cells[i] = c._replace(provenance=("cell", min(fam.all_cells), 0))
+    elif change == "off its cell":
+        cells[i] = c._replace(provenance=("cell", where, len(cx.cell(where).boundary)))
+    nodes = list(g.nodes)
+    if rng.random() < 0.5:
+        rng.shuffle(nodes)
+    return LinkGraph(tuple(nodes), tuple(cells + rest), g.delta_blocks)
+
+
+def test_hand_built_links_as_corner_by_corner(lot_cases, monkeypatch):
+    """Links built by hand read their runs off provenance: with the cell
+    corners shuffled, one cell's corners with their ends swapped, a cell
+    corner dropped, repeated, rewired, moved to a K-cell or past the end
+    of its cell (nodes shuffled half the time), the weight test and the
+    relative weight test give the verdict, or the PreconditionError
+    message, that the cell sums taken corner by corner give
+    (``reference_cell_sums``, ``reference_relative_cell_sums``)."""
+    import lotva.weights as weights_module
+    rng = random.Random(111)
+    seen = Counter()
+
+    def outcome(call):
+        try:
+            return call()
+        except PreconditionError as exc:
+            return str(exc)
+
+    def both(call):
+        with monkeypatch.context() as m:
+            m.setattr(weights_module, "_cell_sums", reference_cell_sums)
+            m.setattr(weights_module, "_relative_cell_sums",
+                      reference_relative_cell_sums)
+            ref = outcome(call)
+        return outcome(call), ref
+
+    changes = ("shuffled", "one cell's ends swapped", "dropped", "repeated",
+               "rewired", "K-cell", "off its cell")
+    for cx, fam in lot_cases[::3]:
+        if not cx.cells:
+            continue
+        for change in changes[:2]:
+            h = _hand_built(rng, cx, fam, build_link(cx), change)
+            got, ref = both(lambda: weight_test(cx, h, canonical_weights(h)))
+            assert got == ref
+            seen["absolute", change, got.ok] += 1
+        rg = build_relative_link(cx, fam)
+        if all(c.is_delta for c in rg.corners):  # every cell is a K-cell
+            continue
+        for change in changes if fam.all_cells else changes[:5] + changes[6:]:
+            h = _hand_built(rng, cx, fam, rg, change)
+            got, ref = both(lambda: relative_weight_test(
+                cx, fam, canonical_weights(h), h))
+            assert got == ref
+            seen["relative", change,
+                 got.split(" ")[0] if isinstance(got, str) else got.ok] += 1
+    assert all(seen["absolute", change, ok] for change in changes[:2]
+               for ok in (False, True))
+    assert all(seen["relative", change, ok] for change in changes[:2]
+               for ok in (False, True))
+    refused = {(change, what) for kind, change, what in seen
+               if kind == "relative" and isinstance(what, str)}
+    assert {change for change, _ in refused} == set(changes[2:])
+    assert {what for _, what in refused} == {"corner", "link"}

@@ -6,7 +6,7 @@ from lotva import linkage
 from lotva import (Corner, DeltaBlock, EdgeEnd, LinkGraph, PreconditionError,
                    StructureError, build_complex, build_link,
                    build_relative_link, derive_subcomplexes, enumerate_sublots,
-                   parse_complex, parse_lot, reorient, sign_change,
+                   format_complex, parse_complex, parse_lot, reorient, sign_change,
                    signed_relative_forest_check, to_dot)
 from lotva.sweep import random_lot
 
@@ -71,8 +71,10 @@ class TestBuildLink:
 
 class TestIntCornersOncePerComplex:
     def test_one_pass_shared(self, fig1, monkeypatch):
-        """Both link builders and both signed forest checks on one complex
-        share one ``int_corners`` pass; an equal complex gets its own."""
+        """A LOT complex comes with its corner pass and runs no
+        ``int_corners``.  On a parsed complex, both link builders and both
+        signed forest checks share one ``int_corners`` pass; an equal
+        complex gets its own."""
         calls = []
         real = linkage.int_corners
 
@@ -82,17 +84,20 @@ class TestIntCornersOncePerComplex:
 
         monkeypatch.setattr(linkage, "int_corners", counted)
         fam = derive_subcomplexes(fig1, [frozenset({1, 2, 3, 4})])
-        cx, twin = build_complex(fig1), build_complex(fig1)
-        for c in (cx, twin):
+        built = build_complex(fig1)
+        parsed, twin = (parse_complex(format_complex(built)) for _ in range(2))
+        for c in (built, parsed, twin):
             build_link(c)
             build_relative_link(c, fam)
             for pol in (1, -1):
                 signed_relative_forest_check(c, fam, pol)
         assert len(calls) == 2
-        assert calls[0] is cx and calls[1] is twin
+        assert calls[0] is parsed and calls[1] is twin
+        assert parsed._int_corners == built._int_corners
         # the kept pass takes no part in equality, hashing or repr
         fresh = build_complex(fig1)
-        assert cx == fresh and hash(cx) == hash(fresh) and repr(cx) == repr(fresh)
+        for cx in (built, parsed):
+            assert cx == fresh and hash(cx) == hash(fresh) and repr(cx) == repr(fresh)
 
 
 class TestSignedSublinks:

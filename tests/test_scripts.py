@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from lotva import certify_va, format_lot, parse_lot, serialize_certificate
+from lotva import (Lot, build_complex, build_relative_link, canonical_weights,
+                   certify_va, derive_subcomplexes, format_lot, parse_lot,
+                   relative_weight_test, serialize_certificate)
 from lotva.sweep import iter_small_lots
 
 ROOT = Path(__file__).parent.parent
@@ -45,16 +47,57 @@ def test_script_help(script):
 def test_bench_relative_verdicts():
     """The relative weight tests of ``scripts/bench_relative.py`` on the
     800 LOTs of the ``weights`` workload at seed 0 give the recorded
-    verdicts and witnesses."""
+    verdicts and witnesses; the closure family it times is the weight
+    path's."""
     bench = load("bench_relative")
     verdicts = []
-    for cx, fam in bench.inputs(0):
-        rg = bench.build_relative_link(cx, fam)
-        verdicts.append(bench.relative_weight_test(
-            cx, fam, bench.canonical_weights(rg), rg))
+    for text, parts in bench.weight_cases(0):
+        lot = parse_lot(text)
+        assert bench.family(lot) == parts
+        cx, fam = build_complex(lot), derive_subcomplexes(lot, parts)
+        rg = build_relative_link(cx, fam)
+        verdicts.append(relative_weight_test(cx, fam, canonical_weights(rg), rg))
     assert len(verdicts) == 800
     assert bench.verdict_sha256(verdicts) == \
         "24acebb77019361a7a3ad904bccd6364f0df98b916863112c28fefd9d0e5c7e3"
+
+
+def test_bench_against_loop():
+    """``best_times`` with ``against`` runs each call and its counterpart
+    in turn, ``AGAINST_ROUNDS`` times, call after call within a stage, and
+    keeps the best of both; arguments given as a function are made anew
+    for every call.  ``load_against`` imports a library apart from
+    ``lotva``, and both scripts measure on it: a second copy of this
+    checkout's gives the same certificates and verdicts."""
+    bench = load("bench_certify")
+    ran, made = [], []
+
+    def logged(side, key):
+        return lambda *args: ran.append((side, key, args))
+
+    def args():
+        made.append(object())
+        return (made[-1],)
+
+    keys = [(r, stage) for stage in ("first", "second") for r in range(2)]
+    best, factors = bench.best_times(*[[(key, logged(side, key), args) for key in keys]
+                                       for side in (0, 1)])
+    assert [(side, key) for side, key, _ in ran] == [
+        (side, key) for key in keys for _ in range(bench.AGAINST_ROUNDS)
+        for side in (0, 1)]
+    assert [a for _, _, (a,) in ran] == made
+    assert sorted(best) == sorted(keys)
+    assert all(len(b) == 4 and all(math.isfinite(t) and t > 0 for t in b)
+               for b in best.values())
+    lib = bench.load_against(ROOT)
+    assert lib.__name__ == "lotva_against" and lib.Lot is not Lot
+    texts = [(ROOT / "fixtures" / f"{name}.lot").read_text() for name in ("fig1", "prime")]
+    record = bench.measure(texts, lib)
+    assert set(record["before"]) == set(record["stages"]) == set(record["paired_change_pct"])
+    relative = load("bench_relative")
+    record = relative.measure(relative.weight_cases(0)[:3], lib)
+    assert set(record["before"]["stages"]) == set(record["stages"])
+    assert set(record["paired_change_pct"]) == {*record["stages"], "all_stages"}
 
 
 def test_bench_certify_loop():
