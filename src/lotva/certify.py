@@ -16,9 +16,11 @@ collapses and the final quotient.  Every node is an edge mask and a vertex
 mask of the root's int view, and so is every child: it builds no Lot.
 Partitions, parts, fullness and boundary vertices it reads off those
 masks, and it checks lk+ and lk- for forests with one union-find pass each
-over the node's edges, each part contracted by its vertex mask.  Of the
-prover's code it calls only ``_named_pairs`` (the witness pairs, read
-straight off the node's named edges).
+over the node's edges, each part contracted by its vertex mask, then the
+recorded corner pairs against the node's named edges.  It calls none of
+the prover's helpers.  A passing node costs only its checks: a detail is
+written only when a check fails.  A hand-built node whose field has the
+wrong type is rejected as malformed, never accepted.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ class VerificationVerdict:
 
 
 # ---------------------------------------------------------------------------
-# helpers: boundary reduction (a Lot of its own) and the witness pairs (shared)
+# helpers: boundary reduction (a Lot of its own) and the prover's witness pairs
 # ---------------------------------------------------------------------------
 
 def boundary_reduce(lot: Lot, edge_id: int, outer_vertex: str) -> Lot:
@@ -234,6 +236,12 @@ def _need(cond, check, detail=""):
         raise _Reject(check, detail)
 
 
+# what makes a certificate malformed: a library error (a collapse vertex
+# that is not unique), or what a hand-built node's field of the wrong type
+# raises, such as a name where an edge id belongs, or no chain
+_MALFORMED = (LotvaError, TypeError, AttributeError)
+
+
 def verify_certificate(lot: Lot, cert: Certificate) -> VerificationVerdict:
     """Re-derive every hypothesis of every certificate node."""
     try:
@@ -244,7 +252,7 @@ def verify_certificate(lot: Lot, cert: Certificate) -> VerificationVerdict:
         _verify(lot, cert, (1 << lot.num_edges) - 1, (1 << len(lot.vertices)) - 1)
     except _Reject as r:
         return VerificationVerdict(False, r.check, r.detail)
-    except LotvaError as exc:
+    except _MALFORMED as exc:
         return VerificationVerdict(False, "malformed-certificate", str(exc))
     return VerificationVerdict(True)
 
@@ -257,7 +265,8 @@ def _verify(lot: Lot, cert: Certificate, emask: int, vmask: int) -> None:
     m = len(ids)
 
     if isinstance(cert, BaseTrivial):
-        _need(m <= 1, "base-edge-count", f"{m} edges")
+        if m > 1:
+            raise _Reject("base-edge-count", f"{m} edges")
         return
 
     if isinstance(cert, BoundaryReduction):
@@ -268,9 +277,9 @@ def _verify(lot: Lot, cert: Certificate, emask: int, vmask: int) -> None:
               "vertex not on the removed edge")
         _need(sum(emask >> i & 1 for i in iv.incident[leaf]) == 1,
               "boundary-reduction-outer-vertex", "vertex is not a boundary vertex")
-        _need(all(edges[i][2] != leaf for i in ids),
-              "boundary-reduction-vertex-unlabeled",
-              f"{cert.outer_vertex} occurs as an edge label")
+        if any(edges[i][2] == leaf for i in ids):
+            raise _Reject("boundary-reduction-vertex-unlabeled",
+                          f"{cert.outer_vertex} occurs as an edge label")
         _verify(lot, cert.child, emask ^ 1 << e, vmask ^ 1 << leaf)
         return
 
@@ -280,11 +289,12 @@ def _verify(lot: Lot, cert: Certificate, emask: int, vmask: int) -> None:
               and not left & right, "free-decomposition-partition")
         halves = [_span(edges, map(ids.__getitem__, s)) for s in (left, right)]
         for side, (em, vm, labels) in zip(("left", "right"), halves):
-            _need(vm.bit_count() == em.bit_count() + 1
-                  and not labels & ~vm, f"free-decomposition-{side}-sublot")
+            if vm.bit_count() != em.bit_count() + 1 or labels & ~vm:
+                raise _Reject(f"free-decomposition-{side}-sublot")
         shared = [names[v] for v in _bits(halves[0][1] & halves[1][1])]
-        _need(shared == [cert.shared_vertex], "free-decomposition-single-shared-vertex",
-              f"intersection is {sorted(shared)}")
+        if shared != [cert.shared_vertex]:
+            raise _Reject("free-decomposition-single-shared-vertex",
+                          f"intersection is {sorted(shared)}")
         _verify(lot, cert.left_child, *halves[0][:2])
         _verify(lot, cert.right_child, *halves[1][:2])
         return
@@ -376,8 +386,9 @@ def _replay_chain(lot: Lot, chain: CollapseChain, ids, emask, vmask) -> None:
                 f"collapse vertex is not unique "
                 f"({sorted(names[v] for v in _bits(free))}); input not injective?")
         x = free.bit_length() - 1
-        _need(names[x] == step.collapse_vertex, "complete-set-collapse-vertex",
-              f"expected {names[x]}, certificate says {step.collapse_vertex}")
+        if names[x] != step.collapse_vertex:
+            raise _Reject("complete-set-collapse-vertex", f"expected {names[x]}, "
+                          f"certificate says {step.collapse_vertex}")
         alive &= ~sub
         rep = [x if inside >> r & 1 else r for r in rep]
         edges = tuple([(rep[t], rep[h], rep[l]) for t, h, l in iv.edges])
@@ -405,18 +416,24 @@ def _closes_up(edges, paths, sub: int, alive: int) -> bool:
     labels are its own vertices, so closure(sub | e) starts from sub, e and
     the path from e's tail to sub, and only later edges' labels are walked."""
     low, done = (sub & -sub).bit_length() - 1, 0
-    for e in _bits(alive & ~sub):
+    rest = alive & ~sub
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        e = bit.bit_length() - 1
         base = paths[edges[e if low < 0 else low][0]]
-        mask, new = sub, (paths[edges[e][0]] ^ base) & ~sub | 1 << e
+        mask, new = sub, (paths[edges[e][0]] ^ base) & ~sub | bit
         while new and not new & done and mask | new != alive:
             mask |= new
             grow = 0
-            for i in _bits(new):
-                grow |= paths[edges[i][2]] ^ base
+            while new:
+                low_bit = new & -new
+                new ^= low_bit
+                grow |= paths[edges[low_bit.bit_length() - 1][2]] ^ base
             new = grow & ~mask
         if not new:
             return False
-        done |= 1 << e
+        done |= bit
     return True
 
 
@@ -448,24 +465,42 @@ def _check_forests_and_witnesses(lot, ids, cert, parts, prefix):
     lk+ and lk-: each part, an (edge mask, vertex mask) pair, contracted to
     one node, and its own edges' corners dropped.  One union-find pass per
     colour, over label+ -- tail+ (label- -- head-) of each edge outside the
-    parts; then the recorded corner pairs must be the node's own."""
+    parts; then the recorded corner pairs must be the node's own, label+ --
+    tail+ and label- -- head- of each of its named edges, reoriented."""
     iv = lot._iv
-    flip = sum([1 << j for j in cert.flipped])
+    edges = iv.edges
+    flip = 0
+    for j in cert.flipped:
+        flip |= 1 << j
     node, inside = list(range(iv.n)), 0
     for k, (pe, pv) in enumerate(parts):
         for v in _bits(pv):
             node[v] = iv.n + k
         inside |= pe
-    for neg, colour in ((0, "positive"), (1, "negative")):
-        forest = UnionFind(iv.n + len(parts))
+    for negative in (0, 1):
+        union = UnionFind(iv.n + len(parts)).union
         for j, i in enumerate(ids):
             if not inside >> i & 1:
-                t, h, l = iv.edges[i]
-                end = h if flip >> j & 1 ^ neg else t
-                _need(forest.union(node[l], node[end]), f"{prefix}-{colour}-forest")
-    _need(_named_pairs(map(lot.edges.__getitem__, ids), flip) ==
-          (tuple(map(tuple, cert.pos_corners)), tuple(map(tuple, cert.neg_corners))),
-          f"{prefix}-witness-match")
+                t, h, l = edges[i]
+                if not union(node[l], node[h if flip >> j & 1 ^ negative else t]):
+                    colour = "negative" if negative else "positive"
+                    raise _Reject(f"{prefix}-{colour}-forest")
+    pos, neg = cert.pos_corners, cert.neg_corners
+    if len(pos) == len(neg) == len(ids):
+        named = lot.edges
+        for j, i in enumerate(ids):
+            t, h, l = named[i]
+            if flip >> j & 1:
+                t, h = h, t
+            if pos[j] != (l, t) or neg[j] != (l, h):
+                break
+        else:
+            return
+    for pair in (*pos, *neg):
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            raise _Reject("malformed-certificate",
+                          f"expected a corner pair, got {pair!r}")
+    raise _Reject(f"{prefix}-witness-match")
 
 
 # ---------------------------------------------------------------------------

@@ -530,6 +530,24 @@ class TestVerifier:
         assert not v.accepted
         assert v.failing_check == "prime-weight-test-witness-match"
 
+    def test_rejects_mistyped_fields_as_malformed(self, fig1):
+        """A hand-built node whose field has the wrong type is rejected as
+        malformed-certificate, with the error's text, and never raises."""
+        c = certify_va(fig1)
+        probes = [
+            (replace(c, pos_corners=(5,)), "expected a corner pair, got 5"),
+            (replace(c, pos_corners=tuple(map(list, c.pos_corners))),
+             "expected a corner pair, got "),
+            (replace(c, flipped=frozenset({"x"})), "'<=' not supported"),
+            (replace(c, sublots=(frozenset({"x"}),)), "'<=' not supported"),
+            (replace(c, chain=None), "'NoneType' object has no attribute"),
+            (BoundaryReduction("0", "a", BaseTrivial()), "'<=' not supported")]
+        for bad, detail in probes:
+            v = verify_certificate(fig1, bad)
+            assert (v.accepted, v.failing_check) == (False, "malformed-certificate")
+            assert v.detail.startswith(detail), v.detail
+        assert verify_certificate(fig1, c)
+
     def test_rejects_bad_free_partition(self, fig3):
         c = certify_va(fig3)
         bad = FreeDecompositionNode(c.left_edges, c.left_edges,
@@ -844,6 +862,57 @@ class TestForestPassAgainstComplexRoute:
                          f"{prefix}-negative-forest")}, seen
 
 
+def witness_edits(lot, node):
+    """(name, node) per edit of the node's corner pairs: in each pair of pos
+    and of neg, its label and then its end replaced by the next vertex of
+    the node's LOT; each pair dropped; and one pair appended."""
+    following = dict(zip(lot.vertices, lot.vertices[1:] + lot.vertices[:1]))
+    for field in ("pos_corners", "neg_corners"):
+        pairs = getattr(node, field)
+        for j, (label, end) in enumerate(pairs):
+            for edited in ((following[label], end), (label, following[end])):
+                yield (f"{field}[{j}] = {edited}",
+                       replace(node, **{field: pairs[:j] + (edited,) + pairs[j + 1:]}))
+            yield f"{field}[{j}] dropped", replace(node, **{field: pairs[:j] + pairs[j + 1:]})
+        yield f"{field} + {pairs[0]}", replace(node, **{field: pairs + pairs[:1]})
+
+
+class TestWitnessMatch:
+    """The recorded corner pairs against the node's own, field by field."""
+
+    def test_each_edit_of_a_pair(self, fig1, fig3, sweep6_every97):
+        """Every prime-wt and complete-set node of the certificates of fig1,
+        fig3 and the every-97th <=6 stride: each witness edit gives the
+        node's witness-match check; with one free edge of the flip set
+        toggled as well, each still gives the forest check the toggle gives
+        with its corner pairs rewritten to match."""
+        seen = Counter()
+        for root in (fig1, fig3, *sweep6_every97):
+            for lot, node in certificate_nodes(root, certify_va(root)):
+                if isinstance(node, PrimeWeightTest):
+                    prefix, inside = "prime-weight-test", frozenset()
+                elif isinstance(node, CompleteSetRelative):
+                    prefix, inside = "complete-set", frozenset().union(*node.sublots)
+                else:
+                    continue
+                free = min(i for i in range(lot.num_edges) if i not in inside)
+                flipped = node.flipped ^ {free}
+                reoriented = reorient(lot, flipped)
+                toggled = replace(
+                    node, flipped=flipped,
+                    pos_corners=tuple((l, t) for t, _, l in reoriented.edges),
+                    neg_corners=tuple((l, h) for _, h, l in reoriented.edges))
+                forest = verify_certificate(lot, toggled).failing_check
+                for base, want in ((node, f"{prefix}-witness-match"),
+                                   (toggled, forest or f"{prefix}-witness-match")):
+                    for edit, bad in witness_edits(lot, base):
+                        verdict = verify_certificate(lot, bad)
+                        assert (verdict.accepted, verdict.failing_check) == \
+                            (False, want), (format_lot(lot), edit)
+                        seen[want.rsplit("-", 2)[-2]] += 1
+        assert {"witness", "positive", "negative"} <= set(seen), seen
+
+
 class TestVerifierIndependence:
     """The verifier decides sub-LOTs, boundary vertices, children and the
     lk+/lk- forests on its own masks, not with the prover's helpers (its
@@ -879,7 +948,7 @@ class TestVerifierIndependence:
             ("extract_sublot", "boundary_reducible_witness", "is_sublot",
              "sublot_vertices", "FlipForests", "boundary_reduce",
              "_leaf_witness", "_is_prime", "_free_split", "_chain_search",
-             "_quotient", "_local", "_ends"))
+             "_quotient", "_local", "_ends", "_named_pairs"))
         for lot, cert in certified:
             assert verify_certificate(lot, cert), cert.kind
 
