@@ -4,40 +4,42 @@ workload's path after ``parse_lot``, in its order.
     python3 scripts/bench_relative.py [--seed N] [--against CHECKOUT] [--out FILE]
 
 Run from anywhere; the library is imported from the ``src/`` next to this
-script.  The inputs are the weight-path LOTs of the ``weights`` workload of
-``perfbench/workloads.py`` at ``--seed`` (default 0): 800 LOTs with 16-24
-edges, each with the greedy closure family of the weight path as K
+script.  The inputs are the weight-path LOTs of the ``weights`` workload
+of ``perfbench/workloads.py`` at ``--seed`` (default 0): 800 LOTs with
+16-24 edges, each with the greedy closure family of the weight path as K
 (``closure_family`` of ``perfbench/paths.py``).  The stages:
 ``build_complex``, which also makes the complex's corner pass, and
 ``build_link``; the greedy closure family through ``sublot_closure``
 (``family``) and ``derive_subcomplexes``; ``build_relative_link``,
 ``canonical_weights`` on lk(L, K) and ``relative_weight_test``;
 ``signed_relative_forest_check`` for each sign; ``weight_test`` on lk(L);
-``curvature_report`` and ``find_sink_source`` on the pillow over the first
-cell.  Each call gets its inputs as the weight path hands them over, made
-untimed.  ``build_link`` gets a new complex on every call.  The links and
-their weights, and the complex the other stages share, are made once per
-LOT.  The family and the pillow are made afresh for every call, since
-each keeps what a call derived from it: ``build_relative_link`` gets a
-family that no complex has validated yet, and the relative weight test
-and the forest checks get one validated on the complex, as
-``build_relative_link`` leaves it.  ``curvature_report`` gets an unglued
-pillow, and ``find_sink_source`` one glued on the complex, as
-``curvature_report`` leaves it.  The closure family is built on a copy of
-the LOT that has not run its closure pass (``bench_certify.fresh``), as a
-parsed LOT has not.  The stages are timed by ``bench_certify.py``'s loop,
-stage by stage: each call in each of five rounds, its best round, and per
-stage the median, p90 and maximum over the LOTs, scaled to the reference
-host speed of ``perfbench/host.py``, with the raw medians and the range of
-factors.  Records those, the median over the LOTs of the stages' sum, the
-corner counts of the relative links, a digest of the relative verdicts,
-the failure counts, and the host it ran on.  With ``--against CHECKOUT``
-the same calls run on the ``src/lotva`` of another checkout too, in turn
-with this one's, best of ``bench_certify.AGAINST_ROUNDS`` (see
-``bench_certify.py``); its stages are recorded under ``before``, with the
-paired change of each stage and of the stages' sum, and both checkouts
-must give the same relative verdicts.  Standard library only; a bench,
-not a test.
+``double_cell_sphere``, the pillow over the first cell, and
+``curvature_report`` and ``find_sink_source`` on it.  Each call gets its
+inputs as the weight path hands them over, made untimed.  ``build_link``
+gets a new complex on every call.  The links and their weights, and the
+complex the other stages share, are made once per LOT.  The family and the
+pillow are made afresh for every call, since each keeps what a call
+derived from it: ``build_relative_link`` gets a family that no complex has
+validated yet, and the relative weight test and the forest checks get one
+validated on the complex, as ``build_relative_link`` leaves it.
+``curvature_report`` gets a pillow as ``double_cell_sphere`` makes it,
+which comes glued on the complex, and ``find_sink_source`` one validated
+on the complex, as ``curvature_report`` leaves it; so a checkout whose
+pillow comes unglued glues it in ``curvature_report``.  The closure family
+is built on a copy of the LOT that has not run its closure pass
+(``bench_certify.fresh``), as a parsed LOT has not.  The stages are timed
+by ``bench_certify.py``'s loop, stage by stage: each call in each of five
+rounds, its best round, and per stage the median, p90 and maximum over the
+LOTs, scaled to the reference host speed of ``perfbench/host.py``, with
+the raw medians and the range of factors.  Records those, the median over
+the LOTs of the stages' sum, the corner counts of the relative links, a
+digest of the relative verdicts, the failure counts, and the host it ran
+on.  With ``--against CHECKOUT`` the same calls run on the ``src/lotva``
+of another checkout too, in turn with this one's, best of
+``bench_certify.AGAINST_ROUNDS`` (see ``bench_certify.py``); its stages
+are recorded under ``before``, with the paired change of each stage and of
+the stages' sum, and both checkouts must give the same relative verdicts.
+Standard library only; a bench, not a test.
 """
 
 from __future__ import annotations
@@ -61,12 +63,16 @@ from spans import NoTrace  # noqa: E402
 from workloads import lot_text, make_inputs  # noqa: E402
 
 
+def weight_texts(seed: int) -> list[str]:
+    """The text of each weight-path LOT of the workload."""
+    return [lot_text(s, "v") for kind, s in make_inputs("weights", seed).ops
+            if kind == "weights"]
+
+
 def weight_cases(seed: int) -> list:
     """(text, closure family) of each weight-path LOT of the workload."""
-    texts = [lot_text(s, "v") for kind, s in make_inputs("weights", seed).ops
-             if kind == "weights"]
     return [(text, closure_family(NoTrace(), lotva.parse_lot(text)))
-            for text in texts]
+            for text in weight_texts(seed)]
 
 
 def family(lot, lib=lotva) -> list:
@@ -131,6 +137,7 @@ def case_calls(text: str, parts: list, lib=lotva) -> list:
             ("forest_check_neg", lib.signed_relative_forest_check,
              lambda: (cx, checked(), -1)),
             ("weight_test", lib.weight_test, (cx, g, w)),
+            ("double_cell_sphere", lib.double_cell_sphere, (cx, "d_0")),
             ("curvature_report", lib.curvature_report, lambda: (pillow(), cx, w)),
             ("find_sink_source", lib.find_sink_source, lambda: (glued(), cx))]
 

@@ -167,15 +167,20 @@ def build_complex(slot: Union[Lot, SignedLot]) -> TwoComplex:
     One pass over the LOT's int view makes the cells, the indexes and the
     corner pass, from the initial ends of each cell's letters
     (``_corner_pass``), that ``TwoComplex`` keeps; the LOT's invariants
-    stand in for the constructor's checks."""
+    stand in for the checks of the complex, cell and word constructors."""
     lot, sign = (slot, None) if isinstance(slot, Lot) else (slot.lot, slot.sign)
     names = tuple(lot.vertices)
     sign = sign or (1,) * len(names)
     cells, inits = [], []
     for i, (t, h, l) in enumerate(lot._iv.edges):
         st, sh, z = sign[t], sign[h], names[l]
-        cells.append(Cell(f"d_{i}", BoundaryWord(
-            ((names[t], st), (z, 1), (names[h], -sh), (z, -1)))))
+        # the frozen values made without their generated __init__
+        word, cell = object.__new__(BoundaryWord), object.__new__(Cell)
+        object.__setattr__(word, "letters", (
+            (names[t], st), (z, 1), (names[h], -sh), (z, -1)))
+        object.__setattr__(cell, "name", f"d_{i}")
+        object.__setattr__(cell, "boundary", word)
+        cells.append(cell)
         inits.append((2 * t + (st < 0), 2 * l, 2 * h + (sh > 0), 2 * l + 1))
     cx = object.__new__(TwoComplex)
     vars(cx).update(edge_names=names, cells=tuple(cells), name=lot.name,

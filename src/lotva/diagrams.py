@@ -435,7 +435,10 @@ def find_sink_source(d: SurfaceDiagram, cx: TwoComplex
 
 def double_cell_sphere(cx: TwoComplex, cell_name: str) -> SurfaceDiagram:
     """Mirror sphere over one cell: two faces (the cell with + and with -),
-    q edges, q vertices.  Every vertex is a folding vertex."""
+    q edges, q vertices.  Every vertex is a folding vertex.  When every
+    letter's sign is +1 or -1, it comes glued on cx (``_gluing``) as
+    ``_glue`` would glue it, from the sphere's closed form; any other sign
+    is left to ``_glue``, which rejects it."""
     cell = cx.cell(cell_name)
     q = len(cell.boundary)
     vertices = tuple(f"v{i}" for i in range(q))
@@ -446,8 +449,15 @@ def double_cell_sphere(cx: TwoComplex, cell_name: str) -> SurfaceDiagram:
                         tuple((i, 1) for i in range(q)))
     back = DiagramFace("back", cell_name, -1,
                        tuple((i, -1) for i in reversed(range(q))))
-    return SurfaceDiagram(f"double_{cell_name}", cx.name, vertices,
-                          tuple(edges), (front, back))
+    d = SurfaceDiagram(f"double_{cell_name}", cx.name, vertices,
+                       tuple(edges), (front, back))
+    if all(e.image_sign in (1, -1) for e in edges):
+        report = DiagramReport(True, None, chi=2, genus=0, sphere=True,
+                               connected=True, rotations=(0, 0))
+        cycles = {vertices[(i + 1) % q]: [(0, i), (1, (q - 2 - i) % q)]
+                  for i in range(q)}
+        object.__setattr__(d, "_glued", (cx, _Gluing(report, cycles)))
+    return d
 
 
 # ---------------------------------------------------------------------------

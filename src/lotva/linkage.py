@@ -94,9 +94,15 @@ class LinkGraph(_Value):
     held blocks, each as a whole.  A built link holds no ``Corner``:
     ``ends`` adds the Delta ends on its first read, and ``corners`` builds
     them all on its first read; the weight tests read ids, ends and runs.
+
+    ``_source`` is (complex, family parts or None) for a link built by
+    ``build_link`` or ``build_relative_link``, (None, None) for one built
+    by hand: ``relative_weight_test`` takes a link built from its complex
+    object and an equal family for lk(L, K) unchecked.  It takes no part
+    in equality, hashing or repr, which read ``_fields``.
     """
     __slots__ = ("nodes", "delta_blocks", "_corners", "_ends", "_ids", "_orders",
-                 "_runs")
+                 "_runs", "_source")
     _fields = ("nodes", "corners", "delta_blocks")
 
     def __init__(self, nodes: tuple[EdgeEnd, ...], corners: tuple[Corner, ...],
@@ -112,6 +118,7 @@ class LinkGraph(_Value):
         self._orders = _held_orders(nodes, corners, ends, delta_blocks or ())
         self._runs = tuple((c.provenance[1], 0 if c.is_delta else c.provenance[2], 1)
                            for c in corners)
+        self._source = (None, None)
 
     @property
     def corners(self) -> tuple[Corner, ...]:
@@ -193,6 +200,7 @@ def _built(cx: TwoComplex, fam: Optional[SubcomplexFamily] = None) -> LinkGraph:
     g.nodes, g._corners, g._ends, g._ids = nodes, (), ends, range(start)
     g._runs = tuple((name, 0, hi - lo) for name, lo, hi in kept)
     g.delta_blocks, g._orders = (tuple(blocks) if fam else None), tuple(orders)
+    g._source = (cx, fam.parts if fam else None)
     return g
 
 

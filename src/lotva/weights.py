@@ -424,8 +424,8 @@ def _zero_cuts(n: int, tails, iw: list[int], orders: tuple, limit: int
             rep[y] = order[t & 1]
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     pairs = [(order[0], order[1], -1) for _, order, _, _ in orders]  # -1: positive
-    for j, x in enumerate(iw):
-        a, b = rep[tails[2 * j]], rep[tails[2 * j + 1]]
+    ends = map(rep.__getitem__, tails)  # zipped twice: both ends of a corner
+    for j, (x, a, b) in enumerate(zip(iw, ends, ends)):
         if a != b and x < limit:
             pairs.append((a, b, -1 if x else j))
             if not x:
@@ -446,15 +446,25 @@ def _zero_cuts(n: int, tails, iw: list[int], orders: tuple, limit: int
                         parent[z], up[z] = y, j
                         stack.append(z)
     lo, hi = pre[:], pre[:]  # the least and greatest preorder reached
-    for a, b, j in pairs:
+    for a, b, j in pairs:  # lo <= pre <= hi, so one bound moves per end
         if root[a] == root[b] and (j < 0 or up[a] != j != up[b]):
-            lo[a], hi[a] = min(lo[a], pre[b]), max(hi[a], pre[b])
-            lo[b], hi[b] = min(lo[b], pre[a]), max(hi[b], pre[a])
+            pa, pb = pre[a], pre[b]
+            if pb < lo[a]:
+                lo[a] = pb
+            elif pb > hi[a]:
+                hi[a] = pb
+            if pa < lo[b]:
+                lo[b] = pa
+            elif pa > hi[b]:
+                hi[b] = pa
     size = [1] * n
     for y in reversed(seq):  # children before parents
         p = parent[y]
         if p >= 0:
-            lo[p], hi[p] = min(lo[p], lo[y]), max(hi[p], hi[y])
+            if lo[y] < lo[p]:
+                lo[p] = lo[y]
+            if hi[y] > hi[p]:
+                hi[p] = hi[y]
             size[p] += size[y]
     return ({up[y] for y in seq
              if parent[y] >= 0 and lo[y] == pre[y] and hi[y] < pre[y] + size[y]},
@@ -620,6 +630,10 @@ def relative_weight_test(cx: TwoComplex, fam: SubcomplexFamily,
     family whose parts are not subcomplexes of cx StructureError, and so
     does a corner with no weight.
 
+    A link that ``build_relative_link`` made from this complex object and
+    a family with equal parts (``LinkGraph._source``) is lk(L, K) by
+    construction: its cell corners are summed run by run, unchecked.
+
     Each Delta-block is checked by one comparison and searched as a block
     (``_homred_violation``): only the cell corners' weights are scaled,
     summed and checked one by one.
@@ -631,7 +645,10 @@ def relative_weight_test(cx: TwoComplex, fam: SubcomplexFamily,
             raise PreconditionError(
                 f"K-cell {cn!r} has exponent sum {exponent_sum(cx.cell(cn).boundary)}")
     den, iw = _scaled_cells(link, w)
-    sums = _relative_cell_sums(cx, fam, link, iw)
+    if link._source[0] is cx and link._source[1] == fam.parts:
+        sums = _cell_sums(link, iw)
+    else:
+        sums = _relative_cell_sums(cx, fam, link, iw)
     cell_verdict = _cell_condition(cx, sums, den, k_cells)
     if not cell_verdict:
         return cell_verdict

@@ -1,15 +1,16 @@
 """No module-level cache keeps library values alive after their last use,
 and what a value keeps on itself takes no part in its identity: a Lot's
-closures, a complex's indexes and corner pass, a family's validation and a
-diagram's gluing."""
+closures, a complex's indexes and corner pass, a family's validation, a
+diagram's gluing and a built link's source."""
 
 import gc
 import weakref
 
 import pytest
 
-from lotva import (BoundaryWord, Cell, Lot, ParseError, StructureError,
-                   SubcomplexFamily, TwoComplex, build_complex, build_link,
+from lotva import (BoundaryWord, Cell, LinkGraph, Lot, ParseError,
+                   StructureError, SubcomplexFamily, SurfaceDiagram,
+                   TwoComplex, build_complex, build_link,
                    build_relative_link, canonical_weights, certify_va,
                    curvature_report, derive_subcomplexes, double_cell_sphere,
                    find_sink_source, parse_complex, parse_lot,
@@ -27,7 +28,7 @@ def test_lot_and_complex_are_collected(fixture_dir):
     curvature_report(pillow, cx, canonical_weights(build_link(cx)))
     find_sink_source(pillow, cx)
     fam = derive_subcomplexes(lot, [frozenset({1, 2, 3, 4})])
-    build_relative_link(cx, fam)
+    rg = build_relative_link(cx, fam)
     for pol in (1, -1):
         signed_relative_forest_check(cx, fam, pol)
     assert lot._closures is not None  # the lot keeps its closure pass
@@ -35,18 +36,19 @@ def test_lot_and_complex_are_collected(fixture_dir):
     assert cx._cell_index["d_0"] == 0  # and its index
     assert pillow._glued[0] is cx  # the pillow keeps its gluing on cx
     assert fam._valid_on is cx  # and the family its validation
+    assert rg._source[0] is cx and rg._source[1] is fam.parts  # and the link both
 
     lot_ref, cx_ref = weakref.ref(lot), weakref.ref(cx)
-    del lot, cert, cx, pillow, fam
+    del lot, cert, cx, pillow, fam, rg
     gc.collect()
     assert lot_ref() is None
     assert cx_ref() is None
 
 
 def test_kept_structure_is_not_identity(fixture_dir):
-    """A Lot whose closures were read and a TwoComplex whose indexes and
-    corner pass were used equal, hash and print as fresh copies of
-    themselves."""
+    """A Lot whose closures were read, a TwoComplex whose indexes and
+    corner pass were used, a validated family, a glued pillow and a built
+    link equal, hash and print as fresh copies of themselves."""
     lot = parse_lot((fixture_dir / "fig1.lot").read_text())
     fresh = Lot(lot.vertices, lot.edges, name=lot.name)
     sublot_closure(lot, 3)
@@ -69,11 +71,19 @@ def test_kept_structure_is_not_identity(fixture_dir):
     assert fam == unchecked and hash(fam) == hash(unchecked)
     assert repr(fam) == repr(unchecked) and "_valid_on" not in repr(fam)
 
-    pillow, unglued = double_cell_sphere(cx, "d_0"), double_cell_sphere(cx, "d_0")
+    pillow = double_cell_sphere(cx, "d_0")
     find_sink_source(pillow, cx)
+    unglued = SurfaceDiagram(pillow.name, pillow.complex_name, pillow.vertices,
+                             pillow.edges, pillow.faces)
     assert pillow._glued[0] is cx and unglued._glued is None
     assert pillow == unglued and hash(pillow) == hash(unglued)
     assert repr(pillow) == repr(unglued) and "_glued" not in repr(pillow)
+
+    for g in (build_link(cx), build_relative_link(cx, fam)):
+        by_hand = LinkGraph(g.nodes, g.corners, g.delta_blocks)
+        assert g._source[0] is cx and by_hand._source == (None, None)
+        assert g == by_hand and hash(g) == hash(by_hand)
+        assert repr(g) == repr(by_hand) and "_source" not in repr(g)
 
 
 class _CountingIndex(dict):

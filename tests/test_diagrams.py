@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from lotva import (DegenerateDiagramError, DiagramEdge, DiagramFace,
-                   ParseError, PreconditionError, StructureError,
-                   SubcomplexFamily, SurfaceDiagram, VertexLinkCycle,
+from lotva import (BoundaryWord, Cell, DegenerateDiagramError, DiagramEdge,
+                   DiagramFace, ParseError, PreconditionError, StructureError,
+                   SubcomplexFamily, SurfaceDiagram, TwoComplex, VertexLinkCycle,
                    WeightAssignment, build_complex, build_link,
                    canonical_weights, curvature_report, derive_subcomplexes,
                    double_cell_sphere, find_folding_vertices,
@@ -598,19 +598,20 @@ class TestKeptGluing:
         return calls
 
     def test_one_gluing_per_complex(self, prime, glued):
-        """Curvature and sink/source on one pillow and complex glue once;
-        an equal but distinct complex is glued again, with the same
-        results, and then kept in turn."""
+        """A pillow comes glued on the complex it was made over, so
+        curvature and sink/source on it glue nothing; an equal but distinct
+        complex is glued, with the same results, and then kept in turn, so
+        the first complex is glued when it comes back."""
         cx, twin = build_complex(prime), build_complex(prime)
         d = double_cell_sphere(cx, "d_0")
         w = canonical_weights(build_link(cx))
         first = (curvature_report(d, cx, w), find_sink_source(d, cx))
-        assert glued == [cx] and glued[0] is cx
+        assert glued == []
         assert (curvature_report(d, twin, w), find_sink_source(d, twin)) == first
-        assert len(glued) == 2 and glued[1] is twin
+        assert len(glued) == 1 and glued[0] is twin
         assert validate_diagram(d, twin).valid
         assert vertex_link_cycles(d, twin) == vertex_link_cycles(d, cx)
-        assert len(glued) == 3 and glued[2] is cx
+        assert len(glued) == 2 and glued[1] is cx
 
     def test_invalid_diagram_raises_every_call(self, pillow, prime_cx, glued):
         d = _with_fault(pillow, "unknown cell")
@@ -626,6 +627,43 @@ class TestKeptGluing:
 
 
 class TestDoubleSphere:
+    def test_closed_form_gluing_is_glue(self, fig1, fig3, prime, differential_lots):
+        """The gluing a pillow comes with, from the sphere's closed form,
+        is what ``_glue`` finds, with the same vertex order, on every cell
+        of LOT complexes, sign-changed ones, and parsed cells with repeated
+        and inverse letters."""
+        from lotva.diagrams import _glue
+        rng = random.Random(40)
+        lots = [fig1, fig3, prime, *differential_lots]
+        complexes = [build_complex(lot) for lot in lots] + [
+            build_complex(sign_change(lot, {v for v in lot.vertices
+                                            if rng.random() < 0.5}))
+            for lot in lots]
+        complexes.append(parse_complex(
+            "complex words\nedge x\nedge y\ncell p = x,x,x,x\ncell q = x\n"
+            "cell r = x,-x\ncell s = -x,-x\ncell t = x,y,x,y\n"))
+        cells = 0
+        for cx in complexes:
+            for cell in cx.cells:
+                d = double_cell_sphere(cx, cell.name)
+                kept, (_, glue) = _glue(d, cx), d._glued
+                assert d._glued[0] is cx
+                assert glue == kept and list(glue.cycles) == list(kept.cycles)
+                cells += 1
+        assert cells > 20000  # 24,657 cells in all
+
+    def test_bad_sign_left_to_glue(self):
+        """A hand-built cell with a letter of sign 2 makes a pillow that
+        keeps no gluing, and validation reports the sign as before."""
+        cx = TwoComplex(("x",), (Cell("c", BoundaryWord((("x", 1), ("x", 2)))),))
+        d = double_cell_sphere(cx, "c")
+        assert d._glued is None
+        rep = validate_diagram(d, cx)
+        assert not rep.valid and rep.error == "edge 'e1' has bad image sign"
+        with pytest.raises(PreconditionError,
+                           match="^invalid diagram: edge 'e1' has bad image sign$"):
+            find_sink_source(d, cx)
+
     def test_q4(self, prime_cx):
         d = double_cell_sphere(prime_cx, "d_0")
         rep = validate_diagram(d, prime_cx)

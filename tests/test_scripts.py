@@ -1,6 +1,7 @@
 """Smoke test: every script in scripts/ imports the library and answers
 --help, so a library change that breaks a bench script shows here."""
 
+import hashlib
 import importlib.util
 import math
 import os
@@ -11,9 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from lotva import (Lot, build_complex, build_relative_link, canonical_weights,
-                   certify_va, derive_subcomplexes, format_lot, parse_lot,
-                   relative_weight_test, serialize_certificate)
+from lotva import (Lot, build_complex, build_link, build_relative_link,
+                   canonical_weights, certify_va, curvature_report,
+                   derive_subcomplexes, double_cell_sphere, find_sink_source,
+                   format_lot, parse_lot, relative_weight_test,
+                   serialize_certificate, weight_test)
 from lotva.sweep import iter_small_lots
 
 ROOT = Path(__file__).parent.parent
@@ -60,6 +63,27 @@ def test_bench_relative_verdicts():
     assert len(verdicts) == 800
     assert bench.verdict_sha256(verdicts) == \
         "24acebb77019361a7a3ad904bccd6364f0df98b916863112c28fefd9d0e5c7e3"
+
+
+def test_weight_path_outputs():
+    """On the 800 LOTs of ``test_bench_relative_verdicts``, the absolute
+    weight tests give the recorded verdicts and witnesses, and the pillow
+    over the first cell the recorded curvature reports and sinks and
+    sources."""
+    bench = load("bench_relative")
+    verdicts, pillows = [], []
+    for text in bench.weight_texts(0):
+        cx = build_complex(parse_lot(text))
+        g = build_link(cx)
+        w = canonical_weights(g)
+        verdicts.append(weight_test(cx, g, w))
+        p = double_cell_sphere(cx, "d_0")
+        pillows.append((curvature_report(p, cx, w), find_sink_source(p, cx)))
+    assert len(verdicts) == 800 and sum(not v.ok for v in verdicts) == 792
+    assert bench.verdict_sha256(verdicts) == \
+        "09fdf1de46376a7820596dd8ed76ba45749f7e15655b0e4b9423f72b606d7759"
+    assert hashlib.sha256(repr(pillows).encode()).hexdigest() == \
+        "8d53d8e22036729b2798aaeb586efff421903e69e677b19f952a354825b81e76"
 
 
 def test_bench_against_loop():

@@ -707,6 +707,49 @@ class TestRelativeWeightTest:
             assert verdict.ok == (not flip)
             assert verdict.ok == relative_weight_test(cx, fam, canonical_weights(g), g).ok
 
+    def test_built_link_taken_unchecked(self, fig1, monkeypatch):
+        """A link that ``build_relative_link`` made from the complex object
+        and family given, or an equal family, is taken for lk(L, K): no run
+        comparison (``_relative_cell_sums``) is made.  An equal but
+        distinct complex makes one, as does a link built by hand, with the
+        same verdict."""
+        import lotva.weights as weights_module
+        calls = []
+        real = weights_module._relative_cell_sums
+        monkeypatch.setattr(weights_module, "_relative_cell_sums",
+                            lambda cx, *rest: calls.append(cx) or real(cx, *rest))
+        cx, twin = build_complex(fig1), build_complex(fig1)
+        fam = derive_subcomplexes(fig1, [frozenset({1, 2, 3, 4})])
+        g = build_relative_link(cx, fam)
+        w = canonical_weights(g)
+        verdict = relative_weight_test(cx, fam, w, g)
+        assert verdict.ok
+        for equal in (SubcomplexFamily(fam.parts),
+                      derive_subcomplexes(fig1, [frozenset({1, 2, 3, 4})])):
+            assert relative_weight_test(cx, equal, w, g) == verdict
+        assert calls == []
+        assert relative_weight_test(twin, fam, w, g) == verdict
+        assert len(calls) == 1 and calls[0] is twin
+        by_hand = LinkGraph(g.nodes, g.corners, g.delta_blocks)
+        assert relative_weight_test(cx, fam, canonical_weights(by_hand), by_hand) == verdict
+        assert len(calls) == 2 and calls[1] is cx
+
+    def test_built_link_verdicts_match_checked(self, sweep6_every97):
+        """On the sweep sample with closure families and random rational
+        cell weights, a built link taken unchecked gets the verdict and
+        witness that the run comparison on an equal complex gets."""
+        rng = random.Random(41)
+        kinds = Counter()
+        for lot in sweep6_every97[::3]:
+            cx, twin = build_complex(lot), build_complex(lot)
+            fam = derive_subcomplexes(lot, closure_family(lot))
+            g = build_relative_link(cx, fam)
+            w = _rational_weights(rng, g)
+            verdict = relative_weight_test(cx, fam, w, g)
+            assert relative_weight_test(twin, fam, w, g) == verdict
+            kinds[verdict.violation[0] if verdict.violation else "pass"] += 1
+        assert set(kinds) == {"pass", "cell", "cycle"}
+
     def test_unknown_family_cell_rejected(self, fig1):
         cx = build_complex(fig1)
         fam = derive_subcomplexes(fig1, [frozenset({1, 2, 3, 4})])
